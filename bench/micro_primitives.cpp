@@ -1,16 +1,17 @@
 // Microbenchmarks (google-benchmark) for the primitives every experiment
 // stands on: mapping decode/encode, GF(2) algebra, the simulated timing
-// channel, Algorithm 1 selection, and the XOR-mask search inner loop.
-// These measure *host* cost, bounding how long the table/figure harnesses
-// take to run — the virtual-time numbers in Fig. 2 are independent.
+// channel, Algorithm 1 selection and a full pipeline run. These measure
+// *host* cost, bounding how long the table/figure harnesses take to run —
+// the virtual-time numbers in Fig. 2 are independent.
 //
-// On top of the google-benchmark suite, main() runs two tracked
-// comparisons and emits them as machine-readable BENCH_micro.json:
-//   * function detection on a 16-bank-bit synthetic config — the GF(2)
-//     null-space path against the legacy 2^16 mask enumeration, and
-//   * the batched measurement engine against a scalar measure_pair loop.
-// Flags: --smoke (skip the google-benchmark suite, shrink the synthetic
-// config for CI), --out=PATH (default BENCH_micro.json).
+// On top of the google-benchmark suite, main() runs the tracked sections
+// and emits them as machine-readable BENCH_micro.json: the batched
+// measurement engine against a scalar measure_pair loop, hot-path
+// throughput per layer, counter-tail thread scaling, the SIMD decode
+// kernel against its portable fallback, and the fleet store's verify and
+// warm-start savings. bench_guard floors them (bench/floors.json).
+// Flags: --smoke (skip the google-benchmark suite, shrink the batches for
+// CI), --out=PATH (default BENCH_micro.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,19 +22,14 @@
 
 #include "api/mapping_service.h"
 #include "core/address_selection.h"
-#include "core/bit_probe.h"
-#include "core/coarse_detect.h"
 #include "core/dramdig.h"
 #include "core/environment.h"
-#include "core/fine_detect.h"
-#include "core/function_detect.h"
 #include "core/probe_util.h"
 #include "dram/presets.h"
 #include "sysinfo/system_info.h"
 #include "sim/machine.h"
 #include "sim/profiles.h"
 #include "util/bitops.h"
-#include "util/combinatorics.h"
 #include "util/gf2.h"
 #include "util/json.h"
 #include "util/parallel.h"
@@ -139,29 +135,6 @@ void BM_AddressSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_AddressSelection)->Unit(benchmark::kMillisecond);
 
-void BM_XorMaskSweep(benchmark::State& state) {
-  // The legacy Algorithm 3 inner loop: all masks over 14 bank bits against
-  // one pile of 256 addresses.
-  const std::vector<unsigned> bits{7,  8,  9,  12, 13, 14, 15,
-                                   16, 17, 18, 19, 20, 21, 22};
-  rng r(6);
-  std::vector<std::uint64_t> pile;
-  for (int i = 0; i < 256; ++i) pile.push_back(r.below(1ull << 23));
-  for (auto _ : state) {
-    std::size_t alive = 0;
-    for_each_bit_combination(bits, 1, 14, [&](std::uint64_t mask) {
-      const unsigned want = parity(pile[0], mask);
-      for (std::size_t i = 1; i < pile.size(); ++i) {
-        if (parity(pile[i], mask) != want) return true;
-      }
-      ++alive;
-      return true;
-    });
-    benchmark::DoNotOptimize(alive);
-  }
-}
-BENCHMARK(BM_XorMaskSweep)->Unit(benchmark::kMillisecond);
-
 void BM_EndToEndDramDigNo4(benchmark::State& state) {
   // Host cost of a full pipeline run on the smallest machine.
   for (auto _ : state) {
@@ -181,88 +154,7 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Synthetic config: `width` bank bits feeding log2(banks) random
-/// independent functions; piles enumerate every bank-bit combination,
-/// grouped by true bank — the shape partition hands to Algorithm 3, at a
-/// size (16 bank bits on the default run) where the 2^B enumeration hurts.
-struct synthetic_piles {
-  std::vector<unsigned> bank_bits;
-  gf2::matrix functions;
-  std::vector<std::vector<std::uint64_t>> piles;
-  unsigned bank_count = 0;
-};
-
-synthetic_piles make_synthetic(unsigned width, unsigned function_count,
-                               std::uint64_t seed) {
-  synthetic_piles out;
-  for (unsigned i = 0; i < width; ++i) out.bank_bits.push_back(6 + i);
-  const std::uint64_t support = mask_of_bits(out.bank_bits);
-  rng r(seed);
-  while (out.functions.size() < function_count) {
-    const std::uint64_t f = scatter_bits(
-        1 + r.below((std::uint64_t{1} << width) - 1), out.bank_bits);
-    out.functions.push_back(f & support);
-    if (gf2::rank(out.functions) != out.functions.size()) {
-      out.functions.pop_back();
-    }
-  }
-  out.bank_count = 1u << function_count;
-  out.piles.resize(out.bank_count);
-  for (std::uint64_t c = 0; c < (std::uint64_t{1} << width); ++c) {
-    const std::uint64_t pa = scatter_bits(c, out.bank_bits);
-    std::uint64_t id = 0;
-    for (std::size_t i = 0; i < out.functions.size(); ++i) {
-      id |= static_cast<std::uint64_t>(parity(pa, out.functions[i])) << i;
-    }
-    out.piles[id].push_back(pa);
-  }
-  return out;
-}
-
 void emit_bench_json(const std::string& path, bool smoke) {
-  // 16 bank bits / 8 functions on the full run: the channel+rank+bank-group
-  // shape of a large dual-channel DDR4 config, where the 2^16 enumeration
-  // pays 255 surviving masks against every pile member.
-  const unsigned width = smoke ? 14 : 16;
-  const unsigned functions = smoke ? 6 : 8;
-  const synthetic_piles s = make_synthetic(width, functions, 42);
-
-  core::function_config nullspace_cfg{};
-  core::function_config oracle_cfg{};
-  oracle_cfg.use_nullspace = false;
-
-  // Min-of-3 wall times: the nullspace run is sub-millisecond on the
-  // smoke config, so a single scheduler stall would sink the CI guard's
-  // speedup floor with no code regression. Both runs are deterministic,
-  // so the min is the honest host cost.
-  sim::virtual_clock nullspace_clock;
-  core::function_outcome fast;
-  double nullspace_wall_s = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::virtual_clock clock;
-    const auto t0 = std::chrono::steady_clock::now();
-    fast = core::detect_functions(s.piles, s.bank_bits, s.bank_count, clock,
-                                  nullspace_cfg);
-    nullspace_wall_s = std::min(nullspace_wall_s, wall_seconds_since(t0));
-    nullspace_clock = clock;
-  }
-
-  sim::virtual_clock oracle_clock;
-  core::function_outcome slow;
-  double oracle_wall_s = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::virtual_clock clock;
-    const auto t0 = std::chrono::steady_clock::now();
-    slow = core::detect_functions(s.piles, s.bank_bits, s.bank_count, clock,
-                                  oracle_cfg);
-    oracle_wall_s = std::min(oracle_wall_s, wall_seconds_since(t0));
-    oracle_clock = clock;
-  }
-
-  const bool agree = fast.success && slow.success &&
-                     fast.functions == slow.functions &&
-                     gf2::same_span(fast.functions, s.functions);
-
   // Batched engine vs scalar loop, identical seeds: same simulated result,
   // host wall time compared.
   const auto spec = dram::machine_by_number(1);
@@ -278,8 +170,8 @@ void emit_bench_json(const std::string& path, bool smoke) {
   // embedding (the timing channel) reuses its controller and result
   // buffers across calls, so steady-state throughput — not first-call
   // buffer growth — is the honest comparison, and the min also absorbs
-  // scheduler stalls (the ratio is CI-gated via
-  // bench_guard --min-batch-speedup). Both machines run the identical
+  // scheduler stalls (the ratio is CI-gated: bench/floors.json
+  // batch_speedup). Both machines run the identical
   // three passes, so their virtual clocks stay comparable.
   auto t0 = std::chrono::steady_clock::now();
   double scalar_wall_s = 1e300, batch_wall_s = 1e300;
@@ -306,189 +198,12 @@ void emit_bench_json(const std::string& path, bool smoke) {
   const std::uint64_t batch_measurements =
       batch_machine.controller().measurement_count();
 
-  // Closed-form access accounting vs the per-access loop oracle: same
-  // batch, same seeds — the results must be bit-identical while the loop
-  // walks 2*rounds row-buffer transitions per measurement. Min-of-3 wall
-  // times on fresh machines per repetition: this ratio is CI-gated and
-  // the closed-form run is only milliseconds, so a single scheduler stall
-  // must not sink the floor.
-  double loop_wall_s = 1e300, closed_wall_s = 1e300;
-  bool accounting_identical = false;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::timing_model loop_timing = sim::timing_profile_for(spec);
-    loop_timing.closed_form_accounting = false;
-    sim::machine loop_machine(spec, 11, loop_timing);
-    t0 = std::chrono::steady_clock::now();
-    const auto loop_results =
-        loop_machine.controller().measure_pairs(pairs, 1000);
-    loop_wall_s = std::min(loop_wall_s, wall_seconds_since(t0));
-
-    sim::machine closed_machine(spec, 11, sim::timing_profile_for(spec));
-    t0 = std::chrono::steady_clock::now();
-    const auto closed_results =
-        closed_machine.controller().measure_pairs(pairs, 1000);
-    closed_wall_s = std::min(closed_wall_s, wall_seconds_since(t0));
-
-    accounting_identical =
-        loop_machine.clock().now_ns() == closed_machine.clock().now_ns();
-    for (std::size_t i = 0; accounting_identical && i < pairs.size(); ++i) {
-      accounting_identical =
-          loop_results[i].mean_access_ns == closed_results[i].mean_access_ns &&
-          loop_results[i].contaminated == closed_results[i].contaminated;
-    }
-  }
-
-  // Representative engine vs pivot-scan partition at 8/16/32 banks: same
-  // machine, same seed, same pool — only the partition driver differs.
-  // The measurement count is the paper's cost metric; `min_reduction` is
-  // the smallest relative saving across the bank counts and is CI-gated
-  // (bench_guard --min-rep-reduction), so a regression that silently
-  // falls back to full pivot scans fails the build.
-  struct rep_row {
-    unsigned banks = 0;
-    std::string machine;
-    std::uint64_t pivot_measurements = 0;
-    std::uint64_t rep_measurements = 0;
-    bool ok = false;
-  };
-  std::vector<rep_row> rep_rows;
-  for (const unsigned banks : {8u, 16u, 32u}) {
-    const dram::machine_spec* spec = nullptr;
-    for (const dram::machine_spec& m : dram::paper_machines()) {
-      if (m.mapping.bank_count() == banks) {
-        spec = &m;
-        break;
-      }
-    }
-    if (spec == nullptr) continue;
-    rep_row row;
-    row.banks = banks;
-    row.machine = spec->label();
-    row.ok = true;
-    // The pipeline's partition pool: a selection spanning every
-    // function-feeding bit (the coarse "covered" set — shared row bits
-    // included, exactly what Step 2 hands to Algorithm 2).
-    std::uint64_t covered = 0;
-    for (const std::uint64_t f : spec->mapping.bank_functions()) covered |= f;
-    const std::vector<unsigned> bank_bits = bits_of_mask(covered);
-    for (const bool representatives : {false, true}) {
-      core::environment env(*spec, 900 + spec->number);
-      auto& mc = env.mach().controller();
-      const auto& buffer =
-          env.space().map_buffer(spec->memory_bytes * 11 / 20);
-      rng r(31 ^ spec->number);
-      timing::channel channel(mc,
-                              {.rounds_per_measurement = 1000,
-                               .samples_per_latency = 3,
-                               .calibration_pairs = 1200},
-                              rng(7 ^ spec->number));
-      channel.calibrate(core::sample_addresses(buffer, 1024, r));
-      const auto selection = core::select_addresses(buffer, bank_bits);
-      core::measurement_plan plan(channel);
-      core::partition_config cfg{};
-      cfg.use_representatives = representatives;
-      const std::uint64_t before = mc.measurement_count();
-      const auto outcome =
-          core::partition_pool(plan, selection.pool, banks, r, cfg);
-      const std::uint64_t cost = mc.measurement_count() - before;
-      row.ok = row.ok && selection.found && outcome.success;
-      (representatives ? row.rep_measurements : row.pivot_measurements) =
-          cost;
-    }
-    rep_rows.push_back(std::move(row));
-  }
-  const auto rep_reduction = [](const rep_row& row) {
-    return 1.0 - static_cast<double>(row.rep_measurements) /
-                     static_cast<double>(
-                         std::max<std::uint64_t>(row.pivot_measurements, 1));
-  };
-  double min_reduction = 1.0;
-  bool rep_ok = !rep_rows.empty();
-  for (const rep_row& row : rep_rows) {
-    rep_ok = rep_ok && row.ok;
-    min_reduction = std::min(min_reduction, rep_reduction(row));
-  }
-
-  // Designed-experiment bit-probe engine vs the legacy per-bit vote loops:
-  // coarse + fine on three machine sizes, same machine/seed/knowledge and
-  // the machine's true bank functions (isolating the probed phases from
-  // partition). The measurement count is the paper's cost metric;
-  // `min_reduction` is CI-gated (bench_guard --min-probe-reduction), so a
-  // regression that silently falls back to fixed-count voting fails the
-  // build.
-  struct probe_row {
-    unsigned banks = 0;
-    std::string machine;
-    std::uint64_t legacy_measurements = 0;
-    std::uint64_t designed_measurements = 0;
-    bool ok = false;
-  };
-  std::vector<probe_row> probe_rows;
-  for (const unsigned banks : {8u, 16u, 32u}) {
-    const dram::machine_spec* spec = nullptr;
-    for (const dram::machine_spec& m : dram::paper_machines()) {
-      if (m.mapping.bank_count() == banks) {
-        spec = &m;
-        break;
-      }
-    }
-    if (spec == nullptr) continue;
-    probe_row row;
-    row.banks = banks;
-    row.machine = spec->label();
-    row.ok = true;
-    for (const bool designed : {false, true}) {
-      core::environment env(*spec, 1200 + spec->number);
-      auto& mc = env.mach().controller();
-      const auto& buffer =
-          env.space().map_buffer(spec->memory_bytes * 11 / 20);
-      rng r(53 ^ spec->number);
-      timing::channel channel(mc,
-                              {.rounds_per_measurement = 1000,
-                               .samples_per_latency = 3,
-                               .calibration_pairs = 1200},
-                              rng(7 ^ spec->number));
-      channel.calibrate(core::sample_addresses(buffer, 1024, r));
-      const core::domain_knowledge knowledge =
-          core::domain_knowledge::from_system_info(sysinfo::probe(*spec));
-      core::measurement_plan plan(channel);
-      core::bit_probe_engine engine(plan, buffer);
-      core::coarse_config coarse_cfg{};
-      coarse_cfg.probe.use_designed = designed;
-      core::fine_config fine_cfg{};
-      fine_cfg.probe.use_designed = designed;
-      const std::uint64_t before = mc.measurement_count();
-      const auto coarse =
-          core::run_coarse_detection(engine, knowledge, r, coarse_cfg);
-      const auto fine = core::run_fine_detection(
-          engine, knowledge, coarse, spec->mapping.bank_functions(), r,
-          fine_cfg);
-      const std::uint64_t cost = mc.measurement_count() - before;
-      row.ok = row.ok && fine.counts_satisfied &&
-               fine.row_bits == spec->mapping.row_bits() &&
-               fine.column_bits == spec->mapping.column_bits();
-      (designed ? row.designed_measurements : row.legacy_measurements) = cost;
-    }
-    probe_rows.push_back(std::move(row));
-  }
-  const auto probe_reduction = [](const probe_row& row) {
-    return 1.0 - static_cast<double>(row.designed_measurements) /
-                     static_cast<double>(
-                         std::max<std::uint64_t>(row.legacy_measurements, 1));
-  };
-  double probe_min_reduction = 1.0;
-  bool probe_ok = !probe_rows.empty();
-  for (const probe_row& row : probe_rows) {
-    probe_ok = probe_ok && row.ok;
-    probe_min_reduction = std::min(probe_min_reduction, probe_reduction(row));
-  }
-
   // Hot-path throughput: simulated measurements per second through each
   // layer of the batch-native stack — pure SoA decode, the full batched
   // measure (decode + latency model), and the plan-mediated vote path — at
   // three batch sizes. Min-of-3 on fresh machines per repetition;
   // min_mps_100k (the slower of decode/measure on the mid tier) is
-  // CI-gated (bench_guard --min-hot-throughput).
+  // CI-gated (bench/floors.json hot_throughput).
   struct hot_row {
     const char* suffix;
     std::size_t pairs = 0;
@@ -548,39 +263,12 @@ void emit_bench_json(const std::string& path, bool smoke) {
   const double min_mps_100k =
       std::min(hot_rows[1].decode_mps, hot_rows[1].measure_mps);
 
-  // Noise sampling: the legacy sequential mt19937 gaussian (per-call
-  // normal_distribution construction — the use_counter_rng=false stream)
-  // vs the counter stream's fixed-consumption inverse-CDF sampler.
-  // Draws/s, min-of-3; the ratio is CI-gated (bench_guard
-  // --min-noise-speedup) so the hot-path win cannot silently erode.
-  const std::size_t noise_draws = smoke ? (1u << 20) : (1u << 22);
-  double legacy_draw_s = 1e300, counter_draw_s = 1e300;
-  {
-    std::vector<double> sink(noise_draws);
-    for (int rep = 0; rep < 3; ++rep) {
-      rng legacy(42);
-      auto tick = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < noise_draws; ++i) {
-        sink[i] = legacy.gaussian(0.0, 9.0);
-      }
-      benchmark::DoNotOptimize(sink.data());
-      legacy_draw_s = std::min(legacy_draw_s, wall_seconds_since(tick));
-
-      const noise_stream counter = noise_stream::from_seed(42);
-      tick = std::chrono::steady_clock::now();
-      counter.fill_gaussian(/*domain=*/1, /*base_index=*/0, noise_draws, 0.0,
-                            9.0, sink.data());
-      benchmark::DoNotOptimize(sink.data());
-      counter_draw_s = std::min(counter_draw_s, wall_seconds_since(tick));
-    }
-  }
-
   // Counter-tail thread scaling: the identical batch serviced through
   // injected worker pools of 1/4/8 threads. The results are bit-identical
   // by construction (asserted in tests/sim/test_memory_controller.cpp);
   // here the walls are tracked so a multi-core host shows the shard win
   // and a single-core host proves oversubscription stays near-free
-  // (bench_guard gates tail_mps_8t / tail_mps_1t).
+  // (bench/floors.json tail_scaling gates tail_mps_8t / tail_mps_1t).
   struct tail_row {
     unsigned threads;
     double wall_s = 1e300;
@@ -641,74 +329,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
     decode_identical = out_dispatch == out_scalar;
   }
 
-  // Plan overhead per verdict: the same vote batch classified three times.
-  // With reuse on, passes 2-3 never touch the channel — the wall time is
-  // plan bookkeeping (hash lookups, root cache, witness scans); with reuse
-  // off every pass re-measures. The emitted ns_per_verdict_ratio (off/on)
-  // sits BELOW one by design — see the annotation where it is written; the
-  // end-to-end win is CI-gated through partition_measurement_reuse below.
-  const std::size_t overhead_pair_count = smoke ? 20000 : 50000;
-  double overhead_on_s = 1e300, overhead_off_s = 1e300;
-  {
-    rng ov_addr(13);
-    std::vector<sim::addr_pair> ov_pairs;
-    ov_pairs.reserve(overhead_pair_count);
-    for (std::size_t i = 0; i < overhead_pair_count; ++i) {
-      ov_pairs.emplace_back(ov_addr.below(spec.memory_bytes) & ~63ull,
-                            ov_addr.below(spec.memory_bytes) & ~63ull);
-    }
-    for (int rep = 0; rep < 3; ++rep) {
-      for (const bool reuse : {true, false}) {
-        core::environment env(spec, 88);
-        const auto& buffer = env.space().map_buffer(spec.memory_bytes / 2);
-        rng cal(5);
-        timing::channel channel(env.mach().controller(),
-                                {.rounds_per_measurement = 1000,
-                                 .samples_per_latency = 3,
-                                 .calibration_pairs = 1200},
-                                rng(9));
-        channel.calibrate(core::sample_addresses(buffer, 1024, cal));
-        core::measurement_plan plan(channel, {.reuse_verdicts = reuse});
-        const auto tick = std::chrono::steady_clock::now();
-        for (int pass = 0; pass < 3; ++pass) {
-          benchmark::DoNotOptimize(
-              plan.classify_pairs(ov_pairs, /*verify_positives=*/false)
-                  .member.data());
-        }
-        (reuse ? overhead_on_s : overhead_off_s) = std::min(
-            reuse ? overhead_on_s : overhead_off_s, wall_seconds_since(tick));
-      }
-    }
-  }
-  const std::uint64_t overhead_verdicts = 3 * overhead_pair_count;
-
-  // Measurement-reuse scheduler: the same full pipeline run with the
-  // verdict cache on vs off — the measurement *count* is the paper's cost
-  // metric, the wall times bound the host cost. Min-of-3 on fresh
-  // environments per repetition: the wall ratio is CI-gated
-  // (bench_guard --min-reuse-wall-speedup) as the whole-pipeline proof
-  // that the plan's bookkeeping costs less than the measurements it saves.
-  // Machine No.2 in both modes: its cache-on run saves >4x measurements,
-  // so the wall ratio is signal, not scheduler jitter. (The full pipeline
-  // costs ~15ms now that region construction is extent-based — cheap
-  // enough for smoke.)
-  const auto reuse_spec = dram::machine_by_number(2);
-  core::dramdig_config cache_off{};
-  cache_off.plan.reuse_verdicts = false;
-  core::dramdig_report report_off, report_on;
-  double reuse_off_wall_s = 1e300, reuse_on_wall_s = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    core::environment env_off(reuse_spec, 2000 + reuse_spec.number);
-    t0 = std::chrono::steady_clock::now();
-    report_off = core::dramdig_tool(env_off, cache_off).run();
-    reuse_off_wall_s = std::min(reuse_off_wall_s, wall_seconds_since(t0));
-
-    core::environment env_on(reuse_spec, 2000 + reuse_spec.number);
-    t0 = std::chrono::steady_clock::now();
-    report_on = core::dramdig_tool(env_on).run();
-    reuse_on_wall_s = std::min(reuse_on_wall_s, wall_seconds_since(t0));
-  }
-
   // Fleet warm start: the same machine run four ways through the mapping
   // store — cold (empty store, full recovery), verify (exact fingerprint
   // hit, a few hundred designed probes), warm (geometry sibling, full
@@ -717,8 +337,8 @@ void emit_bench_json(const std::string& path, bool smoke) {
   // same sibling against a v1-era entry stripped of evidence — the
   // pre-evidence warm path, kept as the contrast run). Two acceptance
   // metrics: a verify hit must cost >=80% fewer measurements
-  // (bench_guard --min-warm-reduction) and an evidence-carrying warm run
-  // >=50% fewer (--min-warm-evidence-reduction), both while reproducing
+  // (bench/floors.json warm_reduction) and an evidence-carrying warm run
+  // >=50% fewer (warm_evidence_reduction), both while reproducing
   // the stored mapping bit-identically. Machine No.1 is the fleet's
   // WORST warm case (smallest pool, so the partition stratification
   // never fires) — a floor that holds here holds fleet-wide.
@@ -784,19 +404,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.begin_object();
   w.key("bench").value("micro_primitives");
   w.key("smoke").value(smoke);
-  w.key("function_detect_synthetic").begin_object();
-  w.key("bank_bit_count").value(std::uint64_t{width});
-  w.key("function_count").value(std::uint64_t{functions});
-  w.key("bank_count").value(std::uint64_t{s.bank_count});
-  w.key("pile_count").value(s.piles.size());
-  w.key("enumeration_wall_s").value(oracle_wall_s);
-  w.key("nullspace_wall_s").value(nullspace_wall_s);
-  w.key("wall_speedup").value(oracle_wall_s /
-                              std::max(nullspace_wall_s, 1e-9));
-  w.key("enumeration_virtual_ns").value(oracle_clock.now_ns());
-  w.key("nullspace_virtual_ns").value(nullspace_clock.now_ns());
-  w.key("identical_functions").value(agree);
-  w.end_object();
   w.key("batched_measurement").begin_object();
   w.key("pair_count").value(pair_count);
   w.key("scalar_wall_s").value(scalar_wall_s);
@@ -815,15 +422,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
     w.key("plan_mps_" + suffix).value(row.plan_mps);
   }
   w.key("min_mps_100k").value(min_mps_100k);
-  w.end_object();
-  w.key("noise_sampling").begin_object();
-  w.key("draws").value(std::uint64_t{noise_draws});
-  w.key("legacy_draws_per_s")
-      .value(static_cast<double>(noise_draws) / std::max(legacy_draw_s, 1e-12));
-  w.key("counter_draws_per_s")
-      .value(static_cast<double>(noise_draws) /
-             std::max(counter_draw_s, 1e-12));
-  w.key("speedup").value(legacy_draw_s / std::max(counter_draw_s, 1e-9));
   w.end_object();
   w.key("counter_tail").begin_object();
   w.key("pairs").value(std::uint64_t{tail_pairs});
@@ -846,68 +444,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.key("speedup").value(scalar_decode_s / std::max(simd_decode_s, 1e-9));
   w.key("identical_results").value(decode_identical);
   w.end_object();
-  w.key("plan_overhead").begin_object();
-  w.key("verdicts").value(overhead_verdicts);
-  w.key("wall_cache_on_s").value(overhead_on_s);
-  w.key("wall_cache_off_s").value(overhead_off_s);
-  w.key("ns_per_verdict_on")
-      .value(overhead_on_s * 1e9 / static_cast<double>(overhead_verdicts));
-  w.key("ns_per_verdict_off")
-      .value(overhead_off_s * 1e9 / static_cast<double>(overhead_verdicts));
-  // off/on per-verdict wall ratio. Below one BY DESIGN: a cached verdict
-  // pays hash lookups and witness scans where a raw re-measure is a tight
-  // simulated-latency loop — the cache wins on *measurement count*, which
-  // partition_measurement_reuse gates, not on per-verdict nanoseconds.
-  // The key is named (and flagged) so nobody "fixes" the <1 value.
-  w.key("ns_per_verdict_ratio")
-      .value(overhead_off_s / std::max(overhead_on_s, 1e-9));
-  w.key("expected_below_one").value(true);
-  w.end_object();
-  w.key("measurement_accounting").begin_object();
-  w.key("pair_count").value(pair_count);
-  w.key("loop_wall_s").value(loop_wall_s);
-  w.key("closed_form_wall_s").value(closed_wall_s);
-  w.key("wall_speedup").value(loop_wall_s / std::max(closed_wall_s, 1e-9));
-  w.key("identical_results").value(accounting_identical);
-  w.end_object();
-  w.key("partition_representatives").begin_object();
-  for (const rep_row& row : rep_rows) {
-    const std::string suffix = std::to_string(row.banks);
-    w.key("machine_" + suffix).value(row.machine);
-    w.key("pivot_" + suffix).value(row.pivot_measurements);
-    w.key("representative_" + suffix).value(row.rep_measurements);
-    w.key("ok_" + suffix).value(row.ok);
-  }
-  w.key("ok").value(rep_ok);
-  w.key("min_reduction").value(min_reduction);
-  w.end_object();
-  w.key("bit_probe").begin_object();
-  for (const probe_row& row : probe_rows) {
-    const std::string suffix = std::to_string(row.banks);
-    w.key("machine_" + suffix).value(row.machine);
-    w.key("legacy_" + suffix).value(row.legacy_measurements);
-    w.key("designed_" + suffix).value(row.designed_measurements);
-    w.key("ok_" + suffix).value(row.ok);
-  }
-  w.key("ok").value(probe_ok);
-  w.key("min_reduction").value(probe_min_reduction);
-  w.end_object();
-  w.key("partition_measurement_reuse").begin_object();
-  w.key("machine").value(reuse_spec.label());
-  w.key("ok_cache_off").value(report_off.success);
-  w.key("ok_cache_on").value(report_on.success);
-  w.key("measurements_cache_off").value(report_off.total_measurements);
-  w.key("measurements_cache_on").value(report_on.total_measurements);
-  w.key("measurements_saved").value(report_on.measurements_saved);
-  w.key("measurement_reduction")
-      .value(static_cast<double>(report_off.total_measurements) /
-             static_cast<double>(
-                 std::max<std::uint64_t>(report_on.total_measurements, 1)));
-  w.key("wall_cache_off_s").value(reuse_off_wall_s);
-  w.key("wall_cache_on_s").value(reuse_on_wall_s);
-  w.key("wall_speedup")
-      .value(reuse_off_wall_s / std::max(reuse_on_wall_s, 1e-9));
-  w.end_object();
   w.key("fleet_warm_start").begin_object();
   w.key("machine").value(fleet_spec.label());
   w.key("cold_measurements").value(fleet_cold_m);
@@ -927,12 +463,7 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.end_object();
   write_file(path, w.str());
 
-  std::printf("\n== tracked comparisons (written to %s) ==\n", path.c_str());
-  std::printf("function detect, %u bank bits: enumeration %.3fs, nullspace "
-              "%.4fs (%.0fx), identical functions: %s\n",
-              width, oracle_wall_s, nullspace_wall_s,
-              oracle_wall_s / std::max(nullspace_wall_s, 1e-9),
-              agree ? "yes" : "NO");
+  std::printf("\n== tracked sections (written to %s) ==\n", path.c_str());
   std::printf("batched engine, %zu pairs: scalar %.3fs, batch %.3fs (%.1fx)\n",
               pair_count, scalar_wall_s, batch_wall_s,
               scalar_wall_s / std::max(batch_wall_s, 1e-9));
@@ -942,44 +473,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
                 row.pairs, row.decode_mps / 1e6, row.measure_mps / 1e6,
                 row.plan_mps / 1e6);
   }
-  std::printf("plan overhead, %llu verdicts x3 passes: cache on %.0f ns/verdict,"
-              " off %.0f ns/verdict (%.1fx)\n",
-              static_cast<unsigned long long>(overhead_verdicts),
-              overhead_on_s * 1e9 / static_cast<double>(overhead_verdicts),
-              overhead_off_s * 1e9 / static_cast<double>(overhead_verdicts),
-              overhead_off_s / std::max(overhead_on_s, 1e-9));
-  std::printf("accounting, %zu pairs: access loop %.3fs, closed form %.4fs "
-              "(%.0fx), identical results: %s\n",
-              pair_count, loop_wall_s, closed_wall_s,
-              loop_wall_s / std::max(closed_wall_s, 1e-9),
-              accounting_identical ? "yes" : "NO");
-  for (const rep_row& row : rep_rows) {
-    std::printf("partition at %u banks (%s): pivot-scan %llu, representative "
-                "%llu measurements (-%.0f%%)%s\n",
-                row.banks, row.machine.c_str(),
-                static_cast<unsigned long long>(row.pivot_measurements),
-                static_cast<unsigned long long>(row.rep_measurements),
-                100.0 * rep_reduction(row), row.ok ? "" : " [FAILED]");
-  }
-  for (const probe_row& row : probe_rows) {
-    std::printf("coarse+fine at %u banks (%s): legacy votes %llu, designed "
-                "probes %llu measurements (-%.0f%%)%s\n",
-                row.banks, row.machine.c_str(),
-                static_cast<unsigned long long>(row.legacy_measurements),
-                static_cast<unsigned long long>(row.designed_measurements),
-                100.0 * probe_reduction(row), row.ok ? "" : " [FAILED]");
-  }
-  std::printf("measurement reuse on %s: %llu measurements without cache, "
-              "%llu with (%llu saved)\n",
-              reuse_spec.label().c_str(),
-              static_cast<unsigned long long>(report_off.total_measurements),
-              static_cast<unsigned long long>(report_on.total_measurements),
-              static_cast<unsigned long long>(report_on.measurements_saved));
-  std::printf("noise sampling: legacy %.1fM draws/s, counter %.1fM draws/s "
-              "(%.2fx)\n",
-              static_cast<double>(noise_draws) / legacy_draw_s / 1e6,
-              static_cast<double>(noise_draws) / counter_draw_s / 1e6,
-              legacy_draw_s / std::max(counter_draw_s, 1e-9));
   std::printf("counter tail, %zu pairs: 1t %.1fM/s, 4t %.1fM/s, 8t %.1fM/s\n",
               tail_pairs,
               static_cast<double>(tail_pairs) / tail_rows[0].wall_s / 1e6,

@@ -4,8 +4,6 @@
 #include <bit>
 #include <set>
 
-#include "core/classifier.h"
-#include "core/measurement_plan.h"
 #include "core/probe_util.h"
 #include "timing/channel.h"
 #include "util/bitops.h"
@@ -83,6 +81,48 @@ bool mask_accepted(std::uint64_t mask,
   return saw_zero && saw_one;
 }
 
+struct peel_config {
+  std::size_t stop_remaining = 0;  ///< stop when the pool shrinks to this
+  unsigned max_sweeps = 100;
+  std::size_t min_set_size = 1;  ///< smaller sets are dropped (consumed)
+};
+
+/// DRAMA's clustering: repeatedly pick a random base and peel its
+/// single-sample positives off the remaining pool — no verification, no
+/// size window, no reuse cache (the original remeasures everything), and
+/// undersized sets consumed, which is exactly how the original tool loses
+/// banks. Each sweep is one channel batch. Returned sets hold their base
+/// address at [0].
+std::vector<std::vector<std::uint64_t>> peel(timing::channel& channel,
+                                             std::vector<std::uint64_t> pool,
+                                             rng& r, const peel_config& config) {
+  std::vector<std::vector<std::uint64_t>> sets;
+  std::vector<std::uint64_t> partners;
+  std::vector<std::uint64_t> rest;
+  std::vector<char> member;
+  for (unsigned sweep = 0;
+       pool.size() > config.stop_remaining && sweep < config.max_sweeps;
+       ++sweep) {
+    const std::size_t base_idx = r.below(pool.size());
+    const std::uint64_t base = pool[base_idx];
+    partners.clear();
+    partners.reserve(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (i != base_idx) partners.push_back(pool[i]);
+    }
+    channel.is_sbdr_fast_batch(base, partners, member);
+    std::vector<std::uint64_t> set{base};
+    rest.clear();
+    rest.reserve(partners.size());
+    for (std::size_t j = 0; j < partners.size(); ++j) {
+      (member[j] ? set : rest).push_back(partners[j]);
+    }
+    std::swap(pool, rest);
+    if (set.size() >= config.min_set_size) sets.push_back(std::move(set));
+  }
+  return sets;
+}
+
 }  // namespace
 
 drama_tool::drama_tool(core::environment& env, drama_config config)
@@ -102,9 +142,8 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
   pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
 
   // One measurement substrate for every tool: DRAMA measures through the
-  // timing channel and the classification engine, but keeps its published
-  // behavior — single-sample verdicts against its own crude threshold, no
-  // verification, no reuse cache (the original remeasures everything).
+  // timing channel, but keeps its published behavior — single-sample
+  // verdicts against its own crude threshold, no verification.
   timing::channel channel(
       mc,
       {.rounds_per_measurement = config_.rounds_per_measurement,
@@ -114,16 +153,13 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
   channel.set_threshold(drama_threshold(channel, pool,
                                         config_.calibration_pairs,
                                         config_.threshold_factor, r));
-  core::measurement_plan plan(channel, {.reuse_verdicts = false});
-  core::bank_classifier engine(plan);
 
   // --- Clustering: peel same-bank sets with single-sample sweeps. --------
-  core::bank_classifier::peel_config peel{};
-  peel.stop_remaining = config_.pool_size / 10;
-  peel.max_sweeps = 100;
-  peel.min_set_size = config_.min_set_size;
-  auto peeled = engine.peel(pool, r, peel);
-  std::vector<std::vector<std::uint64_t>>& sets = peeled.sets;
+  const std::vector<std::vector<std::uint64_t>> sets =
+      peel(channel, std::move(pool), r,
+           {.stop_remaining = config_.pool_size / 10,
+            .max_sweeps = 100,
+            .min_set_size = config_.min_set_size});
   trial.set_count = sets.size();
   if (sets.size() < 2) return trial;
 

@@ -15,10 +15,9 @@
 //     runs until its budget expires (the paper's No.3 / No.7 outcome).
 //
 // The implementation runs through the same measurement substrate as
-// DRAMDig — a timing::channel (with DRAMA's own crude threshold injected)
-// feeding the bank classifier's peel mode, cache off — so the clustering
-// sweeps are serviced as controller batches while staying bit-identical
-// to the original scalar measure_pair loops.
+// DRAMDig — a timing::channel with DRAMA's own crude threshold injected —
+// so each clustering sweep is serviced as one controller batch while
+// staying bit-identical to the original scalar measure_pair loops.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +53,8 @@ struct drama_config {
   /// published acceptance filter. Identical output on clean trials (the
   /// null space is exactly the masks constant on every set); on polluted
   /// trials the strict algebra can drop a tolerated-noise function the
-  /// sweep would keep. Off by default — the legacy sweep is the published
-  /// tool and the differential oracle.
+  /// sweep would keep. Off by default: the enumeration is the published
+  /// tool's behaviour; bench/ablation_knowledge reports this arm.
   bool use_nullspace = false;
   std::uint64_t tool_seed = 1;
   /// Per-trial progress events: one "trial" event per completed trial with
@@ -88,10 +87,9 @@ struct drama_report {
   unsigned trials_run = 0;
   double total_seconds = 0.0;
   std::uint64_t total_measurements = 0;
-  /// Verdicts answered from a reuse cache. DRAMA runs its sweeps through
-  /// the shared classification engine but with the cache off — the
-  /// original tool remeasures everything — so this stays 0 and exists to
-  /// make the Fig. 2 cost record structurally comparable across tools.
+  /// Verdicts answered from a reuse cache. DRAMA has none — the original
+  /// tool remeasures everything — so this stays 0 and exists to make the
+  /// Fig. 2 cost record structurally comparable across tools.
   std::uint64_t measurements_saved = 0;
   std::vector<drama_trial> trials;  ///< per-trial outputs (determinism study)
 };

@@ -22,48 +22,6 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
   DRAMDIG_EXPECTS(config.votes >= 1);
   DRAMDIG_EXPECTS(priors.empty() || priors.size() == deltas.size());
   stats_.experiments += deltas.size();
-  return config.use_designed ? run_designed(deltas, priors, config, r, stage)
-                             : run_legacy(deltas, config, r);
-}
-
-std::optional<bool> bit_probe_engine::run_one(std::uint64_t delta,
-                                              const probe_config& config,
-                                              rng& r, std::string_view stage) {
-  const std::uint64_t deltas[1] = {delta};
-  return run(deltas, config, r, stage).front();
-}
-
-// The differential oracle: sequential experiments, each voting over
-// `votes` independently random pairs in one strict batch — a literal
-// transcription of the vote_sbdr/vote_delta loops the engine replaced
-// (same rng consumption, same verdict arithmetic).
-std::vector<std::optional<bool>> bit_probe_engine::run_legacy(
-    std::span<const std::uint64_t> deltas, const probe_config& config,
-    rng& r) {
-  std::vector<std::optional<bool>> out(deltas.size());
-  std::vector<sim::addr_pair> pairs;
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    pairs.clear();
-    pairs.reserve(config.votes);
-    for (unsigned v = 0; v < config.votes; ++v) {
-      const auto pair =
-          pick_pair_with_delta(buffer_, deltas[i], r, config.pair_attempts);
-      if (pair) pairs.push_back(*pair);
-    }
-    if (pairs.empty()) continue;  // untestable
-    const std::vector<char> verdicts = plan_.is_sbdr_strict_batch(pairs);
-    unsigned high = 0;
-    for (char v : verdicts) high += v != 0;
-    out[i] = high * 2 > pairs.size();
-    stats_.votes_cast += pairs.size();
-  }
-  return out;
-}
-
-std::vector<std::optional<bool>> bit_probe_engine::run_designed(
-    std::span<const std::uint64_t> deltas,
-    std::span<const std::optional<bool>> priors, const probe_config& config,
-    rng& r, std::string_view stage) {
   struct experiment {
     unsigned pos = 0;    ///< positive votes
     unsigned cast = 0;   ///< votes cast (pair picking can miss a round)
@@ -184,6 +142,13 @@ std::vector<std::optional<bool>> bit_probe_engine::run_designed(
     out[i] = e.done ? e.verdict : e.pos * 2 > e.cast;
   }
   return out;
+}
+
+std::optional<bool> bit_probe_engine::run_one(std::uint64_t delta,
+                                              const probe_config& config,
+                                              rng& r, std::string_view stage) {
+  const std::uint64_t deltas[1] = {delta};
+  return run(deltas, config, r, stage).front();
 }
 
 }  // namespace dramdig::core

@@ -11,173 +11,14 @@
 
 namespace dramdig::core {
 
+// ---------------------------------------------------------------------------
+// Representative-based partition.
+
 partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
                                              unsigned bank_count, rng& r,
                                              const partition_config& config) {
   DRAMDIG_EXPECTS(bank_count >= 2);
   DRAMDIG_EXPECTS(pool.size() >= bank_count);
-  // The representative driver leans on the plan's relation cache for its
-  // vote ladder (a cast vote must be remembered, or the ladder can never
-  // advance); with the cache off, the pivot-scan loop is the only sound
-  // driver.
-  if (config.use_representatives && plan_.config().reuse_verdicts) {
-    return representative_partition(std::move(pool), bank_count, r, config);
-  }
-  return pivot_scan_partition(std::move(pool), bank_count, r, config);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy pivot-scan loop (paper Algorithm 2, the differential oracle).
-// Preserved bit-for-bit from the pre-engine partition_pool: same rng draw
-// sequence, same plan calls, same acceptance rules.
-
-partition_outcome bank_classifier::pivot_scan_partition(
-    std::vector<std::uint64_t> pool, unsigned bank_count, rng& r,
-    const partition_config& config) {
-  partition_outcome out;
-
-  const std::size_t pool_sz = pool.size();
-  const double pile_sz =
-      static_cast<double>(pool_sz) / static_cast<double>(bank_count);
-  const double lo = (1.0 - config.delta_lower) * pile_sz;
-  const double hi = (1.0 + config.delta) * pile_sz;
-  const std::size_t stop_at = static_cast<std::size_t>(
-      (1.0 - config.per_threshold) * static_cast<double>(pool_sz));
-  const unsigned max_attempts = config.max_pivot_attempts != 0
-                                    ? config.max_pivot_attempts
-                                    : 4 * bank_count + 32;
-
-  scan_options scan{};
-  scan.verify_positives = config.verify_positives;
-  scan.prescreen_sample = config.prescreen_sample;
-  scan.prescreen_z = config.prescreen_z;
-  scan.window = {lo, hi};
-
-  // Partner-list buffers reused across pivot attempts; the plan reuses
-  // its own scratch for the large per-scan buffers too, so the
-  // O(pool * banks) loop allocates only small per-scan bookkeeping.
-  std::vector<std::uint64_t> partners;
-  std::vector<std::size_t> partner_idx;
-  std::vector<std::size_t> members;
-  partners.reserve(pool.size());
-  partner_idx.reserve(pool.size());
-  members.reserve(pool.size());
-
-  unsigned attempts = 0;
-  while (pool.size() > stop_at) {
-    if (attempts++ >= max_attempts) {
-      log_error("partition: exceeded pivot attempts with " +
-                std::to_string(pool.size()) + " addresses unassigned");
-      return out;  // success stays false
-    }
-    const std::size_t pivot_idx = r.below(pool.size());
-    const std::uint64_t pivot = pool[pivot_idx];
-
-    // One scan through the scheduler: cached relations are free, unknown
-    // partners get the single-sample scan, positives the strict min-filter
-    // re-check — so a contaminated sample, or a whole background-load
-    // burst, cannot plant a wrong-bank address in the pile. A single
-    // polluted pile would erase a true function from Algorithm 3's
-    // intersection.
-    partners.clear();
-    partner_idx.clear();
-    members.clear();
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i == pivot_idx) continue;
-      partners.push_back(pool[i]);
-      partner_idx.push_back(i);
-    }
-    const auto verdict = plan_.classify_partners(pivot, partners, scan);
-    out.reused_verdicts += verdict.reused;
-    if (verdict.prescreen_rejected) {
-      ++out.rejected_piles;
-      ++out.prescreen_rejections;
-      continue;
-    }
-    for (std::size_t j = 0; j < verdict.member.size(); ++j) {
-      if (verdict.member[j]) members.push_back(partner_idx[j]);
-    }
-
-    // Pile size counts the pivot: the pile *is* a bank-sized class, and on
-    // tiny pools (64 addresses / 8 banks) excluding the pivot would push
-    // legitimate piles just below the delta window.
-    const double size = static_cast<double>(members.size() + 1);
-    if (size < lo || size > hi) {
-      ++out.rejected_piles;
-      continue;
-    }
-
-    // Accept: extract pivot + members from the pool.
-    std::vector<std::uint64_t> pile;
-    pile.reserve(members.size() + 1);
-    pile.push_back(pivot);
-    for (std::size_t i : members) pile.push_back(pool[i]);
-    out.partitioned += pile.size();
-
-    members.push_back(pivot_idx);
-    std::sort(members.begin(), members.end(), std::greater<>());
-    for (std::size_t i : members) {
-      pool[i] = pool.back();
-      pool.pop_back();
-    }
-    out.piles.push_back(std::move(pile));
-  }
-
-  out.success = true;
-  log_info("partition: " + std::to_string(out.piles.size()) + " piles, " +
-           std::to_string(out.partitioned) + "/" + std::to_string(pool_sz) +
-           " assigned, " + std::to_string(out.rejected_piles) + " rejected (" +
-           std::to_string(out.prescreen_rejections) + " pre-screened), " +
-           std::to_string(out.reused_verdicts) + " verdicts reused");
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// DRAMA-style peel: the baseline's clustering sweeps through the shared
-// batch substrate.
-
-bank_classifier::peel_outcome bank_classifier::peel(
-    std::vector<std::uint64_t> pool, rng& r, const peel_config& config) {
-  peel_outcome out;
-  scan_options opts{};
-  opts.verify_positives = false;  // DRAMA trusts single samples — its flaw
-  opts.prescreen_sample = 0;
-
-  std::vector<std::uint64_t> partners;
-  std::vector<std::uint64_t> rest;
-  while (pool.size() > config.stop_remaining &&
-         out.sweeps < config.max_sweeps) {
-    ++out.sweeps;
-    const std::size_t base_idx = r.below(pool.size());
-    const std::uint64_t base = pool[base_idx];
-    partners.clear();
-    partners.reserve(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i != base_idx) partners.push_back(pool[i]);
-    }
-    const auto verdict = plan_.classify_partners(base, partners, opts);
-    std::vector<std::uint64_t> set{base};
-    rest.clear();
-    rest.reserve(partners.size());
-    for (std::size_t j = 0; j < partners.size(); ++j) {
-      (verdict.member[j] ? set : rest).push_back(partners[j]);
-    }
-    std::swap(pool, rest);
-    if (set.size() >= config.min_set_size) {
-      out.sets.push_back(std::move(set));
-    }
-    // Undersized sets are dropped as noise — their members are already
-    // consumed, which is exactly how the original tool loses banks.
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Representative-based partition.
-
-partition_outcome bank_classifier::representative_partition(
-    std::vector<std::uint64_t> pool, unsigned bank_count, rng& r,
-    const partition_config& config) {
   partition_outcome out;
   const std::size_t n = pool.size();
   const double pile_sz =
@@ -234,7 +75,7 @@ partition_outcome bank_classifier::representative_partition(
   // span — then every address's bank id is computable host-side and the
   // first vote goes to the right class. A thinner pile leaves the space
   // too fine (untrusted): the engine falls back to sweeping every open
-  // class, which is exactly as safe and as expensive as the pivot loop.
+  // class, which is exactly as safe and as expensive as a pivot-scan loop.
   std::uint64_t support = 0;
   for (const std::uint64_t a : pool) support |= a ^ pool.front();
   const unsigned want = (bank_count & (bank_count - 1)) == 0
@@ -489,8 +330,7 @@ partition_outcome bank_classifier::representative_partition(
 
     // Open at most one new class per round: the founder's scan is either
     // limited to its predicted id group (trusted — the group IS the bank)
-    // or the full unassigned pool with the adaptive pre-screen (untrusted
-    // — the legacy-robust path).
+    // or the full unassigned pool with the adaptive pre-screen (untrusted).
     bool founder_ran = false;
     if (assigned_count < target && founder_attempts < max_attempts &&
         classes_.size() < bank_count) {
@@ -613,7 +453,7 @@ partition_outcome bank_classifier::representative_partition(
     }
     std::vector<std::uint64_t> pile;
     pile.reserve(pile_members[c].size());
-    // Pivot-first ordering, matching the legacy pile shape.
+    // Pivot-first ordering: element 0 of every pile is its founder.
     const std::uint64_t pivot = classes_[c].representatives.front();
     for (const std::size_t i : pile_members[c]) {
       if (pool[i] == pivot) pile.push_back(pool[i]);

@@ -1,6 +1,4 @@
-// The bank classification engine: one measurement substrate for every
-// partitioning tool in the repo (DRAMDig's Algorithm 2 and the DRAMA
-// baseline's clustering sweeps).
+// The bank classification engine behind DRAMDig's Algorithm 2.
 //
 // Piles are first-class bank_class objects carrying a small set of
 // row-distinct representatives drawn from strict-SBDR-verified members.
@@ -62,31 +60,11 @@ class bank_classifier {
   explicit bank_classifier(measurement_plan& plan) : plan_(plan) {}
 
   /// Partition `pool` into same-bank piles (paper Algorithm 2 semantics:
-  /// delta window on pile sizes, per_threshold stop). Dispatches to the
-  /// representative driver or the legacy pivot-scan loop per
-  /// partition_config::use_representatives; the class directory persists
-  /// across calls until clear().
+  /// delta window on pile sizes, per_threshold stop). The class directory
+  /// persists across calls until clear().
   [[nodiscard]] partition_outcome partition(std::vector<std::uint64_t> pool,
                                             unsigned bank_count, rng& r,
                                             const partition_config& config);
-
-  /// DRAMA-style clustering: repeatedly pick a random base and peel its
-  /// single-sample positives off the remaining pool — no verification, no
-  /// size window, undersized sets consumed (exactly how the original tool
-  /// loses banks). Runs through the same plan/channel batch substrate as
-  /// the representative driver, so a scalar measure_pair loop with the
-  /// same draws produces bit-identical sets.
-  struct peel_config {
-    std::size_t stop_remaining = 0;  ///< stop when the pool shrinks to this
-    unsigned max_sweeps = 100;
-    std::size_t min_set_size = 1;  ///< smaller sets are dropped (consumed)
-  };
-  struct peel_outcome {
-    std::vector<std::vector<std::uint64_t>> sets;  ///< [0] = base address
-    unsigned sweeps = 0;
-  };
-  [[nodiscard]] peel_outcome peel(std::vector<std::uint64_t> pool, rng& r,
-                                  const peel_config& config);
 
   [[nodiscard]] const std::vector<bank_class>& classes() const noexcept {
     return classes_;
@@ -126,13 +104,6 @@ class bank_classifier {
   }
 
  private:
-  [[nodiscard]] partition_outcome pivot_scan_partition(
-      std::vector<std::uint64_t> pool, unsigned bank_count, rng& r,
-      const partition_config& config);
-  [[nodiscard]] partition_outcome representative_partition(
-      std::vector<std::uint64_t> pool, unsigned bank_count, rng& r,
-      const partition_config& config);
-
   measurement_plan& plan_;
   std::vector<bank_class> classes_;
   classifier_stats stats_;

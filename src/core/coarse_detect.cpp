@@ -30,7 +30,7 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
   // --- Row pass: single-bit deltas, one engine run. ----------------------
   // Every candidate bit's experiment is planned up front; the engine votes
   // them in cross-bit rounds (one controller batch per round) instead of
-  // the legacy one-batch-per-bit sequence.
+  // one batch per bit.
   std::vector<unsigned> probed;
   std::vector<std::uint64_t> deltas;
   std::vector<std::optional<bool>> priors;

@@ -1,12 +1,15 @@
 // Step 2 phase 3: bank address function detection (paper Algorithm 3).
 //
-// Candidate functions are XOR masks over the detected bank bits, tried
-// from one bit up to all of them. A mask that evaluates to a constant
-// parity on every address of every pile is a candidate; candidates that
-// are linear combinations of fewer-bit candidates are redundant (GF(2)
-// reduction implements the paper's prioritize + remove_redundant); and the
-// surviving log2(#banks)-sized basis must number the piles 0..#banks-1
-// (check_numbering).
+// Candidate functions are XOR masks over the detected bank bits: a mask
+// that evaluates to a constant parity on every address of every pile is a
+// candidate. The paper enumerates all 2^|bank_bits| masks; here each
+// pile's XOR differences (restricted to the bank-bit support) are reduced
+// to a GF(2) basis, and the complete candidate set is the null space of
+// the stacked difference matrix — O(pool * |bank_bits|) row operations.
+// Candidates that are linear combinations of fewer-bit candidates are
+// redundant (GF(2) reduction implements the paper's prioritize +
+// remove_redundant); and the surviving log2(#banks)-sized basis must
+// number the piles 0..#banks-1 (check_numbering).
 #pragma once
 
 #include <cstdint>
@@ -21,14 +24,6 @@ struct function_config {
   /// Virtual CPU time charged per parity evaluation / GF(2) row operation;
   /// keeps Fig. 2 honest about the software cost of the search.
   double cpu_ns_per_check = 1.0;
-  /// Default path: reduce each pile's XOR differences (restricted to the
-  /// bank-bit support) to a GF(2) row-echelon basis; a mask is constant on
-  /// a pile iff it annihilates that difference space, so the complete
-  /// candidate set is the null space of the stacked difference matrix —
-  /// O(pool * |bank_bits|) row operations instead of 2^|bank_bits| mask
-  /// enumerations. Setting this false selects the legacy enumeration,
-  /// retained as a differential-test oracle.
-  bool use_nullspace = true;
 };
 
 struct function_outcome {

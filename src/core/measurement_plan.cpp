@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "util/expect.h"
 
@@ -25,12 +26,7 @@ measurement_plan::measurement_plan(timing::channel& channel, plan_config config)
 
 void measurement_plan::warm_start(std::size_t expected_addresses) {
   if (expected_addresses == 0) return;
-  if (config_.use_arena_index) {
-    idx_.reserve(expected_addresses);
-  } else {
-    node_.reserve(expected_addresses);
-    witnesses_.reserve(expected_addresses);
-  }
+  idx_.reserve(expected_addresses);
   root_cache_.reserve(expected_addresses);
   root_stamp_.reserve(expected_addresses);
 }
@@ -38,36 +34,24 @@ void measurement_plan::warm_start(std::size_t expected_addresses) {
 void measurement_plan::reset() {
   uf_ = union_find{};
   idx_.clear();
-  node_.clear();
-  witnesses_.clear();
-  strict_memo_.clear();
   // Node ids restart from zero: a bumped epoch keeps the root cache from
   // ever serving a pre-reset entry.
   ++root_epoch_;
 }
 
 std::size_t measurement_plan::node_of(std::uint64_t addr) {
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find_or_create(addr);
-    std::size_t n = idx_.node(rec);
-    if (n == plan_index::npos) {
-      n = uf_.make_set();
-      idx_.set_node(rec, n);
-    }
-    return n;
+  const std::size_t rec = idx_.find_or_create(addr);
+  std::size_t n = idx_.node(rec);
+  if (n == plan_index::npos) {
+    n = uf_.make_set();
+    idx_.set_node(rec, n);
   }
-  const auto [it, inserted] = node_.try_emplace(addr, 0);
-  if (inserted) it->second = uf_.make_set();
-  return it->second;
+  return n;
 }
 
 std::size_t measurement_plan::node_if_known(std::uint64_t addr) const {
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find(addr);
-    return rec == plan_index::npos ? npos : idx_.node(rec);
-  }
-  const auto it = node_.find(addr);
-  return it == node_.end() ? npos : it->second;
+  const std::size_t rec = idx_.find(addr);
+  return rec == plan_index::npos ? npos : idx_.node(rec);
 }
 
 std::size_t measurement_plan::cached_root(std::size_t node) {
@@ -85,38 +69,21 @@ std::size_t measurement_plan::cached_root(std::size_t node) {
 bool measurement_plan::witness_copy(std::uint64_t addr,
                                     std::vector<std::uint64_t>& out) {
   out.clear();
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find(addr);
-    if (rec == plan_index::npos) return false;
-    const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
-    if (ws.empty()) return false;  // a node-only record has no list yet
-    out.assign(ws.begin(), ws.end());
-    return true;
-  }
-  const auto it = witnesses_.find(addr);
-  if (it == witnesses_.end()) return false;
-  out.assign(it->second.begin(), it->second.end());
+  const std::size_t rec = idx_.find(addr);
+  if (rec == plan_index::npos) return false;
+  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
+  if (ws.empty()) return false;  // a node-only record has no list yet
+  out.assign(ws.begin(), ws.end());
   return true;
 }
 
 void measurement_plan::witness_touch(std::uint64_t addr, std::uint64_t pivot) {
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find(addr);
-    DRAMDIG_EXPECTS(rec != plan_index::npos);
-    const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i] == pivot) {
-        idx_.witness_move_to_back(rec, i);
-        return;
-      }
-    }
-    return;
-  }
-  std::vector<std::uint64_t>& list = witnesses_.find(addr)->second;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i] == pivot) {
-      list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
-      list.push_back(pivot);
+  const std::size_t rec = idx_.find(addr);
+  DRAMDIG_EXPECTS(rec != plan_index::npos);
+  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    if (ws[i] == pivot) {
+      idx_.witness_move_to_back(rec, i);
       return;
     }
   }
@@ -124,18 +91,12 @@ void measurement_plan::witness_touch(std::uint64_t addr, std::uint64_t pivot) {
 
 int measurement_plan::memo_find(std::uint64_t a, std::uint64_t b) const {
   const sim::addr_pair key = canonical(a, b);
-  if (config_.use_arena_index) return idx_.memo_find(key.first, key.second);
-  const auto it = strict_memo_.find(key);
-  return it == strict_memo_.end() ? -1 : it->second;
+  return idx_.memo_find(key.first, key.second);
 }
 
 void measurement_plan::memo_store(std::uint64_t a, std::uint64_t b, char val) {
   const sim::addr_pair key = canonical(a, b);
-  if (config_.use_arena_index) {
-    idx_.memo_store(key.first, key.second, val);
-  } else {
-    strict_memo_[key] = val;
-  }
+  idx_.memo_store(key.first, key.second, val);
 }
 
 pair_relation measurement_plan::relation(std::uint64_t a, std::uint64_t b) {
@@ -149,7 +110,6 @@ pair_relation measurement_plan::relation(std::uint64_t a, std::uint64_t b) {
 }
 
 void measurement_plan::record_same_bank(std::uint64_t a, std::uint64_t b) {
-  if (!config_.reuse_verdicts) return;
   if (uf_.unite(node_of(a), node_of(b)).merged) {
     ++stats_.classes_merged;
     // A merge moves roots; invalidate the batch-level root cache.
@@ -159,37 +119,26 @@ void measurement_plan::record_same_bank(std::uint64_t a, std::uint64_t b) {
 
 void measurement_plan::record_negative(std::uint64_t pivot,
                                        std::uint64_t partner) {
-  if (!config_.reuse_verdicts || !config_.negative_edges) return;
   // Partner side only: the witness list stays "the pivots that rejected x",
   // one entry per scan, so every walk is a short linear scan — and the
   // list doubles as the exact-pair memo. No dedupe needed: scans only
   // measure pairs the cache could not answer, so a recorded pair is
   // always new.
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find_or_create(partner);
-    if (config_.max_witnesses != 0 &&
-        idx_.witnesses(rec).size() >= config_.max_witnesses) {
-      // LRU eviction: the front is the entry that least recently answered
-      // a query (hits rotate to the back).
-      idx_.witness_pop_front(rec);
-      ++stats_.witnesses_evicted;
-    }
-    idx_.witness_push(rec, pivot);
-  } else {
-    std::vector<std::uint64_t>& list = witnesses_[partner];
-    if (config_.max_witnesses != 0 && list.size() >= config_.max_witnesses) {
-      list.erase(list.begin());
-      ++stats_.witnesses_evicted;
-    }
-    list.push_back(pivot);
+  const std::size_t rec = idx_.find_or_create(partner);
+  if (config_.max_witnesses != 0 &&
+      idx_.witnesses(rec).size() >= config_.max_witnesses) {
+    // LRU eviction: the front is the entry that least recently answered a
+    // query (hits rotate to the back).
+    idx_.witness_pop_front(rec);
+    ++stats_.witnesses_evicted;
   }
+  idx_.witness_push(rec, pivot);
   ++stats_.negatives_recorded;
 }
 
 bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
   // Work on a copy of x's list: arena spans die on any witness push, and
-  // the derivation below records negatives. The copy is scratch-backed and
-  // identical in content to the legacy in-place walk.
+  // the derivation below records negatives. The copy is scratch-backed.
   std::vector<std::uint64_t>& ws = scratch_.witness_buf;
   if (!witness_copy(x, ws)) return false;
   // Exact pair measured (or previously derived): reuse that verdict. The
@@ -241,12 +190,17 @@ void measurement_plan::verify_strict(std::span<const sim::addr_pair> pairs,
   DRAMDIG_EXPECTS(prior.empty() || prior.size() == pairs.size());
   const unsigned full = channel_.strict_samples();
   // One fresh sample per pair is replaced by the caller's prior (the fast
-  // scan's reading of the very same pair) when reuse is on. The prior is
-  // conditioned positive, so refutation rests on the remaining full-1
-  // fresh samples — see plan_config::reuse_scan_sample for the tradeoff.
+  // scan's reading of the very same pair). The prior is conditioned
+  // positive, so the min filter keeps full-1 refutation chances instead of
+  // full: a contaminated cross-bank pair survives with probability
+  // q^(full-1) instead of q^full (q = contamination rate). Negligible at
+  // the modeled rates (q <= 0.04 steady state: < 7e-6 per candidate), and
+  // the pile delta window plus the numbering check backstop the burst
+  // regime — in exchange every scan saves one measurement per verified
+  // member.
   std::vector<unsigned>& fresh = scratch_.fresh_counts;
   fresh.assign(pairs.size(), full);
-  if (config_.reuse_scan_sample && !prior.empty()) {
+  if (!prior.empty()) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       if (prior[i] == prior[i]) {  // non-NaN: a sample exists to reuse
         fresh[i] = full - 1;
@@ -275,45 +229,6 @@ void measurement_plan::verify_strict(std::span<const sim::addr_pair> pairs,
   }
 }
 
-std::vector<char> measurement_plan::is_sbdr_strict_batch(
-    std::span<const sim::addr_pair> pairs) {
-  if (!config_.reuse_verdicts) {
-    stats_.measurements_issued += pairs.size() * channel_.strict_samples();
-    return channel_.is_sbdr_strict_batch(pairs);
-  }
-  std::vector<sim::addr_pair>& fresh = scratch_.pairs;
-  fresh.clear();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (memo_find(pairs[i].first, pairs[i].second) >= 0) {
-      stats_.measurements_saved += channel_.strict_samples();
-      continue;
-    }
-    // Memoize a placeholder so duplicates inside this batch dedupe too;
-    // the real verdict overwrites it below, before the output pass reads.
-    memo_store(pairs[i].first, pairs[i].second, 0);
-    fresh.push_back(pairs[i]);
-  }
-  std::vector<char>& verdicts = scratch_.strict;
-  verify_strict(fresh, {}, verdicts);
-  for (std::size_t j = 0; j < fresh.size(); ++j) {
-    const auto& [a, b] = fresh[j];
-    memo_store(a, b, verdicts[j]);
-    // A strict positive proves same-bank; a strict negative proves nothing
-    // about banks here (vote pairs are often same-bank by construction),
-    // so only the memo keeps it.
-    if (verdicts[j]) record_same_bank(a, b);
-  }
-  // Single output pass: every verdict (cached, fresh, duplicate) now
-  // lives in the memo.
-  std::vector<char> out(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const int v = memo_find(pairs[i].first, pairs[i].second);
-    DRAMDIG_EXPECTS(v >= 0);
-    out[i] = static_cast<char>(v);
-  }
-  return out;
-}
-
 measurement_plan::probe_outcome measurement_plan::probe_pairs(
     std::span<const sim::addr_pair> pairs) {
   DRAMDIG_EXPECTS(channel_.calibrated());
@@ -326,28 +241,23 @@ measurement_plan::probe_outcome measurement_plan::probe_pairs(
   std::vector<std::size_t>& unknown_idx = scratch_.unknown_idx;
   unknown_idx.clear();
   unknown_idx.reserve(pairs.size());
-  if (config_.reuse_verdicts) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto& [a, b] = pairs[i];
-      const int hit = memo_find(a, b);
-      if (hit >= 0) {
-        out.sbdr[i] = static_cast<char>(hit);
-        ++out.reused;
-        // What re-measuring in place would cost: a positive takes the
-        // full strict pass, a negative one fast sample.
-        stats_.measurements_saved +=
-            hit != 0 ? channel_.strict_samples() : 1;
-        continue;
-      }
-      if (known_cross(a, b) || known_cross(b, a)) {
-        ++out.reused;
-        ++stats_.measurements_saved;
-        continue;
-      }
-      unknown_idx.push_back(i);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [a, b] = pairs[i];
+    const int hit = memo_find(a, b);
+    if (hit >= 0) {
+      out.sbdr[i] = static_cast<char>(hit);
+      ++out.reused;
+      // What re-measuring in place would cost: a positive takes the full
+      // strict pass, a negative one fast sample.
+      stats_.measurements_saved += hit != 0 ? channel_.strict_samples() : 1;
+      continue;
     }
-  } else {
-    for (std::size_t i = 0; i < pairs.size(); ++i) unknown_idx.push_back(i);
+    if (known_cross(a, b) || known_cross(b, a)) {
+      ++out.reused;
+      ++stats_.measurements_saved;
+      continue;
+    }
+    unknown_idx.push_back(i);
   }
   if (unknown_idx.empty()) return out;
 
@@ -376,9 +286,7 @@ measurement_plan::probe_outcome measurement_plan::probe_pairs(
       candidate_idx.push_back(i);
       prior.push_back(fast[j]);
     } else {
-      if (config_.reuse_verdicts) {
-        memo_store(pairs[i].first, pairs[i].second, 0);
-      }
+      memo_store(pairs[i].first, pairs[i].second, 0);
       record_negative(pairs[i].first, pairs[i].second);
     }
   }
@@ -389,7 +297,7 @@ measurement_plan::probe_outcome measurement_plan::probe_pairs(
   for (std::size_t j = 0; j < strict.size(); ++j) {
     const std::size_t i = candidate_idx[j];
     const auto& [a, b] = pairs[i];
-    if (config_.reuse_verdicts) memo_store(a, b, strict[j]);
+    memo_store(a, b, strict[j]);
     if (strict[j]) {
       out.sbdr[i] = 1;
       record_same_bank(a, b);
@@ -422,25 +330,21 @@ measurement_plan::vote_outcome measurement_plan::classify_pairs(
   std::vector<std::size_t>& unknown_idx = scratch_.unknown_idx;
   unknown_idx.clear();
   unknown_idx.reserve(pairs.size());
-  if (config_.reuse_verdicts) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      switch (relation(pairs[i].first, pairs[i].second)) {
-        case pair_relation::same_bank:
-          out.member[i] = 1;
-          ++out.reused;
-          stats_.measurements_saved += saved_scan_credit(verify_positives);
-          break;
-        case pair_relation::cross_pile:
-          ++out.reused;
-          ++stats_.measurements_saved;
-          break;
-        case pair_relation::unknown:
-          unknown_idx.push_back(i);
-          break;
-      }
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    switch (relation(pairs[i].first, pairs[i].second)) {
+      case pair_relation::same_bank:
+        out.member[i] = 1;
+        ++out.reused;
+        stats_.measurements_saved += saved_scan_credit(verify_positives);
+        break;
+      case pair_relation::cross_pile:
+        ++out.reused;
+        ++stats_.measurements_saved;
+        break;
+      case pair_relation::unknown:
+        unknown_idx.push_back(i);
+        break;
     }
-  } else {
-    for (std::size_t i = 0; i < pairs.size(); ++i) unknown_idx.push_back(i);
   }
   if (unknown_idx.empty()) return out;
 
@@ -483,7 +387,7 @@ measurement_plan::vote_outcome measurement_plan::classify_pairs(
     if (strict[j]) {
       out.member[i] = 1;
       record_same_bank(anchor, subject);
-      if (config_.reuse_verdicts) memo_store(anchor, subject, 1);
+      memo_store(anchor, subject, 1);
     } else {
       record_negative(anchor, subject);
     }
@@ -497,34 +401,6 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
   DRAMDIG_EXPECTS(channel_.calibrated());
   scan_outcome out;
   out.member.assign(partners.size(), 0);
-
-  if (!config_.reuse_verdicts) {
-    // Transparent pass-through: exactly the pre-scheduler scan sequence.
-    std::vector<char>& fast = scratch_.fast_verdict;
-    channel_.is_sbdr_fast_batch(pivot, partners, fast);
-    stats_.measurements_issued += partners.size();
-    if (!options.verify_positives) {
-      out.member.assign(fast.begin(), fast.end());
-      return out;
-    }
-    std::vector<sim::addr_pair>& candidates = scratch_.candidates;
-    std::vector<std::size_t>& candidate_idx = scratch_.candidate_idx;
-    candidates.clear();
-    candidate_idx.clear();
-    for (std::size_t i = 0; i < partners.size(); ++i) {
-      if (fast[i]) {
-        candidates.emplace_back(pivot, partners[i]);
-        candidate_idx.push_back(i);
-      }
-    }
-    stats_.measurements_issued += candidates.size() * channel_.strict_samples();
-    std::vector<char>& strict = scratch_.strict;
-    channel_.is_sbdr_strict_batch(candidates, strict);
-    for (std::size_t j = 0; j < strict.size(); ++j) {
-      out.member[candidate_idx[j]] = strict[j];
-    }
-    return out;
-  }
 
   // ---- Stage 0: answer what the cache already implies. ------------------
   // Directional queries only: a partner's witness list is short (one entry

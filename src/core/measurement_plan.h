@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/plan_index.h"
@@ -46,23 +45,6 @@ enum class pair_relation : unsigned char {
 };
 
 struct plan_config {
-  /// Master switch: false turns the plan into a transparent pass-through
-  /// to the channel (the cache-off baseline benchmarked in BENCH_micro).
-  bool reuse_verdicts = true;
-  /// Track negative witnesses from scan negatives. Contamination is
-  /// one-sided (it only inflates latencies), so negatives are reliable.
-  bool negative_edges = true;
-  /// Let the fast-scan sample count toward the strict min filter, saving
-  /// one measurement per verified candidate. Tradeoff, stated plainly:
-  /// the reused sample is conditioned positive (that is why the pair is
-  /// being verified), so it can never refute — the filter keeps k-1
-  /// refutation chances instead of k, and a contaminated cross-bank pair
-  /// survives with probability q^(k-1) instead of q^k (q = contamination
-  /// rate, k = channel::strict_samples()). Negligible at the modeled
-  /// rates (q <= 0.04 steady state: < 7e-6 per candidate), and the pile
-  /// delta window plus the numbering check backstop the burst regime —
-  /// in exchange every scan saves one measurement per verified member.
-  bool reuse_scan_sample = true;
   /// Per-address cap on the negative-witness lists, evicted LRU (the
   /// entry that least recently answered or was recorded goes first).
   /// Eviction only forgets a cached fact — the relation is re-measured if
@@ -71,14 +53,6 @@ struct plan_config {
   /// 0 = unbounded (the pre-cap behavior). The default comfortably holds
   /// one rejecting pivot per bank on every paper machine.
   std::size_t max_witnesses = 96;
-  /// Storage backend: true (default) keeps the node/witness/strict-memo
-  /// tables in the arena-backed open-addressing index (core/plan_index.h —
-  /// one hash lookup per address, no per-address heap vectors); false
-  /// restores the std::unordered_map implementation. Both are bit-identical
-  /// in every observable (verdicts, eviction order, stats counters) — the
-  /// map backend survives as the differential oracle, same shape as the
-  /// other oracle flags.
-  bool use_arena_index = true;
 };
 
 struct plan_stats {
@@ -126,13 +100,6 @@ class measurement_plan {
   /// Relation currently implied by the cache (never measures).
   [[nodiscard]] pair_relation relation(std::uint64_t a, std::uint64_t b);
 
-  /// Strict SBDR verdicts with exact-pair memoization: repeated pairs are
-  /// answered from the memo, fresh pairs are measured in one channel batch
-  /// and recorded (positives also merge classes). Drop-in replacement for
-  /// channel::is_sbdr_strict_batch in the vote loops.
-  [[nodiscard]] std::vector<char> is_sbdr_strict_batch(
-      std::span<const sim::addr_pair> pairs);
-
   /// SBDR verdicts with designed-probe economics (the bit-probe engine's
   /// vote workhorse). Per pair: the exact-pair strict memo or an airtight
   /// cross-pile proof answers from the cache (same-bank class facts are
@@ -142,8 +109,8 @@ class measurement_plan {
   /// sample, and because noise is one-sided a fast reading alone proves
   /// the strict verdict negative — only slow readings graduate to strict
   /// verification, with the vote sample folded into the min filter.
-  /// Verdicts are recorded exactly like is_sbdr_strict_batch's (memo,
-  /// merges, witness entries). Pairs must be distinct within one call.
+  /// Every verdict is recorded (memo, merges, witness entries). Pairs must
+  /// be distinct within one call.
   struct probe_outcome {
     std::vector<char> sbdr;    ///< per-pair majority-grade SBDR verdict
     std::uint64_t reused = 0;  ///< verdicts answered from the cache
@@ -198,16 +165,13 @@ class measurement_plan {
 
   /// What answering one partner verdict from the cache is worth, in
   /// measurements: the fast sample plus (when positives are verified) the
-  /// strict re-check — minus the sample the min filter would have folded
-  /// back in when reuse_scan_sample is on. The single source of truth for
+  /// strict re-check — minus the scan sample the min filter folds back
+  /// in. The single source of truth for
   /// this formula, shared by the scan/vote paths and engines layered
   /// above the plan.
   [[nodiscard]] std::uint64_t saved_scan_credit(
       bool verify_positives) const noexcept {
-    return 1 + (verify_positives
-                    ? channel_.strict_samples() -
-                          (config_.reuse_scan_sample ? 1 : 0)
-                    : 0);
+    return 1 + (verify_positives ? channel_.strict_samples() - 1 : 0);
   }
 
   /// Credit `measurements` answered-from-cache work performed by an engine
@@ -244,15 +208,12 @@ class measurement_plan {
   /// Union-find root with batch-level caching: within one epoch (no merges
   /// since) each node resolves its root at most once, so the stage-0 loops
   /// of classify_pairs/probe_pairs/classify_partners pay one find per
-  /// unique address per call instead of one per pair. Node ids are
-  /// identical across backends (only node_of assigns them, in first-sight
-  /// order), so the cache is backend-agnostic; any merge bumps the epoch.
+  /// unique address per call instead of one per pair. Any merge bumps the
+  /// epoch.
   [[nodiscard]] std::size_t cached_root(std::size_t node);
 
-  // Backend-branching accessors: every node/witness/memo touch funnels
-  // through these so the arena and map implementations stay observably
-  // identical (LRU order, eviction, stats — all decided here, not in the
-  // storage).
+  // Storage accessors: every node/witness/memo touch funnels through these,
+  // so LRU order, eviction and stats are decided here, not in the index.
   /// Copy addr's witness list (oldest first) into `out`. Returns true when
   /// the address has a list. The copy is deliberate: arena spans die on
   /// any witness push, and callers loop over one list while recording
@@ -288,32 +249,13 @@ class measurement_plan {
 
   union_find uf_;
 
-  /// Arena-backed storage (plan_config::use_arena_index, the default):
-  /// node ids, witness lists and the strict memo in flat open-addressing
-  /// tables — one hash lookup per address per batch.
-  plan_index idx_;
-
-  // Legacy map backend (use_arena_index = false), kept as the differential
-  // oracle the arena is pinned bit-identical against.
-  std::unordered_map<std::uint64_t, std::size_t> node_;
-  /// Pivots that measured the key not-SBDR, in LRU order (back = most
-  /// recently recorded or consulted) — one entry per scan or vote that
+  /// Node ids, witness lists and the strict memo in flat open-addressing
+  /// tables — one hash lookup per address per batch. Witness lists hold
+  /// the pivots that measured the address not-SBDR, in LRU order (back =
+  /// most recently recorded or consulted): one entry per scan or vote that
   /// rejected the address, so the lists stay short and double as the
-  /// exact-pair negative memo (a hash set over all pairs costs more to
-  /// maintain than these scans ever save). Bounded by
-  /// plan_config::max_witnesses with least-recently-used eviction.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> witnesses_;
-
-  struct pair_key_hash {
-    std::size_t operator()(const sim::addr_pair& p) const noexcept {
-      const std::uint64_t h = (p.first * 0x9e3779b97f4a7c15ull) ^
-                              (p.second + 0x9e3779b97f4a7c15ull +
-                               (p.first << 6) + (p.first >> 2));
-      return static_cast<std::size_t>(h * 0xff51afd7ed558ccdull);
-    }
-  };
-  /// Exact-pair memo of strict verdicts (canonical min/max key).
-  std::unordered_map<sim::addr_pair, char, pair_key_hash> strict_memo_;
+  /// exact-pair negative memo. Bounded by plan_config::max_witnesses.
+  plan_index idx_;
 
   /// Batch-level root cache: root_stamp_[node] == root_epoch_ means
   /// root_cache_[node] holds the node's current root. Epoch bumps on every
@@ -335,7 +277,6 @@ class measurement_plan {
     std::vector<sim::addr_pair> candidates;
     std::vector<double> prior;
     std::vector<double> fast;          ///< single-sample latency results
-    std::vector<char> fast_verdict;    ///< pass-through fast-scan verdicts
     std::vector<char> strict;          ///< strict-verify verdicts
     std::vector<double> expanded_lat;  ///< verify_strict batch latencies
     std::vector<sim::addr_pair> expanded;

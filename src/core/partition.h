@@ -1,16 +1,12 @@
 // Step 2 phase 2: physical-address partition (paper Algorithm 2).
 //
-// Two interchangeable drivers live behind this interface (both in
-// core/classifier):
-//  * the representative-based classification engine (the default): piles
-//    are first-class bank classes carrying row-distinct representatives,
-//    and each unassigned address is classified against one representative
-//    per open class — with a second-representative fallback for same-row
-//    misses and a fresh-pivot founder scan only to open new classes;
-//  * the paper's literal pivot-scan loop (use_representatives = false),
-//    kept bit-for-bit as the differential oracle: repeatedly pick a
-//    pivot, measure it against the remaining pool, and peel off its
-//    same-bank pile.
+// The driver is the representative-based classification engine in
+// core/classifier: piles are first-class bank classes carrying row-distinct
+// representatives, and each unassigned address is classified against one
+// representative per open class — with a second-representative fallback
+// for same-row misses and a fresh-pivot founder scan (the paper's pivot
+// scan: measure a pivot against the remaining pool and peel off its
+// same-bank pile) only to open new classes.
 // Noise tolerance is built in twice, exactly as the paper describes: a
 // pile is accepted only if its size is within 1 ± delta of pool/#banks,
 // and the loop stops once per_threshold of the pool has been assigned
@@ -54,12 +50,6 @@ struct partition_config {
   /// doomed, and the pre-screen prices that in at ~1/8 of a scan.
   unsigned prescreen_sample = 64;
   double prescreen_z = 2.5;  ///< binomial slack multiplier for rejections
-  /// Representative-based classification engine (the default). false runs
-  /// the legacy pivot-scan loop — the differential oracle, preserved
-  /// bit-for-bit (same rng draws, same measurement sequence). The engine
-  /// needs the measurement-reuse cache; with plan_config::reuse_verdicts
-  /// off it falls back to the pivot-scan loop.
-  bool use_representatives = true;
   /// Row-distinct representatives kept per class. 2 is the sweet spot: an
   /// address can share a row with at most one of them, so the second
   /// representative already catches every same-row false negative.
@@ -76,7 +66,7 @@ struct partition_outcome {
   /// Partner verdicts answered from the measurement-reuse cache instead of
   /// fresh measurements, across every scan of this call.
   std::uint64_t reused_verdicts = 0;
-  // --- Representative-engine accounting (zero on the pivot-scan path). ---
+  // --- Representative-engine accounting. ---
   std::uint64_t representative_votes = 0;  ///< single-sample votes cast
   std::uint64_t fallback_votes = 0;  ///< second-representative votes
   unsigned founder_scans = 0;        ///< pivot scans run to open classes

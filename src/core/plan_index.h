@@ -5,8 +5,8 @@
 // verdict). Each map hit costs a hash, a pointer chase into a separately
 // allocated bucket node, and — for the witness lists — a per-address heap
 // vector. On the partition/probe hot loops that bookkeeping ate the entire
-// wall-time saving of the 4x measurement cut (see BENCH_micro
-// plan_overhead). This index replaces all three with flat storage:
+// wall-time saving of the 4x measurement cut. This index replaces all
+// three with flat storage:
 //
 //  * one open-addressing table (linear probing, power-of-two slots) mapping
 //    an address to a dense `record` holding the node id AND the witness
@@ -20,10 +20,8 @@
 //  * an insert-only open-addressing pair-memo table for strict verdicts.
 //
 // The index is storage only: LRU order, eviction, stats and the derivation
-// rules stay in measurement_plan, which funnels every access through
-// backend-branching helpers so the legacy map implementation remains
-// available as a differential oracle (plan_config::use_arena_index, same
-// shape as the other oracle flags).
+// rules stay in measurement_plan, which funnels every access through a
+// handful of storage helpers.
 //
 // Mutation invalidates views: any witness_push may grow the arena, so a
 // span returned by witnesses() is valid only until the next push on ANY

@@ -69,16 +69,13 @@ class memory_controller {
 
   /// Service a whole batch of pair measurements in one pass. The address
   /// decodes (bank/row extraction) run through the SoA path above, sharded
-  /// across the persistent worker pool. The tail depends on the noise
-  /// mode: under timing_model::use_counter_rng (default) a cheap
-  /// sequential pass folds the state-carrying reductions in submission
-  /// order (row-buffer evolution, per-measurement clock prefix, burst
-  /// schedule, counters) and the noise itself — a pure function of
-  /// (machine seed, measurement index) through the counter stream — is
-  /// then evaluated shard-parallel; with the flag off the historical
-  /// mt19937 tail replays strictly sequentially. Either way `out` is
-  /// bit-identical to calling measure_pair once per element, on any
-  /// thread count. The out-param form lets hot callers reuse one result
+  /// across the persistent worker pool. A cheap sequential pass then
+  /// folds the state-carrying reductions in submission order (row-buffer
+  /// evolution, per-measurement clock prefix, burst schedule, counters),
+  /// and the noise itself — a pure function of (machine seed, measurement
+  /// index) through the counter stream — is evaluated shard-parallel.
+  /// `out` is bit-identical to calling measure_pair once per element, on
+  /// any thread count. The out-param form lets hot callers reuse one result
   /// buffer across thousands of batches.
   void measure_pairs(std::span<const addr_pair> pairs, unsigned rounds,
                      std::vector<pair_measurement>& out);
@@ -133,9 +130,7 @@ class memory_controller {
   };
 
   /// How many of a measurement's 2*rounds accesses landed in each
-  /// row-buffer situation. Produced either analytically (closed form) or
-  /// by replaying the access loop; the stochastic tail only consumes the
-  /// counts, so both producers yield bit-identical measurements.
+  /// row-buffer situation; the stochastic tail only consumes the counts.
   struct access_tally {
     std::uint64_t hits = 0;
     std::uint64_t closed = 0;
@@ -153,24 +148,20 @@ class memory_controller {
   [[nodiscard]] decoded_pair decode_pair(std::uint64_t p1,
                                          std::uint64_t p2) const;
 
-  /// O(1) tally: the first access to each address is classified against
-  /// the pre-measurement row-buffer state, every later access sits in the
-  /// alternating steady state.
+  /// O(1) tally of the alternating 2*rounds access loop, which visits at
+  /// most three row-buffer situations: the first access to each address
+  /// is classified against the pre-measurement row-buffer state, every
+  /// later access sits in the alternating steady state.
   [[nodiscard]] access_tally tally_closed_form(const decoded_pair& d,
                                                unsigned rounds) const;
 
-  /// O(rounds) oracle: walk all 2*rounds alternating accesses through the
-  /// live row-buffer table, updating it per access.
-  [[nodiscard]] access_tally tally_access_loop(const decoded_pair& d,
-                                               unsigned rounds);
-
   /// The stochastic tail of one measurement: noise draws, clock charge,
-  /// counters and row-buffer update. Must run in submission order (in
-  /// counter mode only its draws are order-free; the state folds are not).
+  /// counters and row-buffer update. Must run in submission order (only
+  /// its draws are order-free; the state folds are not).
   [[nodiscard]] pair_measurement finish_measurement(const decoded_pair& d,
                                                     unsigned rounds);
 
-  /// The counter-mode batch tail: sequential state fold, parallel noise.
+  /// The batch tail: sequential state fold, parallel noise.
   void finish_batch_counter(std::span<const addr_pair> pairs, unsigned rounds,
                             std::vector<pair_measurement>& out);
 
@@ -184,8 +175,8 @@ class memory_controller {
   dram::address_mapping truth_;
   timing_model timing_;
   virtual_clock& clock_;
-  rng rng_;
-  noise_stream counter_;  ///< counter-mode noise; keyed off rng_'s seed
+  rng rng_;  ///< the machine's noise seed: keys counter_ and burst_rng_
+  noise_stream counter_;  ///< access and measurement noise
   std::vector<open_row> open_rows_;  ///< flat table indexed by flat bank id
   std::uint64_t row_mask_ = 0;       ///< OR of the mapping's row bits
   decoded_soa soa_;                  ///< batch decode scratch, reused

@@ -34,31 +34,6 @@ struct timing_model {
   /// for pair measurements but kept for documentation and the viz example.
   double refresh_interval_ns = 7800.0;
   double refresh_stall_ns = 350.0;
-
-  /// Measurement accounting mode. The alternating 2*rounds access loop of
-  /// a pair measurement visits at most three row-buffer situations (first
-  /// touch of each address from the pre-measurement state, then the steady
-  /// state), so its access counts — and therefore its mean latency and
-  /// integer clock charge — have a closed form. `true` (default) computes
-  /// that aggregate in O(1) per measurement; `false` replays every access
-  /// through the row-buffer state machine, the differential-test oracle
-  /// (mirrors function_config::use_nullspace). Both modes draw the same
-  /// rng stream and produce bit-identical results.
-  bool closed_form_accounting = true;
-
-  /// Noise-stream mode. `true` (default) keys every access's and every
-  /// measurement's noise on its monotone index through a counter-based
-  /// Philox stream (util/rng.h noise_stream): draw i is a pure function of
-  /// (machine seed, i), so the batched measurement tail evaluates its noise
-  /// shard-parallel and stays bit-identical on any thread count — and a
-  /// measurement batch still equals the same scalar measure_pair sequence
-  /// exactly. `false` replays the historical sequential mt19937_64 stream
-  /// (per-call normal_distribution construction and all), the
-  /// differential-test oracle in the use_nullspace/use_arena_index mold.
-  /// The two modes produce *statistically* identical noise but different
-  /// concrete streams, so flipping this legitimately shifts measurement
-  /// counts (tests pin equivalence via tolerance bands, not values).
-  bool use_counter_rng = true;
 };
 
 }  // namespace dramdig::sim

@@ -55,67 +55,63 @@ double channel::calibrate(const std::vector<std::uint64_t>& pool) {
   for (unsigned round = 0; round < 3; ++round) {
     calibration_samples_.clear();
     calibration_samples_.reserve(config_.calibration_pairs);
-    if (!config_.adaptive_calibration) {
-      sample_calibration_chunk(pool, config_.calibration_pairs);
-    } else {
-      // Adaptive schedule: re-estimate the valley after every chunk and
-      // stop once the last few estimates agree within the stability band.
-      // The budget (calibration_pairs) still bounds the worst case. A
-      // sibling-threshold prior (fleet warm start) authorizes a lighter
-      // schedule: smaller chunks, earlier first estimate, and a stop as
-      // soon as the local estimates agree with each other AND the prior —
-      // the threshold is still this machine's own valley, the prior only
-      // decides when sampling more pairs stops being informative. A wrong
-      // prior never matches and falls through to the normal schedule.
-      const bool prior = config_.calibration_prior_ns > 0;
-      const std::size_t min_first =
-          prior ? std::min<std::size_t>(config_.calibration_prior_min_pairs,
-                                        config_.calibration_min_pairs)
-                : config_.calibration_min_pairs;
-      const std::size_t chunk = std::max<std::size_t>(
-          1, prior ? std::min(config_.calibration_chunk,
-                              std::max(1u, config_.calibration_prior_min_pairs /
-                                               2))
-                   : config_.calibration_chunk);
-      std::vector<double> estimates;
-      while (calibration_samples_.size() < config_.calibration_pairs) {
-        const std::size_t want = std::min<std::size_t>(
-            chunk, config_.calibration_pairs - calibration_samples_.size());
-        sample_calibration_chunk(pool, want);
-        if (calibration_samples_.size() < min_first) continue;
-        estimates.push_back(valley_threshold(calibration_samples_));
-        if (prior) {
-          const unsigned pneed = std::max(1u, config_.calibration_prior_checks);
-          if (estimates.size() >= pneed) {
-            double lo = estimates.back(), hi = estimates.back();
-            for (std::size_t k = estimates.size() - pneed;
-                 k < estimates.size(); ++k) {
-              lo = std::min(lo, estimates[k]);
-              hi = std::max(hi, estimates[k]);
-            }
-            const double band = config_.calibration_prior_band *
-                                std::max(config_.calibration_prior_ns, 1e-9);
-            if (hi - lo <= band &&
-                std::abs(estimates.back() - config_.calibration_prior_ns) <=
-                    band) {
-              break;  // local estimates confirm the sibling threshold
-            }
+    // Re-estimate the valley after every chunk and stop once the last few
+    // estimates agree within the stability band; the budget
+    // (calibration_pairs) bounds the worst case. A sibling-threshold prior
+    // (fleet warm start) authorizes a lighter schedule: smaller chunks,
+    // earlier first estimate, and a stop as
+    // soon as the local estimates agree with each other AND the prior —
+    // the threshold is still this machine's own valley, the prior only
+    // decides when sampling more pairs stops being informative. A wrong
+    // prior never matches and falls through to the normal schedule.
+    const bool prior = config_.calibration_prior_ns > 0;
+    const std::size_t min_first =
+        prior ? std::min<std::size_t>(config_.calibration_prior_min_pairs,
+                                      config_.calibration_min_pairs)
+              : config_.calibration_min_pairs;
+    const std::size_t chunk = std::max<std::size_t>(
+        1, prior ? std::min(config_.calibration_chunk,
+                            std::max(1u, config_.calibration_prior_min_pairs /
+                                             2))
+                 : config_.calibration_chunk);
+    std::vector<double> estimates;
+    while (calibration_samples_.size() < config_.calibration_pairs) {
+      const std::size_t want = std::min<std::size_t>(
+          chunk, config_.calibration_pairs - calibration_samples_.size());
+      sample_calibration_chunk(pool, want);
+      if (calibration_samples_.size() < min_first) continue;
+      estimates.push_back(valley_threshold(calibration_samples_));
+      if (prior) {
+        const unsigned pneed = std::max(1u, config_.calibration_prior_checks);
+        if (estimates.size() >= pneed) {
+          double lo = estimates.back(), hi = estimates.back();
+          for (std::size_t k = estimates.size() - pneed;
+               k < estimates.size(); ++k) {
+            lo = std::min(lo, estimates[k]);
+            hi = std::max(hi, estimates[k]);
+          }
+          const double band = config_.calibration_prior_band *
+                              std::max(config_.calibration_prior_ns, 1e-9);
+          if (hi - lo <= band &&
+              std::abs(estimates.back() - config_.calibration_prior_ns) <=
+                  band) {
+            break;  // local estimates confirm the sibling threshold
           }
         }
-        if (calibration_samples_.size() < config_.calibration_min_pairs) {
-          continue;
-        }
-        const unsigned need = std::max(2u, config_.calibration_stable_checks);
-        if (estimates.size() < need) continue;
-        double lo = estimates.back(), hi = estimates.back();
-        for (std::size_t k = estimates.size() - need; k < estimates.size();
-             ++k) {
-          lo = std::min(lo, estimates[k]);
-          hi = std::max(hi, estimates[k]);
-        }
-        if (hi - lo <= config_.calibration_stability * std::max(hi, 1e-9)) {
-          break;  // the valley stopped moving: further pairs buy nothing
-        }
+      }
+      if (calibration_samples_.size() < config_.calibration_min_pairs) {
+        continue;
+      }
+      const unsigned need = std::max(2u, config_.calibration_stable_checks);
+      if (estimates.size() < need) continue;
+      double lo = estimates.back(), hi = estimates.back();
+      for (std::size_t k = estimates.size() - need; k < estimates.size();
+           ++k) {
+        lo = std::min(lo, estimates[k]);
+        hi = std::max(hi, estimates[k]);
+      }
+      if (hi - lo <= config_.calibration_stability * std::max(hi, 1e-9)) {
+        break;  // the valley stopped moving: further pairs buy nothing
       }
     }
     threshold_ns_ = valley_threshold(calibration_samples_);

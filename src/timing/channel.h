@@ -25,16 +25,11 @@ struct channel_config {
   unsigned rounds_per_measurement = 500;
   /// Independent measurements medianed per latency() call.
   unsigned samples_per_latency = 3;
-  /// Random pairs sampled during threshold calibration. With the adaptive
-  /// calibrator this is the budget ceiling, not the schedule.
+  /// Budget ceiling on the random pairs sampled during threshold
+  /// calibration. The calibrator samples in chunks and stops as soon as
+  /// the valley estimate is stable over a sliding window of re-estimates,
+  /// usually after a few hundred pairs.
   unsigned calibration_pairs = 1200;
-  /// Adaptive calibration: sample in chunks and stop as soon as the
-  /// valley estimate is stable over a sliding window of re-estimates —
-  /// the small machines spend about half their measurement budget on the
-  /// fixed schedule, almost all of it after the threshold has converged.
-  /// false restores the fixed calibration_pairs schedule (the
-  /// differential baseline, same shape as the other oracle flags).
-  bool adaptive_calibration = true;
   /// Minimum pairs before the first stability check: the valley estimator
   /// needs both latency modes populated before its output means anything.
   unsigned calibration_min_pairs = 300;
@@ -121,8 +116,7 @@ class channel {
   /// through this channel, so every tool shares one measurement substrate.
   void set_threshold(double ns);
   /// Pair samples the last calibrate() actually measured, summed across
-  /// its sanity-check rounds (the adaptive calibrator stops early; the
-  /// fixed schedule reports calibration_pairs per round).
+  /// its sanity-check rounds.
   [[nodiscard]] std::uint64_t calibration_pairs_used() const noexcept {
     return calibration_pairs_used_;
   }

@@ -61,11 +61,8 @@ class rng {
   /// (Marsaglia polar: each refill produces two deviates and caches the
   /// spare). A hoisted member distribution would serve every second call
   /// from that spare and consume zero engine draws for it — changing the
-  /// engine's draw sequence relative to the historical per-call form, which
-  /// the differential oracles (timing_model::use_counter_rng = false et al.)
-  /// pin bit-for-bit. The construction cost therefore cannot be hoisted
-  /// sequence-compatibly; hot paths that need cheap gaussians use the
-  /// counter-based noise_stream below instead.
+  /// engine's draw sequence relative to this per-call form. Hot paths that
+  /// need cheap gaussians use the counter-based noise_stream below.
   [[nodiscard]] double gaussian(double mean, double sigma) {
     return std::normal_distribution<double>(mean, sigma)(engine_);
   }

@@ -1,10 +1,12 @@
-// The designed-experiment engine's acceptance pins: designed mode and the
-// legacy fixed-vote oracle must classify every bit identically on every
-// paper preset and under noisy seeds, while the designed mode pays
-// measurably less; probe_pairs must reuse the plan's evidence.
+// The designed-experiment engine's acceptance pins: coarse + fine driven by
+// the engine recover every preset's true row/column bits, also under noisy
+// seeds; early termination and round batching show in the stats; and
+// probe_pairs reuses the plan's evidence.
 #include "core/bit_probe.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/coarse_detect.h"
 #include "core/fine_detect.h"
@@ -23,88 +25,67 @@ struct probed_run {
 };
 
 /// Coarse + fine (with the machine's true functions, isolating the probed
-/// phases from partition) in one mode, on a fresh fixture.
-probed_run run_probed_phases(int machine, std::uint64_t seed, bool designed) {
+/// phases from partition) on a fresh fixture.
+probed_run run_probed_phases(int machine, std::uint64_t seed) {
   pipeline_fixture f(machine, seed);
   measurement_plan plan(f.channel);
   bit_probe_engine engine(plan, f.buffer);
-  coarse_config coarse_cfg{};
-  coarse_cfg.probe.use_designed = designed;
-  fine_config fine_cfg{};
-  fine_cfg.probe.use_designed = designed;
   probed_run out;
   const std::uint64_t m0 = f.env.mach().controller().measurement_count();
-  out.coarse = run_coarse_detection(engine, f.knowledge, f.r, coarse_cfg);
+  out.coarse = run_coarse_detection(engine, f.knowledge, f.r);
   out.fine = run_fine_detection(engine, f.knowledge, out.coarse,
-                                f.env.spec().mapping.bank_functions(), f.r,
-                                fine_cfg);
+                                f.env.spec().mapping.bank_functions(), f.r);
   out.measurements = f.env.mach().controller().measurement_count() - m0;
   out.stats = engine.stats();
   return out;
 }
 
-void expect_identical_classifications(const probed_run& legacy,
-                                      const probed_run& designed,
-                                      const std::string& label) {
-  EXPECT_EQ(legacy.coarse.row_bits, designed.coarse.row_bits) << label;
-  EXPECT_EQ(legacy.coarse.column_bits, designed.coarse.column_bits) << label;
-  EXPECT_EQ(legacy.coarse.bank_bits, designed.coarse.bank_bits) << label;
-  EXPECT_EQ(legacy.coarse.untestable_bits, designed.coarse.untestable_bits)
-      << label;
-  EXPECT_EQ(legacy.fine.row_bits, designed.fine.row_bits) << label;
-  EXPECT_EQ(legacy.fine.column_bits, designed.fine.column_bits) << label;
-  EXPECT_EQ(legacy.fine.shared_row_bits, designed.fine.shared_row_bits)
-      << label;
-  EXPECT_EQ(legacy.fine.shared_column_bits, designed.fine.shared_column_bits)
-      << label;
-  EXPECT_EQ(legacy.fine.counts_satisfied, designed.fine.counts_satisfied)
-      << label;
+void expect_true_classification(const probed_run& run, int machine,
+                                const std::string& label) {
+  const dram::address_mapping& truth = dram::machine_by_number(machine).mapping;
+  std::uint64_t function_bits = 0;
+  for (const std::uint64_t f : truth.bank_functions()) function_bits |= f;
+  // Coarse rows are the row bits no bank function touches; fine adds the
+  // shared ones and must land on the complete truth.
+  for (const unsigned b : run.coarse.row_bits) {
+    EXPECT_TRUE(std::find(truth.row_bits().begin(), truth.row_bits().end(),
+                          b) != truth.row_bits().end())
+        << label << ": bit " << b << " is not a row bit";
+    EXPECT_EQ((function_bits >> b) & 1u, 0u) << label << ": bit " << b;
+  }
+  EXPECT_EQ(run.fine.row_bits, truth.row_bits()) << label;
+  EXPECT_EQ(run.fine.column_bits, truth.column_bits()) << label;
+  EXPECT_TRUE(run.fine.counts_satisfied) << label;
 }
 
-TEST(BitProbeDifferential, IdenticalClassificationsOnEveryPreset) {
+TEST(BitProbe, RecoversTrueRowAndColumnBitsOnEveryPreset) {
   for (int machine = 1; machine <= 9; ++machine) {
-    const probed_run legacy = run_probed_phases(machine, 7, false);
-    const probed_run designed = run_probed_phases(machine, 7, true);
-    expect_identical_classifications(legacy, designed,
-                                     "No." + std::to_string(machine));
+    expect_true_classification(run_probed_phases(machine, 7), machine,
+                               "No." + std::to_string(machine));
   }
 }
 
-TEST(BitProbeDifferential, IdenticalClassificationsOnNoisySeeds) {
+TEST(BitProbe, RecoversTrueRowAndColumnBitsOnNoisySeeds) {
   // The noisy mobile units, across randomized seeds: single-sample
-  // negatives plus strict-verified positives must land on the legacy
-  // all-strict verdicts every time.
+  // negatives plus strict-verified positives must still classify every
+  // bit correctly.
   for (int machine : {3, 7}) {
     for (std::uint64_t seed : {11u, 23u, 55u, 101u}) {
-      const probed_run legacy = run_probed_phases(machine, seed, false);
-      const probed_run designed = run_probed_phases(machine, seed, true);
-      expect_identical_classifications(
-          legacy, designed,
+      expect_true_classification(
+          run_probed_phases(machine, seed), machine,
           "No." + std::to_string(machine) + " seed " + std::to_string(seed));
     }
   }
 }
 
-TEST(BitProbe, DesignedCutsCoarseFineMeasurementsOnSmallMachines) {
-  // The acceptance floor behind bench_guard --min-probe-reduction: the
-  // small machines were dominated by coarse voting.
-  for (int machine : {1, 4, 7}) {
-    const probed_run legacy = run_probed_phases(machine, 7, false);
-    const probed_run designed = run_probed_phases(machine, 7, true);
-    EXPECT_LE(designed.measurements * 10, legacy.measurements * 7)
-        << "No." << machine << ": designed " << designed.measurements
-        << " vs legacy " << legacy.measurements;
-  }
-}
-
 TEST(BitProbe, EarlyTerminationAndRoundBatchingShowInStats) {
-  const probed_run designed = run_probed_phases(1, 7, true);
+  const probed_run designed = run_probed_phases(1, 7);
   // Unanimous experiments stop after ceil(votes/2) votes, so the engine
-  // must save a large share of the legacy 7-votes-per-bit budget...
+  // must save a large share of a fixed 7-votes-per-bit budget...
   EXPECT_GT(designed.stats.votes_saved, designed.stats.experiments);
   EXPECT_LT(designed.stats.votes_cast, designed.stats.experiments * 7);
   // ...and the whole coarse phase collapses into a handful of cross-bit
-  // rounds (the legacy row pass alone was ~27 per-bit batches).
+  // rounds (one batch per bit would be ~27 for the row pass alone).
   EXPECT_LE(designed.stats.rounds,
             7u * 2u + designed.fine.shared_row_bits.size() * 3u +
                 designed.fine.rejected_candidates.size() * 3u);
@@ -112,52 +93,13 @@ TEST(BitProbe, EarlyTerminationAndRoundBatchingShowInStats) {
   EXPECT_GT(designed.stats.shared_base_votes, designed.stats.votes_cast / 4);
 }
 
-TEST(BitProbe, LegacyModeIsUntouchedByTheEngineWrapper) {
-  // The oracle path must replay the pre-engine loops bit for bit: same rng
-  // consumption, same verdicts — pinned by comparing against a literal
-  // transcription of the old vote loop.
-  pipeline_fixture f(4, 19);
-  measurement_plan plan(f.channel);
-  bit_probe_engine engine(plan, f.buffer);
-  const std::uint64_t delta = std::uint64_t{1} << 20;
-
-  rng transcript_rng(99);
-  std::vector<sim::addr_pair> pairs;
-  for (unsigned v = 0; v < 7; ++v) {
-    const auto pair = pick_pair_with_delta(f.buffer, delta, transcript_rng, 256);
-    if (pair) pairs.push_back(*pair);
-  }
-  ASSERT_FALSE(pairs.empty());
-  const std::vector<char> verdicts = plan.is_sbdr_strict_batch(pairs);
-  unsigned high = 0;
-  for (char v : verdicts) high += v != 0;
-  const bool expected = high * 2 > pairs.size();
-
-  // Fresh fixture (same machine/seed) so the simulated noise sequence and
-  // pagemap match; the engine must reproduce the verdict exactly.
-  pipeline_fixture g(4, 19);
-  measurement_plan plan2(g.channel);
-  bit_probe_engine engine2(plan2, g.buffer);
-  rng engine_rng(99);
-  probe_config legacy{};
-  legacy.use_designed = false;
-  const auto verdict = engine2.run_one(delta, legacy, engine_rng);
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_EQ(*verdict, expected);
-}
-
-TEST(BitProbe, UntestableDeltaReturnsNulloptInBothModes) {
+TEST(BitProbe, UntestableDeltaReturnsNullopt) {
   pipeline_fixture f(4, 7);
   measurement_plan plan(f.channel);
   bit_probe_engine engine(plan, f.buffer);
   // A delta far above installed memory: no partner page can ever back it.
   const std::uint64_t delta = std::uint64_t{1} << 40;
-  for (const bool designed : {false, true}) {
-    probe_config cfg{};
-    cfg.use_designed = designed;
-    EXPECT_EQ(engine.run_one(delta, cfg, f.r), std::nullopt)
-        << (designed ? "designed" : "legacy");
-  }
+  EXPECT_EQ(engine.run_one(delta, probe_config{}, f.r), std::nullopt);
 }
 
 TEST(BitProbe, ProbePairsAnswersRepeatsFromThePlanCache) {
@@ -198,9 +140,8 @@ TEST(BitProbe, ProbePairsMatchesStrictVerdicts) {
   const auto probed = probe_plan.probe_pairs(pairs);
 
   pipeline_fixture g(7, 31);
-  measurement_plan strict_plan(g.channel);
   // Same physical pairs measured strictly on an identical twin machine.
-  const std::vector<char> strict = strict_plan.is_sbdr_strict_batch(pairs);
+  const std::vector<char> strict = g.channel.is_sbdr_strict_batch(pairs);
   EXPECT_EQ(probed.sbdr, strict);
 }
 

@@ -31,9 +31,8 @@ std::vector<std::uint64_t> pool_for(pipeline_fixture& f) {
   return sel.pool;
 }
 
-/// Pure piles, no two piles of one bank, and (for the representative
-/// driver) every pile inside the delta window — the partition contract
-/// both drivers must satisfy on every machine.
+/// Pure piles, no two piles of one bank, and every pile inside the delta
+/// window — the partition contract on every machine.
 void expect_sound_partition(const partition_outcome& out,
                             const dram::address_mapping& truth,
                             std::size_t pool_size, unsigned bank_count,
@@ -63,36 +62,18 @@ void expect_sound_partition(const partition_outcome& out,
   EXPECT_GE(out.partitioned, pool_size * 85 / 100) << label;
 }
 
-TEST(Classifier, DifferentialPathsAgreeOnEveryPaperMachine) {
-  // The two drivers must produce the same same-bank partition on every
-  // paper preset: piles pure, one pile per bank, delta window honoured —
-  // so any pair of addresses assigned by both paths is co-piled in one
-  // exactly when it is co-piled in the other.
+TEST(Classifier, RepresentativePartitionIsSoundOnEveryPaperMachine) {
+  // On every paper preset: piles pure, one pile per bank, delta window
+  // honoured, and at least the per_threshold share of the pool assigned.
   for (int machine = 1; machine <= 9; ++machine) {
-    pipeline_fixture pivot_f(machine), rep_f(machine);
-    const auto pool = pool_for(pivot_f);
+    pipeline_fixture f(machine);
+    const auto pool = pool_for(f);
     const unsigned banks =
-        static_cast<unsigned>(pivot_f.env.spec().mapping.bank_count());
-
-    partition_config pivot_cfg{};
-    pivot_cfg.use_representatives = false;
-    const auto pivot_out =
-        partition_pool(pivot_f.channel, pool, banks, pivot_f.r, pivot_cfg);
-    partition_config rep_cfg{};  // representative driver is the default
-    const auto rep_out =
-        partition_pool(rep_f.channel, pool, banks, rep_f.r, rep_cfg);
-
-    const auto& truth = pivot_f.env.spec().mapping;
-    expect_sound_partition(pivot_out, truth, pool.size(), banks, pivot_cfg,
-                           ("No." + std::to_string(machine) + " pivot")
-                               .c_str());
-    expect_sound_partition(rep_out, truth, pool.size(), banks, rep_cfg,
-                           ("No." + std::to_string(machine) + " rep")
-                               .c_str());
-    // Both drivers honour the same per_threshold coverage contract; the
-    // representative driver stops exactly at the target while the pivot
-    // loop overshoots by up to one pile, so equality is not required —
-    // the 85% floor inside expect_sound_partition is the real claim.
+        static_cast<unsigned>(f.env.spec().mapping.bank_count());
+    const partition_config cfg{};
+    const auto out = partition_pool(f.channel, pool, banks, f.r, cfg);
+    expect_sound_partition(out, f.env.spec().mapping, pool.size(), banks, cfg,
+                           ("No." + std::to_string(machine)).c_str());
   }
 }
 
@@ -182,76 +163,6 @@ TEST(Classifier, DirectoryReuseMakesRepeatPartitionsFree) {
   EXPECT_GT(controller.measurement_count() - base - cost1 - cost2, cost2);
 }
 
-TEST(Classifier, PivotScanPathIsBitForBitLegacyOracle) {
-  // use_representatives = false must reproduce the pre-engine pivot loop
-  // exactly: same rng draws, same scans, same measurement count, same
-  // piles. The loop below is a literal transcription of that code.
-  pipeline_fixture oracle_f(1), engine_f(1);
-  const auto pool0 = pool_for(oracle_f);
-  const unsigned banks = 16;
-
-  partition_config config{};
-  config.use_representatives = false;
-
-  partition_outcome expected;
-  {
-    measurement_plan plan(oracle_f.channel);
-    std::vector<std::uint64_t> pool = pool0;
-    const std::size_t pool_sz = pool.size();
-    const double pile_sz =
-        static_cast<double>(pool_sz) / static_cast<double>(banks);
-    const std::size_t stop_at = static_cast<std::size_t>(
-        (1.0 - config.per_threshold) * static_cast<double>(pool_sz));
-    scan_options scan{};
-    scan.verify_positives = config.verify_positives;
-    scan.prescreen_sample = config.prescreen_sample;
-    scan.prescreen_z = config.prescreen_z;
-    scan.window = {(1.0 - config.delta_lower) * pile_sz,
-                   (1.0 + config.delta) * pile_sz};
-    unsigned attempts = 0;
-    while (pool.size() > stop_at) {
-      ASSERT_LT(attempts++, 4 * banks + 32);
-      const std::size_t pivot_idx = oracle_f.r.below(pool.size());
-      const std::uint64_t pivot = pool[pivot_idx];
-      std::vector<std::uint64_t> partners;
-      std::vector<std::size_t> partner_idx;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (i == pivot_idx) continue;
-        partners.push_back(pool[i]);
-        partner_idx.push_back(i);
-      }
-      const auto verdict = plan.classify_partners(pivot, partners, scan);
-      if (verdict.prescreen_rejected) continue;
-      std::vector<std::size_t> members;
-      for (std::size_t j = 0; j < verdict.member.size(); ++j) {
-        if (verdict.member[j]) members.push_back(partner_idx[j]);
-      }
-      const double size = static_cast<double>(members.size() + 1);
-      if (size < scan.window.lo || size > scan.window.hi) continue;
-      std::vector<std::uint64_t> pile{pivot};
-      for (const std::size_t i : members) pile.push_back(pool[i]);
-      expected.partitioned += pile.size();
-      members.push_back(pivot_idx);
-      std::sort(members.begin(), members.end(), std::greater<>());
-      for (const std::size_t i : members) {
-        pool[i] = pool.back();
-        pool.pop_back();
-      }
-      expected.piles.push_back(std::move(pile));
-    }
-  }
-  const std::uint64_t oracle_count =
-      oracle_f.env.mach().controller().measurement_count();
-
-  const auto got =
-      partition_pool(engine_f.channel, pool0, banks, engine_f.r, config);
-  ASSERT_TRUE(got.success);
-  EXPECT_EQ(got.piles, expected.piles);
-  EXPECT_EQ(got.partitioned, expected.partitioned);
-  EXPECT_EQ(engine_f.env.mach().controller().measurement_count(),
-            oracle_count);
-}
-
 TEST(Classifier, RepresentativePathRejectsWrongBankCount) {
   // 64 piles requested on a 16-bank machine: every founder scan's pile is
   // ~4x oversized for the window, so the engine must fail without
@@ -260,24 +171,9 @@ TEST(Classifier, RepresentativePathRejectsWrongBankCount) {
   const auto pool = pool_for(f);
   partition_config cfg{};
   cfg.max_pivot_attempts = 40;
-  cfg.use_representatives = true;
   const auto out = partition_pool(f.channel, pool, 64, f.r, cfg);
   EXPECT_FALSE(out.success);
   EXPECT_TRUE(out.piles.empty());
-}
-
-TEST(Classifier, EngineFallsBackToPivotScanWithoutReuseCache) {
-  // The representative ladder needs the plan's relation cache as its
-  // memory; with reuse off the engine must dispatch to the pivot loop
-  // (and still partition correctly) rather than spin.
-  pipeline_fixture f(1);
-  const auto pool = pool_for(f);
-  measurement_plan plan(f.channel, {.reuse_verdicts = false});
-  bank_classifier engine(plan);
-  const auto out = partition_pool(engine, pool, 16, f.r, {});
-  ASSERT_TRUE(out.success);
-  EXPECT_EQ(out.representative_votes, 0u);
-  EXPECT_EQ(out.founder_scans, 0u);
 }
 
 TEST(Classifier, PredictionAccountingExposedInOutcome) {

@@ -91,24 +91,17 @@ TEST(CoarseDetect, DeterministicAcrossNoiseSeeds) {
 
 TEST(CoarseDetect, UntestableBitsAreReportedNotClassified) {
   // Bits above installed memory can never find a backed partner page, so
-  // every vote pick fails and the bit lands in untestable_bits — in both
-  // the designed engine and the legacy oracle.
+  // every vote pick fails and the bit lands in untestable_bits.
   pipeline_fixture f(1);
   domain_knowledge doctored = f.knowledge;
   const unsigned true_bits = f.knowledge.address_bits;
   doctored.address_bits = true_bits + 2;
-  for (const bool designed : {false, true}) {
-    coarse_config cfg{};
-    cfg.probe.use_designed = designed;
-    const auto res =
-        run_coarse_detection(f.channel, f.buffer, doctored, f.r, cfg);
-    EXPECT_EQ(res.untestable_bits,
-              (std::vector<unsigned>{true_bits, true_bits + 1}))
-        << (designed ? "designed" : "legacy");
-    // The real bits still classify exactly as without the doctoring.
-    for (unsigned b = 20; b <= 32; ++b) EXPECT_TRUE(contains(res.row_bits, b));
-    EXPECT_EQ(res.bank_bits.size(), 7u);
-  }
+  const auto res = run_coarse_detection(f.channel, f.buffer, doctored, f.r);
+  EXPECT_EQ(res.untestable_bits,
+            (std::vector<unsigned>{true_bits, true_bits + 1}));
+  // The real bits still classify exactly as without the doctoring.
+  for (unsigned b = 20; b <= 32; ++b) EXPECT_TRUE(contains(res.row_bits, b));
+  EXPECT_EQ(res.bank_bits.size(), 7u);
 }
 
 TEST(CoarseDetect, NoRowBitsIsAFailureReturnNotACrash) {
@@ -119,15 +112,10 @@ TEST(CoarseDetect, NoRowBitsIsAFailureReturnNotACrash) {
   pipeline_fixture f(1);
   domain_knowledge doctored = f.knowledge;
   doctored.address_bits = 17;  // rows start at 17 on machine No.1
-  for (const bool designed : {false, true}) {
-    coarse_config cfg{};
-    cfg.probe.use_designed = designed;
-    const auto res =
-        run_coarse_detection(f.channel, f.buffer, doctored, f.r, cfg);
-    EXPECT_TRUE(res.row_bits.empty()) << (designed ? "designed" : "legacy");
-    EXPECT_EQ(res.bank_bits.size(), 11u);  // bits 6..16
-    EXPECT_TRUE(res.column_bits.empty());
-  }
+  const auto res = run_coarse_detection(f.channel, f.buffer, doctored, f.r);
+  EXPECT_TRUE(res.row_bits.empty());
+  EXPECT_EQ(res.bank_bits.size(), 11u);  // bits 6..16
+  EXPECT_TRUE(res.column_bits.empty());
 }
 
 TEST(CoarseDetect, WorksOnNoisyMachine) {

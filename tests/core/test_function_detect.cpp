@@ -67,7 +67,12 @@ TEST(FunctionDetect, AllPaperMachinesRecoverable) {
     const auto out = detect_functions(piles_for(m.mapping, bank_bits),
                                       bank_bits, m.total_banks(), clock);
     ASSERT_TRUE(out.success) << m.label() << ": " << out.failure_reason;
+    EXPECT_TRUE(out.numbering_ok) << m.label();
     EXPECT_TRUE(gf2::same_span(out.functions, m.mapping.bank_functions()))
+        << m.label();
+    // Complete piles pin the candidate set to exactly the true span.
+    EXPECT_EQ(out.raw_candidates,
+              (std::size_t{1} << m.mapping.bank_functions().size()) - 1)
         << m.label();
   }
 }
@@ -131,41 +136,10 @@ TEST(FunctionDetect, ChargesCpuTimeToClock) {
   EXPECT_GT(clock.now_ns(), 0u);
 }
 
-TEST(FunctionDetect, NullspaceMatchesEnumerationOnAllPresets) {
-  // Differential test for the default null-space path: on every paper
-  // machine (DDR3 and DDR4) it must recover the identical function basis
-  // and candidate count the legacy 2^B mask enumeration produces.
-  function_config nullspace_cfg{};
-  function_config oracle_cfg{};
-  oracle_cfg.use_nullspace = false;
-  for (const auto& m : dram::paper_machines()) {
-    std::vector<unsigned> bank_bits;
-    for (std::uint64_t f : m.mapping.bank_functions()) {
-      for (unsigned b : bits_of_mask(f)) bank_bits.push_back(b);
-    }
-    std::sort(bank_bits.begin(), bank_bits.end());
-    bank_bits.erase(std::unique(bank_bits.begin(), bank_bits.end()),
-                    bank_bits.end());
-    const auto piles = piles_for(m.mapping, bank_bits);
-    sim::virtual_clock fast_clock, slow_clock;
-    const auto fast = detect_functions(piles, bank_bits, m.total_banks(),
-                                       fast_clock, nullspace_cfg);
-    const auto slow = detect_functions(piles, bank_bits, m.total_banks(),
-                                       slow_clock, oracle_cfg);
-    ASSERT_TRUE(fast.success) << m.label() << ": " << fast.failure_reason;
-    ASSERT_TRUE(slow.success) << m.label() << ": " << slow.failure_reason;
-    EXPECT_EQ(fast.functions, slow.functions) << m.label();
-    EXPECT_EQ(fast.raw_candidates, slow.raw_candidates) << m.label();
-    EXPECT_EQ(fast.numbering_ok, slow.numbering_ok) << m.label();
-    // The whole point: the null-space path charges far less virtual CPU.
-    EXPECT_LT(fast_clock.now_ns(), slow_clock.now_ns()) << m.label();
-  }
-}
-
-TEST(FunctionDetect, NullspaceMatchesEnumerationOnRandomPiles) {
-  // Property test over random mappings with up to 12 bank bits: identical
-  // outcome (success flag, functions, candidate count) on both paths —
-  // including degenerate inputs where detection fails.
+TEST(FunctionDetect, RecoversTrueSpanOnRandomPiles) {
+  // Random mappings with up to 12 bank bits. Every other seed halves the
+  // piles: half the banks still pin the difference space, so detection
+  // must recover the true span either way.
   for (std::uint64_t seed = 100; seed < 130; ++seed) {
     const auto m = dram::random_machine(30, 3 + seed % 3, seed);
     std::vector<unsigned> bank_bits;
@@ -177,20 +151,13 @@ TEST(FunctionDetect, NullspaceMatchesEnumerationOnRandomPiles) {
                     bank_bits.end());
     if (bank_bits.size() > 12) continue;
     auto piles = piles_for(m.mapping, bank_bits);
-    // Every other seed, degrade the piles so the failure paths get
-    // differential coverage too.
     if (seed % 2 == 0 && piles.size() > 2) piles.resize(piles.size() / 2);
-    function_config oracle_cfg{};
-    oracle_cfg.use_nullspace = false;
-    sim::virtual_clock c1, c2;
-    const auto fast =
-        detect_functions(piles, bank_bits, m.total_banks(), c1);
-    const auto slow =
-        detect_functions(piles, bank_bits, m.total_banks(), c2, oracle_cfg);
-    EXPECT_EQ(fast.success, slow.success) << "seed " << seed;
-    EXPECT_EQ(fast.functions, slow.functions) << "seed " << seed;
-    EXPECT_EQ(fast.raw_candidates, slow.raw_candidates) << "seed " << seed;
-    EXPECT_EQ(fast.numbering_ok, slow.numbering_ok) << "seed " << seed;
+    sim::virtual_clock clock;
+    const auto out = detect_functions(piles, bank_bits, m.total_banks(), clock);
+    ASSERT_TRUE(out.success) << "seed " << seed << ": " << out.failure_reason;
+    EXPECT_TRUE(out.numbering_ok) << "seed " << seed;
+    EXPECT_TRUE(gf2::same_span(out.functions, m.mapping.bank_functions()))
+        << "seed " << seed;
   }
 }
 

@@ -28,38 +28,6 @@ scan_options default_scan() {
   return s;
 }
 
-TEST(MeasurementPlan, CacheOffMatchesPlainChannelScan) {
-  // reuse_verdicts = false must reproduce the pre-scheduler scan sequence
-  // bit for bit: fast batch, then the strict batch over the positives.
-  pipeline_fixture a(1), b(1);
-  const auto pool = pool_for(a, {6, 14, 15, 16, 17, 18, 19});
-  const std::uint64_t pivot = pool.front();
-  const std::vector<std::uint64_t> partners(pool.begin() + 1, pool.end());
-
-  measurement_plan plan(a.channel, {.reuse_verdicts = false});
-  const auto got = plan.classify_partners(pivot, partners, default_scan());
-  ASSERT_FALSE(got.prescreen_rejected);
-  EXPECT_EQ(got.reused, 0u);
-
-  const std::vector<char> fast = b.channel.is_sbdr_fast_batch(pivot, partners);
-  std::vector<sim::addr_pair> candidates;
-  std::vector<std::size_t> candidate_idx;
-  for (std::size_t i = 0; i < partners.size(); ++i) {
-    if (fast[i]) {
-      candidates.emplace_back(pivot, partners[i]);
-      candidate_idx.push_back(i);
-    }
-  }
-  std::vector<char> want(partners.size(), 0);
-  const std::vector<char> strict = b.channel.is_sbdr_strict_batch(candidates);
-  for (std::size_t j = 0; j < strict.size(); ++j) {
-    want[candidate_idx[j]] = strict[j];
-  }
-  EXPECT_EQ(got.member, want);
-  EXPECT_EQ(a.env.mach().controller().measurement_count(),
-            b.env.mach().controller().measurement_count());
-}
-
 TEST(MeasurementPlan, RescanIsAnsweredEntirelyFromCache) {
   pipeline_fixture f(1);
   const auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
@@ -113,52 +81,51 @@ TEST(MeasurementPlan, StrictMemoAnswersRepeatedVotes) {
     pairs.emplace_back(0, (std::uint64_t{i} << 14) &
                               (f.env.spec().memory_bytes - 1));
   }
-  // Include an in-batch duplicate (symmetric order, too).
-  pairs.push_back(pairs.front());
-  pairs.emplace_back(pairs.front().second, pairs.front().first);
 
   measurement_plan plan(f.channel);
-  const auto first = plan.is_sbdr_strict_batch(pairs);
-  EXPECT_EQ(first[first.size() - 2], first.front());
-  EXPECT_EQ(first.back(), first.front());
+  const auto first = plan.probe_pairs(pairs);
+  EXPECT_EQ(first.reused, 0u);
   const std::uint64_t issued = f.env.mach().controller().measurement_count();
-  const auto second = plan.is_sbdr_strict_batch(pairs);
-  EXPECT_EQ(second, first);
+  // The memo key is the unordered pair: the same votes in swapped order
+  // answer from it without touching the controller.
+  std::vector<sim::addr_pair> swapped;
+  for (const auto& [a, b] : pairs) swapped.emplace_back(b, a);
+  const auto second = plan.probe_pairs(swapped);
+  EXPECT_EQ(second.sbdr, first.sbdr);
+  EXPECT_EQ(second.reused, pairs.size());
   EXPECT_EQ(f.env.mach().controller().measurement_count(), issued);
 }
 
 TEST(MeasurementPlan, ScanSampleReuseSavesOneStrictMeasurementPerMember) {
-  // With reuse off, every verified candidate costs strict_samples() fresh
-  // measurements on top of its scan sample; with reuse on, one of them is
-  // the scan sample itself.
-  pipeline_fixture with(1), without(1);
-  const auto pool = pool_for(with, {6, 14, 15, 16, 17, 18, 19});
+  // Every strict-verified candidate folds its scan sample into the min
+  // filter: it costs strict_samples() - 1 fresh measurements on top of
+  // that sample instead of strict_samples(), and the plan books the one
+  // measurement it saved.
+  pipeline_fixture f(1);
+  const auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
   const std::uint64_t pivot = pool.front();
   const std::vector<std::uint64_t> partners(pool.begin() + 1, pool.end());
 
-  measurement_plan reuse(with.channel, {.reuse_scan_sample = true});
-  measurement_plan fresh(without.channel, {.reuse_scan_sample = false});
-  const auto got_reuse = reuse.classify_partners(pivot, partners, default_scan());
-  const auto got_fresh = fresh.classify_partners(pivot, partners, default_scan());
+  measurement_plan plan(f.channel);
+  const std::uint64_t before = f.env.mach().controller().measurement_count();
+  const auto got = plan.classify_partners(pivot, partners, default_scan());
+  const std::uint64_t spent =
+      f.env.mach().controller().measurement_count() - before;
 
-  const std::uint64_t count_reuse =
-      with.env.mach().controller().measurement_count();
-  const std::uint64_t count_fresh =
-      without.env.mach().controller().measurement_count();
-  // Same fixtures up to the scan, so the fast verdicts agree; the reuse
-  // run then pays exactly one measurement less per candidate.
-  EXPECT_LT(count_reuse, count_fresh);
+  // A fresh plan answers nothing from cache, so every saving is a folded
+  // scan sample: one per strict-verified candidate.
+  const std::uint64_t candidates = plan.stats().measurements_saved;
+  EXPECT_EQ(spent, partners.size() +
+                       candidates * (f.channel.strict_samples() - 1));
+  EXPECT_EQ(plan.stats().measurements_issued, spent);
   std::size_t members = 0;
-  for (char m : got_reuse.member) members += m != 0;
+  for (char m : got.member) members += m != 0;
   EXPECT_GE(members, 2u);
-  // Both scans classify the true bank: the verdict distribution is
-  // unchanged by substituting one iid sample.
-  const auto& truth = with.env.spec().mapping;
+  EXPECT_GE(candidates, members);
+  // Folding the conditioned-positive sample keeps the verdicts sound.
+  const auto& truth = f.env.spec().mapping;
   for (std::size_t i = 0; i < partners.size(); ++i) {
-    if (got_reuse.member[i]) {
-      EXPECT_EQ(truth.bank_of(partners[i]), truth.bank_of(pivot));
-    }
-    if (got_fresh.member[i]) {
+    if (got.member[i]) {
       EXPECT_EQ(truth.bank_of(partners[i]), truth.bank_of(pivot));
     }
   }
@@ -277,18 +244,18 @@ TEST(MeasurementPlan, DeterministicOnParallelBatchPath) {
 
 TEST(MeasurementPlan, RepeatedPartitionsGetSuperlinearlyCheaper) {
   // The headline reuse property: re-partitioning an already classified
-  // pool (the bank-count sweep, the attempt loop) costs less every time.
-  // Run 2 gets the class members for free and seeds a second row-distinct
-  // witness on every negative; by run 3 the witness pairs answer the
-  // negatives too, and scans cost almost nothing. Pinned to the pivot-scan
-  // driver: this is the plan's own reuse property, independent of the
-  // classifier's class directory (which has its own test).
+  // pool (the bank-count sweep, the attempt loop) costs a fraction of the
+  // first pass. Run 2 gets the class members for free from the union-find
+  // and answers most negatives from the witness lists; the votes it does
+  // cast only refine that evidence. Each call builds a fresh classifier
+  // over the shared plan: this is the plan's own reuse property,
+  // independent of the classifier's class directory (which has its own
+  // test).
   pipeline_fixture f(1);
   const auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
   measurement_plan plan(f.channel);
   auto& controller = f.env.mach().controller();
-  partition_config cfg{};
-  cfg.use_representatives = false;
+  const partition_config cfg{};
 
   const std::uint64_t base = controller.measurement_count();
   const auto first = partition_pool(plan, pool, 16, f.r, cfg);
@@ -304,11 +271,10 @@ TEST(MeasurementPlan, RepeatedPartitionsGetSuperlinearlyCheaper) {
   const std::uint64_t cost3 =
       controller.measurement_count() - base - cost1 - cost2;
 
-  EXPECT_LT(cost2, cost1 * 3 / 4);
-  EXPECT_LT(cost3, cost2);
+  EXPECT_LT(cost2, cost1 / 4);
   EXPECT_LT(cost3, cost1 / 4);
   EXPECT_GT(second.reused_verdicts, 0u);
-  EXPECT_GT(third.reused_verdicts, second.reused_verdicts);
+  EXPECT_GE(third.reused_verdicts, second.reused_verdicts);
   // Piles stay pure banks throughout.
   const auto& truth = f.env.spec().mapping;
   for (const auto* outcome : {&first, &second, &third}) {
@@ -399,117 +365,16 @@ TEST(MeasurementPlan, WitnessListsAreBoundedWithLruEviction) {
             pair_relation::cross_pile);
 }
 
-TEST(MeasurementPlan, ArenaIndexMatchesMapBackendOnMixedWorkload) {
-  // The arena index (use_arena_index, the default) is pinned bit-identical
-  // to the unordered_map oracle: same verdicts, class structure, stats
-  // counters and controller traffic on the same workload, stage by stage.
+TEST(MeasurementPlan, LruEvictionOrderIsDeterministicAndSound) {
+  // max_witnesses = 2 forces constant LRU churn across repeated pivot
+  // scans. Which cached relation degrades back to unknown (and hence which
+  // rescans pay for re-measurement) must be a pure function of the scan
+  // sequence — a twin plan replaying it lands on identical verdicts,
+  // stats and relations — and no cached relation may contradict the truth.
   pipeline_fixture fa(1), fb(1);
   const auto pool = pool_for(fa, {6, 14, 15, 16, 17, 18, 19});
-  measurement_plan arena(fa.channel, {.use_arena_index = true});
-  measurement_plan legacy(fb.channel, {.use_arena_index = false});
-
-  const auto same_state = [&](const char* stage) {
-    SCOPED_TRACE(stage);
-    EXPECT_EQ(arena.stats().measurements_issued,
-              legacy.stats().measurements_issued);
-    EXPECT_EQ(arena.stats().measurements_saved,
-              legacy.stats().measurements_saved);
-    EXPECT_EQ(arena.stats().classes_merged, legacy.stats().classes_merged);
-    EXPECT_EQ(arena.stats().negatives_recorded,
-              legacy.stats().negatives_recorded);
-    EXPECT_EQ(arena.stats().prescreen_rejections,
-              legacy.stats().prescreen_rejections);
-    EXPECT_EQ(arena.stats().witnesses_evicted,
-              legacy.stats().witnesses_evicted);
-    EXPECT_EQ(arena.class_count(), legacy.class_count());
-    EXPECT_EQ(fa.env.mach().controller().measurement_count(),
-              fb.env.mach().controller().measurement_count());
-  };
-
-  // Pivot scans: fill classes and witness lists, then rescan from cache.
-  for (std::size_t p = 0; p < 3; ++p) {
-    std::vector<std::uint64_t> partners;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i != p) partners.push_back(pool[i]);
-    }
-    const auto got_a = arena.classify_partners(pool[p], partners,
-                                               default_scan());
-    const auto got_b = legacy.classify_partners(pool[p], partners,
-                                                default_scan());
-    EXPECT_EQ(got_a.member, got_b.member);
-    EXPECT_EQ(got_a.reused, got_b.reused);
-  }
-  same_state("after pivot scans");
-
-  // Random representative votes (anchor, subject).
-  rng votes_rng(424242);
-  std::vector<sim::addr_pair> votes;
-  while (votes.size() < 200) {
-    const std::uint64_t a = pool[votes_rng.below(pool.size())];
-    const std::uint64_t b = pool[votes_rng.below(pool.size())];
-    if (a != b) votes.emplace_back(a, b);
-  }
-  const auto va = arena.classify_pairs(votes, /*verify_positives=*/true);
-  const auto vb = legacy.classify_pairs(votes, /*verify_positives=*/true);
-  EXPECT_EQ(va.member, vb.member);
-  EXPECT_EQ(va.reused, vb.reused);
-  same_state("after classify_pairs");
-
-  // Designed-probe votes (pairs must be distinct within the call).
-  std::vector<sim::addr_pair> probes;
-  for (std::size_t i = 0; i + 1 < pool.size() && probes.size() < 64; i += 2) {
-    probes.emplace_back(pool[i], pool[i + 1]);
-  }
-  const auto pa = arena.probe_pairs(probes);
-  const auto pb = legacy.probe_pairs(probes);
-  EXPECT_EQ(pa.sbdr, pb.sbdr);
-  EXPECT_EQ(pa.reused, pb.reused);
-  same_state("after probe_pairs");
-
-  // Strict batch with in-batch duplicates (symmetric order, too).
-  std::vector<sim::addr_pair> strict(votes.begin(), votes.begin() + 32);
-  strict.push_back(strict.front());
-  strict.emplace_back(strict.front().second, strict.front().first);
-  EXPECT_EQ(arena.is_sbdr_strict_batch(strict),
-            legacy.is_sbdr_strict_batch(strict));
-  same_state("after strict batch");
-
-  // Every cached relation agrees (relation() never measures).
-  for (std::size_t i = 0; i + 1 < pool.size(); ++i) {
-    ASSERT_EQ(arena.relation(pool[i], pool[i + 1]),
-              legacy.relation(pool[i], pool[i + 1]));
-    ASSERT_EQ(arena.known_strict_positive(pool[i], pool[i + 1]),
-              legacy.known_strict_positive(pool[i], pool[i + 1]));
-  }
-  same_state("after relation sweep");
-
-  // reset() drops both backends to the same empty state; the rescan
-  // re-measures identically.
-  arena.reset();
-  legacy.reset();
-  EXPECT_EQ(arena.class_count(), 0u);
-  EXPECT_EQ(legacy.class_count(), 0u);
-  const std::vector<std::uint64_t> partners(pool.begin() + 1, pool.end());
-  const auto ra = arena.classify_partners(pool.front(), partners,
-                                          default_scan());
-  const auto rb = legacy.classify_partners(pool.front(), partners,
-                                           default_scan());
-  EXPECT_EQ(ra.member, rb.member);
-  EXPECT_EQ(ra.reused, 0u);
-  EXPECT_EQ(rb.reused, 0u);
-  same_state("after reset and rescan");
-}
-
-TEST(MeasurementPlan, ArenaIndexMatchesMapBackendUnderLruEviction) {
-  // max_witnesses = 2 forces constant LRU churn: the eviction order (which
-  // cached relation degrades back to unknown, and hence which rescans pay
-  // for re-measurement) must match the map oracle exactly.
-  pipeline_fixture fa(1), fb(1);
-  const auto pool = pool_for(fa, {6, 14, 15, 16, 17, 18, 19});
-  measurement_plan arena(fa.channel,
-                         {.max_witnesses = 2, .use_arena_index = true});
-  measurement_plan legacy(fb.channel,
-                          {.max_witnesses = 2, .use_arena_index = false});
+  measurement_plan plan(fa.channel, {.max_witnesses = 2});
+  measurement_plan twin(fb.channel, {.max_witnesses = 2});
 
   rng pivots(7);
   for (unsigned round = 0; round < 6; ++round) {
@@ -518,26 +383,28 @@ TEST(MeasurementPlan, ArenaIndexMatchesMapBackendUnderLruEviction) {
     for (std::size_t i = 0; i < pool.size(); ++i) {
       if (i != p) partners.push_back(pool[i]);
     }
-    const auto got_a = arena.classify_partners(pool[p], partners,
-                                               default_scan());
-    const auto got_b = legacy.classify_partners(pool[p], partners,
-                                                default_scan());
-    EXPECT_EQ(got_a.member, got_b.member) << "round " << round;
-    EXPECT_EQ(got_a.reused, got_b.reused) << "round " << round;
+    const auto got = plan.classify_partners(pool[p], partners, default_scan());
+    const auto again = twin.classify_partners(pool[p], partners, default_scan());
+    EXPECT_EQ(got.member, again.member) << "round " << round;
+    EXPECT_EQ(got.reused, again.reused) << "round " << round;
   }
-  EXPECT_GT(arena.stats().witnesses_evicted, 0u);
-  EXPECT_EQ(arena.stats().witnesses_evicted,
-            legacy.stats().witnesses_evicted);
-  EXPECT_EQ(arena.stats().measurements_saved,
-            legacy.stats().measurements_saved);
-  EXPECT_EQ(arena.stats().negatives_recorded,
-            legacy.stats().negatives_recorded);
+  EXPECT_GT(plan.stats().witnesses_evicted, 0u);
+  EXPECT_EQ(plan.stats().witnesses_evicted, twin.stats().witnesses_evicted);
+  EXPECT_EQ(plan.stats().measurements_saved, twin.stats().measurements_saved);
+  EXPECT_EQ(plan.stats().negatives_recorded, twin.stats().negatives_recorded);
   EXPECT_EQ(fa.env.mach().controller().measurement_count(),
             fb.env.mach().controller().measurement_count());
+
+  const auto& truth = fa.env.spec().mapping;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     for (std::size_t j = i + 1; j < pool.size() && j < i + 8; ++j) {
-      ASSERT_EQ(arena.relation(pool[i], pool[j]),
-                legacy.relation(pool[i], pool[j]));
+      const pair_relation rel = plan.relation(pool[i], pool[j]);
+      ASSERT_EQ(rel, twin.relation(pool[i], pool[j]));
+      const bool same_bank = truth.bank_of(pool[i]) == truth.bank_of(pool[j]);
+      if (rel == pair_relation::same_bank) EXPECT_TRUE(same_bank);
+      if (rel == pair_relation::cross_pile) {
+        EXPECT_FALSE(same_bank && truth.row_of(pool[i]) != truth.row_of(pool[j]));
+      }
     }
   }
 }

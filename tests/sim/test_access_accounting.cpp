@@ -1,142 +1,98 @@
-// Differential tests for the measurement-accounting modes: the O(1)
-// closed-form aggregate (default) against the per-access row-buffer
-// state-machine loop (timing_model::closed_form_accounting = false). The
-// two must be bit-identical — latencies, contamination flags, virtual
-// time, counters AND rng consumption — on every timing preset, because the
-// loop is the oracle the closed form is trusted against.
+// Measurement accounting: the alternating 2*rounds access loop of a pair
+// measurement visits at most three row-buffer situations, so the
+// controller tallies it in closed form. With zero noise the observed mean
+// and the virtual clock must equal the hand-summed per-access values —
+// each access charging its own truncated integer — on the default, a
+// fractional-timing and a heavy-burst preset, through both the scalar and
+// the batch entry points.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "dram/presets.h"
-#include "sim/machine.h"
 #include "sim/memory_controller.h"
-#include "sim/profiles.h"
 #include "sim/virtual_clock.h"
 #include "util/rng.h"
 
 namespace dramdig::sim {
 namespace {
 
-/// Drive both controllers through an identical measurement schedule and
-/// require bit-identical observable state afterwards.
-void expect_identical_accounting(const dram::machine_spec& spec,
-                                 timing_model timing, std::uint64_t seed) {
-  timing_model closed = timing, loop = timing;
-  closed.closed_form_accounting = true;
-  loop.closed_form_accounting = false;
-
-  virtual_clock clock_a, clock_b;
-  memory_controller a(spec.mapping, closed, clock_a, rng(seed));
-  memory_controller b(spec.mapping, loop, clock_b, rng(seed));
-
-  rng addr(seed ^ 0xadd2);
-  std::vector<addr_pair> pairs;
-  for (int i = 0; i < 400; ++i) {
-    pairs.emplace_back(addr.below(spec.memory_bytes) & ~63ull,
-                       addr.below(spec.memory_bytes) & ~63ull);
-  }
-  // Mixed schedule: scalar pairs, raw accesses, then a batch — the raw
-  // accesses perturb the row-buffer state so the first accesses of the
-  // following measurements exercise all three transient classes.
-  for (int i = 0; i < 50; ++i) {
-    const auto ma = a.measure_pair(pairs[i].first, pairs[i].second, 37);
-    const auto mb = b.measure_pair(pairs[i].first, pairs[i].second, 37);
-    ASSERT_DOUBLE_EQ(ma.mean_access_ns, mb.mean_access_ns) << "pair " << i;
-    ASSERT_EQ(ma.contaminated, mb.contaminated) << "pair " << i;
-    ASSERT_DOUBLE_EQ(a.access(pairs[i].second), b.access(pairs[i].second));
-  }
-  const auto batch_a = a.measure_pairs(pairs, 123);
-  const auto batch_b = b.measure_pairs(pairs, 123);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ASSERT_DOUBLE_EQ(batch_a[i].mean_access_ns, batch_b[i].mean_access_ns)
-        << "batch pair " << i;
-    ASSERT_EQ(batch_a[i].contaminated, batch_b[i].contaminated);
-  }
-
-  // Identical virtual time and counters...
-  EXPECT_EQ(clock_a.now_ns(), clock_b.now_ns());
-  EXPECT_EQ(a.access_count(), b.access_count());
-  EXPECT_EQ(a.measurement_count(), b.measurement_count());
-  // ...and identical rng consumption: the next measurement still agrees.
-  const auto tail_a = a.measure_pair(pairs[0].first, pairs[0].second, 11);
-  const auto tail_b = b.measure_pair(pairs[0].first, pairs[0].second, 11);
-  EXPECT_DOUBLE_EQ(tail_a.mean_access_ns, tail_b.mean_access_ns);
-  EXPECT_EQ(tail_a.contaminated, tail_b.contaminated);
-}
-
-TEST(AccessAccounting, ClosedFormMatchesLoopOnEveryPaperMachine) {
-  for (const dram::machine_spec& spec : dram::paper_machines()) {
-    SCOPED_TRACE(spec.label());
-    expect_identical_accounting(spec, timing_profile_for(spec),
-                                1000 + spec.number);
-  }
-}
-
-TEST(AccessAccounting, ClosedFormMatchesLoopOnFractionalTimings) {
-  // Non-integral charge values stress the integer per-access truncation:
-  // the closed form multiplies counts by truncated charges, the loop adds
-  // them one access at a time — totals must still match exactly.
+/// Non-integral charge values stress the integer per-access truncation.
+timing_model fractional_timings() {
   timing_model odd{};
   odd.row_hit_ns = 164.37;
   odd.row_closed_ns = 249.91;
   odd.row_conflict_ns = 331.13;
   odd.clflush_ns = 54.49;
   odd.loop_overhead_ns = 15.77;
-  odd.access_noise_sigma_ns = 8.31;
-  odd.contamination_chance = 0.12;
-  expect_identical_accounting(dram::machine_by_number(1), odd, 77);
+  return odd;
 }
 
-TEST(AccessAccounting, ClosedFormMatchesLoopUnderHeavyBursts) {
-  // Bursty contamination reads the burst schedule off the virtual clock;
-  // any clock divergence between the modes would desynchronize verdicts.
+/// Bursty contamination reads the burst schedule off the virtual clock.
+timing_model heavy_bursts() {
   timing_model bursty{};
   bursty.burst_mean_interval_s = 0.001;
   bursty.burst_mean_duration_s = 2.0;
   bursty.burst_contamination_factor = 40.0;
-  expect_identical_accounting(dram::machine_by_number(3), bursty, 5);
+  return bursty;
 }
 
-TEST(AccessAccounting, TransientFirstAccessesAreCharged) {
-  // A measurement's first access to a precharged bank pays row_closed, not
-  // the steady-state latency: with zero noise the observed mean must sit
-  // exactly at the tally's closed-form value.
-  timing_model quiet{};
-  quiet.access_noise_sigma_ns = 0.0;
-  quiet.contamination_chance = 0.0;
+void expect_hand_summed_charges(timing_model timing, const char* label) {
+  SCOPED_TRACE(label);
+  timing.access_noise_sigma_ns = 0.0;
+  timing.contamination_chance = 0.0;
   const auto& spec = dram::machine_by_number(1);
-  virtual_clock clock;
-  memory_controller mc(spec.mapping, quiet, clock, rng(1));
+  const auto charge = [&](double base) {
+    return static_cast<std::uint64_t>(base + timing.clflush_ns +
+                                      timing.loop_overhead_ns);
+  };
+  const unsigned rounds = 10;
+  const std::uint64_t steady = 2ull * rounds - 1;
+
   // Fresh controller: both banks precharged. Same-bank-different-row pair
   // (bit 20 is row-only on No.1): first access closed, second conflict,
   // rest conflicts.
-  const unsigned rounds = 10;
-  const auto m = mc.measure_pair(0, 1ull << 20, rounds);
+  const addr_pair sbdr{0, 1ull << 20};
   const double want =
-      (quiet.row_closed_ns + (2.0 * rounds - 1.0) * quiet.row_conflict_ns) /
-      (2.0 * rounds);
-  EXPECT_DOUBLE_EQ(m.mean_access_ns, want);
+      (timing.row_closed_ns + steady * timing.row_conflict_ns) / (2.0 * rounds);
+  const std::uint64_t want_ns =
+      charge(timing.row_closed_ns) + steady * charge(timing.row_conflict_ns);
   // Cross-bank pair (bit 6 switches channels on No.1): the fresh bank pays
   // one activate, the bank left open by the previous measurement hits
   // immediately, and the steady state is all hits.
-  const auto cross = mc.measure_pair(1ull << 6, 1ull << 20, rounds);
+  const addr_pair cross{1ull << 6, 1ull << 20};
   const double want_cross =
-      (quiet.row_closed_ns + (2.0 * rounds - 1.0) * quiet.row_hit_ns) /
-      (2.0 * rounds);
-  EXPECT_DOUBLE_EQ(cross.mean_access_ns, want_cross);
+      (timing.row_closed_ns + steady * timing.row_hit_ns) / (2.0 * rounds);
+  const std::uint64_t want_cross_ns =
+      charge(timing.row_closed_ns) + steady * charge(timing.row_hit_ns);
+
+  virtual_clock clock;
+  memory_controller mc(spec.mapping, timing, clock, rng(1));
+  const auto m = mc.measure_pair(sbdr.first, sbdr.second, rounds);
+  EXPECT_DOUBLE_EQ(m.mean_access_ns, want);
+  EXPECT_EQ(clock.now_ns(), want_ns);
+  const auto c = mc.measure_pair(cross.first, cross.second, rounds);
+  EXPECT_DOUBLE_EQ(c.mean_access_ns, want_cross);
+  EXPECT_EQ(clock.now_ns(), want_ns + want_cross_ns);
+  EXPECT_EQ(mc.measurement_count(), 2u);
+  EXPECT_EQ(mc.access_count(), 4ull * rounds);
+
+  // The batch tail folds the same per-measurement charges.
+  virtual_clock batch_clock;
+  memory_controller batched(spec.mapping, timing, batch_clock, rng(1));
+  const std::vector<addr_pair> pairs{sbdr, cross};
+  const auto got = batched.measure_pairs(pairs, rounds);
+  EXPECT_DOUBLE_EQ(got[0].mean_access_ns, want);
+  EXPECT_DOUBLE_EQ(got[1].mean_access_ns, want_cross);
+  EXPECT_EQ(batch_clock.now_ns(), want_ns + want_cross_ns);
+  EXPECT_EQ(batched.access_count(), 4ull * rounds);
 }
 
-TEST(AccessAccounting, LoopModeCountsMatchClosedForm) {
-  // Counters are mode-independent: 2*rounds accesses per measurement.
-  timing_model loop{};
-  loop.closed_form_accounting = false;
-  const auto& spec = dram::machine_by_number(1);
-  virtual_clock clock;
-  memory_controller mc(spec.mapping, loop, clock, rng(3));
-  (void)mc.measure_pair(0, 64, 250);
-  EXPECT_EQ(mc.measurement_count(), 1u);
-  EXPECT_EQ(mc.access_count(), 500u);
+TEST(AccessAccounting, TransientFirstAccessesAreCharged) {
+  expect_hand_summed_charges(timing_model{}, "default timings");
+  expect_hand_summed_charges(fractional_timings(), "fractional timings");
+  expect_hand_summed_charges(heavy_bursts(), "heavy bursts");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "dram/presets.h"
@@ -14,9 +15,8 @@ namespace {
 
 // Contracts of the counter-rng measurement tail: the shard-parallel noise
 // pass is bit-identical on any thread count (the whole point of counter
-// addressing), the legacy mt19937 path survives as an exact sequential
-// oracle behind timing_model::use_counter_rng = false, and the two streams
-// — while concretely different — are statistically the same channel.
+// addressing), a batch equals the scalar measure_pair sequence, and the
+// stream's statistics match the timing model's analytic ones.
 
 struct tail_fixture {
   dram::machine_spec spec = dram::machine_by_number(1);
@@ -98,69 +98,40 @@ TEST(CounterTail, InjectedPoolBatchStillMatchesScalarSequence) {
   EXPECT_EQ(batched.clock.now_ns(), scalar.clock.now_ns());
 }
 
-TEST(CounterTail, LegacyOracleBatchMatchesScalarSequence) {
-  // With use_counter_rng off the historical sequential mt19937 tail runs;
-  // batch and scalar must still be bit-identical (the pre-counter
-  // contract, pinned so the oracle stays a faithful replica).
-  timing_model legacy{};
-  legacy.use_counter_rng = false;
-  tail_fixture scalar(17, legacy), batched(17, legacy);
-
-  const auto pairs = big_batch(scalar.spec.memory_bytes, 5000);
-  std::vector<pair_measurement> expected;
-  expected.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) {
-    expected.push_back(scalar.mc.measure_pair(a, b, 200));
-  }
-  const auto got = batched.mc.measure_pairs(pairs, 200);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i].mean_access_ns, expected[i].mean_access_ns) << i;
-    EXPECT_EQ(got[i].contaminated, expected[i].contaminated) << i;
-  }
-  EXPECT_EQ(batched.clock.now_ns(), scalar.clock.now_ns());
-  EXPECT_EQ(batched.mc.access_count(), scalar.mc.access_count());
-  EXPECT_DOUBLE_EQ(batched.mc.access(0), scalar.mc.access(0));
-}
-
-TEST(CounterTail, CounterAndLegacyStreamsAgreeStatistically) {
-  // The two noise modes are different concrete streams of the same
-  // distributions. Over many measurements of one SBDR pair the sample
-  // means must agree within the standard error of the channel (sigma/
-  // sqrt(rounds) per measurement, averaged over kMeas measurements), and
-  // the contamination rates must match the configured chance.
-  timing_model legacy{};
-  legacy.use_counter_rng = false;
-  legacy.burst_mean_interval_s = 1e9;  // no bursts: rate is exactly chance
-  timing_model counter = legacy;
-  counter.use_counter_rng = true;
-
-  tail_fixture lf(21, legacy), cf(21, counter);
+TEST(CounterTail, CounterStreamMatchesAnalyticMean) {
+  // Over many measurements of one SBDR pair the clean sample mean must sit
+  // on the ideal conflict latency within three standard errors (sigma /
+  // sqrt(2 * rounds) per measurement, averaged over the clean ones), and
+  // the contamination rate must track the configured chance within three
+  // binomial standard errors.
+  timing_model t{};
+  t.burst_mean_interval_s = 1e9;  // no bursts: rate is exactly chance
+  tail_fixture f(21, t);
   constexpr int kMeas = 2000;
   constexpr unsigned kRounds = 100;
   const addr_pair sbdr{0, 1ull << 20};  // bit 20 is row-only on No.1
 
-  double legacy_sum = 0.0, counter_sum = 0.0;
-  int legacy_contam = 0, counter_contam = 0;
+  // The first measurement opens the bank (one closed access); every later
+  // one finds the pair's other row open and conflicts on every access.
+  (void)f.mc.measure_pair(sbdr.first, sbdr.second, kRounds);
+  double sum = 0.0;
+  int contaminated = 0;
   for (int i = 0; i < kMeas; ++i) {
-    const auto lm = lf.mc.measure_pair(sbdr.first, sbdr.second, kRounds);
-    const auto cm = cf.mc.measure_pair(sbdr.first, sbdr.second, kRounds);
-    if (!lm.contaminated) legacy_sum += lm.mean_access_ns;
-    if (!cm.contaminated) counter_sum += cm.mean_access_ns;
-    legacy_contam += lm.contaminated;
-    counter_contam += cm.contaminated;
+    const auto m = f.mc.measure_pair(sbdr.first, sbdr.second, kRounds);
+    if (m.contaminated) {
+      ++contaminated;
+    } else {
+      sum += m.mean_access_ns;
+    }
   }
-  const double legacy_mean = legacy_sum / (kMeas - legacy_contam);
-  const double counter_mean = counter_sum / (kMeas - counter_contam);
-  // Clean means sit on the ideal conflict latency for both streams.
-  EXPECT_NEAR(legacy_mean, lf.timing.row_conflict_ns, 0.1);
-  EXPECT_NEAR(counter_mean, cf.timing.row_conflict_ns, 0.1);
-  EXPECT_NEAR(legacy_mean, counter_mean, 0.1);
-  // Contamination rates both track the configured 1% chance.
-  EXPECT_NEAR(legacy_contam / double(kMeas), legacy.contamination_chance,
-              0.01);
-  EXPECT_NEAR(counter_contam / double(kMeas), counter.contamination_chance,
-              0.01);
+  const int clean = kMeas - contaminated;
+  const double mean = sum / clean;
+  const double standard_error =
+      t.access_noise_sigma_ns / std::sqrt(2.0 * kRounds * clean);
+  EXPECT_NEAR(mean, t.row_conflict_ns, 3 * standard_error);
+  const double p = t.contamination_chance;
+  EXPECT_NEAR(contaminated / double(kMeas), p,
+              3 * std::sqrt(p * (1 - p) / kMeas));
 }
 
 }  // namespace

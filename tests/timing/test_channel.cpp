@@ -110,8 +110,8 @@ TEST(Channel, CalibrationSamplesExposed) {
 }
 
 TEST(Channel, AdaptiveCalibratorStopsEarlyWithSaneThreshold) {
-  // The adaptive schedule must spend well under the fixed budget on a
-  // clean machine — the valley stabilizes after a few hundred pairs — and
+  // The adaptive schedule must spend well under its budget on a clean
+  // machine — the valley stabilizes after a few hundred pairs — and
   // still land the threshold between the latency modes.
   channel_fixture f(8);
   const double t = f.ch.calibrate(f.pool(512, 9));
@@ -122,15 +122,6 @@ TEST(Channel, AdaptiveCalibratorStopsEarlyWithSaneThreshold) {
   // The channel still classifies ground truth correctly.
   EXPECT_TRUE(f.ch.is_sbdr(0, 1ull << 20));
   EXPECT_FALSE(f.ch.is_sbdr(0, 1ull << 6));
-}
-
-TEST(Channel, FixedScheduleFlagRestoresFullBudget) {
-  channel_config cfg{};
-  cfg.adaptive_calibration = false;
-  channel_fixture f(8, {}, cfg);
-  (void)f.ch.calibrate(f.pool(512, 9));
-  EXPECT_EQ(f.ch.calibration_pairs_used(), 1200u);
-  EXPECT_EQ(f.ch.calibration_samples().size(), 1200u);
 }
 
 TEST(Channel, AdaptiveCalibratorSurvivesNoisyProfile) {
