@@ -18,6 +18,7 @@
 // smoke runs), --threads=N (worker count; CI pins it to prove the
 // contract), --out=PATH (default BENCH_fig2.json).
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -116,12 +117,25 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_fig2.json";
   std::vector<int> wanted;  // empty = all paper machines
   unsigned threads = 0;     // 0 = service default
+  const char* usage =
+      "usage: bench_fig2_timecosts [--machines=DIGITS] "
+      "[--threads=N (0 = default, at most 1024)] [--out=PATH]\n";
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out = argv[i] + 6;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
-    }
-    if (std::strncmp(argv[i], "--machines=", 11) == 0) {
+    if (std::strncmp(argv[i], "--out=", 6) == 0) {
+      out = argv[i] + 6;
+    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
+      const char* text = argv[i] + 10;
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long n = std::strtoul(text, &end, 10);
+      if (*text < '0' || *text > '9' || *end != '\0' || errno != 0 ||
+          n > 1024) {
+        std::fprintf(stderr, "error: bad --threads value '%s'\n%s", text,
+                     usage);
+        return 2;
+      }
+      threads = static_cast<unsigned>(n);
+    } else if (std::strncmp(argv[i], "--machines=", 11) == 0) {
       for (const char* p = argv[i] + 11; *p != '\0'; ++p) {
         if (*p >= '1' && *p <= '9') wanted.push_back(*p - '0');
       }
@@ -132,6 +146,9 @@ int main(int argc, char** argv) {
                      argv[i] + 11);
         return 2;
       }
+    } else {
+      std::fprintf(stderr, "error: unknown argument '%s'\n%s", argv[i], usage);
+      return 2;
     }
   }
 

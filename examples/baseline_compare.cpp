@@ -13,11 +13,15 @@
 #include "api/mapping_service.h"
 #include "dram/presets.h"
 #include "util/table.h"
+#include "cli_args.h"
 
 int main(int argc, char** argv) {
   using namespace dramdig;
-  const int machine_no = argc > 1 ? std::atoi(argv[1]) : 2;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  int machine_no = 2;
+  std::uint64_t seed = 7;
+  examples::parse_machine_args(
+      argc, argv, "baseline_compare [machine_number=2 (1-9)] [seed=7]",
+      machine_no, &seed);
   const dram::machine_spec& spec = dram::machine_by_number(machine_no);
 
   std::printf("Machine %s (%s, %s, config %s), seed %llu\n\n",

@@ -28,6 +28,7 @@
 #include "util/json.h"
 #include "util/log.h"
 #include "util/table.h"
+#include "cli_args.h"
 
 int main(int argc, char** argv) {
   using namespace dramdig;
@@ -55,10 +56,13 @@ int main(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
-  const int machine_no =
-      positional.size() > 0 ? std::atoi(positional[0]) : 1;
-  const std::uint64_t seed =
-      positional.size() > 1 ? std::strtoull(positional[1], nullptr, 10) : 42;
+  int machine_no = 1;
+  std::uint64_t seed = 42;
+  examples::parse_machine_args(
+      positional,
+      "quickstart [machine_number=1 (1-9)] [seed=42] [--json <path>] "
+      "[--store <path>]",
+      machine_no, &seed);
 
   set_log_level(log_level::info);
   const dram::machine_spec& spec = dram::machine_by_number(machine_no);

@@ -15,6 +15,7 @@
 #include "dram/presets.h"
 #include "rowhammer/harness.h"
 #include "util/table.h"
+#include "cli_args.h"
 
 namespace {
 
@@ -34,8 +35,11 @@ void hammer_with(const char* label, dramdig::sim::machine& machine,
 
 int main(int argc, char** argv) {
   using namespace dramdig;
-  const int machine_no = argc > 1 ? std::atoi(argv[1]) : 1;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 11;
+  int machine_no = 1;
+  std::uint64_t seed = 11;
+  examples::parse_machine_args(
+      argc, argv, "rowhammer_attack [machine_number=1 (1-9)] [seed=11]",
+      machine_no, &seed);
   const dram::machine_spec& spec = dram::machine_by_number(machine_no);
 
   std::printf("Double-sided rowhammer on %s (%s), 5-minute tests\n\n",

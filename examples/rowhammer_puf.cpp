@@ -19,6 +19,7 @@
 #include "sim/machine.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
+#include "cli_args.h"
 
 namespace {
 
@@ -65,7 +66,10 @@ std::size_t hamming(const std::vector<bool>& a, const std::vector<bool>& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int machine_no = argc > 1 ? std::atoi(argv[1]) : 2;
+  int machine_no = 2;
+  dramdig::examples::parse_machine_args(
+      argc, argv, "rowhammer_puf [machine_number=2 (1-9)]", machine_no,
+      nullptr);
   const dram::machine_spec& spec = dram::machine_by_number(machine_no);
   constexpr std::size_t kRows = 512;
   constexpr std::uint64_t kFirstRow = 1000;

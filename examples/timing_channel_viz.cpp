@@ -13,11 +13,15 @@
 #include "dram/presets.h"
 #include "timing/channel.h"
 #include "util/histogram.h"
+#include "cli_args.h"
 
 int main(int argc, char** argv) {
   using namespace dramdig;
-  const int machine_no = argc > 1 ? std::atoi(argv[1]) : 1;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 5;
+  int machine_no = 1;
+  std::uint64_t seed = 5;
+  examples::parse_machine_args(
+      argc, argv, "timing_channel_viz [machine_number=1 (1-9)] [seed=5]",
+      machine_no, &seed);
   const dram::machine_spec& spec = dram::machine_by_number(machine_no);
 
   core::environment env(spec, seed);
