@@ -81,27 +81,22 @@ bool mask_accepted(std::uint64_t mask,
   return saw_zero && saw_one;
 }
 
-struct peel_config {
-  std::size_t stop_remaining = 0;  ///< stop when the pool shrinks to this
-  unsigned max_sweeps = 100;
-  std::size_t min_set_size = 1;  ///< smaller sets are dropped (consumed)
-};
-
 /// DRAMA's clustering: repeatedly pick a random base and peel its
-/// single-sample positives off the remaining pool — no verification, no
-/// size window, no reuse cache (the original remeasures everything), and
-/// undersized sets consumed, which is exactly how the original tool loses
-/// banks. Each sweep is one channel batch. Returned sets hold their base
-/// address at [0].
+/// single-sample positives off the remaining pool until it shrinks to
+/// `stop_remaining` (at most 100 sweeps) — no verification, no size
+/// window, no reuse cache (the original remeasures everything), and sets
+/// below `min_set_size` dropped with their members consumed, which is
+/// exactly how the original tool loses banks. Each sweep is one channel
+/// batch. Returned sets hold their base address at [0].
 std::vector<std::vector<std::uint64_t>> peel(timing::channel& channel,
                                              std::vector<std::uint64_t> pool,
-                                             rng& r, const peel_config& config) {
+                                             rng& r, std::size_t stop_remaining,
+                                             std::size_t min_set_size) {
   std::vector<std::vector<std::uint64_t>> sets;
   std::vector<std::uint64_t> partners;
   std::vector<std::uint64_t> rest;
   std::vector<char> member;
-  for (unsigned sweep = 0;
-       pool.size() > config.stop_remaining && sweep < config.max_sweeps;
+  for (unsigned sweep = 0; pool.size() > stop_remaining && sweep < 100;
        ++sweep) {
     const std::size_t base_idx = r.below(pool.size());
     const std::uint64_t base = pool[base_idx];
@@ -118,7 +113,7 @@ std::vector<std::vector<std::uint64_t>> peel(timing::channel& channel,
       (member[j] ? set : rest).push_back(partners[j]);
     }
     std::swap(pool, rest);
-    if (set.size() >= config.min_set_size) sets.push_back(std::move(set));
+    if (set.size() >= min_set_size) sets.push_back(std::move(set));
   }
   return sets;
 }
@@ -156,10 +151,8 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
 
   // --- Clustering: peel same-bank sets with single-sample sweeps. --------
   const std::vector<std::vector<std::uint64_t>> sets =
-      peel(channel, std::move(pool), r,
-           {.stop_remaining = config_.pool_size / 10,
-            .max_sweeps = 100,
-            .min_set_size = config_.min_set_size});
+      peel(channel, std::move(pool), r, config_.pool_size / 10,
+           config_.min_set_size);
   trial.set_count = sets.size();
   if (sets.size() < 2) return trial;
 

@@ -11,9 +11,6 @@
 
 namespace dramdig::core {
 
-// ---------------------------------------------------------------------------
-// Representative-based partition.
-
 partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
                                              unsigned bank_count, rng& r,
                                              const partition_config& config) {

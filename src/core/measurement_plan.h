@@ -166,9 +166,8 @@ class measurement_plan {
   /// What answering one partner verdict from the cache is worth, in
   /// measurements: the fast sample plus (when positives are verified) the
   /// strict re-check — minus the scan sample the min filter folds back
-  /// in. The single source of truth for
-  /// this formula, shared by the scan/vote paths and engines layered
-  /// above the plan.
+  /// in. The single source of truth for this formula, shared by the
+  /// scan/vote paths and engines layered above the plan.
   [[nodiscard]] std::uint64_t saved_scan_credit(
       bool verify_positives) const noexcept {
     return 1 + (verify_positives ? channel_.strict_samples() - 1 : 0);

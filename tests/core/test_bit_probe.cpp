@@ -20,7 +20,6 @@ using testing::pipeline_fixture;
 struct probed_run {
   coarse_result coarse;
   fine_outcome fine;
-  std::uint64_t measurements = 0;
   probe_stats stats;
 };
 
@@ -31,11 +30,9 @@ probed_run run_probed_phases(int machine, std::uint64_t seed) {
   measurement_plan plan(f.channel);
   bit_probe_engine engine(plan, f.buffer);
   probed_run out;
-  const std::uint64_t m0 = f.env.mach().controller().measurement_count();
   out.coarse = run_coarse_detection(engine, f.knowledge, f.r);
   out.fine = run_fine_detection(engine, f.knowledge, out.coarse,
                                 f.env.spec().mapping.bank_functions(), f.r);
-  out.measurements = f.env.mach().controller().measurement_count() - m0;
   out.stats = engine.stats();
   return out;
 }

@@ -401,9 +401,11 @@ TEST(MeasurementPlan, LruEvictionOrderIsDeterministicAndSound) {
       const pair_relation rel = plan.relation(pool[i], pool[j]);
       ASSERT_EQ(rel, twin.relation(pool[i], pool[j]));
       const bool same_bank = truth.bank_of(pool[i]) == truth.bank_of(pool[j]);
-      if (rel == pair_relation::same_bank) EXPECT_TRUE(same_bank);
-      if (rel == pair_relation::cross_pile) {
-        EXPECT_FALSE(same_bank && truth.row_of(pool[i]) != truth.row_of(pool[j]));
+      if (rel == pair_relation::same_bank) {
+        EXPECT_TRUE(same_bank);
+      } else if (rel == pair_relation::cross_pile) {
+        EXPECT_FALSE(same_bank &&
+                     truth.row_of(pool[i]) != truth.row_of(pool[j]));
       }
     }
   }
