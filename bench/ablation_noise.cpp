@@ -95,7 +95,8 @@ int main() {
     for (std::size_t wi = 0; wi < std::size(windows); ++wi) {
       const cell& c = cells[pi][wi];
       if (c.successes == kRuns) {
-        all_runs += std::string(all_runs.empty() ? "" : ", ") + windows[wi].label;
+        all_runs +=
+            std::string(all_runs.empty() ? "" : ", ") + windows[wi].label;
       } else {
         short_runs += std::string(short_runs.empty() ? "" : ", ") +
                       windows[wi].label + " " + std::to_string(c.successes) +
@@ -117,7 +118,8 @@ int main() {
                     : (std::to_string(kRuns) + "/" + std::to_string(kRuns) +
                        " with " + all_runs)
                           .c_str(),
-                short_runs.empty() ? "" : ("; fewer with " + short_runs).c_str(),
+                short_runs.empty() ? ""
+                                   : ("; fewer with " + short_runs).c_str(),
                 retries.empty() ? "no window needs retries"
                                 : ("retries: " + retries).c_str());
   }

@@ -384,7 +384,8 @@ TEST(MeasurementPlan, LruEvictionOrderIsDeterministicAndSound) {
       if (i != p) partners.push_back(pool[i]);
     }
     const auto got = plan.classify_partners(pool[p], partners, default_scan());
-    const auto again = twin.classify_partners(pool[p], partners, default_scan());
+    const auto again =
+        twin.classify_partners(pool[p], partners, default_scan());
     EXPECT_EQ(got.member, again.member) << "round " << round;
     EXPECT_EQ(got.reused, again.reused) << "round " << round;
   }

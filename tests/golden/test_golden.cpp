@@ -51,8 +51,9 @@ struct golden_record {
 
 std::string hex_bits(double v) {
   char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  std::snprintf(
+      buf, sizeof buf, "0x%016llx",
+      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
   return buf;
 }
 
@@ -82,13 +83,14 @@ std::vector<std::pair<std::string, std::string>> toolchain_fingerprint() {
     out.emplace_back(name, hex_bits(counter_gaussian(in)));
   }
   std::mt19937_64 engine(12345);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  std::uniform_int_distribution<std::uint64_t> below(0, 999983);
   out.emplace_back("uniform_real(mt19937_64(12345))",
-                   hex_bits(std::uniform_real_distribution<double>(0.0, 1.0)(engine)));
-  out.emplace_back("normal(mt19937_64(12345))",
-                   hex_bits(std::normal_distribution<double>(0.0, 1.0)(engine)));
-  out.emplace_back(
-      "uniform_int(mt19937_64(12345))",
-      std::to_string(std::uniform_int_distribution<std::uint64_t>(0, 999983)(engine)));
+                   hex_bits(uniform(engine)));
+  out.emplace_back("normal(mt19937_64(12345))", hex_bits(normal(engine)));
+  out.emplace_back("uniform_int(mt19937_64(12345))",
+                   std::to_string(below(engine)));
   return out;
 }
 
@@ -122,8 +124,9 @@ std::vector<golden_record> run_golden_jobs() {
   const api::mapping_service service({.store = &fleet});
   (void)service.run({{dram::machine_by_number(1), "dramdig", {}, 1},
                      {dram::machine_by_number(6), "dramdig", {}, 1}});
-  const auto hits = service.run({{dram::machine_by_number(1), "dramdig", {}, 2},
-                                 {dram::machine_by_number(9), "dramdig", {}, 1}});
+  const auto hits =
+      service.run({{dram::machine_by_number(1), "dramdig", {}, 2},
+                   {dram::machine_by_number(9), "dramdig", {}, 1}});
   records.push_back({"store verify No.1 seed 2", hits[0].store_hit,
                      hits[0].result});
   records.push_back({"store warm No.9 from No.6 seed 1", hits[1].store_hit,
@@ -193,7 +196,9 @@ void diff(const json_value& want, const json_value& got,
         }
       }
       for (const auto& [key, value] : got.members()) {
-        if (want.find(key) == nullptr) out.push_back(path + "." + key + ": unexpected");
+        if (want.find(key) == nullptr) {
+          out.push_back(path + "." + key + ": unexpected");
+        }
       }
       return;
     }
@@ -266,7 +271,8 @@ TEST(GoldenRecords, EveryJobMatchesItsRecord) {
   if (!exact) {
     std::string fields = "store_hit";
     for (const std::string& key : skipped) fields += ", " + key;
-    std::cout << "[golden] toolchain fingerprint differs from " << g_records_path
+    std::cout << "[golden] toolchain fingerprint differs from "
+              << g_records_path
               << ": compared mapping and verified only; skipped " << fields
               << "\n";
   }
