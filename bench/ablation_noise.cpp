@@ -2,10 +2,7 @@
 // noise — contamination sweep x partition parameters. Shows why the paper
 // sets delta = 0.2 / per_threshold = 85% and why DRAMDig's verification
 // keeps it deterministic where single-sample tools collapse.
-#include <algorithm>
 #include <cstdio>
-#include <iterator>
-#include <string>
 
 #include "core/dramdig.h"
 #include "core/environment.h"
@@ -43,23 +40,11 @@ int main() {
       {"sym 0.60 (over-loose)", 0.60, 0.60},
   };
 
-  // Per-cell results, kept so the conclusion below is derived from the
-  // same numbers the table prints.
-  struct cell {
-    int successes = 0;
-    double avg_time = 0.0;
-    double avg_attempts = 0.0;
-  };
-  constexpr int kRuns = 3;
-  constexpr std::size_t kShipped = 2;  // index of the shipped window
-  cell cells[std::size(profiles)][std::size(windows)];
-
-  for (std::size_t pi = 0; pi < std::size(profiles); ++pi) {
-    const auto& profile = profiles[pi];
-    for (std::size_t wi = 0; wi < std::size(windows); ++wi) {
-      const auto& w = windows[wi];
+  for (const auto& profile : profiles) {
+    for (const auto& w : windows) {
       int successes = 0;
       double time_sum = 0, attempts_sum = 0, pool_sum = 0;
+      constexpr int kRuns = 3;
       for (int run = 0; run < kRuns; ++run) {
         dram::machine_spec spec = dram::machine_by_number(2);
         spec.quality = profile.quality;
@@ -76,7 +61,6 @@ int main() {
         attempts_sum += report.attempts_used;
         pool_sum += static_cast<double>(report.pool_size);
       }
-      cells[pi][wi] = {successes, time_sum / kRuns, attempts_sum / kRuns};
       table.add_row({profile.name, w.label,
                      std::to_string(successes) + "/" + std::to_string(kRuns),
                      fmt_duration_s(time_sum / kRuns),
@@ -86,46 +70,5 @@ int main() {
     }
   }
   std::printf("%s\n", table.render().c_str());
-  // Conclusion, derived from the cells: per profile, which windows
-  // recovered the mapping on every run, and which needed pool-extension
-  // retries (and what they cost against the shipped window).
-  std::printf("Reading the table:\n");
-  for (std::size_t pi = 0; pi < std::size(profiles); ++pi) {
-    std::string all_runs, short_runs, retries;
-    for (std::size_t wi = 0; wi < std::size(windows); ++wi) {
-      const cell& c = cells[pi][wi];
-      if (c.successes == kRuns) {
-        all_runs +=
-            std::string(all_runs.empty() ? "" : ", ") + windows[wi].label;
-      } else {
-        short_runs += std::string(short_runs.empty() ? "" : ", ") +
-                      windows[wi].label + " " + std::to_string(c.successes) +
-                      "/" + std::to_string(kRuns);
-      }
-      if (c.avg_attempts > 1.0) {
-        retries += std::string(retries.empty() ? "" : "; ") +
-                   windows[wi].label + " " + fmt_double(c.avg_attempts, 1) +
-                   " attempts, " +
-                   fmt_double(c.avg_time /
-                                  std::max(cells[pi][kShipped].avg_time, 1e-9),
-                              1) +
-                   "x the shipped window's time";
-      }
-    }
-    std::printf("  %s: %s%s; %s.\n", profiles[pi].name,
-                all_runs.empty()
-                    ? "no window recovers every run"
-                    : (std::to_string(kRuns) + "/" + std::to_string(kRuns) +
-                       " with " + all_runs)
-                          .c_str(),
-                short_runs.empty() ? ""
-                                   : ("; fewer with " + short_runs).c_str(),
-                retries.empty() ? "no window needs retries"
-                                : ("retries: " + retries).c_str());
-  }
-  std::printf(
-      "A window that rejects honest piles (No.2's same-row mates sit well "
-      "below pool/#banks) forces pool-extension retries; a window that "
-      "recovers every run on the first attempt accepts them.\n");
   return 0;
 }

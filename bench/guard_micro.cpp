@@ -1,18 +1,17 @@
 // Perf-regression guard over a freshly emitted BENCH_micro.json: CI runs
 // the smoke bench, then this checker, and the build fails when a tracked
 // number drops below its floor or an identity flag flips. The floors live
-// in one checked-in file, bench/floors.json (override with --floors=PATH),
-// next to the reason each one sits where it does.
+// in one checked-in file, bench/floors.json, next to the reason each one
+// sits where it does.
 //
 // The guard deliberately does not link the library (it must stay a dumb
 // reader even if the emitter is broken), so instead of util/json.h's
 // parser it scans for `"key": value` inside a named flat section — exactly
 // the shape util/json.h emits, and the shape of floors.json.
 //
-// Usage: bench_guard BENCH_micro.json [--floors=PATH]
+// Usage: bench_guard BENCH_micro.json
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -95,23 +94,12 @@ void check_true(const std::string& doc, const std::string& section,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
-  std::string floors_path = DRAMDIG_BENCH_FLOORS;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--floors=", 9) == 0) {
-      floors_path = argv[i] + 9;
-    } else if (argv[i][0] == '-' || !path.empty()) {
-      path.clear();
-      break;
-    } else {
-      path = argv[i];
-    }
-  }
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: bench_guard BENCH_micro.json [--floors=PATH]\n");
+  if (argc != 2 || argv[1][0] == '-') {
+    std::fprintf(stderr, "usage: bench_guard BENCH_micro.json\n");
     return 2;
   }
+  const std::string path = argv[1];
+  const std::string floors_path = DRAMDIG_BENCH_FLOORS;
   std::string doc, floors;
   if (!read_file(path, doc)) {
     std::fprintf(stderr, "guard: cannot read %s\n", path.c_str());

@@ -238,10 +238,9 @@ const memory_controller::decoded_soa& memory_controller::decode_pairs(
 }
 
 void memory_controller::finish_batch_counter(
-    std::span<const addr_pair> pairs, unsigned rounds,
+    const decoded_soa& d, unsigned rounds,
     std::vector<pair_measurement>& out) {
-  const decoded_soa& d = soa_;
-  const std::size_t n = pairs.size();
+  const std::size_t n = d.addr.size() / 2;
   tail_.mean_base.resize(n);
   tail_.contam_p.resize(n);
 
@@ -312,9 +311,9 @@ void memory_controller::measure_pairs(std::span<const addr_pair> pairs,
   DRAMDIG_EXPECTS(rounds > 0);
   // Decode is a pure function of the address, so the staged SoA path agrees
   // bit for bit with a fused per-pair decode+finish loop.
-  (void)decode_pairs(pairs);
+  const decoded_soa& d = decode_pairs(pairs);
   out.resize(pairs.size());
-  finish_batch_counter(pairs, rounds, out);
+  finish_batch_counter(d, rounds, out);
 }
 
 std::vector<pair_measurement> memory_controller::measure_pairs(

@@ -161,8 +161,9 @@ class memory_controller {
   [[nodiscard]] pair_measurement finish_measurement(const decoded_pair& d,
                                                     unsigned rounds);
 
-  /// The batch tail: sequential state fold, parallel noise.
-  void finish_batch_counter(std::span<const addr_pair> pairs, unsigned rounds,
+  /// The batch tail over a decode_pairs result: sequential state fold,
+  /// parallel noise.
+  void finish_batch_counter(const decoded_soa& d, unsigned rounds,
                             std::vector<pair_measurement>& out);
 
   /// Noise domains of the counter stream — distinct second counter words,

@@ -17,7 +17,7 @@
 //
 // A change that means to shift a record regenerates the file and the diff
 // is what gets reviewed:
-//   test_golden --regenerate [--records=PATH]
+//   test_golden --regenerate
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -41,7 +41,7 @@
 namespace dramdig {
 namespace {
 
-std::string g_records_path = DRAMDIG_GOLDEN_RECORDS;
+constexpr const char* kRecordsPath = DRAMDIG_GOLDEN_RECORDS;
 
 struct golden_record {
   std::string job;        ///< stable id, e.g. "dramdig No.3 seed 2"
@@ -237,7 +237,7 @@ bool fingerprint_matches(const json_value& stored) {
 }
 
 TEST(GoldenRecords, EveryJobMatchesItsRecord) {
-  const json_value document = json_value::parse(read_file(g_records_path));
+  const json_value document = json_value::parse(read_file(kRecordsPath));
   const json_value& stored = document.at("records");
   const bool exact = fingerprint_matches(document.at("fingerprint"));
 
@@ -272,7 +272,7 @@ TEST(GoldenRecords, EveryJobMatchesItsRecord) {
     std::string fields = "store_hit";
     for (const std::string& key : skipped) fields += ", " + key;
     std::cout << "[golden] toolchain fingerprint differs from "
-              << g_records_path
+              << kRecordsPath
               << ": compared mapping and verified only; skipped " << fields
               << "\n";
   }
@@ -288,19 +288,16 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--regenerate") {
       regenerate = true;
-    } else if (arg.starts_with("--records=")) {
-      dramdig::g_records_path = std::string(arg.substr(10));
     } else {
-      std::cerr << "usage: test_golden [gtest flags] [--regenerate] "
-                   "[--records=PATH]\n";
+      std::cerr << "usage: test_golden [gtest flags] [--regenerate]\n";
       return 2;
     }
   }
   dramdig::set_log_level(dramdig::log_level::warn);
   if (regenerate) {
-    dramdig::write_file(dramdig::g_records_path,
+    dramdig::write_file(dramdig::kRecordsPath,
                         dramdig::render_document(dramdig::run_golden_jobs()));
-    std::cout << "wrote " << dramdig::g_records_path << "\n";
+    std::cout << "wrote " << dramdig::kRecordsPath << "\n";
     return 0;
   }
   return RUN_ALL_TESTS();
