@@ -13,16 +13,17 @@
 // reproduce the stored mappings bit-identically — the per-machine
 // `mapping N: ...` lines exist so a driver can diff the two runs.
 // --machines restricts the fleet to a comma-separated list of paper
-// machine numbers (the CI round-trip smoke uses a two-machine fleet).
+// machine numbers (the CI round-trip smoke uses a three-machine fleet);
+// a token that is not exactly a paper machine number exits 2.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "api/mapping_service.h"
+#include "cli_args.h"
 #include "dram/presets.h"
 #include "store/mapping_store.h"
 #include "util/table.h"
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
   using namespace dramdig;
 
   std::string store_path;
-  std::string machines_arg;
+  std::optional<std::string> machines_arg;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
       store_path = argv[++i];
@@ -73,20 +74,20 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<int> wanted;
-  for (std::size_t at = 0; at < machines_arg.size();) {
-    const std::size_t comma = machines_arg.find(',', at);
+  for (std::size_t at = 0; machines_arg && at <= machines_arg->size();) {
+    const std::size_t comma = machines_arg->find(',', at);
     const std::size_t end =
-        comma == std::string::npos ? machines_arg.size() : comma;
-    const std::string token = machines_arg.substr(at, end - at);
-    // Validate against the real fleet: a typo'd id must fail loudly, not
-    // silently shrink the run (an empty job list exits "success").
-    const int number = std::atoi(token.c_str());
+        comma == std::string::npos ? machines_arg->size() : comma;
+    const std::string token = machines_arg->substr(at, end - at);
+    // Validate against the real fleet: a typo'd id ("1x", "+1", an empty
+    // token) must fail loudly, not silently run some other fleet.
+    std::uint64_t number = 0;
     const auto& fleet = dram::paper_machines();
     const bool known =
-        number > 0 &&
+        examples::parse_u64(token.c_str(), number) &&
         std::any_of(fleet.begin(), fleet.end(),
                     [&](const dram::machine_spec& m) {
-                      return m.number == number;
+                      return static_cast<std::uint64_t>(m.number) == number;
                     });
     if (!known) {
       std::fprintf(stderr,
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
                    token.c_str(), fleet.size());
       return 2;
     }
-    wanted.push_back(number);
+    wanted.push_back(static_cast<int>(number));
     at = end + 1;
   }
 

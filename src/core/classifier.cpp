@@ -1,7 +1,6 @@
 #include "core/classifier.h"
 
 #include <algorithm>
-#include <bit>
 #include <unordered_map>
 
 #include "util/bitops.h"
@@ -73,6 +72,13 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   // first vote goes to the right class. A thinner pile leaves the space
   // too fine (untrusted): the engine falls back to sweeping every open
   // class, which is exactly as safe and as expensive as a pivot-scan loop.
+  //
+  // The prediction is maintained incrementally: each refresh reduces only
+  // the members added since the last one into the difference basis, and
+  // the null space, the pool's ids and the id->class table are rebuilt
+  // only when that basis grows (or the first class appears). The null
+  // space depends only on the basis's row space, so this is the same
+  // prediction a from-scratch rebuild would make.
   std::uint64_t support = 0;
   for (const std::uint64_t a : pool) support |= a ^ pool.front();
   const unsigned want = (bank_count & (bank_count - 1)) == 0
@@ -80,8 +86,17 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
                             : 0;
   bool trusted = false;
   gf2::matrix basis;
+  gf2::matrix diff_basis;
+  // reduced_upto[c]: classes_[c].members before this index are already
+  // reduced into diff_basis (member 0 is the difference base).
+  std::vector<std::size_t> reduced_upto;
+  // Classes [0, claimed) hold their id slot in class_of_id; the lowest
+  // class index wins a shared id. stale forces a rebuild while no class
+  // exists yet (the first class switches the basis on).
+  std::size_t claimed = 0;
+  bool stale = true;
   std::vector<std::uint64_t> ids(n, 0);
-  std::unordered_map<std::uint64_t, int> id_to_class;
+  std::vector<int> class_of_id(want == 0 ? 0 : std::size_t{1} << want, -1);
   const auto id_of = [&](std::uint64_t addr) {
     std::uint64_t id = 0;
     for (std::size_t k = 0; k < basis.size(); ++k) {
@@ -89,22 +104,16 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
     }
     return id;
   };
-  const auto refresh_prediction = [&]() {
-    trusted = false;
-    id_to_class.clear();
-    if (want == 0) return;
-    gf2::matrix diff_basis;
-    for (const bank_class& c : classes_) {
-      const std::uint64_t base = c.members.front();
-      for (std::size_t i = 1; i < c.members.size(); ++i) {
-        std::uint64_t d = (c.members[i] ^ base) & support;
-        for (const std::uint64_t b : diff_basis) {
-          const int pivot_bit = 63 - std::countl_zero(b);
-          if (pivot_bit >= 0 && ((d >> pivot_bit) & 1u)) d ^= b;
-        }
-        if (d != 0) diff_basis.push_back(d);
-      }
+  const auto claim_ids = [&]() {
+    for (; claimed < classes_.size(); ++claimed) {
+      int& slot = class_of_id[id_of(classes_[claimed].members.front())];
+      if (slot < 0) slot = static_cast<int>(claimed);
     }
+  };
+  const auto rebuild_prediction = [&]() {
+    trusted = false;
+    claimed = 0;
+    stale = classes_.empty();
     basis = classes_.empty() ? gf2::matrix{}
                              : gf2::nullspace(diff_basis, support);
     if (basis.size() != want) {
@@ -133,10 +142,26 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
       basis = std::move(hint);
     }
     trusted = true;
-    for (std::size_t i = 0; i < n; ++i) ids[i] = id_of(pool[i]);
+    decode_banks(pool.data(), n, basis.data(), basis.size(), ids.data());
+    std::fill(class_of_id.begin(), class_of_id.end(), -1);
+    claim_ids();
+  };
+  const auto refresh_prediction = [&]() {
+    if (want == 0) return;
+    reduced_upto.resize(classes_.size(), 1);
+    bool grew = false;
     for (std::size_t c = 0; c < classes_.size(); ++c) {
-      id_to_class.emplace(id_of(classes_[c].members.front()),
-                          static_cast<int>(c));
+      const std::vector<std::uint64_t>& members = classes_[c].members;
+      for (std::size_t i = reduced_upto[c]; i < members.size(); ++i) {
+        grew |= gf2::reduce_into(diff_basis,
+                                 (members[i] ^ members.front()) & support);
+      }
+      reduced_upto[c] = members.size();
+    }
+    if (grew || stale) {
+      rebuild_prediction();
+    } else if (trusted) {
+      claim_ids();  // a class founded under an unchanged basis
     }
   };
 
@@ -219,12 +244,11 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
       bool pick_fallback = false;
       bool resolved = false;
       if (trusted) {
-        const auto hit = id_to_class.find(ids[i]);
-        if (hit == id_to_class.end()) {
+        const int c = class_of_id[ids[i]];
+        if (c < 0) {
           founder_candidates.push_back(i);
           continue;
         }
-        const int c = hit->second;
         const std::vector<std::uint64_t>& reps =
             classes_[c].representatives;
         for (std::size_t ri = 0; ri < reps.size(); ++ri) {

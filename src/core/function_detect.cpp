@@ -51,17 +51,12 @@ std::vector<std::uint64_t> nullspace_candidates(
     std::uint64_t support, std::uint64_t& ops) {
   // Incrementally reduced difference basis: rows keep distinct leading
   // pivots, so each new difference reduces in at most rank(D) XORs.
-  std::vector<std::uint64_t> diff_basis;
+  gf2::matrix diff_basis;
   for (const auto& pile : piles) {
     const std::uint64_t base = pile.front();
     for (std::size_t i = 1; i < pile.size(); ++i) {
-      std::uint64_t d = (pile[i] ^ base) & support;
-      for (std::uint64_t b : diff_basis) {
-        ++ops;
-        const int pivot = 63 - std::countl_zero(b);
-        if (pivot >= 0 && ((d >> pivot) & 1u)) d ^= b;
-      }
-      if (d != 0) diff_basis.push_back(d);
+      ops += diff_basis.size();
+      gf2::reduce_into(diff_basis, (pile[i] ^ base) & support);
     }
   }
   const gf2::matrix kernel = gf2::nullspace(diff_basis, support);

@@ -10,14 +10,7 @@ namespace dramdig::gf2 {
 
 matrix row_echelon(matrix m) {
   matrix basis;
-  for (std::uint64_t row : m) {
-    for (std::uint64_t b : basis) {
-      // Reduce by the existing basis: clear this row's copy of each pivot.
-      const int pivot = 63 - std::countl_zero(b);
-      if (pivot >= 0 && ((row >> pivot) & 1u)) row ^= b;
-    }
-    if (row != 0) basis.push_back(row);
-  }
+  for (const std::uint64_t row : m) reduce_into(basis, row);
   // Back-substitute so each pivot column appears in exactly one row, then
   // order rows by descending pivot for a canonical form.
   std::sort(basis.begin(), basis.end(), std::greater<>());
@@ -34,12 +27,8 @@ matrix row_echelon(matrix m) {
 std::size_t rank(const matrix& m) { return row_echelon(m).size(); }
 
 bool in_span(const matrix& m, std::uint64_t v) {
-  const matrix basis = row_echelon(m);
-  for (std::uint64_t b : basis) {
-    const int pivot = 63 - std::countl_zero(b);
-    if (pivot >= 0 && ((v >> pivot) & 1u)) v ^= b;
-  }
-  return v == 0;
+  matrix basis = row_echelon(m);
+  return !reduce_into(basis, v);
 }
 
 bool same_span(const matrix& a, const matrix& b) {

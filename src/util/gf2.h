@@ -11,6 +11,7 @@
 // the rowhammer harness).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -24,6 +25,22 @@ using matrix = std::vector<std::uint64_t>;
 /// returns the nonzero rows of the reduced matrix, pivot columns descending
 /// from the most significant bit. The result spans the same row space.
 [[nodiscard]] matrix row_echelon(matrix m);
+
+/// Reduce `v` by `basis` and append the remainder when it is nonzero;
+/// returns true when the basis grew. `basis` must be empty, built by this
+/// function, or a row_echelon() result: every row's leading pivot is clear
+/// in every later row. The reduction then costs at most basis.size() XORs,
+/// and a basis grown only through this function spans exactly the vectors
+/// fed in.
+inline bool reduce_into(matrix& basis, std::uint64_t v) {
+  for (const std::uint64_t b : basis) {
+    // Clear v's copy of each row's leading pivot.
+    if ((v >> (63 - std::countl_zero(b))) & 1u) v ^= b;
+  }
+  if (v == 0) return false;
+  basis.push_back(v);
+  return true;
+}
 
 /// Rank of the row space.
 [[nodiscard]] std::size_t rank(const matrix& m);
@@ -60,12 +77,6 @@ using matrix = std::vector<std::uint64_t>;
 /// matrix — a mask is constant on a pile iff it annihilates every
 /// difference, so the candidates are exactly this null space.
 [[nodiscard]] matrix nullspace(const matrix& a, std::uint64_t support_mask);
-
-/// Legacy spelling of nullspace().
-[[nodiscard]] inline matrix null_space(const matrix& a,
-                                       std::uint64_t support_mask) {
-  return nullspace(a, support_mask);
-}
 
 /// Every nonzero vector of the row space of `basis` (which need not be
 /// reduced): 2^rank - 1 vectors, enumerated by Gray code so each step costs

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "core/address_selection.h"
@@ -189,6 +190,58 @@ TEST(Classifier, PredictionAccountingExposedInOutcome) {
   EXPECT_LE(out.founder_scans, banks + 4);
   EXPECT_GT(out.predicted_assignments, out.partitioned / 2);
   EXPECT_GT(out.representative_votes + out.fallback_votes, 0u);
+}
+
+TEST(Classifier, TrueWarmHintMakesEveryFounderScanAGroupScan) {
+  // Fleet warm start with the machine's own span: the prediction is
+  // trusted from round 0, so even the first founder scan is limited to its
+  // predicted group, and no measured difference ever refutes the hint.
+  pipeline_fixture f(2);
+  const auto pool = pool_for(f);
+  const auto& truth = f.env.spec().mapping;
+  const unsigned banks = truth.bank_count();
+  measurement_plan plan(f.channel);
+  bank_classifier engine(plan);
+  engine.warm_start(truth.bank_functions());
+  ASSERT_TRUE(engine.warm_hint_active());
+  const partition_config cfg{};
+  const auto out = partition_pool(engine, pool, banks, f.r, cfg);
+  expect_sound_partition(out, truth, pool.size(), banks, cfg, "true hint");
+  EXPECT_GT(engine.stats().founder_scans, 0u);
+  EXPECT_EQ(engine.stats().group_founder_scans, engine.stats().founder_scans);
+  EXPECT_TRUE(engine.warm_hint_active());
+}
+
+TEST(Classifier, FlippedWarmHintFailsWithoutFabricatingPiles) {
+  // One mask of the hint flipped (it gains a bit that varies inside every
+  // bank): every predicted group now holds half of two banks. Trusted prediction only ever measures pairs inside one
+  // group, so no measured difference can contradict the hint and the
+  // latch stays on; instead every group founder pile is half a bank and
+  // the delta window rejects it, so the call fails without a single
+  // (impure or duplicate) pile. That failure is the pipeline's signal:
+  // clear() drops the hint and the retry partitions cold and sound.
+  pipeline_fixture f(2);
+  const auto pool = pool_for(f);
+  const auto& truth = f.env.spec().mapping;
+  const unsigned banks = truth.bank_count();
+  gf2::matrix hint = truth.bank_functions();
+  hint[0] ^= std::uint64_t{1} << (63 - std::countl_zero(hint[1]));
+  measurement_plan plan(f.channel);
+  bank_classifier engine(plan);
+  engine.warm_start(hint);
+  const partition_config cfg{};
+  const auto warm = partition_pool(engine, pool, banks, f.r, cfg);
+  EXPECT_FALSE(warm.success);
+  EXPECT_TRUE(warm.piles.empty());
+  EXPECT_TRUE(engine.classes().empty());
+  EXPECT_EQ(engine.stats().group_founder_scans, engine.stats().founder_scans);
+  EXPECT_TRUE(engine.warm_hint_active());
+
+  engine.clear();
+  EXPECT_FALSE(engine.warm_hint_active());
+  const auto cold = partition_pool(engine, pool, banks, f.r, cfg);
+  expect_sound_partition(cold, truth, pool.size(), banks, cfg,
+                         "retry after a flipped hint");
 }
 
 }  // namespace

@@ -36,6 +36,25 @@ TEST(Gf2RowEchelon, CanonicalAcrossBasisChoice) {
   EXPECT_EQ(row_echelon(a), row_echelon(b));
 }
 
+TEST(Gf2ReduceInto, GrowsOnlyOnIndependentVectors) {
+  matrix basis;
+  EXPECT_FALSE(reduce_into(basis, 0));  // zero never grows the basis
+  EXPECT_TRUE(basis.empty());
+  EXPECT_TRUE(reduce_into(basis, 0b0110));
+  EXPECT_TRUE(reduce_into(basis, 0b0011));
+  EXPECT_FALSE(reduce_into(basis, 0b0110));  // duplicate
+  EXPECT_FALSE(reduce_into(basis, 0b0101));  // 0b0110 ^ 0b0011
+  EXPECT_EQ(basis.size(), 2u);
+  EXPECT_TRUE(reduce_into(basis, 0b1000));
+  ASSERT_EQ(basis.size(), 3u);
+  EXPECT_TRUE(same_span(basis, {0b0110, 0b0011, 0b1000}));
+  // A row_echelon() result is a valid starting basis too.
+  matrix echelon = row_echelon({0b0110, 0b0011});
+  EXPECT_FALSE(reduce_into(echelon, 0b0101));
+  EXPECT_TRUE(reduce_into(echelon, 0b0001));
+  EXPECT_EQ(echelon.size(), 3u);
+}
+
 TEST(Gf2Rank, CountsIndependentRows) {
   EXPECT_EQ(rank({}), 0u);
   EXPECT_EQ(rank({0b1}), 1u);
@@ -146,7 +165,7 @@ TEST(Gf2NullSpace, VectorsAnnihilateAllFunctionals) {
                      fn({7, 8, 9, 12, 13, 18, 19})};
   const std::uint64_t support =
       fn({7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19});
-  const matrix kernel = null_space(funcs, support);
+  const matrix kernel = nullspace(funcs, support);
   // dim(kernel) = |support| - rank = 11 - 3 = 8.
   EXPECT_EQ(rank(kernel), 8u);
   for (std::uint64_t v : kernel) {
@@ -158,7 +177,7 @@ TEST(Gf2NullSpace, VectorsAnnihilateAllFunctionals) {
 
 TEST(Gf2NullSpace, FullRankSquareSystemHasTrivialKernel) {
   const matrix funcs{fn({0}), fn({1}), fn({2})};
-  EXPECT_TRUE(null_space(funcs, fn({0, 1, 2})).empty());
+  EXPECT_TRUE(nullspace(funcs, fn({0, 1, 2})).empty());
 }
 
 TEST(Gf2EnumerateSpan, ListsEveryNonzeroVectorOnce) {
@@ -197,6 +216,41 @@ TEST(Gf2NullSpaceProperty, SpanEqualsBruteForceAnnihilators) {
     const matrix span = enumerate_span(nullspace(funcs, support));
     const std::set<std::uint64_t> got(span.begin(), span.end());
     EXPECT_EQ(got, brute) << "trial " << trial;
+  }
+}
+
+TEST(Gf2NullSpaceProperty, BasisDependsOnlyOnRowSpaceAndSupport) {
+  // The classifier grows its difference basis incrementally and in a
+  // different row order than a rebuild would; its predictions stay
+  // identical only because nullspace() returns the same vectors, in the
+  // same order, for every generating set of one row space.
+  rng r(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t universe = (std::uint64_t{1} << 24) - 1;
+    const std::uint64_t support = r.below(universe) + 1;
+    matrix a;
+    const unsigned rows = static_cast<unsigned>(r.below(13));  // 0..12
+    for (unsigned i = 0; i < rows; ++i) {
+      // Mix in dependent rows so duplicates and sums are exercised.
+      if (i >= 2 && r.below(3) == 0) {
+        const std::uint64_t x = a[r.below(i)];
+        a.push_back(x ^ a[r.below(i)]);
+      } else {
+        a.push_back(r.below(universe + 1));
+      }
+    }
+    const matrix want = nullspace(a, support);
+
+    matrix shuffled = a;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[r.below(i)]);
+    }
+    matrix incremental;
+    for (const std::uint64_t row : shuffled) reduce_into(incremental, row);
+
+    EXPECT_EQ(nullspace(row_echelon(a), support), want) << "trial " << trial;
+    EXPECT_EQ(nullspace(shuffled, support), want) << "trial " << trial;
+    EXPECT_EQ(nullspace(incremental, support), want) << "trial " << trial;
   }
 }
 
