@@ -27,8 +27,7 @@ matrix row_echelon(matrix m) {
 std::size_t rank(const matrix& m) { return row_echelon(m).size(); }
 
 bool in_span(const matrix& m, std::uint64_t v) {
-  matrix basis = row_echelon(m);
-  return !reduce_into(basis, v);
+  return reduce(row_echelon(m), v) == 0;
 }
 
 bool same_span(const matrix& a, const matrix& b) {

@@ -26,17 +26,24 @@ using matrix = std::vector<std::uint64_t>;
 /// from the most significant bit. The result spans the same row space.
 [[nodiscard]] matrix row_echelon(matrix m);
 
-/// Reduce `v` by `basis` and append the remainder when it is nonzero;
-/// returns true when the basis grew. `basis` must be empty, built by this
-/// function, or a row_echelon() result: every row's leading pivot is clear
-/// in every later row. The reduction then costs at most basis.size() XORs,
-/// and a basis grown only through this function spans exactly the vectors
-/// fed in.
-inline bool reduce_into(matrix& basis, std::uint64_t v) {
+/// The remainder of `v` after reduction by `basis`: zero exactly when `v`
+/// lies in the row space. `basis` must be empty, built by reduce_into(),
+/// or a row_echelon() result: every row's leading pivot is clear in every
+/// later row. The reduction then costs at most basis.size() XORs.
+[[nodiscard]] inline std::uint64_t reduce(const matrix& basis,
+                                          std::uint64_t v) {
   for (const std::uint64_t b : basis) {
     // Clear v's copy of each row's leading pivot.
     if ((v >> (63 - std::countl_zero(b))) & 1u) v ^= b;
   }
+  return v;
+}
+
+/// Append the remainder of `v` (see reduce()) to `basis` when it is
+/// nonzero; returns true when the basis grew. A basis grown only through
+/// this function spans exactly the vectors fed in.
+inline bool reduce_into(matrix& basis, std::uint64_t v) {
+  v = reduce(basis, v);
   if (v == 0) return false;
   basis.push_back(v);
   return true;

@@ -36,7 +36,7 @@ TEST(Gf2RowEchelon, CanonicalAcrossBasisChoice) {
   EXPECT_EQ(row_echelon(a), row_echelon(b));
 }
 
-TEST(Gf2ReduceInto, GrowsOnlyOnIndependentVectors) {
+TEST(Gf2Reduce, GrowsOnlyOnIndependentVectors) {
   matrix basis;
   EXPECT_FALSE(reduce_into(basis, 0));  // zero never grows the basis
   EXPECT_TRUE(basis.empty());
@@ -45,6 +45,9 @@ TEST(Gf2ReduceInto, GrowsOnlyOnIndependentVectors) {
   EXPECT_FALSE(reduce_into(basis, 0b0110));  // duplicate
   EXPECT_FALSE(reduce_into(basis, 0b0101));  // 0b0110 ^ 0b0011
   EXPECT_EQ(basis.size(), 2u);
+  EXPECT_EQ(reduce(basis, 0b0101), 0u);
+  EXPECT_NE(reduce(basis, 0b1000), 0u);
+  EXPECT_EQ(basis.size(), 2u);  // reduce() never grows the basis
   EXPECT_TRUE(reduce_into(basis, 0b1000));
   ASSERT_EQ(basis.size(), 3u);
   EXPECT_TRUE(same_span(basis, {0b0110, 0b0011, 0b1000}));
