@@ -10,6 +10,7 @@
 #include "sysinfo/system_info.h"
 #include "util/expect.h"
 #include "util/gf2.h"
+#include "util/heap.h"
 #include "util/json.h"
 #include "util/log.h"
 #include "util/parallel.h"
@@ -333,6 +334,9 @@ std::vector<job_outcome> mapping_service::run(
       log_warn(std::string("mapping store save failed: ") + e.what());
     }
   }
+  // Every job's tables are dead now; without this the arenas of the pool
+  // threads that happened to run jobs keep their pages.
+  release_free_heap();
   return outcomes;
 }
 
@@ -410,6 +414,7 @@ std::size_t mapping_service::serve(job_feed& feed, const result_sink& sink,
       }
     }
   });
+  release_free_heap();
   return served.load(std::memory_order_relaxed);
 }
 

@@ -173,7 +173,10 @@ class mapping_service {
   /// exceptions inside a job mark that job failed without sinking the batch.
   /// With a store configured, dramdig jobs consult it first (see
   /// job_outcome::store_hit) and successful recoveries persist back to it
-  /// (save() failures log a warning, they never fail the batch).
+  /// (save() failures log a warning, they never fail the batch). Before
+  /// returning, the heap the jobs freed goes back to the OS
+  /// (util/heap.h), so the process's resident memory between batches does
+  /// not depend on which pool threads ran jobs.
   [[nodiscard]] std::vector<job_outcome> run(
       const std::vector<job_spec>& jobs,
       progress_observer* observer = nullptr,
@@ -186,7 +189,8 @@ class mapping_service {
   /// point is that later jobs see earlier recoveries), so serve() trades
   /// run()'s batch determinism for incremental warm-starts — documented,
   /// not accidental. Cancellation drains remaining jobs as cancelled
-  /// outcomes; the producer still owns close(). Returns jobs served.
+  /// outcomes; the producer still owns close(). Returns jobs served,
+  /// after releasing the freed heap like run().
   using result_sink = std::function<void(const served_outcome&)>;
   std::size_t serve(job_feed& feed, const result_sink& sink,
                     cancellation_token* cancel = nullptr) const;

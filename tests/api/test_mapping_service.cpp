@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "baselines/drama.h"
 #include "baselines/xiao.h"
@@ -19,6 +22,7 @@
 #include "sysinfo/system_info.h"
 #include "util/expect.h"
 #include "util/gf2.h"
+#include "util/heap.h"
 #include "util/json.h"
 #include "util/log.h"
 
@@ -330,6 +334,37 @@ TEST(MappingService, CancellationStopsPendingJobsOnly) {
   const auto reference =
       mapping_service({.threads = 1}).run({jobs.front()});
   EXPECT_EQ(outcome_key(outcomes[0]), outcome_key(reference[0]));
+}
+
+/// Resident set size in bytes, from /proc/self/statm (0 when unreadable).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0;
+  std::size_t resident_pages = 0;
+  if (!(statm >> total_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(MappingService, RunLeavesNoFreedHeapResident) {
+  if (resident_bytes() == 0) GTEST_SKIP() << "no /proc/self/statm";
+  // Two workers over several recoveries spread the jobs' tables across
+  // pool threads' malloc arenas. run() releases them before returning, so
+  // a second release finds next to nothing left to give back.
+  std::vector<job_spec> jobs;
+  for (int machine : {1, 4, 5, 7, 9}) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      jobs.push_back({dram::machine_by_number(machine), "dramdig", {}, seed});
+    }
+  }
+  const auto outcomes = mapping_service({.threads = 2}).run(jobs);
+  for (const job_outcome& o : outcomes) {
+    ASSERT_EQ(o.state, job_state::completed);
+  }
+  const std::size_t after_run = resident_bytes();
+  release_free_heap();
+  const std::size_t after_release = resident_bytes();
+  EXPECT_LT(after_run - std::min(after_run, after_release),
+            std::size_t{1} << 20);
 }
 
 // --- fleet mapping store integration ----------------------------------------
