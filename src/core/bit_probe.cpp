@@ -5,6 +5,17 @@
 
 namespace dramdig::core {
 
+namespace {
+
+/// Random bases tried per pair when the shared base cannot serve a delta
+/// (its partner page is not backed by the buffer).
+constexpr unsigned kPairAttempts = 256;
+/// Shared-base candidates scored per designed round; the base backing the
+/// most active deltas wins.
+constexpr unsigned kBaseAttempts = 6;
+
+}  // namespace
+
 bit_probe_engine::bit_probe_engine(measurement_plan& plan,
                                    const os::mapping_region& buffer)
     : plan_(plan), buffer_(buffer) {}
@@ -25,14 +36,14 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
   struct experiment {
     unsigned pos = 0;    ///< positive votes
     unsigned cast = 0;   ///< votes cast (pair picking can miss a round)
-    unsigned agree = 0;  ///< consecutive votes agreeing with the prior
+    bool agreed = false;  ///< a vote agreed with the still-standing prior
     bool done = false;
     bool verdict = false;
     bool has_prior = false;
     bool prior = false;
   };
   std::vector<experiment> state(deltas.size());
-  if (!priors.empty() && config.prior_confirm >= 1) {
+  if (!priors.empty()) {
     for (std::size_t i = 0; i < deltas.size(); ++i) {
       if (priors[i]) {
         state[i].has_prior = true;
@@ -62,7 +73,7 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
     // fall back to an independent pick (and a pick can fail outright —
     // that experiment simply misses this vote).
     const auto base =
-        pick_shared_base(buffer_, active_deltas, r, config.base_attempts);
+        pick_shared_base(buffer_, active_deltas, r, kBaseAttempts);
     pairs.clear();
     pair_exp.clear();
     for (std::size_t j = 0; j < active.size(); ++j) {
@@ -71,7 +82,7 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
         pairs.emplace_back(*base, *base ^ d);
         ++stats_.shared_base_votes;
       } else if (const auto pick =
-                     pick_pair_with_delta(buffer_, d, r, config.pair_attempts)) {
+                     pick_pair_with_delta(buffer_, d, r, kPairAttempts)) {
         pairs.push_back(*pick);
       } else {
         continue;
@@ -90,7 +101,7 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
         e.pos += vote;
         if (e.has_prior) {
           if (vote == e.prior) {
-            ++e.agree;
+            e.agreed = true;
           } else {
             // A strict-grade vote against the claim: the prior is wrong
             // for this experiment. Drop it and let the standard majority
@@ -110,7 +121,7 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
     const unsigned remaining = config.votes - round - 1;
     for (const std::size_t i : active) {
       experiment& e = state[i];
-      if (e.has_prior && e.agree >= config.prior_confirm) {
+      if (e.has_prior && e.agreed) {
         // Prior confirmed by strict-grade agreement: settled early.
         e.done = true;
         e.verdict = e.prior;

@@ -45,21 +45,6 @@ struct probe_config {
   /// Maximum pairs voted per experiment; the majority decides. A stream
   /// stops early once the remainder cannot flip it.
   unsigned votes = 7;
-  /// Random bases tried per pair when the shared base cannot serve a
-  /// delta (its partner page is not backed by the buffer).
-  unsigned pair_attempts = 256;
-  /// Shared-base candidates scored per designed round; the base backing
-  /// the most active deltas wins.
-  unsigned base_attempts = 6;
-  /// Agreeing votes that settle an experiment carrying a prior (fleet
-  /// warm start). 1 is sound, not reckless: a delta experiment's ground
-  /// truth is shared by every pair (p, p ^ d), noise is one-sided (events
-  /// only inflate latency), and probe_pairs grades every slow reading
-  /// through the strict min filter — so a single fast sample is already
-  /// proof of a negative and a single strict positive is proof of a
-  /// positive. Any disagreeing vote refutes the prior for that experiment
-  /// and escalates it to the standard `votes` majority.
-  unsigned prior_confirm = 1;
 };
 
 /// Cumulative engine activity (across every run() of one engine).
@@ -100,11 +85,15 @@ class bit_probe_engine {
 
   /// Prior-seeded variant (fleet warm start): priors[i] predicts
   /// experiment i's verdict from stored sibling evidence (nullopt = no
-  /// claim). An experiment whose first prior_confirm votes agree with its
-  /// prior settles immediately (the votes are strict-grade, so the early
-  /// verdict is as sound as the full majority); a disagreeing vote drops
-  /// the prior for that experiment and the standard majority decides.
-  /// priors must be empty or match deltas.size().
+  /// claim). An experiment whose first vote agrees with its prior settles
+  /// immediately. That is sound, not reckless: a delta experiment's ground
+  /// truth is shared by every pair (p, p ^ d), noise is one-sided (events
+  /// only inflate latency), and probe_pairs grades every slow reading
+  /// through the strict min filter — so a single fast sample is already
+  /// proof of a negative and a single strict positive is proof of a
+  /// positive. A disagreeing vote drops the prior for that experiment and
+  /// the standard `votes` majority decides. priors must be empty or match
+  /// deltas.size().
   [[nodiscard]] std::vector<std::optional<bool>> run(
       std::span<const std::uint64_t> deltas,
       std::span<const std::optional<bool>> priors, const probe_config& config,

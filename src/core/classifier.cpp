@@ -10,6 +10,15 @@
 
 namespace dramdig::core {
 
+namespace {
+
+/// Row-distinct representatives kept per class. 2 is the sweet spot: an
+/// address can share a row with at most one of them, so the second
+/// representative already catches every same-row false negative.
+constexpr unsigned kMaxRepresentatives = 2;
+
+}  // namespace
+
 partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
                                              unsigned bank_count, rng& r,
                                              const partition_config& config) {
@@ -27,14 +36,12 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   const unsigned max_attempts = config.max_pivot_attempts != 0
                                     ? config.max_pivot_attempts
                                     : 4 * bank_count + 32;
-  const unsigned max_reps = std::max(1u, config.max_representatives);
   const std::uint64_t free_credit =
       plan_.saved_scan_credit(config.verify_positives);
 
   scan_options founder_opts{};
   founder_opts.verify_positives = config.verify_positives;
-  founder_opts.prescreen_sample = config.prescreen_sample;
-  founder_opts.prescreen_z = config.prescreen_z;
+  founder_opts.prescreen_sample = kPrescreenSample;
   founder_opts.window = {lo, hi};
 
   // Per-address state. assigned_class holds an index into classes_;
@@ -56,7 +63,7 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   // never costs a measurement).
   const auto maybe_promote = [&](int c, std::uint64_t x) {
     std::vector<std::uint64_t>& reps = classes_[c].representatives;
-    if (reps.size() >= max_reps) return;
+    if (reps.size() >= kMaxRepresentatives) return;
     for (const std::uint64_t rep : reps) {
       if (!plan_.known_strict_positive(x, rep)) return;
     }
@@ -97,16 +104,10 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   bool stale = true;
   std::vector<std::uint64_t> ids(n, 0);
   std::vector<int> class_of_id(want == 0 ? 0 : std::size_t{1} << want, -1);
-  const auto id_of = [&](std::uint64_t addr) {
-    std::uint64_t id = 0;
-    for (std::size_t k = 0; k < basis.size(); ++k) {
-      id |= static_cast<std::uint64_t>(parity(addr, basis[k])) << k;
-    }
-    return id;
-  };
   const auto claim_ids = [&]() {
     for (; claimed < classes_.size(); ++claimed) {
-      int& slot = class_of_id[id_of(classes_[claimed].members.front())];
+      int& slot =
+          class_of_id[bank_id(classes_[claimed].members.front(), basis)];
       if (slot < 0) slot = static_cast<int>(claimed);
     }
   };
@@ -118,24 +119,12 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
                              : gf2::nullspace(diff_basis, support);
     if (basis.size() != want) {
       // Fleet warm start: while the accreted piles cannot pin the span
-      // themselves, fall back to the stored sibling span — but only while
-      // every measured same-bank difference stays orthogonal to it. Same-
-      // bank members have equal parity under every true function, so a
-      // single odd overlap proves the hint wrong for this machine and
-      // latches it off; the accreted evidence then takes over exactly as
-      // in a cold run.
-      if (warm_span_.empty() || warm_poisoned_) return;
+      // themselves, fall back to the stored sibling span (a wrong one
+      // fails the call; see warm_start).
+      if (warm_span_.empty()) return;
       gf2::matrix hint;
       for (std::uint64_t f : warm_span_) {
         if ((f &= support) != 0) hint.push_back(f);
-      }
-      for (const std::uint64_t d : diff_basis) {
-        for (const std::uint64_t f : hint) {
-          if (parity(d, f) != 0) {
-            warm_poisoned_ = true;
-            return;
-          }
-        }
       }
       hint = gf2::row_echelon(std::move(hint));
       if (hint.size() != want) return;  // hint too thin on this pool
@@ -208,7 +197,7 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   // longer than that means the ladder's memory is being erased out from
   // under it (witness LRU eviction with more open classes than
   // plan_config::max_witnesses) — fail the partition instead of spinning.
-  const unsigned max_barren_rounds = bank_count * max_reps + 2;
+  const unsigned max_barren_rounds = bank_count * kMaxRepresentatives + 2;
   unsigned barren_rounds = 0;
 
   while (assigned_count < target) {

@@ -80,17 +80,15 @@ class bank_classifier {
   /// while the accreted pile differences cannot pin the span themselves —
   /// so trusted prediction (predicted first votes, group-limited founder
   /// scans) engages from round 0 instead of after several piles. Safety is
-  /// unchanged: every assignment is still measurement-verified, and the
-  /// hint is dropped permanently the moment any measured same-bank
-  /// difference contradicts it (a wrong hint costs measurements, never
-  /// purity).
-  void warm_start(gf2::matrix span_hint) {
-    warm_span_ = std::move(span_hint);
-    warm_poisoned_ = false;
-  }
-  /// True while a hint is installed and not yet contradicted.
+  /// unchanged: every assignment is still measurement-verified, so a wrong
+  /// hint cannot fabricate piles — its group founder piles miss the delta
+  /// window and the call fails. The hint stays installed until clear(),
+  /// which the pipeline's attempt retry calls (a wrong hint costs
+  /// measurements and an attempt, never purity).
+  void warm_start(gf2::matrix span_hint) { warm_span_ = std::move(span_hint); }
+  /// True while a hint is installed.
   [[nodiscard]] bool warm_hint_active() const noexcept {
-    return !warm_span_.empty() && !warm_poisoned_;
+    return !warm_span_.empty();
   }
 
   /// Drop the class directory (pairs with measurement_plan::reset() in the
@@ -100,16 +98,14 @@ class bank_classifier {
   void clear() {
     classes_.clear();
     warm_span_.clear();
-    warm_poisoned_ = false;
   }
 
  private:
   measurement_plan& plan_;
   std::vector<bank_class> classes_;
   classifier_stats stats_;
-  /// Warm-start span hint (see warm_start) and its refutation latch.
+  /// Warm-start span hint (see warm_start).
   gf2::matrix warm_span_;
-  bool warm_poisoned_ = false;
 };
 
 }  // namespace dramdig::core

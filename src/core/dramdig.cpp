@@ -1,7 +1,6 @@
 #include "core/dramdig.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 
 #include "core/classifier.h"
@@ -248,13 +247,7 @@ dramdig_report dramdig_tool::run() {
         pool.size() / config_.warm->bank_count / 2, 8, 64);
     const std::vector<std::uint64_t>& funcs = config_.warm->bank_functions;
     std::vector<std::vector<std::uint64_t>> strata(config_.warm->bank_count);
-    for (const std::uint64_t a : pool) {
-      std::size_t id = 0;
-      for (std::size_t fi = 0; fi < funcs.size(); ++fi) {
-        id |= static_cast<std::size_t>(std::popcount(a & funcs[fi]) & 1) << fi;
-      }
-      strata[id].push_back(a);
-    }
+    for (const std::uint64_t a : pool) strata[bank_id(a, funcs)].push_back(a);
     bool quorate = true;
     for (const auto& s : strata) quorate = quorate && s.size() >= kWarmQuota;
     if (quorate) {
@@ -317,8 +310,7 @@ dramdig_report dramdig_tool::run() {
       function_outcome fo;
       {
         phase_meter meter(mc, report.functions, "functions", notify);
-        fo = detect_functions(po.piles, coarse.bank_bits, banks,
-                              mc.clock(), config_.functions);
+        fo = detect_functions(po.piles, coarse.bank_bits, banks, mc.clock());
       }
       if (fo.success) {
         functions = fo;

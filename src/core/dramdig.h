@@ -41,7 +41,6 @@ struct dramdig_config {
                                  .calibration_pairs = 1500};
   coarse_config coarse{};
   partition_config partition{};
-  function_config functions{};
   fine_config fine{};
   /// Measurement-reuse scheduler shared by every phase of one run: strict
   /// verdicts merge same-bank classes, scan negatives separate them, and
@@ -60,9 +59,9 @@ struct dramdig_config {
   /// pool to an exact per-predicted-bank quota, and the bank-count sweep
   /// starts at the stored count. Hints are advisory: every assignment is
   /// still measurement-verified, a contradicted claim is dropped where it
-  /// was refuted (prior per experiment, span mid-run, subsample on the
-  /// attempt retry), and a failed attempt retries cold — so a wrong hint
-  /// can cost measurements but never the recovered mapping.
+  /// was refuted (prior per experiment; span and subsample on the attempt
+  /// retry), and a failed attempt retries cold — so a wrong hint can cost
+  /// measurements but never the recovered mapping.
   struct warm_hints {
     gf2::matrix function_span;        ///< claimed bank-function span basis
     std::size_t expected_pool = 0;    ///< selection-pool size evidence

@@ -14,6 +14,10 @@ namespace dramdig::core {
 
 namespace {
 
+/// Virtual CPU time charged per parity evaluation / GF(2) row operation;
+/// keeps Fig. 2 honest about the software cost of the search.
+constexpr double kCpuNsPerCheck = 1.0;
+
 /// Bank ids assigned by `funcs` to each pile's pivot; valid numbering means
 /// all distinct, and covering 0..#banks-1 when every bank has a pile. A
 /// partition that produced fewer than half the banks carries too little
@@ -24,11 +28,8 @@ bool numbers_piles(const std::vector<std::uint64_t>& funcs,
   if (piles.size() < std::max<std::size_t>(2, bank_count / 2)) return false;
   std::set<std::uint64_t> ids;
   for (const auto& pile : piles) {
-    std::uint64_t id = 0;
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-      id |= static_cast<std::uint64_t>(parity(pile.front(), funcs[i])) << i;
-    }
-    if (!ids.insert(id).second) return false;  // two piles, same bank id
+    // Two piles, same bank id.
+    if (!ids.insert(bank_id(pile.front(), funcs)).second) return false;
   }
   if (piles.size() == bank_count) {
     // Complete partition: ids must be exactly 0..#banks-1.
@@ -80,7 +81,7 @@ std::vector<std::uint64_t> nullspace_candidates(
 function_outcome detect_functions(
     const std::vector<std::vector<std::uint64_t>>& piles,
     const std::vector<unsigned>& bank_bits, unsigned bank_count,
-    sim::virtual_clock& clock, const function_config& config) {
+    sim::virtual_clock& clock) {
   DRAMDIG_EXPECTS(!piles.empty());
   DRAMDIG_EXPECTS(!bank_bits.empty());
   function_outcome out;
@@ -91,7 +92,7 @@ function_outcome detect_functions(
       nullspace_candidates(piles, mask_of_bits(bank_bits), checks);
   out.raw_candidates = candidates.size();
   clock.advance_ns(static_cast<std::uint64_t>(
-      static_cast<double>(checks) * config.cpu_ns_per_check));
+      static_cast<double>(checks) * kCpuNsPerCheck));
 
   // prioritize + remove_redundant: minimal independent basis preferring
   // fewer-bit functions.

@@ -20,12 +20,6 @@
 
 namespace dramdig::core {
 
-struct function_config {
-  /// Virtual CPU time charged per parity evaluation / GF(2) row operation;
-  /// keeps Fig. 2 honest about the software cost of the search.
-  double cpu_ns_per_check = 1.0;
-};
-
 struct function_outcome {
   bool success = false;
   std::vector<std::uint64_t> functions;  ///< minimal basis
@@ -37,6 +31,6 @@ struct function_outcome {
 [[nodiscard]] function_outcome detect_functions(
     const std::vector<std::vector<std::uint64_t>>& piles,
     const std::vector<unsigned>& bank_bits, unsigned bank_count,
-    sim::virtual_clock& clock, const function_config& config = {});
+    sim::virtual_clock& clock);
 
 }  // namespace dramdig::core

@@ -19,6 +19,12 @@ sim::addr_pair canonical(std::uint64_t a, std::uint64_t b) {
 
 constexpr double kNoPrior = std::numeric_limits<double>::quiet_NaN();
 
+/// Confidence multiplier for the pivot pre-screen's binomial slack;
+/// rejections only fire when the projection is wrong beyond z standard
+/// deviations (plus one count of slack), so in-window pivots are almost
+/// never lost.
+constexpr double kPrescreenZ = 2.5;
+
 }  // namespace
 
 measurement_plan::measurement_plan(timing::channel& channel, plan_config config)
@@ -565,7 +571,7 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
                         (static_cast<double>(sample.size()) + 1.0);
     const double projected_rest = rest * rate;
     const double slack =
-        options.prescreen_z * rest *
+        kPrescreenZ * rest *
             std::sqrt(rate * (1.0 - rate) /
                       static_cast<double>(sample.size())) +
         1.0;

@@ -82,10 +82,6 @@ struct scan_options {
   /// pivot early when the projected pile size falls outside the window
   /// beyond sampling error. 0 disables the pre-screen.
   unsigned prescreen_sample = 0;
-  /// Confidence multiplier for the pre-screen's binomial slack; rejections
-  /// only fire when the projection is wrong beyond z standard deviations
-  /// (plus one count of slack), so in-window pivots are almost never lost.
-  double prescreen_z = 2.5;
   scan_window window;
 };
 

@@ -42,19 +42,15 @@ struct partition_config {
   double per_threshold = 0.85;  ///< stop when this fraction is partitioned
   unsigned max_pivot_attempts = 0;  ///< 0 = 4 * #banks + 32
   bool verify_positives = true;     ///< strict re-check of scan positives
-  /// Adaptive pivot pre-screen: sample this many unknown partners (scaled
-  /// up on large pools) and reject the pivot before the full scan when the
-  /// projected pile size falls outside the delta window beyond sampling
-  /// error. 0 disables. Chiefly pays off when the assumed bank count is
-  /// wrong (the knowledge-ablation sweep) — every such pivot scan is
-  /// doomed, and the pre-screen prices that in at ~1/8 of a scan.
-  unsigned prescreen_sample = 64;
-  double prescreen_z = 2.5;  ///< binomial slack multiplier for rejections
-  /// Row-distinct representatives kept per class. 2 is the sweet spot: an
-  /// address can share a row with at most one of them, so the second
-  /// representative already catches every same-row false negative.
-  unsigned max_representatives = 2;
 };
+
+/// Adaptive pivot pre-screen of full-pool founder scans: sample this many
+/// unknown partners (scaled up on large pools) and reject the pivot before
+/// the full scan when the projected pile size falls outside the delta
+/// window beyond sampling error. Chiefly pays off when the assumed bank
+/// count is wrong (the knowledge-ablation sweep) — every such pivot scan
+/// is doomed, and the pre-screen prices that in at ~1/8 of a scan.
+inline constexpr unsigned kPrescreenSample = 64;
 
 struct partition_outcome {
   bool success = false;

@@ -29,11 +29,7 @@ address_mapping::address_mapping(std::vector<std::uint64_t> bank_functions,
 }
 
 std::uint64_t address_mapping::bank_of(std::uint64_t phys) const {
-  std::uint64_t b = 0;
-  for (std::size_t i = 0; i < bank_functions_.size(); ++i) {
-    b |= static_cast<std::uint64_t>(parity(phys, bank_functions_[i])) << i;
-  }
-  return b;
+  return bank_id(phys, bank_functions_);
 }
 
 std::uint64_t address_mapping::row_of(std::uint64_t phys) const {
@@ -71,13 +67,7 @@ std::optional<std::uint64_t> address_mapping::encode(
   const std::uint64_t fixed =
       scatter_bits(row, row_bits_) | scatter_bits(column, column_bits_);
   // Residual targets once the row/column contribution is folded in.
-  std::uint64_t residual = 0;
-  for (std::size_t i = 0; i < bank_functions_.size(); ++i) {
-    const unsigned want = static_cast<unsigned>((flat_bank >> i) & 1u);
-    residual |= static_cast<std::uint64_t>(
-                    want ^ parity(fixed, bank_functions_[i]))
-                << i;
-  }
+  const std::uint64_t residual = flat_bank ^ bank_of(fixed);
   const std::uint64_t support = mask_of_bits(pure_bank_bits());
   const auto solved = gf2::solve(bank_functions_, residual, support);
   if (!solved) return std::nullopt;

@@ -15,6 +15,8 @@ namespace {
 /// Lowest probeable physical bit (cache-line offset; matches
 /// domain_knowledge::min_probe_bit).
 constexpr unsigned kMinProbeBit = 6;
+/// Cap on positive (row-flip) deltas designed from the null space.
+constexpr unsigned kMaxPositive = 8;
 
 }  // namespace
 
@@ -76,11 +78,10 @@ verify_report verify_stored_mapping(core::environment& env,
   // them would starve the span probes that do catch one.
   unsigned positives = 0;
   std::uint64_t clean_row = 0;
-  const unsigned row_cap = std::max(1u, config.max_positive / 2);
   for (const unsigned b : entry.row_bits) {
     if (b < kMinProbeBit || ((func_union >> b) & 1u) != 0) continue;
     if (clean_row == 0) clean_row = std::uint64_t{1} << b;
-    if (positives >= row_cap) break;
+    if (positives >= kMaxPositive / 2) break;
     add(std::uint64_t{1} << b, true);
     ++positives;
   }
@@ -89,7 +90,7 @@ verify_report verify_stored_mapping(core::environment& env,
         gf2::nullspace(entry.bank_functions, support);
     for (const int pass : {0, 1}) {
       for (const std::uint64_t v : basis) {
-        if (positives >= config.max_positive) break;
+        if (positives >= kMaxPositive) break;
         if (((v & func_union) != 0) != (pass == 0)) continue;
         std::uint64_t d = v;
         if ((d & row_mask) == 0) {

@@ -45,8 +45,6 @@ struct verify_config {
                                  .calibration_min_pairs = 60,
                                  .calibration_chunk = 30};
   core::probe_config probe{.votes = 5};
-  /// Cap on positive (row-flip) deltas designed from the null space.
-  unsigned max_positive = 8;
   std::uint64_t tool_seed = 1;
 };
 

@@ -9,6 +9,21 @@
 
 namespace dramdig::timing {
 
+namespace {
+
+/// Stop once the last kStableChecks consecutive valley estimates all sit
+/// within this relative band of each other.
+constexpr double kStability = 0.02;
+constexpr std::size_t kStableChecks = 3;
+/// Sibling-threshold prior: once kPriorMinPairs samples are in and
+/// kPriorChecks consecutive estimates agree both with each other and with
+/// the prior (within kPriorBand, relative), further pairs buy nothing.
+constexpr double kPriorBand = 0.1;
+constexpr unsigned kPriorMinPairs = 120;
+constexpr std::size_t kPriorChecks = 2;
+
+}  // namespace
+
 channel::channel(sim::memory_controller& controller, channel_config config,
                  rng r)
     : controller_(controller), config_(config), rng_(std::move(r)) {
@@ -66,13 +81,10 @@ double channel::calibrate(const std::vector<std::uint64_t>& pool) {
     // prior never matches and falls through to the normal schedule.
     const bool prior = config_.calibration_prior_ns > 0;
     const std::size_t min_first =
-        prior ? std::min<std::size_t>(config_.calibration_prior_min_pairs,
-                                      config_.calibration_min_pairs)
+        prior ? std::min(kPriorMinPairs, config_.calibration_min_pairs)
               : config_.calibration_min_pairs;
     const std::size_t chunk = std::max<std::size_t>(
-        1, prior ? std::min(config_.calibration_chunk,
-                            std::max(1u, config_.calibration_prior_min_pairs /
-                                             2))
+        1, prior ? std::min(config_.calibration_chunk, kPriorMinPairs / 2)
                  : config_.calibration_chunk);
     std::vector<double> estimates;
     while (calibration_samples_.size() < config_.calibration_pairs) {
@@ -82,16 +94,15 @@ double channel::calibrate(const std::vector<std::uint64_t>& pool) {
       if (calibration_samples_.size() < min_first) continue;
       estimates.push_back(valley_threshold(calibration_samples_));
       if (prior) {
-        const unsigned pneed = std::max(1u, config_.calibration_prior_checks);
-        if (estimates.size() >= pneed) {
+        if (estimates.size() >= kPriorChecks) {
           double lo = estimates.back(), hi = estimates.back();
-          for (std::size_t k = estimates.size() - pneed;
+          for (std::size_t k = estimates.size() - kPriorChecks;
                k < estimates.size(); ++k) {
             lo = std::min(lo, estimates[k]);
             hi = std::max(hi, estimates[k]);
           }
-          const double band = config_.calibration_prior_band *
-                              std::max(config_.calibration_prior_ns, 1e-9);
+          const double band =
+              kPriorBand * std::max(config_.calibration_prior_ns, 1e-9);
           if (hi - lo <= band &&
               std::abs(estimates.back() - config_.calibration_prior_ns) <=
                   band) {
@@ -102,15 +113,14 @@ double channel::calibrate(const std::vector<std::uint64_t>& pool) {
       if (calibration_samples_.size() < config_.calibration_min_pairs) {
         continue;
       }
-      const unsigned need = std::max(2u, config_.calibration_stable_checks);
-      if (estimates.size() < need) continue;
+      if (estimates.size() < kStableChecks) continue;
       double lo = estimates.back(), hi = estimates.back();
-      for (std::size_t k = estimates.size() - need; k < estimates.size();
-           ++k) {
+      for (std::size_t k = estimates.size() - kStableChecks;
+           k < estimates.size(); ++k) {
         lo = std::min(lo, estimates[k]);
         hi = std::max(hi, estimates[k]);
       }
-      if (hi - lo <= config_.calibration_stability * std::max(hi, 1e-9)) {
+      if (hi - lo <= kStability * std::max(hi, 1e-9)) {
         break;  // the valley stopped moving: further pairs buy nothing
       }
     }

@@ -35,22 +35,14 @@ struct channel_config {
   unsigned calibration_min_pairs = 300;
   /// Pairs sampled per adaptive chunk (one re-estimate per chunk).
   unsigned calibration_chunk = 150;
-  /// Stop once the last calibration_stable_checks consecutive estimates
-  /// all sit within this relative band of each other.
-  double calibration_stability = 0.02;
-  unsigned calibration_stable_checks = 3;
   /// Fleet warm start: a threshold recovered on a geometry sibling
   /// (mapping-store evidence). 0 disables. The threshold itself is ALWAYS
   /// computed from this machine's own samples — the prior only authorizes
-  /// an earlier stop: once calibration_prior_min_pairs samples are in and
-  /// calibration_prior_checks consecutive estimates agree both with each
-  /// other and with the prior (within calibration_prior_band), further
-  /// pairs buy nothing. A wrong prior never matches the local estimates,
-  /// so it silently falls through to the normal adaptive schedule.
+  /// an earlier stop once a few consecutive local estimates agree both
+  /// with each other and with the prior (see channel::calibrate). A wrong
+  /// prior never matches the local estimates, so it silently falls
+  /// through to the normal adaptive schedule.
   double calibration_prior_ns = 0.0;
-  double calibration_prior_band = 0.1;   ///< relative agreement band
-  unsigned calibration_prior_min_pairs = 120;
-  unsigned calibration_prior_checks = 2;
 };
 
 class channel {

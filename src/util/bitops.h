@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/expect.h"
@@ -77,6 +78,17 @@ namespace dramdig {
     out |= static_cast<std::uint64_t>((dense >> i) & 1u) << bits[i];
   }
   return out;
+}
+
+/// Flat bank index of one address: bit i is parity(addr, functions[i]).
+/// The one per-address bank-id computation; decode_banks is its batch form.
+[[nodiscard]] constexpr std::uint64_t bank_id(
+    std::uint64_t addr, std::span<const std::uint64_t> functions) noexcept {
+  std::uint64_t id = 0;
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    id |= static_cast<std::uint64_t>(parity(addr, functions[i])) << i;
+  }
+  return id;
 }
 
 /// Decode the flat bank index of `n` addresses at once: out[i] gets bit f

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -9,14 +10,21 @@
 namespace dramdig {
 
 void write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::trunc);
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::trunc);
   if (!out.good()) {
-    throw std::runtime_error("write_file: cannot open '" + path +
+    throw std::runtime_error("write_file: cannot open '" + tmp +
                              "' for writing");
   }
   out << contents;
-  if (!out.good()) {
-    throw std::runtime_error("write_file: short write to '" + path + "'");
+  out.close();
+  if (out.fail()) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("write_file: short write to '" + tmp + "'");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("write_file: cannot replace '" + path + "'");
   }
 }
 

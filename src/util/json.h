@@ -141,7 +141,11 @@ class json_writer {
   bool after_key_ = false;
 };
 
-/// Write `contents` to `path`, replacing any previous file.
+/// Write `contents` to `path`, replacing any previous file. The bytes go to
+/// the sibling `path + ".tmp"` first, which is then renamed over `path`, so
+/// a process crash mid-write leaves the old file or the new one, never a
+/// prefix (no fsync: power loss is not covered). Throws std::runtime_error
+/// when either step fails; `path` is then untouched.
 void write_file(const std::string& path, const std::string& contents);
 
 /// Whole file as a string. Throws std::runtime_error when unreadable.

@@ -214,12 +214,13 @@ TEST(Classifier, TrueWarmHintMakesEveryFounderScanAGroupScan) {
 
 TEST(Classifier, FlippedWarmHintFailsWithoutFabricatingPiles) {
   // One mask of the hint flipped (it gains a bit that varies inside every
-  // bank): every predicted group now holds half of two banks. Trusted prediction only ever measures pairs inside one
-  // group, so no measured difference can contradict the hint and the
-  // latch stays on; instead every group founder pile is half a bank and
-  // the delta window rejects it, so the call fails without a single
-  // (impure or duplicate) pile. That failure is the pipeline's signal:
-  // clear() drops the hint and the retry partitions cold and sound.
+  // bank): every predicted group now holds half of two banks. Trusted
+  // prediction only ever measures pairs inside one group, so no measured
+  // difference contradicts the hint and it stays installed; instead every
+  // group founder pile is half a bank and the delta window rejects it, so
+  // the call fails without a single (impure or duplicate) pile. That
+  // failure is the pipeline's signal: clear(), the one drop path, removes
+  // the hint and the retry partitions cold and sound.
   pipeline_fixture f(2);
   const auto pool = pool_for(f);
   const auto& truth = f.env.spec().mapping;

@@ -258,7 +258,7 @@ pivot_pass pivot_scan_pass(measurement_plan& plan,
   const partition_config cfg{};
   const double pile = static_cast<double>(pool.size()) / banks;
   scan_options scan = default_scan();
-  scan.prescreen_sample = cfg.prescreen_sample;
+  scan.prescreen_sample = kPrescreenSample;
   scan.window = {(1.0 - cfg.delta_lower) * pile, (1.0 + cfg.delta) * pile};
   const auto stop_at = static_cast<std::size_t>(
       (1.0 - cfg.per_threshold) * static_cast<double>(pool.size()));

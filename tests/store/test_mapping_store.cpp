@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -188,6 +190,29 @@ TEST(MappingStore, TruncatedFileDegradesToColdWithWarning) {
     // The broken file stays on disk untouched until the next save().
     EXPECT_EQ(read_file(path.str()).size(), len);
   }
+}
+
+TEST(MappingStore, FailedSaveLeavesPreviousFileLoadable) {
+  // save() writes a sibling temp file and renames it over the store, so a
+  // save that dies before the rename never touches the saved document. A
+  // directory squatting on the temp path makes the write fail.
+  temp_path path("failed_save");
+  mapping_store store(path.str());
+  store.put(entry_for(1));
+  store.put(entry_for(2));
+  store.save();
+  const std::filesystem::path tmp = path.str() + ".tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  store.put(entry_for(3));
+  EXPECT_THROW(store.save(), std::runtime_error);
+  std::filesystem::remove(tmp);
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.size(), 2u);
+  EXPECT_TRUE(
+      reloaded.find_exact(sysinfo::fingerprint(dram::machine_by_number(1))));
+  EXPECT_TRUE(
+      reloaded.find_exact(sysinfo::fingerprint(dram::machine_by_number(2))));
 }
 
 TEST(MappingStore, V1DocumentLoadsAsSpanOnlyPriorWithoutWarning) {

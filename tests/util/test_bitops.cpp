@@ -129,7 +129,7 @@ TEST(Bitops, DecodeBanksMatchesParityDefinition) {
 TEST(Bitops, DecodeBanksDispatchEqualsScalarOnRandomFunctionSets) {
   // Random masks (not just realistic bank functions) across sizes that
   // straddle the kernel's 64-address block boundary, including the ragged
-  // tail and the empty batch.
+  // tail and the empty batch. The per-address bank_id must agree too.
   rng r(103);
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{63},
                               std::size_t{64}, std::size_t{65},
@@ -141,14 +141,20 @@ TEST(Bitops, DecodeBanksDispatchEqualsScalarOnRandomFunctionSets) {
       std::vector<std::uint64_t> addrs(n);
       for (auto& a : addrs) a = r.below(~std::uint64_t{0});
 
-      std::vector<std::uint64_t> dispatched(n), scalar(n);
+      std::vector<std::uint64_t> dispatched(n), scalar(n), single(n);
       decode_banks(addrs.data(), n, functions.data(), function_count,
                    dispatched.data());
       decode_banks_scalar(addrs.data(), n, functions.data(), function_count,
                           scalar.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        single[i] = bank_id(addrs[i], functions);
+      }
+      const auto expected = decode_banks_reference(addrs, functions);
       EXPECT_EQ(dispatched, scalar)
           << "n=" << n << " functions=" << function_count;
-      EXPECT_EQ(scalar, decode_banks_reference(addrs, functions))
+      EXPECT_EQ(scalar, expected)
+          << "n=" << n << " functions=" << function_count;
+      EXPECT_EQ(single, expected)
           << "n=" << n << " functions=" << function_count;
     }
   }
