@@ -14,9 +14,10 @@
 // mapping_service batch: the worker pool drains them concurrently and the
 // service's determinism contract (each job owns its environment + rng,
 // results merged by submission index) makes the table and the JSON
-// identical on any thread count. Flags: --machines=1,4 (subset for CI
-// smoke runs), --threads=N (worker count; CI pins it to prove the
-// contract), --out=PATH (default BENCH_fig2.json).
+// identical on any thread count. Flags: --machines=14 (a subset for CI
+// smoke runs: one digit 1-9 per paper machine; any other character exits
+// 2), --threads=N (worker count; CI pins it to prove the contract),
+// --out=PATH (default BENCH_fig2.json).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -146,16 +147,16 @@ int main(int argc, char** argv) {
       }
       threads = static_cast<unsigned>(n);
     } else if (std::strncmp(argv[i], "--machines=", 11) == 0) {
-      for (const char* p = argv[i] + 11; *p != '\0'; ++p) {
-        if (*p >= '1' && *p <= '9') wanted.push_back(*p - '0');
-      }
-      if (wanted.empty()) {
+      const char* digits = argv[i] + 11;
+      const std::size_t len = std::strlen(digits);
+      if (len == 0 || std::strspn(digits, "123456789") != len) {
         std::fprintf(stderr,
                      "error: --machines needs digits 1-9 (e.g. "
                      "--machines=14 for No.1 and No.4), got '%s'\n",
-                     argv[i] + 11);
+                     digits);
         return 2;
       }
+      for (const char* p = digits; *p != '\0'; ++p) wanted.push_back(*p - '0');
     } else {
       std::fprintf(stderr, "error: unknown argument '%s'\n%s", argv[i], usage);
       return 2;

@@ -241,6 +241,55 @@ void mapping_service::execute_job(const job_spec& job,
   }
 }
 
+template <class OnStart>
+void mapping_service::run_job(const job_spec& job, const dispatch_plan* plan,
+                              job_outcome& out,
+                              std::optional<store::store_entry>& update,
+                              const mapping_tool::phase_hook& hook,
+                              cancellation_token* cancel,
+                              OnStart&& on_start) const {
+  if (cancel != nullptr && cancel->cancelled()) {
+    out.state = job_state::cancelled;
+    out.result.tool = job.tool;
+    out.result.outcome = "cancelled";
+    return;
+  }
+  out.state = job_state::running;
+  on_start();
+  const auto t0 = std::chrono::steady_clock::now();
+  std::optional<dispatch_plan> live;
+  if (plan == nullptr) {
+    plan = &live.emplace(dispatch_plan::consult(job, config_.store));
+  }
+  try {
+    execute_job(job, *plan, out, update, hook, cancel);
+  } catch (const std::exception& e) {
+    out.state = job_state::failed;
+    out.result.tool = job.tool;
+    out.result.outcome = "error";
+    out.result.failure_reason = e.what();
+    update.reset();
+  }
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+}
+
+void mapping_service::persist(
+    std::span<std::optional<store::store_entry>> updates) const {
+  if (config_.store == nullptr) return;
+  for (std::optional<store::store_entry>& update : updates) {
+    if (update) config_.store->put(std::move(*update));
+  }
+  try {
+    config_.store->save();
+  } catch (const std::exception& e) {
+    // Persistence is best-effort: a read-only disk costs the next run a
+    // cold start, it must not fail a batch that already computed.
+    log_warn(std::string("mapping store save failed: ") + e.what());
+  }
+}
+
 std::vector<job_outcome> mapping_service::run(
     const std::vector<job_spec>& jobs, progress_observer* observer,
     cancellation_token* cancel) const {
@@ -287,53 +336,21 @@ std::vector<job_outcome> mapping_service::run(
           const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= jobs.size()) return;
           const job_spec& job = jobs[i];
-          job_outcome& out = outcomes[i];
-          if (cancel != nullptr && cancel->cancelled()) {
-            out.state = job_state::cancelled;
-            out.result.tool = job.tool;
-            out.result.outcome = "cancelled";
-            notify([&] { observer->on_job_done(i, out); });
-            continue;
+          mapping_tool::phase_hook hook;
+          if (observer != nullptr) {
+            hook = [&notify, &observer, i](std::string_view phase,
+                                           const core::phase_stats& delta) {
+              notify([&] { observer->on_job_phase(i, phase, delta); });
+            };
           }
-          out.state = job_state::running;
-          notify([&] { observer->on_job_start(i, job); });
-          const auto t0 = std::chrono::steady_clock::now();
-          try {
-            mapping_tool::phase_hook hook;
-            if (observer != nullptr) {
-              hook = [&notify, &observer, i](std::string_view phase,
-                                             const core::phase_stats& delta) {
-                notify([&] { observer->on_job_phase(i, phase, delta); });
-              };
-            }
-            execute_job(job, plans[i], out, updates[i], hook, cancel);
-          } catch (const std::exception& e) {
-            out.state = job_state::failed;
-            out.result.tool = job.tool;
-            out.result.outcome = "error";
-            out.result.failure_reason = e.what();
-            updates[i].reset();
-          }
-          out.wall_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count();
-          notify([&] { observer->on_job_done(i, out); });
+          run_job(job, &plans[i], outcomes[i], updates[i], hook, cancel, [&] {
+            notify([&] { observer->on_job_start(i, job); });
+          });
+          notify([&] { observer->on_job_done(i, outcomes[i]); });
         }
       });
 
-  if (config_.store != nullptr) {
-    for (std::optional<store::store_entry>& update : updates) {
-      if (update) config_.store->put(std::move(*update));
-    }
-    try {
-      config_.store->save();
-    } catch (const std::exception& e) {
-      // Persistence is best-effort: a read-only disk costs the next run a
-      // cold start, it must not fail a batch that already computed.
-      log_warn(std::string("mapping store save failed: ") + e.what());
-    }
-  }
+  persist(updates);
   // Every job's tables are dead now; without this the arenas of the pool
   // threads that happened to run jobs keep their pages.
   release_free_heap();
@@ -356,41 +373,13 @@ std::size_t mapping_service::serve(job_feed& feed, const result_sink& sink,
                             std::move(item->job), job_outcome{}, {}};
       record.outcome.index = seq;
       job_outcome& out = record.outcome;
-      if (cancel != nullptr && cancel->cancelled()) {
-        out.state = job_state::cancelled;
-        out.result.tool = record.job.tool;
-        out.result.outcome = "cancelled";
-      } else {
-        const auto t0 = std::chrono::steady_clock::now();
-        // Live store consultation: a daemon's later jobs should see its
-        // earlier recoveries, so lookup happens at claim time and the
-        // update (plus save) lands before the next claim of the same
-        // fingerprint on this worker.
-        const dispatch_plan plan =
-            dispatch_plan::consult(record.job, config_.store);
-        std::optional<store::store_entry> update;
-        out.state = job_state::running;
-        try {
-          execute_job(record.job, plan, out, update, {}, cancel);
-        } catch (const std::exception& e) {
-          out.state = job_state::failed;
-          out.result.tool = record.job.tool;
-          out.result.outcome = "error";
-          out.result.failure_reason = e.what();
-          update.reset();
-        }
-        out.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-        if (config_.store != nullptr && update) {
-          config_.store->put(std::move(*update));
-          try {
-            config_.store->save();
-          } catch (const std::exception& e) {
-            log_warn(std::string("mapping store save failed: ") + e.what());
-          }
-        }
-      }
+      // Live store consultation (no plan passed): a daemon's later jobs
+      // should see its earlier recoveries, so lookup happens at claim time
+      // and the update (plus save) lands before the next claim of the same
+      // fingerprint on this worker.
+      std::optional<store::store_entry> update;
+      run_job(record.job, nullptr, out, update, {}, cancel, [] {});
+      if (update) persist({&update, 1});
       {
         json_writer w;
         w.begin_object();

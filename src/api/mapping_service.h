@@ -22,6 +22,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -202,6 +203,19 @@ class mapping_service {
                    std::optional<store::store_entry>& update,
                    const mapping_tool::phase_hook& hook,
                    cancellation_token* cancel) const;
+  /// The per-job body run() and serve() share. A set token marks the job
+  /// cancelled without running it. Otherwise the job is marked running,
+  /// `on_start` fires, and the job runs under the wall clock — a null
+  /// `plan` consults the live store inside the timed span (serve()) — and
+  /// a throw marks the job failed and drops its store update.
+  template <class OnStart>
+  void run_job(const job_spec& job, const dispatch_plan* plan,
+               job_outcome& out, std::optional<store::store_entry>& update,
+               const mapping_tool::phase_hook& hook,
+               cancellation_token* cancel, OnStart&& on_start) const;
+  /// Put every engaged update into the store, then save() it; a failed
+  /// save logs a warning. No-op without a store.
+  void persist(std::span<std::optional<store::store_entry>> updates) const;
 
   service_config config_;
 };

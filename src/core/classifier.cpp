@@ -174,7 +174,6 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
       if (hit == root_to_class.end()) continue;
       assign(i, hit->second);
       ++out.reused_verdicts;
-      ++stats_.free_assignments;
       plan_.credit_saved(free_credit);
     }
   }
@@ -245,7 +244,6 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
           if (rel == pair_relation::same_bank) {
             assign(i, c);
             ++out.reused_verdicts;
-            ++stats_.free_assignments;
             plan_.credit_saved(free_credit);
             ++free_this_round;
             resolved = true;
@@ -277,7 +275,6 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
           if (rel == pair_relation::same_bank) {
             assign(i, static_cast<int>(c));
             ++out.reused_verdicts;
-            ++stats_.free_assignments;
             plan_.credit_saved(free_credit);
             ++free_this_round;
             resolved = true;
@@ -317,23 +314,14 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
           plan_.classify_pairs(vote_pairs, config.verify_positives);
       out.reused_verdicts += votes.reused;
       for (std::size_t j = 0; j < vote_pairs.size(); ++j) {
-        if (vote_fallback[j]) {
-          ++out.fallback_votes;
-          ++stats_.fallback_votes;
-        } else {
-          ++out.representative_votes;
-          ++stats_.representative_votes;
-        }
+        ++(vote_fallback[j] ? out.fallback_votes : out.representative_votes);
         if (!votes.member[j]) continue;
         const std::size_t i = vote_idx[j];
         const int c = vote_class[j];
         assign(i, c);
         classes_[c].members.push_back(pool[i]);
         maybe_promote(c, pool[i]);
-        if (trusted && !vote_fallback[j]) {
-          ++out.predicted_assignments;
-          ++stats_.predicted_assignments;
-        }
+        if (trusted && !vote_fallback[j]) ++out.predicted_assignments;
         prediction_dirty = true;
       }
     }
@@ -372,7 +360,6 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
       if (pick < n) {
         ++founder_attempts;
         ++out.founder_scans;
-        ++stats_.founder_scans;
         founder_ran = true;
         const std::uint64_t pivot = pool[pick];
         partners.clear();
@@ -385,7 +372,7 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
         }
         scan_options opts = founder_opts;
         if (trusted) {
-          ++stats_.group_founder_scans;
+          ++out.group_founder_scans;
           opts.prescreen_sample = 0;  // the group is already pile-sized
         }
         if (static_cast<double>(partners.size() + 1) < lo) {
@@ -420,10 +407,7 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
                 classes_[c].members.push_back(partners[j]);
                 maybe_promote(c, partners[j]);
               }
-              if (trusted) {
-                out.predicted_assignments += member_count + 1;
-                stats_.predicted_assignments += member_count + 1;
-              }
+              if (trusted) out.predicted_assignments += member_count + 1;
               prediction_dirty = true;
             }
           }

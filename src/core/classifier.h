@@ -46,15 +46,6 @@ struct bank_class {
   std::vector<std::uint64_t> representatives;
 };
 
-struct classifier_stats {
-  std::uint64_t representative_votes = 0;  ///< single-sample votes cast
-  std::uint64_t fallback_votes = 0;   ///< second-representative votes
-  std::uint64_t free_assignments = 0;  ///< resolved from the plan's classes
-  std::uint64_t predicted_assignments = 0;  ///< first-vote / group-scan hits
-  unsigned founder_scans = 0;        ///< pivot scans run to open classes
-  unsigned group_founder_scans = 0;  ///< founder scans limited to a group
-};
-
 class bank_classifier {
  public:
   explicit bank_classifier(measurement_plan& plan) : plan_(plan) {}
@@ -68,9 +59,6 @@ class bank_classifier {
 
   [[nodiscard]] const std::vector<bank_class>& classes() const noexcept {
     return classes_;
-  }
-  [[nodiscard]] const classifier_stats& stats() const noexcept {
-    return stats_;
   }
   [[nodiscard]] measurement_plan& plan() noexcept { return plan_; }
 
@@ -103,7 +91,6 @@ class bank_classifier {
  private:
   measurement_plan& plan_;
   std::vector<bank_class> classes_;
-  classifier_stats stats_;
   /// Warm-start span hint (see warm_start).
   gf2::matrix warm_span_;
 };

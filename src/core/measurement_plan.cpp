@@ -95,14 +95,10 @@ void measurement_plan::witness_touch(std::uint64_t addr, std::uint64_t pivot) {
   }
 }
 
-int measurement_plan::memo_find(std::uint64_t a, std::uint64_t b) const {
+bool measurement_plan::known_strict_positive(std::uint64_t a,
+                                             std::uint64_t b) const {
   const sim::addr_pair key = canonical(a, b);
-  return idx_.memo_find(key.first, key.second);
-}
-
-void measurement_plan::memo_store(std::uint64_t a, std::uint64_t b, char val) {
-  const sim::addr_pair key = canonical(a, b);
-  idx_.memo_store(key.first, key.second, val);
+  return idx_.memo_contains(key.first, key.second);
 }
 
 pair_relation measurement_plan::relation(std::uint64_t a, std::uint64_t b) {
@@ -127,7 +123,8 @@ void measurement_plan::record_negative(std::uint64_t pivot,
                                        std::uint64_t partner) {
   // Partner side only: the witness list stays "the pivots that rejected x",
   // one entry per scan, so every walk is a short linear scan — and the
-  // list doubles as the exact-pair memo. No dedupe needed: scans only
+  // list is the exact-pair negative memo (the pair memo holds strict
+  // positives only). No dedupe needed: scans only
   // measure pairs the cache could not answer, so a recorded pair is
   // always new.
   const std::size_t rec = idx_.find_or_create(partner);
@@ -178,7 +175,7 @@ bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
   const std::span<const std::uint64_t> in_class(in_class_buf.data(), found);
   for (std::size_t i = 0; i < in_class.size(); ++i) {
     for (std::size_t j = i + 1; j < in_class.size(); ++j) {
-      if (memo_find(in_class[i], in_class[j]) > 0) {
+      if (known_strict_positive(in_class[i], in_class[j])) {
         // Memoize the derived fact as an exact-pair negative so future
         // queries answer from the pair set.
         record_negative(pivot, x);
@@ -235,6 +232,56 @@ void measurement_plan::verify_strict(std::span<const sim::addr_pair> pairs,
   }
 }
 
+const std::vector<char>& measurement_plan::measure_and_record(
+    std::span<const sim::addr_pair> pairs, bool verify_positives) {
+  // ---- One single sample per pair. --------------------------------------
+  // Noise is one-sided (events only inflate latency), so a fast sample is
+  // already a proof: the strict min filter could only go lower. Slow
+  // samples may be contamination and graduate to strict verification.
+  std::vector<double>& fast = scratch_.fast;
+  channel_.measure_batch(pairs, fast);
+  stats_.measurements_issued += pairs.size();
+
+  std::vector<char>& verdict = scratch_.verdict;
+  verdict.assign(pairs.size(), 0);
+  std::vector<sim::addr_pair>& candidates = scratch_.candidates;
+  std::vector<std::size_t>& candidate_idx = scratch_.candidate_idx;
+  std::vector<double>& prior = scratch_.prior;
+  candidates.clear();
+  candidate_idx.clear();
+  prior.clear();
+  for (std::size_t j = 0; j < pairs.size(); ++j) {
+    if (fast[j] > channel_.threshold_ns()) {
+      candidates.push_back(pairs[j]);
+      candidate_idx.push_back(j);
+      prior.push_back(fast[j]);
+    } else {
+      record_negative(pairs[j].first, pairs[j].second);
+    }
+  }
+  if (!verify_positives) {
+    for (const std::size_t j : candidate_idx) verdict[j] = 1;
+    return verdict;
+  }
+
+  // ---- Strict-verify the slow readings, folding the sample. -------------
+  std::vector<char>& strict = scratch_.strict;
+  verify_strict(candidates, prior, strict);
+  for (std::size_t k = 0; k < strict.size(); ++k) {
+    const auto& [a, b] = candidates[k];
+    if (strict[k]) {
+      verdict[candidate_idx[k]] = 1;
+      record_same_bank(a, b);
+      const sim::addr_pair key = canonical(a, b);
+      idx_.memo_insert(key.first, key.second);
+    } else {
+      // The slow reading was contamination; the min filter refuted it.
+      record_negative(a, b);
+    }
+  }
+  return verdict;
+}
+
 measurement_plan::probe_outcome measurement_plan::probe_pairs(
     std::span<const sim::addr_pair> pairs) {
   DRAMDIG_EXPECTS(channel_.calibrated());
@@ -243,73 +290,37 @@ measurement_plan::probe_outcome measurement_plan::probe_pairs(
   if (pairs.empty()) return out;
 
   // ---- Stage 0: answer from the cache. ----------------------------------
-  // Exact strict verdicts reuse verbatim; cross-pile proofs imply not-SBDR.
+  // Strict positives reuse the memo verbatim; cross-pile proofs (every
+  // measured negative sits on a witness list) imply not-SBDR.
   std::vector<std::size_t>& unknown_idx = scratch_.unknown_idx;
   unknown_idx.clear();
   unknown_idx.reserve(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const auto& [a, b] = pairs[i];
-    const int hit = memo_find(a, b);
-    if (hit >= 0) {
-      out.sbdr[i] = static_cast<char>(hit);
+    if (known_strict_positive(a, b)) {
+      out.sbdr[i] = 1;
       ++out.reused;
-      // What re-measuring in place would cost: a positive takes the full
-      // strict pass, a negative one fast sample.
-      stats_.measurements_saved += hit != 0 ? channel_.strict_samples() : 1;
+      // What re-measuring in place would cost: the full strict pass.
+      stats_.measurements_saved += channel_.strict_samples();
       continue;
     }
     if (known_cross(a, b) || known_cross(b, a)) {
       ++out.reused;
-      ++stats_.measurements_saved;
+      ++stats_.measurements_saved;  // one fast sample
       continue;
     }
     unknown_idx.push_back(i);
   }
   if (unknown_idx.empty()) return out;
 
-  // ---- Stage 1: one single sample per unknown pair. ---------------------
-  // Noise is one-sided (events only inflate latency), so a fast sample is
-  // already a proof: the strict min filter could only go lower. Slow
-  // samples may be contamination and graduate to strict verification.
+  // ---- Stage 1: measure, strict-verify and record the unknown pairs. ----
   std::vector<sim::addr_pair>& fresh = scratch_.pairs;
   fresh.clear();
   fresh.reserve(unknown_idx.size());
   for (const std::size_t i : unknown_idx) fresh.push_back(pairs[i]);
-  std::vector<double>& fast = scratch_.fast;
-  channel_.measure_batch(fresh, fast);
-  stats_.measurements_issued += fresh.size();
-
-  std::vector<sim::addr_pair>& candidates = scratch_.candidates;
-  std::vector<std::size_t>& candidate_idx = scratch_.candidate_idx;
-  std::vector<double>& prior = scratch_.prior;
-  candidates.clear();
-  candidate_idx.clear();
-  prior.clear();
+  const std::vector<char>& verdict = measure_and_record(fresh, true);
   for (std::size_t j = 0; j < unknown_idx.size(); ++j) {
-    const std::size_t i = unknown_idx[j];
-    if (fast[j] > channel_.threshold_ns()) {
-      candidates.push_back(fresh[j]);
-      candidate_idx.push_back(i);
-      prior.push_back(fast[j]);
-    } else {
-      memo_store(pairs[i].first, pairs[i].second, 0);
-      record_negative(pairs[i].first, pairs[i].second);
-    }
-  }
-
-  // ---- Stage 2: strict-verify the slow readings, folding the sample. ----
-  std::vector<char>& strict = scratch_.strict;
-  verify_strict(candidates, prior, strict);
-  for (std::size_t j = 0; j < strict.size(); ++j) {
-    const std::size_t i = candidate_idx[j];
-    const auto& [a, b] = pairs[i];
-    memo_store(a, b, strict[j]);
-    if (strict[j]) {
-      out.sbdr[i] = 1;
-      record_same_bank(a, b);
-    } else {
-      record_negative(a, b);
-    }
+    out.sbdr[unknown_idx[j]] = verdict[j];
   }
   return out;
 }
@@ -318,11 +329,6 @@ std::size_t measurement_plan::class_root(std::uint64_t addr) {
   const std::size_t n = node_if_known(addr);
   if (n == npos) return no_class;
   return cached_root(n);
-}
-
-bool measurement_plan::known_strict_positive(std::uint64_t a,
-                                             std::uint64_t b) const {
-  return memo_find(a, b) > 0;
 }
 
 measurement_plan::vote_outcome measurement_plan::classify_pairs(
@@ -354,49 +360,15 @@ measurement_plan::vote_outcome measurement_plan::classify_pairs(
   }
   if (unknown_idx.empty()) return out;
 
-  // ---- Stage 1: one single-sample batch over the unknown pairs. ---------
+  // ---- Stage 1: measure, verify and record the unknown pairs. -----------
   std::vector<sim::addr_pair>& fresh = scratch_.pairs;
   fresh.clear();
   fresh.reserve(unknown_idx.size());
   for (const std::size_t i : unknown_idx) fresh.push_back(pairs[i]);
-  std::vector<double>& fast = scratch_.fast;
-  channel_.measure_batch(fresh, fast);
-  stats_.measurements_issued += fresh.size();
-
-  std::vector<sim::addr_pair>& candidates = scratch_.candidates;
-  std::vector<std::size_t>& candidate_idx = scratch_.candidate_idx;
-  std::vector<double>& prior = scratch_.prior;
-  candidates.clear();
-  candidate_idx.clear();
-  prior.clear();
+  const std::vector<char>& verdict =
+      measure_and_record(fresh, verify_positives);
   for (std::size_t j = 0; j < unknown_idx.size(); ++j) {
-    if (fast[j] > channel_.threshold_ns()) {
-      candidates.push_back(fresh[j]);
-      candidate_idx.push_back(unknown_idx[j]);
-      prior.push_back(fast[j]);
-    } else {
-      record_negative(pairs[unknown_idx[j]].first,
-                      pairs[unknown_idx[j]].second);
-    }
-  }
-  if (!verify_positives) {
-    for (const std::size_t i : candidate_idx) out.member[i] = 1;
-    return out;
-  }
-
-  // ---- Stage 2: strict-verify the positives, folding the vote sample. ---
-  std::vector<char>& strict = scratch_.strict;
-  verify_strict(candidates, prior, strict);
-  for (std::size_t j = 0; j < strict.size(); ++j) {
-    const std::size_t i = candidate_idx[j];
-    const auto& [anchor, subject] = pairs[i];
-    if (strict[j]) {
-      out.member[i] = 1;
-      record_same_bank(anchor, subject);
-      memo_store(anchor, subject, 1);
-    } else {
-      record_negative(anchor, subject);
-    }
+    out.member[unknown_idx[j]] = verdict[j];
   }
   return out;
 }
@@ -447,7 +419,7 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
     const std::size_t bound = std::min<std::size_t>(ws.size(), 12);
     for (std::size_t i = 0; i < bound; ++i) {
       for (std::size_t j = i + 1; j < bound; ++j) {
-        if (memo_find(ws[i], ws[j]) > 0) {
+        if (known_strict_positive(ws[i], ws[j])) {
           // Memoize the derived fact as an exact-pair negative.
           record_negative(pivot, partner);
           return true;
@@ -485,58 +457,23 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
     }
   }
 
-  // Measure a subset of unknowns (single sample each, keeping the raw
-  // latency so the strict pass can fold it into its min filter), record
-  // the verdicts, and strict-verify the positives. Shared by the
-  // pre-screen sample and the full scan.
-  const auto scan_subset = [&](const std::vector<std::size_t>& subset)
-      -> std::size_t {  // returns members found (post-verification)
+  // Measure, verify and record a subset of unknowns; returns the members
+  // found. Shared by the pre-screen sample and the full scan.
+  const auto scan_subset = [&](const std::vector<std::size_t>& subset) {
     std::vector<sim::addr_pair>& pairs = scratch_.pairs;
     pairs.clear();
     pairs.reserve(subset.size());
     for (const std::size_t i : subset) pairs.emplace_back(pivot, partners[i]);
-    std::vector<double>& fast = scratch_.fast;
-    channel_.measure_batch(pairs, fast);
-    stats_.measurements_issued += subset.size();
-    std::vector<sim::addr_pair>& candidates = scratch_.candidates;
-    std::vector<std::size_t>& candidate_idx = scratch_.candidate_idx;
-    std::vector<double>& prior = scratch_.prior;
-    candidates.clear();
-    candidate_idx.clear();
-    prior.clear();
+    const std::vector<char>& verdict =
+        measure_and_record(pairs, options.verify_positives);
+    std::size_t found = 0;
     for (std::size_t j = 0; j < subset.size(); ++j) {
-      if (fast[j] > channel_.threshold_ns()) {
-        candidates.push_back(pairs[j]);
-        candidate_idx.push_back(subset[j]);
-        prior.push_back(fast[j]);
-      } else {
-        record_negative(pivot, partners[subset[j]]);
-      }
+      if (!verdict[j]) continue;
+      out.member[subset[j]] = 1;
+      ++found;
     }
-    if (!options.verify_positives) {
-      for (const std::size_t i : candidate_idx) {
-        out.member[i] = 1;
-        ++members;
-      }
-      return candidates.size();
-    }
-    std::vector<char>& strict = scratch_.strict;
-    verify_strict(candidates, prior, strict);
-    std::size_t verified = 0;
-    for (std::size_t j = 0; j < strict.size(); ++j) {
-      const std::size_t i = candidate_idx[j];
-      if (strict[j]) {
-        out.member[i] = 1;
-        ++members;
-        ++verified;
-        record_same_bank(pivot, partners[i]);
-        memo_store(pivot, partners[i], 1);
-      } else {
-        // The fast positive was contamination; the min filter refuted it.
-        record_negative(pivot, partners[i]);
-      }
-    }
-    return verified;
+    members += found;
+    return found;
   };
 
   // ---- Stage 1: adaptive pivot pre-screen. ------------------------------
@@ -581,7 +518,6 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
     const double need_hi =
         options.window.hi - 1.0 - static_cast<double>(members);
     if (projected_rest - slack > need_hi || projected_rest + slack < need_lo) {
-      ++stats_.prescreen_rejections;
       stats_.measurements_saved +=
           static_cast<std::uint64_t>(rest);  // the skipped fast scan
       out.prescreen_rejected = true;

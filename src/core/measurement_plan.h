@@ -5,10 +5,11 @@
 //
 // Same-bank is an equivalence relation, and the channel's verdicts carry
 // it: a strict (min-filtered) SBDR positive proves two addresses share a
-// bank, so their classes merge in a union-find. Negatives are subtler — a
+// bank, so their classes merge in a union-find, and the pair itself goes
+// into the strict-positive pair memo. Negatives are subtler — a
 // negative only proves "different bank OR same row as the measuring
-// pivot" — so they are recorded as per-address witness lists and promoted
-// to a cross-bank proof only when it is airtight:
+// pivot" — so they are recorded once, as per-address witness lists, and
+// promoted to a cross-bank proof only when it is airtight:
 //  * the exact pair was measured before (reusing that verdict verbatim), or
 //  * the address measured negative against two witnesses of the class that
 //    are SBDR-positive with each other. Two positives mean two different
@@ -63,7 +64,6 @@ struct plan_stats {
   std::uint64_t measurements_saved = 0;
   std::uint64_t classes_merged = 0;
   std::uint64_t negatives_recorded = 0;   ///< witness entries added
-  std::uint64_t prescreen_rejections = 0;  ///< pivots rejected from a sample
   std::uint64_t witnesses_evicted = 0;  ///< LRU drops (plan_config::max_witnesses)
 };
 
@@ -97,16 +97,17 @@ class measurement_plan {
   [[nodiscard]] pair_relation relation(std::uint64_t a, std::uint64_t b);
 
   /// SBDR verdicts with designed-probe economics (the bit-probe engine's
-  /// vote workhorse). Per pair: the exact-pair strict memo or an airtight
-  /// cross-pile proof answers from the cache (same-bank class facts are
+  /// vote workhorse). Per pair: the strict-positive pair memo or an
+  /// airtight cross-pile proof (which covers every measured negative, via
+  /// the witness lists) answers from the cache (same-bank class facts are
   /// deliberately NOT consulted — SBDR also needs row-distinct, which the
   /// union-find cannot certify, while a proven cross-bank pair can never
   /// conflict, so only negatives derive); unknown pairs get one single
   /// sample, and because noise is one-sided a fast reading alone proves
   /// the strict verdict negative — only slow readings graduate to strict
   /// verification, with the vote sample folded into the min filter.
-  /// Every verdict is recorded (memo, merges, witness entries). Pairs must
-  /// be distinct within one call.
+  /// Every verdict is recorded (memo and merges for positives, witness
+  /// entries for negatives). Pairs must be distinct within one call.
   struct probe_outcome {
     std::vector<char> sbdr;    ///< per-pair majority-grade SBDR verdict
     std::uint64_t reused = 0;  ///< verdicts answered from the cache
@@ -154,8 +155,9 @@ class measurement_plan {
   static constexpr std::size_t no_class = static_cast<std::size_t>(-1);
   [[nodiscard]] std::size_t class_root(std::uint64_t addr);
 
-  /// True when the strict memo already proves the pair SBDR-positive
-  /// (hence same-bank AND row-distinct). Never measures.
+  /// True when the strict-positive pair memo holds the pair: a strict
+  /// SBDR positive (hence same-bank AND row-distinct) was measured. The
+  /// plan's one memo query; never measures.
   [[nodiscard]] bool known_strict_positive(std::uint64_t a, std::uint64_t b)
       const;
 
@@ -217,15 +219,11 @@ class measurement_plan {
   /// Rotate addr's witness entry equal to `pivot` to the back (LRU hit).
   /// Pre: the entry exists.
   void witness_touch(std::uint64_t addr, std::uint64_t pivot);
-  /// Memoized strict verdict for the canonical pair, or -1 when absent.
-  [[nodiscard]] int memo_find(std::uint64_t a, std::uint64_t b) const;
-  /// Insert or overwrite the canonical pair's strict verdict.
-  void memo_store(std::uint64_t a, std::uint64_t b, char val);
 
   /// Record a strict positive: merge classes.
   void record_same_bank(std::uint64_t a, std::uint64_t b);
-  /// Record a scan negative: exact pair plus a witness entry on the
-  /// partner ("this pivot rejected it").
+  /// Record a scan negative: a witness entry on the partner ("this pivot
+  /// rejected it") — the one record of a measured negative.
   void record_negative(std::uint64_t pivot, std::uint64_t partner);
   /// True when not-SBDR(pivot, x) is proven: the exact pair was measured
   /// negative, or x has two SBDR-positive-linked witnesses in pivot's
@@ -238,18 +236,30 @@ class measurement_plan {
   void verify_strict(std::span<const sim::addr_pair> pairs,
                      std::span<const double> prior, std::vector<char>& out);
 
+  /// The one measure-and-verify path behind probe_pairs, classify_pairs
+  /// and classify_partners, for pairs (pivot, partner) the cache cannot
+  /// answer: one single-sample batch; fast readings are proven negatives
+  /// and recorded at once; slow readings are accepted as-is when
+  /// !verify_positives, otherwise strict-verified with the sample folded
+  /// into the min filter — positives merge classes and enter the memo,
+  /// refuted ones are recorded negative. Returns per-pair verdicts in
+  /// scratch storage, valid until the next call.
+  const std::vector<char>& measure_and_record(
+      std::span<const sim::addr_pair> pairs, bool verify_positives);
+
   timing::channel& channel_;
   plan_config config_;
   plan_stats stats_;
 
   union_find uf_;
 
-  /// Node ids, witness lists and the strict memo in flat open-addressing
-  /// tables — one hash lookup per address per batch. Witness lists hold
-  /// the pivots that measured the address not-SBDR, in LRU order (back =
-  /// most recently recorded or consulted): one entry per scan or vote that
-  /// rejected the address, so the lists stay short and double as the
-  /// exact-pair negative memo. Bounded by plan_config::max_witnesses.
+  /// Node ids, witness lists and the strict-positive pair memo in flat
+  /// open-addressing tables — one hash lookup per address per batch.
+  /// Witness lists hold the pivots that measured the address not-SBDR, in
+  /// LRU order (back = most recently recorded or consulted): one entry per
+  /// scan or vote that rejected the address, so the lists stay short and
+  /// are the exact-pair negative memo. Bounded by
+  /// plan_config::max_witnesses.
   plan_index idx_;
 
   /// Batch-level root cache: root_stamp_[node] == root_epoch_ means
@@ -273,6 +283,7 @@ class measurement_plan {
     std::vector<double> prior;
     std::vector<double> fast;          ///< single-sample latency results
     std::vector<char> strict;          ///< strict-verify verdicts
+    std::vector<char> verdict;         ///< measure_and_record result
     std::vector<double> expanded_lat;  ///< verify_strict batch latencies
     std::vector<sim::addr_pair> expanded;
     std::vector<unsigned> fresh_counts;

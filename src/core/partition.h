@@ -66,6 +66,7 @@ struct partition_outcome {
   std::uint64_t representative_votes = 0;  ///< single-sample votes cast
   std::uint64_t fallback_votes = 0;  ///< second-representative votes
   unsigned founder_scans = 0;        ///< pivot scans run to open classes
+  unsigned group_founder_scans = 0;  ///< founder scans limited to a group
   /// Addresses assigned on their first, GF(2)-predicted vote or founder
   /// group scan (the knowledge-assisted fast path).
   std::uint64_t predicted_assignments = 0;

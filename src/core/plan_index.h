@@ -17,7 +17,8 @@
 //    is abandoned until clear() — with the plan's LRU cap (max_witnesses)
 //    the leaked space is bounded by the geometric sum, and in exchange
 //    there is no per-address allocation at all;
-//  * an insert-only open-addressing pair-memo table for strict verdicts.
+//  * an insert-only open-addressing pair set holding the strict SBDR
+//    positives (negatives live on the witness lists only).
 //
 // The index is storage only: LRU order, eviction, stats and the derivation
 // rules stay in measurement_plan, which funnels every access through a
@@ -157,33 +158,29 @@ class plan_index {
     witness_arena_[r.wbegin + r.wsize - 1] = v;
   }
 
-  // --- strict-verdict pair memo -------------------------------------------
+  // --- strict-positive pair memo -----------------------------------------
 
-  /// Memoized verdict for the (canonically ordered) pair, or -1 when the
-  /// pair was never recorded.
-  [[nodiscard]] int memo_find(std::uint64_t a, std::uint64_t b) const {
+  /// True when the (canonically ordered) pair is in the memo.
+  [[nodiscard]] bool memo_contains(std::uint64_t a, std::uint64_t b) const {
     std::size_t at = hash_pair(a, b) & memo_mask_;
     while (memo_slots_[at].used) {
       const memo_slot& s = memo_slots_[at];
-      if (s.a == a && s.b == b) return s.val;
+      if (s.a == a && s.b == b) return true;
       at = (at + 1) & memo_mask_;
     }
-    return -1;
+    return false;
   }
 
-  /// Insert or overwrite the pair's verdict.
-  void memo_store(std::uint64_t a, std::uint64_t b, char val) {
+  /// Add the pair unless it is already present.
+  void memo_insert(std::uint64_t a, std::uint64_t b) {
     if ((memo_used_ + 1) * 10 > memo_slots_.size() * 7) grow_memo();
     std::size_t at = hash_pair(a, b) & memo_mask_;
     while (memo_slots_[at].used) {
-      memo_slot& s = memo_slots_[at];
-      if (s.a == a && s.b == b) {
-        s.val = val;
-        return;
-      }
+      const memo_slot& s = memo_slots_[at];
+      if (s.a == a && s.b == b) return;
       at = (at + 1) & memo_mask_;
     }
-    memo_slots_[at] = {a, b, val, 1};
+    memo_slots_[at] = {a, b, true};
     ++memo_used_;
   }
 
@@ -201,8 +198,7 @@ class plan_index {
   struct memo_slot {
     std::uint64_t a = 0;
     std::uint64_t b = 0;
-    char val = 0;
-    char used = 0;
+    bool used = false;
   };
 
   [[nodiscard]] static std::uint64_t hash_addr(std::uint64_t x) noexcept {

@@ -170,7 +170,10 @@ class worker_pool {
     } catch (...) {
       b.errors[i] = std::current_exception();
     }
-    if (b.done.fetch_add(1, std::memory_order_acq_rel) + 1 == b.count) {
+    // Read count before the increment: once the last one lands, the
+    // submitter may return and reuse b's stack slot for its next batch.
+    const std::size_t count = b.count;
+    if (b.done.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
       // Empty critical section: the waiter checks the predicate under the
       // mutex, so acquiring it here closes the missed-wakeup window.
       { std::scoped_lock lock(mutex_); }

@@ -207,8 +207,8 @@ TEST(Classifier, TrueWarmHintMakesEveryFounderScanAGroupScan) {
   const partition_config cfg{};
   const auto out = partition_pool(engine, pool, banks, f.r, cfg);
   expect_sound_partition(out, truth, pool.size(), banks, cfg, "true hint");
-  EXPECT_GT(engine.stats().founder_scans, 0u);
-  EXPECT_EQ(engine.stats().group_founder_scans, engine.stats().founder_scans);
+  EXPECT_GT(out.founder_scans, 0u);
+  EXPECT_EQ(out.group_founder_scans, out.founder_scans);
   EXPECT_TRUE(engine.warm_hint_active());
 }
 
@@ -235,7 +235,7 @@ TEST(Classifier, FlippedWarmHintFailsWithoutFabricatingPiles) {
   EXPECT_FALSE(warm.success);
   EXPECT_TRUE(warm.piles.empty());
   EXPECT_TRUE(engine.classes().empty());
-  EXPECT_EQ(engine.stats().group_founder_scans, engine.stats().founder_scans);
+  EXPECT_EQ(warm.group_founder_scans, warm.founder_scans);
   EXPECT_TRUE(engine.warm_hint_active());
 
   engine.clear();

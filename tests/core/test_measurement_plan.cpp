@@ -88,14 +88,25 @@ TEST(MeasurementPlan, StrictMemoAnswersRepeatedVotes) {
   const auto first = plan.probe_pairs(pairs);
   EXPECT_EQ(first.reused, 0u);
   const std::uint64_t issued = f.env.mach().controller().measurement_count();
+  const std::uint64_t saved = plan.stats().measurements_saved;
   // The memo key is the unordered pair: the same votes in swapped order
-  // answer from it without touching the controller.
+  // answer from it (positives) or from the witness lists (negatives)
+  // without touching the controller.
   std::vector<sim::addr_pair> swapped;
   for (const auto& [a, b] : pairs) swapped.emplace_back(b, a);
   const auto second = plan.probe_pairs(swapped);
   EXPECT_EQ(second.sbdr, first.sbdr);
   EXPECT_EQ(second.reused, pairs.size());
   EXPECT_EQ(f.env.mach().controller().measurement_count(), issued);
+  // Each reused verdict is credited at its in-place cost: the full strict
+  // pass for a positive, one fast sample for a negative.
+  const std::uint64_t positives = static_cast<std::uint64_t>(
+      std::count(first.sbdr.begin(), first.sbdr.end(), 1));
+  const std::uint64_t negatives = pairs.size() - positives;
+  EXPECT_GT(positives, 0u);
+  EXPECT_GT(negatives, 0u);
+  EXPECT_EQ(plan.stats().measurements_saved - saved,
+            positives * f.channel.strict_samples() + negatives);
 }
 
 TEST(MeasurementPlan, ScanSampleReuseSavesOneStrictMeasurementPerMember) {
@@ -155,7 +166,6 @@ TEST(MeasurementPlan, PrescreenRejectsHopelessPivotCheaply) {
   const std::uint64_t spent =
       f.env.mach().controller().measurement_count() - before;
   EXPECT_TRUE(got.prescreen_rejected);
-  EXPECT_EQ(plan.stats().prescreen_rejections, 1u);
   // Far below a full scan (pool fast samples + strict verification).
   EXPECT_LT(spent, partners.size() / 2);
 }
