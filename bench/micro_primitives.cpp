@@ -11,11 +11,13 @@
 // kernel against its portable fallback, and the fleet store's verify and
 // warm-start savings. bench_guard floors them (bench/floors.json).
 // Flags: --smoke (skip the google-benchmark suite, shrink the batches for
-// CI), --out=PATH (default BENCH_micro.json).
+// CI), --out=PATH (default BENCH_micro.json), plus google-benchmark's own
+// --benchmark_* flags; any other argument exits 2 with usage.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <span>
 #include <string>
@@ -504,13 +506,24 @@ void emit_bench_json(const std::string& path, bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its own --benchmark_* flags out of argv first;
+  // anything left besides ours is a mistake.
+  benchmark::Initialize(&argc, argv);
+  const char* usage =
+      "usage: bench_micro_primitives [--smoke] [--out=PATH] "
+      "[--benchmark_*=...]\n";
   bool smoke = false;
   std::string out = "BENCH_micro.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out = argv[i] + 6;
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
+      out = argv[i] + 6;
+    } else {
+      std::fprintf(stderr, "error: unknown argument '%s'\n%s", argv[i], usage);
+      return 2;
+    }
   }
-  benchmark::Initialize(&argc, argv);
   if (!smoke) benchmark::RunSpecifiedBenchmarks();
   emit_bench_json(out, smoke);
   return 0;

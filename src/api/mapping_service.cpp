@@ -79,6 +79,13 @@ tool_result result_from_verification(core::environment& env,
   return out;
 }
 
+/// The run_hooks abort predicate for a cancellation token (none without
+/// one).
+std::function<bool()> abort_predicate(const cancellation_token* cancel) {
+  if (cancel == nullptr) return {};
+  return [cancel] { return cancel->cancelled(); };
+}
+
 }  // namespace
 
 // --- job_feed ---------------------------------------------------------------
@@ -166,8 +173,7 @@ mapping_service::mapping_service(service_config config)
 void mapping_service::execute_job(const job_spec& job,
                                   const dispatch_plan& plan, job_outcome& out,
                                   std::optional<store::store_entry>& update,
-                                  const mapping_tool::phase_hook& hook,
-                                  cancellation_token* cancel) const {
+                                  const core::run_hooks& hooks) const {
   using kind = dispatch_plan::kind;
   std::vector<store::verification_event> prior_history;
   const char* record_kind = "recovered";
@@ -209,9 +215,11 @@ void mapping_service::execute_job(const job_spec& job,
     // stratification are statements about the same recovering run the
     // bank count came from.
     if (plan.entry->bank_count > 0) {
-      hints.bank_functions = plan.entry->bank_functions;
-      hints.row_bits = plan.entry->row_bits;
-      hints.column_bits = plan.entry->column_bits;
+      if (!plan.entry->bank_functions.empty()) {
+        hints.prior = core::mapping_prior{plan.entry->bank_functions,
+                                          plan.entry->row_bits,
+                                          plan.entry->column_bits};
+      }
       hints.bank_count = plan.entry->bank_count;
       hints.threshold_ns = plan.entry->threshold_ns;
     }
@@ -224,14 +232,10 @@ void mapping_service::execute_job(const job_spec& job,
   }
 
   core::environment env(job.machine, job.seed);
-  const auto tool = make_tool(job.tool, options);
-  if (cancel != nullptr) {
-    // Tools with internal abort points (DRAMA's trial loop) stop at the
-    // next boundary once the token flips; their outcome reports
-    // "aborted" and the job still completes normally.
-    tool->bind_abort([cancel] { return cancel->cancelled(); });
-  }
-  out.result = tool->run(env, hook);
+  // Tools with internal abort points stop at the next boundary once the
+  // token flips; their outcome reports "aborted" and the job still
+  // completes normally.
+  out.result = make_tool(job.tool, options)->run(env, hooks);
   out.state = job_state::completed;
 
   if (plan.decision != kind::none && out.result.success &&
@@ -245,10 +249,9 @@ template <class OnStart>
 void mapping_service::run_job(const job_spec& job, const dispatch_plan* plan,
                               job_outcome& out,
                               std::optional<store::store_entry>& update,
-                              const mapping_tool::phase_hook& hook,
-                              cancellation_token* cancel,
+                              const core::run_hooks& hooks,
                               OnStart&& on_start) const {
-  if (cancel != nullptr && cancel->cancelled()) {
+  if (hooks.abort_requested()) {
     out.state = job_state::cancelled;
     out.result.tool = job.tool;
     out.result.outcome = "cancelled";
@@ -262,7 +265,7 @@ void mapping_service::run_job(const job_spec& job, const dispatch_plan* plan,
     plan = &live.emplace(dispatch_plan::consult(job, config_.store));
   }
   try {
-    execute_job(job, *plan, out, update, hook, cancel);
+    execute_job(job, *plan, out, update, hooks);
   } catch (const std::exception& e) {
     out.state = job_state::failed;
     out.result.tool = job.tool;
@@ -336,14 +339,16 @@ std::vector<job_outcome> mapping_service::run(
           const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= jobs.size()) return;
           const job_spec& job = jobs[i];
-          mapping_tool::phase_hook hook;
+          core::run_hooks hooks{.on_phase = {},
+                                .should_abort = abort_predicate(cancel)};
           if (observer != nullptr) {
-            hook = [&notify, &observer, i](std::string_view phase,
-                                           const core::phase_stats& delta) {
+            hooks.on_phase = [&notify, &observer, i](
+                                 std::string_view phase,
+                                 const core::phase_stats& delta) {
               notify([&] { observer->on_job_phase(i, phase, delta); });
             };
           }
-          run_job(job, &plans[i], outcomes[i], updates[i], hook, cancel, [&] {
+          run_job(job, &plans[i], outcomes[i], updates[i], hooks, [&] {
             notify([&] { observer->on_job_start(i, job); });
           });
           notify([&] { observer->on_job_done(i, outcomes[i]); });
@@ -364,6 +369,8 @@ std::size_t mapping_service::serve(job_feed& feed, const result_sink& sink,
   std::mutex sink_mutex;
   std::atomic<std::size_t> served{0};
   std::atomic<std::size_t> claim_seq{0};
+  const core::run_hooks hooks{.on_phase = {},
+                              .should_abort = abort_predicate(cancel)};
 
   parallel_for_shards(workers, workers, [&](const shard&) {
     while (std::optional<job_feed::item> item = feed.pop()) {
@@ -378,7 +385,7 @@ std::size_t mapping_service::serve(job_feed& feed, const result_sink& sink,
       // and the update (plus save) lands before the next claim of the same
       // fingerprint on this worker.
       std::optional<store::store_entry> update;
-      run_job(record.job, nullptr, out, update, {}, cancel, [] {});
+      run_job(record.job, nullptr, out, update, hooks, [] {});
       if (update) persist({&update, 1});
       {
         json_writer w;

@@ -87,12 +87,13 @@ class progress_observer {
 };
 
 /// Cooperative cancellation: flip once, observed by workers before each
-/// job claim, and bound into every tool's abort predicate. Pending jobs
-/// never start; a running job with internal abort points (DRAMA polls
-/// between trials) stops at its next boundary and completes with outcome
-/// "aborted", letting a driver kill a hopeless unit before its 2-hour
-/// budget expires; tools without abort points (DRAMDig/Xiao, minutes-
-/// scale) run to completion.
+/// job claim, and passed to every tool's run() as its abort predicate
+/// (core::run_hooks::should_abort). Pending jobs never start; a running
+/// job with internal abort points (DRAMA polls between trials, Xiao at
+/// stage boundaries and per scanned bit) stops at its next boundary and
+/// completes with outcome "aborted", letting a driver kill a hopeless unit
+/// before its budget expires; DRAMDig (minutes-scale, no abort points)
+/// runs to completion.
 class cancellation_token {
  public:
   void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
@@ -201,18 +202,17 @@ class mapping_service {
   void execute_job(const job_spec& job, const dispatch_plan& plan,
                    job_outcome& out,
                    std::optional<store::store_entry>& update,
-                   const mapping_tool::phase_hook& hook,
-                   cancellation_token* cancel) const;
-  /// The per-job body run() and serve() share. A set token marks the job
-  /// cancelled without running it. Otherwise the job is marked running,
+                   const core::run_hooks& hooks) const;
+  /// The per-job body run() and serve() share. When `hooks` already
+  /// request an abort the job is marked cancelled without running.
+  /// Otherwise the job is marked running,
   /// `on_start` fires, and the job runs under the wall clock — a null
   /// `plan` consults the live store inside the timed span (serve()) — and
   /// a throw marks the job failed and drops its store update.
   template <class OnStart>
   void run_job(const job_spec& job, const dispatch_plan* plan,
                job_outcome& out, std::optional<store::store_entry>& update,
-               const mapping_tool::phase_hook& hook,
-               cancellation_token* cancel, OnStart&& on_start) const;
+               const core::run_hooks& hooks, OnStart&& on_start) const;
   /// Put every engaged update into the store, then save() it; a failed
   /// save logs a warning. No-op without a store.
   void persist(std::span<std::optional<store::store_entry>> updates) const;

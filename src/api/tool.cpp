@@ -10,19 +10,6 @@ namespace dramdig::api {
 
 namespace {
 
-/// Forward one phase event to up to two consumers (a config-supplied hook
-/// plus the run() caller's hook).
-core::phase_callback chain(core::phase_callback first,
-                           const mapping_tool::phase_hook& second) {
-  if (!first) return second;
-  if (!second) return first;
-  return [first = std::move(first), second](std::string_view phase,
-                                            const core::phase_stats& delta) {
-    first(phase, delta);
-    second(phase, delta);
-  };
-}
-
 /// Access deltas are metered per run so a result is comparable whether the
 /// environment is fresh (service jobs) or reused (a REPL-style driver).
 class access_meter {
@@ -48,11 +35,10 @@ class dramdig_adapter final : public mapping_tool {
   }
 
   [[nodiscard]] tool_result run(core::environment& env,
-                                const phase_hook& hook) override {
-    core::dramdig_config cfg = options_.dramdig();
-    cfg.on_phase = chain(cfg.on_phase, hook);
+                                const core::run_hooks& hooks) override {
     access_meter accesses(env);
-    const core::dramdig_report report = core::dramdig_tool(env, cfg).run();
+    const core::dramdig_report report =
+        core::dramdig_tool(env, options_.dramdig()).run(hooks);
 
     tool_result out;
     out.tool = "dramdig";
@@ -101,29 +87,14 @@ class drama_adapter final : public mapping_tool {
             "blind clustering + XOR brute force with trial agreement"};
   }
 
-  void bind_abort(std::function<bool()> should_abort) override {
-    abort_ = std::move(should_abort);
-  }
-
   [[nodiscard]] tool_result run(core::environment& env,
-                                const phase_hook& hook) override {
-    baselines::drama_config cfg = options_.drama();
-    // Per-trial events stream to both the config's own consumer and the
-    // service observer; the terminal "trials" record stays in the phases
-    // list, so observers summing event deltas still see the exact totals.
-    cfg.on_phase = chain(cfg.on_phase, hook);
-    if (abort_) {
-      if (auto existing = std::move(cfg.should_abort); existing) {
-        cfg.should_abort = [existing = std::move(existing), this] {
-          return existing() || abort_();
-        };
-      } else {
-        cfg.should_abort = abort_;
-      }
-    }
+                                const core::run_hooks& hooks) override {
+    // Per-trial events stream to the hook; the terminal "trials" record
+    // stays in the phases list, so observers summing event deltas still
+    // see the exact totals.
     access_meter accesses(env);
     const baselines::drama_report report =
-        baselines::drama_tool(env, cfg).run();
+        baselines::drama_tool(env, options_.drama()).run(hooks);
 
     tool_result out;
     out.tool = "drama";
@@ -157,7 +128,6 @@ class drama_adapter final : public mapping_tool {
 
  private:
   tool_options options_;
-  std::function<bool()> abort_;
 };
 
 class xiao_adapter final : public mapping_tool {
@@ -169,30 +139,14 @@ class xiao_adapter final : public mapping_tool {
             "verified microarchitecture templates + stride scan"};
   }
 
-  void bind_abort(std::function<bool()> should_abort) override {
-    abort_ = std::move(should_abort);
-  }
-
   [[nodiscard]] tool_result run(core::environment& env,
-                                const phase_hook& hook) override {
-    baselines::xiao_config cfg = options_.xiao();
-    // Per-stage events stream to both the config's own consumer and the
-    // service observer; the terminal "scan" record stays in the phases
-    // list, so terminal-result consumers keep the old one-line summary
-    // while live observers see the stage-by-stage deltas.
-    cfg.on_phase = chain(cfg.on_phase, hook);
-    if (abort_) {
-      if (auto existing = std::move(cfg.should_abort); existing) {
-        cfg.should_abort = [existing = std::move(existing), this] {
-          return existing() || abort_();
-        };
-      } else {
-        cfg.should_abort = abort_;
-      }
-    }
+                                const core::run_hooks& hooks) override {
+    // Per-stage events stream to the hook; the terminal "scan" record
+    // stays in the phases list, so terminal-result consumers keep the
+    // one-line summary while live observers see the stage-by-stage deltas.
     access_meter accesses(env);
     const baselines::xiao_report report =
-        baselines::xiao_tool(env, cfg).run();
+        baselines::xiao_tool(env, options_.xiao()).run(hooks);
 
     tool_result out;
     out.tool = "xiao";
@@ -219,7 +173,6 @@ class xiao_adapter final : public mapping_tool {
 
  private:
   tool_options options_;
-  std::function<bool()> abort_;
 };
 
 }  // namespace

@@ -6,9 +6,9 @@
 // and Xiao et al.; Knock-Knock-style platforms go further and make the
 // recovery method a pluggable strategy. This header is that seam:
 //
-//   * `mapping_tool`   — describe() + run(environment&) returning a
-//                        `tool_result`, the one result schema every driver
-//                        (bench, example, CI, service) consumes;
+//   * `mapping_tool`   — describe() + run(environment&, run_hooks) returning
+//                        a `tool_result`, the one result schema every
+//                        driver (bench, example, CI, service) consumes;
 //   * `tool_options`   — a validated builder carrying the per-tool configs
 //                        a job may need (bad configs throw at set time, not
 //                        inside a worker thread);
@@ -155,26 +155,19 @@ class tool_options {
 /// timing channel and the simulated OS, like every concrete tool does.
 class mapping_tool {
  public:
-  /// Per-phase progress events, streamed while run() executes (same
-  /// signature as core::phase_callback; tools without internal phases emit
-  /// a single terminal event).
-  using phase_hook = core::phase_callback;
-
   virtual ~mapping_tool() = default;
 
-  /// Install a cooperative abort predicate before run(). Tools with
-  /// internal abort points poll it and stop early (DRAMA checks between
-  /// trials and reports outcome "aborted"); the default implementation
-  /// ignores it — DRAMDig/Xiao runs are minutes-scale and complete. The
-  /// mapping_service binds its cancellation token here so flipping the
-  /// token also stops running jobs at their next abort point.
-  virtual void bind_abort(std::function<bool()> /*should_abort*/) {}
-
   [[nodiscard]] virtual tool_description describe() const = 0;
+  /// `hooks` are the per-run inputs, passed straight to the tool's own
+  /// run(): phase events stream to `on_phase` while the run executes, and
+  /// tools with abort points poll `should_abort` and stop early with
+  /// outcome "aborted" (DRAMA between trials, Xiao at stage boundaries and
+  /// per scanned bit; DRAMDig has none and completes). The mapping_service
+  /// passes its observer hook and cancellation token here.
   [[nodiscard]] virtual tool_result run(core::environment& env,
-                                        const phase_hook& hook) = 0;
+                                        const core::run_hooks& hooks) = 0;
   [[nodiscard]] tool_result run(core::environment& env) {
-    return run(env, phase_hook{});
+    return run(env, {});
   }
 };
 

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -57,18 +56,6 @@ struct drama_config {
   /// tool's behaviour; bench/ablation_knowledge reports this arm.
   bool use_nullspace = false;
   std::uint64_t tool_seed = 1;
-  /// Per-trial progress events: one "trial" event per completed trial with
-  /// that trial's clock/measurement delta (the trials are where every
-  /// measurement happens, so the deltas sum to the run's totals). The
-  /// drama adapter chains the mapping_service observer hook in here, so a
-  /// driver can watch a hopeless unit live instead of reading one terminal
-  /// event after the 2-hour budget expires.
-  core::phase_callback on_phase{};
-  /// Cooperative abort: polled before each trial; when it returns true the
-  /// run stops at that trial boundary with report.aborted set. The
-  /// mapping_service binds its cancellation token here, which is what lets
-  /// a driver kill a no-agreement unit early.
-  std::function<bool()> should_abort{};
 };
 
 struct drama_trial {
@@ -81,7 +68,7 @@ struct drama_trial {
 struct drama_report {
   bool completed = false;  ///< two consecutive agreeing valid trials
   bool timed_out = false;
-  bool aborted = false;    ///< stopped by drama_config::should_abort
+  bool aborted = false;    ///< stopped by run_hooks::should_abort
   std::optional<dram::address_mapping> mapping;  ///< best-effort hypothesis
   std::vector<std::uint64_t> functions;
   unsigned trials_run = 0;
@@ -98,7 +85,14 @@ class drama_tool {
  public:
   explicit drama_tool(core::environment& env, drama_config config = {});
 
-  [[nodiscard]] drama_report run();
+  /// Run trials until two consecutive valid ones agree, the budget
+  /// expires, or `hooks.should_abort` (polled before each trial) returns
+  /// true. `hooks.on_phase` gets one "trial" event per completed trial with
+  /// that trial's clock/measurement delta (the trials are where every
+  /// measurement happens, so the deltas sum to the run's totals) — a driver
+  /// can watch a hopeless unit live and kill it early instead of reading
+  /// one terminal event after the 2-hour budget expires.
+  [[nodiscard]] drama_report run(const core::run_hooks& hooks = {});
 
  private:
   core::environment& env_;

@@ -36,15 +36,15 @@ std::optional<dram::address_mapping> lookup_template(
 
 /// Detect row-only bits with single-bit flips (same technique as
 /// DRAMDig's Step 1 — the paper notes DRAMDig uses "the same approach as
-/// the work [14]", i.e. this tool). Stops at the current bit when `abort`
-/// fires; the caller re-checks and reports the abort.
+/// the work [14]", i.e. this tool). Stops at the current bit when the
+/// hooks request an abort; the caller re-checks and reports the abort.
 std::vector<unsigned> scan_row_bits(timing::channel& channel,
                                     const os::mapping_region& buffer,
                                     unsigned address_bits, rng& r,
-                                    const std::function<bool()>& abort) {
+                                    const core::run_hooks& hooks) {
   std::vector<unsigned> rows;
   for (unsigned b = 6; b < address_bits; ++b) {
-    if (abort && abort()) break;
+    if (hooks.abort_requested()) break;
     unsigned high = 0, cast = 0;
     for (unsigned v = 0; v < 5; ++v) {
       const auto pair =
@@ -71,7 +71,7 @@ bool xiao_supports(const dram::machine_spec& spec) {
 xiao_tool::xiao_tool(core::environment& env, xiao_config config)
     : env_(env), config_(std::move(config)) {}
 
-xiao_report xiao_tool::run() {
+xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   auto& mc = env_.mach().controller();
   xiao_report report;
   rng r(env_.seed() ^ (config_.tool_seed * 0x1A0Bu + 0x5D2Eu));
@@ -88,16 +88,13 @@ xiao_report xiao_tool::run() {
   const auto emit = [&](std::string_view stage) {
     const std::uint64_t now = mc.clock().now_ns();
     const std::uint64_t m = mc.measurement_count();
-    if (config_.on_phase) {
-      config_.on_phase(stage, {.seconds = mc.clock().seconds_since(phase_t),
-                               .measurements = m - phase_m,
-                               .pairs_used = 0});
+    if (hooks.on_phase) {
+      hooks.on_phase(stage, {.seconds = mc.clock().seconds_since(phase_t),
+                             .measurements = m - phase_m,
+                             .pairs_used = 0});
     }
     phase_t = now;
     phase_m = m;
-  };
-  const auto abort_requested = [&] {
-    return config_.should_abort && config_.should_abort();
   };
   const auto finish_aborted = [&] {
     report.aborted = true;
@@ -121,7 +118,7 @@ xiao_report xiao_tool::run() {
       r.fork());
   channel.calibrate(core::sample_addresses(buffer, 1024, r));
   emit("calibration");
-  if (abort_requested()) return finish_aborted();
+  if (hooks.abort_requested()) return finish_aborted();
 
   // --- Template path -------------------------------------------------------
   // Verification is stratified: half the checks are pairs the template
@@ -160,7 +157,7 @@ xiao_report xiao_tool::run() {
       if (channel.is_sbdr(a, b) == predicted) ++agree;
     }
     emit("template");
-    if (abort_requested()) return finish_aborted();
+    if (hooks.abort_requested()) return finish_aborted();
     if (cast >= config_.verification_pairs / 4 &&
         static_cast<double>(agree) >= config_.verification_agreement *
                                           static_cast<double>(cast)) {
@@ -177,9 +174,9 @@ xiao_report xiao_tool::run() {
 
   // --- Generic stride scan --------------------------------------------------
   const std::vector<unsigned> rows =
-      scan_row_bits(channel, buffer, address_bits, r, config_.should_abort);
+      scan_row_bits(channel, buffer, address_bits, r, hooks);
   emit("row-scan");
-  if (abort_requested()) return finish_aborted();
+  if (hooks.abort_requested()) return finish_aborted();
   if (rows.empty()) {
     report.note = "no row bits found";
     report.stalled = true;
@@ -194,7 +191,7 @@ xiao_report xiao_tool::run() {
   // out column behaviour) stays fast => the bit feeds a bank function.
   std::vector<unsigned> bankish;
   for (unsigned b = 6; b < address_bits; ++b) {
-    if (abort_requested()) break;
+    if (hooks.abort_requested()) break;
     if (row_set.contains(b)) continue;
     const auto pair = core::pick_pair_with_delta(
         buffer, row_ref | (std::uint64_t{1} << b), r);
@@ -203,14 +200,14 @@ xiao_report xiao_tool::run() {
     }
   }
   emit("bit-scan");
-  if (abort_requested()) return finish_aborted();
+  if (hooks.abort_requested()) return finish_aborted();
 
   // Stride pairs: (i, i+k) is a function when flipping both (with a row
   // flip on top) restores the bank.
   std::vector<std::uint64_t> found;
   for (unsigned k : config_.scan_strides) {
     for (unsigned i : bankish) {
-      if (abort_requested()) break;
+      if (hooks.abort_requested()) break;
       const unsigned j = i + k;
       if (j >= address_bits) continue;
       const std::uint64_t func =
@@ -238,7 +235,7 @@ xiao_report xiao_tool::run() {
   }
   report.resolved_functions = found;
   emit("stride-scan");
-  if (abort_requested()) return finish_aborted();
+  if (hooks.abort_requested()) return finish_aborted();
 
   const unsigned want = log2_exact(env_.spec().total_banks());
   if (found.size() < want) {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,25 +32,12 @@ struct xiao_config {
   std::vector<unsigned> scan_strides{2, 3, 4};
   double stall_timeout_seconds = 1800.0;  ///< give up "stuck" after 30 min
   std::uint64_t tool_seed = 1;
-  /// Per-stage progress events, DRAMA-style: one event per completed stage
-  /// ("calibration", "template", "row-scan", "bit-scan", "stride-scan",
-  /// and "stall" when the stall budget is charged) carrying that stage's
-  /// clock/measurement delta — the deltas sum to the run's totals. The
-  /// xiao adapter chains the mapping_service observer hook in here, so a
-  /// driver can watch an off-template unit crawl through its scan instead
-  /// of reading one terminal event after the 30-minute stall.
-  core::phase_callback on_phase{};
-  /// Cooperative abort: polled at stage boundaries and per bit inside the
-  /// scan loops; when it returns true the run stops there with
-  /// report.aborted set. The mapping_service binds its cancellation token
-  /// here, which is what lets a driver kill a stalling unit early.
-  std::function<bool()> should_abort{};
 };
 
 struct xiao_report {
   bool success = false;
   bool stalled = false;  ///< ran out of search space / time
-  bool aborted = false;  ///< stopped by xiao_config::should_abort
+  bool aborted = false;  ///< stopped by run_hooks::should_abort
   std::optional<dram::address_mapping> mapping;
   std::vector<std::uint64_t> resolved_functions;  ///< partial when stalled
   std::string note;
@@ -63,7 +49,15 @@ class xiao_tool {
  public:
   explicit xiao_tool(core::environment& env, xiao_config config = {});
 
-  [[nodiscard]] xiao_report run();
+  /// Run the template path, then the scans. `hooks.on_phase` gets one
+  /// event per completed stage ("calibration", "template", "row-scan",
+  /// "bit-scan", "stride-scan", and "stall" when the stall budget is
+  /// charged) carrying that stage's clock/measurement delta — the deltas
+  /// sum to the run's totals. `hooks.should_abort` is polled at stage
+  /// boundaries and per bit inside the scan loops; when it returns true
+  /// the run stops there with report.aborted set, so a driver can kill a
+  /// stalling unit instead of waiting out the 30-minute stall.
+  [[nodiscard]] xiao_report run(const core::run_hooks& hooks = {});
 
  private:
   core::environment& env_;

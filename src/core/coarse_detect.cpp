@@ -1,6 +1,7 @@
 #include "core/coarse_detect.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/bitops.h"
 #include "util/expect.h"
@@ -10,7 +11,8 @@ namespace dramdig::core {
 
 coarse_result run_coarse_detection(bit_probe_engine& probe,
                                    const domain_knowledge& knowledge, rng& r,
-                                   const coarse_config& config) {
+                                   const coarse_config& config,
+                                   const mapping_prior* prior) {
   DRAMDIG_EXPECTS(probe.plan().channel().calibrated());
   coarse_result result;
 
@@ -21,10 +23,10 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
   // claim cannot settle get no prior, and every prior is still confirmed
   // by a strict-grade vote before it decides (bit_probe prior rules).
   std::uint64_t func_union = 0, prior_rows = 0, prior_cols = 0;
-  if (config.prior) {
-    for (const std::uint64_t f : config.prior->bank_functions) func_union |= f;
-    prior_rows = mask_of_bits(config.prior->row_bits);
-    prior_cols = mask_of_bits(config.prior->column_bits);
+  if (prior) {
+    for (const std::uint64_t f : prior->bank_functions) func_union |= f;
+    prior_rows = mask_of_bits(prior->row_bits);
+    prior_cols = mask_of_bits(prior->column_bits);
   }
 
   // --- Row pass: single-bit deltas, one engine run. ----------------------
@@ -37,7 +39,7 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
   for (unsigned b = knowledge.min_probe_bit; b < knowledge.address_bits; ++b) {
     probed.push_back(b);
     deltas.push_back(std::uint64_t{1} << b);
-    if (config.prior) {
+    if (prior) {
       const std::uint64_t bit = std::uint64_t{1} << b;
       if ((prior_rows & bit) != 0 && (func_union & bit) == 0) {
         priors.emplace_back(true);
@@ -77,12 +79,12 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
   // Column-pass priors only make sense when the claim agrees that the
   // reference bit is row-only — otherwise the claimed verdict of
   // (row_ref, b) deltas is not the column question.
-  const bool ref_row_only = config.prior &&
+  const bool ref_row_only = prior &&
                             (prior_rows >> row_ref & 1) != 0 &&
                             (func_union >> row_ref & 1) == 0;
   for (unsigned b : non_row) {
     deltas.push_back((std::uint64_t{1} << row_ref) | (std::uint64_t{1} << b));
-    if (config.prior) {
+    if (prior) {
       const std::uint64_t bit = std::uint64_t{1} << b;
       if (!ref_row_only) {
         priors.emplace_back(std::nullopt);
@@ -118,20 +120,13 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
   return result;
 }
 
-coarse_result run_coarse_detection(measurement_plan& plan,
-                                   const os::mapping_region& buffer,
-                                   const domain_knowledge& knowledge, rng& r,
-                                   const coarse_config& config) {
-  bit_probe_engine probe(plan, buffer);
-  return run_coarse_detection(probe, knowledge, r, config);
-}
-
 coarse_result run_coarse_detection(timing::channel& channel,
                                    const os::mapping_region& buffer,
                                    const domain_knowledge& knowledge, rng& r,
                                    const coarse_config& config) {
   measurement_plan plan(channel);
-  return run_coarse_detection(plan, buffer, knowledge, r, config);
+  bit_probe_engine probe(plan, buffer);
+  return run_coarse_detection(probe, knowledge, r, config);
 }
 
 }  // namespace dramdig::core

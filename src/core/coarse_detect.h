@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/bit_probe.h"
@@ -41,8 +40,6 @@ struct mapping_prior {
 struct coarse_config {
   /// Vote/design parameters of the probe engine (7 votes, majority wins).
   probe_config probe{};
-  /// Sibling evidence seeding per-bit vote priors (empty = cold).
-  std::optional<mapping_prior> prior{};
 };
 
 struct coarse_result {
@@ -54,17 +51,13 @@ struct coarse_result {
 
 /// Run Step 1 through a caller-owned probe engine (shared with fine
 /// detection, so both phases accrete one evidence substrate). Requires a
-/// calibrated channel.
+/// calibrated channel. `prior` is sibling evidence seeding per-bit vote
+/// priors (null = cold).
 [[nodiscard]] coarse_result run_coarse_detection(
     bit_probe_engine& probe, const domain_knowledge& knowledge, rng& r,
-    const coarse_config& config = {});
+    const coarse_config& config = {}, const mapping_prior* prior = nullptr);
 
-/// Convenience overload with a call-local engine over `plan`.
-[[nodiscard]] coarse_result run_coarse_detection(
-    measurement_plan& plan, const os::mapping_region& buffer,
-    const domain_knowledge& knowledge, rng& r, const coarse_config& config = {});
-
-/// Convenience overload with a call-local plan.
+/// Convenience overload with a call-local plan and engine.
 [[nodiscard]] coarse_result run_coarse_detection(
     timing::channel& channel, const os::mapping_region& buffer,
     const domain_knowledge& knowledge, rng& r, const coarse_config& config = {});

@@ -63,21 +63,13 @@ dramdig_tool::dramdig_tool(environment& env, dramdig_config config)
                   config_.buffer_fraction < 0.95);
 }
 
-dramdig_report dramdig_tool::run() {
+dramdig_report dramdig_tool::run(const run_hooks& hooks) {
   dramdig_report report;
   auto& mc = env_.mach().controller();
   const std::uint64_t t_begin = mc.clock().now_ns();
   const std::uint64_t m_begin = mc.measurement_count();
   rng r(env_.seed() ^ config_.tool_seed * 0x9e3779b97f4a7c15ull);
-  // Fleet warm start, calibration: the sibling threshold authorizes the
-  // channel's prior-validated early stop. The threshold is still computed
-  // from this machine's own samples; a wrong prior never matches the
-  // local estimates and falls through to the normal adaptive schedule.
-  timing::channel_config channel_cfg = config_.channel;
-  if (config_.warm && config_.warm->threshold_ns > 0) {
-    channel_cfg.calibration_prior_ns = config_.warm->threshold_ns;
-  }
-  timing::channel channel(mc, channel_cfg, r.fork());
+  timing::channel channel(mc, config_.channel, r.fork());
   // One measurement-reuse scheduler for the whole run: verdicts accreted
   // in any phase (or any partition attempt of the bank-count sweep) are
   // reused by every later scan. The classification engine sits on top of
@@ -95,11 +87,19 @@ dramdig_report dramdig_tool::run() {
       engine.warm_start(config_.warm->function_span);
     }
   }
+  // Fleet warm start, bit classification: the stored mapping seeds
+  // per-bit vote priors for the coarse passes and the fine confirmations
+  // (null = cold). Advisory per experiment — a disagreeing strict-grade
+  // vote drops the prior for that bit and the standard majority decides;
+  // fine also gates it on span agreement with the detected functions.
+  const mapping_prior* prior =
+      config_.warm && config_.warm->prior ? &*config_.warm->prior : nullptr;
+  const unsigned warm_banks = config_.warm ? config_.warm->bank_count : 0;
   // Every phase occurrence is published through one event stream (the Fig. 2
   // decomposition): observers wired in by the mapping_service see the run
   // live; without a hook the events fall back to info-level narration.
   const phase_callback notify =
-      config_.on_phase ? config_.on_phase : phase_callback(log_phase_event);
+      hooks.on_phase ? hooks.on_phase : phase_callback(log_phase_event);
   // The designed-experiment engine behind the coarse and fine phases: one
   // engine per run so both phases vote on one evidence substrate. Its
   // per-round progress streams through the phase-event observer when one
@@ -108,14 +108,14 @@ dramdig_report dramdig_tool::run() {
   std::optional<bit_probe_engine> probe;
   const auto wire_probe = [&](const os::mapping_region& region) {
     probe.emplace(plan, region);
-    if (config_.on_phase) {
+    if (hooks.on_phase) {
       probe->set_round_hook([&](const probe_round_event& e) {
         char name[64];
         std::snprintf(name, sizeof name, "probe:%.*s",
                       static_cast<int>(e.stage.size()), e.stage.data());
         phase_stats delta;
         delta.pairs_used = e.votes;
-        config_.on_phase(name, delta);
+        hooks.on_phase(name, delta);
       });
     }
   };
@@ -140,29 +140,22 @@ dramdig_report dramdig_tool::run() {
   {
     phase_meter meter(mc, report.calibration, "calibration", notify);
     const auto pool = sample_addresses(buffer, 2048, r);
-    report.threshold_ns = channel.calibrate(pool);
+    // Fleet warm start: the sibling threshold authorizes the channel's
+    // prior-validated early stop (0 = none). The threshold is still
+    // computed from this machine's own samples.
+    report.threshold_ns = channel.calibrate(
+        pool, config_.warm ? config_.warm->threshold_ns : 0.0);
     report.calibration.pairs_used = channel.calibration_pairs_used();
   }
   log_info("dramdig: threshold " + std::to_string(report.threshold_ns) + "ns");
 
   // --- Step 1: coarse detection --------------------------------------------
   wire_probe(buffer);
-  // Fleet warm start, bit classification: the stored mapping seeds
-  // per-bit vote priors for the coarse passes (and later fine
-  // confirmations). Advisory per experiment — a disagreeing strict-grade
-  // vote drops the prior for that bit and the standard majority decides.
-  coarse_config coarse_cfg = config_.coarse;
-  if (config_.warm && !config_.warm->bank_functions.empty()) {
-    coarse_cfg.prior = mapping_prior{config_.warm->bank_functions,
-                                     config_.warm->row_bits,
-                                     config_.warm->column_bits};
-  }
   coarse_result coarse;
   {
     phase_meter meter(mc, report.coarse, "coarse", notify);
-    coarse = run_coarse_detection(*probe, knowledge, r, coarse_cfg);
+    coarse = run_coarse_detection(*probe, knowledge, r, config_.coarse, prior);
   }
-  report.coarse_detail = coarse;
   if (coarse.row_bits.empty() || coarse.bank_bits.empty()) {
     report.failure_reason = "coarse detection found no usable partition of bits";
     finish();
@@ -198,10 +191,9 @@ dramdig_report dramdig_tool::run() {
     // failed partition/function round just falls through to the next
     // candidate).
     bank_count_candidates = {64, 32, 16, 8};
-    if (config_.warm && config_.warm->bank_count > 0) {
-      const auto hint =
-          std::find(bank_count_candidates.begin(), bank_count_candidates.end(),
-                    config_.warm->bank_count);
+    if (warm_banks > 0) {
+      const auto hint = std::find(bank_count_candidates.begin(),
+                                  bank_count_candidates.end(), warm_banks);
       if (hint != bank_count_candidates.end()) {
         std::rotate(bank_count_candidates.begin(), hint, hint + 1);
       }
@@ -237,16 +229,13 @@ dramdig_report dramdig_tool::run() {
   // function resolution is known to survive it; the cap bounds how
   // aggressive the cut gets on the 16k-address pools.
   bool pool_subsampled = false;
-  if (config_.warm && !config_.warm->bank_functions.empty() &&
-      config_.warm->bank_count > 0 &&
-      config_.warm->bank_functions.size() < 32 &&
-      (std::size_t{1} << config_.warm->bank_functions.size()) ==
-          config_.warm->bank_count &&
-      pool.size() / config_.warm->bank_count >= 2 * 8) {
-    const std::size_t kWarmQuota = std::clamp<std::size_t>(
-        pool.size() / config_.warm->bank_count / 2, 8, 64);
-    const std::vector<std::uint64_t>& funcs = config_.warm->bank_functions;
-    std::vector<std::vector<std::uint64_t>> strata(config_.warm->bank_count);
+  if (prior != nullptr && prior->bank_functions.size() < 32 &&
+      (std::size_t{1} << prior->bank_functions.size()) == warm_banks &&
+      pool.size() / warm_banks >= 2 * 8) {
+    const std::size_t kWarmQuota =
+        std::clamp<std::size_t>(pool.size() / warm_banks / 2, 8, 64);
+    const std::vector<std::uint64_t>& funcs = prior->bank_functions;
+    std::vector<std::vector<std::uint64_t>> strata(warm_banks);
     for (const std::uint64_t a : pool) strata[bank_id(a, funcs)].push_back(a);
     bool quorate = true;
     for (const auto& s : strata) quorate = quorate && s.size() >= kWarmQuota;
@@ -329,22 +318,13 @@ dramdig_report dramdig_tool::run() {
   }
   report.pile_count = partition.piles.size();
   report.assumed_bank_count = assumed_banks;
-  report.bank_functions = functions.functions;
 
   // --- Step 3: fine-grained detection --------------------------------------
   fine_outcome fine;
-  fine_config fine_cfg = config_.fine;
-  if (config_.warm && !config_.warm->bank_functions.empty()) {
-    // Fine gates the prior itself on span agreement with the detected
-    // functions, so a refuted warm claim never reaches its probes.
-    fine_cfg.prior = mapping_prior{config_.warm->bank_functions,
-                                   config_.warm->row_bits,
-                                   config_.warm->column_bits};
-  }
   if (config_.use_spec_counts) {
     phase_meter meter(mc, report.fine, "fine", notify);
     fine = run_fine_detection(*probe, knowledge, coarse, functions.functions,
-                              r, fine_cfg);
+                              r, config_.fine, prior);
   } else {
     // Spec-count ablation: no way to know how many shared bits remain; the
     // coarse classification is all the tool can report.
@@ -352,7 +332,6 @@ dramdig_report dramdig_tool::run() {
     fine.column_bits = coarse.column_bits;
     fine.counts_satisfied = false;
   }
-  report.fine_detail = fine;
 
   // --- Assemble + validate --------------------------------------------------
   dram::address_mapping hypothesis(functions.functions, fine.row_bits,

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,14 +62,12 @@ struct dramdig_config {
   /// retry), and a failed attempt retries cold — so a wrong hint can cost
   /// measurements but never the recovered mapping.
   struct warm_hints {
-    gf2::matrix function_span;        ///< claimed bank-function span basis
-    std::size_t expected_pool = 0;    ///< selection-pool size evidence
-    // --- evidence prior (zero/empty on v1-era store entries) ---
-    std::vector<std::uint64_t> bank_functions;  ///< claimed XOR masks
-    std::vector<unsigned> row_bits;             ///< claimed row set
-    std::vector<unsigned> column_bits;          ///< claimed column set
-    unsigned bank_count = 0;                    ///< claimed bank count
-    double threshold_ns = 0.0;                  ///< sibling threshold
+    gf2::matrix function_span;      ///< claimed bank-function span basis
+    std::size_t expected_pool = 0;  ///< selection-pool size evidence
+    // --- evidence prior (absent/zero on v1-era store entries) ---
+    std::optional<mapping_prior> prior;  ///< claimed functions, rows, cols
+    unsigned bank_count = 0;             ///< claimed bank count
+    double threshold_ns = 0.0;           ///< sibling threshold
   };
   std::optional<warm_hints> warm{};
   /// Ablation switches: without system information the tool must guess the
@@ -78,13 +75,6 @@ struct dramdig_config {
   bool use_system_info = true;
   bool use_spec_counts = true;
   std::uint64_t tool_seed = 1;
-  /// Per-phase progress events. When unset, the tool narrates each phase at
-  /// info log level (the timing log examples show); the mapping_service
-  /// installs its own hook here to stream job progress to observers. With a
-  /// hook installed the probe engine's designed rounds stream too, one
-  /// event per cross-bit round ("probe:coarse.row" etc., vote count in
-  /// pairs_used, cost metered by the owning phase event).
-  phase_callback on_phase{};
 };
 
 struct dramdig_report {
@@ -111,9 +101,6 @@ struct dramdig_report {
   unsigned assumed_bank_count = 0;  ///< differs from truth only in ablation
   double threshold_ns = 0.0;
 
-  coarse_result coarse_detail;
-  fine_outcome fine_detail;
-  std::vector<std::uint64_t> bank_functions;
   /// Designed-experiment engine activity across the coarse and fine
   /// phases: rounds batched, votes cast, votes early-terminated, votes
   /// answered from the reuse cache.
@@ -125,7 +112,14 @@ class dramdig_tool {
   explicit dramdig_tool(environment& env, dramdig_config config = {});
 
   /// Run the full pipeline once. Each call maps a fresh buffer.
-  [[nodiscard]] dramdig_report run();
+  ///
+  /// `hooks.on_phase` receives the per-phase progress events; when unset,
+  /// the tool narrates each phase at info log level (the timing log
+  /// examples show). With a hook the probe engine's designed rounds stream
+  /// too, one event per cross-bit round ("probe:coarse.row" etc., vote
+  /// count in pairs_used, cost metered by the owning phase event). The
+  /// pipeline has no abort points, so `hooks.should_abort` is not polled.
+  [[nodiscard]] dramdig_report run(const run_hooks& hooks = {});
 
  private:
   environment& env_;

@@ -32,7 +32,8 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
                                 const domain_knowledge& knowledge,
                                 const coarse_result& coarse,
                                 const std::vector<std::uint64_t>& bank_functions,
-                                rng& r, const fine_config& config) {
+                                rng& r, const fine_config& config,
+                                const mapping_prior* prior) {
   DRAMDIG_EXPECTS(!bank_functions.empty());
   fine_outcome out;
   out.row_bits = coarse.row_bits;
@@ -51,9 +52,9 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
   // row mask.
   std::uint64_t prior_rows = 0;
   const bool prior_usable =
-      config.prior && !config.prior->bank_functions.empty() &&
-      gf2::same_span(bank_functions, config.prior->bank_functions);
-  if (prior_usable) prior_rows = mask_of_bits(config.prior->row_bits);
+      prior && !prior->bank_functions.empty() &&
+      gf2::same_span(bank_functions, prior->bank_functions);
+  if (prior_usable) prior_rows = mask_of_bits(prior->row_bits);
 
   // ---- Shared row bits -------------------------------------------------
   // Candidate = a function's highest bit (the paper: "consider the higher
@@ -196,17 +197,6 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
   return out;
 }
 
-fine_outcome run_fine_detection(measurement_plan& plan,
-                                const os::mapping_region& buffer,
-                                const domain_knowledge& knowledge,
-                                const coarse_result& coarse,
-                                const std::vector<std::uint64_t>& bank_functions,
-                                rng& r, const fine_config& config) {
-  bit_probe_engine probe(plan, buffer);
-  return run_fine_detection(probe, knowledge, coarse, bank_functions, r,
-                            config);
-}
-
 fine_outcome run_fine_detection(timing::channel& channel,
                                 const os::mapping_region& buffer,
                                 const domain_knowledge& knowledge,
@@ -214,7 +204,8 @@ fine_outcome run_fine_detection(timing::channel& channel,
                                 const std::vector<std::uint64_t>& bank_functions,
                                 rng& r, const fine_config& config) {
   measurement_plan plan(channel);
-  return run_fine_detection(plan, buffer, knowledge, coarse, bank_functions, r,
+  bit_probe_engine probe(plan, buffer);
+  return run_fine_detection(probe, knowledge, coarse, bank_functions, r,
                             config);
 }
 

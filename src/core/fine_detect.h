@@ -40,13 +40,6 @@ namespace dramdig::core {
 struct fine_config {
   /// Vote/design parameters of the probe engine (3 votes per candidate).
   probe_config probe{.votes = 3};
-  /// Sibling evidence (fleet warm start): per-candidate confirmation
-  /// probes carry a vote prior predicting whether a row bit rides in the
-  /// bank-invariant delta — but only when the detected functions span the
-  /// same space as the claimed ones (otherwise the claimed row set says
-  /// nothing about this machine's deltas). Advisory as everywhere: a
-  /// disagreeing strict-grade vote drops the prior per experiment.
-  std::optional<mapping_prior> prior{};
 };
 
 struct fine_outcome {
@@ -62,20 +55,21 @@ struct fine_outcome {
 /// Primary interface: candidate confirmations run on the caller's probe
 /// engine (shared with coarse, measuring through the same reuse scheduler
 /// as partition — verdicts accreted anywhere are available here).
+///
+/// `prior` is sibling evidence (fleet warm start; null = cold):
+/// per-candidate confirmation probes carry a vote prior predicting whether
+/// a row bit rides in the bank-invariant delta — but only when the
+/// detected functions span the same space as the claimed ones (otherwise
+/// the claimed row set says nothing about this machine's deltas).
+/// Advisory as everywhere: a disagreeing strict-grade vote drops the prior
+/// per experiment.
 [[nodiscard]] fine_outcome run_fine_detection(
     bit_probe_engine& probe, const domain_knowledge& knowledge,
     const coarse_result& coarse,
     const std::vector<std::uint64_t>& bank_functions, rng& r,
-    const fine_config& config = {});
+    const fine_config& config = {}, const mapping_prior* prior = nullptr);
 
-/// Convenience overload with a call-local engine over `plan`.
-[[nodiscard]] fine_outcome run_fine_detection(
-    measurement_plan& plan, const os::mapping_region& buffer,
-    const domain_knowledge& knowledge, const coarse_result& coarse,
-    const std::vector<std::uint64_t>& bank_functions, rng& r,
-    const fine_config& config = {});
-
-/// Convenience overload with a call-local plan.
+/// Convenience overload with a call-local plan and engine.
 [[nodiscard]] fine_outcome run_fine_detection(
     timing::channel& channel, const os::mapping_region& buffer,
     const domain_knowledge& knowledge, const coarse_result& coarse,

@@ -12,14 +12,6 @@ partition_outcome partition_pool(bank_classifier& engine,
   return engine.partition(std::move(pool), bank_count, r, config);
 }
 
-partition_outcome partition_pool(measurement_plan& plan,
-                                 std::vector<std::uint64_t> pool,
-                                 unsigned bank_count, rng& r,
-                                 const partition_config& config) {
-  bank_classifier engine(plan);
-  return engine.partition(std::move(pool), bank_count, r, config);
-}
-
 partition_outcome partition_pool(timing::channel& channel,
                                  std::vector<std::uint64_t> pool,
                                  unsigned bank_count, rng& r,

@@ -72,17 +72,12 @@ struct partition_outcome {
   std::uint64_t predicted_assignments = 0;
 };
 
-/// Primary interface: scans go through the measurement-reuse scheduler,
-/// which pre-filters partners whose relation the cache already implies and
-/// keeps every verdict for future calls (the plan may be shared across
-/// partition attempts and pipeline stages).
-[[nodiscard]] partition_outcome partition_pool(
-    measurement_plan& plan, std::vector<std::uint64_t> pool,
-    unsigned bank_count, rng& r, const partition_config& config = {});
-
-/// Engine-sharing overload: the classifier's class directory (and its
-/// representatives) survives across calls, so the bank-count sweep's
-/// repeat attempts re-resolve surviving classes without measurements.
+/// Primary interface: scans go through the engine's measurement-reuse
+/// scheduler, which pre-filters partners whose relation the cache already
+/// implies and keeps every verdict for future calls, and the classifier's
+/// class directory (and its representatives) survives across calls, so the
+/// bank-count sweep's repeat attempts re-resolve surviving classes without
+/// measurements.
 [[nodiscard]] partition_outcome partition_pool(
     bank_classifier& engine, std::vector<std::uint64_t> pool,
     unsigned bank_count, rng& r, const partition_config& config = {});

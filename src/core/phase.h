@@ -4,7 +4,7 @@
 // named pipeline stage. DRAMDig emits its six pipeline phases (plus the
 // designed probe rounds), DRAMA emits one event per trial, and the
 // mapping_service forwards all of them to its observers. The types live in
-// this leaf header so a baseline can accept a callback without depending
+// this leaf header so a baseline can accept its run hooks without depending
 // on the DRAMDig pipeline headers.
 #pragma once
 
@@ -32,5 +32,21 @@ struct phase_stats {
 /// so consumers aggregate by name if they want totals.
 using phase_callback =
     std::function<void(std::string_view phase, const phase_stats& delta)>;
+
+/// The per-run inputs every tool's run() takes, kept apart from its config
+/// (a config holds knobs only). The mapping_service passes its observer
+/// hook and its cancellation token here; a direct caller can pass either.
+struct run_hooks {
+  /// Phase progress events, fired as each phase occurrence completes.
+  phase_callback on_phase;
+  /// Cooperative abort, polled at the tool's abort points (DRAMA: before
+  /// each trial; Xiao: at stage boundaries and per bit inside its scans).
+  /// DRAMDig has none and runs to completion.
+  std::function<bool()> should_abort;
+
+  [[nodiscard]] bool abort_requested() const {
+    return should_abort && should_abort();
+  }
+};
 
 }  // namespace dramdig::core

@@ -22,6 +22,14 @@ constexpr double kPriorBand = 0.1;
 constexpr unsigned kPriorMinPairs = 120;
 constexpr std::size_t kPriorChecks = 2;
 
+/// Smallest and largest of the last `k` estimates (requires size >= k).
+std::pair<double, double> last_range(const std::vector<double>& estimates,
+                                     std::size_t k) {
+  const auto [lo, hi] = std::minmax_element(
+      estimates.end() - static_cast<std::ptrdiff_t>(k), estimates.end());
+  return {*lo, *hi};
+}
+
 }  // namespace
 
 channel::channel(sim::memory_controller& controller, channel_config config,
@@ -59,7 +67,8 @@ std::size_t channel::sample_calibration_chunk(
   return pairs;
 }
 
-double channel::calibrate(const std::vector<std::uint64_t>& pool) {
+double channel::calibrate(const std::vector<std::uint64_t>& pool,
+                          double prior_ns) {
   DRAMDIG_EXPECTS(pool.size() >= 2);
   calibration_pairs_used_ = 0;
   // Up to three calibration rounds: a background-load burst can smear the
@@ -70,58 +79,59 @@ double channel::calibrate(const std::vector<std::uint64_t>& pool) {
   for (unsigned round = 0; round < 3; ++round) {
     calibration_samples_.clear();
     calibration_samples_.reserve(config_.calibration_pairs);
-    // Re-estimate the valley after every chunk and stop once the last few
-    // estimates agree within the stability band; the budget
-    // (calibration_pairs) bounds the worst case. A sibling-threshold prior
-    // (fleet warm start) authorizes a lighter schedule: smaller chunks,
-    // earlier first estimate, and a stop as
-    // soon as the local estimates agree with each other AND the prior —
-    // the threshold is still this machine's own valley, the prior only
-    // decides when sampling more pairs stops being informative. A wrong
-    // prior never matches and falls through to the normal schedule.
-    const bool prior = config_.calibration_prior_ns > 0;
-    const std::size_t min_first =
-        prior ? std::min(kPriorMinPairs, config_.calibration_min_pairs)
-              : config_.calibration_min_pairs;
-    const std::size_t chunk = std::max<std::size_t>(
-        1, prior ? std::min(config_.calibration_chunk, kPriorMinPairs / 2)
-                 : config_.calibration_chunk);
-    std::vector<double> estimates;
-    while (calibration_samples_.size() < config_.calibration_pairs) {
-      const std::size_t want = std::min<std::size_t>(
-          chunk, config_.calibration_pairs - calibration_samples_.size());
-      sample_calibration_chunk(pool, want);
-      if (calibration_samples_.size() < min_first) continue;
-      estimates.push_back(valley_threshold(calibration_samples_));
-      if (prior) {
-        if (estimates.size() >= kPriorChecks) {
-          double lo = estimates.back(), hi = estimates.back();
-          for (std::size_t k = estimates.size() - kPriorChecks;
-               k < estimates.size(); ++k) {
-            lo = std::min(lo, estimates[k]);
-            hi = std::max(hi, estimates[k]);
-          }
-          const double band =
-              kPriorBand * std::max(config_.calibration_prior_ns, 1e-9);
+    // Re-estimate the valley every `chunk` pairs from calibration_min_pairs
+    // on and stop once the last few estimates agree within the stability
+    // band; the budget (calibration_pairs) bounds the worst case. A
+    // sibling-threshold prior (fleet warm start) adds a second, lighter
+    // checkpoint schedule — smaller steps, earlier first estimate — that
+    // stops as soon as its estimates agree with each other AND the prior.
+    // The threshold is still this machine's own valley; the prior only
+    // decides when sampling more pairs stops being informative. The two
+    // schedules keep separate estimate lists, so a wrong prior, which
+    // never matches, leaves the normal schedule's stop point (and with it
+    // the pairs drawn and the threshold) exactly as without a prior.
+    const bool prior = prior_ns > 0;
+    const std::size_t budget = config_.calibration_pairs;
+    const std::size_t chunk = std::max(1u, config_.calibration_chunk);
+    const std::size_t prior_min =
+        std::min(kPriorMinPairs, config_.calibration_min_pairs);
+    const std::size_t prior_chunk =
+        std::min<std::size_t>(chunk, kPriorMinPairs / 2);
+    // The k-th checkpoint of a schedule: the first multiple of `step` at or
+    // past `first`, then every `step` pairs, capped at the budget.
+    const auto next_stop = [budget](std::size_t have, std::size_t first,
+                                    std::size_t step) {
+      const std::size_t base = std::max(have + 1, first);
+      return std::min(budget, (base + step - 1) / step * step);
+    };
+    std::vector<double> estimates, prior_estimates;
+    while (calibration_samples_.size() < budget) {
+      const std::size_t have = calibration_samples_.size();
+      const std::size_t normal_at =
+          next_stop(have, config_.calibration_min_pairs, chunk);
+      const std::size_t prior_at =
+          prior ? next_stop(have, prior_min, prior_chunk) : budget;
+      const std::size_t at = std::min(normal_at, prior_at);
+      sample_calibration_chunk(pool, at - have);
+      if (prior && at == prior_at) {
+        prior_estimates.push_back(valley_threshold(calibration_samples_));
+        if (prior_estimates.size() >= kPriorChecks) {
+          const auto [lo, hi] = last_range(prior_estimates, kPriorChecks);
+          const double band = kPriorBand * std::max(prior_ns, 1e-9);
           if (hi - lo <= band &&
-              std::abs(estimates.back() - config_.calibration_prior_ns) <=
-                  band) {
+              std::abs(prior_estimates.back() - prior_ns) <= band) {
             break;  // local estimates confirm the sibling threshold
           }
         }
       }
-      if (calibration_samples_.size() < config_.calibration_min_pairs) {
-        continue;
-      }
-      if (estimates.size() < kStableChecks) continue;
-      double lo = estimates.back(), hi = estimates.back();
-      for (std::size_t k = estimates.size() - kStableChecks;
-           k < estimates.size(); ++k) {
-        lo = std::min(lo, estimates[k]);
-        hi = std::max(hi, estimates[k]);
-      }
-      if (hi - lo <= kStability * std::max(hi, 1e-9)) {
-        break;  // the valley stopped moving: further pairs buy nothing
+      if (at == normal_at) {
+        estimates.push_back(valley_threshold(calibration_samples_));
+        if (estimates.size() >= kStableChecks) {
+          const auto [lo, hi] = last_range(estimates, kStableChecks);
+          if (hi - lo <= kStability * std::max(hi, 1e-9)) {
+            break;  // the valley stopped moving: further pairs buy nothing
+          }
+        }
       }
     }
     threshold_ns_ = valley_threshold(calibration_samples_);

@@ -35,14 +35,6 @@ struct channel_config {
   unsigned calibration_min_pairs = 300;
   /// Pairs sampled per adaptive chunk (one re-estimate per chunk).
   unsigned calibration_chunk = 150;
-  /// Fleet warm start: a threshold recovered on a geometry sibling
-  /// (mapping-store evidence). 0 disables. The threshold itself is ALWAYS
-  /// computed from this machine's own samples — the prior only authorizes
-  /// an earlier stop once a few consecutive local estimates agree both
-  /// with each other and with the prior (see channel::calibrate). A wrong
-  /// prior never matches the local estimates, so it silently falls
-  /// through to the normal adaptive schedule.
-  double calibration_prior_ns = 0.0;
 };
 
 class channel {
@@ -51,7 +43,16 @@ class channel {
 
   /// Calibrate the high/low decision threshold from random pairs drawn
   /// from `pool` (physical addresses). Returns the threshold in ns.
-  double calibrate(const std::vector<std::uint64_t>& pool);
+  ///
+  /// `prior_ns` is a fleet warm start: a threshold recovered on a geometry
+  /// sibling (mapping-store evidence); 0 means none. The threshold itself
+  /// is ALWAYS computed from this machine's own samples — the prior only
+  /// authorizes an earlier stop once a few consecutive local estimates
+  /// agree both with each other and with the prior. A wrong prior never
+  /// matches the local estimates, so it falls through to the normal
+  /// adaptive schedule.
+  double calibrate(const std::vector<std::uint64_t>& pool,
+                   double prior_ns = 0.0);
 
   /// Median-filtered pair latency in ns.
   [[nodiscard]] double latency(std::uint64_t p1, std::uint64_t p2);

@@ -101,6 +101,12 @@ std::optional<std::uint64_t> solve(const matrix& a, std::uint64_t b,
 }
 
 matrix nullspace(const matrix& a, std::uint64_t support_mask) {
+  // The kernel depends only on the row space, so fold the functionals into
+  // a basis first: at most 64 rows survive, one per bit of the column
+  // vectors below (DRAMA's null-space arm passes hundreds of raw
+  // differences).
+  matrix basis;
+  for (const std::uint64_t row : a) reduce_into(basis, row);
   // Columns = support bits; rows = functionals. Compute the kernel by
   // echelonizing the transposed system column by column.
   const std::vector<unsigned> cols = bits_of_mask(support_mask);
@@ -108,8 +114,8 @@ matrix nullspace(const matrix& a, std::uint64_t support_mask) {
   // functional i uses c.
   std::vector<std::uint64_t> colvec(cols.size(), 0);
   for (std::size_t ci = 0; ci < cols.size(); ++ci) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if ((a[i] >> cols[ci]) & 1u) colvec[ci] |= std::uint64_t{1} << i;
+    for (std::size_t i = 0; i < basis.size(); ++i) {
+      if ((basis[i] >> cols[ci]) & 1u) colvec[ci] |= std::uint64_t{1} << i;
     }
   }
   // Track combinations: comb[ci] records which original columns were folded

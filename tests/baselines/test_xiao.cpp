@@ -97,13 +97,14 @@ TEST(Xiao, StreamsPerStagePhaseEventsSummingToTotals) {
   std::vector<std::string> stages;
   double seconds = 0.0;
   std::uint64_t measurements = 0;
-  xiao_config cfg{};
-  cfg.on_phase = [&](std::string_view stage, const core::phase_stats& delta) {
+  core::run_hooks hooks;
+  hooks.on_phase = [&](std::string_view stage,
+                       const core::phase_stats& delta) {
     stages.emplace_back(stage);
     seconds += delta.seconds;
     measurements += delta.measurements;
   };
-  const auto report = xiao_tool(env, cfg).run();
+  const auto report = xiao_tool(env).run(hooks);
   ASSERT_TRUE(report.success);
   ASSERT_EQ(stages, (std::vector<std::string>{"calibration", "template"}));
   EXPECT_EQ(measurements, report.total_measurements);
@@ -118,13 +119,14 @@ TEST(Xiao, OffTemplateScanStagesSumToTotalsIncludingStall) {
   std::vector<std::string> stages;
   double seconds = 0.0;
   std::uint64_t measurements = 0;
-  xiao_config cfg{};
-  cfg.on_phase = [&](std::string_view stage, const core::phase_stats& delta) {
+  core::run_hooks hooks;
+  hooks.on_phase = [&](std::string_view stage,
+                       const core::phase_stats& delta) {
     stages.emplace_back(stage);
     seconds += delta.seconds;
     measurements += delta.measurements;
   };
-  const auto report = xiao_tool(env, cfg).run();
+  const auto report = xiao_tool(env).run(hooks);
   ASSERT_TRUE(report.stalled);
   ASSERT_EQ(stages,
             (std::vector<std::string>{"calibration", "row-scan", "bit-scan",
@@ -138,12 +140,12 @@ TEST(Xiao, AbortStopsStalledScanWellBeforeStallBudget) {
   // kill it after the row scan instead of paying the 30-minute stall.
   core::environment env(dram::machine_by_number(6), 13);
   bool row_scan_done = false;
-  xiao_config cfg{};
-  cfg.on_phase = [&](std::string_view stage, const core::phase_stats&) {
+  core::run_hooks hooks;
+  hooks.on_phase = [&](std::string_view stage, const core::phase_stats&) {
     if (stage == "row-scan") row_scan_done = true;
   };
-  cfg.should_abort = [&] { return row_scan_done; };
-  const auto report = xiao_tool(env, cfg).run();
+  hooks.should_abort = [&] { return row_scan_done; };
+  const auto report = xiao_tool(env).run(hooks);
   EXPECT_TRUE(report.aborted);
   EXPECT_FALSE(report.success);
   EXPECT_FALSE(report.stalled);
@@ -154,9 +156,9 @@ TEST(Xiao, AbortStopsStalledScanWellBeforeStallBudget) {
 
 TEST(Xiao, AbortBeforeAnyWorkReportsAborted) {
   core::environment env(dram::machine_by_number(4), 13);
-  xiao_config cfg{};
-  cfg.should_abort = [] { return true; };
-  const auto report = xiao_tool(env, cfg).run();
+  core::run_hooks hooks;
+  hooks.should_abort = [] { return true; };
+  const auto report = xiao_tool(env).run(hooks);
   EXPECT_TRUE(report.aborted);
   EXPECT_FALSE(report.success);
   EXPECT_FALSE(report.mapping.has_value());

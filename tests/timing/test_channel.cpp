@@ -124,6 +124,25 @@ TEST(Channel, AdaptiveCalibratorStopsEarlyWithSaneThreshold) {
   EXPECT_FALSE(f.ch.is_sbdr(0, 1ull << 6));
 }
 
+TEST(Channel, CalibrationPriorStopsEarlyOnlyWhenConfirmed) {
+  // The fleet warm-start prior: a sibling threshold equal to this
+  // machine's own valley authorizes an earlier stop, while a wrong one
+  // (3x) never matches the local estimates and must leave the normal
+  // schedule untouched — same threshold, same pairs.
+  const auto calibrate = [](double prior_ns) {
+    channel_fixture f(8);
+    const double t = f.ch.calibrate(f.pool(512, 9), prior_ns);
+    return std::pair{t, f.ch.calibration_pairs_used()};
+  };
+  const auto [cold_t, cold_pairs] = calibrate(0.0);
+  const auto [warm_t, warm_pairs] = calibrate(cold_t);
+  EXPECT_LT(warm_pairs, cold_pairs);
+  EXPECT_NEAR(warm_t, cold_t, 0.1 * cold_t);
+  const auto [wrong_t, wrong_pairs] = calibrate(3 * cold_t);
+  EXPECT_EQ(wrong_t, cold_t);
+  EXPECT_EQ(wrong_pairs, cold_pairs);
+}
+
 TEST(Channel, AdaptiveCalibratorSurvivesNoisyProfile) {
   // Contamination widens the histogram; the stability window must not
   // latch a premature threshold that misclassifies ground truth.

@@ -257,6 +257,28 @@ TEST(Gf2NullSpaceProperty, BasisDependsOnlyOnRowSpaceAndSupport) {
   }
 }
 
+TEST(Gf2NullSpaceProperty, MoreRowsThanBitsMatchesTheirBasis) {
+  // DRAMA's null-space arm hands over one row per cluster difference —
+  // about a hundred of them. Every row annihilates three known masks, so
+  // the kernel over the support is exactly their span, whatever the row
+  // count.
+  rng r(77);
+  const std::uint64_t support = ((std::uint64_t{1} << 34) - 1) & ~0x3full;
+  const matrix funcs{fn({6, 13}), fn({14, 17, 20}), fn({15, 18, 33})};
+  matrix a;
+  while (a.size() < 100) {
+    const std::uint64_t v = r.below(support + 1) & support;
+    bool annihilates = true;
+    for (const std::uint64_t f : funcs) {
+      annihilates = annihilates && std::popcount(v & f) % 2 == 0;
+    }
+    if (annihilates) a.push_back(v);
+  }
+  const matrix kernel = nullspace(a, support);
+  EXPECT_EQ(kernel, nullspace(row_echelon(a), support));
+  EXPECT_TRUE(same_span(kernel, funcs));
+}
+
 TEST(Gf2Property, SolveRoundTripOnRandomSystems) {
   rng r(123);
   for (int trial = 0; trial < 100; ++trial) {
