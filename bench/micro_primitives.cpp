@@ -243,7 +243,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
         rng cal(5);
         timing::channel channel(env.mach().controller(),
                                 {.rounds_per_measurement = 1000,
-                                 .samples_per_latency = 3,
                                  .calibration_pairs = 1200},
                                 rng(9));
         channel.calibrate(core::sample_addresses(buffer, 1024, cal));

@@ -239,6 +239,7 @@ tool_options& tool_options::with_dramdig(core::dramdig_config cfg) {
 
 tool_options& tool_options::with_drama(baselines::drama_config cfg) {
   DRAMDIG_EXPECTS(cfg.pool_size >= 64);
+  DRAMDIG_EXPECTS(cfg.rounds_per_measurement >= 1);
   DRAMDIG_EXPECTS(cfg.max_function_bits >= 1);
   drama_ = std::move(cfg);
   return *this;
@@ -246,6 +247,7 @@ tool_options& tool_options::with_drama(baselines::drama_config cfg) {
 
 tool_options& tool_options::with_xiao(baselines::xiao_config cfg) {
   DRAMDIG_EXPECTS(cfg.rounds_per_measurement >= 1);
+  DRAMDIG_EXPECTS(cfg.samples_per_latency >= 1);
   DRAMDIG_EXPECTS(cfg.verification_pairs >= 1);
   xiao_ = std::move(cfg);
   return *this;

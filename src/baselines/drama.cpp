@@ -27,15 +27,10 @@ double drama_threshold(timing::channel& channel,
   std::vector<sim::addr_pair> pairs;
   pairs.reserve(calibration_pairs);
   for (unsigned i = 0; i < calibration_pairs; ++i) {
-    const std::uint64_t a = pool[r.below(pool.size())];
-    const std::uint64_t b = pool[r.below(pool.size())];
-    if (a == b) {
-      --i;
-      continue;
-    }
-    pairs.emplace_back(a, b);
+    pairs.push_back(timing::draw_distinct_pair(pool, r));
   }
-  const std::vector<double> samples = channel.measure_batch(pairs);
+  std::vector<double> samples;
+  channel.measure_batch(pairs, samples);
   histogram h(0.0, 700.0, 140);
   h.add_all(samples);
   return h.bin_center(h.mode_bin()) * factor;
@@ -87,30 +82,32 @@ bool mask_accepted(std::uint64_t mask,
 /// window, no reuse cache (the original remeasures everything), and sets
 /// below `min_set_size` dropped with their members consumed, which is
 /// exactly how the original tool loses banks. Each sweep is one channel
-/// batch. Returned sets hold their base address at [0].
+/// batch of (base, partner) pairs compared against the threshold.
+/// Returned sets hold their base address at [0].
 std::vector<std::vector<std::uint64_t>> peel(timing::channel& channel,
                                              std::vector<std::uint64_t> pool,
                                              rng& r, std::size_t stop_remaining,
                                              std::size_t min_set_size) {
   std::vector<std::vector<std::uint64_t>> sets;
-  std::vector<std::uint64_t> partners;
+  std::vector<sim::addr_pair> pairs;
+  std::vector<double> latency;
   std::vector<std::uint64_t> rest;
-  std::vector<char> member;
   for (unsigned sweep = 0; pool.size() > stop_remaining && sweep < 100;
        ++sweep) {
     const std::size_t base_idx = r.below(pool.size());
     const std::uint64_t base = pool[base_idx];
-    partners.clear();
-    partners.reserve(pool.size());
+    pairs.clear();
+    pairs.reserve(pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i != base_idx) partners.push_back(pool[i]);
+      if (i != base_idx) pairs.emplace_back(base, pool[i]);
     }
-    channel.is_sbdr_fast_batch(base, partners, member);
+    channel.measure_batch(pairs, latency);
     std::vector<std::uint64_t> set{base};
     rest.clear();
-    rest.reserve(partners.size());
-    for (std::size_t j = 0; j < partners.size(); ++j) {
-      (member[j] ? set : rest).push_back(partners[j]);
+    rest.reserve(pairs.size());
+    for (std::size_t j = 0; j < pairs.size(); ++j) {
+      const bool member = latency[j] > channel.threshold_ns();
+      (member ? set : rest).push_back(pairs[j].second);
     }
     std::swap(pool, rest);
     if (set.size() >= min_set_size) sets.push_back(std::move(set));
@@ -123,6 +120,7 @@ std::vector<std::vector<std::uint64_t>> peel(timing::channel& channel,
 drama_tool::drama_tool(core::environment& env, drama_config config)
     : env_(env), config_(config) {
   DRAMDIG_EXPECTS(config_.pool_size >= 64);
+  DRAMDIG_EXPECTS(config_.rounds_per_measurement >= 1);
   DRAMDIG_EXPECTS(config_.max_function_bits >= 1);
 }
 
@@ -142,7 +140,6 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
   timing::channel channel(
       mc,
       {.rounds_per_measurement = config_.rounds_per_measurement,
-       .samples_per_latency = 1,
        .calibration_pairs = config_.calibration_pairs},
       rng(config_.tool_seed ^ 0xD4A2Au));
   channel.set_threshold(drama_threshold(channel, pool,

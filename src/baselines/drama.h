@@ -15,9 +15,10 @@
 //     runs until its budget expires (the paper's No.3 / No.7 outcome).
 //
 // The implementation runs through the same measurement substrate as
-// DRAMDig — a timing::channel with DRAMA's own crude threshold injected —
-// so each clustering sweep is serviced as one controller batch while
-// staying bit-identical to the original scalar measure_pair loops.
+// DRAMDig — a timing::channel with DRAMA's own crude threshold injected.
+// Each clustering sweep is one measure_batch of single-sample latencies
+// compared against that threshold, bit-identical to the original scalar
+// measure_pair loop.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,7 @@
 #include "util/expect.h"
 #include "util/gf2.h"
 #include "util/log.h"
+#include "util/stats.h"
 
 namespace dramdig::baselines {
 
@@ -39,6 +40,7 @@ std::optional<dram::address_mapping> lookup_template(
 /// the work [14]", i.e. this tool). Stops at the current bit when the
 /// hooks request an abort; the caller re-checks and reports the abort.
 std::vector<unsigned> scan_row_bits(timing::channel& channel,
+                                    unsigned samples,
                                     const os::mapping_region& buffer,
                                     unsigned address_bits, rng& r,
                                     const core::run_hooks& hooks) {
@@ -51,7 +53,7 @@ std::vector<unsigned> scan_row_bits(timing::channel& channel,
           core::pick_pair_with_delta(buffer, std::uint64_t{1} << b, r);
       if (!pair) continue;
       ++cast;
-      if (channel.is_sbdr(pair->first, pair->second)) ++high;
+      if (xiao_sbdr(channel, pair->first, pair->second, samples)) ++high;
     }
     if (cast > 0 && high * 2 > cast) rows.push_back(b);
   }
@@ -68,8 +70,22 @@ bool xiao_supports(const dram::machine_spec& spec) {
   return false;
 }
 
+bool xiao_sbdr(timing::channel& channel, std::uint64_t p1, std::uint64_t p2,
+               unsigned samples) {
+  DRAMDIG_EXPECTS(channel.calibrated());
+  DRAMDIG_EXPECTS(samples >= 1);
+  const std::vector<sim::addr_pair> copies(samples, sim::addr_pair{p1, p2});
+  std::vector<double> latencies;
+  channel.measure_batch(copies, latencies);
+  return median(std::move(latencies)) > channel.threshold_ns();
+}
+
 xiao_tool::xiao_tool(core::environment& env, xiao_config config)
-    : env_(env), config_(std::move(config)) {}
+    : env_(env), config_(std::move(config)) {
+  DRAMDIG_EXPECTS(config_.rounds_per_measurement >= 1);
+  DRAMDIG_EXPECTS(config_.samples_per_latency >= 1);
+  DRAMDIG_EXPECTS(config_.verification_pairs >= 1);
+}
 
 xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   auto& mc = env_.mach().controller();
@@ -113,7 +129,6 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   timing::channel channel(
       mc,
       {.rounds_per_measurement = config_.rounds_per_measurement,
-       .samples_per_latency = config_.samples_per_latency,
        .calibration_pairs = 1000},
       r.fork());
   channel.calibrate(core::sample_addresses(buffer, 1024, r));
@@ -154,7 +169,10 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
       ++cast;
       const bool predicted = dram::same_bank_different_row(tmpl->decode(a),
                                                            tmpl->decode(b));
-      if (channel.is_sbdr(a, b) == predicted) ++agree;
+      if (xiao_sbdr(channel, a, b, config_.samples_per_latency) ==
+          predicted) {
+        ++agree;
+      }
     }
     emit("template");
     if (hooks.abort_requested()) return finish_aborted();
@@ -174,7 +192,8 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
 
   // --- Generic stride scan --------------------------------------------------
   const std::vector<unsigned> rows =
-      scan_row_bits(channel, buffer, address_bits, r, hooks);
+      scan_row_bits(channel, config_.samples_per_latency, buffer,
+                    address_bits, r, hooks);
   emit("row-scan");
   if (hooks.abort_requested()) return finish_aborted();
   if (rows.empty()) {
@@ -195,7 +214,8 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
     if (row_set.contains(b)) continue;
     const auto pair = core::pick_pair_with_delta(
         buffer, row_ref | (std::uint64_t{1} << b), r);
-    if (pair && !channel.is_sbdr(pair->first, pair->second)) {
+    if (pair && !xiao_sbdr(channel, pair->first, pair->second,
+                           config_.samples_per_latency)) {
       bankish.push_back(b);
     }
   }
@@ -214,7 +234,8 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
           (std::uint64_t{1} << i) | (std::uint64_t{1} << j);
       const auto pair = core::pick_pair_with_delta(buffer, row_ref | func, r);
       if (!pair) continue;
-      if (channel.is_sbdr(pair->first, pair->second)) {
+      if (xiao_sbdr(channel, pair->first, pair->second,
+                    config_.samples_per_latency)) {
         if (!gf2::in_span(found, func)) found.push_back(func);
       }
     }

@@ -22,11 +22,15 @@
 #include "core/phase.h"
 #include "dram/mapping.h"
 
+namespace dramdig::timing {
+class channel;
+}
+
 namespace dramdig::baselines {
 
 struct xiao_config {
   unsigned rounds_per_measurement = 2000;
-  unsigned samples_per_latency = 3;
+  unsigned samples_per_latency = 3;  ///< latencies medianed per verdict
   unsigned verification_pairs = 60;     ///< template acceptance checks
   double verification_agreement = 0.9;  ///< fraction that must match
   std::vector<unsigned> scan_strides{2, 3, 4};
@@ -67,5 +71,12 @@ class xiao_tool {
 /// True when the machine belongs to the tool's supported family (DDR3
 /// Sandy Bridge, single-channel DDR3 Ivy Bridge, DDR3 Haswell).
 [[nodiscard]] bool xiao_supports(const dram::machine_spec& spec);
+
+/// The tool's SBDR verdict: the median of `samples` single-sample pair
+/// latencies above the channel's threshold. The samples are one
+/// measure_batch of `samples` copies of the pair, bit-identical to
+/// `samples` scalar measurements in a row.
+[[nodiscard]] bool xiao_sbdr(timing::channel& channel, std::uint64_t p1,
+                             std::uint64_t p2, unsigned samples);
 
 }  // namespace dramdig::baselines

@@ -293,7 +293,7 @@ dramdig_report dramdig_tool::run(const run_hooks& hooks) {
       partition_outcome po;
       {
         phase_meter meter(mc, report.partition, "partition", notify);
-        po = partition_pool(engine, pool, banks, r, config_.partition);
+        po = engine.partition(pool, banks, r, config_.partition);
       }
       if (!po.success) continue;
       function_outcome fo;

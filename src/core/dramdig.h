@@ -36,7 +36,6 @@ struct dramdig_config {
   /// most of free RAM so Algorithm 1 finds its contiguous range).
   double buffer_fraction = 0.55;
   timing::channel_config channel{.rounds_per_measurement = 1000,
-                                 .samples_per_latency = 3,
                                  .calibration_pairs = 1500};
   coarse_config coarse{};
   partition_config partition{};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <unordered_map>
 
 #include "util/expect.h"
@@ -16,8 +15,6 @@ namespace {
 sim::addr_pair canonical(std::uint64_t a, std::uint64_t b) {
   return a <= b ? sim::addr_pair{a, b} : sim::addr_pair{b, a};
 }
-
-constexpr double kNoPrior = std::numeric_limits<double>::quiet_NaN();
 
 /// Confidence multiplier for the pivot pre-screen's binomial slack;
 /// rejections only fire when the projection is wrong beyond z standard
@@ -186,52 +183,6 @@ bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
   return false;
 }
 
-void measurement_plan::verify_strict(std::span<const sim::addr_pair> pairs,
-                                     std::span<const double> prior,
-                                     std::vector<char>& out) {
-  DRAMDIG_EXPECTS(channel_.calibrated());
-  DRAMDIG_EXPECTS(prior.empty() || prior.size() == pairs.size());
-  const unsigned full = channel_.strict_samples();
-  // One fresh sample per pair is replaced by the caller's prior (the fast
-  // scan's reading of the very same pair). The prior is conditioned
-  // positive, so the min filter keeps full-1 refutation chances instead of
-  // full: a contaminated cross-bank pair survives with probability
-  // q^(full-1) instead of q^full (q = contamination rate). Negligible at
-  // the modeled rates (q <= 0.04 steady state: < 7e-6 per candidate), and
-  // the pile delta window plus the numbering check backstop the burst
-  // regime — in exchange every scan saves one measurement per verified
-  // member.
-  std::vector<unsigned>& fresh = scratch_.fresh_counts;
-  fresh.assign(pairs.size(), full);
-  if (!prior.empty()) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (prior[i] == prior[i]) {  // non-NaN: a sample exists to reuse
-        fresh[i] = full - 1;
-        ++stats_.measurements_saved;
-      }
-    }
-  }
-  std::vector<sim::addr_pair>& expanded = scratch_.expanded;
-  expanded.clear();
-  expanded.reserve(pairs.size() * full);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    for (unsigned k = 0; k < fresh[i]; ++k) expanded.push_back(pairs[i]);
-  }
-  std::vector<double>& latencies = scratch_.expanded_lat;
-  channel_.measure_batch(expanded, latencies);
-  stats_.measurements_issued += expanded.size();
-
-  out.resize(pairs.size());
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    double lowest = fresh[i] < full ? prior[i] : 1e300;
-    for (unsigned k = 0; k < fresh[i]; ++k) {
-      lowest = std::min(lowest, latencies[at++]);
-    }
-    out[i] = lowest > channel_.threshold_ns() ? 1 : 0;
-  }
-}
-
 const std::vector<char>& measurement_plan::measure_and_record(
     std::span<const sim::addr_pair> pairs, bool verify_positives) {
   // ---- One single sample per pair. --------------------------------------
@@ -265,8 +216,19 @@ const std::vector<char>& measurement_plan::measure_and_record(
   }
 
   // ---- Strict-verify the slow readings, folding the sample. -------------
+  // Each candidate's scan reading stands in for one of its strict samples.
+  // The reading is conditioned positive, so the min filter keeps
+  // strict_samples() - 1 refutation chances instead of strict_samples(): a
+  // contaminated cross-bank pair survives with probability q^4 instead of
+  // q^5 (q = contamination rate). Negligible at the modeled rates (q <=
+  // 0.04 steady state: < 3e-6 per candidate), and the pile delta window
+  // plus the numbering check backstop the burst regime — in exchange every
+  // scan saves one measurement per verified member.
   std::vector<char>& strict = scratch_.strict;
-  verify_strict(candidates, prior, strict);
+  channel_.is_sbdr_strict_batch(candidates, prior, strict);
+  stats_.measurements_issued +=
+      candidates.size() * (channel_.strict_samples() - 1);
+  stats_.measurements_saved += candidates.size();
   for (std::size_t k = 0; k < strict.size(); ++k) {
     const auto& [a, b] = candidates[k];
     if (strict[k]) {

@@ -230,12 +230,6 @@ class measurement_plan {
   /// class (two different rows of one bank both rejected x).
   [[nodiscard]] bool known_cross(std::uint64_t pivot, std::uint64_t x);
 
-  /// Strict-verify `pairs` with `prior` single-sample latencies folded into
-  /// the min filter (NaN prior = no sample to reuse). Verdicts land in
-  /// `out` (scratch-backed at every call site — no per-call allocation).
-  void verify_strict(std::span<const sim::addr_pair> pairs,
-                     std::span<const double> prior, std::vector<char>& out);
-
   /// The one measure-and-verify path behind probe_pairs, classify_pairs
   /// and classify_partners, for pairs (pivot, partner) the cache cannot
   /// answer: one single-sample batch; fast readings are proven negatives
@@ -284,9 +278,6 @@ class measurement_plan {
     std::vector<double> fast;          ///< single-sample latency results
     std::vector<char> strict;          ///< strict-verify verdicts
     std::vector<char> verdict;         ///< measure_and_record result
-    std::vector<double> expanded_lat;  ///< verify_strict batch latencies
-    std::vector<sim::addr_pair> expanded;
-    std::vector<unsigned> fresh_counts;
     std::vector<std::uint64_t> witness_buf;        ///< known_cross list copy
     std::vector<std::uint64_t> pivot_witness_buf;  ///< classify_partners copy
   } scratch_;

@@ -5,13 +5,6 @@
 
 namespace dramdig::core {
 
-partition_outcome partition_pool(bank_classifier& engine,
-                                 std::vector<std::uint64_t> pool,
-                                 unsigned bank_count, rng& r,
-                                 const partition_config& config) {
-  return engine.partition(std::move(pool), bank_count, r, config);
-}
-
 partition_outcome partition_pool(timing::channel& channel,
                                  std::vector<std::uint64_t> pool,
                                  unsigned bank_count, rng& r,

@@ -26,8 +26,6 @@
 
 namespace dramdig::core {
 
-class bank_classifier;
-
 struct partition_config {
   double delta = 0.2;           ///< upper pile-size tolerance (paper: 0.2)
   /// Lower tolerance is wider than the paper's symmetric delta: a pile is
@@ -72,18 +70,10 @@ struct partition_outcome {
   std::uint64_t predicted_assignments = 0;
 };
 
-/// Primary interface: scans go through the engine's measurement-reuse
-/// scheduler, which pre-filters partners whose relation the cache already
-/// implies and keeps every verdict for future calls, and the classifier's
-/// class directory (and its representatives) survives across calls, so the
-/// bank-count sweep's repeat attempts re-resolve surviving classes without
-/// measurements.
-[[nodiscard]] partition_outcome partition_pool(
-    bank_classifier& engine, std::vector<std::uint64_t> pool,
-    unsigned bank_count, rng& r, const partition_config& config = {});
-
-/// Convenience overload: a call-local plan (the cache still dedupes work
-/// across the pivots of this one call).
+/// Partition through a call-local plan and classifier (the cache still
+/// dedupes work across the pivots of this one call). Callers that keep
+/// verdicts and classes across calls — the pipeline's bank-count sweep —
+/// hold a bank_classifier and call its partition() directly.
 [[nodiscard]] partition_outcome partition_pool(
     timing::channel& channel, std::vector<std::uint64_t> pool,
     unsigned bank_count, rng& r, const partition_config& config = {});

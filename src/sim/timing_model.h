@@ -24,7 +24,7 @@ struct timing_model {
 
   /// Background-load bursts: every so often the system gets busy for a few
   /// seconds and the heavy-tail rate multiplies. Tools that re-verify
-  /// (DRAMDig's median filter + pile checks) ride bursts out; tools built
+  /// (DRAMDig's min filter + pile checks) ride bursts out; tools built
   /// on single-sample scans (DRAMA) produce polluted clusters during them.
   double burst_mean_interval_s = 150.0;  ///< exponential inter-arrival
   double burst_mean_duration_s = 4.0;    ///< exponential duration

@@ -40,7 +40,6 @@ struct verify_config {
   /// few-hundred-measurement job. These numbers keep a whole verification
   /// under 20% of a cold recovery (the fleet_warm_start bench floor).
   timing::channel_config channel{.rounds_per_measurement = 1000,
-                                 .samples_per_latency = 3,
                                  .calibration_pairs = 160,
                                  .calibration_min_pairs = 60,
                                  .calibration_chunk = 30};

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/expect.h"
 #include "util/histogram.h"
-#include "util/stats.h"
 
 namespace dramdig::timing {
 
@@ -32,39 +32,46 @@ std::pair<double, double> last_range(const std::vector<double>& estimates,
 
 }  // namespace
 
+sim::addr_pair draw_distinct_pair(std::span<const std::uint64_t> pool,
+                                  rng& r) {
+  DRAMDIG_EXPECTS(pool.size() >= 2);
+  for (;;) {
+    const std::uint64_t a = pool[r.below(pool.size())];
+    const std::uint64_t b = pool[r.below(pool.size())];
+    if (a != b) return {a, b};
+    // Only a collision pays for this scan, and it stops at the first
+    // address that differs from `a`.
+    DRAMDIG_EXPECTS(std::any_of(pool.begin(), pool.end(),
+                                [a](std::uint64_t x) { return x != a; }));
+  }
+}
+
 channel::channel(sim::memory_controller& controller, channel_config config,
                  rng r)
     : controller_(controller), config_(config), rng_(std::move(r)) {
   DRAMDIG_EXPECTS(config_.rounds_per_measurement > 0);
-  DRAMDIG_EXPECTS(config_.samples_per_latency >= 1);
 }
 
-std::size_t channel::sample_calibration_chunk(
-    const std::vector<std::uint64_t>& pool, std::size_t pairs) {
+void channel::sample_calibration_chunk(const std::vector<std::uint64_t>& pool,
+                                       std::size_t pairs) {
   // Pair draws are independent of the measurements, so the chunk is drawn
   // up front and serviced as one controller batch — each pair duplicated,
   // min-of-two over the adjacent readings (contamination is one-sided, so
   // the lower reading is always the cleaner one). Bit-identical to the
   // scalar two-measurement loop, at batch host cost.
-  std::vector<sim::addr_pair> batch;
-  batch.reserve(pairs * 2);
+  pair_scratch_.clear();
+  pair_scratch_.reserve(pairs * 2);
   for (std::size_t i = 0; i < pairs; ++i) {
-    const std::uint64_t a = pool[rng_.below(pool.size())];
-    const std::uint64_t b = pool[rng_.below(pool.size())];
-    if (a == b) {
-      --i;
-      continue;
-    }
-    batch.emplace_back(a, b);
-    batch.emplace_back(a, b);
+    const sim::addr_pair pair = draw_distinct_pair(pool, rng_);
+    pair_scratch_.push_back(pair);
+    pair_scratch_.push_back(pair);
   }
-  const std::vector<double> latencies = measure_batch(batch);
+  measure_batch(pair_scratch_, latency_scratch_);
   for (std::size_t i = 0; i < pairs; ++i) {
     calibration_samples_.push_back(
-        std::min(latencies[2 * i], latencies[2 * i + 1]));
+        std::min(latency_scratch_[2 * i], latency_scratch_[2 * i + 1]));
   }
   calibration_pairs_used_ += pairs;
-  return pairs;
 }
 
 double channel::calibrate(const std::vector<std::uint64_t>& pool,
@@ -150,33 +157,6 @@ void channel::set_threshold(double ns) {
   threshold_ns_ = ns;
 }
 
-double channel::latency(std::uint64_t p1, std::uint64_t p2) {
-  std::vector<double> samples;
-  samples.reserve(config_.samples_per_latency);
-  for (unsigned i = 0; i < config_.samples_per_latency; ++i) {
-    samples.push_back(
-        controller_.measure_pair(p1, p2, config_.rounds_per_measurement)
-            .mean_access_ns);
-  }
-  return median(std::move(samples));
-}
-
-bool channel::is_sbdr(std::uint64_t p1, std::uint64_t p2) {
-  DRAMDIG_EXPECTS(calibrated());
-  return latency(p1, p2) > threshold_ns_;
-}
-
-bool channel::is_sbdr_fast(std::uint64_t p1, std::uint64_t p2) {
-  DRAMDIG_EXPECTS(calibrated());
-  return controller_.measure_pair(p1, p2, config_.rounds_per_measurement)
-             .mean_access_ns > threshold_ns_;
-}
-
-bool channel::is_sbdr_strict(std::uint64_t p1, std::uint64_t p2) {
-  const sim::addr_pair pair{p1, p2};
-  return is_sbdr_strict_batch({&pair, 1}).front() != 0;
-}
-
 void channel::measure_batch(std::span<const sim::addr_pair> pairs,
                             std::vector<double>& out) {
   controller_.measure_pairs(pairs, config_.rounds_per_measurement,
@@ -187,59 +167,33 @@ void channel::measure_batch(std::span<const sim::addr_pair> pairs,
   }
 }
 
-std::vector<double> channel::measure_batch(
-    std::span<const sim::addr_pair> pairs) {
-  std::vector<double> out;
-  measure_batch(pairs, out);
-  return out;
-}
-
-void channel::is_sbdr_fast_batch(std::uint64_t pivot,
-                                 std::span<const std::uint64_t> partners,
-                                 std::vector<char>& out) {
-  DRAMDIG_EXPECTS(calibrated());
-  pair_scratch_.clear();
-  pair_scratch_.reserve(partners.size());
-  for (std::uint64_t p : partners) pair_scratch_.emplace_back(pivot, p);
-  measure_batch(pair_scratch_, latency_scratch_);
-  out.resize(latency_scratch_.size());
-  for (std::size_t i = 0; i < latency_scratch_.size(); ++i) {
-    out[i] = latency_scratch_[i] > threshold_ns_ ? 1 : 0;
-  }
-}
-
-std::vector<char> channel::is_sbdr_fast_batch(
-    std::uint64_t pivot, std::span<const std::uint64_t> partners) {
-  std::vector<char> out;
-  is_sbdr_fast_batch(pivot, partners, out);
-  return out;
-}
-
 void channel::is_sbdr_strict_batch(std::span<const sim::addr_pair> pairs,
+                                   std::span<const double> prior,
                                    std::vector<char>& out) {
   DRAMDIG_EXPECTS(calibrated());
-  const unsigned per_pair = strict_samples();
+  DRAMDIG_EXPECTS(prior.empty() || prior.size() == pairs.size());
+  const auto folded = [&](std::size_t i) {
+    return !prior.empty() && !std::isnan(prior[i]);
+  };
+  const auto fresh = [&](std::size_t i) {
+    return strict_samples() - (folded(i) ? 1u : 0u);
+  };
   pair_scratch_.clear();
-  pair_scratch_.reserve(pairs.size() * per_pair);
-  for (const sim::addr_pair& p : pairs) {
-    for (unsigned i = 0; i < per_pair; ++i) pair_scratch_.push_back(p);
+  pair_scratch_.reserve(pairs.size() * strict_samples());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    pair_scratch_.insert(pair_scratch_.end(), fresh(i), pairs[i]);
   }
   measure_batch(pair_scratch_, latency_scratch_);
   out.resize(pairs.size());
+  std::size_t at = 0;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    double lowest = 1e300;
-    for (unsigned k = 0; k < per_pair; ++k) {
-      lowest = std::min(lowest, latency_scratch_[i * per_pair + k]);
+    double lowest =
+        folded(i) ? prior[i] : std::numeric_limits<double>::infinity();
+    for (unsigned k = 0; k < fresh(i); ++k) {
+      lowest = std::min(lowest, latency_scratch_[at++]);
     }
     out[i] = lowest > threshold_ns_ ? 1 : 0;
   }
-}
-
-std::vector<char> channel::is_sbdr_strict_batch(
-    std::span<const sim::addr_pair> pairs) {
-  std::vector<char> out;
-  is_sbdr_strict_batch(pairs, out);
-  return out;
 }
 
 }  // namespace dramdig::timing

@@ -5,8 +5,9 @@
 // turns the raw simulated latencies into the boolean the algorithms
 // consume — "are these two physical addresses same-bank-different-row?" —
 // via (1) calibration: sample random pairs, find the valley between the
-// fast and slow modes; (2) measurement: median-of-k pair latencies against
-// the calibrated threshold.
+// fast and slow modes; (2) measurement: batches of single-sample pair
+// latencies, and the strict verdict, the minimum of strict_samples()
+// latencies per pair against the calibrated threshold.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,6 @@ struct channel_config {
   /// Accesses per address per measurement (the paper's tools hammer a pair
   /// thousands of times; 500 keeps the virtual-time budget realistic).
   unsigned rounds_per_measurement = 500;
-  /// Independent measurements medianed per latency() call.
-  unsigned samples_per_latency = 3;
   /// Budget ceiling on the random pairs sampled during threshold
   /// calibration. The calibrator samples in chunks and stops as soon as
   /// the valley estimate is stable over a sliding window of re-estimates,
@@ -36,6 +35,12 @@ struct channel_config {
   /// Pairs sampled per adaptive chunk (one re-estimate per chunk).
   unsigned calibration_chunk = 150;
 };
+
+/// A random pair of distinct addresses from `pool`: draws two entries and
+/// redraws both while they are equal. Throws contract_violation when the
+/// pool holds no two distinct addresses, where the redraw would never end.
+[[nodiscard]] sim::addr_pair draw_distinct_pair(
+    std::span<const std::uint64_t> pool, rng& r);
 
 class channel {
  public:
@@ -54,53 +59,29 @@ class channel {
   double calibrate(const std::vector<std::uint64_t>& pool,
                    double prior_ns = 0.0);
 
-  /// Median-filtered pair latency in ns.
-  [[nodiscard]] double latency(std::uint64_t p1, std::uint64_t p2);
-
-  /// The paper's `latency(p, p') == high` predicate.
-  [[nodiscard]] bool is_sbdr(std::uint64_t p1, std::uint64_t p2);
-
-  /// Cheap single-sample variant used inside the O(pool * banks) partition
-  /// loop, where the pile-size tolerance absorbs rare misreads.
-  [[nodiscard]] bool is_sbdr_fast(std::uint64_t p1, std::uint64_t p2);
-
-  /// Contamination-proof variant: minimum of `samples_per_latency + 2`
-  /// measurements. Timing noise in this channel is one-sided (events only
-  /// inflate latency), so the minimum is the robust estimator; a pair is
-  /// SBDR only if even its fastest observation conflicts. Used where a
-  /// single false positive would corrupt the output (fine-grained
-  /// shared-bit acceptance).
-  [[nodiscard]] bool is_sbdr_strict(std::uint64_t p1, std::uint64_t p2);
-
   /// Single-sample mean latencies for a whole batch of pairs, serviced by
   /// the controller in one pass. Element i equals what a scalar
   /// measure_pair on pairs[i] would have returned at that point in the
-  /// measurement sequence. The out-param form reuses the caller's buffer
-  /// (and the channel's internal scratch) so the partition/probe hot loops
-  /// allocate nothing per call; the returning form is a convenience
-  /// wrapper.
+  /// measurement sequence. `out` and the channel's internal scratch are
+  /// reused, so the hot loops allocate nothing per call.
   void measure_batch(std::span<const sim::addr_pair> pairs,
                      std::vector<double>& out);
-  [[nodiscard]] std::vector<double> measure_batch(
-      std::span<const sim::addr_pair> pairs);
 
-  /// Batched fast predicate: one single-sample verdict per partner,
-  /// measured against the shared pivot. Identical results (and identical
-  /// simulated-noise consumption) to calling is_sbdr_fast(pivot, partner)
-  /// in partner order — this is the partition fast-scan workhorse.
-  void is_sbdr_fast_batch(std::uint64_t pivot,
-                          std::span<const std::uint64_t> partners,
-                          std::vector<char>& out);
-  [[nodiscard]] std::vector<char> is_sbdr_fast_batch(
-      std::uint64_t pivot, std::span<const std::uint64_t> partners);
-
-  /// Batched strict predicate: each pair gets `samples_per_latency + 2`
-  /// measurements in one controller pass; the min-filter verdict per pair
-  /// matches a scalar is_sbdr_strict call sequence.
+  /// Strict SBDR verdicts: the minimum of strict_samples() latencies per
+  /// pair against the threshold, every pair measured in one controller
+  /// pass. Timing noise in this channel is one-sided (events only inflate
+  /// latency), so the minimum is the robust estimator; a pair is SBDR only
+  /// if even its fastest observation conflicts. Used where a single false
+  /// positive would corrupt the output.
+  ///
+  /// `prior` folds latencies the caller already measured on the same pairs
+  /// into the filter: a non-NaN prior[i] stands in for one of pair i's
+  /// samples, so that pair costs strict_samples() - 1 fresh measurements.
+  /// An empty `prior` means no folded samples; a NaN entry means that pair
+  /// has none.
   void is_sbdr_strict_batch(std::span<const sim::addr_pair> pairs,
+                            std::span<const double> prior,
                             std::vector<char>& out);
-  [[nodiscard]] std::vector<char> is_sbdr_strict_batch(
-      std::span<const sim::addr_pair> pairs);
 
   [[nodiscard]] double threshold_ns() const noexcept { return threshold_ns_; }
   [[nodiscard]] bool calibrated() const noexcept { return threshold_ns_ > 0; }
@@ -113,10 +94,10 @@ class channel {
   [[nodiscard]] std::uint64_t calibration_pairs_used() const noexcept {
     return calibration_pairs_used_;
   }
-  /// Measurements the strict (min-filtered) predicate takes per pair —
+  /// Measurements the strict (min-filtered) verdict takes per pair —
   /// exposed so schedulers layered above can account and partially reuse.
-  [[nodiscard]] unsigned strict_samples() const noexcept {
-    return config_.samples_per_latency + 2;
+  [[nodiscard]] static constexpr unsigned strict_samples() noexcept {
+    return 5;
   }
   [[nodiscard]] sim::memory_controller& controller() noexcept {
     return controller_;
@@ -134,9 +115,9 @@ class channel {
 
  private:
   /// One chunk of min-of-two calibration samples appended to
-  /// calibration_samples_; returns the number of pairs measured.
-  std::size_t sample_calibration_chunk(const std::vector<std::uint64_t>& pool,
-                                       std::size_t pairs);
+  /// calibration_samples_.
+  void sample_calibration_chunk(const std::vector<std::uint64_t>& pool,
+                                std::size_t pairs);
 
   sim::memory_controller& controller_;
   channel_config config_;
@@ -145,8 +126,8 @@ class channel {
   std::uint64_t calibration_pairs_used_ = 0;
   std::vector<double> calibration_samples_;
   // Batch scratch, reused across calls so the hot loops allocate nothing
-  // once warm. pair_scratch_ holds the expanded pair list the fast/strict
-  // wrappers build; the others hold intermediate measurement results.
+  // once warm. pair_scratch_ holds the expanded pair list the strict batch
+  // and calibration build; latency_scratch_ holds its latencies.
   std::vector<sim::pair_measurement> measurement_scratch_;
   std::vector<sim::addr_pair> pair_scratch_;
   std::vector<double> latency_scratch_;

@@ -7,9 +7,52 @@
 
 #include "core/environment.h"
 #include "dram/presets.h"
+#include "sim/memory_controller.h"
+#include "sim/virtual_clock.h"
+#include "timing/channel.h"
 
 namespace dramdig::baselines {
 namespace {
+
+/// A bare machine No.1 controller with a calibrated timing channel — the
+/// substrate Xiao's median verdict measures through.
+struct verdict_fixture {
+  dram::machine_spec spec = dram::machine_by_number(1);
+  sim::virtual_clock clock;
+  sim::memory_controller mc;
+  timing::channel ch;
+
+  verdict_fixture(std::uint64_t seed, sim::timing_model t,
+                  std::size_t pool_size, std::uint64_t pool_seed)
+      : mc(spec.mapping, t, clock, rng(seed)), ch(mc, {}, rng(seed ^ 0xc)) {
+    rng r(pool_seed);
+    std::vector<std::uint64_t> pool;
+    for (std::size_t i = 0; i < pool_size; ++i) {
+      pool.push_back(r.below(spec.memory_bytes) & ~std::uint64_t{63});
+    }
+    (void)ch.calibrate(pool);
+  }
+};
+
+TEST(Xiao, LatencyMedianFiltersOutliers) {
+  sim::timing_model noisy{};
+  noisy.contamination_chance = 0.25;
+  noisy.burst_mean_interval_s = 1e9;
+  verdict_fixture f(4, noisy, 1024, 12);
+  int wrong = 0;
+  for (int i = 0; i < 200; ++i) {
+    if (xiao_sbdr(f.ch, 0, 1ull << 6, 3)) ++wrong;
+  }
+  // Median-of-3 needs two contaminated samples to lie: ~3 * 0.2^2 ~ 12%.
+  EXPECT_LT(wrong, 40);
+}
+
+TEST(Xiao, MeasurementCountScalesWithSamples) {
+  verdict_fixture f(6, {}, 256, 14);
+  const auto before = f.mc.measurement_count();
+  (void)xiao_sbdr(f.ch, 0, 64, 5);
+  EXPECT_EQ(f.mc.measurement_count() - before, 5u);
+}
 
 TEST(XiaoSupports, ExactlyTheFourPaperMachines) {
   // Section IV-A: the tool works on No.1, No.3, No.4, No.5 and fails on

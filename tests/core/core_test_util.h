@@ -28,7 +28,6 @@ struct pipeline_fixture {
             static_cast<double>(env.spec().memory_bytes)))),
         channel(env.mach().controller(),
                 {.rounds_per_measurement = 1000,
-                 .samples_per_latency = 3,
                  .calibration_pairs = 1200},
                 rng(seed ^ 0xc0ffee)),
         r(seed ^ 0x7e57) {

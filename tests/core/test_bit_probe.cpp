@@ -138,7 +138,8 @@ TEST(BitProbe, ProbePairsMatchesStrictVerdicts) {
 
   pipeline_fixture g(7, 31);
   // Same physical pairs measured strictly on an identical twin machine.
-  const std::vector<char> strict = g.channel.is_sbdr_strict_batch(pairs);
+  std::vector<char> strict;
+  g.channel.is_sbdr_strict_batch(pairs, {}, strict);
   EXPECT_EQ(probed.sbdr, strict);
 }
 

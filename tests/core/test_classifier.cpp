@@ -109,7 +109,7 @@ TEST(Classifier, RepresentativesArePairwiseRowDistinctVerifiedMembers) {
         static_cast<unsigned>(f.env.spec().mapping.bank_count());
     measurement_plan plan(f.channel);
     bank_classifier engine(plan);
-    const auto out = partition_pool(engine, pool, banks, f.r, {});
+    const auto out = engine.partition(pool, banks, f.r, {});
     ASSERT_TRUE(out.success);
     ASSERT_FALSE(engine.classes().empty());
     const auto& truth = f.env.spec().mapping;
@@ -145,11 +145,11 @@ TEST(Classifier, DirectoryReuseMakesRepeatPartitionsFree) {
   auto& controller = f.env.mach().controller();
 
   const std::uint64_t base = controller.measurement_count();
-  const auto first = partition_pool(engine, pool, banks, f.r, {});
+  const auto first = engine.partition(pool, banks, f.r, {});
   ASSERT_TRUE(first.success);
   const std::uint64_t cost1 = controller.measurement_count() - base;
 
-  const auto second = partition_pool(engine, pool, banks, f.r, {});
+  const auto second = engine.partition(pool, banks, f.r, {});
   ASSERT_TRUE(second.success);
   const std::uint64_t cost2 = controller.measurement_count() - base - cost1;
   EXPECT_LT(cost2, cost1 / 10);
@@ -159,7 +159,7 @@ TEST(Classifier, DirectoryReuseMakesRepeatPartitionsFree) {
 
   // clear() drops the directory: the next call measures again.
   engine.clear();
-  const auto third = partition_pool(engine, pool, banks, f.r, {});
+  const auto third = engine.partition(pool, banks, f.r, {});
   ASSERT_TRUE(third.success);
   EXPECT_GT(controller.measurement_count() - base - cost1 - cost2, cost2);
 }
@@ -205,7 +205,7 @@ TEST(Classifier, TrueWarmHintMakesEveryFounderScanAGroupScan) {
   engine.warm_start(truth.bank_functions());
   ASSERT_TRUE(engine.warm_hint_active());
   const partition_config cfg{};
-  const auto out = partition_pool(engine, pool, banks, f.r, cfg);
+  const auto out = engine.partition(pool, banks, f.r, cfg);
   expect_sound_partition(out, truth, pool.size(), banks, cfg, "true hint");
   EXPECT_GT(out.founder_scans, 0u);
   EXPECT_EQ(out.group_founder_scans, out.founder_scans);
@@ -231,7 +231,7 @@ TEST(Classifier, FlippedWarmHintFailsWithoutFabricatingPiles) {
   bank_classifier engine(plan);
   engine.warm_start(hint);
   const partition_config cfg{};
-  const auto warm = partition_pool(engine, pool, banks, f.r, cfg);
+  const auto warm = engine.partition(pool, banks, f.r, cfg);
   EXPECT_FALSE(warm.success);
   EXPECT_TRUE(warm.piles.empty());
   EXPECT_TRUE(engine.classes().empty());
@@ -240,7 +240,7 @@ TEST(Classifier, FlippedWarmHintFailsWithoutFabricatingPiles) {
 
   engine.clear();
   EXPECT_FALSE(engine.warm_hint_active());
-  const auto cold = partition_pool(engine, pool, banks, f.r, cfg);
+  const auto cold = engine.partition(pool, banks, f.r, cfg);
   expect_sound_partition(cold, truth, pool.size(), banks, cfg,
                          "retry after a flipped hint");
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "dram/presets.h"
 #include "sim/virtual_clock.h"
 #include "util/rng.h"
@@ -34,6 +37,22 @@ struct channel_fixture {
   }
 };
 
+/// One strict verdict through the strict batch, no folded sample.
+bool strict(channel& ch, std::uint64_t p1, std::uint64_t p2) {
+  const sim::addr_pair pair{p1, p2};
+  std::vector<char> out;
+  ch.is_sbdr_strict_batch({&pair, 1}, {}, out);
+  return out.front() != 0;
+}
+
+/// One single-sample verdict: measure_batch plus the threshold compare.
+bool fast(channel& ch, std::uint64_t p1, std::uint64_t p2) {
+  const sim::addr_pair pair{p1, p2};
+  std::vector<double> latency;
+  ch.measure_batch({&pair, 1}, latency);
+  return latency.front() > ch.threshold_ns();
+}
+
 TEST(Channel, CalibrationLandsBetweenModes) {
   channel_fixture f;
   const double t = f.ch.calibrate(f.pool(512, 9));
@@ -45,26 +64,25 @@ TEST(Channel, CalibrationLandsBetweenModes) {
 TEST(Channel, UncalibratedChannelRefusesToClassify) {
   channel_fixture f;
   EXPECT_FALSE(f.ch.calibrated());
-  EXPECT_THROW((void)f.ch.is_sbdr(0, 64), contract_violation);
+  EXPECT_THROW((void)strict(f.ch, 0, 64), contract_violation);
 }
 
 TEST(Channel, ClassifiesGroundTruthRelationships) {
   channel_fixture f;
   (void)f.ch.calibrate(f.pool(512, 9));
   // Row-only bit flip on No.1 (bit 20): same bank, different row.
-  EXPECT_TRUE(f.ch.is_sbdr(0, 1ull << 20));
+  EXPECT_TRUE(strict(f.ch, 0, 1ull << 20));
   // Channel bit flip (bit 6): different bank.
-  EXPECT_FALSE(f.ch.is_sbdr(0, 1ull << 6));
+  EXPECT_FALSE(strict(f.ch, 0, 1ull << 6));
   // Column bit flip (bit 8): same row.
-  EXPECT_FALSE(f.ch.is_sbdr(0, 1ull << 8));
+  EXPECT_FALSE(strict(f.ch, 0, 1ull << 8));
 }
 
 TEST(Channel, FastAndStrictAgreeOnCleanMachine) {
   channel_fixture f;
   (void)f.ch.calibrate(f.pool(512, 10));
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(f.ch.is_sbdr_fast(0, 1ull << 20),
-              f.ch.is_sbdr_strict(0, 1ull << 20));
+    EXPECT_EQ(fast(f.ch, 0, 1ull << 20), strict(f.ch, 0, 1ull << 20));
   }
 }
 
@@ -78,27 +96,13 @@ TEST(Channel, StrictRejectsContaminationFalsePositives) {
   (void)f.ch.calibrate(f.pool(1024, 11));
   int strict_wrong = 0;
   for (int i = 0; i < 200; ++i) {
-    strict_wrong += f.ch.is_sbdr_strict(0, 1ull << 6);
+    strict_wrong += strict(f.ch, 0, 1ull << 6);
   }
   EXPECT_LE(strict_wrong, 4);
   // And no false negatives on real conflicts.
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(f.ch.is_sbdr_strict(0, 1ull << 20));
+    EXPECT_TRUE(strict(f.ch, 0, 1ull << 20));
   }
-}
-
-TEST(Channel, LatencyMedianFiltersOutliers) {
-  sim::timing_model noisy{};
-  noisy.contamination_chance = 0.25;
-  noisy.burst_mean_interval_s = 1e9;
-  channel_fixture f(4, noisy);
-  (void)f.ch.calibrate(f.pool(1024, 12));
-  int wrong = 0;
-  for (int i = 0; i < 200; ++i) {
-    if (f.ch.latency(0, 1ull << 6) > f.ch.threshold_ns()) ++wrong;
-  }
-  // Median-of-3 needs two contaminated samples to lie: ~3 * 0.2^2 ~ 12%.
-  EXPECT_LT(wrong, 40);
 }
 
 TEST(Channel, CalibrationSamplesExposed) {
@@ -120,8 +124,8 @@ TEST(Channel, AdaptiveCalibratorStopsEarlyWithSaneThreshold) {
   EXPECT_GE(f.ch.calibration_pairs_used(), 300u);
   EXPECT_LT(f.ch.calibration_pairs_used(), 1200u);
   // The channel still classifies ground truth correctly.
-  EXPECT_TRUE(f.ch.is_sbdr(0, 1ull << 20));
-  EXPECT_FALSE(f.ch.is_sbdr(0, 1ull << 6));
+  EXPECT_TRUE(strict(f.ch, 0, 1ull << 20));
+  EXPECT_FALSE(strict(f.ch, 0, 1ull << 6));
 }
 
 TEST(Channel, CalibrationPriorStopsEarlyOnlyWhenConfirmed) {
@@ -153,8 +157,8 @@ TEST(Channel, AdaptiveCalibratorSurvivesNoisyProfile) {
   (void)f.ch.calibrate(f.pool(1024, 15));
   int errors = 0;
   for (int i = 0; i < 100; ++i) {
-    errors += !f.ch.is_sbdr_strict(0, 1ull << 20);
-    errors += f.ch.is_sbdr_strict(0, 1ull << 8);
+    errors += !strict(f.ch, 0, 1ull << 20);
+    errors += strict(f.ch, 0, 1ull << 8);
   }
   EXPECT_LE(errors, 2);
 }
@@ -167,57 +171,52 @@ TEST(Channel, InjectedThresholdCalibratesTheChannel) {
   EXPECT_THROW(f.ch.set_threshold(0.0), contract_violation);
   f.ch.set_threshold((f.timing.row_hit_ns + f.timing.row_conflict_ns) / 2);
   ASSERT_TRUE(f.ch.calibrated());
-  EXPECT_TRUE(f.ch.is_sbdr(0, 1ull << 20));
-  EXPECT_FALSE(f.ch.is_sbdr(0, 1ull << 6));
-}
-
-TEST(Channel, MeasurementCountScalesWithSamples) {
-  channel_config cfg{};
-  cfg.samples_per_latency = 5;
-  channel_fixture f(6, {}, cfg);
-  (void)f.ch.calibrate(f.pool(256, 14));
-  const auto before = f.mc.measurement_count();
-  (void)f.ch.latency(0, 64);
-  EXPECT_EQ(f.mc.measurement_count() - before, 5u);
-}
-
-TEST(Channel, FastBatchMatchesScalarLoop) {
-  channel_fixture a(21), b(21);
-  (void)a.ch.calibrate(a.pool(512, 9));
-  (void)b.ch.calibrate(b.pool(512, 9));
-  const auto partners = a.pool(400, 33);
-  std::vector<char> scalar;
-  scalar.reserve(partners.size());
-  for (std::uint64_t p : partners) {
-    scalar.push_back(a.ch.is_sbdr_fast(0, p) ? 1 : 0);
-  }
-  const auto batch = b.ch.is_sbdr_fast_batch(0, partners);
-  EXPECT_EQ(batch, scalar);
-  EXPECT_EQ(a.clock.now_ns(), b.clock.now_ns());
-}
-
-TEST(Channel, StrictBatchMatchesScalarLoop) {
-  channel_fixture a(22), b(22);
-  (void)a.ch.calibrate(a.pool(512, 9));
-  (void)b.ch.calibrate(b.pool(512, 9));
-  std::vector<sim::addr_pair> pairs;
-  for (unsigned i = 0; i < 64; ++i) {
-    pairs.emplace_back(0, (std::uint64_t{i} << 14) & (a.spec.memory_bytes - 1));
-  }
-  std::vector<char> scalar;
-  scalar.reserve(pairs.size());
-  for (const auto& [p1, p2] : pairs) {
-    scalar.push_back(a.ch.is_sbdr_strict(p1, p2) ? 1 : 0);
-  }
-  EXPECT_EQ(b.ch.is_sbdr_strict_batch(pairs), scalar);
-  EXPECT_EQ(a.mc.measurement_count(), b.mc.measurement_count());
+  EXPECT_TRUE(strict(f.ch, 0, 1ull << 20));
+  EXPECT_FALSE(strict(f.ch, 0, 1ull << 6));
 }
 
 TEST(Channel, BatchRequiresCalibration) {
   channel_fixture f;
-  const std::vector<std::uint64_t> partners{64};
-  EXPECT_THROW((void)f.ch.is_sbdr_fast_batch(0, partners),
+  const std::vector<sim::addr_pair> pairs{{0, 64}};
+  const std::vector<double> prior{100.0};
+  std::vector<char> out;
+  EXPECT_THROW(f.ch.is_sbdr_strict_batch(pairs, prior, out),
                contract_violation);
+}
+
+TEST(Channel, StrictBatchFoldsPriorSamples) {
+  // A non-NaN prior stands in for one of the pair's strict samples and
+  // enters the min filter; a NaN prior or an empty prior span folds none.
+  channel_fixture f(23);
+  (void)f.ch.calibrate(f.pool(512, 9));
+  const std::vector<sim::addr_pair> pairs{
+      {0, 1ull << 20}, {0, 1ull << 20}, {0, 1ull << 20}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> prior{nan, 1.0, 1e6};
+  std::vector<char> out;
+  auto before = f.mc.measurement_count();
+  f.ch.is_sbdr_strict_batch(pairs, prior, out);
+  EXPECT_EQ(f.mc.measurement_count() - before,
+            3 * channel::strict_samples() - 2);
+  // A fast folded sample refutes a real conflict; a slow one changes
+  // nothing.
+  EXPECT_EQ(out, (std::vector<char>{1, 0, 1}));
+  before = f.mc.measurement_count();
+  f.ch.is_sbdr_strict_batch(pairs, {}, out);
+  EXPECT_EQ(f.mc.measurement_count() - before, 3 * channel::strict_samples());
+  EXPECT_EQ(out, (std::vector<char>{1, 1, 1}));
+}
+
+TEST(Channel, CalibrationRejectsPoolWithoutTwoDistinctAddresses) {
+  // Every calibration pair redraws until its two addresses differ; a pool
+  // with no two distinct addresses must fail the contract, not spin.
+  channel_fixture f;
+  EXPECT_THROW((void)f.ch.calibrate({64, 64}), contract_violation);
+  // Collisions on a pool that has two distinct addresses just redraw.
+  rng r(1);
+  const std::vector<std::uint64_t> two_distinct{64, 64, 128};
+  const auto [a, b] = draw_distinct_pair(two_distinct, r);
+  EXPECT_NE(a, b);
 }
 
 TEST(Channel, WorksOnNoisyMachineProfile) {
@@ -232,8 +231,8 @@ TEST(Channel, WorksOnNoisyMachineProfile) {
   (void)f.ch.calibrate(f.pool(1024, 15));
   int errors = 0;
   for (int i = 0; i < 100; ++i) {
-    errors += !f.ch.is_sbdr_strict(0, 1ull << 20);
-    errors += f.ch.is_sbdr_strict(0, 1ull << 8);
+    errors += !strict(f.ch, 0, 1ull << 20);
+    errors += strict(f.ch, 0, 1ull << 8);
   }
   EXPECT_LE(errors, 2);
 }
