@@ -1,6 +1,7 @@
 #include "core/classifier.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "util/bitops.h"
@@ -52,10 +53,16 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   std::vector<char> exhausted(n, 0);
   std::vector<char> founder_blocked(n, 0);
   std::size_t assigned_count = 0;
+  // Set while the prediction is trusted; then the buckets below index the
+  // unassigned pool by predicted id.
+  bool trusted = false;
+  std::vector<std::uint64_t> ids(n, 0);
+  std::vector<std::size_t> bucket_live;
 
   const auto assign = [&](std::size_t i, int c) {
     assigned_class[i] = c;
     ++assigned_count;
+    if (trusted) --bucket_live[ids[i]];
   };
   // Promote a freshly verified member to representative when it is
   // provably row-distinct from every current representative (a strict
@@ -91,7 +98,6 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   const unsigned want = (bank_count & (bank_count - 1)) == 0
                             ? log2_exact(bank_count)
                             : 0;
-  bool trusted = false;
   gf2::matrix basis;
   gf2::matrix diff_basis;
   // reduced_upto[c]: classes_[c].members before this index are already
@@ -102,8 +108,48 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   // exists yet (the first class switches the basis on).
   std::size_t claimed = 0;
   bool stale = true;
-  std::vector<std::uint64_t> ids(n, 0);
-  std::vector<int> class_of_id(want == 0 ? 0 : std::size_t{1} << want, -1);
+  const std::size_t groups = want == 0 ? 0 : std::size_t{1} << want;
+  std::vector<int> class_of_id(groups, -1);
+  // Trusted rounds work per predicted id, never per pool address. Each
+  // rebuild of `ids` also buckets the unassigned pool indices by id:
+  // bucket `id` is bucket_len[id] entries of bucket_pool from
+  // bucket_begin[id]. Buckets keep pool order and are never swap-removed:
+  // each measurement keys its noise on its batch index, so vote and
+  // partner order are part of the result. Assigned entries are dropped
+  // lazily when a bucket is visited; bucket_live counts each bucket's
+  // unassigned entries.
+  std::vector<std::size_t> bucket_pool;
+  std::vector<std::size_t> bucket_begin(groups);
+  std::vector<std::size_t> bucket_len(groups);
+  bucket_live.resize(groups);
+  const auto build_buckets = [&]() {
+    std::fill(bucket_live.begin(), bucket_live.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (assigned_class[i] < 0) ++bucket_live[ids[i]];
+    }
+    std::size_t at = 0;
+    for (std::size_t id = 0; id < groups; ++id) {
+      bucket_begin[id] = at;
+      bucket_len[id] = 0;
+      at += bucket_live[id];
+    }
+    bucket_pool.resize(at);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (assigned_class[i] < 0) {
+        bucket_pool[bucket_begin[ids[i]] + bucket_len[ids[i]]++] = i;
+      }
+    }
+  };
+  // Bucket `id`'s unassigned entries, compacting out the assigned ones.
+  const auto live_bucket = [&](std::size_t id) {
+    std::size_t* const b = bucket_pool.data() + bucket_begin[id];
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < bucket_len[id]; ++k) {
+      if (assigned_class[b[k]] < 0) b[kept++] = b[k];
+    }
+    bucket_len[id] = kept;
+    return std::span<const std::size_t>(b, kept);
+  };
   const auto claim_ids = [&]() {
     for (; claimed < classes_.size(); ++claimed) {
       int& slot =
@@ -130,8 +176,9 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
       if (hint.size() != want) return;  // hint too thin on this pool
       basis = std::move(hint);
     }
-    trusted = true;
     decode_banks(pool.data(), n, basis.data(), basis.size(), ids.data());
+    build_buckets();
+    trusted = true;
     std::fill(class_of_id.begin(), class_of_id.end(), -1);
     claim_ids();
   };
@@ -184,11 +231,9 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   std::vector<int> vote_class;
   std::vector<char> vote_fallback;
   std::vector<std::size_t> founder_candidates;
+  std::vector<std::size_t> voters;
   std::vector<std::uint64_t> partners;
   std::vector<std::size_t> partner_idx;
-  // Founder-pick scratch: ids are `want`-bit values, so group sizes live
-  // in a flat array indexed by id — rebuilt per round, never allocated.
-  std::vector<std::size_t> group_size(want == 0 ? 0 : std::size_t{1} << want);
   unsigned founder_attempts = 0;
   bool prediction_dirty = true;
   // Livelock bound: an address's ladder has at most one rung per
@@ -224,47 +269,58 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
     vote_fallback.clear();
     founder_candidates.clear();
     std::size_t free_this_round = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (assigned_class[i] >= 0 || exhausted[i]) continue;
-      const std::uint64_t x = pool[i];
-      int pick_class = -1;
-      std::uint64_t pick_rep = 0;
-      bool pick_fallback = false;
-      bool resolved = false;
-      if (trusted) {
-        const int c = class_of_id[ids[i]];
-        if (c < 0) {
-          founder_candidates.push_back(i);
-          continue;
+    const auto assign_free = [&](std::size_t i, int c) {
+      assign(i, c);
+      ++out.reused_verdicts;
+      plan_.credit_saved(free_credit);
+      ++free_this_round;
+    };
+    const auto add_vote = [&](std::size_t i, std::uint64_t rep, int c,
+                              bool fallback) {
+      vote_pairs.emplace_back(rep, pool[i]);
+      vote_idx.push_back(i);
+      vote_class.push_back(c);
+      vote_fallback.push_back(fallback ? 1 : 0);
+    };
+    if (trusted) {
+      // Only the open classes' buckets vote, in pool order.
+      voters.clear();
+      for (std::size_t id = 0; id < groups; ++id) {
+        if (class_of_id[id] < 0) continue;
+        for (const std::size_t i : live_bucket(id)) {
+          if (!exhausted[i]) voters.push_back(i);
         }
+      }
+      std::sort(voters.begin(), voters.end());
+      for (const std::size_t i : voters) {
+        const int c = class_of_id[ids[i]];
         const std::vector<std::uint64_t>& reps =
             classes_[c].representatives;
-        for (std::size_t ri = 0; ri < reps.size(); ++ri) {
-          const pair_relation rel = plan_.relation(x, reps[ri]);
-          if (rel == pair_relation::same_bank) {
-            assign(i, c);
-            ++out.reused_verdicts;
-            plan_.credit_saved(free_credit);
-            ++free_this_round;
-            resolved = true;
-            break;
-          }
-          if (rel == pair_relation::unknown) {
-            pick_class = c;
-            pick_rep = reps[ri];
-            pick_fallback = ri > 0;
-            break;
-          }
+        std::size_t ri = 0;
+        pair_relation rel = pair_relation::cross_pile;
+        for (; ri < reps.size(); ++ri) {
+          rel = plan_.relation(pool[i], reps[ri]);
+          if (rel != pair_relation::cross_pile) break;
         }
-        if (resolved) continue;
-        if (pick_class < 0) {
+        if (rel == pair_relation::same_bank) {
+          assign_free(i, c);
+        } else if (rel == pair_relation::unknown) {
+          add_vote(i, reps[ri], c, ri > 0);
+        } else {
           // Every row-distinct representative of the (provably right)
           // class refuted this address: contamination noise. Leave it to
           // the per_threshold straggler allowance, like the paper does.
           exhausted[i] = 1;
-          continue;
         }
-      } else {
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (assigned_class[i] >= 0 || exhausted[i]) continue;
+        const std::uint64_t x = pool[i];
+        int pick_class = -1;
+        std::uint64_t pick_rep = 0;
+        bool pick_fallback = false;
+        bool resolved = false;
         // Untrusted sweep: honour any cached positive first, then the
         // first unanswered primary vote, then the second-representative
         // fallback rung, and only then the founder queue.
@@ -273,10 +329,7 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
               classes_[c].representatives;
           const pair_relation rel = plan_.relation(x, reps.front());
           if (rel == pair_relation::same_bank) {
-            assign(i, static_cast<int>(c));
-            ++out.reused_verdicts;
-            plan_.credit_saved(free_credit);
-            ++free_this_round;
+            assign_free(i, static_cast<int>(c));
             resolved = true;
           } else if (rel == pair_relation::unknown && pick_class < 0) {
             pick_class = static_cast<int>(c);
@@ -301,11 +354,8 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
           founder_candidates.push_back(i);
           continue;
         }
+        add_vote(i, pick_rep, pick_class, pick_fallback);
       }
-      vote_pairs.emplace_back(pick_rep, x);
-      vote_idx.push_back(i);
-      vote_class.push_back(pick_class);
-      vote_fallback.push_back(pick_fallback ? 1 : 0);
     }
 
     // Cast the round's votes in one batch.
@@ -335,19 +385,24 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
       std::size_t pick = n;  // n = none
       if (trusted) {
         // Largest unassigned id group founds first: most information per
-        // scan, and ties broken by pool order keep the choice
+        // scan. Its founder is the group's first eligible address, and
+        // ties between groups go to pool order, which keeps the choice
         // deterministic.
-        std::fill(group_size.begin(), group_size.end(), 0);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (assigned_class[i] < 0) ++group_size[ids[i]];
-        }
         std::size_t best = 0;
-        for (const std::size_t i : founder_candidates) {
-          if (founder_blocked[i]) continue;
-          const std::size_t g = group_size[ids[i]];
-          if (g > best) {
-            best = g;
-            pick = i;
+        for (std::size_t id = 0; id < groups; ++id) {
+          if (class_of_id[id] >= 0 || bucket_live[id] < best) continue;
+          const std::size_t* const b = bucket_pool.data() + bucket_begin[id];
+          for (std::size_t k = 0; k < bucket_len[id]; ++k) {
+            const std::size_t i = b[k];
+            if (assigned_class[i] >= 0 || exhausted[i] ||
+                founder_blocked[i]) {
+              continue;
+            }
+            if (bucket_live[id] > best || i < pick) {
+              best = bucket_live[id];
+              pick = i;
+            }
+            break;
           }
         }
       } else {
@@ -364,11 +419,17 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
         const std::uint64_t pivot = pool[pick];
         partners.clear();
         partner_idx.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i == pick || assigned_class[i] >= 0) continue;
-          if (trusted && ids[i] != ids[pick]) continue;
+        const auto add_partner = [&](std::size_t i) {
+          if (i == pick) return;
           partners.push_back(pool[i]);
           partner_idx.push_back(i);
+        };
+        if (trusted) {
+          for (const std::size_t i : live_bucket(ids[pick])) add_partner(i);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) {
+            if (assigned_class[i] < 0) add_partner(i);
+          }
         }
         scan_options opts = founder_opts;
         if (trusted) {

@@ -20,6 +20,16 @@
 // Every assignment is still measurement-verified (strict min filter), so
 // a defective prediction can cost measurements but never purity.
 //
+// Trusted rounds cost host time per live bucket, not per pool address:
+// whenever the prediction re-decodes the pool's ids, the unassigned pool
+// is bucketed by predicted id (pool order kept inside each bucket,
+// assigned entries dropped lazily). A round's votes come from the open
+// classes' buckets only, sorted back into pool order; the founder pick
+// reads one candidate per class-less id (largest live bucket, ties to
+// pool order); the founder scan's partners are the pick's own bucket.
+// Pool order is kept, not swap-removed, because each measurement keys its
+// noise on its batch index: vote and partner order are part of the result.
+//
 // The engine is built directly on core/measurement_plan: classes ARE the
 // plan's union-find classes (representative verdicts merge and query
 // them), vote negatives feed the plan's witness lists, and the plan's

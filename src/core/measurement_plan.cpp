@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/expect.h"
 
@@ -358,30 +357,35 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
   //  * the reverse two-witness rule: if two SBDR-positive-linked
   //    (row-distinct) members of a partner's class rejected this pivot
   //    earlier, the pivot provably sits in another bank. Grouped by class
-  //    root so each partner costs one lookup.
+  //    root (a stable sort keeps each root's witnesses in list order), so
+  //    each partner costs one binary search.
   // The list is copied up front: the loop below records negatives, and an
   // arena witness push invalidates every live span.
-  std::unordered_map<std::size_t, std::vector<std::uint64_t>> rejecters;
   const bool have_rejected_by =
       witness_copy(pivot, scratch_.pivot_witness_buf);
   const std::vector<std::uint64_t>& rejected_by = scratch_.pivot_witness_buf;
+  std::vector<std::pair<std::size_t, std::uint64_t>>& rejecters =
+      scratch_.rejecters;
+  const auto by_root = [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  };
+  rejecters.clear();
   if (have_rejected_by) {
     for (const std::uint64_t w : rejected_by) {
       const std::size_t wn = node_if_known(w);
-      if (wn != npos) {
-        rejecters[cached_root(wn)].push_back(w);
-      }
+      if (wn != npos) rejecters.emplace_back(cached_root(wn), w);
     }
+    std::stable_sort(rejecters.begin(), rejecters.end(), by_root);
   }
   const auto reverse_cross = [&](std::size_t partner_root,
                                  std::uint64_t partner) {
-    const auto hit = rejecters.find(partner_root);
-    if (hit == rejecters.end() || hit->second.size() < 2) return false;
-    const std::vector<std::uint64_t>& ws = hit->second;
-    const std::size_t bound = std::min<std::size_t>(ws.size(), 12);
-    for (std::size_t i = 0; i < bound; ++i) {
-      for (std::size_t j = i + 1; j < bound; ++j) {
-        if (known_strict_positive(ws[i], ws[j])) {
+    const auto [first, last] = std::equal_range(
+        rejecters.begin(), rejecters.end(),
+        std::pair<std::size_t, std::uint64_t>{partner_root, 0}, by_root);
+    const std::ptrdiff_t bound = std::min<std::ptrdiff_t>(last - first, 12);
+    for (std::ptrdiff_t i = 0; i < bound; ++i) {
+      for (std::ptrdiff_t j = i + 1; j < bound; ++j) {
+        if (known_strict_positive(first[i].second, first[j].second)) {
           // Memoize the derived fact as an exact-pair negative.
           record_negative(pivot, partner);
           return true;

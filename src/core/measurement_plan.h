@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/plan_index.h"
@@ -280,6 +281,9 @@ class measurement_plan {
     std::vector<char> verdict;         ///< measure_and_record result
     std::vector<std::uint64_t> witness_buf;        ///< known_cross list copy
     std::vector<std::uint64_t> pivot_witness_buf;  ///< classify_partners copy
+    /// classify_partners' (class root, witness) pairs of the pivot's
+    /// list, stable-sorted by root.
+    std::vector<std::pair<std::size_t, std::uint64_t>> rejecters;
   } scratch_;
 };
 

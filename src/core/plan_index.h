@@ -184,6 +184,32 @@ class plan_index {
     ++memo_used_;
   }
 
+  /// Distinct pairs in the memo.
+  [[nodiscard]] std::size_t memo_size() const noexcept { return memo_used_; }
+
+  // --- hashing -------------------------------------------------------------
+
+  /// Slot hash of an address. Pool addresses share their low bits (they
+  /// step by a power of two) and the table mask keeps only low bits, so
+  /// every input bit must reach the low output bits.
+  [[nodiscard]] static std::uint64_t hash_addr(std::uint64_t x) noexcept {
+    x *= 0x9e3779b97f4a7c15ull;
+    x ^= x >> 32;
+    return x * 0xff51afd7ed558ccdull;
+  }
+
+  /// Slot hash of a (canonically ordered) pair. The final xor-shift /
+  /// multiply / xor-shift avalanche carries the high bits down: a multiply
+  /// alone never does, and pool-shaped pairs differ only in high bits.
+  [[nodiscard]] static std::uint64_t hash_pair(std::uint64_t a,
+                                               std::uint64_t b) noexcept {
+    std::uint64_t h = (a * 0x9e3779b97f4a7c15ull) ^
+                      (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    return h ^ (h >> 33);
+  }
+
  private:
   static constexpr std::size_t kMinSlots = 64;  // power of two
 
@@ -200,19 +226,6 @@ class plan_index {
     std::uint64_t b = 0;
     bool used = false;
   };
-
-  [[nodiscard]] static std::uint64_t hash_addr(std::uint64_t x) noexcept {
-    x *= 0x9e3779b97f4a7c15ull;
-    x ^= x >> 32;
-    return x * 0xff51afd7ed558ccdull;
-  }
-
-  [[nodiscard]] static std::uint64_t hash_pair(std::uint64_t a,
-                                               std::uint64_t b) noexcept {
-    const std::uint64_t h = (a * 0x9e3779b97f4a7c15ull) ^
-                            (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
-    return h * 0xff51afd7ed558ccdull;
-  }
 
   void grow_slots() {
     std::vector<std::size_t> old;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <set>
 
 #include "core/address_selection.h"
@@ -210,6 +211,55 @@ TEST(Classifier, TrueWarmHintMakesEveryFounderScanAGroupScan) {
   EXPECT_GT(out.founder_scans, 0u);
   EXPECT_EQ(out.group_founder_scans, out.founder_scans);
   EXPECT_TRUE(engine.warm_hint_active());
+}
+
+TEST(Classifier, TrueWarmHintFoundsLargestGroupsFirstInPoolOrder) {
+  // The founder rule of trusted rounds: each new class is founded from a
+  // largest predicted group among those without a class, counting only
+  // addresses outside the earlier classes, and its founder is the
+  // smallest pool index of any such group. Under the machine's own span
+  // the predicted groups are the true banks.
+  for (const int machine : {2, 6}) {
+    pipeline_fixture f(machine);
+    const auto pool = pool_for(f);
+    const auto& truth = f.env.spec().mapping;
+    measurement_plan plan(f.channel);
+    bank_classifier engine(plan);
+    engine.warm_start(truth.bank_functions());
+    const auto out = engine.partition(pool, truth.bank_count(), f.r, {});
+    ASSERT_TRUE(out.success) << "No." << machine;
+    ASSERT_EQ(out.rejected_piles, 0u) << "No." << machine;
+    ASSERT_FALSE(engine.classes().empty());
+
+    std::set<std::uint64_t> earlier_members;
+    std::set<std::uint64_t> founded_groups;
+    for (const bank_class& c : engine.classes()) {
+      std::map<std::uint64_t, std::size_t> group_size;
+      for (const std::uint64_t a : pool) {
+        if (earlier_members.count(a) != 0) continue;
+        if (founded_groups.count(truth.bank_of(a)) != 0) continue;
+        ++group_size[truth.bank_of(a)];
+      }
+      std::size_t largest = 0;
+      for (const auto& [group, size] : group_size) {
+        largest = std::max(largest, size);
+      }
+      const auto first = std::find_if(
+          pool.begin(), pool.end(), [&](std::uint64_t a) {
+            const auto hit = group_size.find(truth.bank_of(a));
+            return earlier_members.count(a) == 0 && hit != group_size.end() &&
+                   hit->second == largest;
+          });
+      ASSERT_NE(first, pool.end());
+      const std::uint64_t founder = c.representatives.front();
+      EXPECT_EQ(group_size[truth.bank_of(founder)], largest)
+          << "No." << machine << ": founder not from a largest group";
+      EXPECT_EQ(founder, *first)
+          << "No." << machine << ": founder not first in pool order";
+      earlier_members.insert(c.members.begin(), c.members.end());
+      founded_groups.insert(truth.bank_of(founder));
+    }
+  }
 }
 
 TEST(Classifier, FlippedWarmHintFailsWithoutFabricatingPiles) {

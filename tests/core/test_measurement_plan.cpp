@@ -76,6 +76,89 @@ TEST(MeasurementPlan, RelationTracksVerdictsTransitively) {
   }
 }
 
+/// Three same-bank, pairwise row-distinct addresses of `pool` and one
+/// address of another bank: the cast of the reverse-cache tests.
+struct reverse_cast {
+  std::uint64_t a = 0, b = 0, c = 0;  ///< one bank, three rows
+  std::uint64_t outsider = 0;         ///< another bank
+};
+
+reverse_cast find_reverse_cast(const pipeline_fixture& f,
+                               const std::vector<std::uint64_t>& pool) {
+  const auto& truth = f.env.spec().mapping;
+  reverse_cast cast;
+  std::vector<std::uint64_t> mates{pool.front()};
+  for (const std::uint64_t x : pool) {
+    if (truth.bank_of(x) != truth.bank_of(pool.front())) {
+      if (cast.outsider == 0) cast.outsider = x;
+      continue;
+    }
+    const bool new_row = std::none_of(
+        mates.begin(), mates.end(),
+        [&](std::uint64_t m) { return truth.row_of(m) == truth.row_of(x); });
+    if (new_row && mates.size() < 3) mates.push_back(x);
+  }
+  EXPECT_EQ(mates.size(), 3u);
+  EXPECT_NE(cast.outsider, 0u);
+  if (mates.size() == 3) {
+    cast.a = mates[0];
+    cast.b = mates[1];
+    cast.c = mates[2];
+  }
+  return cast;
+}
+
+TEST(MeasurementPlan, PartnerThatRejectedThePivotIsAnsweredForFree) {
+  // Reverse exact pair: the outsider once measured the pivot-to-be as its
+  // own partner and rejected it, so the pivot's witness list holds the
+  // outsider. Scanning the other way round reuses that verdict.
+  pipeline_fixture f(1);
+  const auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
+  const reverse_cast cast = find_reverse_cast(f, pool);
+  measurement_plan plan(f.channel);
+  const std::vector<std::uint64_t> first_partners{cast.a};
+  const auto first =
+      plan.classify_partners(cast.outsider, first_partners, default_scan());
+  ASSERT_EQ(first.member, std::vector<char>{0});
+
+  const std::uint64_t before = f.env.mach().controller().measurement_count();
+  const std::vector<std::uint64_t> partners{cast.outsider};
+  const auto got = plan.classify_partners(cast.a, partners, default_scan());
+  EXPECT_EQ(f.env.mach().controller().measurement_count(), before);
+  EXPECT_EQ(got.member, std::vector<char>{0});
+  EXPECT_EQ(got.reused, 1u);
+}
+
+TEST(MeasurementPlan, TwoLinkedRejectersProveThePartnersClassCrossBank) {
+  // Reverse two-witness rule: two strict-linked (hence row-distinct)
+  // members of the partner's class both rejected the pivot earlier, so the
+  // pivot sits in another bank than every member of that class — even one
+  // it was never measured against.
+  pipeline_fixture f(1);
+  const auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
+  const reverse_cast cast = find_reverse_cast(f, pool);
+  measurement_plan plan(f.channel);
+  const std::vector<std::uint64_t> first_partners{cast.b, cast.c,
+                                                  cast.outsider};
+  const auto first =
+      plan.classify_partners(cast.a, first_partners, default_scan());
+  ASSERT_EQ(first.member, (std::vector<char>{1, 1, 0}));
+  ASSERT_TRUE(plan.known_strict_positive(cast.a, cast.b));
+  const std::vector<std::uint64_t> second_partners{cast.outsider};
+  const auto second =
+      plan.classify_partners(cast.b, second_partners, default_scan());
+  ASSERT_EQ(second.member, std::vector<char>{0});
+
+  const std::uint64_t before = f.env.mach().controller().measurement_count();
+  const std::vector<std::uint64_t> partners{cast.c};
+  const auto got = plan.classify_partners(cast.outsider, partners,
+                                          default_scan());
+  EXPECT_EQ(f.env.mach().controller().measurement_count(), before);
+  EXPECT_EQ(got.member, std::vector<char>{0});
+  EXPECT_EQ(got.reused, 1u);
+  EXPECT_EQ(plan.relation(cast.outsider, cast.c), pair_relation::cross_pile);
+}
+
 TEST(MeasurementPlan, StrictMemoAnswersRepeatedVotes) {
   pipeline_fixture f(1);
   std::vector<sim::addr_pair> pairs;
