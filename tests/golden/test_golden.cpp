@@ -1,8 +1,10 @@
 // Golden records: what every job of a fixed set returns, pinned exactly.
 //
 // The set covers DRAMDig cold on all nine paper machines x 3 seeds, DRAMA
-// on the clean machines No.1/4/8, Xiao on No.1/4, one store verification
-// job (No.1) and one geometry warm start (No.9 from a stored No.6). Each
+// on the clean machines No.1/4/8, Xiao on its template machines No.1/4
+// and on the off-template No.2/6 (stride scan and stall budget), one store
+// verification job (No.1) and one geometry warm start (No.9 from a stored
+// No.6). Each
 // record is the job's `tool_result::to_json` plus its `store_hit` label,
 // so recovered mappings, measurement/access counts and virtual time are
 // all compared value for value against tests/golden/records.json.
@@ -110,7 +112,7 @@ std::vector<golden_record> run_golden_jobs() {
     for (std::uint64_t seed : {1u, 2u, 3u}) add("dramdig", m.number, seed);
   }
   for (int machine : {1, 4, 8}) add("drama", machine, 1);
-  for (int machine : {1, 4}) add("xiao", machine, 1);
+  for (int machine : {1, 4, 2, 6}) add("xiao", machine, 1);
 
   const auto outcomes = api::mapping_service().run(jobs);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
