@@ -8,18 +8,14 @@
 //   no-verify       partition accepts single-sample positives -> noisy
 //                   machines poison the piles (the DRAMA failure mode)
 //
-// A second table runs the inverse experiment on the baseline: what if
-// DRAMA had DRAMDig's GF(2) algebra (drama_config::use_nullspace)? Same
-// trials and functions on the clean machines, the same published failure
-// on the noisy unit — knowledge of the *search space* collapses CPU cost
-// but cannot repair single-sample clustering.
+// Exits 1 when the shipped `full` variant fails or recovers a wrong
+// mapping on any machine, so a CI run exercises every ablation switch and
+// guards the tool as shipped.
 #include <cstdio>
 
-#include "baselines/drama.h"
 #include "core/dramdig.h"
 #include "core/environment.h"
 #include "dram/presets.h"
-#include "util/gf2.h"
 #include "util/table.h"
 
 namespace {
@@ -56,6 +52,7 @@ int main() {
 
   text_table table({"Variant", "Machine", "Outcome", "Correct", "Time",
                     "Notes"});
+  unsigned full_failures = 0;
   for (int machine_no : {1, 4, 7}) {
     const auto& spec = dram::machine_by_number(machine_no);
     for (const variant& v : variants) {
@@ -64,6 +61,7 @@ int main() {
       const auto report = tool.run();
       const bool correct = report.success && report.mapping &&
                            report.mapping->equivalent_to(spec.mapping);
+      if (&v == &variants.front() && !correct) ++full_failures;
       table.add_row({v.name, spec.label(),
                      report.success ? "success" : "failed",
                      correct ? "yes" : "no",
@@ -76,43 +74,14 @@ int main() {
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("Expected: no-sysinfo costs extra time (bank-count sweep); "
-              "no-spec-counts cannot complete shared bits; no-verify breaks "
-              "everywhere — Algorithm 3's intersection dies on a single "
-              "polluted pile member, so even the rare contaminated sample "
-              "of a clean machine is fatal without re-verification.\n");
-
-  std::printf("\n== DRAMA arm: what if the baseline had the algebra? ==\n\n");
-  text_table drama_table({"Variant", "Machine", "Outcome", "Span", "Trials",
-                          "Time", "Measurements"});
-  for (int machine_no : {1, 4, 7}) {
-    const auto& spec = dram::machine_by_number(machine_no);
-    for (const bool nullspace : {false, true}) {
-      core::environment env(spec, 9000 + machine_no);
-      baselines::drama_config cfg{};
-      cfg.use_nullspace = nullspace;
-      const auto report = baselines::drama_tool(env, cfg).run();
-      const bool span_ok =
-          !report.functions.empty() &&
-          gf2::same_span(report.functions, spec.mapping.bank_functions());
-      drama_table.add_row(
-          {nullspace ? "drama+nullspace" : "drama", spec.label(),
-           report.completed ? "completed" : "no result (killed)",
-           span_ok ? "yes" : "no", std::to_string(report.trials_run),
-           fmt_duration_s(report.total_seconds),
-           std::to_string(report.total_measurements)});
-      std::fflush(stdout);
-    }
+              "no-spec-counts cannot complete shared bits; no-verify still "
+              "recovers the clean machines but fails on the noisy No.7, "
+              "whose contaminated single-sample positives poison the piles "
+              "without re-verification.\n");
+  if (full_failures > 0) {
+    std::printf("FAIL: the full variant missed the truth on %u machine(s)\n",
+                full_failures);
+    return 1;
   }
-  std::printf("%s\n", drama_table.render().c_str());
-  std::printf("Expected: on clean trials the two arms are identical — the "
-              "null space of the cluster differences is exactly the mask "
-              "set the brute-force sweep accepts — while the per-trial CPU "
-              "charge collapses (~2^21 candidate masks down to a few "
-              "hundred row operations). A polluted trial can diverge: the "
-              "strict algebra drops a tolerated-noise function the sweep "
-              "keeps, costing extra agreement trials. And the noisy No.7 "
-              "never agrees in either arm: algebra is knowledge about the "
-              "search space, not about measurement trust, so DRAMDig's "
-              "verified-partition advantage stands.\n");
   return 0;
 }

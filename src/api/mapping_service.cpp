@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/environment.h"
+#include "store/verify.h"
 #include "sysinfo/system_info.h"
 #include "util/expect.h"
 #include "util/gf2.h"
@@ -184,7 +185,7 @@ void mapping_service::execute_job(const job_spec& job,
     // stored functions instead of re-deriving them.
     core::environment verify_env(job.machine, job.seed);
     const store::verify_report vr =
-        store::verify_stored_mapping(verify_env, *plan.entry, config_.verify);
+        store::verify_stored_mapping(verify_env, *plan.entry);
     if (vr.verified) {
       out.result = result_from_verification(verify_env, *plan.entry, vr);
       out.state = job_state::completed;

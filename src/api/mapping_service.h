@@ -30,7 +30,6 @@
 #include "api/tool.h"
 #include "dram/presets.h"
 #include "store/mapping_store.h"
-#include "store/verify.h"
 
 namespace dramdig::api {
 
@@ -116,8 +115,6 @@ struct service_config {
   /// updates apply after the batch in submission order — so outcome[i] is
   /// still a pure function of (jobs[i], store-at-entry).
   store::mapping_store* store = nullptr;
-  /// Verification-job tuning for exact store hits.
-  store::verify_config verify{};
 };
 
 /// Streaming job source for daemon mode: producers push prioritized specs

@@ -231,25 +231,14 @@ std::string tool_result::to_json_string() const {
 }
 
 tool_options& tool_options::with_dramdig(core::dramdig_config cfg) {
-  DRAMDIG_EXPECTS(cfg.buffer_fraction > 0.0 && cfg.buffer_fraction < 0.95);
-  DRAMDIG_EXPECTS(cfg.max_attempts >= 1);
+  core::check_config(cfg);
   dramdig_ = std::move(cfg);
   return *this;
 }
 
 tool_options& tool_options::with_drama(baselines::drama_config cfg) {
-  DRAMDIG_EXPECTS(cfg.pool_size >= 64);
-  DRAMDIG_EXPECTS(cfg.rounds_per_measurement >= 1);
-  DRAMDIG_EXPECTS(cfg.max_function_bits >= 1);
+  baselines::check_config(cfg);
   drama_ = std::move(cfg);
-  return *this;
-}
-
-tool_options& tool_options::with_xiao(baselines::xiao_config cfg) {
-  DRAMDIG_EXPECTS(cfg.rounds_per_measurement >= 1);
-  DRAMDIG_EXPECTS(cfg.samples_per_latency >= 1);
-  DRAMDIG_EXPECTS(cfg.verification_pairs >= 1);
-  xiao_ = std::move(cfg);
   return *this;
 }
 

@@ -121,16 +121,17 @@ struct tool_description {
   std::string summary;  ///< one-line method description
 };
 
-/// Validated carrier for the per-tool configurations. Setters re-check the
-/// same contracts the tool constructors enforce and throw contract_violation
-/// immediately, so a malformed job spec fails at submission.
+/// Validated carrier for the per-tool configurations. Setters call the same
+/// contract check the tool constructors call (dramdig's and drama's
+/// `check_config`) and throw contract_violation immediately, so a malformed
+/// job spec fails at submission. Xiao's config holds only its seed, set
+/// through with_tool_seed.
 class tool_options {
  public:
   tool_options() = default;
 
   tool_options& with_dramdig(core::dramdig_config cfg);
   tool_options& with_drama(baselines::drama_config cfg);
-  tool_options& with_xiao(baselines::xiao_config cfg);
   /// Reseed every per-tool config at once (their `tool_seed` fields).
   tool_options& with_tool_seed(std::uint64_t seed);
 

@@ -1,8 +1,6 @@
 #include "baselines/drama.h"
 
 #include <algorithm>
-#include <bit>
-#include <set>
 
 #include "core/probe_util.h"
 #include "timing/channel.h"
@@ -17,13 +15,32 @@ namespace dramdig::baselines {
 
 namespace {
 
+/// Bytes mapped for the random pool (1 GiB, capped at 40% of memory).
+constexpr std::uint64_t kBufferBytes = std::uint64_t{1} << 30;
+/// Long hammer loops per pair measurement.
+constexpr unsigned kRoundsPerMeasurement = 4000;
+/// Threshold = modal calibration latency x this factor.
+constexpr double kThresholdFactor = 1.35;
+/// Aggregate minority fraction a function may show over all sets.
+constexpr double kViolationTolerance = 0.05;
+/// Minority fraction above which one set alone rejects a mask.
+constexpr double kPerSetViolationCap = 0.25;
+/// Widest XOR function the brute force enumerates.
+constexpr unsigned kMaxFunctionBits = 7;
+/// Highest physical-address bit a candidate mask may use.
+constexpr unsigned kMaxCandidateBit = 33;
+/// Peeled sets below this size are dropped with their members consumed.
+constexpr std::size_t kMinSetSize = 30;
+/// Virtual CPU cost of testing one candidate mask.
+constexpr double kCpuNsPerMask = 1500.0;
+
 /// DRAMA's cruder threshold: modal latency of random pairs x a factor.
 /// Pair draws are independent of the measurements, so the batch is drawn
 /// up front and serviced in one channel pass — bit-identical samples to
 /// the original scalar measure_pair loop.
 double drama_threshold(timing::channel& channel,
                        const std::vector<std::uint64_t>& pool,
-                       unsigned calibration_pairs, double factor, rng& r) {
+                       unsigned calibration_pairs, rng& r) {
   std::vector<sim::addr_pair> pairs;
   pairs.reserve(calibration_pairs);
   for (unsigned i = 0; i < calibration_pairs; ++i) {
@@ -33,7 +50,7 @@ double drama_threshold(timing::channel& channel,
   channel.measure_batch(pairs, samples);
   histogram h(0.0, 700.0, 140);
   h.add_all(samples);
-  return h.bin_center(h.mode_bin()) * factor;
+  return h.bin_center(h.mode_bin()) * kThresholdFactor;
 }
 
 /// DRAMA's published mask acceptance: a statistical pre-filter (a random
@@ -42,12 +59,10 @@ double drama_threshold(timing::channel& channel,
 /// accepts, while a true function under realistic pollution essentially
 /// never trips it), then majority parity per set with a per-set violation
 /// cap, an aggregate violation tolerance, and the discrimination
-/// requirement (both parities must occur across sets). Shared verbatim by
-/// the brute-force sweep and the null-space ablation so the two paths
-/// differ only in how candidates are generated.
+/// requirement (both parities must occur across sets).
 bool mask_accepted(std::uint64_t mask,
                    const std::vector<std::vector<std::uint64_t>>& sets,
-                   std::size_t total_addresses, const drama_config& cfg) {
+                   std::size_t total_addresses) {
   for (const auto& s : sets) {
     const std::size_t probe = std::min<std::size_t>(32, s.size());
     std::size_t ones = 0;
@@ -62,14 +77,14 @@ bool mask_accepted(std::uint64_t mask,
     for (std::uint64_t a : s) ones += parity(a, mask);
     const std::size_t minority = std::min(ones, s.size() - ones);
     if (static_cast<double>(minority) >
-        cfg.per_set_violation_cap * static_cast<double>(s.size())) {
+        kPerSetViolationCap * static_cast<double>(s.size())) {
       return false;  // hopeless in this set
     }
     total_violations += minority;
     (ones * 2 > s.size() ? saw_one : saw_zero) = true;
   }
   if (static_cast<double>(total_violations) >
-      cfg.violation_tolerance * static_cast<double>(total_addresses)) {
+      kViolationTolerance * static_cast<double>(total_addresses)) {
     return false;
   }
   // A function must discriminate: both parities across sets.
@@ -80,14 +95,14 @@ bool mask_accepted(std::uint64_t mask,
 /// single-sample positives off the remaining pool until it shrinks to
 /// `stop_remaining` (at most 100 sweeps) — no verification, no size
 /// window, no reuse cache (the original remeasures everything), and sets
-/// below `min_set_size` dropped with their members consumed, which is
+/// below kMinSetSize dropped with their members consumed, which is
 /// exactly how the original tool loses banks. Each sweep is one channel
 /// batch of (base, partner) pairs compared against the threshold.
 /// Returned sets hold their base address at [0].
 std::vector<std::vector<std::uint64_t>> peel(timing::channel& channel,
                                              std::vector<std::uint64_t> pool,
-                                             rng& r, std::size_t stop_remaining,
-                                             std::size_t min_set_size) {
+                                             rng& r,
+                                             std::size_t stop_remaining) {
   std::vector<std::vector<std::uint64_t>> sets;
   std::vector<sim::addr_pair> pairs;
   std::vector<double> latency;
@@ -110,18 +125,20 @@ std::vector<std::vector<std::uint64_t>> peel(timing::channel& channel,
       (member ? set : rest).push_back(pairs[j].second);
     }
     std::swap(pool, rest);
-    if (set.size() >= min_set_size) sets.push_back(std::move(set));
+    if (set.size() >= kMinSetSize) sets.push_back(std::move(set));
   }
   return sets;
 }
 
 }  // namespace
 
+void check_config(const drama_config& config) {
+  DRAMDIG_EXPECTS(config.pool_size >= 64);
+}
+
 drama_tool::drama_tool(core::environment& env, drama_config config)
     : env_(env), config_(config) {
-  DRAMDIG_EXPECTS(config_.pool_size >= 64);
-  DRAMDIG_EXPECTS(config_.rounds_per_measurement >= 1);
-  DRAMDIG_EXPECTS(config_.max_function_bits >= 1);
+  check_config(config_);
 }
 
 drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
@@ -139,23 +156,21 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
   // verdicts against its own crude threshold, no verification.
   timing::channel channel(
       mc,
-      {.rounds_per_measurement = config_.rounds_per_measurement,
+      {.rounds_per_measurement = kRoundsPerMeasurement,
        .calibration_pairs = config_.calibration_pairs},
       rng(config_.tool_seed ^ 0xD4A2Au));
-  channel.set_threshold(drama_threshold(channel, pool,
-                                        config_.calibration_pairs,
-                                        config_.threshold_factor, r));
+  channel.set_threshold(
+      drama_threshold(channel, pool, config_.calibration_pairs, r));
 
   // --- Clustering: peel same-bank sets with single-sample sweeps. --------
   const std::vector<std::vector<std::uint64_t>> sets =
-      peel(channel, std::move(pool), r, config_.pool_size / 10,
-           config_.min_set_size);
+      peel(channel, std::move(pool), r, config_.pool_size / 10);
   trial.set_count = sets.size();
   if (sets.size() < 2) return trial;
 
   // --- Brute force over all physical-address bits. -----------------------
   const unsigned max_bit = std::min<unsigned>(
-      config_.max_candidate_bit, log2_exact(env_.spec().memory_bytes) - 1);
+      kMaxCandidateBit, log2_exact(env_.spec().memory_bytes) - 1);
   std::vector<unsigned> positions;
   for (unsigned b = 6; b <= max_bit; ++b) positions.push_back(b);
 
@@ -163,76 +178,17 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
   for (const auto& s : sets) total_addresses += s.size();
 
   std::vector<std::uint64_t> candidates;
-  std::uint64_t cpu_work = 0;  ///< charged to the virtual clock per unit
-  if (config_.use_nullspace) {
-    // The algebra ablation: a mask is constant on a clean set iff it
-    // annihilates each member's XOR difference to the set's pivot, so the
-    // candidate space is the null space of a difference matrix restricted
-    // to the candidate bits. Single-sample clustering leaves ~1% polluted
-    // members even on clean machines, and one polluted difference ejects a
-    // true function from a strict null space — so the differences are
-    // split into deterministic index-group assemblies (each set member
-    // joins group j mod G), one null space per assembly, and the published
-    // acceptance filter arbitrates the union of the spans. A polluted
-    // member corrupts only its own assembly; the clean assemblies recover
-    // every mask the filter tolerates, while the filter still rejects any
-    // spurious span member, so the candidate set matches the brute-force
-    // sweep's (brute force additionally burns CPU on the ~2^20 masks that
-    // never came close).
-    std::uint64_t support = 0;
-    for (unsigned b : positions) support |= std::uint64_t{1} << b;
-    std::size_t smallest_set = sets.front().size();
-    for (const auto& s : sets) smallest_set = std::min(smallest_set, s.size());
-    // Enough members per group for each assembly to pin the null space,
-    // enough groups to quarantine the polluted minority.
-    const std::size_t assemblies =
-        std::clamp<std::size_t>(smallest_set / 4, 4, 32);
-    std::set<std::uint64_t> tested, accepted;
-    for (std::size_t g = 0; g < assemblies; ++g) {
-      gf2::matrix diffs;
-      for (const auto& s : sets) {
-        bool have_pivot = false;
-        std::uint64_t pivot = 0;
-        for (std::size_t j = g; j < s.size(); j += assemblies) {
-          if (!have_pivot) {
-            pivot = s[j];
-            have_pivot = true;
-          } else {
-            diffs.push_back((s[j] ^ pivot) & support);
-          }
-        }
-      }
-      if (diffs.empty()) continue;
-      const gf2::matrix basis = gf2::nullspace(diffs, support);
-      cpu_work += diffs.size();  // one row reduction per difference
-      // An under-determined assembly would explode the span; skip it (the
-      // other assemblies carry the trial).
-      if (basis.size() > 16) continue;
-      for (std::uint64_t mask : gf2::enumerate_span(basis)) {
+  std::uint64_t cpu_work = 0;  ///< charged to the virtual clock per mask
+  for_each_bit_combination(
+      positions, 1, kMaxFunctionBits, [&](std::uint64_t mask) {
         ++cpu_work;
-        if (static_cast<unsigned>(std::popcount(mask)) >
-            config_.max_function_bits) {
-          continue;  // the sweep never considers wider masks
+        if (mask_accepted(mask, sets, total_addresses)) {
+          candidates.push_back(mask);
         }
-        if (!tested.insert(mask).second) continue;
-        if (mask_accepted(mask, sets, total_addresses, config_)) {
-          accepted.insert(mask);
-        }
-      }
-    }
-    candidates.assign(accepted.begin(), accepted.end());
-  } else {
-    for_each_bit_combination(
-        positions, 1, config_.max_function_bits, [&](std::uint64_t mask) {
-          ++cpu_work;
-          if (mask_accepted(mask, sets, total_addresses, config_)) {
-            candidates.push_back(mask);
-          }
-          return true;
-        });
-  }
+        return true;
+      });
   mc.clock().advance_ns(static_cast<std::uint64_t>(
-      static_cast<double>(cpu_work) * config_.cpu_ns_per_mask));
+      static_cast<double>(cpu_work) * kCpuNsPerMask));
 
   // Minimal-weight basis for reporting; echelon form for run-to-run
   // comparison (two trials agree iff they found the same span). DRAMA has
@@ -253,7 +209,7 @@ drama_report drama_tool::run(const core::run_hooks& hooks) {
   const std::uint64_t m0 = mc.measurement_count();
 
   const std::uint64_t buffer_bytes =
-      std::min<std::uint64_t>(config_.buffer_bytes,
+      std::min<std::uint64_t>(kBufferBytes,
                               env_.spec().memory_bytes * 2 / 5);
   const os::mapping_region& buffer = env_.space().map_buffer(buffer_bytes);
 

@@ -19,6 +19,12 @@
 // Each clustering sweep is one measure_batch of single-sample latencies
 // compared against that threshold, bit-identical to the original scalar
 // measure_pair loop.
+//
+// The published parameters (buffer size, rounds per measurement, threshold
+// factor, violation tolerances, function width, candidate bits, minimum
+// set size, CPU cost per mask) are named constants in drama.cpp. The
+// config holds only what tests and benches vary: the pool and calibration
+// sizes, the trial and time budget, and the seed.
 #pragma once
 
 #include <cstdint>
@@ -32,32 +38,17 @@
 namespace dramdig::baselines {
 
 struct drama_config {
-  std::uint64_t buffer_bytes = std::uint64_t{1} << 30;  ///< 1 GiB mapping
   std::size_t pool_size = 8000;
-  unsigned rounds_per_measurement = 4000;  ///< long hammer loops per pair
   unsigned calibration_pairs = 800;
-  double threshold_factor = 1.35;   ///< threshold = modal latency x factor
-  double violation_tolerance = 0.05;  ///< aggregate minority fraction
-  double per_set_violation_cap = 0.25;
-  unsigned max_function_bits = 7;
-  unsigned max_candidate_bit = 33;
-  std::size_t min_set_size = 30;
-  unsigned max_trials = 150;         ///< the timeout binds first in practice
-  unsigned agreements_required = 2;  ///< consecutive equal outputs
-  double timeout_seconds = 7200.0;   ///< the paper killed it at ~2 hours
-  double cpu_ns_per_mask = 1500.0;   ///< virtual cost of the brute force
-  /// Ablation arm ("what if DRAMA had the algebra"): recover each trial's
-  /// candidate masks from the GF(2) null space of the clusters'
-  /// pivot-difference matrix instead of enumerating every
-  /// <=max_function_bits mask over all physical bits, then re-apply the
-  /// published acceptance filter. Identical output on clean trials (the
-  /// null space is exactly the masks constant on every set); on polluted
-  /// trials the strict algebra can drop a tolerated-noise function the
-  /// sweep would keep. Off by default: the enumeration is the published
-  /// tool's behaviour; bench/ablation_knowledge reports this arm.
-  bool use_nullspace = false;
+  unsigned max_trials = 150;        ///< the timeout binds first in practice
+  double timeout_seconds = 7200.0;  ///< the paper killed it at ~2 hours
   std::uint64_t tool_seed = 1;
 };
+
+/// The one contract check on a drama_config, shared by the drama_tool
+/// constructor and api::tool_options::with_drama. Throws
+/// contract_violation.
+void check_config(const drama_config& config);
 
 struct drama_trial {
   std::vector<std::uint64_t> functions;  ///< minimal-weight basis (display)

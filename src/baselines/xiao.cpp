@@ -16,6 +16,19 @@ namespace dramdig::baselines {
 
 namespace {
 
+/// Accesses per address per measurement.
+constexpr unsigned kRoundsPerMeasurement = 2000;
+/// Latencies medianed per SBDR verdict.
+constexpr unsigned kSamplesPerLatency = 3;
+/// Timed checks before a template is accepted...
+constexpr unsigned kVerificationPairs = 60;
+/// ...and the fraction of them that must match its prediction.
+constexpr double kVerificationAgreement = 0.9;
+/// Strides k of the (i, i+k) XOR pairs the generic scan tries.
+constexpr unsigned kScanStrides[] = {2, 3, 4};
+/// Virtual time charged before the tool is given up as stuck (30 min).
+constexpr double kStallTimeoutSeconds = 1800.0;
+
 /// The template library: exact published mappings for the author machines.
 /// Templates are keyed on (microarchitecture, channels, ranks, size) and
 /// verified against the actual timing channel before acceptance, so a
@@ -40,7 +53,6 @@ std::optional<dram::address_mapping> lookup_template(
 /// the work [14]", i.e. this tool). Stops at the current bit when the
 /// hooks request an abort; the caller re-checks and reports the abort.
 std::vector<unsigned> scan_row_bits(timing::channel& channel,
-                                    unsigned samples,
                                     const os::mapping_region& buffer,
                                     unsigned address_bits, rng& r,
                                     const core::run_hooks& hooks) {
@@ -53,7 +65,9 @@ std::vector<unsigned> scan_row_bits(timing::channel& channel,
           core::pick_pair_with_delta(buffer, std::uint64_t{1} << b, r);
       if (!pair) continue;
       ++cast;
-      if (xiao_sbdr(channel, pair->first, pair->second, samples)) ++high;
+      if (xiao_sbdr(channel, pair->first, pair->second, kSamplesPerLatency)) {
+        ++high;
+      }
     }
     if (cast > 0 && high * 2 > cast) rows.push_back(b);
   }
@@ -81,11 +95,7 @@ bool xiao_sbdr(timing::channel& channel, std::uint64_t p1, std::uint64_t p2,
 }
 
 xiao_tool::xiao_tool(core::environment& env, xiao_config config)
-    : env_(env), config_(std::move(config)) {
-  DRAMDIG_EXPECTS(config_.rounds_per_measurement >= 1);
-  DRAMDIG_EXPECTS(config_.samples_per_latency >= 1);
-  DRAMDIG_EXPECTS(config_.verification_pairs >= 1);
-}
+    : env_(env), config_(config) {}
 
 xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   auto& mc = env_.mach().controller();
@@ -128,7 +138,7 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
                               env_.spec().memory_bytes / 4));
   timing::channel channel(
       mc,
-      {.rounds_per_measurement = config_.rounds_per_measurement,
+      {.rounds_per_measurement = kRoundsPerMeasurement,
        .calibration_pairs = 1000},
       r.fork());
   channel.calibrate(core::sample_addresses(buffer, 1024, r));
@@ -143,7 +153,7 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   // to ~50% agreement the moment a bank function is wrong.
   if (const auto tmpl = lookup_template(env_.spec())) {
     unsigned agree = 0, cast = 0;
-    for (unsigned i = 0; i < config_.verification_pairs; ++i) {
+    for (unsigned i = 0; i < kVerificationPairs; ++i) {
       std::uint64_t a = core::random_buffer_address(buffer, r);
       std::uint64_t b = core::random_buffer_address(buffer, r);
       if (i % 2 == 0) {
@@ -169,16 +179,15 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
       ++cast;
       const bool predicted = dram::same_bank_different_row(tmpl->decode(a),
                                                            tmpl->decode(b));
-      if (xiao_sbdr(channel, a, b, config_.samples_per_latency) ==
-          predicted) {
+      if (xiao_sbdr(channel, a, b, kSamplesPerLatency) == predicted) {
         ++agree;
       }
     }
     emit("template");
     if (hooks.abort_requested()) return finish_aborted();
-    if (cast >= config_.verification_pairs / 4 &&
-        static_cast<double>(agree) >= config_.verification_agreement *
-                                          static_cast<double>(cast)) {
+    if (cast >= kVerificationPairs / 4 &&
+        static_cast<double>(agree) >=
+            kVerificationAgreement * static_cast<double>(cast)) {
       report.success = true;
       report.mapping = *tmpl;
       report.resolved_functions = tmpl->bank_functions();
@@ -192,8 +201,7 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
 
   // --- Generic stride scan --------------------------------------------------
   const std::vector<unsigned> rows =
-      scan_row_bits(channel, config_.samples_per_latency, buffer,
-                    address_bits, r, hooks);
+      scan_row_bits(channel, buffer, address_bits, r, hooks);
   emit("row-scan");
   if (hooks.abort_requested()) return finish_aborted();
   if (rows.empty()) {
@@ -215,7 +223,7 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
     const auto pair = core::pick_pair_with_delta(
         buffer, row_ref | (std::uint64_t{1} << b), r);
     if (pair && !xiao_sbdr(channel, pair->first, pair->second,
-                           config_.samples_per_latency)) {
+                           kSamplesPerLatency)) {
       bankish.push_back(b);
     }
   }
@@ -225,7 +233,7 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   // Stride pairs: (i, i+k) is a function when flipping both (with a row
   // flip on top) restores the bank.
   std::vector<std::uint64_t> found;
-  for (unsigned k : config_.scan_strides) {
+  for (unsigned k : kScanStrides) {
     for (unsigned i : bankish) {
       if (hooks.abort_requested()) break;
       const unsigned j = i + k;
@@ -234,8 +242,7 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
           (std::uint64_t{1} << i) | (std::uint64_t{1} << j);
       const auto pair = core::pick_pair_with_delta(buffer, row_ref | func, r);
       if (!pair) continue;
-      if (xiao_sbdr(channel, pair->first, pair->second,
-                    config_.samples_per_latency)) {
+      if (xiao_sbdr(channel, pair->first, pair->second, kSamplesPerLatency)) {
         if (!gf2::in_span(found, func)) found.push_back(func);
       }
     }
@@ -262,8 +269,8 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   if (found.size() < want) {
     // The real tool kept searching; the paper observed it simply hung.
     // Charge the stall budget and report the partial resolution.
-    mc.clock().advance_ns(static_cast<std::uint64_t>(
-        config_.stall_timeout_seconds * 1e9));
+    mc.clock().advance_ns(
+        static_cast<std::uint64_t>(kStallTimeoutSeconds * 1e9));
     emit("stall");
     report.stalled = true;
     report.note += (report.note.empty() ? "" : "; ");
@@ -302,8 +309,8 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   } else {
     // An inconsistent assembly sends the real tool back into its search
     // loop, where it hangs just like the too-few-functions case.
-    mc.clock().advance_ns(static_cast<std::uint64_t>(
-        config_.stall_timeout_seconds * 1e9));
+    mc.clock().advance_ns(
+        static_cast<std::uint64_t>(kStallTimeoutSeconds * 1e9));
     emit("stall");
     report.stalled = true;
     report.note += (report.note.empty() ? "" : "; ");

@@ -11,6 +11,10 @@
 // stride scan that can only discover XOR pairs (i, i+k) for small k whose
 // bits feed no wider function, which is precisely why the multi-bit
 // channel functions of newer parts starve it.
+//
+// The tool's parameters (rounds per measurement, samples per verdict,
+// template verification pairs and agreement, scan strides, stall budget)
+// are named constants in xiao.cpp; the config holds only the seed.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +33,6 @@ class channel;
 namespace dramdig::baselines {
 
 struct xiao_config {
-  unsigned rounds_per_measurement = 2000;
-  unsigned samples_per_latency = 3;  ///< latencies medianed per verdict
-  unsigned verification_pairs = 60;     ///< template acceptance checks
-  double verification_agreement = 0.9;  ///< fraction that must match
-  std::vector<unsigned> scan_strides{2, 3, 4};
-  double stall_timeout_seconds = 1800.0;  ///< give up "stuck" after 30 min
   std::uint64_t tool_seed = 1;
 };
 

@@ -21,16 +21,16 @@ bit_probe_engine::bit_probe_engine(measurement_plan& plan,
     : plan_(plan), buffer_(buffer) {}
 
 std::vector<std::optional<bool>> bit_probe_engine::run(
-    std::span<const std::uint64_t> deltas, const probe_config& config, rng& r,
+    std::span<const std::uint64_t> deltas, unsigned votes, rng& r,
     std::string_view stage) {
-  return run(deltas, {}, config, r, stage);
+  return run(deltas, {}, votes, r, stage);
 }
 
 std::vector<std::optional<bool>> bit_probe_engine::run(
     std::span<const std::uint64_t> deltas,
-    std::span<const std::optional<bool>> priors, const probe_config& config,
-    rng& r, std::string_view stage) {
-  DRAMDIG_EXPECTS(config.votes >= 1);
+    std::span<const std::optional<bool>> priors, unsigned votes, rng& r,
+    std::string_view stage) {
+  DRAMDIG_EXPECTS(votes >= 1);
   DRAMDIG_EXPECTS(priors.empty() || priors.size() == deltas.size());
   stats_.experiments += deltas.size();
   struct experiment {
@@ -57,7 +57,7 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
   std::vector<std::uint64_t> active_deltas;
   std::vector<sim::addr_pair> pairs;
   std::vector<std::size_t> pair_exp;
-  for (unsigned round = 0; round < config.votes; ++round) {
+  for (unsigned round = 0; round < votes; ++round) {
     active.clear();
     active_deltas.clear();
     for (std::size_t i = 0; i < deltas.size(); ++i) {
@@ -118,7 +118,7 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
     // most k votes, so positive is locked once pos*2 > cast + k (even
     // all-negative remainders keep the majority) and negative once
     // pos*2 + k <= cast (even all-positive remainders cannot reach it).
-    const unsigned remaining = config.votes - round - 1;
+    const unsigned remaining = votes - round - 1;
     for (const std::size_t i : active) {
       experiment& e = state[i];
       if (e.has_prior && e.agreed) {
@@ -156,10 +156,10 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
 }
 
 std::optional<bool> bit_probe_engine::run_one(std::uint64_t delta,
-                                              const probe_config& config,
-                                              rng& r, std::string_view stage) {
+                                              unsigned votes, rng& r,
+                                              std::string_view stage) {
   const std::uint64_t deltas[1] = {delta};
-  return run(deltas, config, r, stage).front();
+  return run(deltas, votes, r, stage).front();
 }
 
 }  // namespace dramdig::core

@@ -24,8 +24,11 @@
 //     one-sided), so only slow readings graduate to strict verification
 //     with the vote sample folded into the min filter.
 //   * Votes terminate early: an experiment stops the moment its remaining
-//     rounds cannot flip the majority, instead of always burning
-//     probe_config::votes strict measurements.
+//     rounds cannot flip the majority, instead of always burning its full
+//     vote count of strict measurements.
+//
+// Each caller passes its own vote count, a constant beside the call:
+// coarse detection 7, fine detection 3, store verification 5.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +43,6 @@
 #include "util/rng.h"
 
 namespace dramdig::core {
-
-struct probe_config {
-  /// Maximum pairs voted per experiment; the majority decides. A stream
-  /// stops early once the remainder cannot flip it.
-  unsigned votes = 7;
-};
 
 /// Cumulative engine activity (across every run() of one engine).
 struct probe_stats {
@@ -78,10 +75,13 @@ class bit_probe_engine {
 
   /// Majority-vote SBDR verdicts for a batch of delta experiments (deltas
   /// must be distinct — distinct deltas guarantee distinct pairs within a
-  /// round). nullopt = untestable: no measurable pair was ever found.
+  /// round). Each experiment votes at most `votes` pairs (>= 1); the
+  /// majority decides, and an experiment stops early once its remaining
+  /// votes cannot flip it. nullopt = untestable: no measurable pair was
+  /// ever found.
   [[nodiscard]] std::vector<std::optional<bool>> run(
-      std::span<const std::uint64_t> deltas, const probe_config& config,
-      rng& r, std::string_view stage = "probe");
+      std::span<const std::uint64_t> deltas, unsigned votes, rng& r,
+      std::string_view stage = "probe");
 
   /// Prior-seeded variant (fleet warm start): priors[i] predicts
   /// experiment i's verdict from stored sibling evidence (nullopt = no
@@ -96,12 +96,12 @@ class bit_probe_engine {
   /// deltas.size().
   [[nodiscard]] std::vector<std::optional<bool>> run(
       std::span<const std::uint64_t> deltas,
-      std::span<const std::optional<bool>> priors, const probe_config& config,
-      rng& r, std::string_view stage = "probe");
+      std::span<const std::optional<bool>> priors, unsigned votes, rng& r,
+      std::string_view stage = "probe");
 
   /// Single-experiment convenience (fine's per-candidate confirmation).
   [[nodiscard]] std::optional<bool> run_one(std::uint64_t delta,
-                                            const probe_config& config, rng& r,
+                                            unsigned votes, rng& r,
                                             std::string_view stage = "probe");
 
   /// Per-round progress hook; dramdig_tool forwards these into its

@@ -9,9 +9,15 @@
 
 namespace dramdig::core {
 
+namespace {
+
+/// Maximum pairs voted per bit experiment; the majority wins.
+constexpr unsigned kVotes = 7;
+
+}  // namespace
+
 coarse_result run_coarse_detection(bit_probe_engine& probe,
                                    const domain_knowledge& knowledge, rng& r,
-                                   const coarse_config& config,
                                    const mapping_prior* prior) {
   DRAMDIG_EXPECTS(probe.plan().channel().calibrated());
   coarse_result result;
@@ -51,7 +57,7 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
     }
   }
   const auto row_verdicts =
-      probe.run(deltas, priors, config.probe, r, "coarse.row");
+      probe.run(deltas, priors, kVotes, r, "coarse.row");
   std::vector<unsigned> non_row;
   for (std::size_t i = 0; i < probed.size(); ++i) {
     if (!row_verdicts[i]) {
@@ -98,7 +104,7 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
     }
   }
   const auto col_verdicts =
-      probe.run(deltas, priors, config.probe, r, "coarse.col");
+      probe.run(deltas, priors, kVotes, r, "coarse.col");
   for (std::size_t i = 0; i < non_row.size(); ++i) {
     if (col_verdicts[i] && *col_verdicts[i]) {
       result.column_bits.push_back(non_row[i]);
@@ -122,11 +128,10 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
 
 coarse_result run_coarse_detection(timing::channel& channel,
                                    const os::mapping_region& buffer,
-                                   const domain_knowledge& knowledge, rng& r,
-                                   const coarse_config& config) {
+                                   const domain_knowledge& knowledge, rng& r) {
   measurement_plan plan(channel);
   bit_probe_engine probe(plan, buffer);
-  return run_coarse_detection(probe, knowledge, r, config);
+  return run_coarse_detection(probe, knowledge, r);
 }
 
 }  // namespace dramdig::core

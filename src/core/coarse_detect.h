@@ -11,7 +11,8 @@
 // Both passes are served by the designed-experiment bit-probe engine: the
 // whole pass is planned up front and voted in cross-bit rounds (one
 // controller batch per round, pairs designed around shared bases, early
-// vote termination).
+// vote termination), at most 7 votes per bit (a constant in
+// coarse_detect.cpp).
 #pragma once
 
 #include <cstdint>
@@ -37,11 +38,6 @@ struct mapping_prior {
   std::vector<unsigned> column_bits;          ///< claimed full column set
 };
 
-struct coarse_config {
-  /// Vote/design parameters of the probe engine (7 votes, majority wins).
-  probe_config probe{};
-};
-
 struct coarse_result {
   std::vector<unsigned> row_bits;     ///< row-only bits found by timing
   std::vector<unsigned> column_bits;  ///< knowledge low bits + detected
@@ -55,11 +51,11 @@ struct coarse_result {
 /// priors (null = cold).
 [[nodiscard]] coarse_result run_coarse_detection(
     bit_probe_engine& probe, const domain_knowledge& knowledge, rng& r,
-    const coarse_config& config = {}, const mapping_prior* prior = nullptr);
+    const mapping_prior* prior = nullptr);
 
 /// Convenience overload with a call-local plan and engine.
 [[nodiscard]] coarse_result run_coarse_detection(
     timing::channel& channel, const os::mapping_region& buffer,
-    const domain_knowledge& knowledge, rng& r, const coarse_config& config = {});
+    const domain_knowledge& knowledge, rng& r);
 
 }  // namespace dramdig::core

@@ -14,6 +14,11 @@ namespace dramdig::core {
 
 namespace {
 
+/// Calibration budget of a recovery run (rounds per measurement, pair
+/// ceiling); the adaptive stop usually ends calibration well short of it.
+constexpr timing::channel_config kChannel{.rounds_per_measurement = 1000,
+                                          .calibration_pairs = 1500};
+
 /// Phase accounting: capture clock/measurement deltas around a phase and
 /// publish each occurrence as a phase event.
 class phase_meter {
@@ -57,10 +62,15 @@ void log_phase_event(std::string_view phase, const phase_stats& delta) {
 
 }  // namespace
 
+void check_config(const dramdig_config& config) {
+  DRAMDIG_EXPECTS(config.buffer_fraction > 0.0 &&
+                  config.buffer_fraction < 0.95);
+  DRAMDIG_EXPECTS(config.max_attempts >= 1);
+}
+
 dramdig_tool::dramdig_tool(environment& env, dramdig_config config)
     : env_(env), config_(config) {
-  DRAMDIG_EXPECTS(config_.buffer_fraction > 0.0 &&
-                  config_.buffer_fraction < 0.95);
+  check_config(config_);
 }
 
 dramdig_report dramdig_tool::run(const run_hooks& hooks) {
@@ -69,14 +79,14 @@ dramdig_report dramdig_tool::run(const run_hooks& hooks) {
   const std::uint64_t t_begin = mc.clock().now_ns();
   const std::uint64_t m_begin = mc.measurement_count();
   rng r(env_.seed() ^ config_.tool_seed * 0x9e3779b97f4a7c15ull);
-  timing::channel channel(mc, config_.channel, r.fork());
+  timing::channel channel(mc, kChannel, r.fork());
   // One measurement-reuse scheduler for the whole run: verdicts accreted
   // in any phase (or any partition attempt of the bank-count sweep) are
   // reused by every later scan. The classification engine sits on top of
   // it: its class directory (piles + row-distinct representatives)
   // survives across the bank-count sweep, so a repeat partition attempt
   // re-resolves surviving classes without measurements.
-  measurement_plan plan(channel, config_.plan);
+  measurement_plan plan(channel);
   bank_classifier engine(plan);
   // Fleet warm start: stored sibling evidence pre-sizes the plan and seeds
   // the classifier's span prediction. Attempt retries clear() both, so a
@@ -154,7 +164,7 @@ dramdig_report dramdig_tool::run(const run_hooks& hooks) {
   coarse_result coarse;
   {
     phase_meter meter(mc, report.coarse, "coarse", notify);
-    coarse = run_coarse_detection(*probe, knowledge, r, config_.coarse, prior);
+    coarse = run_coarse_detection(*probe, knowledge, r, prior);
   }
   if (coarse.row_bits.empty() || coarse.bank_bits.empty()) {
     report.failure_reason = "coarse detection found no usable partition of bits";
@@ -324,7 +334,7 @@ dramdig_report dramdig_tool::run(const run_hooks& hooks) {
   if (config_.use_spec_counts) {
     phase_meter meter(mc, report.fine, "fine", notify);
     fine = run_fine_detection(*probe, knowledge, coarse, functions.functions,
-                              r, config_.fine, prior);
+                              r, prior);
   } else {
     // Spec-count ablation: no way to know how many shared bits remain; the
     // coarse classification is all the tool can report.

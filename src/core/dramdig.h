@@ -9,6 +9,10 @@
 // simulated OS (mmap + pagemap + dmidecode/decode-dimms text); the report
 // carries the reverse-engineered mapping plus per-phase virtual time and
 // measurement counts — the quantities behind Table II and Fig. 2.
+//
+// The channel budget is a constant in dramdig.cpp, and one default
+// measurement plan serves every phase of a run; the config holds the
+// paper's knobs and knowledge ablations.
 #pragma once
 
 #include <cstdint>
@@ -35,16 +39,8 @@ struct dramdig_config {
   /// Fraction of installed memory the tool maps (the real tool allocates
   /// most of free RAM so Algorithm 1 finds its contiguous range).
   double buffer_fraction = 0.55;
-  timing::channel_config channel{.rounds_per_measurement = 1000,
-                                 .calibration_pairs = 1500};
-  coarse_config coarse{};
   partition_config partition{};
-  fine_config fine{};
-  /// Measurement-reuse scheduler shared by every phase of one run: strict
-  /// verdicts merge same-bank classes, scan negatives separate them, and
-  /// any relation the cache implies is answered without a measurement.
-  plan_config plan{};
-  /// Partition/function-resolution retries before giving up.
+  /// Partition/function-resolution attempts before giving up (>= 1).
   unsigned max_attempts = 3;
   /// Fleet warm start (filled by the api layer from a mapping-store
   /// geometry hit — see src/store). The span hint seeds the classifier's
@@ -75,6 +71,11 @@ struct dramdig_config {
   bool use_spec_counts = true;
   std::uint64_t tool_seed = 1;
 };
+
+/// The one contract check on a dramdig_config, shared by the dramdig_tool
+/// constructor and api::tool_options::with_dramdig. Throws
+/// contract_violation.
+void check_config(const dramdig_config& config);
 
 struct dramdig_report {
   bool success = false;

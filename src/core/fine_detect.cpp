@@ -14,6 +14,9 @@ namespace dramdig::core {
 
 namespace {
 
+/// Maximum pairs voted per candidate confirmation; the majority wins.
+constexpr unsigned kVotes = 3;
+
 /// A delta containing bit `s` that keeps every bank function invariant:
 /// solve parity(x, f_i) = 0 for all i plus x_s = 1 over the bank-bit
 /// support. nullopt when no such delta exists.
@@ -32,8 +35,7 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
                                 const domain_knowledge& knowledge,
                                 const coarse_result& coarse,
                                 const std::vector<std::uint64_t>& bank_functions,
-                                rng& r, const fine_config& config,
-                                const mapping_prior* prior) {
+                                rng& r, const mapping_prior* prior) {
   DRAMDIG_EXPECTS(!bank_functions.empty());
   fine_outcome out;
   out.row_bits = coarse.row_bits;
@@ -109,7 +111,7 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
                    prior_usable ? std::span<const std::optional<bool>>(
                                       probe_prior)
                                 : std::span<const std::optional<bool>>{},
-                   config.probe, r, "fine")
+                   kVotes, r, "fine")
               .front();
       if (verdict.has_value()) {
         accept = *verdict;  // high latency <=> a row bit rides in the delta
@@ -202,11 +204,10 @@ fine_outcome run_fine_detection(timing::channel& channel,
                                 const domain_knowledge& knowledge,
                                 const coarse_result& coarse,
                                 const std::vector<std::uint64_t>& bank_functions,
-                                rng& r, const fine_config& config) {
+                                rng& r) {
   measurement_plan plan(channel);
   bit_probe_engine probe(plan, buffer);
-  return run_fine_detection(probe, knowledge, coarse, bank_functions, r,
-                            config);
+  return run_fine_detection(probe, knowledge, coarse, bank_functions, r);
 }
 
 }  // namespace dramdig::core

@@ -14,8 +14,8 @@
 // in the delta, low latency refutes the candidate (exactly what rejects
 // the pure bank bit 14 proposed by (7,14) on Skylake machines). The
 // confirmation is just another designed experiment on the shared bit-probe
-// engine, so its verdicts draw on the evidence coarse already accreted in
-// the measurement plan.
+// engine (at most 3 votes, a constant in fine_detect.cpp), so its verdicts
+// draw on the evidence coarse already accreted in the measurement plan.
 //
 // Columns: knowledge-driven as in the paper. Candidates are the
 // function-feeding bits not yet classified; if a unique widest function
@@ -36,11 +36,6 @@
 #include "util/rng.h"
 
 namespace dramdig::core {
-
-struct fine_config {
-  /// Vote/design parameters of the probe engine (3 votes per candidate).
-  probe_config probe{.votes = 3};
-};
 
 struct fine_outcome {
   std::vector<unsigned> row_bits;          ///< complete, sorted
@@ -67,13 +62,12 @@ struct fine_outcome {
     bit_probe_engine& probe, const domain_knowledge& knowledge,
     const coarse_result& coarse,
     const std::vector<std::uint64_t>& bank_functions, rng& r,
-    const fine_config& config = {}, const mapping_prior* prior = nullptr);
+    const mapping_prior* prior = nullptr);
 
 /// Convenience overload with a call-local plan and engine.
 [[nodiscard]] fine_outcome run_fine_detection(
     timing::channel& channel, const os::mapping_region& buffer,
     const domain_knowledge& knowledge, const coarse_result& coarse,
-    const std::vector<std::uint64_t>& bank_functions, rng& r,
-    const fine_config& config = {});
+    const std::vector<std::uint64_t>& bank_functions, rng& r);
 
 }  // namespace dramdig::core

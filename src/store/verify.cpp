@@ -2,9 +2,11 @@
 
 #include <bit>
 
+#include "core/bit_probe.h"
 #include "core/measurement_plan.h"
 #include "core/probe_util.h"
 #include "sysinfo/system_info.h"
+#include "timing/channel.h"
 #include "util/gf2.h"
 #include "util/log.h"
 
@@ -17,25 +19,39 @@ namespace {
 constexpr unsigned kMinProbeBit = 6;
 /// Cap on positive (row-flip) deltas designed from the null space.
 constexpr unsigned kMaxPositive = 8;
+/// Fraction of installed memory mapped for probe pairs (same as the
+/// recovery pipeline, so high row-bit deltas stay testable).
+constexpr double kBufferFraction = 0.55;
+/// Calibration budget deliberately lighter than a recovery run: the
+/// verifier only needs a usable threshold, and calibration dominates a
+/// few-hundred-measurement job. These numbers keep a whole verification
+/// under 20% of a cold recovery (the fleet_warm_start bench floor).
+constexpr timing::channel_config kChannel{.rounds_per_measurement = 1000,
+                                          .calibration_pairs = 160,
+                                          .calibration_min_pairs = 60,
+                                          .calibration_chunk = 30};
+/// Maximum pairs voted per designed probe; the majority decides.
+constexpr unsigned kVotes = 5;
+/// Seed of the verifier's own rng stream.
+constexpr std::uint64_t kToolSeed = 1;
 
 }  // namespace
 
 verify_report verify_stored_mapping(core::environment& env,
-                                    const store_entry& entry,
-                                    const verify_config& config) {
+                                    const store_entry& entry) {
   verify_report report;
   auto& mc = env.mach().controller();
   const std::uint64_t t0 = mc.clock().now_ns();
   const std::uint64_t m0 = mc.measurement_count();
   // Distinct stream from the recovery pipeline's rng, so a verification
   // followed by a re-queued full run never correlates draws with it.
-  rng r(env.seed() ^ (config.tool_seed * 0x9e3779b97f4a7c15ull) ^
+  rng r(env.seed() ^ (kToolSeed * 0x9e3779b97f4a7c15ull) ^
         0xc2b2ae3d27d4eb4full);
-  timing::channel channel(mc, config.channel, r.fork());
+  timing::channel channel(mc, kChannel, r.fork());
 
   const sysinfo::system_info info = sysinfo::probe(env.spec());
   const os::mapping_region& buffer = env.space().map_buffer(
-      static_cast<std::uint64_t>(config.buffer_fraction *
+      static_cast<std::uint64_t>(kBufferFraction *
                                  static_cast<double>(info.total_bytes)));
   report.threshold_ns = channel.calibrate(
       core::sample_addresses(buffer, 1024, r));
@@ -125,7 +141,7 @@ verify_report verify_stored_mapping(core::environment& env,
     return report;
   }
 
-  const auto verdicts = probe.run(deltas, config.probe, r, "store.verify");
+  const auto verdicts = probe.run(deltas, kVotes, r, "store.verify");
   for (std::size_t i = 0; i < deltas.size(); ++i) {
     if (!verdicts[i].has_value()) continue;  // untestable: no evidence
     ++report.deltas_tested;

@@ -19,33 +19,19 @@
 // a true function (positives vote false), and its claimed function bits
 // land on true row bits (negatives vote true). Any mismatch refutes the
 // entry and the service re-queues the job as a full recovery.
+//
+// The verifier's budget is fixed: its buffer fraction, its light
+// calibration, its vote count and its seed are named constants in
+// verify.cpp.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "core/bit_probe.h"
 #include "core/environment.h"
 #include "store/mapping_store.h"
-#include "timing/channel.h"
 
 namespace dramdig::store {
-
-struct verify_config {
-  /// Fraction of installed memory mapped for probe pairs (same default as
-  /// the recovery pipeline, so high row-bit deltas stay testable).
-  double buffer_fraction = 0.55;
-  /// Calibration budget deliberately lighter than a recovery run: the
-  /// verifier only needs a usable threshold, and calibration dominates a
-  /// few-hundred-measurement job. These numbers keep a whole verification
-  /// under 20% of a cold recovery (the fleet_warm_start bench floor).
-  timing::channel_config channel{.rounds_per_measurement = 1000,
-                                 .calibration_pairs = 160,
-                                 .calibration_min_pairs = 60,
-                                 .calibration_chunk = 30};
-  core::probe_config probe{.votes = 5};
-  std::uint64_t tool_seed = 1;
-};
 
 struct verify_report {
   bool verified = false;
@@ -64,8 +50,7 @@ struct verify_report {
 /// the environment (maps its own buffer); a verification followed by a
 /// full recovery on verify failure uses a fresh environment so the
 /// recovery stays bit-identical to a cold run.
-[[nodiscard]] verify_report verify_stored_mapping(
-    core::environment& env, const store_entry& entry,
-    const verify_config& config = {});
+[[nodiscard]] verify_report verify_stored_mapping(core::environment& env,
+                                                  const store_entry& entry);
 
 }  // namespace dramdig::store

@@ -83,28 +83,18 @@ TEST(ToolOptions, SettersValidateEagerly) {
   bad_dig.buffer_fraction = 1.5;
   EXPECT_THROW(tool_options{}.with_dramdig(bad_dig), contract_violation);
 
+  bad_dig = {};
+  bad_dig.max_attempts = 0;
+  EXPECT_THROW(tool_options{}.with_dramdig(bad_dig), contract_violation);
+
   baselines::drama_config bad_drama{};
   bad_drama.pool_size = 2;
   EXPECT_THROW(tool_options{}.with_drama(bad_drama), contract_violation);
-  bad_drama = {};
-  bad_drama.rounds_per_measurement = 0;
-  EXPECT_THROW(tool_options{}.with_drama(bad_drama), contract_violation);
 
-  baselines::xiao_config bad_xiao{};
-  bad_xiao.rounds_per_measurement = 0;
-  EXPECT_THROW(tool_options{}.with_xiao(bad_xiao), contract_violation);
-  bad_xiao = {};
-  bad_xiao.samples_per_latency = 0;
-  EXPECT_THROW(tool_options{}.with_xiao(bad_xiao), contract_violation);
-
-  // The tool constructors enforce the same contracts, so a config that
+  // The tool constructors call the same contract check, so a config that
   // bypasses the builder fails before any measurement.
   core::environment env(dram::machine_by_number(1), 1);
-  bad_drama = {};
-  bad_drama.rounds_per_measurement = 0;
   EXPECT_THROW((void)baselines::drama_tool(env, bad_drama),
-               contract_violation);
-  EXPECT_THROW((void)baselines::xiao_tool(env, bad_xiao),
                contract_violation);
 }
 

@@ -126,45 +126,6 @@ TEST(Drama, AbortStopsAtTheNextTrialBoundary) {
   EXPECT_EQ(report.trials_run, 3u);
 }
 
-TEST(Drama, NullspaceAblationMatchesBruteForceOnCleanMachines) {
-  // The "what if DRAMA had the algebra" arm: on clean trials the null
-  // space of the cluster differences is exactly the set of masks the
-  // brute-force sweep accepts, so the two paths must agree trial for
-  // trial — same clustering (the sweep consumes no rng), same functions,
-  // same measurement bill — while the algebra collapses the per-trial CPU
-  // charge (millions of candidate masks down to one span enumeration).
-  for (int machine : {1, 4}) {
-    core::environment legacy_env(dram::machine_by_number(machine), 5);
-    core::environment algebra_env(dram::machine_by_number(machine), 5);
-    drama_config algebra = fast_config();
-    algebra.use_nullspace = true;
-    const auto legacy = drama_tool(legacy_env, fast_config()).run();
-    const auto nullspace = drama_tool(algebra_env, algebra).run();
-
-    ASSERT_EQ(nullspace.completed, legacy.completed) << "machine " << machine;
-    EXPECT_EQ(nullspace.total_measurements, legacy.total_measurements);
-    ASSERT_EQ(nullspace.trials_run, legacy.trials_run);
-    for (unsigned t = 0; t < legacy.trials_run; ++t) {
-      EXPECT_EQ(nullspace.trials[t].set_count, legacy.trials[t].set_count);
-      EXPECT_EQ(nullspace.trials[t].canonical, legacy.trials[t].canonical)
-          << "machine " << machine << " trial " << t;
-    }
-    EXPECT_EQ(nullspace.functions, legacy.functions);
-    EXPECT_LT(nullspace.total_seconds, legacy.total_seconds);
-  }
-}
-
-TEST(Drama, NullspaceAblationStillFailsOnNoisyMobile) {
-  // The algebra does not repair DRAMA's published failure mode: polluted
-  // clusters still never produce two agreeing trials on the noisy units.
-  core::environment env(dram::machine_by_number(3), 5);
-  drama_config cfg = fast_config();
-  cfg.use_nullspace = true;
-  cfg.max_trials = 8;
-  const auto report = drama_tool(env, cfg).run();
-  EXPECT_FALSE(report.completed);
-}
-
 TEST(DramaHypothesis, RowGuessMatchesRankArithmetic) {
   // 33-bit machine, 4 functions -> rows are the top 16 bits.
   const auto m = drama_hypothesis(

@@ -96,7 +96,7 @@ TEST(BitProbe, UntestableDeltaReturnsNullopt) {
   bit_probe_engine engine(plan, f.buffer);
   // A delta far above installed memory: no partner page can ever back it.
   const std::uint64_t delta = std::uint64_t{1} << 40;
-  EXPECT_EQ(engine.run_one(delta, probe_config{}, f.r), std::nullopt);
+  EXPECT_EQ(engine.run_one(delta, 7, f.r), std::nullopt);
 }
 
 TEST(BitProbe, ProbePairsAnswersRepeatsFromThePlanCache) {

@@ -37,6 +37,11 @@ TEST(PublicApi, ToolConfigContractsAreEnforced) {
   EXPECT_THROW(core::dramdig_tool(env, bad), contract_violation);
   bad.buffer_fraction = 1.5;
   EXPECT_THROW(core::dramdig_tool(env, bad), contract_violation);
+  // Zero attempts would spend calibration and coarse detection, then fail
+  // with "partition never stabilized" without ever partitioning.
+  bad = {};
+  bad.max_attempts = 0;
+  EXPECT_THROW(core::dramdig_tool(env, bad), contract_violation);
 }
 
 TEST(PublicApi, DramaConfigContractsAreEnforced) {
