@@ -29,7 +29,11 @@ struct variant {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("== Ablation: the value of each knowledge ingredient ==\n\n");
 
   std::vector<variant> variants;

@@ -13,7 +13,11 @@ namespace {
 using namespace dramdig;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("== Ablation: partition pile window vs machine noise ==\n\n");
   std::printf("Machine No.2 (wide channel function: each bank class holds "
               "~25%% same-row mates,\nso honest piles sit well below "

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
+      if (out.empty()) {
+        std::fprintf(stderr, "error: --out needs a path\n%s", usage);
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       const char* text = argv[i] + 10;
       char* end = nullptr;
@@ -219,7 +224,12 @@ int main(int argc, char** argv) {
               "DRAMA needs %sx more time on average and produces nothing on "
               "the noisy No.3/No.7 units.\n",
               "several");
-  emit_json(out, rows);
+  try {
+    emit_json(out, rows);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   std::printf("Machine-readable record written to %s\n", out.c_str());
   return 0;
 }

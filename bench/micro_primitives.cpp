@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <span>
 #include <string>
 
@@ -518,12 +519,21 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
+      if (out.empty()) {
+        std::fprintf(stderr, "error: --out needs a path\n%s", usage);
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "error: unknown argument '%s'\n%s", argv[i], usage);
       return 2;
     }
   }
   if (!smoke) benchmark::RunSpecifiedBenchmarks();
-  emit_bench_json(out, smoke);
+  try {
+    emit_bench_json(out, smoke);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -126,7 +126,11 @@ std::string yn(bool b) { return b ? "yes" : "x"; }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("== Table I: comparison of uncovering tools (measured on the 9 "
               "simulated machines, %zu seeds each) ==\n\n",
               std::size(kSeeds));

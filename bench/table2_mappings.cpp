@@ -14,7 +14,11 @@
 #include "dram/presets.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   using namespace dramdig;
   std::printf(
       "== Table II: reverse-engineered DRAM mappings on 9 machine settings "

@@ -31,7 +31,11 @@ std::uint64_t run_test(sim::machine& machine,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("== Table III: double-sided rowhammer, 5 tests x 5 minutes, "
               "bit flips as DRAMDig/DRAMA ==\n\n");
   text_table table({"Machine", "T1", "T2", "T3", "T4", "T5", "Total"});

@@ -1,14 +1,17 @@
-// Positional-argument parsing shared by the example binaries: an optional
-// paper machine number (1-9) and, where the example takes one, a seed.
-// Anything else — a flag such as --help, a machine outside 1-9, a
-// non-numeric or negative seed, extra arguments — prints the usage line
-// and exits 2 instead of aborting inside the library.
+// Argument parsing shared by the example binaries: an optional paper
+// machine number (1-9), where the example takes one a seed, and path
+// options. Anything else — a flag such as --help, a machine outside 1-9, a
+// non-numeric or negative seed, extra arguments, a missing or empty path —
+// prints the usage line and exits 2 instead of aborting inside the
+// library.
 #pragma once
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <vector>
 
 namespace dramdig::examples {
@@ -49,6 +52,26 @@ inline void parse_machine_args(const std::vector<const char*>& args,
     if (!parse_u64(args[1], value)) usage_exit(usage);
     *seed = value;
   }
+}
+
+/// A path option at argv[i], given as `NAME PATH` (advancing i) or
+/// `NAME=PATH`, read into `path`. False when argv[i] is not that option; a
+/// missing or empty path prints the usage line and exits 2, so a bad path
+/// fails before the run instead of being ignored.
+inline bool parse_path_option(int argc, char** argv, int& i, const char* name,
+                              const char* usage, std::string& path) {
+  const std::size_t len = std::strlen(name);
+  if (std::strncmp(argv[i], name, len) != 0) return false;
+  if (argv[i][len] == '=') {
+    path = argv[i] + len + 1;
+  } else if (argv[i][len] == '\0') {
+    if (i + 1 >= argc) usage_exit(usage);
+    path = argv[++i];
+  } else {
+    return false;  // a longer option that shares the prefix
+  }
+  if (path.empty()) usage_exit(usage);
+  return true;
 }
 
 inline void parse_machine_args(int argc, char** argv, const char* usage,

@@ -10,7 +10,11 @@
 #include "dram/presets.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   using namespace dramdig;
 
   // A fictional single-channel DDR4 system, 8 GiB, 16 banks, with a

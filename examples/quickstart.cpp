@@ -17,7 +17,7 @@
 // instead of a full recovery — the warm-start demo in two commands.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -32,37 +32,23 @@
 
 int main(int argc, char** argv) {
   using namespace dramdig;
+  const char* usage =
+      "quickstart [machine_number=1 (1-9)] [seed=42] [--json <path>] "
+      "[--store <path>]";
   std::string json_path;
   std::string store_path;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --json needs a path\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--store") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --store needs a path\n");
-        return 2;
-      }
-      store_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
-      store_path = argv[i] + 8;
-    } else {
+    if (!examples::parse_path_option(argc, argv, i, "--json", usage,
+                                     json_path) &&
+        !examples::parse_path_option(argc, argv, i, "--store", usage,
+                                     store_path)) {
       positional.push_back(argv[i]);
     }
   }
   int machine_no = 1;
   std::uint64_t seed = 42;
-  examples::parse_machine_args(
-      positional,
-      "quickstart [machine_number=1 (1-9)] [seed=42] [--json <path>] "
-      "[--store <path>]",
-      machine_no, &seed);
+  examples::parse_machine_args(positional, usage, machine_no, &seed);
 
   set_log_level(log_level::info);
   const dram::machine_spec& spec = dram::machine_by_number(machine_no);
@@ -116,7 +102,12 @@ int main(int argc, char** argv) {
     w.key("result");
     result.to_json(w);
     w.end_object();
-    write_file(json_path, w.str());
+    try {
+      write_file(json_path, w.str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     std::printf("\nJSON record written to %s\n", json_path.c_str());
   }
   return result.success ? 0 : 1;

@@ -60,17 +60,13 @@ int main(int argc, char** argv) {
 
   std::string store_path;
   std::optional<std::string> machines_arg;
+  const char* usage = "uncover_all_machines [--store <path>] [--machines=1,2]";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
-      store_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--machines=", 11) == 0) {
+    if (std::strncmp(argv[i], "--machines=", 11) == 0) {
       machines_arg = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "usage: %s [--store <path>] [--machines=1,2]\n",
-                   argv[0]);
-      return 2;
+    } else if (!examples::parse_path_option(argc, argv, i, "--store", usage,
+                                            store_path)) {
+      examples::usage_exit(usage);
     }
   }
   std::vector<int> wanted;

@@ -155,11 +155,4 @@ std::vector<std::optional<bool>> bit_probe_engine::run(
   return out;
 }
 
-std::optional<bool> bit_probe_engine::run_one(std::uint64_t delta,
-                                              unsigned votes, rng& r,
-                                              std::string_view stage) {
-  const std::uint64_t deltas[1] = {delta};
-  return run(deltas, votes, r, stage).front();
-}
-
 }  // namespace dramdig::core

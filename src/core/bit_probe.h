@@ -99,11 +99,6 @@ class bit_probe_engine {
       std::span<const std::optional<bool>> priors, unsigned votes, rng& r,
       std::string_view stage = "probe");
 
-  /// Single-experiment convenience (fine's per-candidate confirmation).
-  [[nodiscard]] std::optional<bool> run_one(std::uint64_t delta,
-                                            unsigned votes, rng& r,
-                                            std::string_view stage = "probe");
-
   /// Per-round progress hook; dramdig_tool forwards these into its
   /// phase-event stream.
   void set_round_hook(round_callback hook) { on_round_ = std::move(hook); }

@@ -126,12 +126,4 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
   return result;
 }
 
-coarse_result run_coarse_detection(timing::channel& channel,
-                                   const os::mapping_region& buffer,
-                                   const domain_knowledge& knowledge, rng& r) {
-  measurement_plan plan(channel);
-  bit_probe_engine probe(plan, buffer);
-  return run_coarse_detection(probe, knowledge, r);
-}
-
 }  // namespace dramdig::core

@@ -20,9 +20,6 @@
 
 #include "core/bit_probe.h"
 #include "core/domain_knowledge.h"
-#include "core/measurement_plan.h"
-#include "os/address_space.h"
-#include "timing/channel.h"
 #include "util/rng.h"
 
 namespace dramdig::core {
@@ -52,10 +49,5 @@ struct coarse_result {
 [[nodiscard]] coarse_result run_coarse_detection(
     bit_probe_engine& probe, const domain_knowledge& knowledge, rng& r,
     const mapping_prior* prior = nullptr);
-
-/// Convenience overload with a call-local plan and engine.
-[[nodiscard]] coarse_result run_coarse_detection(
-    timing::channel& channel, const os::mapping_region& buffer,
-    const domain_knowledge& knowledge, rng& r);
 
 }  // namespace dramdig::core

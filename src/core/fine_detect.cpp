@@ -199,15 +199,4 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
   return out;
 }
 
-fine_outcome run_fine_detection(timing::channel& channel,
-                                const os::mapping_region& buffer,
-                                const domain_knowledge& knowledge,
-                                const coarse_result& coarse,
-                                const std::vector<std::uint64_t>& bank_functions,
-                                rng& r) {
-  measurement_plan plan(channel);
-  bit_probe_engine probe(plan, buffer);
-  return run_fine_detection(probe, knowledge, coarse, bank_functions, r);
-}
-
 }  // namespace dramdig::core

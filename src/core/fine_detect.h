@@ -30,9 +30,6 @@
 #include "core/bit_probe.h"
 #include "core/coarse_detect.h"
 #include "core/domain_knowledge.h"
-#include "core/measurement_plan.h"
-#include "os/address_space.h"
-#include "timing/channel.h"
 #include "util/rng.h"
 
 namespace dramdig::core {
@@ -47,9 +44,9 @@ struct fine_outcome {
   bool timing_verified = true;    ///< no accepted candidate lacked a probe
 };
 
-/// Primary interface: candidate confirmations run on the caller's probe
-/// engine (shared with coarse, measuring through the same reuse scheduler
-/// as partition — verdicts accreted anywhere are available here).
+/// Run Step 3: candidate confirmations run on the caller's probe engine
+/// (shared with coarse, measuring through the same reuse scheduler as
+/// partition — verdicts accreted anywhere are available here).
 ///
 /// `prior` is sibling evidence (fleet warm start; null = cold):
 /// per-candidate confirmation probes carry a vote prior predicting whether
@@ -63,11 +60,5 @@ struct fine_outcome {
     const coarse_result& coarse,
     const std::vector<std::uint64_t>& bank_functions, rng& r,
     const mapping_prior* prior = nullptr);
-
-/// Convenience overload with a call-local plan and engine.
-[[nodiscard]] fine_outcome run_fine_detection(
-    timing::channel& channel, const os::mapping_region& buffer,
-    const domain_knowledge& knowledge, const coarse_result& coarse,
-    const std::vector<std::uint64_t>& bank_functions, rng& r);
 
 }  // namespace dramdig::core

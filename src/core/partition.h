@@ -1,12 +1,14 @@
-// Step 2 phase 2: physical-address partition (paper Algorithm 2).
+// Step 2 phase 2: physical-address partition (paper Algorithm 2) — its
+// knobs and its outcome.
 //
-// The driver is the representative-based classification engine in
-// core/classifier: piles are first-class bank classes carrying row-distinct
-// representatives, and each unassigned address is classified against one
-// representative per open class — with a second-representative fallback
-// for same-row misses and a fresh-pivot founder scan (the paper's pivot
-// scan: measure a pivot against the remaining pool and peel off its
-// same-bank pile) only to open new classes.
+// The one entry point is bank_classifier::partition (core/classifier),
+// called on the run's shared measurement plan: piles are first-class bank
+// classes carrying row-distinct representatives, and each unassigned
+// address is classified against one representative per open class — with
+// a second-representative fallback for same-row misses and a fresh-pivot
+// founder scan (the paper's pivot scan: measure a pivot against the
+// remaining pool and peel off its same-bank pile) only to open new
+// classes.
 // Noise tolerance is built in twice, exactly as the paper describes: a
 // pile is accepted only if its size is within 1 ± delta of pool/#banks,
 // and the loop stops once per_threshold of the pool has been assigned
@@ -19,10 +21,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "core/measurement_plan.h"
-#include "timing/channel.h"
-#include "util/rng.h"
 
 namespace dramdig::core {
 
@@ -69,13 +67,5 @@ struct partition_outcome {
   /// group scan (the knowledge-assisted fast path).
   std::uint64_t predicted_assignments = 0;
 };
-
-/// Partition through a call-local plan and classifier (the cache still
-/// dedupes work across the pivots of this one call). Callers that keep
-/// verdicts and classes across calls — the pipeline's bank-count sweep —
-/// hold a bank_classifier and call its partition() directly.
-[[nodiscard]] partition_outcome partition_pool(
-    timing::channel& channel, std::vector<std::uint64_t> pool,
-    unsigned bank_count, rng& r, const partition_config& config = {});
 
 }  // namespace dramdig::core

@@ -1,7 +1,7 @@
 // The DRAM-side address tuple. The paper treats (channel, DIMM, rank, bank)
 // as one flat "bank" coordinate — two addresses interfere in the row buffer
-// iff they share that whole coordinate — so the simulator keys row-buffer
-// state on `flat_bank` while keeping the hierarchical fields for reporting.
+// iff they share that whole coordinate — so an address is its flat bank,
+// row and column, and the simulator keys row-buffer state on `flat_bank`.
 #pragma once
 
 #include <cstdint>
@@ -9,10 +9,6 @@
 namespace dramdig::dram {
 
 struct dram_address {
-  std::uint32_t channel = 0;
-  std::uint32_t dimm = 0;
-  std::uint32_t rank = 0;
-  std::uint32_t bank = 0;       // bank within rank (incl. bank group on DDR4)
   std::uint64_t row = 0;
   std::uint64_t column = 0;     // byte offset within the row
 

@@ -51,8 +51,7 @@ class address_mapping {
   [[nodiscard]] std::uint64_t row_of(std::uint64_t phys) const;
   [[nodiscard]] std::uint64_t column_of(std::uint64_t phys) const;
 
-  /// Full decode (hierarchical fields filled by the caller that knows the
-  /// channel/dimm/rank layout; see machine_spec::decode).
+  /// Flat bank, row and column of a physical address in one call.
   [[nodiscard]] dram_address decode(std::uint64_t phys) const;
 
   /// Inverse mapping: the unique physical address with the given flat bank,

@@ -142,19 +142,6 @@ std::string machine_spec::config_quadruple() const {
          ")";
 }
 
-dram_address machine_spec::decode_full(std::uint64_t phys) const {
-  dram_address a = mapping.decode(phys);
-  std::uint64_t rest = a.flat_bank;
-  a.bank = static_cast<std::uint32_t>(rest % banks_per_rank);
-  rest /= banks_per_rank;
-  a.rank = static_cast<std::uint32_t>(rest % ranks_per_dimm);
-  rest /= ranks_per_dimm;
-  a.dimm = static_cast<std::uint32_t>(rest % dimms_per_channel);
-  rest /= dimms_per_channel;
-  a.channel = static_cast<std::uint32_t>(rest);
-  return a;
-}
-
 const std::vector<machine_spec>& paper_machines() {
   static const std::vector<machine_spec> machines = build_paper_machines();
   return machines;

@@ -66,14 +66,6 @@ struct machine_spec {
   [[nodiscard]] std::string dram_description() const;
   /// "(2, 1, 1, 8)" configuration quadruple.
   [[nodiscard]] std::string config_quadruple() const;
-
-  /// Decompose a flat bank index into the hierarchy of the configuration
-  /// quadruple. The paper folds channel/DIMM/rank into the "bank" tuple
-  /// (they are one row-buffer domain for timing and hammering); this
-  /// decode assigns the *listed function order* to the hierarchy levels,
-  /// bank-within-rank in the low function bits and channel in the high
-  /// ones, and is used for reporting only.
-  [[nodiscard]] dram_address decode_full(std::uint64_t phys) const;
 };
 
 /// All nine paper machines, in Table II order.

@@ -105,19 +105,4 @@ mapping_region& address_space::map_buffer(std::uint64_t bytes) {
   return regions_.back();
 }
 
-mapping_region& address_space::map_buffer_hugepage(std::uint64_t bytes) {
-  const unsigned huge_count =
-      static_cast<unsigned>(bytes / kHugePageSize);
-  auto backing = phys_.allocate_huge_pages(huge_count);
-  std::uint64_t got = 0;
-  for (const extent& e : backing) got += e.byte_count();
-  if (got < bytes) {
-    auto tail = phys_.allocate(bytes - got);
-    backing.insert(backing.end(), tail.begin(), tail.end());
-  }
-  regions_.emplace_back(next_va_, std::move(backing));
-  next_va_ += ((bytes + kPageSize - 1) / kPageSize + 16) * kPageSize;
-  return regions_.back();
-}
-
 }  // namespace dramdig::os

@@ -93,10 +93,6 @@ class address_space {
   /// mmap + touch all pages (so frames are committed), 4 KiB granularity.
   mapping_region& map_buffer(std::uint64_t bytes);
 
-  /// mmap with THP: as many 2 MiB huge pages as the kernel can find, the
-  /// remainder in 4 KiB pages. Mirrors MADV_HUGEPAGE behaviour.
-  mapping_region& map_buffer_hugepage(std::uint64_t bytes);
-
   /// Regions live in a deque so references returned by map_buffer stay
   /// valid across later mappings.
   [[nodiscard]] const std::deque<mapping_region>& regions() const noexcept {

@@ -147,35 +147,6 @@ void physical_memory::insert_free(extent e) {
   }
 }
 
-std::vector<extent> physical_memory::allocate_huge_pages(unsigned count) {
-  std::vector<extent> out;
-  const std::uint64_t huge_pages = kHugePageSize / kPageSize;
-  for (unsigned i = 0; i < count; ++i) {
-    // Find a free extent containing an aligned 2 MiB run.
-    bool found = false;
-    // Randomize the scan start so huge pages also scatter.
-    const std::size_t n = free_list_.size();
-    const std::size_t start = n == 0 ? 0 : rng_.below(n);
-    for (std::size_t k = 0; k < n && !found; ++k) {
-      const std::size_t idx = (start + k) % n;
-      extent e = free_list_[idx];
-      const std::uint64_t aligned_first =
-          (e.first_pfn + huge_pages - 1) / huge_pages * huge_pages;
-      if (aligned_first + huge_pages > e.first_pfn + e.page_count) continue;
-      // Split: [e.first, aligned_first) stays free, the run is taken,
-      // the tail is re-inserted.
-      free_list_.erase(free_list_.begin() + static_cast<std::ptrdiff_t>(idx));
-      insert_free({e.first_pfn, aligned_first - e.first_pfn});
-      insert_free({aligned_first + huge_pages,
-                   e.first_pfn + e.page_count - aligned_first - huge_pages});
-      out.push_back({aligned_first, huge_pages});
-      found = true;
-    }
-    if (!found) break;  // partial success, like a real THP allocation
-  }
-  return out;
-}
-
 void physical_memory::free(const std::vector<extent>& extents) {
   for (const extent& e : extents) insert_free(e);
 }

@@ -1,14 +1,13 @@
 // Simulated physical memory management.
 //
 // The reverse-engineering tools live in userspace: they mmap big buffers
-// and learn the backing physical frames from /proc/self/pagemap (or rely on
-// transparent huge pages). What the OS hands out — how contiguous it is,
-// which frames are reserved — directly shapes Algorithm 1's search for a
-// physically contiguous range covering all bank bits. This allocator
-// models a buddy-style kernel: memory is carved into power-of-two free
-// extents, a few ranges are reserved (firmware, kernel), and allocation
-// requests are served from extents under a configurable fragmentation
-// level.
+// and learn the backing physical frames from /proc/self/pagemap. What the
+// OS hands out — how contiguous it is, which frames are reserved —
+// directly shapes Algorithm 1's search for a physically contiguous range
+// covering all bank bits. This allocator models a buddy-style kernel:
+// memory is carved into power-of-two free extents, a few ranges are
+// reserved (firmware, kernel), and allocation requests are served from
+// extents under a configurable fragmentation level.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +48,6 @@ class physical_memory {
   /// a list of contiguous extents, largest-first, scattered across the
   /// address space. Throws std::bad_alloc when memory is exhausted.
   [[nodiscard]] std::vector<extent> allocate(std::uint64_t bytes);
-
-  /// Allocate one naturally aligned contiguous run (huge-page style).
-  /// Returns an extent of exactly `bytes` aligned to `bytes` granularity,
-  /// or nullopt when no such run is free.
-  [[nodiscard]] std::vector<extent> allocate_huge_pages(unsigned count);
 
   void free(const std::vector<extent>& extents);
 

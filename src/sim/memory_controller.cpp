@@ -61,10 +61,6 @@ bool memory_controller::in_burst_at(std::uint64_t now_ns) const {
   return now_ns >= burst_start_ns_ && now_ns < burst_end_ns_;
 }
 
-bool memory_controller::in_burst() const {
-  return in_burst_at(clock_.now_ns());
-}
-
 double memory_controller::effective_contamination_at(
     std::uint64_t now_ns) const {
   const double chance =
@@ -72,36 +68,6 @@ double memory_controller::effective_contamination_at(
           ? timing_.contamination_chance * timing_.burst_contamination_factor
           : timing_.contamination_chance;
   return std::min(chance, 0.5);
-}
-
-double memory_controller::access(std::uint64_t phys) {
-  DRAMDIG_EXPECTS(phys < truth_.memory_bytes());
-  const std::uint64_t bank = truth_.bank_of(phys);
-  // Rows are only ever compared for equality inside the controller, so the
-  // row-bit-masked address stands in for the dense row index (the mask is
-  // injective on row bits). Must stay consistent with decode_pair /
-  // decode_pairs — all three feed the same open-row table.
-  const std::uint64_t row = phys & row_mask_;
-
-  double base;
-  open_row& slot = open_rows_[bank];
-  if (!slot.open) {
-    base = timing_.row_closed_ns;
-    slot = {row, true};
-  } else if (slot.row == row) {
-    base = timing_.row_hit_ns;
-  } else {
-    base = timing_.row_conflict_ns;
-    slot.row = row;
-  }
-  // The access's jitter is keyed on its own monotone index.
-  const double noise = counter_.gaussian(kAccessNoiseDomain, access_count_,
-                                         0.0, timing_.access_noise_sigma_ns);
-  const double latency = std::max(1.0, base + noise);
-  clock_.advance_ns(static_cast<std::uint64_t>(
-      latency + timing_.clflush_ns + timing_.loop_overhead_ns));
-  ++access_count_;
-  return latency;
 }
 
 double memory_controller::ideal_pair_latency_ns(std::uint64_t p1,

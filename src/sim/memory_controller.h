@@ -35,10 +35,6 @@ class memory_controller {
   memory_controller(const dram::address_mapping& truth, timing_model timing,
                     virtual_clock& clock, rng noise_rng);
 
-  /// One uncached access to a physical address: updates the open-row table,
-  /// advances the clock, returns the sampled latency in ns.
-  double access(std::uint64_t phys);
-
   /// Alternate accesses to p1 and p2 (`rounds` accesses to each, clflush
   /// between accesses) and return the mean per-access latency. This is the
   /// workhorse of the timing channel; it is closed-form over the row-buffer
@@ -109,10 +105,6 @@ class memory_controller {
     return measurement_count_;
   }
 
-  /// True while a background-load burst is active at the current virtual
-  /// time (exposed for tests and the timing-viz example).
-  [[nodiscard]] bool in_burst() const;
-
  private:
   /// Decoded DRAM coordinates of one pair, produced by the (parallel)
   /// decode phase and consumed by the sequential noise phase.
@@ -166,9 +158,8 @@ class memory_controller {
   void finish_batch_counter(const decoded_soa& d, unsigned rounds,
                             std::vector<pair_measurement>& out);
 
-  /// Noise domains of the counter stream — distinct second counter words,
-  /// so the access-noise and measurement-noise sequences never collide.
-  static constexpr std::uint64_t kAccessNoiseDomain = 0;
+  /// Counter-stream domain of the measurement noise (the block's second
+  /// counter word). Its value keys every recorded noise sequence.
   static constexpr std::uint64_t kMeasureNoiseDomain = 1;
 
   [[nodiscard]] worker_pool& pool() const;
@@ -177,7 +168,7 @@ class memory_controller {
   timing_model timing_;
   virtual_clock& clock_;
   rng rng_;  ///< the machine's noise seed: keys counter_ and burst_rng_
-  noise_stream counter_;  ///< access and measurement noise
+  noise_stream counter_;  ///< measurement noise
   std::vector<open_row> open_rows_;  ///< flat table indexed by flat bank id
   std::uint64_t row_mask_ = 0;       ///< OR of the mapping's row bits
   decoded_soa soa_;                  ///< batch decode scratch, reused

@@ -29,11 +29,6 @@ struct timing_model {
   double burst_mean_interval_s = 150.0;  ///< exponential inter-arrival
   double burst_mean_duration_s = 4.0;    ///< exponential duration
   double burst_contamination_factor = 25.0;
-
-  /// Refresh: every tREFI one rank stalls ~tRFC; folded into contamination
-  /// for pair measurements but kept for documentation and the viz example.
-  double refresh_interval_ns = 7800.0;
-  double refresh_stall_ns = 350.0;
 };
 
 }  // namespace dramdig::sim

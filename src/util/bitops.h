@@ -27,14 +27,6 @@ namespace dramdig {
   return ((value >> index) & 1u) != 0;
 }
 
-/// Set or clear a single bit, returning the new value.
-[[nodiscard]] constexpr std::uint64_t with_bit(std::uint64_t value,
-                                               unsigned index,
-                                               bool on) noexcept {
-  const std::uint64_t m = std::uint64_t{1} << index;
-  return on ? (value | m) : (value & ~m);
-}
-
 /// Build a mask with the given bit indices set.
 [[nodiscard]] inline std::uint64_t mask_of_bits(
     const std::vector<unsigned>& bits) {

@@ -46,20 +46,6 @@ inline void for_each_bit_combination(
   }
 }
 
-/// Collect all combination masks (small inputs only; the count is
-/// sum_k C(n,k)).
-[[nodiscard]] inline std::vector<std::uint64_t> all_bit_combinations(
-    const std::vector<unsigned>& positions, unsigned min_bits,
-    unsigned max_bits) {
-  std::vector<std::uint64_t> out;
-  for_each_bit_combination(positions, min_bits, max_bits,
-                           [&](std::uint64_t m) {
-                             out.push_back(m);
-                             return true;
-                           });
-  return out;
-}
-
 /// Number of k-combinations C(n, k) without overflow for the small n used
 /// here (n <= 40).
 [[nodiscard]] inline std::uint64_t choose(unsigned n, unsigned k) {

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "util/expect.h"
-#include "util/rng.h"
 
 namespace dramdig {
 
@@ -234,15 +233,6 @@ inline void parallel_for_shards(worker_pool& pool, std::size_t n,
 inline void parallel_for_shards(std::size_t n, unsigned shards,
                                 const std::function<void(const shard&)>& fn) {
   parallel_for_shards(worker_pool::global(), n, shards, fn);
-}
-
-/// Fork `n` independent child streams from `parent` — one per shard, drawn
-/// in shard order so the set of streams does not depend on thread count.
-[[nodiscard]] inline std::vector<rng> fork_rngs(rng& parent, std::size_t n) {
-  std::vector<rng> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(parent.fork());
-  return out;
 }
 
 }  // namespace dramdig

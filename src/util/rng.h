@@ -193,8 +193,8 @@ inline void mulhilo64(std::uint64_t a, std::uint64_t b, std::uint64_t& hi,
 
 /// A keyed counter-based noise source. Every draw is addressed by a
 /// (domain, index) pair: `domain` separates independent consumers sharing
-/// one key (access noise vs measurement noise), `index` is the consumer's
-/// own monotone counter (access number, measurement number). Copying a
+/// one key, `index` is the consumer's own monotone counter (the memory
+/// controller's measurement number). Copying a
 /// noise_stream is free and never entangles streams — there is no state to
 /// share.
 struct noise_stream {
@@ -231,34 +231,6 @@ struct noise_stream {
   [[nodiscard]] double gaussian(std::uint64_t domain, std::uint64_t index,
                                 double mean, double sigma) const noexcept {
     return mean + sigma * counter_gaussian(block(domain, index).v0);
-  }
-
-  /// Batch samplers: out[i] equals the corresponding scalar call at index
-  /// base_index + i — the fill is just the loop, written once so callers
-  /// (and the noise_sampling bench) share one definition. Each sample
-  /// touches its own counter only, so callers may split a fill across
-  /// threads at any granularity and concatenate.
-  void fill_gaussian(std::uint64_t domain, std::uint64_t base_index,
-                     std::size_t n, double mean, double sigma,
-                     double* out) const noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = gaussian(domain, base_index + i, mean, sigma);
-    }
-  }
-
-  void fill_uniform(std::uint64_t domain, std::uint64_t base_index,
-                    std::size_t n, double* out) const noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = uniform(domain, base_index + i);
-    }
-  }
-
-  void fill_bernoulli(std::uint64_t domain, std::uint64_t base_index,
-                      std::size_t n, double p,
-                      std::uint8_t* out) const noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = bernoulli(domain, base_index + i, p) ? 1 : 0;
-    }
   }
 };
 

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "util/expect.h"
@@ -22,8 +21,6 @@ double variance(const std::vector<double>& xs) {
   return acc / static_cast<double>(xs.size());
 }
 
-double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
-
 double median(std::vector<double> xs) {
   DRAMDIG_EXPECTS(!xs.empty());
   const std::size_t mid = xs.size() / 2;
@@ -34,14 +31,6 @@ double median(std::vector<double> xs) {
   const double lo =
       *std::max_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(mid));
   return (lo + hi) / 2.0;
-}
-
-std::uint64_t median_u64(std::vector<std::uint64_t> xs) {
-  DRAMDIG_EXPECTS(!xs.empty());
-  const std::size_t mid = xs.size() / 2;
-  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(mid),
-                   xs.end());
-  return xs[mid];
 }
 
 double percentile(std::vector<double> xs, double p) {

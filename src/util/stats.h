@@ -2,19 +2,16 @@
 // threshold calibration) and the benchmark reporters.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 namespace dramdig {
 
 [[nodiscard]] double mean(const std::vector<double>& xs);
 [[nodiscard]] double variance(const std::vector<double>& xs);
-[[nodiscard]] double stddev(const std::vector<double>& xs);
 
 /// Median; copies and partially sorts. Empty input is a precondition
 /// violation.
 [[nodiscard]] double median(std::vector<double> xs);
-[[nodiscard]] std::uint64_t median_u64(std::vector<std::uint64_t> xs);
 
 /// p-th percentile (0..100) by nearest-rank on a copy.
 [[nodiscard]] double percentile(std::vector<double> xs, double p);

@@ -1,10 +1,14 @@
 // Shared fixture for core-pipeline tests: a simulated machine with its OS,
 // a mapped buffer and a calibrated timing channel — the state every
-// pipeline stage expects to run on.
+// pipeline stage expects to run on — plus the per-run measurement state
+// the pipeline builds on top of it.
 #pragma once
 
+#include "core/bit_probe.h"
+#include "core/classifier.h"
 #include "core/domain_knowledge.h"
 #include "core/environment.h"
+#include "core/measurement_plan.h"
 #include "core/probe_util.h"
 #include "sysinfo/system_info.h"
 #include "timing/channel.h"
@@ -33,6 +37,19 @@ struct pipeline_fixture {
         r(seed ^ 0x7e57) {
     channel.calibrate(sample_addresses(buffer, 1024, r));
   }
+};
+
+/// One run's measurement state, built as dramdig_tool::run builds it: a
+/// measurement plan on the fixture's channel, with the bank classifier and
+/// the bit-probe engine on top, so every phase driven through it reuses
+/// the verdicts the others accreted.
+struct run_state {
+  measurement_plan plan;
+  bank_classifier classifier;
+  bit_probe_engine probe;
+
+  explicit run_state(pipeline_fixture& f)
+      : plan(f.channel), classifier(plan), probe(plan, f.buffer) {}
 };
 
 }  // namespace dramdig::core::testing

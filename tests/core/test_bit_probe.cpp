@@ -16,6 +16,7 @@ namespace dramdig::core {
 namespace {
 
 using testing::pipeline_fixture;
+using testing::run_state;
 
 struct probed_run {
   coarse_result coarse;
@@ -27,13 +28,12 @@ struct probed_run {
 /// phases from partition) on a fresh fixture.
 probed_run run_probed_phases(int machine, std::uint64_t seed) {
   pipeline_fixture f(machine, seed);
-  measurement_plan plan(f.channel);
-  bit_probe_engine engine(plan, f.buffer);
+  run_state s(f);
   probed_run out;
-  out.coarse = run_coarse_detection(engine, f.knowledge, f.r);
-  out.fine = run_fine_detection(engine, f.knowledge, out.coarse,
+  out.coarse = run_coarse_detection(s.probe, f.knowledge, f.r);
+  out.fine = run_fine_detection(s.probe, f.knowledge, out.coarse,
                                 f.env.spec().mapping.bank_functions(), f.r);
-  out.stats = engine.stats();
+  out.stats = s.probe.stats();
   return out;
 }
 
@@ -92,16 +92,18 @@ TEST(BitProbe, EarlyTerminationAndRoundBatchingShowInStats) {
 
 TEST(BitProbe, UntestableDeltaReturnsNullopt) {
   pipeline_fixture f(4, 7);
-  measurement_plan plan(f.channel);
-  bit_probe_engine engine(plan, f.buffer);
+  run_state s(f);
   // A delta far above installed memory: no partner page can ever back it.
-  const std::uint64_t delta = std::uint64_t{1} << 40;
-  EXPECT_EQ(engine.run_one(delta, 7, f.r), std::nullopt);
+  const std::uint64_t deltas[] = {std::uint64_t{1} << 40};
+  const auto verdicts = s.probe.run(deltas, 7, f.r);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts.front(), std::nullopt);
 }
 
 TEST(BitProbe, ProbePairsAnswersRepeatsFromThePlanCache) {
   pipeline_fixture f(1, 7);
-  measurement_plan plan(f.channel);
+  run_state s(f);
+  measurement_plan& plan = s.plan;
   std::vector<sim::addr_pair> pairs;
   for (unsigned b = 20; b < 26; ++b) {
     const auto pair =
@@ -125,7 +127,8 @@ TEST(BitProbe, ProbePairsMatchesStrictVerdicts) {
   // strict-verified positives) must land on the same verdicts as the
   // all-strict predicate, pair for pair.
   pipeline_fixture f(7, 31);
-  measurement_plan probe_plan(f.channel);
+  run_state s(f);
+  measurement_plan& probe_plan = s.plan;
   std::vector<sim::addr_pair> pairs;
   for (unsigned b = f.knowledge.min_probe_bit; b < f.knowledge.address_bits;
        ++b) {

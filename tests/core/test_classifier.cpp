@@ -15,6 +15,7 @@ namespace dramdig::core {
 namespace {
 
 using testing::pipeline_fixture;
+using testing::run_state;
 
 /// The machine's coarse "covered" bit set — every bit feeding a bank
 /// function, shared row bits included — i.e. what Step 2 hands to the
@@ -73,7 +74,8 @@ TEST(Classifier, RepresentativePartitionIsSoundOnEveryPaperMachine) {
     const unsigned banks =
         static_cast<unsigned>(f.env.spec().mapping.bank_count());
     const partition_config cfg{};
-    const auto out = partition_pool(f.channel, pool, banks, f.r, cfg);
+    run_state s(f);
+    const auto out = s.classifier.partition(pool, banks, f.r, cfg);
     expect_sound_partition(out, f.env.spec().mapping, pool.size(), banks, cfg,
                            ("No." + std::to_string(machine)).c_str());
   }
@@ -90,7 +92,8 @@ TEST(Classifier, DeltaWindowHoldsOnNoisyProfilesAcrossSeeds) {
       const unsigned banks =
           static_cast<unsigned>(f.env.spec().mapping.bank_count());
       const partition_config cfg{};
-      const auto out = partition_pool(f.channel, pool, banks, f.r, cfg);
+      run_state s(f);
+      const auto out = s.classifier.partition(pool, banks, f.r, cfg);
       expect_sound_partition(
           out, f.env.spec().mapping, pool.size(), banks, cfg,
           ("No." + std::to_string(machine) + " seed " + std::to_string(seed))
@@ -108,8 +111,8 @@ TEST(Classifier, RepresentativesArePairwiseRowDistinctVerifiedMembers) {
     const auto pool = pool_for(f);
     const unsigned banks =
         static_cast<unsigned>(f.env.spec().mapping.bank_count());
-    measurement_plan plan(f.channel);
-    bank_classifier engine(plan);
+    run_state s(f);
+    bank_classifier& engine = s.classifier;
     const auto out = engine.partition(pool, banks, f.r, {});
     ASSERT_TRUE(out.success);
     ASSERT_FALSE(engine.classes().empty());
@@ -141,8 +144,8 @@ TEST(Classifier, DirectoryReuseMakesRepeatPartitionsFree) {
   const auto pool = pool_for(f);
   const unsigned banks =
       static_cast<unsigned>(f.env.spec().mapping.bank_count());
-  measurement_plan plan(f.channel);
-  bank_classifier engine(plan);
+  run_state s(f);
+  bank_classifier& engine = s.classifier;
   auto& controller = f.env.mach().controller();
 
   const std::uint64_t base = controller.measurement_count();
@@ -173,7 +176,8 @@ TEST(Classifier, RepresentativePathRejectsWrongBankCount) {
   const auto pool = pool_for(f);
   partition_config cfg{};
   cfg.max_pivot_attempts = 40;
-  const auto out = partition_pool(f.channel, pool, 64, f.r, cfg);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 64, f.r, cfg);
   EXPECT_FALSE(out.success);
   EXPECT_TRUE(out.piles.empty());
 }
@@ -186,7 +190,8 @@ TEST(Classifier, PredictionAccountingExposedInOutcome) {
   const auto pool = pool_for(f);
   const unsigned banks =
       static_cast<unsigned>(f.env.spec().mapping.bank_count());
-  const auto out = partition_pool(f.channel, pool, banks, f.r, {});
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, banks, f.r, {});
   ASSERT_TRUE(out.success);
   EXPECT_LE(out.founder_scans, banks + 4);
   EXPECT_GT(out.predicted_assignments, out.partitioned / 2);
@@ -201,8 +206,8 @@ TEST(Classifier, TrueWarmHintMakesEveryFounderScanAGroupScan) {
   const auto pool = pool_for(f);
   const auto& truth = f.env.spec().mapping;
   const unsigned banks = truth.bank_count();
-  measurement_plan plan(f.channel);
-  bank_classifier engine(plan);
+  run_state s(f);
+  bank_classifier& engine = s.classifier;
   engine.warm_start(truth.bank_functions());
   ASSERT_TRUE(engine.warm_hint_active());
   const partition_config cfg{};
@@ -223,8 +228,8 @@ TEST(Classifier, TrueWarmHintFoundsLargestGroupsFirstInPoolOrder) {
     pipeline_fixture f(machine);
     const auto pool = pool_for(f);
     const auto& truth = f.env.spec().mapping;
-    measurement_plan plan(f.channel);
-    bank_classifier engine(plan);
+    run_state s(f);
+    bank_classifier& engine = s.classifier;
     engine.warm_start(truth.bank_functions());
     const auto out = engine.partition(pool, truth.bank_count(), f.r, {});
     ASSERT_TRUE(out.success) << "No." << machine;
@@ -277,8 +282,8 @@ TEST(Classifier, FlippedWarmHintFailsWithoutFabricatingPiles) {
   const unsigned banks = truth.bank_count();
   gf2::matrix hint = truth.bank_functions();
   hint[0] ^= std::uint64_t{1} << (63 - std::countl_zero(hint[1]));
-  measurement_plan plan(f.channel);
-  bank_classifier engine(plan);
+  run_state s(f);
+  bank_classifier& engine = s.classifier;
   engine.warm_start(hint);
   const partition_config cfg{};
   const auto warm = engine.partition(pool, banks, f.r, cfg);

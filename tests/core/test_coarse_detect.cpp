@@ -10,6 +10,7 @@ namespace dramdig::core {
 namespace {
 
 using testing::pipeline_fixture;
+using testing::run_state;
 
 bool contains(const std::vector<unsigned>& v, unsigned b) {
   return std::find(v.begin(), v.end(), b) != v.end();
@@ -17,8 +18,8 @@ bool contains(const std::vector<unsigned>& v, unsigned b) {
 
 TEST(CoarseDetect, MachineNo1Partition) {
   pipeline_fixture f(1);
-  const auto res =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+  run_state s(f);
+  const auto res = run_coarse_detection(s.probe, f.knowledge, f.r);
   // Row-only bits 20..32 (17,18,19 are shared with bank functions).
   for (unsigned b = 20; b <= 32; ++b) EXPECT_TRUE(contains(res.row_bits, b));
   for (unsigned b : {17u, 18u, 19u}) EXPECT_FALSE(contains(res.row_bits, b));
@@ -40,8 +41,8 @@ TEST(CoarseDetect, MachineNo1Partition) {
 
 TEST(CoarseDetect, MachineNo2SharedColumnsStayCovered) {
   pipeline_fixture f(2);
-  const auto res =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+  run_state s(f);
+  const auto res = run_coarse_detection(s.probe, f.knowledge, f.r);
   // 8,9,12,13 feed the wide channel function: not detectable as columns.
   for (unsigned b : {8u, 9u, 12u, 13u}) {
     EXPECT_FALSE(contains(res.column_bits, b)) << b;
@@ -58,8 +59,8 @@ TEST(CoarseDetect, MachineNo2SharedColumnsStayCovered) {
 TEST(CoarseDetect, ClassesAreDisjointAndCoverProbedBits) {
   for (int machine : {1, 4, 6, 8}) {
     pipeline_fixture f(machine);
-    const auto res =
-        run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+    run_state s(f);
+    const auto res = run_coarse_detection(s.probe, f.knowledge, f.r);
     std::vector<unsigned> all;
     all.insert(all.end(), res.row_bits.begin(), res.row_bits.end());
     all.insert(all.end(), res.column_bits.begin(), res.column_bits.end());
@@ -77,12 +78,13 @@ TEST(CoarseDetect, ClassesAreDisjointAndCoverProbedBits) {
 TEST(CoarseDetect, DeterministicAcrossNoiseSeeds) {
   const auto baseline = [] {
     pipeline_fixture f(3, 100);
-    return run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+    run_state s(f);
+    return run_coarse_detection(s.probe, f.knowledge, f.r);
   }();
   for (std::uint64_t seed : {101, 102, 103}) {
     pipeline_fixture f(3, seed);
-    const auto res =
-        run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+    run_state s(f);
+    const auto res = run_coarse_detection(s.probe, f.knowledge, f.r);
     EXPECT_EQ(res.row_bits, baseline.row_bits) << "seed " << seed;
     EXPECT_EQ(res.column_bits, baseline.column_bits) << "seed " << seed;
     EXPECT_EQ(res.bank_bits, baseline.bank_bits) << "seed " << seed;
@@ -96,7 +98,8 @@ TEST(CoarseDetect, UntestableBitsAreReportedNotClassified) {
   domain_knowledge doctored = f.knowledge;
   const unsigned true_bits = f.knowledge.address_bits;
   doctored.address_bits = true_bits + 2;
-  const auto res = run_coarse_detection(f.channel, f.buffer, doctored, f.r);
+  run_state s(f);
+  const auto res = run_coarse_detection(s.probe, doctored, f.r);
   EXPECT_EQ(res.untestable_bits,
             (std::vector<unsigned>{true_bits, true_bits + 1}));
   // The real bits still classify exactly as without the doctoring.
@@ -112,7 +115,8 @@ TEST(CoarseDetect, NoRowBitsIsAFailureReturnNotACrash) {
   pipeline_fixture f(1);
   domain_knowledge doctored = f.knowledge;
   doctored.address_bits = 17;  // rows start at 17 on machine No.1
-  const auto res = run_coarse_detection(f.channel, f.buffer, doctored, f.r);
+  run_state s(f);
+  const auto res = run_coarse_detection(s.probe, doctored, f.r);
   EXPECT_TRUE(res.row_bits.empty());
   EXPECT_EQ(res.bank_bits.size(), 11u);  // bits 6..16
   EXPECT_TRUE(res.column_bits.empty());
@@ -122,8 +126,8 @@ TEST(CoarseDetect, WorksOnNoisyMachine) {
   // Machine No.7 has the worst timing quality in the fleet; the voted,
   // median-filtered coarse pass must still classify correctly.
   pipeline_fixture f(7, 55);
-  const auto res =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+  run_state s(f);
+  const auto res = run_coarse_detection(s.probe, f.knowledge, f.r);
   for (unsigned b = 18; b <= 31; ++b) EXPECT_TRUE(contains(res.row_bits, b));
   for (unsigned b : {6u, 13u, 14u, 15u, 16u, 17u}) {
     EXPECT_TRUE(contains(res.bank_bits, b)) << b;

@@ -11,13 +11,14 @@ namespace dramdig::core {
 namespace {
 
 using testing::pipeline_fixture;
+using testing::run_state;
 
 /// Run coarse detection, then hand the machine's true functions to the
 /// fine-grained step (isolating Step 3 from Algorithm 2/3).
 fine_outcome fine_with_truth(pipeline_fixture& f) {
-  const auto coarse =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
-  return run_fine_detection(f.channel, f.buffer, f.knowledge, coarse,
+  run_state s(f);
+  const auto coarse = run_coarse_detection(s.probe, f.knowledge, f.r);
+  return run_fine_detection(s.probe, f.knowledge, coarse,
                             f.env.spec().mapping.bank_functions(), f.r);
 }
 
@@ -56,12 +57,12 @@ TEST(FineDetect, MachineNo6RefutesPureBankCandidateWhenOverAsked) {
   // bank-invariant delta {7,14} measures fast (same row, same bank) and
   // refutes it.
   pipeline_fixture f(6);
-  const auto coarse =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+  run_state s(f);
+  const auto coarse = run_coarse_detection(s.probe, f.knowledge, f.r);
   domain_knowledge doctored = f.knowledge;
   doctored.expected_row_bits += 1;
   const auto out =
-      run_fine_detection(f.channel, f.buffer, doctored, coarse,
+      run_fine_detection(s.probe, doctored, coarse,
                          f.env.spec().mapping.bank_functions(), f.r);
   EXPECT_TRUE(std::find(out.rejected_candidates.begin(),
                         out.rejected_candidates.end(),
@@ -83,12 +84,12 @@ TEST(FineDetect, MachineNo7RefutesCandidate13WhenOverAsked) {
   // bank); the delta {6,13} flips a column and keeps the bank -> fast ->
   // refuted.
   pipeline_fixture f(7);
-  const auto coarse =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+  run_state s(f);
+  const auto coarse = run_coarse_detection(s.probe, f.knowledge, f.r);
   domain_knowledge doctored = f.knowledge;
   doctored.expected_row_bits += 1;
   const auto out =
-      run_fine_detection(f.channel, f.buffer, doctored, coarse,
+      run_fine_detection(s.probe, doctored, coarse,
                          f.env.spec().mapping.bank_functions(), f.r);
   EXPECT_TRUE(std::find(out.rejected_candidates.begin(),
                         out.rejected_candidates.end(),
@@ -126,12 +127,12 @@ TEST(FineDetect, UnsolvableInvariantDeltaFallsBackToKnowledge) {
   // paper's knowledge fallback accepts the candidate but the outcome must
   // say so (timing_verified = false).
   pipeline_fixture f(1);
-  const auto coarse =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
+  run_state s(f);
+  const auto coarse = run_coarse_detection(s.probe, f.knowledge, f.r);
   const std::vector<std::uint64_t> funcs{(1ull << 14) | (1ull << 19),
                                          1ull << 19};
-  const auto out = run_fine_detection(f.channel, f.buffer, f.knowledge,
-                                      coarse, funcs, f.r);
+  const auto out =
+      run_fine_detection(s.probe, f.knowledge, coarse, funcs, f.r);
   EXPECT_FALSE(out.timing_verified);
   EXPECT_TRUE(std::find(out.shared_row_bits.begin(), out.shared_row_bits.end(),
                         19u) != out.shared_row_bits.end());
@@ -140,11 +141,11 @@ TEST(FineDetect, UnsolvableInvariantDeltaFallsBackToKnowledge) {
 
 TEST(FineDetect, RequiresBankFunctions) {
   pipeline_fixture f(1);
-  const auto coarse =
-      run_coarse_detection(f.channel, f.buffer, f.knowledge, f.r);
-  EXPECT_THROW((void)run_fine_detection(f.channel, f.buffer, f.knowledge,
-                                        coarse, {}, f.r),
-               contract_violation);
+  run_state s(f);
+  const auto coarse = run_coarse_detection(s.probe, f.knowledge, f.r);
+  EXPECT_THROW(
+      (void)run_fine_detection(s.probe, f.knowledge, coarse, {}, f.r),
+      contract_violation);
 }
 
 }  // namespace

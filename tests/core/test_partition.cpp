@@ -11,6 +11,7 @@ namespace dramdig::core {
 namespace {
 
 using testing::pipeline_fixture;
+using testing::run_state;
 
 /// Selection pool for a machine's true coarse bank bits.
 std::vector<std::uint64_t> pool_for(pipeline_fixture& f,
@@ -23,7 +24,8 @@ std::vector<std::uint64_t> pool_for(pipeline_fixture& f,
 TEST(Partition, MachineNo1PilesAreTrueBanks) {
   pipeline_fixture f(1);
   auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
-  const auto out = partition_pool(f.channel, pool, 16, f.r);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 16, f.r, {});
   ASSERT_TRUE(out.success);
   // >= 85% of the pool assigned.
   EXPECT_GE(out.partitioned, pool.size() * 85 / 100);
@@ -40,7 +42,8 @@ TEST(Partition, MachineNo1PilesAreTrueBanks) {
 TEST(Partition, PilesAreDisjoint) {
   pipeline_fixture f(1);
   auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
-  const auto out = partition_pool(f.channel, pool, 16, f.r);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 16, f.r, {});
   ASSERT_TRUE(out.success);
   std::set<std::uint64_t> seen;
   for (const auto& pile : out.piles) {
@@ -53,7 +56,8 @@ TEST(Partition, PilesAreDisjoint) {
 TEST(Partition, PileCountApproachesBankCount) {
   pipeline_fixture f(3);
   auto pool = pool_for(f, {13, 14, 15, 16, 17, 18, 19, 20});
-  const auto out = partition_pool(f.channel, pool, 16, f.r);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 16, f.r, {});
   ASSERT_TRUE(out.success);
   // With per_threshold = 0.85 nearly all banks get a pile.
   EXPECT_GE(out.piles.size(), 13u);
@@ -64,7 +68,8 @@ TEST(Partition, PileSizesWithinDeltaWindow) {
   pipeline_fixture f(3);
   auto pool = pool_for(f, {13, 14, 15, 16, 17, 18, 19, 20});
   const double pile_sz = static_cast<double>(pool.size()) / 16.0;
-  const auto out = partition_pool(f.channel, pool, 16, f.r);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 16, f.r, {});
   ASSERT_TRUE(out.success);
   for (const auto& pile : out.piles) {
     EXPECT_GE(static_cast<double>(pile.size()), (1.0 - 0.4) * pile_sz);
@@ -79,7 +84,8 @@ TEST(Partition, WrongBankCountIsRejected) {
   auto pool = pool_for(f, {13, 14, 15, 16, 17, 18, 19, 20});
   partition_config cfg{};
   cfg.max_pivot_attempts = 40;
-  const auto out = partition_pool(f.channel, pool, 64, f.r, cfg);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 64, f.r, cfg);
   EXPECT_FALSE(out.success);
   EXPECT_TRUE(out.piles.empty());
 }
@@ -87,7 +93,8 @@ TEST(Partition, WrongBankCountIsRejected) {
 TEST(Partition, SurvivesNoisyMachine) {
   pipeline_fixture f(7, 21);
   auto pool = pool_for(f, {6, 13, 14, 15, 16, 17});
-  const auto out = partition_pool(f.channel, pool, 8, f.r);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 8, f.r, {});
   ASSERT_TRUE(out.success);
   const auto& truth = f.env.spec().mapping;
   for (const auto& pile : out.piles) {
@@ -101,7 +108,8 @@ TEST(Partition, SurvivesNoisyMachine) {
 TEST(Partition, RequiresSanePool) {
   pipeline_fixture f(1);
   std::vector<std::uint64_t> tiny{0, 64};
-  EXPECT_THROW((void)partition_pool(f.channel, tiny, 16, f.r),
+  run_state s(f);
+  EXPECT_THROW((void)s.classifier.partition(tiny, 16, f.r, {}),
                contract_violation);
 }
 
@@ -110,7 +118,8 @@ TEST(Partition, StopThresholdHonored) {
   auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
   partition_config cfg{};
   cfg.per_threshold = 0.5;  // stop earlier
-  const auto out = partition_pool(f.channel, pool, 16, f.r, cfg);
+  run_state s(f);
+  const auto out = s.classifier.partition(pool, 16, f.r, cfg);
   ASSERT_TRUE(out.success);
   EXPECT_GE(out.partitioned, pool.size() / 2);
   // Early stop means fewer piles than banks is acceptable.

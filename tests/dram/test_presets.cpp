@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <tuple>
-
 #include "util/bitops.h"
-#include "util/rng.h"
 #include "util/expect.h"
 #include "util/gf2.h"
 
@@ -147,37 +143,17 @@ TEST(Presets, DramDescriptionFormat) {
   EXPECT_EQ(machine_by_number(6).dram_description(), "DDR4, 16GiB");
 }
 
-TEST(Presets, DecodeFullCoversHierarchy) {
-  // Every hierarchy coordinate stays within the configuration quadruple,
-  // and the decomposition is a bijection on the flat bank index.
-  rng r(406);
+TEST(Presets, EveryFlatBankEncodesAndDecodesBack) {
+  // Every flat bank of the configuration quadruple is reachable: an
+  // address built for it decodes back to the same flat bank.
   for (const auto& m : paper_machines()) {
-    std::set<std::tuple<unsigned, unsigned, unsigned, unsigned>> seen;
     for (std::uint64_t flat = 0; flat < m.total_banks(); ++flat) {
-      // Build an address with this flat bank.
       const auto pa = m.mapping.encode(flat, 1, 0);
       ASSERT_TRUE(pa.has_value());
-      const dram_address a = m.decode_full(*pa);
-      EXPECT_LT(a.channel, m.channels) << m.label();
-      EXPECT_LT(a.dimm, m.dimms_per_channel) << m.label();
-      EXPECT_LT(a.rank, m.ranks_per_dimm) << m.label();
-      EXPECT_LT(a.bank, m.banks_per_rank) << m.label();
-      EXPECT_EQ(a.flat_bank, flat);
-      EXPECT_TRUE(
-          seen.emplace(a.channel, a.dimm, a.rank, a.bank).second)
-          << m.label() << " duplicate hierarchy coordinate";
+      const dram_address a = m.mapping.decode(*pa);
+      EXPECT_EQ(a.flat_bank, flat) << m.label();
     }
-    EXPECT_EQ(seen.size(), m.total_banks()) << m.label();
   }
-}
-
-TEST(Presets, DecodeFullKeepsRowAndColumn) {
-  const auto& m = machine_by_number(2);
-  const auto pa = m.mapping.encode(5, 123, 456);
-  ASSERT_TRUE(pa.has_value());
-  const dram_address a = m.decode_full(*pa);
-  EXPECT_EQ(a.row, 123u);
-  EXPECT_EQ(a.column, 456u);
 }
 
 TEST(RandomMachine, ProducesValidMachines) {

@@ -138,19 +138,5 @@ TEST(AddressSpace, DistinctVirtualRanges) {
   EXPECT_GE(b.va_base(), a.va_base() + a.byte_count());
 }
 
-TEST(AddressSpace, HugePageBufferPrefersAlignedBacking) {
-  space_fixture f(1ull << 28, 0.05, 7);
-  const auto& region = f.space.map_buffer_hugepage(8 * kHugePageSize);
-  EXPECT_EQ(region.byte_count(), 8 * kHugePageSize);
-  std::size_t aligned_runs = 0;
-  for (const auto& e : region.backing()) {
-    if (e.first_byte() % kHugePageSize == 0 &&
-        e.byte_count() % kHugePageSize == 0) {
-      ++aligned_runs;
-    }
-  }
-  EXPECT_GT(aligned_runs, 0u);
-}
-
 }  // namespace
 }  // namespace dramdig::os

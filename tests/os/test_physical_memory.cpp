@@ -108,24 +108,6 @@ TEST(PhysicalMemory, FreeCoalescesSoReallocationSucceeds) {
   EXPECT_FALSE(final_alloc.empty());
 }
 
-TEST(PhysicalMemory, HugePagesAreAlignedAndSized) {
-  auto pm = make(1ull << 30, 0.1, 5);
-  const auto huge = pm.allocate_huge_pages(8);
-  EXPECT_EQ(huge.size(), 8u);
-  for (const auto& e : huge) {
-    EXPECT_EQ(e.byte_count(), kHugePageSize);
-    EXPECT_EQ(e.first_byte() % kHugePageSize, 0u);
-  }
-}
-
-TEST(PhysicalMemory, HugePagePartialSuccessWhenFragmented) {
-  auto pm = make(1ull << 26, 0.95, 6);
-  // Chew up memory in small allocations first.
-  for (int i = 0; i < 40; ++i) (void)pm.allocate(1ull << 19);
-  const auto huge = pm.allocate_huge_pages(64);
-  EXPECT_LT(huge.size(), 64u);  // cannot fully satisfy; returns what it found
-}
-
 TEST(PhysicalMemory, RejectsBadConfig) {
   physical_memory_config cfg{};
   cfg.total_bytes = 12345;  // not page aligned

@@ -39,12 +39,6 @@ TEST(Bitops, BitReadsSingleBits) {
   EXPECT_FALSE(bit(0, 63));
 }
 
-TEST(Bitops, WithBitSetsAndClears) {
-  EXPECT_EQ(with_bit(0, 5, true), 32u);
-  EXPECT_EQ(with_bit(32, 5, false), 0u);
-  EXPECT_EQ(with_bit(32, 5, true), 32u);
-}
-
 TEST(Bitops, MaskOfBitsBuildsUnion) {
   EXPECT_EQ(mask_of_bits({0, 3, 5}), 0b101001u);
   EXPECT_EQ(mask_of_bits({}), 0u);

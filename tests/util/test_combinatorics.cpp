@@ -76,10 +76,5 @@ TEST(Combinatorics, MaxBitsClampedToPositionCount) {
   EXPECT_EQ(visits, 3u);  // C(2,1) + C(2,2)
 }
 
-TEST(Combinatorics, AllBitCombinationsCollects) {
-  const auto all = all_bit_combinations({0, 1}, 1, 2);
-  EXPECT_EQ(all, (std::vector<std::uint64_t>{0b01, 0b10, 0b11}));
-}
-
 }  // namespace
 }  // namespace dramdig

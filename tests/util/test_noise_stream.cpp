@@ -58,37 +58,6 @@ TEST(NoiseStream, DrawsAreOrderFree) {
   }
 }
 
-TEST(NoiseStream, FillMatchesScalarCalls) {
-  const auto s = noise_stream::from_seed(23);
-  constexpr std::size_t kN = 1024;
-  constexpr std::uint64_t kBase = 777;
-
-  std::vector<double> g(kN), u(kN);
-  std::vector<std::uint8_t> b(kN);
-  s.fill_gaussian(1, kBase, kN, 5.0, 2.5, g.data());
-  s.fill_uniform(2, kBase, kN, u.data());
-  s.fill_bernoulli(4, kBase, kN, 0.3, b.data());
-
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_DOUBLE_EQ(g[i], s.gaussian(1, kBase + i, 5.0, 2.5));
-    EXPECT_DOUBLE_EQ(u[i], s.uniform(2, kBase + i));
-    EXPECT_EQ(b[i] != 0, s.bernoulli(4, kBase + i, 0.3));
-  }
-}
-
-TEST(NoiseStream, FillSplitsConcatenate) {
-  // Splitting one fill across disjoint index ranges (what the sharded tail
-  // does per thread) must reproduce the single-call fill exactly.
-  const auto s = noise_stream::from_seed(29);
-  constexpr std::size_t kN = 1000;
-  std::vector<double> whole(kN), parts(kN);
-  s.fill_gaussian(0, 0, kN, 0.0, 9.0, whole.data());
-  s.fill_gaussian(0, 0, 337, 0.0, 9.0, parts.data());
-  s.fill_gaussian(0, 337, 400, 0.0, 9.0, parts.data() + 337);
-  s.fill_gaussian(0, 737, kN - 737, 0.0, 9.0, parts.data() + 737);
-  EXPECT_EQ(whole, parts);
-}
-
 TEST(NoiseStream, UniformKolmogorovSmirnov) {
   // KS test of 2^20 uniforms against U(0,1). The critical value at
   // alpha = 1e-3 is ~1.95/sqrt(n) ~= 0.0019; 0.0025 leaves slack while
@@ -96,7 +65,7 @@ TEST(NoiseStream, UniformKolmogorovSmirnov) {
   const auto s = noise_stream::from_seed(31);
   constexpr std::size_t kN = 1u << 20;
   std::vector<double> u(kN);
-  s.fill_uniform(0, 0, kN, u.data());
+  for (std::size_t i = 0; i < kN; ++i) u[i] = s.uniform(0, i);
   std::sort(u.begin(), u.end());
   double d = 0.0;
   for (std::size_t i = 0; i < kN; ++i) {
@@ -116,7 +85,7 @@ TEST(NoiseStream, GaussianMomentsAndTails) {
   const auto s = noise_stream::from_seed(37);
   constexpr std::size_t kN = 1u << 20;
   std::vector<double> z(kN);
-  s.fill_gaussian(0, 0, kN, 0.0, 1.0, z.data());
+  for (std::size_t i = 0; i < kN; ++i) z[i] = s.gaussian(0, i, 0.0, 1.0);
 
   double sum = 0.0, sq = 0.0, cube = 0.0;
   std::size_t over1 = 0, over2 = 0, over3 = 0;
@@ -151,11 +120,9 @@ TEST(NoiseStream, GaussianScalesMeanAndSigma) {
 TEST(NoiseStream, BernoulliRateMatchesProbability) {
   const auto s = noise_stream::from_seed(43);
   constexpr std::size_t kN = 1u << 20;
-  std::vector<std::uint8_t> hits(kN);
   for (const double p : {0.0, 0.02, 0.3, 1.0}) {
-    s.fill_bernoulli(0, 0, kN, p, hits.data());
     std::size_t on = 0;
-    for (const auto h : hits) on += h;
+    for (std::size_t i = 0; i < kN; ++i) on += s.bernoulli(0, i, p);
     EXPECT_NEAR(on / double(kN), p, 0.002) << "p=" << p;
   }
 }

@@ -7,7 +7,6 @@
 #include <numeric>
 #include <thread>
 
-#include "util/rng.h"
 
 namespace dramdig {
 namespace {
@@ -71,20 +70,6 @@ TEST(ParallelShards, PropagatesWorkerExceptions) {
                             if (s.index == 2) throw std::runtime_error("boom");
                           }),
       std::runtime_error);
-}
-
-TEST(ParallelShards, ForkRngsDeterministicAndIndependent) {
-  rng a(99), b(99);
-  auto fa = fork_rngs(a, 4);
-  auto fb = fork_rngs(b, 4);
-  ASSERT_EQ(fa.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fa[i].below(1u << 30), fb[i].below(1u << 30));
-  }
-  // Distinct shards draw distinct streams.
-  rng c(99);
-  auto fc = fork_rngs(c, 2);
-  EXPECT_NE(fc[0].below(1ull << 62), fc[1].below(1ull << 62));
 }
 
 TEST(ParallelShards, DefaultShardCountSane) {
