@@ -14,7 +14,8 @@
 // use): the first invocation runs cold and records the recovered mapping;
 // a second invocation against the same store prints `store_hit: verify`
 // and re-confirms the stored functions with a few hundred designed probes
-// instead of a full recovery — the warm-start demo in two commands.
+// instead of a full recovery — the warm-start demo in two commands. A
+// store that cannot be saved prints an `error:` line and exits 1.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -58,6 +59,7 @@ int main(int argc, char** argv) {
 
   api::tool_result result;
   std::string store_hit;
+  std::string store_error;
   if (store_path.empty()) {
     core::environment env(spec, seed);
     result = api::make_tool("dramdig")->run(env);
@@ -71,6 +73,7 @@ int main(int argc, char** argv) {
         api::mapping_service(config).run({{spec, "dramdig", {}, seed}});
     result = outcomes.front().result;
     store_hit = outcomes.front().store_hit;
+    store_error = outcomes.front().store_error;
   }
 
   std::printf("\n== DRAMDig result ==\n");
@@ -109,6 +112,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("\nJSON record written to %s\n", json_path.c_str());
+  }
+  if (!store_error.empty()) {
+    // The run's result stands, but the store it was meant to seed is gone.
+    std::fprintf(stderr, "error: mapping store save failed: %s\n",
+                 store_error.c_str());
+    return 1;
   }
   return result.success ? 0 : 1;
 }

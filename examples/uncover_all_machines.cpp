@@ -11,7 +11,8 @@
 // same store turns every machine into a verification-only job
 // (`store_hit: verify`, a few hundred designed probes each) and must
 // reproduce the stored mappings bit-identically — the per-machine
-// `mapping N: ...` lines exist so a driver can diff the two runs.
+// `mapping N: ...` lines exist so a script can diff the two runs. A
+// store that cannot be saved prints an `error:` line and exits 1.
 // --machines restricts the fleet to a comma-separated list of paper
 // machine numbers (the CI round-trip smoke uses a three-machine fleet);
 // a token that is not exactly a paper machine number exits 2.
@@ -145,6 +146,16 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const api::job_outcome& outcome : outcomes) {
     ok = ok && outcome.result.success && outcome.result.verified;
+  }
+  // One save covers the whole batch, so every job whose update it lost
+  // carries the same error: report it once.
+  const auto lost = std::find_if(
+      outcomes.begin(), outcomes.end(),
+      [](const api::job_outcome& o) { return !o.store_error.empty(); });
+  if (lost != outcomes.end()) {
+    std::fprintf(stderr, "error: mapping store save failed: %s\n",
+                 lost->store_error.c_str());
+    return 1;
   }
   return ok ? 0 : 1;
 }

@@ -279,19 +279,29 @@ void mapping_service::run_job(const job_spec& job, const dispatch_plan* plan,
           .count();
 }
 
-void mapping_service::persist(
+std::string mapping_service::persist(
     std::span<std::optional<store::store_entry>> updates) const {
-  if (config_.store == nullptr) return;
+  if (config_.store == nullptr) return {};
+  bool changed = false;
   for (std::optional<store::store_entry>& update : updates) {
-    if (update) config_.store->put(std::move(*update));
+    if (!update) continue;
+    config_.store->put(std::move(*update));
+    changed = true;
   }
+  // Nothing put, nothing to write: the document on disk is already this
+  // store (or the corrupt file a failed load left, which stays until the
+  // next real save).
+  if (!changed) return {};
   try {
     config_.store->save();
   } catch (const std::exception& e) {
     // Persistence is best-effort: a read-only disk costs the next run a
-    // cold start, it must not fail a batch that already computed.
+    // cold start, it must not fail a batch that already computed. The
+    // caller still hears of it through job_outcome::store_error.
     log_warn(std::string("mapping store save failed: ") + e.what());
+    return e.what();
   }
+  return {};
 }
 
 std::vector<job_outcome> mapping_service::run(
@@ -356,7 +366,11 @@ std::vector<job_outcome> mapping_service::run(
         }
       });
 
-  persist(updates);
+  const std::string store_error = persist(updates);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    // persist() moved each entry out but left its optional engaged.
+    if (updates[i]) outcomes[i].store_error = store_error;
+  }
   // Every job's tables are dead now; without this the arenas of the pool
   // threads that happened to run jobs keep their pages.
   release_free_heap();
@@ -387,7 +401,7 @@ std::size_t mapping_service::serve(job_feed& feed, const result_sink& sink,
       // fingerprint on this worker.
       std::optional<store::store_entry> update;
       run_job(record.job, nullptr, out, update, hooks, [] {});
-      if (update) persist({&update, 1});
+      out.store_error = persist({&update, 1});
       {
         json_writer w;
         w.begin_object();
@@ -398,6 +412,7 @@ std::size_t mapping_service::serve(job_feed& feed, const result_sink& sink,
         w.key("seed").value(record.job.seed);
         w.key("state").value(state_name(out.state));
         w.key("store_hit").value(out.store_hit);
+        w.key("store_error").value(out.store_error);
         w.key("wall_seconds").value(out.wall_seconds);
         w.key("result");
         out.result.to_json(w);

@@ -67,6 +67,11 @@ struct job_outcome {
   ///   "requeued" — exact hit whose verification FAILED; the job re-ran
   ///                as a full recovery and overwrote the poisoned entry.
   std::string store_hit;
+  /// Why the store save that should have persisted this job's update
+  /// failed (the exception text). Empty when it succeeded, when the job
+  /// had no update, or without a store. The result stands either way:
+  /// persistence is best-effort, but the caller learns it was lost.
+  std::string store_error;
 };
 
 /// Job lifecycle events. Calls are serialized by the service (one observer
@@ -158,8 +163,9 @@ struct served_outcome {
   job_spec job;
   job_outcome outcome;  ///< index = claim sequence number (wall order)
   /// The outcome as one self-contained JSON object ({ticket, priority,
-  /// machine, tool, seed, state, store_hit, wall_seconds, result}) — the
-  /// per-job streaming record a daemon writes to its result log.
+  /// machine, tool, seed, state, store_hit, store_error, wall_seconds,
+  /// result}) — the per-job streaming record a daemon writes to its
+  /// result log.
   std::string json;
 };
 
@@ -172,7 +178,9 @@ class mapping_service {
   /// exceptions inside a job mark that job failed without sinking the batch.
   /// With a store configured, dramdig jobs consult it first (see
   /// job_outcome::store_hit) and successful recoveries persist back to it
-  /// (save() failures log a warning, they never fail the batch). Before
+  /// in one save after the batch, skipped when no job updated the store
+  /// (a failed save logs a warning and lands in the store_error of every
+  /// job whose update it lost; it never fails the batch). Before
   /// returning, the heap the jobs freed goes back to the OS
   /// (util/heap.h), so the process's resident memory between batches does
   /// not depend on which pool threads ran jobs.
@@ -210,9 +218,11 @@ class mapping_service {
   void run_job(const job_spec& job, const dispatch_plan* plan,
                job_outcome& out, std::optional<store::store_entry>& update,
                const core::run_hooks& hooks, OnStart&& on_start) const;
-  /// Put every engaged update into the store, then save() it; a failed
-  /// save logs a warning. No-op without a store.
-  void persist(std::span<std::optional<store::store_entry>> updates) const;
+  /// Put every engaged update into the store and save() it when at least
+  /// one was put. Returns the failed save's error text (also logged as a
+  /// warning), else empty. No-op without a store.
+  std::string persist(
+      std::span<std::optional<store::store_entry>> updates) const;
 
   service_config config_;
 };

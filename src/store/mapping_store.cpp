@@ -17,6 +17,8 @@ constexpr const char* kStoreTag = "dramdig-mapping-store";
 /// v1 documents still load (the keys read as absent -> zero = no claim).
 constexpr std::uint64_t kStoreVersion = 2;
 constexpr std::uint64_t kOldestLoadableVersion = 1;
+/// Nesting depth of an entry object: the root object, then "entries".
+constexpr std::size_t kEntryDepth = 2;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 14695981039346656037ull;
@@ -33,7 +35,8 @@ dram::ddr_generation generation_from(const std::string& name) {
   throw json_parse_error("unknown DDR generation '" + name + "'");
 }
 
-void write_fingerprint(json_writer& w, const sysinfo::machine_fingerprint& fp) {
+void write_fingerprint(json_writer& w, const sysinfo::machine_fingerprint& fp,
+                       std::uint64_t hash, std::uint64_t geometry_hash) {
   w.begin_object();
   w.key("cpu_model").value(fp.cpu_model);
   w.key("generation").value(to_string(fp.generation));
@@ -46,8 +49,8 @@ void write_fingerprint(json_writer& w, const sysinfo::machine_fingerprint& fp) {
   // Derived, and cross-checked on load: a bit flip anywhere in the entry's
   // identity fields turns into a hash mismatch instead of a silent
   // mis-keyed store.
-  w.key("hash").value(fp.hash());
-  w.key("geometry_hash").value(fp.geometry_hash());
+  w.key("hash").value(hash);
+  w.key("geometry_hash").value(geometry_hash);
   w.end_object();
 }
 
@@ -61,11 +64,48 @@ sysinfo::machine_fingerprint read_fingerprint(const json_value& v) {
   fp.ranks_per_dimm = static_cast<unsigned>(v.at("ranks_per_dimm").as_u64());
   fp.banks_per_rank = static_cast<unsigned>(v.at("banks_per_rank").as_u64());
   fp.ecc = v.at("ecc").as_bool();
-  if (fp.hash() != v.at("hash").as_u64() ||
-      fp.geometry_hash() != v.at("geometry_hash").as_u64()) {
-    throw json_parse_error("fingerprint hash mismatch (corrupt entry?)");
-  }
   return fp;
+}
+
+/// One entry object, indented for its place in the "entries" array.
+std::string render_entry(const store_entry& e, std::uint64_t hash,
+                         std::uint64_t geometry_hash) {
+  json_writer w(kEntryDepth);
+  w.begin_object();
+  w.key("fingerprint");
+  write_fingerprint(w, e.fingerprint, hash, geometry_hash);
+  w.key("mapping").begin_object();
+  w.key("bank_functions").begin_array();
+  for (const std::uint64_t f : e.bank_functions) w.value(f);
+  w.end_array();
+  w.key("row_bits").begin_array();
+  for (const unsigned b : e.row_bits) w.value(b);
+  w.end_array();
+  w.key("column_bits").begin_array();
+  for (const unsigned b : e.column_bits) w.value(b);
+  w.end_array();
+  w.key("address_bits").value(e.address_bits);
+  w.end_object();
+  w.key("function_span").begin_array();
+  for (const std::uint64_t f : e.function_span) w.value(f);
+  w.end_array();
+  w.key("evidence").begin_object();
+  w.key("digest").value(e.evidence_digest);
+  w.key("pool_size").value(e.pool_size);
+  w.key("bank_count").value(e.bank_count);
+  w.key("threshold_ns").value(e.threshold_ns);
+  w.end_object();
+  w.key("history").begin_array();
+  for (const verification_event& h : e.history) {
+    w.begin_object();
+    w.key("kind").value(h.kind);
+    w.key("seed").value(h.seed);
+    w.key("measurements").value(h.measurements);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.take_fragment();
 }
 
 template <typename T>
@@ -99,6 +139,12 @@ std::uint64_t store_entry::compute_evidence_digest() const {
   return fnv1a(s.str());
 }
 
+mapping_store::slot::slot(store_entry e)
+    : entry(std::move(e)),
+      hash(entry.fingerprint.hash()),
+      geometry_hash(entry.fingerprint.geometry_hash()),
+      json(render_entry(entry, hash, geometry_hash)) {}
+
 mapping_store::mapping_store(std::string path) : path_(std::move(path)) {
   DRAMDIG_EXPECTS(!path_.empty());
   std::error_code ec;
@@ -111,7 +157,7 @@ mapping_store::mapping_store(std::string path) : path_(std::move(path)) {
     // The degradation contract: a store the service cannot trust costs a
     // cold run, never a crash. The broken file stays on disk untouched
     // until the next save() rewrites it whole.
-    entries_.clear();
+    slots_.clear();
     load_warning_ = "mapping store '" + path_ +
                     "' is unreadable, starting cold: " + e.what();
     log_warn(load_warning_);
@@ -128,11 +174,13 @@ void mapping_store::load_locked(const std::string& text) {
     throw json_parse_error("unsupported store version");
   }
   const json_value& list = doc.at("entries");
-  std::vector<store_entry> loaded;
+  std::vector<slot> loaded;
+  loaded.reserve(list.size());
   for (std::size_t i = 0; i < list.size(); ++i) {
     const json_value& e = list[i];
     store_entry entry;
-    entry.fingerprint = read_fingerprint(e.at("fingerprint"));
+    const json_value& fp = e.at("fingerprint");
+    entry.fingerprint = read_fingerprint(fp);
     const json_value& m = e.at("mapping");
     entry.bank_functions = read_number_array<std::uint64_t>(m.at("bank_functions"));
     entry.row_bits = read_number_array<unsigned>(m.at("row_bits"));
@@ -163,17 +211,21 @@ void mapping_store::load_locked(const std::string& text) {
     // bit lists, address_bits bounds); a violation is just another way
     // the file can be corrupt.
     (void)entry.mapping();
-    loaded.push_back(std::move(entry));
+    const slot& s = loaded.emplace_back(std::move(entry));
+    if (s.hash != fp.at("hash").as_u64() ||
+        s.geometry_hash != fp.at("geometry_hash").as_u64()) {
+      throw json_parse_error("fingerprint hash mismatch (corrupt entry?)");
+    }
   }
-  entries_ = std::move(loaded);
+  slots_ = std::move(loaded);
 }
 
 std::optional<store_entry> mapping_store::find_exact(
     const sysinfo::machine_fingerprint& fp) const {
   const std::uint64_t h = fp.hash();
   std::scoped_lock lock(mutex_);
-  for (const store_entry& e : entries_) {
-    if (e.fingerprint.hash() == h) return e;
+  for (const slot& s : slots_) {
+    if (s.hash == h) return s.entry;
   }
   return std::nullopt;
 }
@@ -183,34 +235,35 @@ std::optional<store_entry> mapping_store::find_geometry(
   const std::uint64_t h = fp.hash();
   const std::uint64_t g = fp.geometry_hash();
   std::scoped_lock lock(mutex_);
-  for (const store_entry& e : entries_) {
-    if (e.fingerprint.hash() != h && e.fingerprint.geometry_hash() == g) {
-      return e;
-    }
+  for (const slot& s : slots_) {
+    if (s.hash != h && s.geometry_hash == g) return s.entry;
   }
   return std::nullopt;
 }
 
 void mapping_store::put(store_entry entry) {
-  const std::uint64_t h = entry.fingerprint.hash();
+  slot fresh(std::move(entry));
   std::scoped_lock lock(mutex_);
-  for (store_entry& e : entries_) {
-    if (e.fingerprint.hash() == h) {
-      e = std::move(entry);
+  for (slot& s : slots_) {
+    if (s.hash == fresh.hash) {
+      s = std::move(fresh);
       return;
     }
   }
-  entries_.push_back(std::move(entry));
+  slots_.push_back(std::move(fresh));
 }
 
 std::size_t mapping_store::size() const {
   std::scoped_lock lock(mutex_);
-  return entries_.size();
+  return slots_.size();
 }
 
 std::vector<store_entry> mapping_store::entries() const {
   std::scoped_lock lock(mutex_);
-  return entries_;
+  std::vector<store_entry> out;
+  out.reserve(slots_.size());
+  for (const slot& s : slots_) out.push_back(s.entry);
+  return out;
 }
 
 std::string mapping_store::to_json() const {
@@ -224,42 +277,7 @@ std::string mapping_store::to_json_locked() const {
   w.key("store").value(kStoreTag);
   w.key("version").value(kStoreVersion);
   w.key("entries").begin_array();
-  for (const store_entry& e : entries_) {
-    w.begin_object();
-    w.key("fingerprint");
-    write_fingerprint(w, e.fingerprint);
-    w.key("mapping").begin_object();
-    w.key("bank_functions").begin_array();
-    for (const std::uint64_t f : e.bank_functions) w.value(f);
-    w.end_array();
-    w.key("row_bits").begin_array();
-    for (const unsigned b : e.row_bits) w.value(b);
-    w.end_array();
-    w.key("column_bits").begin_array();
-    for (const unsigned b : e.column_bits) w.value(b);
-    w.end_array();
-    w.key("address_bits").value(e.address_bits);
-    w.end_object();
-    w.key("function_span").begin_array();
-    for (const std::uint64_t f : e.function_span) w.value(f);
-    w.end_array();
-    w.key("evidence").begin_object();
-    w.key("digest").value(e.evidence_digest);
-    w.key("pool_size").value(e.pool_size);
-    w.key("bank_count").value(e.bank_count);
-    w.key("threshold_ns").value(e.threshold_ns);
-    w.end_object();
-    w.key("history").begin_array();
-    for (const verification_event& h : e.history) {
-      w.begin_object();
-      w.key("kind").value(h.kind);
-      w.key("seed").value(h.seed);
-      w.key("measurements").value(h.measurements);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
+  for (const slot& s : slots_) w.rendered(s.json);
   w.end_array();
   w.end_object();
   return w.str();

@@ -46,6 +46,14 @@
 // any parse error, schema mismatch, or hash mismatch degrades the store
 // to empty with a logged warning — a truncated file (e.g. a crash mid
 // save) costs a cold run, never a crash.
+//
+// The write path is incremental. Each entry's fingerprint hashes and its
+// JSON text (indented for its place in the "entries" array) are computed
+// once, when put() or the load brings the entry in; lookups compare the
+// cached hashes, and to_json() splices the cached texts between the
+// document's header and footer. A save therefore costs the rendering of
+// the changed entry plus one whole-file write, not a re-serialization of
+// every entry, and writes the same bytes a one-pass render would.
 #pragma once
 
 #include <cstdint>
@@ -128,26 +136,39 @@ class mapping_store {
   [[nodiscard]] std::optional<store_entry> find_geometry(
       const sysinfo::machine_fingerprint& fp) const;
 
-  /// Insert or overwrite the entry with the same fingerprint hash.
+  /// Insert or overwrite the entry with the same fingerprint hash. The
+  /// entry's hashes and JSON text are computed here, outside the lock.
   void put(store_entry entry);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::vector<store_entry> entries() const;  ///< snapshot
 
-  /// Serialize the whole store (the on-disk document).
+  /// Serialize the whole store (the on-disk document) from the cached
+  /// entry texts.
   [[nodiscard]] std::string to_json() const;
-  /// Write to the attached path (no-op without one). Throws
-  /// std::runtime_error on I/O failure.
+  /// Write to the attached path (no-op without one) through write_file's
+  /// tmp-then-rename. Throws std::runtime_error on I/O failure.
   void save() const;
 
  private:
+  /// One entry with what lookups and saves read of it, computed once.
+  struct slot {
+    /// Hashes the fingerprint and renders the entry's JSON text.
+    explicit slot(store_entry e);
+
+    store_entry entry;
+    std::uint64_t hash = 0;           ///< entry.fingerprint.hash()
+    std::uint64_t geometry_hash = 0;  ///< entry.fingerprint.geometry_hash()
+    std::string json;  ///< the entry object at its depth in the document
+  };
+
   [[nodiscard]] std::string to_json_locked() const;
   void load_locked(const std::string& text);
 
   mutable std::mutex mutex_;
   std::string path_;
   std::string load_warning_;
-  std::vector<store_entry> entries_;
+  std::vector<slot> slots_;
 };
 
 }  // namespace dramdig::store

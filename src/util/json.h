@@ -3,7 +3,8 @@
 // Every bench binary writes a machine-readable BENCH_*.json next to its
 // ASCII tables so the perf trajectory (wall time, virtual-clock time,
 // access/measurement counts) can be tracked across PRs by CI, via a small
-// append-style writer with automatic comma/indent management. The fleet
+// append-style writer with automatic comma/indent management that renders
+// straight into one std::string. The fleet
 // mapping store (src/store) also *reads* its files back, so the header
 // pairs the writer with `json_value`: a strict recursive-descent parser
 // whose round-trip guarantee the store relies on — anything json_writer
@@ -12,9 +13,10 @@
 // input throws json_parse_error instead of yielding a partial tree.
 #pragma once
 
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -28,27 +30,36 @@ namespace dramdig {
 
 class json_writer {
  public:
+  json_writer() = default;
+  /// A writer for one value that will sit `depth` containers deep inside
+  /// a larger document: its line breaks carry that document's
+  /// indentation, so take_fragment()'s text can be spliced in later with
+  /// rendered() and the document reads as if written in one pass (the
+  /// fleet store caches each entry this way).
+  explicit json_writer(std::size_t depth) : base_indent_(2 * depth) {}
+
   json_writer& begin_object() {
-    open("{");
+    open('{');
     return *this;
   }
   json_writer& end_object() {
-    close("}");
+    close('}');
     return *this;
   }
   json_writer& begin_array() {
-    open("[");
+    open('[');
     return *this;
   }
   json_writer& end_array() {
-    close("]");
+    close(']');
     return *this;
   }
 
   /// Emit `"name":` — must be followed by a value or container.
   json_writer& key(const std::string& name) {
     separate();
-    out_ << quote(name) << ": ";
+    quote(name);
+    out_ += ": ";
     after_key_ = true;
     return *this;
   }
@@ -56,8 +67,8 @@ class json_writer {
   /// JSON null — e.g. a tool_result with no recovered mapping.
   json_writer& null_value() { return scalar("null"); }
 
-  json_writer& value(const std::string& v) { return scalar(quote(v)); }
-  json_writer& value(const char* v) { return scalar(quote(v)); }
+  json_writer& value(const std::string& v) { return string_value(v); }
+  json_writer& value(const char* v) { return string_value(v); }
   json_writer& value(bool v) { return scalar(v ? "true" : "false"); }
   /// One template for every integer width so size_t/uint64_t call sites
   /// resolve identically on LP64 and LLP64 platforms.
@@ -65,43 +76,66 @@ class json_writer {
             std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
                              int> = 0>
   json_writer& value(T v) {
-    return scalar(std::to_string(v));
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    return scalar({buf, static_cast<std::size_t>(end - buf)});
   }
   json_writer& value(double v) {
     // JSON has no NaN/Inf; clamp to null, which consumers treat as absent.
     if (v != v || v > 1.7e308 || v < -1.7e308) return scalar("null");
-    std::ostringstream s;
-    s.precision(15);
-    s << v;
-    return scalar(s.str());
+    // What a default-floatfield stream at precision 15 prints.
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%.15g", v);
+    return scalar({buf, static_cast<std::size_t>(n)});
   }
+
+  /// Emit a value rendered earlier by a json_writer(depth) whose depth is
+  /// this writer's current nesting depth.
+  json_writer& rendered(std::string_view json) { return scalar(json); }
 
   /// Finished document; valid only when every container was closed.
   [[nodiscard]] std::string str() const {
     DRAMDIG_EXPECTS(depth_.empty());
-    return out_.str() + "\n";
+    return out_ + "\n";
+  }
+
+  /// The finished value without str()'s trailing newline, moved out.
+  [[nodiscard]] std::string take_fragment() {
+    DRAMDIG_EXPECTS(depth_.empty());
+    return std::move(out_);
   }
 
  private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
+  json_writer& string_value(std::string_view v) {
+    separate();
+    quote(v);
+    return *this;
+  }
+
+  void quote(std::string_view s) {
+    out_ += '"';
+    for (const char c : s) {
       switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\t': out_ += "\\t"; break;
         default:
           if (static_cast<unsigned char>(c) < 0x20) {
             char buf[8];
             std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
+            out_ += buf;
           } else {
-            out += c;
+            out_ += c;
           }
       }
     }
-    return out + "\"";
+    out_ += '"';
+  }
+
+  void newline() {
+    out_ += '\n';
+    out_.append(base_indent_ + 2 * depth_.size(), ' ');
   }
 
   void separate() {
@@ -110,34 +144,35 @@ class json_writer {
       return;
     }
     if (!depth_.empty()) {
-      if (depth_.back()) out_ << ",";
-      out_ << "\n" << std::string(2 * depth_.size(), ' ');
+      if (depth_.back()) out_ += ',';
+      newline();
       depth_.back() = true;
     }
   }
 
-  void open(const char* bracket) {
+  void open(char bracket) {
     separate();
-    out_ << bracket;
+    out_ += bracket;
     depth_.push_back(false);
   }
 
-  void close(const char* bracket) {
+  void close(char bracket) {
     DRAMDIG_EXPECTS(!depth_.empty());
     const bool had_items = depth_.back();
     depth_.pop_back();
-    if (had_items) out_ << "\n" << std::string(2 * depth_.size(), ' ');
-    out_ << bracket;
+    if (had_items) newline();
+    out_ += bracket;
   }
 
-  json_writer& scalar(const std::string& rendered) {
+  json_writer& scalar(std::string_view text) {
     separate();
-    out_ << rendered;
+    out_ += text;
     return *this;
   }
 
-  std::ostringstream out_;
+  std::string out_;
   std::vector<bool> depth_;  ///< per open container: has emitted an item
+  std::size_t base_indent_ = 0;  ///< spaces before depth_'s own indent
   bool after_key_ = false;
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -542,6 +543,65 @@ TEST(MappingServiceStore, NonDramdigJobsBypassTheStore) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+TEST(MappingServiceStore, FailedSaveReachesRunAndServeCallers) {
+  // A store whose directory does not exist loads empty without a warning
+  // and fails every save. Persistence stays best-effort, so each result
+  // stands, but the jobs whose update the save lost carry its error.
+  const dram::machine_spec& m = dram::machine_by_number(1);
+  const std::string path = "/nonexistent/dir/s.json";
+  store::mapping_store store(path);
+  ASSERT_TRUE(store.load_warning().empty());
+  mapping_service service({.threads = 1, .store = &store});
+
+  const auto outcomes = service.run(
+      {fleet_job(m), {m, "drama", tool_options{}.with_drama(fast_drama()), 5}});
+  ASSERT_EQ(outcomes[0].state, job_state::completed);
+  EXPECT_TRUE(outcomes[0].result.verified);
+  EXPECT_NE(outcomes[0].store_error.find(path), std::string::npos)
+      << outcomes[0].store_error;
+  EXPECT_TRUE(outcomes[1].store_error.empty());  // DRAMA puts nothing
+  EXPECT_EQ(store.size(), 1u);  // the in-memory store kept the entry
+
+  job_feed feed;
+  (void)feed.push(fleet_job(m));                           // verify
+  (void)feed.push(fleet_job(dram::machine_by_number(4)));  // cold
+  feed.close();
+  std::vector<served_outcome> records;
+  ASSERT_EQ(service.serve(feed, [&](const served_outcome& out) {
+              records.push_back(out);
+            }),
+            2u);
+  for (const served_outcome& record : records) {
+    EXPECT_EQ(record.outcome.state, job_state::completed);
+    EXPECT_NE(record.outcome.store_error.find(path), std::string::npos);
+    const json_value doc = json_value::parse(record.json);
+    EXPECT_EQ(doc.at("store_error").as_string(), record.outcome.store_error);
+  }
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(MappingServiceStore, BatchThatPutsNothingDoesNotRewriteTheFile) {
+  // No job updated the store (a DRAMA-only batch), so there is nothing
+  // to save: even the corrupt file a failed load left stays byte for byte
+  // until a batch does put an entry.
+  const std::string path =
+      testing::TempDir() + "dramdig_service_skip_save.json";
+  write_file(path, "{\"store\": \"dramdig-mapping-st");
+  store::mapping_store store(path);
+  ASSERT_FALSE(store.load_warning().empty());
+  mapping_service service({.threads = 1, .store = &store});
+  (void)service.run({{dram::machine_by_number(1), "drama",
+                      tool_options{}.with_drama(fast_drama()), 5}});
+  EXPECT_EQ(read_file(path), "{\"store\": \"dramdig-mapping-st");
+
+  const auto saved = service.run({fleet_job(dram::machine_by_number(1))});
+  EXPECT_TRUE(saved[0].store_error.empty()) << saved[0].store_error;
+  const store::mapping_store reloaded(path);
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.size(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(MappingServiceStore, BatchLookupsSnapshotStoreAtEntry) {
   // Two jobs for the same machine in ONE batch: both must plan cold (the
   // store is consulted at run() entry, so outcome[i] cannot depend on a
@@ -641,6 +701,38 @@ TEST(MappingServiceServe, StreamsJsonRecordsAndWarmStartsLive) {
     EXPECT_EQ(doc.at("store_hit").as_string(), record.outcome.store_hit);
     EXPECT_TRUE(doc.at("result").at("success").as_bool());
   }
+}
+
+TEST(MappingServiceServe, ConcurrentWorkersSaveAConsistentDocument) {
+  // Four workers put and save concurrently; each put renders its entry
+  // text outside the store lock. The last save must hold every entry, and
+  // the file must match the in-memory store byte for byte.
+  const std::string path =
+      testing::TempDir() + "dramdig_service_concurrent.json";
+  std::remove(path.c_str());
+  store::mapping_store store(path);
+  mapping_service service({.threads = 4, .store = &store});
+  job_feed feed;
+  for (int round = 0; round < 2; ++round) {
+    for (int n = 1; n <= 9; ++n) {
+      (void)feed.push(fleet_job(dram::machine_by_number(n),
+                                static_cast<std::uint64_t>(40 + round)));
+    }
+  }
+  feed.close();
+  std::vector<served_outcome> records;
+  EXPECT_EQ(service.serve(feed, [&](const served_outcome& out) {
+              records.push_back(out);
+            }),
+            18u);
+  for (const served_outcome& record : records) {
+    EXPECT_TRUE(record.outcome.store_error.empty());
+    EXPECT_EQ(json_value::parse(record.json).at("store_error").as_string(),
+              "");
+  }
+  EXPECT_EQ(store.size(), 9u);
+  EXPECT_EQ(read_file(path), store.to_json());
+  std::remove(path.c_str());
 }
 
 TEST(MappingServiceServe, CancellationDrainsRemainingJobsAsCancelled) {

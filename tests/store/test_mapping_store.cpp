@@ -329,6 +329,187 @@ TEST(MappingStore, TamperedHashDegradesToCold) {
   EXPECT_FALSE(store.load_warning().empty());
 }
 
+// --- byte-exact documents ----------------------------------------------------
+//
+// The literals below are what the store wrote when every save re-rendered
+// each entry in one pass. save() now splices each entry's text cached at
+// put() or load; these pin that the bytes did not move.
+
+/// A fully literal entry (no preset data), with a threshold that needs all
+/// fifteen significant digits and a two-event history.
+store_entry literal_entry() {
+  store_entry e;
+  e.fingerprint.cpu_model = "Intel i7-3770 (test)";
+  e.fingerprint.generation = dram::ddr_generation::ddr3;
+  e.fingerprint.total_bytes = 8ull << 30;
+  e.fingerprint.channels = 2;
+  e.fingerprint.dimms_per_channel = 1;
+  e.fingerprint.ranks_per_dimm = 2;
+  e.fingerprint.banks_per_rank = 8;
+  e.fingerprint.ecc = false;
+  e.bank_functions = {0x2040, 0x44000, 0x88000, 0x110000, 0x220000};
+  e.row_bits = {18, 19, 20, 21};
+  e.column_bits = {0, 1, 2, 3, 4, 5};
+  e.address_bits = 33;
+  e.function_span = e.bank_functions;
+  e.pool_size = 4096;
+  e.bank_count = 32;
+  e.threshold_ns = 287.12345678901234;
+  e.history.push_back({"recovered", 42, 2348});
+  e.history.push_back({"verified", 7, 188});
+  e.evidence_digest = e.compute_evidence_digest();
+  return e;
+}
+
+TEST(MappingStoreBytes, EmptyStoreDocument) {
+  const mapping_store store;
+  EXPECT_EQ(store.to_json(),
+            "{\n"
+            "  \"store\": \"dramdig-mapping-store\",\n"
+            "  \"version\": 2,\n"
+            "  \"entries\": []\n"
+            "}\n");
+}
+
+TEST(MappingStoreBytes, OneEntryDocument) {
+  mapping_store store;
+  store.put(literal_entry());
+  const std::string expected =
+      "{\n"
+      "  \"store\": \"dramdig-mapping-store\",\n"
+      "  \"version\": 2,\n"
+      "  \"entries\": [\n"
+      "    {\n"
+      "      \"fingerprint\": {\n"
+      "        \"cpu_model\": \"Intel i7-3770 (test)\",\n"
+      "        \"generation\": \"DDR3\",\n"
+      "        \"total_bytes\": 8589934592,\n"
+      "        \"channels\": 2,\n"
+      "        \"dimms_per_channel\": 1,\n"
+      "        \"ranks_per_dimm\": 2,\n"
+      "        \"banks_per_rank\": 8,\n"
+      "        \"ecc\": false,\n"
+      "        \"hash\": 9463507792138483794,\n"
+      "        \"geometry_hash\": 5999634699570172704\n"
+      "      },\n"
+      "      \"mapping\": {\n"
+      "        \"bank_functions\": [\n"
+      "          8256,\n"
+      "          278528,\n"
+      "          557056,\n"
+      "          1114112,\n"
+      "          2228224\n"
+      "        ],\n"
+      "        \"row_bits\": [\n"
+      "          18,\n"
+      "          19,\n"
+      "          20,\n"
+      "          21\n"
+      "        ],\n"
+      "        \"column_bits\": [\n"
+      "          0,\n"
+      "          1,\n"
+      "          2,\n"
+      "          3,\n"
+      "          4,\n"
+      "          5\n"
+      "        ],\n"
+      "        \"address_bits\": 33\n"
+      "      },\n"
+      "      \"function_span\": [\n"
+      "        8256,\n"
+      "        278528,\n"
+      "        557056,\n"
+      "        1114112,\n"
+      "        2228224\n"
+      "      ],\n"
+      "      \"evidence\": {\n"
+      "        \"digest\": 5545060604729730806,\n"
+      "        \"pool_size\": 4096,\n"
+      "        \"bank_count\": 32,\n"
+      "        \"threshold_ns\": 287.123456789012\n"
+      "      },\n"
+      "      \"history\": [\n"
+      "        {\n"
+      "          \"kind\": \"recovered\",\n"
+      "          \"seed\": 42,\n"
+      "          \"measurements\": 2348\n"
+      "        },\n"
+      "        {\n"
+      "          \"kind\": \"verified\",\n"
+      "          \"seed\": 7,\n"
+      "          \"measurements\": 188\n"
+      "        }\n"
+      "      ]\n"
+      "    }\n"
+      "  ]\n"
+      "}\n";
+  EXPECT_EQ(store.to_json(), expected);
+  // A reload renders the same text from the parsed entry.
+  temp_path path("bytes_one");
+  write_file(path.str(), expected);
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), expected);
+}
+
+TEST(MappingStoreBytes, PutSequenceSavesLikeAFreshStore) {
+  // Appends, an overwrite in the middle with a longer text, another
+  // append, then an overwrite of the first entry: each cached text must
+  // land in its slot with the right separators.
+  temp_path path("bytes_sequence");
+  mapping_store store(path.str());
+  for (int n : {1, 4, 6}) store.put(entry_for(n));
+  store_entry longer = entry_for(4, 77);
+  longer.history.push_back({"verified", 78, 190});
+  longer.history.push_back({"verify_failed", 79, 205});
+  longer.history.push_back({"recovered", 79, 9312});
+  store.put(longer);
+  store.put(entry_for(8));
+  store_entry first = entry_for(1, 5);
+  first.threshold_ns = 301.0625;
+  first.evidence_digest = first.compute_evidence_digest();
+  store.put(first);
+  store.save();
+  const std::string saved = read_file(path.str());
+
+  mapping_store fresh;
+  for (const store_entry& e : {first, longer, entry_for(6), entry_for(8)}) {
+    fresh.put(e);
+  }
+  EXPECT_EQ(saved, fresh.to_json());
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), saved);
+  ASSERT_EQ(reloaded.size(), 4u);
+  EXPECT_EQ(reloaded.entries()[1].history.size(), 4u);
+}
+
+TEST(MappingStoreBytes, DegradedLoadThenPutSavesOneEntryDocument) {
+  // A failed load drops every entry with its cached text, so the next
+  // save writes only what was put after it.
+  temp_path path("bytes_degraded");
+  {
+    mapping_store store(path.str());
+    for (int n : {1, 2, 3}) store.put(entry_for(n));
+    store.save();
+  }
+  const std::string full = read_file(path.str());
+  write_file(path.str(), full.substr(0, full.size() / 2));
+  mapping_store store(path.str());
+  ASSERT_FALSE(store.load_warning().empty());
+  ASSERT_EQ(store.size(), 0u);
+  store.put(literal_entry());
+  store.save();
+
+  mapping_store fresh;
+  fresh.put(literal_entry());
+  EXPECT_EQ(read_file(path.str()), fresh.to_json());
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.size(), 1u);
+}
+
 TEST(MappingStore, SaveWithoutPathIsNoOp) {
   mapping_store store;
   store.put(entry_for(1));

@@ -109,6 +109,101 @@ TEST(JsonParse, DepthCapThrows) {
   EXPECT_THROW((void)json_value::parse(deep), json_parse_error);
 }
 
+TEST(JsonWriter, ExactBytes) {
+  // Pinned from the stream-based writer this one replaced: every caller
+  // (store entries, daemon records, tool results, BENCH_* files) depends
+  // on these bytes staying put.
+  json_writer w;
+  w.begin_object();
+  w.key("text").value("q\"b\\s\nt\tc\x01" "e");
+  w.key("cstr").value("plain");
+  w.key("u64").value(std::uint64_t{18446744073709551615ull});
+  w.key("i64").value(std::numeric_limits<std::int64_t>::min());
+  w.key("zero").value(0u);
+  w.key("flag").value(false);
+  w.key("none").null_value();
+  w.key("doubles").begin_array();
+  w.value(0.1).value(250.5).value(1e-7).value(1e20);
+  w.value(std::numeric_limits<double>::quiet_NaN());
+  w.value(std::numeric_limits<double>::infinity());
+  w.value(-0.5).value(0.583052615247719).value(3.0);
+  w.value(123456789012345678.0);
+  w.end_array();
+  w.key("nested").begin_object();
+  w.key("empty_list").begin_array().end_array();
+  w.key("empty_obj").begin_object().end_object();
+  w.key("list").begin_array();
+  w.begin_object().key("k").value(1).end_object();
+  w.begin_array().value(2).value(3).end_array();
+  w.begin_array().end_array();
+  w.end_array();
+  w.end_object();
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"text\": \"q\\\"b\\\\s\\nt\\tc\\u0001e\",\n"
+            "  \"cstr\": \"plain\",\n"
+            "  \"u64\": 18446744073709551615,\n"
+            "  \"i64\": -9223372036854775808,\n"
+            "  \"zero\": 0,\n"
+            "  \"flag\": false,\n"
+            "  \"none\": null,\n"
+            "  \"doubles\": [\n"
+            "    0.1,\n"
+            "    250.5,\n"
+            "    1e-07,\n"
+            "    1e+20,\n"
+            "    null,\n"
+            "    null,\n"
+            "    -0.5,\n"
+            "    0.583052615247719,\n"
+            "    3,\n"
+            "    1.23456789012346e+17\n"
+            "  ],\n"
+            "  \"nested\": {\n"
+            "    \"empty_list\": [],\n"
+            "    \"empty_obj\": {},\n"
+            "    \"list\": [\n"
+            "      {\n"
+            "        \"k\": 1\n"
+            "      },\n"
+            "      [\n"
+            "        2,\n"
+            "        3\n"
+            "      ],\n"
+            "      []\n"
+            "    ]\n"
+            "  }\n"
+            "}\n");
+
+  json_writer top;
+  top.begin_array().end_array();
+  EXPECT_EQ(top.str(), "[]\n");
+}
+
+TEST(JsonWriter, SplicedFragmentMatchesOnePassRender) {
+  const auto item = [](json_writer& w) {
+    w.begin_object();
+    w.key("masks").begin_array().value(1).value(2).end_array();
+    w.key("empty").begin_object().end_object();
+    w.end_object();
+  };
+  json_writer one_pass;
+  one_pass.begin_object().key("items").begin_array();
+  item(one_pass);
+  item(one_pass);
+  one_pass.end_array().end_object();
+
+  json_writer fragment(2);
+  item(fragment);
+  const std::string text = fragment.take_fragment();
+  json_writer spliced;
+  spliced.begin_object().key("items").begin_array();
+  spliced.rendered(text).rendered(text);
+  spliced.end_array().end_object();
+  EXPECT_EQ(spliced.str(), one_pass.str());
+}
+
 TEST(JsonRoundTrip, WriterOutputParsesBack) {
   json_writer w;
   w.begin_object();
