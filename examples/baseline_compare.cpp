@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
 
   std::vector<api::job_spec> jobs;
   std::vector<std::string> titles;
-  for (const std::string& tool : api::tool_registry::global().names()) {
+  for (const std::string& tool : api::tool_names()) {
     jobs.push_back({spec, tool, {}, seed});
     titles.push_back(api::make_tool(tool)->describe().title);
   }

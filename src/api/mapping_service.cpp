@@ -1,6 +1,7 @@
 #include "api/mapping_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <mutex>
@@ -23,10 +24,8 @@ namespace {
 const char* state_name(job_state s) {
   switch (s) {
     case job_state::pending: return "pending";
-    case job_state::running: return "running";
     case job_state::completed: return "completed";
     case job_state::failed: return "failed";
-    case job_state::cancelled: return "cancelled";
   }
   return "unknown";
 }
@@ -80,27 +79,17 @@ tool_result result_from_verification(core::environment& env,
   return out;
 }
 
-/// The run_hooks abort predicate for a cancellation token (none without
-/// one).
-std::function<bool()> abort_predicate(const cancellation_token* cancel) {
-  if (cancel == nullptr) return {};
-  return [cancel] { return cancel->cancelled(); };
+/// True when `name` is one of the built-in tools.
+bool known_tool(const std::string& name) {
+  return std::ranges::binary_search(tool_names(), name);
 }
 
 }  // namespace
 
 // --- job_feed ---------------------------------------------------------------
 
-/// Max-heap order: higher priority first, then FIFO (lower ticket first).
-static constexpr auto feed_less = [](const auto& a, const auto& b) {
-  if (a.job.priority != b.job.priority) {
-    return a.job.priority < b.job.priority;
-  }
-  return a.ticket > b.ticket;
-};
-
 std::uint64_t job_feed::push(job_spec job) {
-  DRAMDIG_EXPECTS(tool_registry::global().contains(job.tool));
+  DRAMDIG_EXPECTS(known_tool(job.tool));
   std::scoped_lock lock(mutex_);
   if (closed_) {
     // Racing producers degrade instead of throwing, but a dropped job is
@@ -110,8 +99,7 @@ std::uint64_t job_feed::push(job_spec job) {
     return 0;
   }
   const std::uint64_t ticket = next_ticket_++;
-  heap_.push_back(item{std::move(job), ticket});
-  std::push_heap(heap_.begin(), heap_.end(), feed_less);
+  queue_.push_back(item{std::move(job), ticket});
   ready_.notify_one();
   return ticket;
 }
@@ -122,23 +110,12 @@ void job_feed::close() {
   ready_.notify_all();
 }
 
-bool job_feed::closed() const {
-  std::scoped_lock lock(mutex_);
-  return closed_;
-}
-
-std::size_t job_feed::pending() const {
-  std::scoped_lock lock(mutex_);
-  return heap_.size();
-}
-
 std::optional<job_feed::item> job_feed::pop() {
   std::unique_lock lock(mutex_);
-  ready_.wait(lock, [this] { return closed_ || !heap_.empty(); });
-  if (heap_.empty()) return std::nullopt;
-  std::pop_heap(heap_.begin(), heap_.end(), feed_less);
-  std::optional<item> out(std::move(heap_.back()));
-  heap_.pop_back();
+  ready_.wait(lock, [this] { return closed_ || !queue_.empty(); });
+  if (queue_.empty()) return std::nullopt;
+  std::optional<item> out(std::move(queue_.front()));
+  queue_.pop_front();
   return out;
 }
 
@@ -174,7 +151,7 @@ mapping_service::mapping_service(service_config config)
 void mapping_service::execute_job(const job_spec& job,
                                   const dispatch_plan& plan, job_outcome& out,
                                   std::optional<store::store_entry>& update,
-                                  const core::run_hooks& hooks) const {
+                                  const core::phase_callback& on_phase) const {
   using kind = dispatch_plan::kind;
   std::vector<store::verification_event> prior_history;
   const char* record_kind = "recovered";
@@ -201,7 +178,6 @@ void mapping_service::execute_job(const job_spec& job,
     prior_history = plan.entry->history;
     prior_history.push_back(
         {"verify_failed", job.seed, vr.total_measurements});
-    record_kind = "recovered";
     log_warn("mapping store entry refuted (" + vr.failure_reason +
              "); re-queued as full recovery");
   } else if (plan.decision == kind::warm) {
@@ -233,10 +209,7 @@ void mapping_service::execute_job(const job_spec& job,
   }
 
   core::environment env(job.machine, job.seed);
-  // Tools with internal abort points stop at the next boundary once the
-  // token flips; their outcome reports "aborted" and the job still
-  // completes normally.
-  out.result = make_tool(job.tool, options)->run(env, hooks);
+  out.result = make_tool(job.tool, options)->run(env, on_phase);
   out.state = job_state::completed;
 
   if (plan.decision != kind::none && out.result.success &&
@@ -250,15 +223,8 @@ template <class OnStart>
 void mapping_service::run_job(const job_spec& job, const dispatch_plan* plan,
                               job_outcome& out,
                               std::optional<store::store_entry>& update,
-                              const core::run_hooks& hooks,
+                              const core::phase_callback& on_phase,
                               OnStart&& on_start) const {
-  if (hooks.abort_requested()) {
-    out.state = job_state::cancelled;
-    out.result.tool = job.tool;
-    out.result.outcome = "cancelled";
-    return;
-  }
-  out.state = job_state::running;
   on_start();
   const auto t0 = std::chrono::steady_clock::now();
   std::optional<dispatch_plan> live;
@@ -266,7 +232,7 @@ void mapping_service::run_job(const job_spec& job, const dispatch_plan* plan,
     plan = &live.emplace(dispatch_plan::consult(job, config_.store));
   }
   try {
-    execute_job(job, *plan, out, update, hooks);
+    execute_job(job, *plan, out, update, on_phase);
   } catch (const std::exception& e) {
     out.state = job_state::failed;
     out.result.tool = job.tool;
@@ -305,16 +271,12 @@ std::string mapping_service::persist(
 }
 
 std::vector<job_outcome> mapping_service::run(
-    const std::vector<job_spec>& jobs, progress_observer* observer,
-    cancellation_token* cancel) const {
+    const std::vector<job_spec>& jobs, progress_observer* observer) const {
   // Malformed specs fail the whole batch up front, before any worker runs
   // (tool options were already validated when the builder set them).
-  for (const job_spec& job : jobs) {
-    DRAMDIG_EXPECTS(tool_registry::global().contains(job.tool));
-  }
+  for (const job_spec& job : jobs) DRAMDIG_EXPECTS(known_tool(job.tool));
 
   std::vector<job_outcome> outcomes(jobs.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) outcomes[i].index = i;
   if (jobs.empty()) return outcomes;
 
   // Store lookups run sequentially against the state at batch entry, so a
@@ -350,16 +312,15 @@ std::vector<job_outcome> mapping_service::run(
           const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= jobs.size()) return;
           const job_spec& job = jobs[i];
-          core::run_hooks hooks{.on_phase = {},
-                                .should_abort = abort_predicate(cancel)};
+          core::phase_callback on_phase;
           if (observer != nullptr) {
-            hooks.on_phase = [&notify, &observer, i](
-                                 std::string_view phase,
-                                 const core::phase_stats& delta) {
+            on_phase = [&notify, &observer, i](
+                           std::string_view phase,
+                           const core::phase_stats& delta) {
               notify([&] { observer->on_job_phase(i, phase, delta); });
             };
           }
-          run_job(job, &plans[i], outcomes[i], updates[i], hooks, [&] {
+          run_job(job, &plans[i], outcomes[i], updates[i], on_phase, [&] {
             notify([&] { observer->on_job_start(i, job); });
           });
           notify([&] { observer->on_job_done(i, outcomes[i]); });
@@ -377,36 +338,29 @@ std::vector<job_outcome> mapping_service::run(
   return outcomes;
 }
 
-std::size_t mapping_service::serve(job_feed& feed, const result_sink& sink,
-                                   cancellation_token* cancel) const {
+std::size_t mapping_service::serve(job_feed& feed,
+                                   const result_sink& sink) const {
   const unsigned workers =
       config_.threads == 0 ? default_shard_count() : config_.threads;
   std::mutex sink_mutex;
   std::atomic<std::size_t> served{0};
-  std::atomic<std::size_t> claim_seq{0};
-  const core::run_hooks hooks{.on_phase = {},
-                              .should_abort = abort_predicate(cancel)};
 
   parallel_for_shards(workers, workers, [&](const shard&) {
     while (std::optional<job_feed::item> item = feed.pop()) {
-      const std::size_t seq =
-          claim_seq.fetch_add(1, std::memory_order_relaxed);
-      served_outcome record{item->ticket, item->job.priority,
-                            std::move(item->job), job_outcome{}, {}};
-      record.outcome.index = seq;
+      served_outcome record{item->ticket, std::move(item->job), job_outcome{},
+                            {}};
       job_outcome& out = record.outcome;
       // Live store consultation (no plan passed): a daemon's later jobs
       // should see its earlier recoveries, so lookup happens at claim time
       // and the update (plus save) lands before the next claim of the same
       // fingerprint on this worker.
       std::optional<store::store_entry> update;
-      run_job(record.job, nullptr, out, update, hooks, [] {});
+      run_job(record.job, nullptr, out, update, {}, [] {});
       out.store_error = persist({&update, 1});
       {
         json_writer w;
         w.begin_object();
         w.key("ticket").value(record.ticket);
-        w.key("priority").value(record.priority);
         w.key("machine").value(record.job.machine.number);
         w.key("tool").value(record.job.tool);
         w.key("seed").value(record.job.seed);

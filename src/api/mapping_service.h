@@ -1,6 +1,6 @@
 // Concurrent job engine over the unified tool API.
 //
-// A batch of `job_spec`s — each naming a machine, a registry tool, its
+// A batch of `job_spec`s — each naming a machine, a built-in tool, its
 // options and an environment seed — is executed across a worker pool and
 // returned as one `job_outcome` per submission index. The determinism
 // contract: every job owns its environment and rng, so `outcome[i]` is a
@@ -11,14 +11,17 @@
 // noisy unit — never serializes the jobs behind it.
 //
 // Progress observers receive job start / per-phase / done events, mutex-
-// serialized so one observer can safely aggregate across workers; a
-// cancellation token stops jobs that have not started while completed
-// results stay intact.
+// serialized so one observer can safely aggregate across workers. No
+// caller stops a job early: each runs until its tool finishes or spends
+// its own budget, and a job that throws marks only itself failed.
+//
+// Daemon mode (`serve()`) drains a FIFO `job_feed` against the live store
+// instead, streaming one JSON record per job.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -37,22 +40,17 @@ namespace dramdig::api {
 /// device-under-test, which is what makes them order- and thread-agnostic.
 struct job_spec {
   dram::machine_spec machine;
-  std::string tool;       ///< registry name ("dramdig", "drama", "xiao")
+  std::string tool;       ///< one of tool_names() ("dramdig", "drama", "xiao")
   tool_options options{};
   std::uint64_t seed = 1;  ///< environment seed (machine + OS randomness)
-  /// Daemon-feed ordering only: job_feed pops higher priorities first
-  /// (FIFO within one priority). run() batches ignore it — batch results
-  /// merge by submission index regardless of execution order.
-  int priority = 0;
 };
 
-enum class job_state { pending, running, completed, failed, cancelled };
+enum class job_state { pending, completed, failed };
 
 struct job_outcome {
-  std::size_t index = 0;  ///< submission index (results merge by this)
   job_state state = job_state::pending;
   /// Filled for completed jobs; failed jobs carry the exception text in
-  /// result.failure_reason; cancelled jobs keep it default-initialized.
+  /// result.failure_reason.
   tool_result result;
   /// Host wall time of the run — the only non-deterministic field, which is
   /// why it lives here and not inside tool_result.
@@ -77,9 +75,7 @@ struct job_outcome {
 /// Job lifecycle events. Calls are serialized by the service (one observer
 /// mutex), so implementations may mutate shared state without locking; they
 /// arrive from worker threads, interleaved across jobs but ordered within
-/// one job (start, then phases, then done). A cancelled job never starts:
-/// it receives a single on_job_done whose outcome has state `cancelled`
-/// and a result carrying only the tool name and outcome label.
+/// one job (start, then phases, then done).
 class progress_observer {
  public:
   virtual ~progress_observer() = default;
@@ -88,25 +84,6 @@ class progress_observer {
                             const core::phase_stats& /*delta*/) {}
   virtual void on_job_done(std::size_t /*index*/,
                            const job_outcome& /*outcome*/) {}
-};
-
-/// Cooperative cancellation: flip once, observed by workers before each
-/// job claim, and passed to every tool's run() as its abort predicate
-/// (core::run_hooks::should_abort). Pending jobs never start; a running
-/// job with internal abort points (DRAMA polls between trials, Xiao at
-/// stage boundaries and per scanned bit) stops at its next boundary and
-/// completes with outcome "aborted", letting a driver kill a hopeless unit
-/// before its budget expires; DRAMDig (minutes-scale, no abort points)
-/// runs to completion.
-class cancellation_token {
- public:
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
 };
 
 struct service_config {
@@ -122,22 +99,22 @@ struct service_config {
   store::mapping_store* store = nullptr;
 };
 
-/// Streaming job source for daemon mode: producers push prioritized specs
-/// (higher priority pops first, FIFO within a priority), consumers inside
-/// mapping_service::serve pop them as workers free up. close() ends the
+/// Streaming job source for daemon mode: producers push specs, consumers
+/// inside mapping_service::serve pop them in push order (FIFO) as workers
+/// free up. The order matters: with a live store, whether a job is served
+/// cold, warm or verify depends on which jobs ran before it. close() ends the
 /// stream: serve() returns once the queue drains. push() after close is
 /// dropped (returns 0) with a logged warning naming the job's machine and
 /// tool, so racing producers degrade instead of throwing — but the
 /// dropped work is visible.
 class job_feed {
  public:
-  /// Enqueue a job (ordering key = job.priority). Returns a nonzero
-  /// ticket identifying the job in served outcomes, or 0 when the feed is
-  /// already closed and the job was dropped.
+  /// Enqueue a job. Returns a nonzero ticket identifying the job in served
+  /// outcomes (tickets count up from 1 in push order), or 0 when the feed
+  /// is already closed and the job was dropped. Throws contract_violation
+  /// for a tool not in tool_names().
   std::uint64_t push(job_spec job);
   void close();
-  [[nodiscard]] bool closed() const;
-  [[nodiscard]] std::size_t pending() const;
 
  private:
   friend class mapping_service;
@@ -145,12 +122,12 @@ class job_feed {
     job_spec job;
     std::uint64_t ticket = 0;
   };
-  /// Blocking pop of the highest-priority item; empty = closed and drained.
+  /// Blocking pop of the oldest item; empty = closed and drained.
   std::optional<item> pop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable ready_;
-  std::vector<item> heap_;
+  std::deque<item> queue_;
   std::uint64_t next_ticket_ = 1;
   bool closed_ = false;
 };
@@ -159,13 +136,11 @@ class job_feed {
 /// job finishes (sink calls are mutex-serialized, like observers).
 struct served_outcome {
   std::uint64_t ticket = 0;
-  int priority = 0;
   job_spec job;
-  job_outcome outcome;  ///< index = claim sequence number (wall order)
-  /// The outcome as one self-contained JSON object ({ticket, priority,
-  /// machine, tool, seed, state, store_hit, store_error, wall_seconds,
-  /// result}) — the per-job streaming record a daemon writes to its
-  /// result log.
+  job_outcome outcome;
+  /// The outcome as one self-contained JSON object ({ticket, machine, tool,
+  /// seed, state, store_hit, store_error, wall_seconds, result}) — the
+  /// per-job streaming record a daemon writes to its result log.
   std::string json;
 };
 
@@ -174,7 +149,8 @@ class mapping_service {
   explicit mapping_service(service_config config = {});
 
   /// Execute the batch; returns one outcome per job, by submission index.
-  /// Throws contract_violation up front if any spec names an unknown tool;
+  /// Throws contract_violation up front if any spec names a tool not in
+  /// tool_names();
   /// exceptions inside a job mark that job failed without sinking the batch.
   /// With a store configured, dramdig jobs consult it first (see
   /// job_outcome::store_hit) and successful recoveries persist back to it
@@ -186,8 +162,7 @@ class mapping_service {
   /// not depend on which pool threads ran jobs.
   [[nodiscard]] std::vector<job_outcome> run(
       const std::vector<job_spec>& jobs,
-      progress_observer* observer = nullptr,
-      cancellation_token* cancel = nullptr) const;
+      progress_observer* observer = nullptr) const;
 
   /// Daemon mode: drain `feed` until it is closed and empty, dispatching
   /// jobs across the persistent worker pool (util/parallel.h) as they
@@ -195,29 +170,25 @@ class mapping_service {
   /// persistence happen per job against the live store (a daemon's whole
   /// point is that later jobs see earlier recoveries), so serve() trades
   /// run()'s batch determinism for incremental warm-starts — documented,
-  /// not accidental. Cancellation drains remaining jobs as cancelled
-  /// outcomes; the producer still owns close(). Returns jobs served,
+  /// not accidental. The producer owns close(). Returns jobs served,
   /// after releasing the freed heap like run().
   using result_sink = std::function<void(const served_outcome&)>;
-  std::size_t serve(job_feed& feed, const result_sink& sink,
-                    cancellation_token* cancel = nullptr) const;
+  std::size_t serve(job_feed& feed, const result_sink& sink) const;
 
  private:
   struct dispatch_plan;
   void execute_job(const job_spec& job, const dispatch_plan& plan,
                    job_outcome& out,
                    std::optional<store::store_entry>& update,
-                   const core::run_hooks& hooks) const;
-  /// The per-job body run() and serve() share. When `hooks` already
-  /// request an abort the job is marked cancelled without running.
-  /// Otherwise the job is marked running,
-  /// `on_start` fires, and the job runs under the wall clock — a null
-  /// `plan` consults the live store inside the timed span (serve()) — and
-  /// a throw marks the job failed and drops its store update.
+                   const core::phase_callback& on_phase) const;
+  /// The per-job body run() and serve() share: `on_start` fires, and the
+  /// job runs under the wall clock — a null `plan` consults the live store
+  /// inside the timed span (serve()) — and a throw marks the job failed
+  /// and drops its store update.
   template <class OnStart>
   void run_job(const job_spec& job, const dispatch_plan* plan,
                job_outcome& out, std::optional<store::store_entry>& update,
-               const core::run_hooks& hooks, OnStart&& on_start) const;
+               const core::phase_callback& on_phase, OnStart&& on_start) const;
   /// Put every engaged update into the store and save() it when at least
   /// one was put. Returns the failed save's error text (also logged as a
   /// warning), else empty. No-op without a store.

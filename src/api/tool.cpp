@@ -34,11 +34,12 @@ class dramdig_adapter final : public mapping_tool {
             "knowledge-assisted three-step pipeline (this paper)"};
   }
 
-  [[nodiscard]] tool_result run(core::environment& env,
-                                const core::run_hooks& hooks) override {
+  [[nodiscard]] tool_result run(
+      core::environment& env,
+      const core::phase_callback& on_phase) override {
     access_meter accesses(env);
     const core::dramdig_report report =
-        core::dramdig_tool(env, options_.dramdig()).run(hooks);
+        core::dramdig_tool(env, options_.dramdig()).run(on_phase);
 
     tool_result out;
     out.tool = "dramdig";
@@ -87,14 +88,15 @@ class drama_adapter final : public mapping_tool {
             "blind clustering + XOR brute force with trial agreement"};
   }
 
-  [[nodiscard]] tool_result run(core::environment& env,
-                                const core::run_hooks& hooks) override {
+  [[nodiscard]] tool_result run(
+      core::environment& env,
+      const core::phase_callback& on_phase) override {
     // Per-trial events stream to the hook; the terminal "trials" record
     // stays in the phases list, so observers summing event deltas still
     // see the exact totals.
     access_meter accesses(env);
     const baselines::drama_report report =
-        baselines::drama_tool(env, options_.drama()).run(hooks);
+        baselines::drama_tool(env, options_.drama()).run(on_phase);
 
     tool_result out;
     out.tool = "drama";
@@ -107,15 +109,13 @@ class drama_adapter final : public mapping_tool {
         report.completed &&
         gf2::same_span(report.functions, env.spec().mapping.bank_functions());
     out.outcome = report.completed   ? "completed"
-                  : report.aborted   ? "aborted"
                   : report.timed_out ? "timeout"
                                      : "no agreement";
     out.detail = std::to_string(report.trials_run) + " trials";
     if (!report.completed) {
-      out.failure_reason =
-          report.aborted   ? "cancelled before two agreeing trials"
-          : report.timed_out ? "budget expired without two agreeing trials"
-                             : "no two consecutive trials agreed";
+      out.failure_reason = report.timed_out
+                               ? "budget expired without two agreeing trials"
+                               : "no two consecutive trials agreed";
     }
     out.phases = {{"trials", report.total_seconds, report.total_measurements,
                    0}};
@@ -139,14 +139,15 @@ class xiao_adapter final : public mapping_tool {
             "verified microarchitecture templates + stride scan"};
   }
 
-  [[nodiscard]] tool_result run(core::environment& env,
-                                const core::run_hooks& hooks) override {
+  [[nodiscard]] tool_result run(
+      core::environment& env,
+      const core::phase_callback& on_phase) override {
     // Per-stage events stream to the hook; the terminal "scan" record
     // stays in the phases list, so terminal-result consumers keep the
     // one-line summary while live observers see the stage-by-stage deltas.
     access_meter accesses(env);
     const baselines::xiao_report report =
-        baselines::xiao_tool(env, options_.xiao()).run(hooks);
+        baselines::xiao_tool(env, options_.xiao()).run(on_phase);
 
     tool_result out;
     out.tool = "xiao";
@@ -155,7 +156,6 @@ class xiao_adapter final : public mapping_tool {
     out.verified = report.success && report.mapping &&
                    report.mapping->equivalent_to(env.spec().mapping);
     out.outcome = report.success   ? "success"
-                  : report.aborted ? "aborted"
                   : report.stalled ? "stuck"
                                    : "failed";
     out.detail = report.note;
@@ -249,59 +249,17 @@ tool_options& tool_options::with_tool_seed(std::uint64_t seed) {
   return *this;
 }
 
-tool_registry& tool_registry::global() {
-  static tool_registry* instance = [] {
-    auto* r = new tool_registry();
-    r->add("dramdig", [](const tool_options& o) {
-      return std::make_unique<dramdig_adapter>(o);
-    });
-    r->add("drama", [](const tool_options& o) {
-      return std::make_unique<drama_adapter>(o);
-    });
-    r->add("xiao", [](const tool_options& o) {
-      return std::make_unique<xiao_adapter>(o);
-    });
-    return r;
-  }();
-  return *instance;
-}
-
-void tool_registry::add(const std::string& name, factory make) {
-  DRAMDIG_EXPECTS(!name.empty());
-  DRAMDIG_EXPECTS(make != nullptr);
-  std::scoped_lock lock(mutex_);
-  DRAMDIG_EXPECTS(!factories_.contains(name));
-  factories_.emplace(name, std::move(make));
-}
-
-bool tool_registry::contains(const std::string& name) const {
-  std::scoped_lock lock(mutex_);
-  return factories_.contains(name);
-}
-
-std::vector<std::string> tool_registry::names() const {
-  std::scoped_lock lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, make] : factories_) out.push_back(name);
-  return out;  // std::map iteration order is already sorted
-}
-
-std::unique_ptr<mapping_tool> tool_registry::make(
-    const std::string& name, const tool_options& options) const {
-  factory make;
-  {
-    std::scoped_lock lock(mutex_);
-    const auto it = factories_.find(name);
-    DRAMDIG_EXPECTS(it != factories_.end());
-    make = it->second;
-  }
-  return make(options);
+const std::vector<std::string>& tool_names() {
+  static const std::vector<std::string> names{"drama", "dramdig", "xiao"};
+  return names;
 }
 
 std::unique_ptr<mapping_tool> make_tool(const std::string& name,
                                         const tool_options& options) {
-  return tool_registry::global().make(name, options);
+  if (name == "dramdig") return std::make_unique<dramdig_adapter>(options);
+  if (name == "drama") return std::make_unique<drama_adapter>(options);
+  DRAMDIG_EXPECTS(name == "xiao");
+  return std::make_unique<xiao_adapter>(options);
 }
 
 }  // namespace dramdig::api

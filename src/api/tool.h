@@ -3,19 +3,17 @@
 //
 // The paper frames DRAMDig as one of several timing-based
 // reverse-engineering tools and benchmarks it against DRAMA (Pessl et al.)
-// and Xiao et al.; Knock-Knock-style platforms go further and make the
-// recovery method a pluggable strategy. This header is that seam:
+// and Xiao et al. This header puts the three behind one interface:
 //
-//   * `mapping_tool`   — describe() + run(environment&, run_hooks) returning
+//   * `mapping_tool`   — describe() + run(environment&, on_phase) returning
 //                        a `tool_result`, the one result schema every
 //                        driver (bench, example, CI, service) consumes;
 //   * `tool_options`   — a validated builder carrying the per-tool configs
 //                        a job may need (bad configs throw at set time, not
 //                        inside a worker thread);
-//   * `tool_registry`  — a string-keyed factory ("dramdig", "drama",
-//                        "xiao" built in; downstream tools can add their
-//                        own), so drivers and the mapping_service select
-//                        tools by name.
+//   * `tool_names()` / `make_tool()` — the closed set of built-in tools
+//                        ("dramdig", "drama", "xiao"), so drivers and the
+//                        mapping_service select tools by name.
 //
 // Adapters translate each tool's bespoke report into `tool_result` and are
 // the only place that knows the per-tool success/verification semantics
@@ -25,10 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,7 +54,7 @@ struct tool_phase {
 /// outside, on the service's `job_outcome` — so two results can be compared
 /// bit-for-bit to prove determinism.
 struct tool_result {
-  std::string tool;       ///< registry name of the tool that produced it
+  std::string tool;       ///< name of the tool that produced it
   bool success = false;   ///< the tool's own completion claim
   /// Output checked against the simulated ground truth, with the per-tool
   /// notion of "correct" (DRAMDig/Xiao: full mapping equivalence; DRAMA:
@@ -116,7 +111,7 @@ struct tool_result {
 };
 
 struct tool_description {
-  std::string name;     ///< registry key
+  std::string name;     ///< tool name (one of tool_names())
   std::string title;    ///< display name ("DRAMA (Pessl et al.)")
   std::string summary;  ///< one-line method description
 };
@@ -159,43 +154,17 @@ class mapping_tool {
   virtual ~mapping_tool() = default;
 
   [[nodiscard]] virtual tool_description describe() const = 0;
-  /// `hooks` are the per-run inputs, passed straight to the tool's own
-  /// run(): phase events stream to `on_phase` while the run executes, and
-  /// tools with abort points poll `should_abort` and stop early with
-  /// outcome "aborted" (DRAMA between trials, Xiao at stage boundaries and
-  /// per scanned bit; DRAMDig has none and completes). The mapping_service
-  /// passes its observer hook and cancellation token here.
-  [[nodiscard]] virtual tool_result run(core::environment& env,
-                                        const core::run_hooks& hooks) = 0;
-  [[nodiscard]] tool_result run(core::environment& env) {
-    return run(env, {});
-  }
+  /// `on_phase` is passed straight to the tool's own run(): phase events
+  /// stream to it while the run executes. The mapping_service passes its
+  /// observer hook here.
+  [[nodiscard]] virtual tool_result run(
+      core::environment& env, const core::phase_callback& on_phase = {}) = 0;
 };
 
-/// String-keyed tool factory. `global()` is the process-wide instance,
-/// pre-loaded with the three built-in tools; tests and downstream embedders
-/// can also hold private instances.
-class tool_registry {
- public:
-  using factory =
-      std::function<std::unique_ptr<mapping_tool>(const tool_options&)>;
+/// The built-in tool names, sorted: "drama", "dramdig", "xiao".
+[[nodiscard]] const std::vector<std::string>& tool_names();
 
-  [[nodiscard]] static tool_registry& global();
-
-  /// Throws contract_violation on an empty name or a duplicate.
-  void add(const std::string& name, factory make);
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
-  /// Throws contract_violation for an unknown name.
-  [[nodiscard]] std::unique_ptr<mapping_tool> make(
-      const std::string& name, const tool_options& options = {}) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, factory> factories_;
-};
-
-/// Shorthand for tool_registry::global().make(...).
+/// A fresh tool by name. Throws contract_violation for an unknown name.
 [[nodiscard]] std::unique_ptr<mapping_tool> make_tool(
     const std::string& name, const tool_options& options = {});
 

@@ -200,7 +200,7 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
   return trial;
 }
 
-drama_report drama_tool::run(const core::run_hooks& hooks) {
+drama_report drama_tool::run(const core::phase_callback& on_phase) {
   auto& mc = env_.mach().controller();
   drama_report report;
   rng r(env_.seed() ^ (config_.tool_seed * 0xD4A2Au + 0x9e3779b9u));
@@ -215,10 +215,6 @@ drama_report drama_tool::run(const core::run_hooks& hooks) {
 
   std::optional<std::vector<std::uint64_t>> prev_valid_functions;
   for (unsigned t = 0; t < config_.max_trials; ++t) {
-    if (hooks.abort_requested()) {
-      report.aborted = true;
-      break;
-    }
     if (mc.clock().seconds_since(t0) > config_.timeout_seconds) {
       report.timed_out = true;
       break;
@@ -227,10 +223,10 @@ drama_report drama_tool::run(const core::run_hooks& hooks) {
     const std::uint64_t trial_m0 = mc.measurement_count();
     report.trials.push_back(run_trial(buffer, r));
     ++report.trials_run;
-    if (hooks.on_phase) {
-      hooks.on_phase("trial",
-                     core::phase_stats{mc.clock().seconds_since(trial_t0),
-                                       mc.measurement_count() - trial_m0, 0});
+    if (on_phase) {
+      on_phase("trial", core::phase_stats{mc.clock().seconds_since(trial_t0),
+                                          mc.measurement_count() - trial_m0,
+                                          0});
     }
     const drama_trial& cur = report.trials.back();
     log_info("drama: trial " + std::to_string(t) + " sets=" +

@@ -60,7 +60,6 @@ struct drama_trial {
 struct drama_report {
   bool completed = false;  ///< two consecutive agreeing valid trials
   bool timed_out = false;
-  bool aborted = false;    ///< stopped by run_hooks::should_abort
   std::optional<dram::address_mapping> mapping;  ///< best-effort hypothesis
   std::vector<std::uint64_t> functions;
   unsigned trials_run = 0;
@@ -77,14 +76,13 @@ class drama_tool {
  public:
   explicit drama_tool(core::environment& env, drama_config config = {});
 
-  /// Run trials until two consecutive valid ones agree, the budget
-  /// expires, or `hooks.should_abort` (polled before each trial) returns
-  /// true. `hooks.on_phase` gets one "trial" event per completed trial with
+  /// Run trials until two consecutive valid ones agree or the budget
+  /// expires. `on_phase` gets one "trial" event per completed trial with
   /// that trial's clock/measurement delta (the trials are where every
   /// measurement happens, so the deltas sum to the run's totals) — a driver
-  /// can watch a hopeless unit live and kill it early instead of reading
-  /// one terminal event after the 2-hour budget expires.
-  [[nodiscard]] drama_report run(const core::run_hooks& hooks = {});
+  /// can watch a hopeless unit live instead of reading one terminal event
+  /// after the 2-hour budget expires.
+  [[nodiscard]] drama_report run(const core::phase_callback& on_phase = {});
 
  private:
   core::environment& env_;

@@ -50,15 +50,12 @@ std::optional<dram::address_mapping> lookup_template(
 
 /// Detect row-only bits with single-bit flips (same technique as
 /// DRAMDig's Step 1 — the paper notes DRAMDig uses "the same approach as
-/// the work [14]", i.e. this tool). Stops at the current bit when the
-/// hooks request an abort; the caller re-checks and reports the abort.
+/// the work [14]", i.e. this tool).
 std::vector<unsigned> scan_row_bits(timing::channel& channel,
                                     const os::mapping_region& buffer,
-                                    unsigned address_bits, rng& r,
-                                    const core::run_hooks& hooks) {
+                                    unsigned address_bits, rng& r) {
   std::vector<unsigned> rows;
   for (unsigned b = 6; b < address_bits; ++b) {
-    if (hooks.abort_requested()) break;
     unsigned high = 0, cast = 0;
     for (unsigned v = 0; v < 5; ++v) {
       const auto pair =
@@ -97,7 +94,7 @@ bool xiao_sbdr(timing::channel& channel, std::uint64_t p1, std::uint64_t p2,
 xiao_tool::xiao_tool(core::environment& env, xiao_config config)
     : env_(env), config_(config) {}
 
-xiao_report xiao_tool::run(const core::run_hooks& hooks) {
+xiao_report xiao_tool::run(const core::phase_callback& on_phase) {
   auto& mc = env_.mach().controller();
   xiao_report report;
   rng r(env_.seed() ^ (config_.tool_seed * 0x1A0Bu + 0x5D2Eu));
@@ -114,23 +111,13 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   const auto emit = [&](std::string_view stage) {
     const std::uint64_t now = mc.clock().now_ns();
     const std::uint64_t m = mc.measurement_count();
-    if (hooks.on_phase) {
-      hooks.on_phase(stage, {.seconds = mc.clock().seconds_since(phase_t),
-                             .measurements = m - phase_m,
-                             .pairs_used = 0});
+    if (on_phase) {
+      on_phase(stage, {.seconds = mc.clock().seconds_since(phase_t),
+                       .measurements = m - phase_m,
+                       .pairs_used = 0});
     }
     phase_t = now;
     phase_m = m;
-  };
-  const auto finish_aborted = [&] {
-    report.aborted = true;
-    report.success = false;
-    report.stalled = false;
-    report.note += (report.note.empty() ? "" : "; ");
-    report.note += "aborted";
-    report.total_seconds = mc.clock().seconds_since(t0);
-    report.total_measurements = mc.measurement_count() - m0;
-    return report;
   };
 
   const os::mapping_region& buffer = env_.space().map_buffer(
@@ -143,7 +130,6 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
       r.fork());
   channel.calibrate(core::sample_addresses(buffer, 1024, r));
   emit("calibration");
-  if (hooks.abort_requested()) return finish_aborted();
 
   // --- Template path -------------------------------------------------------
   // Verification is stratified: half the checks are pairs the template
@@ -184,8 +170,7 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
       }
     }
     emit("template");
-    if (hooks.abort_requested()) return finish_aborted();
-    if (cast >= kVerificationPairs / 4 &&
+      if (cast >= kVerificationPairs / 4 &&
         static_cast<double>(agree) >=
             kVerificationAgreement * static_cast<double>(cast)) {
       report.success = true;
@@ -201,9 +186,8 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
 
   // --- Generic stride scan --------------------------------------------------
   const std::vector<unsigned> rows =
-      scan_row_bits(channel, buffer, address_bits, r, hooks);
+      scan_row_bits(channel, buffer, address_bits, r);
   emit("row-scan");
-  if (hooks.abort_requested()) return finish_aborted();
   if (rows.empty()) {
     report.note = "no row bits found";
     report.stalled = true;
@@ -218,7 +202,6 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   // out column behaviour) stays fast => the bit feeds a bank function.
   std::vector<unsigned> bankish;
   for (unsigned b = 6; b < address_bits; ++b) {
-    if (hooks.abort_requested()) break;
     if (row_set.contains(b)) continue;
     const auto pair = core::pick_pair_with_delta(
         buffer, row_ref | (std::uint64_t{1} << b), r);
@@ -228,15 +211,13 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
     }
   }
   emit("bit-scan");
-  if (hooks.abort_requested()) return finish_aborted();
 
   // Stride pairs: (i, i+k) is a function when flipping both (with a row
   // flip on top) restores the bank.
   std::vector<std::uint64_t> found;
   for (unsigned k : kScanStrides) {
     for (unsigned i : bankish) {
-      if (hooks.abort_requested()) break;
-      const unsigned j = i + k;
+        const unsigned j = i + k;
       if (j >= address_bits) continue;
       const std::uint64_t func =
           (std::uint64_t{1} << i) | (std::uint64_t{1} << j);
@@ -263,7 +244,6 @@ xiao_report xiao_tool::run(const core::run_hooks& hooks) {
   }
   report.resolved_functions = found;
   emit("stride-scan");
-  if (hooks.abort_requested()) return finish_aborted();
 
   const unsigned want = log2_exact(env_.spec().total_banks());
   if (found.size() < want) {

@@ -39,7 +39,6 @@ struct xiao_config {
 struct xiao_report {
   bool success = false;
   bool stalled = false;  ///< ran out of search space / time
-  bool aborted = false;  ///< stopped by run_hooks::should_abort
   std::optional<dram::address_mapping> mapping;
   std::vector<std::uint64_t> resolved_functions;  ///< partial when stalled
   std::string note;
@@ -51,15 +50,12 @@ class xiao_tool {
  public:
   explicit xiao_tool(core::environment& env, xiao_config config = {});
 
-  /// Run the template path, then the scans. `hooks.on_phase` gets one
-  /// event per completed stage ("calibration", "template", "row-scan",
-  /// "bit-scan", "stride-scan", and "stall" when the stall budget is
-  /// charged) carrying that stage's clock/measurement delta — the deltas
-  /// sum to the run's totals. `hooks.should_abort` is polled at stage
-  /// boundaries and per bit inside the scan loops; when it returns true
-  /// the run stops there with report.aborted set, so a driver can kill a
-  /// stalling unit instead of waiting out the 30-minute stall.
-  [[nodiscard]] xiao_report run(const core::run_hooks& hooks = {});
+  /// Run the template path, then the scans. `on_phase` gets one event per
+  /// completed stage ("calibration", "template", "row-scan", "bit-scan",
+  /// "stride-scan", and "stall" when the stall budget is charged) carrying
+  /// that stage's clock/measurement delta — the deltas sum to the run's
+  /// totals.
+  [[nodiscard]] xiao_report run(const core::phase_callback& on_phase = {});
 
  private:
   core::environment& env_;

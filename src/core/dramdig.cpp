@@ -73,7 +73,7 @@ dramdig_tool::dramdig_tool(environment& env, dramdig_config config)
   check_config(config_);
 }
 
-dramdig_report dramdig_tool::run(const run_hooks& hooks) {
+dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
   dramdig_report report;
   auto& mc = env_.mach().controller();
   const std::uint64_t t_begin = mc.clock().now_ns();
@@ -109,7 +109,7 @@ dramdig_report dramdig_tool::run(const run_hooks& hooks) {
   // decomposition): observers wired in by the mapping_service see the run
   // live; without a hook the events fall back to info-level narration.
   const phase_callback notify =
-      hooks.on_phase ? hooks.on_phase : phase_callback(log_phase_event);
+      on_phase ? on_phase : phase_callback(log_phase_event);
   // The designed-experiment engine behind the coarse and fine phases: one
   // engine per run so both phases vote on one evidence substrate. Its
   // per-round progress streams through the phase-event observer when one
@@ -118,14 +118,14 @@ dramdig_report dramdig_tool::run(const run_hooks& hooks) {
   std::optional<bit_probe_engine> probe;
   const auto wire_probe = [&](const os::mapping_region& region) {
     probe.emplace(plan, region);
-    if (hooks.on_phase) {
+    if (on_phase) {
       probe->set_round_hook([&](const probe_round_event& e) {
         char name[64];
         std::snprintf(name, sizeof name, "probe:%.*s",
                       static_cast<int>(e.stage.size()), e.stage.data());
         phase_stats delta;
         delta.pairs_used = e.votes;
-        hooks.on_phase(name, delta);
+        on_phase(name, delta);
       });
     }
   };

@@ -113,13 +113,12 @@ class dramdig_tool {
 
   /// Run the full pipeline once. Each call maps a fresh buffer.
   ///
-  /// `hooks.on_phase` receives the per-phase progress events; when unset,
-  /// the tool narrates each phase at info log level (the timing log
-  /// examples show). With a hook the probe engine's designed rounds stream
-  /// too, one event per cross-bit round ("probe:coarse.row" etc., vote
-  /// count in pairs_used, cost metered by the owning phase event). The
-  /// pipeline has no abort points, so `hooks.should_abort` is not polled.
-  [[nodiscard]] dramdig_report run(const run_hooks& hooks = {});
+  /// `on_phase` receives the per-phase progress events; when unset, the
+  /// tool narrates each phase at info log level (the timing log examples
+  /// show). With a hook the probe engine's designed rounds stream too, one
+  /// event per cross-bit round ("probe:coarse.row" etc., vote count in
+  /// pairs_used, cost metered by the owning phase event).
+  [[nodiscard]] dramdig_report run(const phase_callback& on_phase = {});
 
  private:
   environment& env_;

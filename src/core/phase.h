@@ -4,8 +4,8 @@
 // named pipeline stage. DRAMDig emits its six pipeline phases (plus the
 // designed probe rounds), DRAMA emits one event per trial, and the
 // mapping_service forwards all of them to its observers. The types live in
-// this leaf header so a baseline can accept its run hooks without depending
-// on the DRAMDig pipeline headers.
+// this leaf header so a baseline can accept a phase callback without
+// depending on the DRAMDig pipeline headers.
 #pragma once
 
 #include <cstdint>
@@ -29,24 +29,10 @@ struct phase_stats {
 /// occurrence's clock/measurement delta. A phase can fire more than once in
 /// one run (selection re-runs on widened pools, partition once per
 /// bank-count attempt, one event per designed probe round or DRAMA trial),
-/// so consumers aggregate by name if they want totals.
+/// so consumers aggregate by name if they want totals. Every tool's run()
+/// takes one as its per-run input, kept apart from its config (a config
+/// holds knobs only); the mapping_service passes its observer hook here.
 using phase_callback =
     std::function<void(std::string_view phase, const phase_stats& delta)>;
-
-/// The per-run inputs every tool's run() takes, kept apart from its config
-/// (a config holds knobs only). The mapping_service passes its observer
-/// hook and its cancellation token here; a direct caller can pass either.
-struct run_hooks {
-  /// Phase progress events, fired as each phase occurrence completes.
-  phase_callback on_phase;
-  /// Cooperative abort, polled at the tool's abort points (DRAMA: before
-  /// each trial; Xiao: at stage boundaries and per bit inside its scans).
-  /// DRAMDig has none and runs to completion.
-  std::function<bool()> should_abort;
-
-  [[nodiscard]] bool abort_requested() const {
-    return should_abort && should_abort();
-  }
-};
 
 }  // namespace dramdig::core

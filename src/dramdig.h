@@ -28,8 +28,9 @@
 //   timing   -> the SBDR timing primitive
 //   core     -> the DRAMDig pipeline (this paper's contribution)
 //   baselines-> DRAMA and Xiao et al. comparison tools
-//   api      -> the unified mapping_tool interface, tool registry and the
-//               concurrent mapping_service job engine
+//   api      -> the unified mapping_tool interface, the built-in tool set
+//               (tool_names / make_tool) and the concurrent
+//               mapping_service job engine with its FIFO daemon feed
 //   rowhammer-> the hypothesis-driven hammer harness
 #pragma once
 

@@ -88,8 +88,10 @@ struct store_entry {
   /// Row-echelon basis of the bank-function span — the classifier's
   /// warm-start hint (core/classifier.h warm_start).
   gf2::matrix function_span;
-  /// FNV-1a over (span, row/column bits, pool size): lets a re-recovery
-  /// tell at a glance whether it reproduced the stored evidence.
+  /// FNV-1a over (span, row/column bits, pool size, bank count,
+  /// threshold_ns), set when the service builds an entry and round-tripped
+  /// through the file. Nothing reads it back or compares it with a
+  /// recomputation: it is a record of the evidence, not a check on it.
   std::uint64_t evidence_digest = 0;
   /// Selection-pool size of the recovering run — pre-sizes the
   /// measurement plan on warm starts.

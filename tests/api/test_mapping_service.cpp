@@ -1,7 +1,8 @@
 // The mapping_service determinism contract: batch results are bit-identical
 // to direct sequential tool calls on any worker count and under any
-// submission order; observers see ordered per-job events; cancellation
-// stops pending jobs without touching completed results.
+// submission order; observers see ordered per-job events; the fleet store
+// is consulted and persisted as documented; daemon mode serves a FIFO feed
+// against the live store and streams one JSON record per job.
 #include "api/mapping_service.h"
 
 #include <gtest/gtest.h>
@@ -132,6 +133,9 @@ TEST(MappingService, UnknownToolFailsTheBatchUpFront) {
   std::vector<job_spec> jobs{
       {dram::machine_by_number(4), "seaborn", {}, 1}};
   EXPECT_THROW((void)mapping_service().run(jobs), contract_violation);
+  // The daemon feed checks the same closed tool set at push time.
+  job_feed feed;
+  EXPECT_THROW((void)feed.push(jobs.front()), contract_violation);
 }
 
 TEST(MappingService, JobExceptionMarksOnlyThatJobFailed) {
@@ -148,13 +152,9 @@ TEST(MappingService, JobExceptionMarksOnlyThatJobFailed) {
   EXPECT_TRUE(outcomes[1].result.verified);
 }
 
-/// Records the event stream for one job and cancels after the first
-/// completion when armed.
+/// Records the event stream of a batch.
 class recording_observer final : public progress_observer {
  public:
-  explicit recording_observer(cancellation_token* cancel_after_first = nullptr)
-      : cancel_(cancel_after_first) {}
-
   void on_job_start(std::size_t index, const job_spec&) override {
     events.push_back("start:" + std::to_string(index));
   }
@@ -165,16 +165,13 @@ class recording_observer final : public progress_observer {
     measurements += delta.measurements;
   }
   void on_job_done(std::size_t index, const job_outcome& outcome) override {
-    events.push_back("done:" + std::to_string(index) + ":" +
-                     std::to_string(static_cast<int>(outcome.state)));
-    if (cancel_ != nullptr) cancel_->cancel();
+    const char* state =
+        outcome.state == job_state::completed ? "completed" : "failed";
+    events.push_back("done:" + std::to_string(index) + ":" + state);
   }
 
   std::vector<std::string> events;
   std::uint64_t measurements = 0;
-
- private:
-  cancellation_token* cancel_;
 };
 
 TEST(MappingService, ObserverSeesOrderedPhaseEvents) {
@@ -184,7 +181,7 @@ TEST(MappingService, ObserverSeesOrderedPhaseEvents) {
   const auto outcomes = mapping_service({.threads = 1}).run(jobs, &observer);
   ASSERT_GE(observer.events.size(), 3u);
   EXPECT_EQ(observer.events.front(), "start:0");
-  EXPECT_EQ(observer.events.back(), "done:0:2");  // 2 = completed
+  EXPECT_EQ(observer.events.back(), "done:0:completed");
   // The pipeline phases stream through (replacing the old ad-hoc timing
   // log): at least calibration, coarse, selection, partition, fine.
   for (const char* phase :
@@ -247,94 +244,6 @@ TEST(MappingService, XiaoStreamsPerStageEvents) {
         << phase;
   }
   EXPECT_EQ(observer.measurements, outcomes[0].result.measurement_count);
-}
-
-TEST(MappingService, CancellationAbortsRunningXiaoAtScanBoundary) {
-  // Machine No.6 stalls the stride scan and charges a 30-minute budget.
-  // The observer flips the token as the row scan lands; the bound abort
-  // predicate stops the running job at the next stage boundary.
-  class stage_cancelling_observer final : public progress_observer {
-   public:
-    explicit stage_cancelling_observer(cancellation_token* cancel)
-        : cancel_(cancel) {}
-    void on_job_phase(std::size_t, std::string_view phase,
-                      const core::phase_stats&) override {
-      if (phase == "row-scan") cancel_->cancel();
-    }
-
-   private:
-    cancellation_token* cancel_;
-  };
-
-  std::vector<job_spec> jobs{{dram::machine_by_number(6), "xiao", {}, 7}};
-  cancellation_token cancel;
-  stage_cancelling_observer observer(&cancel);
-  const auto outcomes =
-      mapping_service({.threads = 1}).run(jobs, &observer, &cancel);
-  ASSERT_EQ(outcomes[0].state, job_state::completed);
-  EXPECT_EQ(outcomes[0].result.outcome, "aborted");
-  EXPECT_FALSE(outcomes[0].result.success);
-  // Far below the stall budget an uncancelled run would charge.
-  EXPECT_LT(outcomes[0].result.virtual_seconds, 900.0);
-}
-
-TEST(MappingService, CancellationAbortsRunningDramaAtTrialBoundary) {
-  // Machine No.3 never reaches agreement, so an uncancelled run burns all
-  // its trials. The observer flips the token after the second trial event;
-  // the bound abort predicate stops the running job at the next boundary
-  // and the outcome says what happened.
-  class trial_cancelling_observer final : public progress_observer {
-   public:
-    explicit trial_cancelling_observer(cancellation_token* cancel)
-        : cancel_(cancel) {}
-    void on_job_phase(std::size_t, std::string_view phase,
-                      const core::phase_stats&) override {
-      if (phase == "trial" && ++trials_ >= 2) cancel_->cancel();
-    }
-
-   private:
-    cancellation_token* cancel_;
-    unsigned trials_ = 0;
-  };
-
-  baselines::drama_config cfg = fast_drama();
-  cfg.max_trials = 8;
-  std::vector<job_spec> jobs{{dram::machine_by_number(3), "drama",
-                              tool_options{}.with_drama(cfg), 5}};
-  cancellation_token cancel;
-  trial_cancelling_observer observer(&cancel);
-  const auto outcomes =
-      mapping_service({.threads = 1}).run(jobs, &observer, &cancel);
-  ASSERT_EQ(outcomes[0].state, job_state::completed);
-  EXPECT_EQ(outcomes[0].result.outcome, "aborted");
-  EXPECT_FALSE(outcomes[0].result.success);
-  EXPECT_EQ(outcomes[0].result.detail, "2 trials");  // 8 without the token
-}
-
-TEST(MappingService, CancellationStopsPendingJobsOnly) {
-  // One worker, four jobs; the observer cancels as the first job lands.
-  std::vector<job_spec> jobs;
-  for (std::uint64_t seed : {42u, 43u, 44u, 45u}) {
-    jobs.push_back({dram::machine_by_number(4), "dramdig", {}, seed});
-  }
-  cancellation_token cancel;
-  recording_observer observer(&cancel);
-  const auto outcomes =
-      mapping_service({.threads = 1}).run(jobs, &observer, &cancel);
-
-  ASSERT_EQ(outcomes[0].state, job_state::completed);
-  for (std::size_t i = 1; i < outcomes.size(); ++i) {
-    EXPECT_EQ(outcomes[i].state, job_state::cancelled) << "job " << i;
-    EXPECT_EQ(outcomes[i].result.measurement_count, 0u);
-    // Cancelled jobs still identify themselves (no on_job_start fires for
-    // them, so the done event's outcome is all an observer gets).
-    EXPECT_EQ(outcomes[i].result.tool, "dramdig");
-    EXPECT_EQ(outcomes[i].result.outcome, "cancelled");
-  }
-  // The completed result is uncorrupted: identical to an uncancelled run.
-  const auto reference =
-      mapping_service({.threads = 1}).run({jobs.front()});
-  EXPECT_EQ(outcome_key(outcomes[0]), outcome_key(reference[0]));
 }
 
 /// Resident set size in bytes, from /proc/self/statm (0 when unreadable).
@@ -620,36 +529,29 @@ TEST(MappingServiceStore, BatchLookupsSnapshotStoreAtEntry) {
 
 // --- daemon mode -------------------------------------------------------------
 
-TEST(JobFeed, PopsByPriorityThenFifo) {
+TEST(JobFeed, PopsInPushOrder) {
+  // With a live store, a job's cold/warm/verify verdict depends on which
+  // jobs ran before it, so the feed must serve in push order.
   job_feed feed;
-  const auto t_low = feed.push({dram::machine_by_number(1), "dramdig", {}, 1,
-                                /*priority=*/0});
-  const auto t_hi1 = feed.push({dram::machine_by_number(2), "dramdig", {}, 2,
-                                /*priority=*/5});
-  const auto t_hi2 = feed.push({dram::machine_by_number(3), "dramdig", {}, 3,
-                                /*priority=*/5});
-  const auto t_mid = feed.push({dram::machine_by_number(4), "dramdig", {}, 4,
-                                /*priority=*/2});
-  EXPECT_EQ(feed.pending(), 4u);
+  std::vector<std::uint64_t> pushed;
+  for (int n = 1; n <= 4; ++n) {
+    pushed.push_back(feed.push({dram::machine_by_number(n), "dramdig", {},
+                                static_cast<std::uint64_t>(n)}));
+  }
   feed.close();
-  // Tickets are nonzero and unique.
-  EXPECT_NE(t_low, 0u);
+  for (const std::uint64_t ticket : pushed) EXPECT_NE(ticket, 0u);
   std::vector<std::uint64_t> served_tickets;
   mapping_service service({.threads = 1});
   const std::size_t n = service.serve(feed, [&](const served_outcome& out) {
     served_tickets.push_back(out.ticket);
   });
   EXPECT_EQ(n, 4u);
-  EXPECT_EQ(feed.pending(), 0u);
-  // Highest priority first; equal priorities keep submission order.
-  EXPECT_EQ(served_tickets,
-            (std::vector<std::uint64_t>{t_hi1, t_hi2, t_mid, t_low}));
+  EXPECT_EQ(served_tickets, pushed);
 }
 
 TEST(JobFeed, PushAfterCloseIsDroppedWithWarning) {
   job_feed feed;
   feed.close();
-  EXPECT_TRUE(feed.closed());
   // The drop is deliberate (racing producers degrade instead of
   // throwing), but it must not be silent: a warning names the job that
   // never ran.
@@ -659,11 +561,11 @@ TEST(JobFeed, PushAfterCloseIsDroppedWithWarning) {
   });
   EXPECT_EQ(feed.push({dram::machine_by_number(1), "dramdig", {}, 1}), 0u);
   set_log_sink({});
-  EXPECT_EQ(feed.pending(), 0u);
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_NE(warnings[0].find("No.1"), std::string::npos) << warnings[0];
   EXPECT_NE(warnings[0].find("dramdig"), std::string::npos) << warnings[0];
-  // A serve() on the closed, empty feed returns immediately with nothing.
+  // Nothing was queued: a serve() on the closed feed returns immediately
+  // with nothing.
   mapping_service service({.threads = 1});
   EXPECT_EQ(service.serve(feed, {}), 0u);
 }
@@ -691,9 +593,16 @@ TEST(MappingServiceServe, StreamsJsonRecordsAndWarmStartsLive) {
   EXPECT_EQ(records[0].outcome.result.mapping->describe(),
             records[1].outcome.result.mapping->describe());
 
-  // Each streamed record is one parseable, self-contained JSON object.
+  // Each streamed record is one parseable, self-contained JSON object
+  // with a fixed key list.
+  const std::vector<std::string> keys{
+      "ticket",    "machine",     "tool",         "seed",  "state",
+      "store_hit", "store_error", "wall_seconds", "result"};
   for (const served_outcome& record : records) {
     const json_value doc = json_value::parse(record.json);
+    std::vector<std::string> got;
+    for (const auto& [key, value] : doc.members()) got.push_back(key);
+    EXPECT_EQ(got, keys);
     EXPECT_EQ(doc.at("ticket").as_u64(), record.ticket);
     EXPECT_EQ(doc.at("machine").as_i64(), m.number);
     EXPECT_EQ(doc.at("tool").as_string(), "dramdig");
@@ -733,28 +642,6 @@ TEST(MappingServiceServe, ConcurrentWorkersSaveAConsistentDocument) {
   EXPECT_EQ(store.size(), 9u);
   EXPECT_EQ(read_file(path), store.to_json());
   std::remove(path.c_str());
-}
-
-TEST(MappingServiceServe, CancellationDrainsRemainingJobsAsCancelled) {
-  store::mapping_store store;
-  mapping_service service({.threads = 1, .store = &store});
-  job_feed feed;
-  for (std::uint64_t seed : {42u, 43u, 44u}) {
-    (void)feed.push(fleet_job(dram::machine_by_number(1), seed));
-  }
-  feed.close();
-  cancellation_token cancel;
-  cancel.cancel();  // flipped before serve: every job drains cancelled
-  std::vector<served_outcome> records;
-  const std::size_t n = service.serve(
-      feed, [&](const served_outcome& out) { records.push_back(out); },
-      &cancel);
-  EXPECT_EQ(n, 3u);
-  for (const served_outcome& record : records) {
-    EXPECT_EQ(record.outcome.state, job_state::cancelled);
-    EXPECT_EQ(record.outcome.result.outcome, "cancelled");
-  }
-  EXPECT_EQ(store.size(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// The tool registry and the unified tool interface: name round-trips,
-// factory contracts, options validation, and the adapters' result schema.
+// The built-in tool set and the unified tool interface: name round-trips,
+// the factory contract, options validation, and the adapters' result
+// schema.
 #include "api/tool.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/environment.h"
 #include "dram/presets.h"
@@ -23,35 +25,12 @@ baselines::drama_config fast_drama() {
 }
 
 TEST(ToolRegistry, ListsTheBuiltInTools) {
-  const auto names = tool_registry::global().names();
-  for (const char* name : {"dramdig", "drama", "xiao"}) {
-    EXPECT_TRUE(tool_registry::global().contains(name)) << name;
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
-  }
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  EXPECT_FALSE(tool_registry::global().contains("seaborn"));
+  EXPECT_EQ(tool_names(),
+            (std::vector<std::string>{"drama", "dramdig", "xiao"}));
 }
 
 TEST(ToolRegistry, UnknownNameThrows) {
   EXPECT_THROW((void)make_tool("seaborn"), contract_violation);
-}
-
-TEST(ToolRegistry, RejectsDuplicatesAndEmptyNames) {
-  tool_registry local;
-  local.add("stub", [](const tool_options& o) {
-    return tool_registry::global().make("dramdig", o);
-  });
-  EXPECT_THROW(local.add("stub",
-                         [](const tool_options& o) {
-                           return tool_registry::global().make("dramdig", o);
-                         }),
-               contract_violation);
-  EXPECT_THROW(local.add("", [](const tool_options& o) {
-                 return tool_registry::global().make("dramdig", o);
-               }),
-               contract_violation);
-  EXPECT_TRUE(local.contains("stub"));
-  EXPECT_FALSE(tool_registry::global().contains("stub"));
 }
 
 TEST(ToolRegistry, RoundTripEveryToolRunsSuccessfully) {
@@ -59,8 +38,8 @@ TEST(ToolRegistry, RoundTripEveryToolRunsSuccessfully) {
   // completes on the clean desktop, and it is a Sandy Bridge template
   // machine for Xiao et al.
   const tool_options options = tool_options{}.with_drama(fast_drama());
-  for (const std::string& name : tool_registry::global().names()) {
-    const auto tool = tool_registry::global().make(name, options);
+  for (const std::string& name : tool_names()) {
+    const auto tool = make_tool(name, options);
     ASSERT_NE(tool, nullptr) << name;
     EXPECT_EQ(tool->describe().name, name);
     core::environment env(dram::machine_by_number(1), 5);

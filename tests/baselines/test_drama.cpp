@@ -95,35 +95,17 @@ TEST(Drama, PerTrialEventsSumToTheRunTotals) {
   unsigned events = 0;
   std::uint64_t measurements = 0;
   double seconds = 0.0;
-  core::run_hooks hooks;
-  hooks.on_phase = [&](std::string_view phase,
-                       const core::phase_stats& delta) {
+  const auto on_phase = [&](std::string_view phase,
+                            const core::phase_stats& delta) {
     EXPECT_EQ(phase, "trial");
     ++events;
     measurements += delta.measurements;
     seconds += delta.seconds;
   };
-  const auto report = drama_tool(env, fast_config()).run(hooks);
+  const auto report = drama_tool(env, fast_config()).run(on_phase);
   EXPECT_EQ(events, report.trials_run);
   EXPECT_EQ(measurements, report.total_measurements);
   EXPECT_NEAR(seconds, report.total_seconds, 1e-6);
-}
-
-TEST(Drama, AbortStopsAtTheNextTrialBoundary) {
-  core::environment env(dram::machine_by_number(3), 5);
-  drama_config cfg = fast_config();
-  cfg.max_trials = 8;
-  unsigned trials_seen = 0;
-  core::run_hooks hooks;
-  hooks.on_phase = [&](std::string_view, const core::phase_stats&) {
-    ++trials_seen;
-  };
-  hooks.should_abort = [&] { return trials_seen >= 3; };
-  const auto report = drama_tool(env, cfg).run(hooks);
-  EXPECT_TRUE(report.aborted);
-  EXPECT_FALSE(report.completed);
-  EXPECT_FALSE(report.timed_out);
-  EXPECT_EQ(report.trials_run, 3u);
 }
 
 TEST(DramaHypothesis, RowGuessMatchesRankArithmetic) {

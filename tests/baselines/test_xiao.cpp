@@ -140,14 +140,13 @@ TEST(Xiao, StreamsPerStagePhaseEventsSummingToTotals) {
   std::vector<std::string> stages;
   double seconds = 0.0;
   std::uint64_t measurements = 0;
-  core::run_hooks hooks;
-  hooks.on_phase = [&](std::string_view stage,
-                       const core::phase_stats& delta) {
+  const auto on_phase = [&](std::string_view stage,
+                            const core::phase_stats& delta) {
     stages.emplace_back(stage);
     seconds += delta.seconds;
     measurements += delta.measurements;
   };
-  const auto report = xiao_tool(env).run(hooks);
+  const auto report = xiao_tool(env).run(on_phase);
   ASSERT_TRUE(report.success);
   ASSERT_EQ(stages, (std::vector<std::string>{"calibration", "template"}));
   EXPECT_EQ(measurements, report.total_measurements);
@@ -162,49 +161,19 @@ TEST(Xiao, OffTemplateScanStagesSumToTotalsIncludingStall) {
   std::vector<std::string> stages;
   double seconds = 0.0;
   std::uint64_t measurements = 0;
-  core::run_hooks hooks;
-  hooks.on_phase = [&](std::string_view stage,
-                       const core::phase_stats& delta) {
+  const auto on_phase = [&](std::string_view stage,
+                            const core::phase_stats& delta) {
     stages.emplace_back(stage);
     seconds += delta.seconds;
     measurements += delta.measurements;
   };
-  const auto report = xiao_tool(env).run(hooks);
+  const auto report = xiao_tool(env).run(on_phase);
   ASSERT_TRUE(report.stalled);
   ASSERT_EQ(stages,
             (std::vector<std::string>{"calibration", "row-scan", "bit-scan",
                                       "stride-scan", "stall"}));
   EXPECT_EQ(measurements, report.total_measurements);
   EXPECT_NEAR(seconds, report.total_seconds, 1e-9);
-}
-
-TEST(Xiao, AbortStopsStalledScanWellBeforeStallBudget) {
-  // The point of the abort hook: a driver watching machine No.6 crawl can
-  // kill it after the row scan instead of paying the 30-minute stall.
-  core::environment env(dram::machine_by_number(6), 13);
-  bool row_scan_done = false;
-  core::run_hooks hooks;
-  hooks.on_phase = [&](std::string_view stage, const core::phase_stats&) {
-    if (stage == "row-scan") row_scan_done = true;
-  };
-  hooks.should_abort = [&] { return row_scan_done; };
-  const auto report = xiao_tool(env).run(hooks);
-  EXPECT_TRUE(report.aborted);
-  EXPECT_FALSE(report.success);
-  EXPECT_FALSE(report.stalled);
-  EXPECT_NE(report.note.find("aborted"), std::string::npos);
-  // Far under the 1800 s stall budget an unaborted run charges.
-  EXPECT_LT(report.total_seconds, 900.0);
-}
-
-TEST(Xiao, AbortBeforeAnyWorkReportsAborted) {
-  core::environment env(dram::machine_by_number(4), 13);
-  core::run_hooks hooks;
-  hooks.should_abort = [] { return true; };
-  const auto report = xiao_tool(env).run(hooks);
-  EXPECT_TRUE(report.aborted);
-  EXPECT_FALSE(report.success);
-  EXPECT_FALSE(report.mapping.has_value());
 }
 
 TEST(Xiao, DeterministicOnSupportedMachines) {
