@@ -109,7 +109,14 @@ int main(int argc, char** argv) {
               jobs.size());
   narrator progress(jobs);
   std::optional<store::mapping_store> store;
-  if (!store_path.empty()) store.emplace(store_path);
+  if (!store_path.empty()) {
+    store.emplace(store_path);
+    // What a damaged store file cost (dropped records, or a cold start);
+    // the log is off in this program, so say it here.
+    if (!store->load_warning().empty()) {
+      std::fprintf(stderr, "warning: %s\n", store->load_warning().c_str());
+    }
+  }
   api::service_config config;
   if (store) config.store = &*store;
   const auto outcomes = api::mapping_service(config).run(jobs, &progress);

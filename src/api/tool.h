@@ -87,25 +87,10 @@ struct tool_result {
   /// Append this result as one JSON object (the machine-readable format
   /// every driver emits; see ROADMAP "Unified tool API" for the schema).
   ///
-  /// Related document: the fleet mapping store (src/store/mapping_store.h)
-  /// persists a *different* schema derived from successful results —
-  ///   { "store": "dramdig-mapping-store", "version": 2, "entries": [
-  ///       { "fingerprint": {cpu_model, generation, total_bytes, channels,
-  ///                         dimms_per_channel, ranks_per_dimm,
-  ///                         banks_per_rank, ecc, hash, geometry_hash},
-  ///         "mapping": {bank_functions, row_bits, column_bits,
-  ///                     address_bits},   // numeric, not the display
-  ///                                      // strings used here
-  ///         "function_span": [...],
-  ///         "evidence": {digest, pool_size,
-  ///                      bank_count, threshold_ns},  // last two: v2
-  ///         "history": [{kind, seed, measurements}, ...] } ] }
-  /// — numeric masks/bit lists instead of this object's human-readable
-  /// renderings, because the store is read back (util/json.h json_value)
-  /// while this record is write-only telemetry. Schema v2 widened the
-  /// evidence block with this record's assumed_bank_count/threshold_ns
-  /// (the transferable warm-start prior); v1 documents still load, their
-  /// missing keys reading as zero = no claim.
+  /// Related document: the fleet mapping store persists a *different*
+  /// schema derived from successful results (numeric masks and bit lists,
+  /// read back by util/json.h json_value), described once in
+  /// src/store/mapping_store.h.
   void to_json(json_writer& w) const;
   [[nodiscard]] std::string to_json_string() const;
 };

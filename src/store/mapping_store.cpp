@@ -1,7 +1,14 @@
 #include "store/mapping_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "util/expect.h"
@@ -13,12 +20,15 @@ namespace dramdig::store {
 namespace {
 
 constexpr const char* kStoreTag = "dramdig-mapping-store";
-/// Written version. v2 added the evidence bank_count/threshold_ns keys;
-/// v1 documents still load (the keys read as absent -> zero = no claim).
-constexpr std::uint64_t kStoreVersion = 2;
+/// Written version: the append-only log. Versions 1 and 2 were whole
+/// documents and still load; v2 added the evidence bank_count/threshold_ns
+/// keys, which read as absent -> zero = no claim on v1.
+constexpr std::uint64_t kStoreVersion = 3;
 constexpr std::uint64_t kOldestLoadableVersion = 1;
-/// Nesting depth of an entry object: the root object, then "entries".
-constexpr std::size_t kEntryDepth = 2;
+constexpr std::uint64_t kNewestDocumentVersion = 2;
+/// save() rewrites the compacted log instead of appending once the file
+/// would grow past this many times the compacted log's size.
+constexpr std::uint64_t kCompactionFactor = 2;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 14695981039346656037ull;
@@ -67,10 +77,50 @@ sysinfo::machine_fingerprint read_fingerprint(const json_value& v) {
   return fp;
 }
 
-/// One entry object, indented for its place in the "entries" array.
+/// The log's first line.
+const std::string& header_line() {
+  static const std::string line = [] {
+    json_writer w(json_writer::layout::compact);
+    w.begin_object();
+    w.key("store").value(kStoreTag);
+    w.key("version").value(kStoreVersion);
+    w.end_object();
+    return w.str();
+  }();
+  return line;
+}
+
+/// Throws unless `doc` carries the store tag and a version in [lo, hi].
+void check_header(const json_value& doc, std::uint64_t lo, std::uint64_t hi) {
+  if (doc.at("store").as_string() != kStoreTag) {
+    throw json_parse_error("not a mapping-store document");
+  }
+  const std::uint64_t version = doc.at("version").as_u64();
+  if (version < lo || version > hi) {
+    throw json_parse_error("store version " + std::to_string(version) +
+                           " where " + std::to_string(lo) + "-" +
+                           std::to_string(hi) + " was expected");
+  }
+}
+
+/// The file's first line parsed, when it is a log header: one complete
+/// JSON object without an "entries" member. A v1/v2 document's first line
+/// is a bare "{", or the whole document with its entries.
+std::optional<json_value> log_header(std::string_view first_line) {
+  try {
+    json_value v = json_value::parse(first_line);
+    if (v.type() == json_value::kind::object && v.find("entries") == nullptr) {
+      return v;
+    }
+  } catch (const json_parse_error&) {
+  }
+  return std::nullopt;
+}
+
+/// One entry as its log line: compact, '\n'-terminated.
 std::string render_entry(const store_entry& e, std::uint64_t hash,
                          std::uint64_t geometry_hash) {
-  json_writer w(kEntryDepth);
+  json_writer w(json_writer::layout::compact);
   w.begin_object();
   w.key("fingerprint");
   write_fingerprint(w, e.fingerprint, hash, geometry_hash);
@@ -105,7 +155,7 @@ std::string render_entry(const store_entry& e, std::uint64_t hash,
   }
   w.end_array();
   w.end_object();
-  return w.take_fragment();
+  return w.str();
 }
 
 template <typename T>
@@ -116,6 +166,88 @@ std::vector<T> read_number_array(const json_value& v) {
     out.push_back(static_cast<T>(v[i].as_u64()));
   }
   return out;
+}
+
+store_entry read_entry(const json_value& e) {
+  store_entry entry;
+  entry.fingerprint = read_fingerprint(e.at("fingerprint"));
+  const json_value& m = e.at("mapping");
+  entry.bank_functions = read_number_array<std::uint64_t>(m.at("bank_functions"));
+  entry.row_bits = read_number_array<unsigned>(m.at("row_bits"));
+  entry.column_bits = read_number_array<unsigned>(m.at("column_bits"));
+  entry.address_bits = static_cast<unsigned>(m.at("address_bits").as_u64());
+  entry.function_span = read_number_array<std::uint64_t>(e.at("function_span"));
+  const json_value& ev = e.at("evidence");
+  entry.evidence_digest = ev.at("digest").as_u64();
+  entry.pool_size = ev.at("pool_size").as_u64();
+  // v2 evidence keys; absent on v1 documents -> zero = no claim, so a v1
+  // entry degrades to the span-only warm prior it always carried.
+  if (const json_value* bc = ev.find("bank_count")) {
+    entry.bank_count = static_cast<unsigned>(bc->as_u64());
+  }
+  if (const json_value* thr = ev.find("threshold_ns")) {
+    entry.threshold_ns = thr->as_double();
+  }
+  const json_value& hist = e.at("history");
+  for (std::size_t h = 0; h < hist.size(); ++h) {
+    verification_event event;
+    event.kind = hist[h].at("kind").as_string();
+    event.seed = hist[h].at("seed").as_u64();
+    event.measurements = hist[h].at("measurements").as_u64();
+    entry.history.push_back(std::move(event));
+  }
+  // The mapping constructor enforces its own contracts (sorted distinct
+  // bit lists, address_bits bounds); a violation is just another way the
+  // file can be corrupt.
+  (void)entry.mapping();
+  return entry;
+}
+
+/// Throws unless the hashes stored in entry object `e` equal the
+/// recomputed ones.
+void check_hashes(const json_value& e, std::uint64_t hash,
+                  std::uint64_t geometry_hash) {
+  const json_value& fp = e.at("fingerprint");
+  if (hash != fp.at("hash").as_u64() ||
+      geometry_hash != fp.at("geometry_hash").as_u64()) {
+    throw json_parse_error("fingerprint hash mismatch (corrupt entry?)");
+  }
+}
+
+/// Append `bytes` to `path` in one write() on an O_APPEND descriptor,
+/// provided the file is still `expected_size` bytes long. Returns false,
+/// having written nothing, when the file cannot be opened or has another
+/// size; throws std::runtime_error when the write fails or falls short,
+/// which can leave a torn record at the end of the file.
+bool append_at_size(const std::string& path, std::uint64_t expected_size,
+                    const std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0) return false;
+  // Nothing between open() and close() throws.
+  struct stat st {};
+  const bool same_file = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
+                         static_cast<std::uint64_t>(st.st_size) == expected_size;
+  ssize_t written = 0;
+  if (same_file && !bytes.empty()) {
+    written = ::write(fd, bytes.data(), bytes.size());
+  }
+  const int write_errno = errno;
+  const bool closed = ::close(fd) == 0;
+  if (!same_file) return false;
+  if (written < 0) {
+    throw std::runtime_error("mapping store: append to '" + path +
+                             "' failed: " + std::strerror(write_errno));
+  }
+  if (static_cast<std::size_t>(written) != bytes.size()) {
+    throw std::runtime_error("mapping store: append to '" + path +
+                             "' wrote " + std::to_string(written) + " of " +
+                             std::to_string(bytes.size()) + " bytes");
+  }
+  if (!closed) {
+    throw std::runtime_error("mapping store: closing '" + path +
+                             "' after an append failed");
+  }
+  return true;
 }
 
 }  // namespace
@@ -143,15 +275,15 @@ mapping_store::slot::slot(store_entry e)
     : entry(std::move(e)),
       hash(entry.fingerprint.hash()),
       geometry_hash(entry.fingerprint.geometry_hash()),
-      json(render_entry(entry, hash, geometry_hash)) {}
+      record(render_entry(entry, hash, geometry_hash)) {}
 
 mapping_store::mapping_store(std::string path) : path_(std::move(path)) {
   DRAMDIG_EXPECTS(!path_.empty());
   std::error_code ec;
   if (!std::filesystem::exists(path_, ec)) return;
-  std::string text;
   try {
-    text = read_file(path_);
+    const std::string text = read_file(path_);
+    file_bytes_ = text.size();
     load_locked(text);
   } catch (const std::exception& e) {
     // The degradation contract: a store the service cannot trust costs a
@@ -165,59 +297,48 @@ mapping_store::mapping_store(std::string path) : path_(std::move(path)) {
 }
 
 void mapping_store::load_locked(const std::string& text) {
+  const std::size_t eol = text.find('\n');
+  if (eol != std::string::npos) {
+    if (const auto header =
+            log_header(std::string_view(text).substr(0, eol))) {
+      check_header(*header, kStoreVersion, kStoreVersion);
+      load_log_locked(std::string_view(text).substr(eol + 1));
+      return;
+    }
+  }
+  // A v1/v2 document. The store does not vouch for it: the first save
+  // rewrites it as a log.
   const json_value doc = json_value::parse(text);
-  if (doc.at("store").as_string() != kStoreTag) {
-    throw json_parse_error("not a mapping-store document");
-  }
-  const std::uint64_t version = doc.at("version").as_u64();
-  if (version < kOldestLoadableVersion || version > kStoreVersion) {
-    throw json_parse_error("unsupported store version");
-  }
+  check_header(doc, kOldestLoadableVersion, kNewestDocumentVersion);
   const json_value& list = doc.at("entries");
-  std::vector<slot> loaded;
-  loaded.reserve(list.size());
   for (std::size_t i = 0; i < list.size(); ++i) {
-    const json_value& e = list[i];
-    store_entry entry;
-    const json_value& fp = e.at("fingerprint");
-    entry.fingerprint = read_fingerprint(fp);
-    const json_value& m = e.at("mapping");
-    entry.bank_functions = read_number_array<std::uint64_t>(m.at("bank_functions"));
-    entry.row_bits = read_number_array<unsigned>(m.at("row_bits"));
-    entry.column_bits = read_number_array<unsigned>(m.at("column_bits"));
-    entry.address_bits = static_cast<unsigned>(m.at("address_bits").as_u64());
-    entry.function_span =
-        read_number_array<std::uint64_t>(e.at("function_span"));
-    const json_value& ev = e.at("evidence");
-    entry.evidence_digest = ev.at("digest").as_u64();
-    entry.pool_size = ev.at("pool_size").as_u64();
-    // v2 evidence keys; absent on v1 documents -> zero = no claim, so a
-    // v1 entry degrades to the span-only warm prior it always carried.
-    if (const json_value* bc = ev.find("bank_count")) {
-      entry.bank_count = static_cast<unsigned>(bc->as_u64());
-    }
-    if (const json_value* thr = ev.find("threshold_ns")) {
-      entry.threshold_ns = thr->as_double();
-    }
-    const json_value& hist = e.at("history");
-    for (std::size_t h = 0; h < hist.size(); ++h) {
-      verification_event event;
-      event.kind = hist[h].at("kind").as_string();
-      event.seed = hist[h].at("seed").as_u64();
-      event.measurements = hist[h].at("measurements").as_u64();
-      entry.history.push_back(std::move(event));
-    }
-    // The mapping constructor enforces its own contracts (sorted distinct
-    // bit lists, address_bits bounds); a violation is just another way
-    // the file can be corrupt.
-    (void)entry.mapping();
-    const slot& s = loaded.emplace_back(std::move(entry));
-    if (s.hash != fp.at("hash").as_u64() ||
-        s.geometry_hash != fp.at("geometry_hash").as_u64()) {
-      throw json_parse_error("fingerprint hash mismatch (corrupt entry?)");
-    }
+    slot s(read_entry(list[i]));
+    check_hashes(list[i], s.hash, s.geometry_hash);
+    slots_.push_back(std::move(s));
   }
-  slots_ = std::move(loaded);
+}
+
+void mapping_store::load_log_locked(std::string_view records) {
+  std::size_t pos = 0;
+  while (pos < records.size()) {
+    const std::size_t end = records.find('\n', pos);
+    if (end == std::string_view::npos) {
+      // An append that did not finish: the record was never committed.
+      load_warning_ = "mapping store '" + path_ + "' ends in a torn record (" +
+                      std::to_string(records.size() - pos) +
+                      " bytes without a line end), dropped it; " +
+                      std::to_string(slots_.size()) + " entries loaded";
+      log_warn(load_warning_);
+      return;
+    }
+    const json_value e = json_value::parse(records.substr(pos, end - pos));
+    slot s(read_entry(e));
+    check_hashes(e, s.hash, s.geometry_hash);
+    s.saved = true;
+    upsert_locked(std::move(s));
+    pos = end + 1;
+  }
+  vouched_ = true;
 }
 
 std::optional<store_entry> mapping_store::find_exact(
@@ -244,6 +365,10 @@ std::optional<store_entry> mapping_store::find_geometry(
 void mapping_store::put(store_entry entry) {
   slot fresh(std::move(entry));
   std::scoped_lock lock(mutex_);
+  upsert_locked(std::move(fresh));
+}
+
+void mapping_store::upsert_locked(slot fresh) {
   for (slot& s : slots_) {
     if (s.hash == fresh.hash) {
       s = std::move(fresh);
@@ -272,21 +397,34 @@ std::string mapping_store::to_json() const {
 }
 
 std::string mapping_store::to_json_locked() const {
-  json_writer w;
-  w.begin_object();
-  w.key("store").value(kStoreTag);
-  w.key("version").value(kStoreVersion);
-  w.key("entries").begin_array();
-  for (const slot& s : slots_) w.rendered(s.json);
-  w.end_array();
-  w.end_object();
-  return w.str();
+  std::string log = header_line();
+  for (const slot& s : slots_) log += s.record;
+  return log;
 }
 
-void mapping_store::save() const {
+void mapping_store::save() {
   std::scoped_lock lock(mutex_);
   if (path_.empty()) return;
-  write_file(path_, to_json_locked());
+  std::uint64_t compacted = header_line().size();
+  std::string unsaved;
+  for (const slot& s : slots_) {
+    compacted += s.record.size();
+    if (!s.saved) unsaved += s.record;
+  }
+  const bool append = vouched_ && file_bytes_ + unsaved.size() <=
+                                      kCompactionFactor * compacted;
+  // Cleared until a write lands whole: after a failed append or rewrite
+  // the next save rewrites the log.
+  vouched_ = false;
+  if (append && append_at_size(path_, file_bytes_, unsaved)) {
+    file_bytes_ += unsaved.size();
+  } else {
+    const std::string log = to_json_locked();
+    write_file(path_, log);
+    file_bytes_ = log.size();
+  }
+  vouched_ = true;
+  for (slot& s : slots_) s.saved = true;
 }
 
 }  // namespace dramdig::store

@@ -11,55 +11,87 @@
 // (store/verify.h), a geometry-only hit warm-starts a full run, and only
 // a cold miss pays full recovery.
 //
-// On-disk format (schema also documented next to tool_result::to_json):
+// On-disk format, schema v3: an append-only JSON-lines log. This is the
+// one description of the store schema; tool_result::to_json points here.
 //
-//   {
-//     "store": "dramdig-mapping-store",
-//     "version": 2,
-//     "entries": [
-//       {
-//         "fingerprint": { "cpu_model": ..., "generation": "DDR3",
-//                          "total_bytes": ..., "channels": ...,
-//                          "dimms_per_channel": ..., "ranks_per_dimm": ...,
-//                          "banks_per_rank": ..., "ecc": ...,
-//                          "hash": ..., "geometry_hash": ... },
-//         "mapping": { "bank_functions": [...], "row_bits": [...],
-//                      "column_bits": [...], "address_bits": ... },
-//         "function_span": [...],          // row-echelon basis of the span
-//         "evidence": { "digest": ..., "pool_size": ...,
-//                       "bank_count": ..., "threshold_ns": ... },  // v2
-//         "history": [ { "kind": "recovered|verified|verify_failed|
-//                                 warm_recovered",
-//                        "seed": ..., "measurements": ... }, ... ]
-//       }, ...
-//     ]
-//   }
+//   {"store": "dramdig-mapping-store", "version": 3}
+//   {"fingerprint": {...}, "mapping": {...}, "function_span": [...], ...}
+//   {"fingerprint": {...}, ...}
 //
-// Schema v2 extends the v1 evidence block with the recovering run's bank
-// count and calibrated threshold; together with the mapping's bit lists
-// they form the full evidence prior a geometry hit transfers into a warm
-// run (dramdig_config::warm). Version 1 documents (no such keys) still
-// load, silently, as span-only priors — the evidence fields read as
-// zero/empty and every warm consumer treats that as "no claim".
+// The first line is the header. Every later line is one entry record,
+// rendered compact on a single line (json_writer::layout::compact):
 //
-// The stored fingerprint hashes are recomputed and cross-checked on load;
-// any parse error, schema mismatch, or hash mismatch degrades the store
-// to empty with a logged warning — a truncated file (e.g. a crash mid
-// save) costs a cold run, never a crash.
+//   { "fingerprint": { "cpu_model": ..., "generation": "DDR3",
+//                      "total_bytes": ..., "channels": ...,
+//                      "dimms_per_channel": ..., "ranks_per_dimm": ...,
+//                      "banks_per_rank": ..., "ecc": ...,
+//                      "hash": ..., "geometry_hash": ... },
+//     "mapping": { "bank_functions": [...], "row_bits": [...],
+//                  "column_bits": [...], "address_bits": ... },
+//     "function_span": [...],          // row-echelon basis of the span
+//     "evidence": { "digest": ..., "pool_size": ...,
+//                   "bank_count": ..., "threshold_ns": ... },
+//     "history": [ { "kind": "recovered|verified|verify_failed|
+//                             warm_recovered",
+//                    "seed": ..., "measurements": ... }, ... ] }
 //
-// The write path is incremental. Each entry's fingerprint hashes and its
-// JSON text (indented for its place in the "entries" array) are computed
-// once, when put() or the load brings the entry in; lookups compare the
-// cached hashes, and to_json() splices the cached texts between the
-// document's header and footer. A save therefore costs the rendering of
-// the changed entry plus one whole-file write, not a re-serialization of
-// every entry, and writes the same bytes a one-pass render would.
+// Masks and bit lists are numeric (util/json.h round-trips 64-bit values
+// exactly), unlike tool_result's display strings. The evidence block's
+// bank count and calibrated threshold, with the mapping's bit lists, form
+// the prior a geometry hit transfers into a warm run
+// (dramdig_config::warm).
+//
+// Loading replays the log: a record whose fingerprint hash equals an
+// earlier record's replaces it in place, which is put()'s rule, so a
+// reload's to_json() equals the live store's. The stored fingerprint
+// hashes are recomputed and cross-checked for every record.
+//
+// Commit rule: a record is committed if and only if its terminating '\n'
+// is on disk. A final line without one is a torn append (a crash or a
+// failed write mid-save): load drops it with a load_warning() and keeps
+// every complete record before it. Any other damage — a bad or torn
+// header, a complete line that does not parse as an entry, a hash
+// mismatch — degrades the store to empty with a load_warning(): a broken
+// file costs a cold run, never a crash, and stays on disk untouched until
+// the next save() rewrites it.
+//
+// Write path: save() appends the records of the entries put since the
+// last save, in one write() on an O_APPEND descriptor. It rewrites the
+// whole compacted log (header plus one record per entry, i.e. to_json())
+// through write_file's tmp-then-rename instead when
+//   - the store cannot vouch for the file: the first save after an
+//     absent, v1/v2, degraded or torn-tail load, or after a failed save;
+//   - the file's size differs from what this store last wrote or loaded
+//     (another process wrote it); or
+//   - the append would grow the file past kCompactionFactor (2) times the
+//     compacted log, which bounds the file and keeps a save amortized
+//     O(changed entry).
+// Durability is the process-crash kind, as for write_file: nothing is
+// fsync'd.
+//
+// Single writer: the store assumes it is the only process writing its
+// file. The size check turns a concurrent writer's change into a rewrite
+// of this store's own view, so the last writer wins, as with whole-file
+// saves; it does not merge the two stores.
+//
+// Older versions: v2 and v1 files are one pretty-printed JSON document,
+// {"store": ..., "version": 1|2, "entries": [<entry>, ...]}. They load
+// without a warning, and the first save rewrites the file as a v3 log.
+// v1 evidence blocks carry only {digest, pool_size}: the v2 keys read as
+// zero, i.e. "no claim", and every warm consumer treats the entry as the
+// span-only prior it always was.
+//
+// Each entry's fingerprint hashes and record text are computed once, when
+// put() or the load brings the entry in; lookups compare the cached
+// hashes, and to_json() and save() concatenate the cached records.
+
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dram/mapping.h"
@@ -118,13 +150,14 @@ class mapping_store {
  public:
   /// In-memory store; save() is a no-op until a path is attached.
   mapping_store() = default;
-  /// Load `path` if it exists. Corrupted/truncated/unreadable content
-  /// degrades to an empty store: load_warning() carries the reason and
-  /// the file is left untouched until the next save().
+  /// Load `path` if it exists. A torn final record is dropped and
+  /// anything else corrupted or unreadable degrades to an empty store;
+  /// either way load_warning() carries the reason and the file is left
+  /// untouched until the next save().
   explicit mapping_store(std::string path);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  /// Nonempty when construction found a file it could not trust.
+  /// Nonempty when construction found a file it could not fully trust.
   [[nodiscard]] const std::string& load_warning() const noexcept {
     return load_warning_;
   }
@@ -139,38 +172,49 @@ class mapping_store {
       const sysinfo::machine_fingerprint& fp) const;
 
   /// Insert or overwrite the entry with the same fingerprint hash. The
-  /// entry's hashes and JSON text are computed here, outside the lock.
+  /// entry's hashes and record text are computed here, outside the lock.
   void put(store_entry entry);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::vector<store_entry> entries() const;  ///< snapshot
 
-  /// Serialize the whole store (the on-disk document) from the cached
-  /// entry texts.
+  /// The compacted v3 log: the header line, then one record line per
+  /// entry in store order.
   [[nodiscard]] std::string to_json() const;
-  /// Write to the attached path (no-op without one) through write_file's
-  /// tmp-then-rename. Throws std::runtime_error on I/O failure.
-  void save() const;
+  /// Persist the entries put since the last save to the attached path
+  /// (no-op without one): an append, or a whole-log rewrite as the schema
+  /// comment above describes. Throws std::runtime_error on I/O failure;
+  /// the next save() then rewrites the whole log.
+  void save();
 
  private:
   /// One entry with what lookups and saves read of it, computed once.
   struct slot {
-    /// Hashes the fingerprint and renders the entry's JSON text.
+    /// Hashes the fingerprint and renders the entry's record line.
     explicit slot(store_entry e);
 
     store_entry entry;
     std::uint64_t hash = 0;           ///< entry.fingerprint.hash()
     std::uint64_t geometry_hash = 0;  ///< entry.fingerprint.geometry_hash()
-    std::string json;  ///< the entry object at its depth in the document
+    std::string record;  ///< the entry's log line, '\n' included
+    bool saved = false;  ///< record is in the file as last written/loaded
   };
 
   [[nodiscard]] std::string to_json_locked() const;
   void load_locked(const std::string& text);
+  void load_log_locked(std::string_view records);
+  /// Insert `fresh`, or replace the slot with the same fingerprint hash.
+  void upsert_locked(slot fresh);
 
   mutable std::mutex mutex_;
   std::string path_;
   std::string load_warning_;
   std::vector<slot> slots_;
+  /// The file is a log whose replay yields exactly the saved slots, so
+  /// the unsaved ones may be appended to it.
+  bool vouched_ = false;
+  /// Size of the file as this store last wrote or loaded it.
+  std::uint64_t file_bytes_ = 0;
 };
 
 }  // namespace dramdig::store

@@ -4,7 +4,8 @@
 // ASCII tables so the perf trajectory (wall time, virtual-clock time,
 // access/measurement counts) can be tracked across PRs by CI, via a small
 // append-style writer with automatic comma/indent management that renders
-// straight into one std::string. The fleet
+// straight into one std::string, pretty (indented) or compact (one line,
+// the fleet store's log records). The fleet
 // mapping store (src/store) also *reads* its files back, so the header
 // pairs the writer with `json_value`: a strict recursive-descent parser
 // whose round-trip guarantee the store relies on — anything json_writer
@@ -30,13 +31,14 @@ namespace dramdig {
 
 class json_writer {
  public:
-  json_writer() = default;
-  /// A writer for one value that will sit `depth` containers deep inside
-  /// a larger document: its line breaks carry that document's
-  /// indentation, so take_fragment()'s text can be spliced in later with
-  /// rendered() and the document reads as if written in one pass (the
-  /// fleet store caches each entry this way).
-  explicit json_writer(std::size_t depth) : base_indent_(2 * depth) {}
+  /// How the output is laid out: `pretty` puts every item on its own
+  /// line, indented two spaces per level (BENCH files, tool results);
+  /// `compact` renders the whole value on one line, items separated by
+  /// ", " (the fleet store's log records).
+  enum class layout { pretty, compact };
+
+  explicit json_writer(layout l = layout::pretty)
+      : compact_(l == layout::compact) {}
 
   json_writer& begin_object() {
     open('{');
@@ -89,20 +91,11 @@ class json_writer {
     return scalar({buf, static_cast<std::size_t>(n)});
   }
 
-  /// Emit a value rendered earlier by a json_writer(depth) whose depth is
-  /// this writer's current nesting depth.
-  json_writer& rendered(std::string_view json) { return scalar(json); }
-
-  /// Finished document; valid only when every container was closed.
+  /// Finished document plus a closing newline; valid only when every
+  /// container was closed.
   [[nodiscard]] std::string str() const {
     DRAMDIG_EXPECTS(depth_.empty());
     return out_ + "\n";
-  }
-
-  /// The finished value without str()'s trailing newline, moved out.
-  [[nodiscard]] std::string take_fragment() {
-    DRAMDIG_EXPECTS(depth_.empty());
-    return std::move(out_);
   }
 
  private:
@@ -134,8 +127,9 @@ class json_writer {
   }
 
   void newline() {
+    if (compact_) return;
     out_ += '\n';
-    out_.append(base_indent_ + 2 * depth_.size(), ' ');
+    out_.append(2 * depth_.size(), ' ');
   }
 
   void separate() {
@@ -144,7 +138,7 @@ class json_writer {
       return;
     }
     if (!depth_.empty()) {
-      if (depth_.back()) out_ += ',';
+      if (depth_.back()) out_ += compact_ ? ", " : ",";
       newline();
       depth_.back() = true;
     }
@@ -172,7 +166,7 @@ class json_writer {
 
   std::string out_;
   std::vector<bool> depth_;  ///< per open container: has emitted an item
-  std::size_t base_indent_ = 0;  ///< spaces before depth_'s own indent
+  bool compact_ = false;
   bool after_key_ = false;
 };
 

@@ -492,16 +492,23 @@ TEST(MappingServiceStore, FailedSaveReachesRunAndServeCallers) {
 TEST(MappingServiceStore, BatchThatPutsNothingDoesNotRewriteTheFile) {
   // No job updated the store (a DRAMA-only batch), so there is nothing
   // to save: even the corrupt file a failed load left stays byte for byte
-  // until a batch does put an entry.
+  // until a batch does put an entry. The log's middle record is damaged
+  // (a complete line that does not parse), which degrades the store to
+  // empty.
   const std::string path =
       testing::TempDir() + "dramdig_service_skip_save.json";
-  write_file(path, "{\"store\": \"dramdig-mapping-st");
+  const std::string damaged =
+      "{\"store\": \"dramdig-mapping-store\", \"version\": 3}\n"
+      "{\"fingerprint\": {\"cpu_model\": \"i5-24\n"
+      "{}\n";
+  write_file(path, damaged);
   store::mapping_store store(path);
   ASSERT_FALSE(store.load_warning().empty());
+  ASSERT_EQ(store.size(), 0u);
   mapping_service service({.threads = 1, .store = &store});
   (void)service.run({{dram::machine_by_number(1), "drama",
                       tool_options{}.with_drama(fast_drama()), 5}});
-  EXPECT_EQ(read_file(path), "{\"store\": \"dramdig-mapping-st");
+  EXPECT_EQ(read_file(path), damaged);
 
   const auto saved = service.run({fleet_job(dram::machine_by_number(1))});
   EXPECT_TRUE(saved[0].store_error.empty()) << saved[0].store_error;
@@ -614,8 +621,8 @@ TEST(MappingServiceServe, StreamsJsonRecordsAndWarmStartsLive) {
 
 TEST(MappingServiceServe, ConcurrentWorkersSaveAConsistentDocument) {
   // Four workers put and save concurrently; each put renders its entry
-  // text outside the store lock. The last save must hold every entry, and
-  // the file must match the in-memory store byte for byte.
+  // record outside the store lock. The file holds appended records, so a
+  // reload must replay them into exactly the in-memory store.
   const std::string path =
       testing::TempDir() + "dramdig_service_concurrent.json";
   std::remove(path.c_str());
@@ -640,7 +647,9 @@ TEST(MappingServiceServe, ConcurrentWorkersSaveAConsistentDocument) {
               "");
   }
   EXPECT_EQ(store.size(), 9u);
-  EXPECT_EQ(read_file(path), store.to_json());
+  const store::mapping_store reloaded(path);
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), store.to_json());
   std::remove(path.c_str());
 }
 

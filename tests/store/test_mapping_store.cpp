@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -56,7 +60,128 @@ store_entry entry_for(int machine_number, std::uint64_t seed = 42) {
   return e;
 }
 
-/// Rewrite a saved v2 document as its v1 twin: version 1, no bank_count /
+/// A fully literal entry (no preset data), with a threshold that needs all
+/// fifteen significant digits and a two-event history.
+store_entry literal_entry() {
+  store_entry e;
+  e.fingerprint.cpu_model = "Intel i7-3770 (test)";
+  e.fingerprint.generation = dram::ddr_generation::ddr3;
+  e.fingerprint.total_bytes = 8ull << 30;
+  e.fingerprint.channels = 2;
+  e.fingerprint.dimms_per_channel = 1;
+  e.fingerprint.ranks_per_dimm = 2;
+  e.fingerprint.banks_per_rank = 8;
+  e.fingerprint.ecc = false;
+  e.bank_functions = {0x2040, 0x44000, 0x88000, 0x110000, 0x220000};
+  e.row_bits = {18, 19, 20, 21};
+  e.column_bits = {0, 1, 2, 3, 4, 5};
+  e.address_bits = 33;
+  e.function_span = e.bank_functions;
+  e.pool_size = 4096;
+  e.bank_count = 32;
+  e.threshold_ns = 287.12345678901234;
+  e.history.push_back({"recovered", 42, 2348});
+  e.history.push_back({"verified", 7, 188});
+  e.evidence_digest = e.compute_evidence_digest();
+  return e;
+}
+
+/// literal_entry() as the schema-v2 writer saved it: one pretty-printed
+/// document.
+const std::string kV2Document =
+    "{\n"
+    "  \"store\": \"dramdig-mapping-store\",\n"
+    "  \"version\": 2,\n"
+    "  \"entries\": [\n"
+    "    {\n"
+    "      \"fingerprint\": {\n"
+    "        \"cpu_model\": \"Intel i7-3770 (test)\",\n"
+    "        \"generation\": \"DDR3\",\n"
+    "        \"total_bytes\": 8589934592,\n"
+    "        \"channels\": 2,\n"
+    "        \"dimms_per_channel\": 1,\n"
+    "        \"ranks_per_dimm\": 2,\n"
+    "        \"banks_per_rank\": 8,\n"
+    "        \"ecc\": false,\n"
+    "        \"hash\": 9463507792138483794,\n"
+    "        \"geometry_hash\": 5999634699570172704\n"
+    "      },\n"
+    "      \"mapping\": {\n"
+    "        \"bank_functions\": [\n"
+    "          8256,\n"
+    "          278528,\n"
+    "          557056,\n"
+    "          1114112,\n"
+    "          2228224\n"
+    "        ],\n"
+    "        \"row_bits\": [\n"
+    "          18,\n"
+    "          19,\n"
+    "          20,\n"
+    "          21\n"
+    "        ],\n"
+    "        \"column_bits\": [\n"
+    "          0,\n"
+    "          1,\n"
+    "          2,\n"
+    "          3,\n"
+    "          4,\n"
+    "          5\n"
+    "        ],\n"
+    "        \"address_bits\": 33\n"
+    "      },\n"
+    "      \"function_span\": [\n"
+    "        8256,\n"
+    "        278528,\n"
+    "        557056,\n"
+    "        1114112,\n"
+    "        2228224\n"
+    "      ],\n"
+    "      \"evidence\": {\n"
+    "        \"digest\": 5545060604729730806,\n"
+    "        \"pool_size\": 4096,\n"
+    "        \"bank_count\": 32,\n"
+    "        \"threshold_ns\": 287.123456789012\n"
+    "      },\n"
+    "      \"history\": [\n"
+    "        {\n"
+    "          \"kind\": \"recovered\",\n"
+    "          \"seed\": 42,\n"
+    "          \"measurements\": 2348\n"
+    "        },\n"
+    "        {\n"
+    "          \"kind\": \"verified\",\n"
+    "          \"seed\": 7,\n"
+    "          \"measurements\": 188\n"
+    "        }\n"
+    "      ]\n"
+    "    }\n"
+    "  ]\n"
+    "}\n";
+
+/// The schema-v3 log header line.
+const std::string kV3Header =
+    "{\"store\": \"dramdig-mapping-store\", \"version\": 3}\n";
+
+/// literal_entry()'s v3 log record.
+const std::string kLiteralRecord =
+    "{\"fingerprint\": {\"cpu_model\": \"Intel i7-3770 (test)\", "
+    "\"generation\": \"DDR3\", \"total_bytes\": 8589934592, "
+    "\"channels\": 2, \"dimms_per_channel\": 1, \"ranks_per_dimm\": 2, "
+    "\"banks_per_rank\": 8, \"ecc\": false, "
+    "\"hash\": 9463507792138483794, "
+    "\"geometry_hash\": 5999634699570172704}, "
+    "\"mapping\": {\"bank_functions\": [8256, 278528, 557056, 1114112, "
+    "2228224], \"row_bits\": [18, 19, 20, 21], "
+    "\"column_bits\": [0, 1, 2, 3, 4, 5], \"address_bits\": 33}, "
+    "\"function_span\": [8256, 278528, 557056, 1114112, 2228224], "
+    "\"evidence\": {\"digest\": 5545060604729730806, \"pool_size\": 4096, "
+    "\"bank_count\": 32, \"threshold_ns\": 287.123456789012}, "
+    "\"history\": [{\"kind\": \"recovered\", \"seed\": 42, "
+    "\"measurements\": 2348}, {\"kind\": \"verified\", \"seed\": 7, "
+    "\"measurements\": 188}]}\n";
+
+/// Rewrite a v2 document as its v1 twin: version 1, no bank_count /
 /// threshold_ns evidence keys (the exact shape the v1 writer emitted).
 std::string as_v1_document(std::string doc) {
   const std::size_t v = doc.find("\"version\": 2");
@@ -173,34 +298,50 @@ TEST(MappingStore, TruncatedFileDegradesToColdWithWarning) {
   temp_path path("truncated");
   {
     mapping_store store(path.str());
-    store.put(entry_for(1));
+    for (int n : {1, 5, 6}) store.put(entry_for(n));
     store.save();
   }
   const std::string full = read_file(path.str());
-  // Every byte-truncation of a saved store must load as empty-with-warning
-  // (sampled stride keeps the test fast; the JSON prefix property is
-  // exhaustively covered in tests/util/test_json.cpp).
-  for (std::size_t len = 0; len < full.size(); len += 97) {
-    write_file(path.str(), full.substr(0, len));
+  ASSERT_EQ(full.compare(0, kV3Header.size(), kV3Header), 0);
+  // Every byte-truncation of a saved log: a cut inside the header line
+  // loads as empty-with-warning; a cut after it loads exactly the records
+  // whose lines are complete, with a warning exactly when the cut falls
+  // mid-line (a torn append).
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    const std::string prefix = full.substr(0, len);
+    write_file(path.str(), prefix);
     const mapping_store store(path.str());
-    EXPECT_EQ(store.size(), 0u) << "prefix length " << len;
-    if (len > 0) {
+    if (len < kV3Header.size()) {
+      EXPECT_EQ(store.size(), 0u) << "prefix length " << len;
       EXPECT_FALSE(store.load_warning().empty()) << "prefix length " << len;
+    } else {
+      const std::string committed = prefix.substr(0, prefix.rfind('\n') + 1);
+      EXPECT_EQ(store.to_json(), committed) << "prefix length " << len;
+      EXPECT_EQ(store.size(), static_cast<std::size_t>(std::count(
+                                  committed.begin(), committed.end(), '\n')) -
+                                  1)
+          << "prefix length " << len;
+      EXPECT_EQ(store.load_warning().empty(), committed.size() == len)
+          << "prefix length " << len;
     }
-    // The broken file stays on disk untouched until the next save().
-    EXPECT_EQ(read_file(path.str()).size(), len);
+    // The file stays on disk untouched until the next save().
+    EXPECT_EQ(read_file(path.str()), prefix);
   }
 }
 
 TEST(MappingStore, FailedSaveLeavesPreviousFileLoadable) {
-  // save() writes a sibling temp file and renames it over the store, so a
-  // save that dies before the rename never touches the saved document. A
-  // directory squatting on the temp path makes the write fail.
+  // A rewrite writes a sibling temp file and renames it over the store,
+  // so a rewrite that dies before the rename never touches the saved log.
+  // `store` loaded an absent file, so its first save is a rewrite; a
+  // directory squatting on the temp path makes it fail.
   temp_path path("failed_save");
   mapping_store store(path.str());
-  store.put(entry_for(1));
-  store.put(entry_for(2));
-  store.save();
+  {
+    mapping_store earlier(path.str());
+    earlier.put(entry_for(1));
+    earlier.put(entry_for(2));
+    earlier.save();
+  }
   const std::filesystem::path tmp = path.str() + ".tmp";
   ASSERT_TRUE(std::filesystem::create_directory(tmp));
   store.put(entry_for(3));
@@ -213,46 +354,205 @@ TEST(MappingStore, FailedSaveLeavesPreviousFileLoadable) {
       reloaded.find_exact(sysinfo::fingerprint(dram::machine_by_number(1))));
   EXPECT_TRUE(
       reloaded.find_exact(sysinfo::fingerprint(dram::machine_by_number(2))));
+  // The failed save left `store` unable to vouch for the file: the next
+  // save rewrites it whole, and the last writer wins.
+  store.save();
+  EXPECT_EQ(read_file(path.str()), store.to_json());
+}
+
+/// Runs `save` with the process's file-size limit at `cap` bytes and
+/// SIGXFSZ ignored, so a write() past the cap stops short or fails with
+/// EFBIG instead of killing the process; the limit is lifted afterwards.
+void with_file_size_cap(rlim_t cap, const std::function<void()>& save) {
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  if (saved.rlim_max != RLIM_INFINITY && saved.rlim_max < cap) {
+    GTEST_SKIP() << "hard RLIMIT_FSIZE below the log size";
+  }
+  void (*const old_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit capped = saved;
+  capped.rlim_cur = cap;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  save();
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+}
+
+TEST(MappingStore, FailedAppendLeavesTornTailTheNextSaveRewrites) {
+  temp_path path("torn_append");
+  mapping_store store(path.str());
+  for (int n : {1, 4}) store.put(entry_for(n));
+  store.save();
+  store_entry updated = entry_for(1, 43);
+  updated.history.push_back({"verified", 43, 700});
+
+  // An append refused outright (the cap is the file's size) leaves the
+  // file as it was, and the next save rewrites the whole log anyway.
+  const std::string before = read_file(path.str());
+  store.put(updated);
+  with_file_size_cap(before.size(), [&] {
+    EXPECT_THROW(store.save(), std::runtime_error);
+  });
+  if (IsSkipped()) return;
+  ASSERT_EQ(read_file(path.str()), before);
+  store.save();
+  EXPECT_EQ(read_file(path.str()), store.to_json());
+
+  // A cap a few bytes above the log makes the append's one write() stop
+  // short: a real torn record at the end of the file.
+  const std::string committed = read_file(path.str());
+  updated.history.push_back({"verified", 44, 702});
+  store.put(updated);
+  store.put(entry_for(6));
+  const rlim_t cap = committed.size() + 10;
+  with_file_size_cap(cap, [&] {
+    EXPECT_THROW(store.save(), std::runtime_error);
+  });
+  if (IsSkipped()) return;
+  const std::string torn = read_file(path.str());
+  ASSERT_EQ(torn.size(), cap);
+  ASSERT_EQ(torn.compare(0, committed.size(), committed), 0);
+  {
+    // A store that loads the torn file keeps every complete record and
+    // does not append after the torn bytes: its first save rewrites.
+    mapping_store reader(path.str());
+    EXPECT_NE(reader.load_warning().find("torn record"), std::string::npos)
+        << reader.load_warning();
+    EXPECT_EQ(reader.to_json(), committed);
+    reader.put(entry_for(8));
+    reader.save();
+    EXPECT_EQ(read_file(path.str()), reader.to_json());
+  }
+  // The failed store's next save rewrites too (last writer wins).
+  store.save();
+  EXPECT_EQ(read_file(path.str()), store.to_json());
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), store.to_json());
+  EXPECT_EQ(reloaded.size(), 3u);
+}
+
+TEST(MappingStore, FileChangedByAnotherWriterIsRewritten) {
+  temp_path path("other_writer");
+  mapping_store store(path.str());
+  for (int n : {1, 4}) store.put(entry_for(n));
+  store.save();
+
+  // Grown: a second store appends to the same file. This store's next
+  // save sees a size it did not write and rewrites its own view.
+  {
+    mapping_store other(path.str());
+    other.put(entry_for(6));
+    other.save();
+  }
+  store.put(entry_for(8));
+  store.save();
+  EXPECT_EQ(read_file(path.str()), store.to_json());
+
+  // Replaced: another writer puts a different, shorter log in its place.
+  mapping_store replacement;
+  replacement.put(entry_for(2));
+  write_file(path.str(), replacement.to_json());
+  store.put(entry_for(4, 77));
+  store.save();
+  EXPECT_EQ(read_file(path.str()), store.to_json());
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), store.to_json());
+  EXPECT_FALSE(
+      reloaded.find_exact(sysinfo::fingerprint(dram::machine_by_number(2))));
+}
+
+TEST(MappingStore, V2DocumentLoadsAndFirstSaveWritesV3) {
+  temp_path path("v2");
+  write_file(path.str(), kV2Document);
+  mapping_store store(path.str());
+  EXPECT_TRUE(store.load_warning().empty());
+  ASSERT_EQ(store.size(), 1u);
+  const auto hit = store.find_exact(literal_entry().fingerprint);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit->bank_count, 32u);
+  EXPECT_EQ(hit->threshold_ns, 287.123456789012);
+  EXPECT_EQ(hit->history.size(), 2u);
+  // The store cannot append to a document: the first save rewrites it as
+  // a v3 log of the same entries.
+  store.save();
+  EXPECT_EQ(read_file(path.str()), kV3Header + kLiteralRecord);
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), store.to_json());
+}
+
+TEST(MappingStore, OverwritesKeepTheLogWithinTwiceItsCompactedSize) {
+  // 200 saves, each of one overwritten entry: appends grow the file, and
+  // a rewrite compacts it before it passes twice the compacted log.
+  temp_path path("compaction");
+  mapping_store store(path.str());
+  for (int n : {1, 4, 6}) store.put(entry_for(n));
+  store.save();
+  std::size_t appends = 0;
+  std::size_t rewrites = 0;
+  std::size_t previous = read_file(path.str()).size();
+  for (std::uint64_t round = 0; round < 200; ++round) {
+    store_entry e = entry_for(4, 100 + round);
+    e.history.push_back({"verified", round, 700 + round});
+    store.put(e);
+    store.save();
+    const std::string file = read_file(path.str());
+    const std::string compacted = store.to_json();
+    const std::size_t record = compacted.size() - compacted.rfind(
+                                                      '\n', compacted.size() - 2);
+    EXPECT_LE(file.size(), 2 * compacted.size() + record) << "round " << round;
+    if (file == compacted) {
+      ++rewrites;
+    } else {
+      EXPECT_GT(file.size(), previous);
+      ++appends;
+    }
+    previous = file.size();
+  }
+  // Three entries of about one record each: a rewrite leaves room for
+  // about three appends before the file would pass twice its compacted
+  // size, so most saves stay appends.
+  EXPECT_GT(rewrites, 0u);
+  EXPECT_GE(appends, 2 * rewrites);
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), store.to_json());
 }
 
 TEST(MappingStore, V1DocumentLoadsAsSpanOnlyPriorWithoutWarning) {
-  temp_path path("v1");
-  {
-    mapping_store store(path.str());
-    store.put(entry_for(1));
-    store.save();
-  }
   // A store written before the evidence schema: version 1, an evidence
   // block of only {digest, pool_size}. It must load silently — migration
   // is not a degradation — with the v2 evidence fields reading as "no
   // claim", i.e. exactly the span-only warm prior v1 always provided.
-  write_file(path.str(), as_v1_document(read_file(path.str())));
-  const mapping_store store(path.str());
+  temp_path path("v1");
+  write_file(path.str(), as_v1_document(kV2Document));
+  mapping_store store(path.str());
   EXPECT_TRUE(store.load_warning().empty());
   ASSERT_EQ(store.size(), 1u);
-  const auto hit =
-      store.find_exact(sysinfo::fingerprint(dram::machine_by_number(1)));
+  const auto hit = store.find_exact(literal_entry().fingerprint);
   ASSERT_TRUE(hit);
   EXPECT_FALSE(hit->function_span.empty());
   EXPECT_EQ(hit->pool_size, 4096u);
   EXPECT_EQ(hit->bank_count, 0u);
   EXPECT_EQ(hit->threshold_ns, 0.0);
-  // The next save() upgrades the document in place to version 2.
+  // The next save() upgrades the file in place to a version-3 log.
   store.save();
-  EXPECT_NE(read_file(path.str()).find("\"version\": 2"), std::string::npos);
+  const std::string log = read_file(path.str());
+  EXPECT_EQ(log.compare(0, kV3Header.size(), kV3Header), 0);
+  EXPECT_EQ(log, store.to_json());
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), log);
 }
 
 TEST(MappingStore, V2WithTruncatedEvidenceBlockDegradesToV1Behavior) {
-  temp_path path("v2partial");
-  {
-    mapping_store store(path.str());
-    store.put(entry_for(1));
-    store.save();
-  }
   // A version-2 header whose evidence block lost its v2 keys (e.g. a
   // document assembled by an older writer, or hand-edited): the optional
   // keys read as absent and the entry behaves exactly like a v1 load.
-  std::string doc = as_v1_document(read_file(path.str()));
+  temp_path path("v2partial");
+  std::string doc = as_v1_document(kV2Document);
   const std::size_t v = doc.find("\"version\": 1");
   ASSERT_NE(v, std::string::npos);
   doc.replace(v + 11, 1, "2");
@@ -260,24 +560,18 @@ TEST(MappingStore, V2WithTruncatedEvidenceBlockDegradesToV1Behavior) {
   const mapping_store store(path.str());
   EXPECT_TRUE(store.load_warning().empty());
   ASSERT_EQ(store.size(), 1u);
-  const auto hit =
-      store.find_exact(sysinfo::fingerprint(dram::machine_by_number(1)));
+  const auto hit = store.find_exact(literal_entry().fingerprint);
   ASSERT_TRUE(hit);
   EXPECT_EQ(hit->bank_count, 0u);
   EXPECT_EQ(hit->threshold_ns, 0.0);
 }
 
 TEST(MappingStore, TruncatedV1FileDegradesToColdWithWarning) {
-  temp_path path("truncated_v1");
-  {
-    mapping_store store(path.str());
-    store.put(entry_for(1));
-    store.save();
-  }
   // The byte-truncation contract must hold for legacy documents too: any
   // prefix of a v1 store loads as empty-with-warning, never a crash and
   // never a partially-migrated entry.
-  const std::string full = as_v1_document(read_file(path.str()));
+  temp_path path("truncated_v1");
+  const std::string full = as_v1_document(kV2Document);
   for (std::size_t len = 0; len < full.size(); len += 89) {
     write_file(path.str(), full.substr(0, len));
     const mapping_store store(path.str());
@@ -301,12 +595,18 @@ TEST(MappingStore, WrongTagOrVersionDegradesToCold) {
   write_file(path.str(),
              R"({"store": "something-else", "version": 1, "entries": []})");
   EXPECT_EQ(mapping_store(path.str()).size(), 0u);
-  write_file(
-      path.str(),
-      R"({"store": "dramdig-mapping-store", "version": 999, "entries": []})");
-  const mapping_store store(path.str());
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(store.load_warning().empty());
+  // Unknown versions, as a whole document or as a log header, and a v3
+  // header on a whole document.
+  for (const std::string& text : std::vector<std::string>{
+           R"({"store": "dramdig-mapping-store", "version": 999, "entries": []})",
+        R"({"store": "dramdig-mapping-store", "version": 3, "entries": []})",
+        "{\"store\": \"dramdig-mapping-store\", \"version\": 4}\n",
+        "{\"store\": \"something-else\", \"version\": 3}\n" + kLiteralRecord}) {
+    write_file(path.str(), text);
+    const mapping_store store(path.str());
+    EXPECT_EQ(store.size(), 0u) << text;
+    EXPECT_FALSE(store.load_warning().empty()) << text;
+  }
 }
 
 TEST(MappingStore, TamperedHashDegradesToCold) {
@@ -329,121 +629,22 @@ TEST(MappingStore, TamperedHashDegradesToCold) {
   EXPECT_FALSE(store.load_warning().empty());
 }
 
-// --- byte-exact documents ----------------------------------------------------
+// --- byte-exact logs ---------------------------------------------------------
 //
-// The literals below are what the store wrote when every save re-rendered
-// each entry in one pass. save() now splices each entry's text cached at
-// put() or load; these pin that the bytes did not move.
-
-/// A fully literal entry (no preset data), with a threshold that needs all
-/// fifteen significant digits and a two-event history.
-store_entry literal_entry() {
-  store_entry e;
-  e.fingerprint.cpu_model = "Intel i7-3770 (test)";
-  e.fingerprint.generation = dram::ddr_generation::ddr3;
-  e.fingerprint.total_bytes = 8ull << 30;
-  e.fingerprint.channels = 2;
-  e.fingerprint.dimms_per_channel = 1;
-  e.fingerprint.ranks_per_dimm = 2;
-  e.fingerprint.banks_per_rank = 8;
-  e.fingerprint.ecc = false;
-  e.bank_functions = {0x2040, 0x44000, 0x88000, 0x110000, 0x220000};
-  e.row_bits = {18, 19, 20, 21};
-  e.column_bits = {0, 1, 2, 3, 4, 5};
-  e.address_bits = 33;
-  e.function_span = e.bank_functions;
-  e.pool_size = 4096;
-  e.bank_count = 32;
-  e.threshold_ns = 287.12345678901234;
-  e.history.push_back({"recovered", 42, 2348});
-  e.history.push_back({"verified", 7, 188});
-  e.evidence_digest = e.compute_evidence_digest();
-  return e;
-}
+// The literals below pin the v3 log byte for byte: the header line, and
+// each entry's record as put() renders and caches it.
 
 TEST(MappingStoreBytes, EmptyStoreDocument) {
   const mapping_store store;
+  EXPECT_EQ(store.to_json(), kV3Header);
   EXPECT_EQ(store.to_json(),
-            "{\n"
-            "  \"store\": \"dramdig-mapping-store\",\n"
-            "  \"version\": 2,\n"
-            "  \"entries\": []\n"
-            "}\n");
+            "{\"store\": \"dramdig-mapping-store\", \"version\": 3}\n");
 }
 
 TEST(MappingStoreBytes, OneEntryDocument) {
   mapping_store store;
   store.put(literal_entry());
-  const std::string expected =
-      "{\n"
-      "  \"store\": \"dramdig-mapping-store\",\n"
-      "  \"version\": 2,\n"
-      "  \"entries\": [\n"
-      "    {\n"
-      "      \"fingerprint\": {\n"
-      "        \"cpu_model\": \"Intel i7-3770 (test)\",\n"
-      "        \"generation\": \"DDR3\",\n"
-      "        \"total_bytes\": 8589934592,\n"
-      "        \"channels\": 2,\n"
-      "        \"dimms_per_channel\": 1,\n"
-      "        \"ranks_per_dimm\": 2,\n"
-      "        \"banks_per_rank\": 8,\n"
-      "        \"ecc\": false,\n"
-      "        \"hash\": 9463507792138483794,\n"
-      "        \"geometry_hash\": 5999634699570172704\n"
-      "      },\n"
-      "      \"mapping\": {\n"
-      "        \"bank_functions\": [\n"
-      "          8256,\n"
-      "          278528,\n"
-      "          557056,\n"
-      "          1114112,\n"
-      "          2228224\n"
-      "        ],\n"
-      "        \"row_bits\": [\n"
-      "          18,\n"
-      "          19,\n"
-      "          20,\n"
-      "          21\n"
-      "        ],\n"
-      "        \"column_bits\": [\n"
-      "          0,\n"
-      "          1,\n"
-      "          2,\n"
-      "          3,\n"
-      "          4,\n"
-      "          5\n"
-      "        ],\n"
-      "        \"address_bits\": 33\n"
-      "      },\n"
-      "      \"function_span\": [\n"
-      "        8256,\n"
-      "        278528,\n"
-      "        557056,\n"
-      "        1114112,\n"
-      "        2228224\n"
-      "      ],\n"
-      "      \"evidence\": {\n"
-      "        \"digest\": 5545060604729730806,\n"
-      "        \"pool_size\": 4096,\n"
-      "        \"bank_count\": 32,\n"
-      "        \"threshold_ns\": 287.123456789012\n"
-      "      },\n"
-      "      \"history\": [\n"
-      "        {\n"
-      "          \"kind\": \"recovered\",\n"
-      "          \"seed\": 42,\n"
-      "          \"measurements\": 2348\n"
-      "        },\n"
-      "        {\n"
-      "          \"kind\": \"verified\",\n"
-      "          \"seed\": 7,\n"
-      "          \"measurements\": 188\n"
-      "        }\n"
-      "      ]\n"
-      "    }\n"
-      "  ]\n"
-      "}\n";
+  const std::string expected = kV3Header + kLiteralRecord;
   EXPECT_EQ(store.to_json(), expected);
   // A reload renders the same text from the parsed entry.
   temp_path path("bytes_one");
@@ -455,8 +656,8 @@ TEST(MappingStoreBytes, OneEntryDocument) {
 
 TEST(MappingStoreBytes, PutSequenceSavesLikeAFreshStore) {
   // Appends, an overwrite in the middle with a longer text, another
-  // append, then an overwrite of the first entry: each cached text must
-  // land in its slot with the right separators.
+  // append, then an overwrite of the first entry: each cached record must
+  // land in its slot.
   temp_path path("bytes_sequence");
   mapping_store store(path.str());
   for (int n : {1, 4, 6}) store.put(entry_for(n));
@@ -485,9 +686,39 @@ TEST(MappingStoreBytes, PutSequenceSavesLikeAFreshStore) {
   EXPECT_EQ(reloaded.entries()[1].history.size(), 4u);
 }
 
+TEST(MappingStoreBytes, SaveAppendsTheRecordsPutSinceTheLastSave) {
+  // Once the store vouches for its file, a save adds exactly the records
+  // of the entries put since the last save, in store order, after the
+  // bytes already there; a reload replays them into the live store.
+  temp_path path("bytes_append");
+  mapping_store store(path.str());
+  for (int n : {1, 4, 6}) store.put(entry_for(n));
+  store.save();
+  const std::string before = read_file(path.str());
+  store.put(literal_entry());
+  store_entry longer = entry_for(4, 77);
+  longer.history.push_back({"verified", 78, 190});
+  store.put(longer);
+  store.save();
+
+  mapping_store records;
+  records.put(longer);
+  records.put(literal_entry());
+  const std::string appended = records.to_json().substr(kV3Header.size());
+  EXPECT_EQ(read_file(path.str()), before + appended);
+  // A save with nothing put writes nothing.
+  store.save();
+  EXPECT_EQ(read_file(path.str()), before + appended);
+  const mapping_store reloaded(path.str());
+  EXPECT_TRUE(reloaded.load_warning().empty());
+  EXPECT_EQ(reloaded.to_json(), store.to_json());
+  EXPECT_EQ(reloaded.entries()[1].history.size(), 2u);
+}
+
 TEST(MappingStoreBytes, DegradedLoadThenPutSavesOneEntryDocument) {
-  // A failed load drops every entry with its cached text, so the next
-  // save writes only what was put after it.
+  // A damaged header, or a damaged record in the middle of the log, fails
+  // the load: every entry is dropped with its cached record, so the next
+  // save rewrites the file with only what was put after it.
   temp_path path("bytes_degraded");
   {
     mapping_store store(path.str());
@@ -495,19 +726,24 @@ TEST(MappingStoreBytes, DegradedLoadThenPutSavesOneEntryDocument) {
     store.save();
   }
   const std::string full = read_file(path.str());
-  write_file(path.str(), full.substr(0, full.size() / 2));
-  mapping_store store(path.str());
-  ASSERT_FALSE(store.load_warning().empty());
-  ASSERT_EQ(store.size(), 0u);
-  store.put(literal_entry());
-  store.save();
+  const std::size_t second = full.find('\n', kV3Header.size()) + 1;
+  std::string bad_header = full;
+  bad_header.replace(bad_header.find("mapping-store"), 7, "mapXing");
+  std::string bad_middle = full;
+  bad_middle.erase(bad_middle.find('\n', second) - 1, 1);  // a record's '}'
+  for (const std::string& damaged : {bad_header, bad_middle}) {
+    write_file(path.str(), damaged);
+    mapping_store store(path.str());
+    ASSERT_FALSE(store.load_warning().empty());
+    ASSERT_EQ(store.size(), 0u);
+    store.put(literal_entry());
+    store.save();
 
-  mapping_store fresh;
-  fresh.put(literal_entry());
-  EXPECT_EQ(read_file(path.str()), fresh.to_json());
-  const mapping_store reloaded(path.str());
-  EXPECT_TRUE(reloaded.load_warning().empty());
-  EXPECT_EQ(reloaded.size(), 1u);
+    EXPECT_EQ(read_file(path.str()), kV3Header + kLiteralRecord);
+    const mapping_store reloaded(path.str());
+    EXPECT_TRUE(reloaded.load_warning().empty());
+    EXPECT_EQ(reloaded.size(), 1u);
+  }
 }
 
 TEST(MappingStore, SaveWithoutPathIsNoOp) {

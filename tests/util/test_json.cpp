@@ -181,27 +181,34 @@ TEST(JsonWriter, ExactBytes) {
   EXPECT_EQ(top.str(), "[]\n");
 }
 
-TEST(JsonWriter, SplicedFragmentMatchesOnePassRender) {
-  const auto item = [](json_writer& w) {
-    w.begin_object();
-    w.key("masks").begin_array().value(1).value(2).end_array();
-    w.key("empty").begin_object().end_object();
-    w.end_object();
-  };
-  json_writer one_pass;
-  one_pass.begin_object().key("items").begin_array();
-  item(one_pass);
-  item(one_pass);
-  one_pass.end_array().end_object();
+TEST(JsonWriter, CompactExactBytes) {
+  // One line, items separated by ", ", keys by ": ", and str()'s closing
+  // newline: the fleet store's log record shape.
+  json_writer w(json_writer::layout::compact);
+  w.begin_object();
+  w.key("name").value("fleet \"store\"\n");
+  w.key("masks").begin_array().value(1).value(std::uint64_t{0x2040}).end_array();
+  w.key("ratio").value(0.583052615247719);
+  w.key("flag").value(false);
+  w.key("none").null_value();
+  w.key("empty_list").begin_array().end_array();
+  w.key("nested").begin_object();
+  w.key("empty_obj").begin_object().end_object();
+  w.key("rows").begin_array();
+  w.begin_array().value(2).value(3).end_array();
+  w.begin_array().end_array();
+  w.end_array();
+  w.end_object();
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\"name\": \"fleet \\\"store\\\"\\n\", \"masks\": [1, 8256], "
+            "\"ratio\": 0.583052615247719, \"flag\": false, \"none\": null, "
+            "\"empty_list\": [], \"nested\": {\"empty_obj\": {}, "
+            "\"rows\": [[2, 3], []]}}\n");
 
-  json_writer fragment(2);
-  item(fragment);
-  const std::string text = fragment.take_fragment();
-  json_writer spliced;
-  spliced.begin_object().key("items").begin_array();
-  spliced.rendered(text).rendered(text);
-  spliced.end_array().end_object();
-  EXPECT_EQ(spliced.str(), one_pass.str());
+  json_writer top(json_writer::layout::compact);
+  top.begin_array().end_array();
+  EXPECT_EQ(top.str(), "[]\n");
 }
 
 TEST(JsonRoundTrip, WriterOutputParsesBack) {
