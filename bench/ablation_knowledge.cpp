@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       table.add_row({v.name, spec.label(),
                      report.success ? "success" : "failed",
                      correct ? "yes" : "no",
-                     fmt_duration_s(report.total_seconds),
+                     fmt_duration_s(report.virtual_seconds),
                      report.success
                          ? "banks=" + std::to_string(report.assumed_bank_count)
                          : report.failure_reason.substr(0, 44)});

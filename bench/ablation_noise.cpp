@@ -3,6 +3,7 @@
 // sets delta = 0.2 / per_threshold = 85% and why DRAMDig's verification
 // keeps it deterministic where single-sample tools collapse.
 #include <cstdio>
+#include <string_view>
 
 #include "core/dramdig.h"
 #include "core/environment.h"
@@ -56,13 +57,17 @@ int main(int argc, char** argv) {
         core::dramdig_config cfg{};
         cfg.partition.delta = w.upper;
         cfg.partition.delta_lower = w.lower;
-        core::dramdig_tool tool(env, cfg);
-        const auto report = tool.run();
+        // With system information on, each attempt partitions once.
+        unsigned attempts = 0;
+        const auto report = core::dramdig_tool(env, cfg).run(
+            [&](std::string_view phase, const core::phase_stats&) {
+              attempts += phase == "partition";
+            });
         const bool ok = report.success && report.mapping &&
                         report.mapping->equivalent_to(spec.mapping);
         successes += ok;
-        time_sum += report.total_seconds;
-        attempts_sum += report.attempts_used;
+        time_sum += report.virtual_seconds;
+        attempts_sum += attempts;
         pool_sum += static_cast<double>(report.pool_size);
       }
       table.add_row({profile.name, w.label,

@@ -8,6 +8,8 @@
 //   $ baseline_compare [machine_number=2] [seed=7]
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "api/mapping_service.h"
@@ -29,11 +31,13 @@ int main(int argc, char** argv) {
               spec.dram_description().c_str(), spec.config_quadruple().c_str(),
               static_cast<unsigned long long>(seed));
 
+  const std::map<std::string, std::string> titles{
+      {"dramdig", "DRAMDig"},
+      {"drama", "DRAMA (Pessl et al.)"},
+      {"xiao", "Xiao et al."}};
   std::vector<api::job_spec> jobs;
-  std::vector<std::string> titles;
   for (const std::string& tool : api::tool_names()) {
     jobs.push_back({spec, tool, {}, seed});
-    titles.push_back(api::make_tool(tool)->describe().title);
   }
   const auto outcomes = api::mapping_service().run(jobs);
 
@@ -48,7 +52,7 @@ int main(int argc, char** argv) {
             ? r.verified && r.mapping &&
                   r.mapping->row_bits() == spec.mapping.row_bits()
             : r.verified;
-    table.add_row({titles[i], r.outcome, correct ? "yes" : "no",
+    table.add_row({titles.at(r.tool), r.outcome, correct ? "yes" : "no",
                    fmt_duration_s(r.virtual_seconds),
                    r.success ? r.detail : r.failure_reason});
   }

@@ -61,6 +61,6 @@ int main(int argc, char** argv) {
               report.success ? "yes" : "no",
               report.mapping && report.mapping->equivalent_to(truth) ? "yes"
                                                                      : "no",
-              fmt_duration_s(report.total_seconds).c_str());
+              fmt_duration_s(report.virtual_seconds).c_str());
   return report.success ? 0 : 1;
 }

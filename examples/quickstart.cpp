@@ -19,11 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/mapping_service.h"
-#include "api/tool.h"
 #include "dram/presets.h"
 #include "store/mapping_store.h"
 #include "util/json.h"
@@ -57,24 +57,17 @@ int main(int argc, char** argv) {
               spec.microarchitecture.c_str(), spec.cpu_model.c_str(),
               spec.dram_description().c_str(), spec.config_quadruple().c_str());
 
-  api::tool_result result;
-  std::string store_hit;
-  std::string store_error;
-  if (store_path.empty()) {
-    core::environment env(spec, seed);
-    result = api::make_tool("dramdig")->run(env);
-  } else {
-    // Fleet-store path: the service consults the store before dispatch, so
-    // a second run against the same store becomes a verification-only job.
-    store::mapping_store store(store_path);
-    api::service_config config;
-    config.store = &store;
-    const auto outcomes =
-        api::mapping_service(config).run({{spec, "dramdig", {}, seed}});
-    result = outcomes.front().result;
-    store_hit = outcomes.front().store_hit;
-    store_error = outcomes.front().store_error;
-  }
+  // One job through the service, which grades it against the ground
+  // truth. With --store the service consults the store before dispatch, so
+  // a second run against the same store becomes a verification-only job.
+  std::optional<store::mapping_store> store;
+  api::service_config config;
+  if (!store_path.empty()) config.store = &store.emplace(store_path);
+  const api::job_outcome outcome =
+      api::mapping_service(config).run({{spec, "dramdig", {}, seed}}).front();
+  const api::tool_result& result = outcome.result;
+  const std::string& store_hit = outcome.store_hit;
+  const std::string& store_error = outcome.store_error;
 
   std::printf("\n== DRAMDig result ==\n");
   if (!store_hit.empty()) {

@@ -2,233 +2,7 @@
 
 #include <utility>
 
-#include "util/expect.h"
-#include "util/gf2.h"
-#include "util/json.h"
-
 namespace dramdig::api {
-
-namespace {
-
-/// Access deltas are metered per run so a result is comparable whether the
-/// environment is fresh (service jobs) or reused (a REPL-style driver).
-class access_meter {
- public:
-  explicit access_meter(core::environment& env)
-      : env_(env), a0_(env.mach().controller().access_count()) {}
-  [[nodiscard]] std::uint64_t delta() const {
-    return env_.mach().controller().access_count() - a0_;
-  }
-
- private:
-  core::environment& env_;
-  std::uint64_t a0_;
-};
-
-class dramdig_adapter final : public mapping_tool {
- public:
-  explicit dramdig_adapter(const tool_options& options) : options_(options) {}
-
-  [[nodiscard]] tool_description describe() const override {
-    return {"dramdig", "DRAMDig",
-            "knowledge-assisted three-step pipeline (this paper)"};
-  }
-
-  [[nodiscard]] tool_result run(
-      core::environment& env,
-      const core::phase_callback& on_phase) override {
-    access_meter accesses(env);
-    const core::dramdig_report report =
-        core::dramdig_tool(env, options_.dramdig()).run(on_phase);
-
-    tool_result out;
-    out.tool = "dramdig";
-    out.success = report.success;
-    out.mapping = report.mapping;
-    out.verified = report.success && report.mapping &&
-                   report.mapping->equivalent_to(env.spec().mapping);
-    out.outcome = report.success ? "success" : "failed";
-    out.detail = "pool " + std::to_string(report.pool_size) + ", " +
-                 std::to_string(report.pile_count) + " piles, " +
-                 std::to_string(report.attempts_used) + " attempt(s)";
-    out.failure_reason = report.failure_reason;
-    out.phases = {
-        {"calibration", report.calibration.seconds,
-         report.calibration.measurements, report.calibration.pairs_used},
-        {"coarse", report.coarse.seconds, report.coarse.measurements, 0},
-        {"selection", report.selection.seconds, report.selection.measurements,
-         0},
-        {"partition", report.partition.seconds, report.partition.measurements,
-         0},
-        {"functions", report.functions.seconds, report.functions.measurements,
-         0},
-        {"fine", report.fine.seconds, report.fine.measurements, 0},
-    };
-    out.probe_rounds = report.probe;
-    out.virtual_seconds = report.total_seconds;
-    out.measurement_count = report.total_measurements;
-    out.measurements_saved = report.measurements_saved;
-    out.access_count = accesses.delta();
-    out.pool_size = report.pool_size;
-    out.assumed_bank_count = report.assumed_bank_count;
-    out.threshold_ns = report.threshold_ns;
-    return out;
-  }
-
- private:
-  tool_options options_;
-};
-
-class drama_adapter final : public mapping_tool {
- public:
-  explicit drama_adapter(const tool_options& options) : options_(options) {}
-
-  [[nodiscard]] tool_description describe() const override {
-    return {"drama", "DRAMA (Pessl et al.)",
-            "blind clustering + XOR brute force with trial agreement"};
-  }
-
-  [[nodiscard]] tool_result run(
-      core::environment& env,
-      const core::phase_callback& on_phase) override {
-    // Per-trial events stream to the hook; the terminal "trials" record
-    // stays in the phases list, so observers summing event deltas still
-    // see the exact totals.
-    access_meter accesses(env);
-    const baselines::drama_report report =
-        baselines::drama_tool(env, options_.drama()).run(on_phase);
-
-    tool_result out;
-    out.tool = "drama";
-    out.success = report.completed;
-    out.mapping = report.mapping;
-    // DRAMA's claim is the bank-function span; its fixed 13-column row
-    // heuristic is an assumption, not an output, so span match is the
-    // right correctness notion (the one Table I scores).
-    out.verified =
-        report.completed &&
-        gf2::same_span(report.functions, env.spec().mapping.bank_functions());
-    out.outcome = report.completed   ? "completed"
-                  : report.timed_out ? "timeout"
-                                     : "no agreement";
-    out.detail = std::to_string(report.trials_run) + " trials";
-    if (!report.completed) {
-      out.failure_reason = report.timed_out
-                               ? "budget expired without two agreeing trials"
-                               : "no two consecutive trials agreed";
-    }
-    out.phases = {{"trials", report.total_seconds, report.total_measurements,
-                   0}};
-    out.virtual_seconds = report.total_seconds;
-    out.measurement_count = report.total_measurements;
-    out.measurements_saved = report.measurements_saved;
-    out.access_count = accesses.delta();
-    return out;
-  }
-
- private:
-  tool_options options_;
-};
-
-class xiao_adapter final : public mapping_tool {
- public:
-  explicit xiao_adapter(const tool_options& options) : options_(options) {}
-
-  [[nodiscard]] tool_description describe() const override {
-    return {"xiao", "Xiao et al.",
-            "verified microarchitecture templates + stride scan"};
-  }
-
-  [[nodiscard]] tool_result run(
-      core::environment& env,
-      const core::phase_callback& on_phase) override {
-    // Per-stage events stream to the hook; the terminal "scan" record
-    // stays in the phases list, so terminal-result consumers keep the
-    // one-line summary while live observers see the stage-by-stage deltas.
-    access_meter accesses(env);
-    const baselines::xiao_report report =
-        baselines::xiao_tool(env, options_.xiao()).run(on_phase);
-
-    tool_result out;
-    out.tool = "xiao";
-    out.success = report.success;
-    out.mapping = report.mapping;
-    out.verified = report.success && report.mapping &&
-                   report.mapping->equivalent_to(env.spec().mapping);
-    out.outcome = report.success   ? "success"
-                  : report.stalled ? "stuck"
-                                   : "failed";
-    out.detail = report.note;
-    if (!report.success) {
-      out.failure_reason = report.note.empty() ? "no mapping produced"
-                                               : report.note;
-    }
-    out.phases = {{"scan", report.total_seconds, report.total_measurements,
-                   0}};
-    out.virtual_seconds = report.total_seconds;
-    out.measurement_count = report.total_measurements;
-    out.access_count = accesses.delta();
-    return out;
-  }
-
- private:
-  tool_options options_;
-};
-
-}  // namespace
-
-void tool_result::to_json(json_writer& w) const {
-  w.begin_object();
-  w.key("tool").value(tool);
-  w.key("success").value(success);
-  w.key("verified").value(verified);
-  w.key("outcome").value(outcome);
-  w.key("failure_reason").value(failure_reason);
-  w.key("detail").value(detail);
-  w.key("virtual_seconds").value(virtual_seconds);
-  w.key("measurement_count").value(measurement_count);
-  w.key("measurements_saved").value(measurements_saved);
-  w.key("access_count").value(access_count);
-  w.key("pool_size").value(pool_size);
-  w.key("assumed_bank_count").value(assumed_bank_count);
-  w.key("threshold_ns").value(threshold_ns);
-  w.key("mapping");
-  if (mapping) {
-    w.begin_object();
-    w.key("functions").value(mapping->describe_functions());
-    w.key("row_bits").value(dram::describe_bit_ranges(mapping->row_bits()));
-    w.key("column_bits")
-        .value(dram::describe_bit_ranges(mapping->column_bits()));
-    w.end_object();
-  } else {
-    w.null_value();
-  }
-  w.key("phases").begin_array();
-  for (const tool_phase& p : phases) {
-    w.begin_object();
-    w.key("name").value(p.name);
-    w.key("seconds").value(p.seconds);
-    w.key("measurements").value(p.measurements);
-    w.key("pairs_used").value(p.pairs_used);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("probe_rounds").begin_object();
-  w.key("experiments").value(probe_rounds.experiments);
-  w.key("rounds").value(probe_rounds.rounds);
-  w.key("votes_cast").value(probe_rounds.votes_cast);
-  w.key("votes_saved").value(probe_rounds.votes_saved);
-  w.key("shared_base_votes").value(probe_rounds.shared_base_votes);
-  w.key("reused_votes").value(probe_rounds.reused_votes);
-  w.end_object();
-  w.end_object();
-}
-
-std::string tool_result::to_json_string() const {
-  json_writer w;
-  to_json(w);
-  return w.str();
-}
 
 tool_options& tool_options::with_dramdig(core::dramdig_config cfg) {
   core::check_config(cfg);
@@ -252,14 +26,6 @@ tool_options& tool_options::with_tool_seed(std::uint64_t seed) {
 const std::vector<std::string>& tool_names() {
   static const std::vector<std::string> names{"drama", "dramdig", "xiao"};
   return names;
-}
-
-std::unique_ptr<mapping_tool> make_tool(const std::string& name,
-                                        const tool_options& options) {
-  if (name == "dramdig") return std::make_unique<dramdig_adapter>(options);
-  if (name == "drama") return std::make_unique<drama_adapter>(options);
-  DRAMDIG_EXPECTS(name == "xiao");
-  return std::make_unique<xiao_adapter>(options);
 }
 
 }  // namespace dramdig::api

@@ -200,71 +200,74 @@ drama_trial drama_tool::run_trial(const os::mapping_region& buffer, rng& r) {
   return trial;
 }
 
-drama_report drama_tool::run(const core::phase_callback& on_phase) {
+core::tool_result drama_tool::run(const core::phase_callback& on_phase) {
   auto& mc = env_.mach().controller();
-  drama_report report;
+  core::run_meter meter(mc, on_phase);
   rng r(env_.seed() ^ (config_.tool_seed * 0xD4A2Au + 0x9e3779b9u));
-
-  const std::uint64_t t0 = mc.clock().now_ns();
-  const std::uint64_t m0 = mc.measurement_count();
 
   const std::uint64_t buffer_bytes =
       std::min<std::uint64_t>(kBufferBytes,
                               env_.spec().memory_bytes * 2 / 5);
   const os::mapping_region& buffer = env_.space().map_buffer(buffer_bytes);
 
+  bool completed = false;  ///< two consecutive agreeing valid trials
+  bool timed_out = false;
+  unsigned trials = 0;
+  std::vector<std::uint64_t> functions;     ///< the agreed trial's output
+  std::vector<std::uint64_t> latest_valid;  ///< newest valid trial's output
+  std::vector<std::uint64_t> last;          ///< newest trial's output
   std::optional<std::vector<std::uint64_t>> prev_valid_functions;
   for (unsigned t = 0; t < config_.max_trials; ++t) {
-    if (mc.clock().seconds_since(t0) > config_.timeout_seconds) {
-      report.timed_out = true;
+    if (meter.totals().seconds > config_.timeout_seconds) {
+      timed_out = true;
       break;
     }
-    const std::uint64_t trial_t0 = mc.clock().now_ns();
-    const std::uint64_t trial_m0 = mc.measurement_count();
-    report.trials.push_back(run_trial(buffer, r));
-    ++report.trials_run;
-    if (on_phase) {
-      on_phase("trial", core::phase_stats{mc.clock().seconds_since(trial_t0),
-                                          mc.measurement_count() - trial_m0,
-                                          0});
+    drama_trial cur;
+    {
+      const core::run_meter::scope trial(meter, "trial");
+      cur = run_trial(buffer, r);
     }
-    const drama_trial& cur = report.trials.back();
+    ++trials;
     log_info("drama: trial " + std::to_string(t) + " sets=" +
              std::to_string(cur.set_count) + " funcs=" +
              std::to_string(cur.functions.size()) +
              (cur.valid ? " (valid)" : " (invalid)"));
     if (cur.valid && prev_valid_functions &&
         cur.canonical == *prev_valid_functions) {
-      report.completed = true;
-      report.functions = cur.functions;
+      completed = true;
+      functions = cur.functions;
       break;
     }
     prev_valid_functions =
         cur.valid ? std::optional(cur.canonical) : std::nullopt;
+    if (cur.valid) latest_valid = cur.functions;
+    last = std::move(cur.functions);
   }
-  if (!report.completed) {
-    if (mc.clock().seconds_since(t0) > config_.timeout_seconds) {
-      report.timed_out = true;
-    }
+  if (!completed) {
+    if (meter.totals().seconds > config_.timeout_seconds) timed_out = true;
     // Best effort: the most recent valid trial, else the last trial.
-    for (auto it = report.trials.rbegin(); it != report.trials.rend(); ++it) {
-      if (it->valid) {
-        report.functions = it->functions;
-        break;
-      }
-    }
-    if (report.functions.empty() && !report.trials.empty()) {
-      report.functions = report.trials.back().functions;
-    }
+    functions = latest_valid.empty() ? last : latest_valid;
   }
 
-  if (!report.functions.empty()) {
-    report.mapping = drama_hypothesis(report.functions,
-                                      log2_exact(env_.spec().memory_bytes));
+  core::tool_result out;
+  out.tool = "drama";
+  out.success = completed;
+  if (!functions.empty()) {
+    out.mapping =
+        drama_hypothesis(functions, log2_exact(env_.spec().memory_bytes));
   }
-  report.total_seconds = mc.clock().seconds_since(t0);
-  report.total_measurements = mc.measurement_count() - m0;
-  return report;
+  out.outcome = completed   ? "completed"
+                : timed_out ? "timeout"
+                            : "no agreement";
+  out.detail = std::to_string(trials) + " trials";
+  if (!completed) {
+    out.failure_reason = timed_out
+                             ? "budget expired without two agreeing trials"
+                             : "no two consecutive trials agreed";
+  }
+  meter.finish(out);
+  out.phases = {{"trials", out.virtual_seconds, out.measurement_count, 0}};
+  return out;
 }
 
 dram::address_mapping drama_hypothesis(

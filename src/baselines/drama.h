@@ -28,11 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/environment.h"
-#include "core/phase.h"
+#include "core/run_record.h"
 #include "dram/mapping.h"
 
 namespace dramdig::baselines {
@@ -57,21 +56,6 @@ struct drama_trial {
   bool valid = false;  ///< produced at least two independent functions
 };
 
-struct drama_report {
-  bool completed = false;  ///< two consecutive agreeing valid trials
-  bool timed_out = false;
-  std::optional<dram::address_mapping> mapping;  ///< best-effort hypothesis
-  std::vector<std::uint64_t> functions;
-  unsigned trials_run = 0;
-  double total_seconds = 0.0;
-  std::uint64_t total_measurements = 0;
-  /// Verdicts answered from a reuse cache. DRAMA has none — the original
-  /// tool remeasures everything — so this stays 0 and exists to make the
-  /// Fig. 2 cost record structurally comparable across tools.
-  std::uint64_t measurements_saved = 0;
-  std::vector<drama_trial> trials;  ///< per-trial outputs (determinism study)
-};
-
 class drama_tool {
  public:
   explicit drama_tool(core::environment& env, drama_config config = {});
@@ -81,8 +65,12 @@ class drama_tool {
   /// that trial's clock/measurement delta (the trials are where every
   /// measurement happens, so the deltas sum to the run's totals) — a driver
   /// can watch a hopeless unit live instead of reading one terminal event
-  /// after the 2-hour budget expires.
-  [[nodiscard]] drama_report run(const core::phase_callback& on_phase = {});
+  /// after the 2-hour budget expires. The record's outcome is "completed"
+  /// (two agreeing trials), "timeout" or "no agreement"; its mapping is the
+  /// best effort — the agreed trial, else the latest valid one, else the
+  /// last — and its phases hold one terminal "trials" entry.
+  [[nodiscard]] core::tool_result run(
+      const core::phase_callback& on_phase = {});
 
  private:
   core::environment& env_;

@@ -94,30 +94,29 @@ bool xiao_sbdr(timing::channel& channel, std::uint64_t p1, std::uint64_t p2,
 xiao_tool::xiao_tool(core::environment& env, xiao_config config)
     : env_(env), config_(config) {}
 
-xiao_report xiao_tool::run(const core::phase_callback& on_phase) {
+core::tool_result xiao_tool::run(const core::phase_callback& on_phase) {
   auto& mc = env_.mach().controller();
-  xiao_report report;
+  core::run_meter meter(mc, on_phase);
+  core::tool_result out;
+  out.tool = "xiao";
+  std::string note;
   rng r(env_.seed() ^ (config_.tool_seed * 0x1A0Bu + 0x5D2Eu));
-
-  const std::uint64_t t0 = mc.clock().now_ns();
-  const std::uint64_t m0 = mc.measurement_count();
   const unsigned address_bits = log2_exact(env_.spec().memory_bytes);
 
-  // Stage metering, DRAMA-style: each emit() reports the clock/measurement
-  // delta since the previous one, so the per-stage deltas sum exactly to
-  // the run's totals whatever path the run takes.
-  std::uint64_t phase_t = t0;
-  std::uint64_t phase_m = m0;
-  const auto emit = [&](std::string_view stage) {
-    const std::uint64_t now = mc.clock().now_ns();
-    const std::uint64_t m = mc.measurement_count();
-    if (on_phase) {
-      on_phase(stage, {.seconds = mc.clock().seconds_since(phase_t),
-                       .measurements = m - phase_m,
-                       .pairs_used = 0});
-    }
-    phase_t = now;
-    phase_m = m;
+  // The record's closing fields, filled on every exit path.
+  const auto finish = [&] {
+    out.outcome = out.success ? "success" : "stuck";
+    out.detail = note;
+    if (!out.success) out.failure_reason = note;
+    meter.finish(out);
+    out.phases = {{"scan", out.virtual_seconds, out.measurement_count, 0}};
+  };
+  // The real tool kept searching; the paper observed it simply hung.
+  // Charge the stall budget.
+  const auto stall = [&] {
+    const core::run_meter::scope stage(meter, "stall");
+    mc.clock().advance_ns(
+        static_cast<std::uint64_t>(kStallTimeoutSeconds * 1e9));
   };
 
   const os::mapping_region& buffer = env_.space().map_buffer(
@@ -128,8 +127,10 @@ xiao_report xiao_tool::run(const core::phase_callback& on_phase) {
       {.rounds_per_measurement = kRoundsPerMeasurement,
        .calibration_pairs = 1000},
       r.fork());
-  channel.calibrate(core::sample_addresses(buffer, 1024, r));
-  emit("calibration");
+  {
+    const core::run_meter::scope stage(meter, "calibration");
+    channel.calibrate(core::sample_addresses(buffer, 1024, r));
+  }
 
   // --- Template path -------------------------------------------------------
   // Verification is stratified: half the checks are pairs the template
@@ -139,61 +140,62 @@ xiao_report xiao_tool::run(const core::phase_callback& on_phase) {
   // to ~50% agreement the moment a bank function is wrong.
   if (const auto tmpl = lookup_template(env_.spec())) {
     unsigned agree = 0, cast = 0;
-    for (unsigned i = 0; i < kVerificationPairs; ++i) {
-      std::uint64_t a = core::random_buffer_address(buffer, r);
-      std::uint64_t b = core::random_buffer_address(buffer, r);
-      if (i % 2 == 0) {
-        // Same predicted bank, different predicted rows. The forged
-        // partner must be backed by the buffer; retry row choices until
-        // one lands (the buffer covers a fraction of physical memory).
-        const auto da = tmpl->decode(a);
-        bool forged_ok = false;
-        for (unsigned attempt = 0; attempt < 64 && !forged_ok; ++attempt) {
-          const std::uint64_t other_row =
-              (da.row ^ (1 + r.below((1ull << tmpl->row_bits().size()) - 1))) &
-              ((1ull << tmpl->row_bits().size()) - 1);
-          const auto forged =
-              tmpl->encode(da.flat_bank, other_row, da.column);
-          if (forged && buffer.contains_page(*forged / os::kPageSize)) {
-            b = *forged;
-            forged_ok = true;
+    {
+      const core::run_meter::scope stage(meter, "template");
+      for (unsigned i = 0; i < kVerificationPairs; ++i) {
+        std::uint64_t a = core::random_buffer_address(buffer, r);
+        std::uint64_t b = core::random_buffer_address(buffer, r);
+        if (i % 2 == 0) {
+          // Same predicted bank, different predicted rows. The forged
+          // partner must be backed by the buffer; retry row choices until
+          // one lands (the buffer covers a fraction of physical memory).
+          const auto da = tmpl->decode(a);
+          bool forged_ok = false;
+          for (unsigned attempt = 0; attempt < 64 && !forged_ok; ++attempt) {
+            const std::uint64_t other_row =
+                (da.row ^
+                 (1 + r.below((1ull << tmpl->row_bits().size()) - 1))) &
+                ((1ull << tmpl->row_bits().size()) - 1);
+            const auto forged =
+                tmpl->encode(da.flat_bank, other_row, da.column);
+            if (forged && buffer.contains_page(*forged / os::kPageSize)) {
+              b = *forged;
+              forged_ok = true;
+            }
           }
+          if (!forged_ok) continue;
         }
-        if (!forged_ok) continue;
-      }
-      if (a == b) continue;
-      ++cast;
-      const bool predicted = dram::same_bank_different_row(tmpl->decode(a),
-                                                           tmpl->decode(b));
-      if (xiao_sbdr(channel, a, b, kSamplesPerLatency) == predicted) {
-        ++agree;
+        if (a == b) continue;
+        ++cast;
+        const bool predicted = dram::same_bank_different_row(
+            tmpl->decode(a), tmpl->decode(b));
+        if (xiao_sbdr(channel, a, b, kSamplesPerLatency) == predicted) {
+          ++agree;
+        }
       }
     }
-    emit("template");
-      if (cast >= kVerificationPairs / 4 &&
+    if (cast >= kVerificationPairs / 4 &&
         static_cast<double>(agree) >=
             kVerificationAgreement * static_cast<double>(cast)) {
-      report.success = true;
-      report.mapping = *tmpl;
-      report.resolved_functions = tmpl->bank_functions();
-      report.note = "template verified (" + env_.spec().microarchitecture + ")";
-      report.total_seconds = mc.clock().seconds_since(t0);
-      report.total_measurements = mc.measurement_count() - m0;
-      return report;
+      out.success = true;
+      out.mapping = *tmpl;
+      note = "template verified (" + env_.spec().microarchitecture + ")";
+      finish();
+      return out;
     }
-    report.note = "template rejected by timing; falling back to scan";
+    note = "template rejected by timing; falling back to scan";
   }
 
   // --- Generic stride scan --------------------------------------------------
-  const std::vector<unsigned> rows =
-      scan_row_bits(channel, buffer, address_bits, r);
-  emit("row-scan");
+  std::vector<unsigned> rows;
+  {
+    const core::run_meter::scope stage(meter, "row-scan");
+    rows = scan_row_bits(channel, buffer, address_bits, r);
+  }
   if (rows.empty()) {
-    report.note = "no row bits found";
-    report.stalled = true;
-    report.total_seconds = mc.clock().seconds_since(t0);
-    report.total_measurements = mc.measurement_count() - m0;
-    return report;
+    note = "no row bits found";
+    finish();
+    return out;
   }
   const std::uint64_t row_ref = std::uint64_t{1} << rows.front();
   std::set<unsigned> row_set(rows.begin(), rows.end());
@@ -201,64 +203,72 @@ xiao_report xiao_tool::run(const core::phase_callback& on_phase) {
   // Bank-breaking single bits: flipping them alone (plus a row bit, to rule
   // out column behaviour) stays fast => the bit feeds a bank function.
   std::vector<unsigned> bankish;
-  for (unsigned b = 6; b < address_bits; ++b) {
-    if (row_set.contains(b)) continue;
-    const auto pair = core::pick_pair_with_delta(
-        buffer, row_ref | (std::uint64_t{1} << b), r);
-    if (pair && !xiao_sbdr(channel, pair->first, pair->second,
-                           kSamplesPerLatency)) {
-      bankish.push_back(b);
+  {
+    const core::run_meter::scope stage(meter, "bit-scan");
+    for (unsigned b = 6; b < address_bits; ++b) {
+      if (row_set.contains(b)) continue;
+      const auto pair = core::pick_pair_with_delta(
+          buffer, row_ref | (std::uint64_t{1} << b), r);
+      if (pair && !xiao_sbdr(channel, pair->first, pair->second,
+                             kSamplesPerLatency)) {
+        bankish.push_back(b);
+      }
     }
   }
-  emit("bit-scan");
 
   // Stride pairs: (i, i+k) is a function when flipping both (with a row
   // flip on top) restores the bank.
   std::vector<std::uint64_t> found;
-  for (unsigned k : kScanStrides) {
-    for (unsigned i : bankish) {
+  {
+    const core::run_meter::scope stage(meter, "stride-scan");
+    for (unsigned k : kScanStrides) {
+      for (unsigned i : bankish) {
         const unsigned j = i + k;
-      if (j >= address_bits) continue;
-      const std::uint64_t func =
-          (std::uint64_t{1} << i) | (std::uint64_t{1} << j);
-      const auto pair = core::pick_pair_with_delta(buffer, row_ref | func, r);
-      if (!pair) continue;
-      if (xiao_sbdr(channel, pair->first, pair->second, kSamplesPerLatency)) {
-        if (!gf2::in_span(found, func)) found.push_back(func);
+        if (j >= address_bits) continue;
+        const std::uint64_t func =
+            (std::uint64_t{1} << i) | (std::uint64_t{1} << j);
+        const auto pair =
+            core::pick_pair_with_delta(buffer, row_ref | func, r);
+        if (!pair) continue;
+        if (xiao_sbdr(channel, pair->first, pair->second,
+                      kSamplesPerLatency)) {
+          if (!gf2::in_span(found, func)) found.push_back(func);
+        }
+      }
+    }
+    // DDR3 dual-channel knowledge: a lone low bit may select the channel.
+    if (env_.spec().generation == dram::ddr_generation::ddr3) {
+      for (unsigned b : {6u, 7u}) {
+        if (std::find(bankish.begin(), bankish.end(), b) == bankish.end()) {
+          continue;
+        }
+        bool in_found = false;
+        for (std::uint64_t f : found) {
+          if (bit(f, b)) in_found = true;
+        }
+        const std::uint64_t func = std::uint64_t{1} << b;
+        if (!in_found && !gf2::in_span(found, func)) found.push_back(func);
       }
     }
   }
-  // DDR3 dual-channel knowledge: a lone low bit may select the channel.
-  if (env_.spec().generation == dram::ddr_generation::ddr3) {
-    for (unsigned b : {6u, 7u}) {
-      if (std::find(bankish.begin(), bankish.end(), b) == bankish.end()) {
-        continue;
-      }
-      bool in_found = false;
-      for (std::uint64_t f : found) {
-        if (bit(f, b)) in_found = true;
-      }
-      const std::uint64_t func = std::uint64_t{1} << b;
-      if (!in_found && !gf2::in_span(found, func)) found.push_back(func);
-    }
-  }
-  report.resolved_functions = found;
-  emit("stride-scan");
 
   const unsigned want = log2_exact(env_.spec().total_banks());
   if (found.size() < want) {
-    // The real tool kept searching; the paper observed it simply hung.
-    // Charge the stall budget and report the partial resolution.
-    mc.clock().advance_ns(
-        static_cast<std::uint64_t>(kStallTimeoutSeconds * 1e9));
-    emit("stall");
-    report.stalled = true;
-    report.note += (report.note.empty() ? "" : "; ");
-    report.note += "stuck after resolving " + std::to_string(found.size()) +
-                   " of " + std::to_string(want) + " bank address functions";
-    report.total_seconds = mc.clock().seconds_since(t0);
-    report.total_measurements = mc.measurement_count() - m0;
-    return report;
+    // Report the partial resolution in the paper's words: "stuck after
+    // resolving (16,20), (17,21), (18,22) as 3 of 6 bank address functions".
+    stall();
+    std::string resolved;
+    for (const std::uint64_t f : found) {
+      if (!resolved.empty()) resolved += ", ";
+      resolved += dram::describe_function(f);
+    }
+    note += (note.empty() ? "" : "; ");
+    note += "stuck after resolving " +
+            (found.empty() ? std::string() : resolved + " as ") +
+            std::to_string(found.size()) + " of " + std::to_string(want) +
+            " bank address functions";
+    finish();
+    return out;
   }
 
   // Assemble a mapping the way the tool's DDR3-era assumptions dictate:
@@ -283,22 +293,18 @@ xiao_report xiao_tool::run(const core::phase_callback& on_phase) {
       found, std::vector<unsigned>(row_out.begin(), row_out.end()), cols,
       address_bits);
   if (hypothesis.is_bijective()) {
-    report.success = true;
-    report.mapping = std::move(hypothesis);
-    report.note = "stride scan resolved all functions";
+    out.success = true;
+    out.mapping = std::move(hypothesis);
+    note = "stride scan resolved all functions";
   } else {
     // An inconsistent assembly sends the real tool back into its search
     // loop, where it hangs just like the too-few-functions case.
-    mc.clock().advance_ns(
-        static_cast<std::uint64_t>(kStallTimeoutSeconds * 1e9));
-    emit("stall");
-    report.stalled = true;
-    report.note += (report.note.empty() ? "" : "; ");
-    report.note += "stride scan produced an inconsistent mapping";
+    stall();
+    note += (note.empty() ? "" : "; ");
+    note += "stride scan produced an inconsistent mapping";
   }
-  report.total_seconds = mc.clock().seconds_since(t0);
-  report.total_measurements = mc.measurement_count() - m0;
-  return report;
+  finish();
+  return out;
 }
 
 }  // namespace dramdig::baselines

@@ -18,12 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "core/environment.h"
-#include "core/phase.h"
+#include "core/run_record.h"
 #include "dram/mapping.h"
 
 namespace dramdig::timing {
@@ -36,16 +34,6 @@ struct xiao_config {
   std::uint64_t tool_seed = 1;
 };
 
-struct xiao_report {
-  bool success = false;
-  bool stalled = false;  ///< ran out of search space / time
-  std::optional<dram::address_mapping> mapping;
-  std::vector<std::uint64_t> resolved_functions;  ///< partial when stalled
-  std::string note;
-  double total_seconds = 0.0;
-  std::uint64_t total_measurements = 0;
-};
-
 class xiao_tool {
  public:
   explicit xiao_tool(core::environment& env, xiao_config config = {});
@@ -54,8 +42,11 @@ class xiao_tool {
   /// completed stage ("calibration", "template", "row-scan", "bit-scan",
   /// "stride-scan", and "stall" when the stall budget is charged) carrying
   /// that stage's clock/measurement delta — the deltas sum to the run's
-  /// totals.
-  [[nodiscard]] xiao_report run(const core::phase_callback& on_phase = {});
+  /// totals. The record's outcome is "success" or "stuck"; a run stuck
+  /// short of the bank functions names the ones it resolved in its detail
+  /// and failure reason. Its phases hold one terminal "scan" entry.
+  [[nodiscard]] core::tool_result run(
+      const core::phase_callback& on_phase = {});
 
  private:
   core::environment& env_;

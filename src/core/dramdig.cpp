@@ -19,37 +19,6 @@ namespace {
 constexpr timing::channel_config kChannel{.rounds_per_measurement = 1000,
                                           .calibration_pairs = 1500};
 
-/// Phase accounting: capture clock/measurement deltas around a phase and
-/// publish each occurrence as a phase event.
-class phase_meter {
- public:
-  phase_meter(sim::memory_controller& mc, phase_stats& stats, const char* name,
-              const phase_callback& notify)
-      : mc_(mc), stats_(stats), name_(name), notify_(notify),
-        t0_(mc.clock().now_ns()), m0_(mc.measurement_count()),
-        p0_(stats.pairs_used) {}
-  ~phase_meter() {
-    phase_stats delta;
-    delta.seconds = mc_.clock().seconds_since(t0_);
-    delta.measurements = mc_.measurement_count() - m0_;
-    delta.pairs_used = stats_.pairs_used - p0_;
-    stats_.seconds += delta.seconds;
-    stats_.measurements += delta.measurements;
-    if (notify_) notify_(name_, delta);
-  }
-  phase_meter(const phase_meter&) = delete;
-  phase_meter& operator=(const phase_meter&) = delete;
-
- private:
-  sim::memory_controller& mc_;
-  phase_stats& stats_;
-  const char* name_;
-  const phase_callback& notify_;
-  std::uint64_t t0_;
-  std::uint64_t m0_;
-  std::uint64_t p0_;
-};
-
 /// The default phase consumer: the per-phase narration examples enable at
 /// info level (the service replaces it with its observer hook).
 void log_phase_event(std::string_view phase, const phase_stats& delta) {
@@ -73,11 +42,16 @@ dramdig_tool::dramdig_tool(environment& env, dramdig_config config)
   check_config(config_);
 }
 
-dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
-  dramdig_report report;
+tool_result dramdig_tool::run(const phase_callback& on_phase) {
   auto& mc = env_.mach().controller();
-  const std::uint64_t t_begin = mc.clock().now_ns();
-  const std::uint64_t m_begin = mc.measurement_count();
+  // Every phase occurrence is published through one event stream (the Fig. 2
+  // decomposition): observers wired in by the mapping_service see the run
+  // live; without a hook the events fall back to info-level narration.
+  run_meter meter(mc, on_phase ? on_phase : phase_callback(log_phase_event));
+  tool_result out;
+  out.tool = "dramdig";
+  std::size_t pile_count = 0;
+  unsigned attempts_used = 0;
   rng r(env_.seed() ^ config_.tool_seed * 0x9e3779b97f4a7c15ull);
   timing::channel channel(mc, kChannel, r.fork());
   // One measurement-reuse scheduler for the whole run: verdicts accreted
@@ -105,11 +79,6 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
   const mapping_prior* prior =
       config_.warm && config_.warm->prior ? &*config_.warm->prior : nullptr;
   const unsigned warm_banks = config_.warm ? config_.warm->bank_count : 0;
-  // Every phase occurrence is published through one event stream (the Fig. 2
-  // decomposition): observers wired in by the mapping_service see the run
-  // live; without a hook the events fall back to info-level narration.
-  const phase_callback notify =
-      on_phase ? on_phase : phase_callback(log_phase_event);
   // The designed-experiment engine behind the coarse and fine phases: one
   // engine per run so both phases vote on one evidence substrate. Its
   // per-round progress streams through the phase-event observer when one
@@ -129,11 +98,19 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
       });
     }
   };
+  // The record's closing fields, filled on every exit path.
   const auto finish = [&]() {
-    report.total_seconds = mc.clock().seconds_since(t_begin);
-    report.total_measurements = mc.measurement_count() - m_begin;
-    report.measurements_saved = plan.stats().measurements_saved;
-    if (probe) report.probe = probe->stats();
+    out.outcome = out.success ? "success" : "failed";
+    out.detail = "pool " + std::to_string(out.pool_size) + ", " +
+                 std::to_string(pile_count) + " piles, " +
+                 std::to_string(attempts_used) + " attempt(s)";
+    for (const char* name : {"calibration", "coarse", "selection",
+                             "partition", "functions", "fine"}) {
+      out.phases.push_back(meter.phase(name));
+    }
+    if (probe) out.probe_rounds = probe->stats();
+    out.measurements_saved = plan.stats().measurements_saved;
+    meter.finish(out);
   };
 
   // --- Domain knowledge ---------------------------------------------------
@@ -148,44 +125,44 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
       static_cast<std::uint64_t>(config_.buffer_fraction *
                                  static_cast<double>(info.total_bytes)));
   {
-    phase_meter meter(mc, report.calibration, "calibration", notify);
+    run_meter::scope phase(meter, "calibration");
     const auto pool = sample_addresses(buffer, 2048, r);
     // Fleet warm start: the sibling threshold authorizes the channel's
     // prior-validated early stop (0 = none). The threshold is still
     // computed from this machine's own samples.
-    report.threshold_ns = channel.calibrate(
+    out.threshold_ns = channel.calibrate(
         pool, config_.warm ? config_.warm->threshold_ns : 0.0);
-    report.calibration.pairs_used = channel.calibration_pairs_used();
+    phase.add_pairs(channel.calibration_pairs_used());
   }
-  log_info("dramdig: threshold " + std::to_string(report.threshold_ns) + "ns");
+  log_info("dramdig: threshold " + std::to_string(out.threshold_ns) + "ns");
 
   // --- Step 1: coarse detection --------------------------------------------
   wire_probe(buffer);
   coarse_result coarse;
   {
-    phase_meter meter(mc, report.coarse, "coarse", notify);
+    const run_meter::scope phase(meter, "coarse");
     coarse = run_coarse_detection(*probe, knowledge, r, prior);
   }
   if (coarse.row_bits.empty() || coarse.bank_bits.empty()) {
-    report.failure_reason = "coarse detection found no usable partition of bits";
+    out.failure_reason = "coarse detection found no usable partition of bits";
     finish();
-    return report;
+    return out;
   }
 
   // --- Step 2: selection ---------------------------------------------------
   selection_result selection;
   {
-    phase_meter meter(mc, report.selection, "selection", notify);
+    const run_meter::scope phase(meter, "selection");
     selection = select_addresses(buffer, coarse.bank_bits);
   }
   if (!selection.found) {
-    report.failure_reason =
+    out.failure_reason =
         "no physically contiguous range spans the bank bits (fragmented "
         "memory)";
     finish();
-    return report;
+    return out;
   }
-  report.pool_size = selection.pool.size();
+  out.pool_size = selection.pool.size();
 
   // Candidate bank counts: with system information there is exactly one;
   // the knowledge ablation has to sweep plausible DDR configurations.
@@ -259,14 +236,14 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
         }
       }
       pool = std::move(sampled);
-      report.pool_size = pool.size();
+      out.pool_size = pool.size();
       pool_subsampled = true;
     }
   }
 
   for (unsigned attempt = 0; attempt < config_.max_attempts && !functions.success;
        ++attempt) {
-    report.attempts_used = attempt + 1;
+    attempts_used = attempt + 1;
     if (attempt > 0) {
       // A failed attempt may mean a cached relation is wrong (a burst can
       // push a false positive through the min filter, and merges are
@@ -280,7 +257,7 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
         // The warm strata did not partition: the stored functions are
         // suspect for this machine. Degrade in place to the cold pool.
         pool = selection.pool;
-        report.pool_size = pool.size();
+        out.pool_size = pool.size();
         pool_subsampled = false;
       }
     }
@@ -291,24 +268,24 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
         bits.push_back(coarse.row_bits[i]);
       }
       std::sort(bits.begin(), bits.end());
-      phase_meter meter(mc, report.selection, "selection", notify);
+      const run_meter::scope phase(meter, "selection");
       const selection_result wider = select_addresses(buffer, bits);
       if (wider.found) {
         pool = wider.pool;
-        report.pool_size = pool.size();
+        out.pool_size = pool.size();
       }
     }
     for (unsigned banks : bank_count_candidates) {
       if (pool.size() < banks * 2) continue;  // cannot resolve
       partition_outcome po;
       {
-        phase_meter meter(mc, report.partition, "partition", notify);
+        const run_meter::scope phase(meter, "partition");
         po = engine.partition(pool, banks, r, config_.partition);
       }
       if (!po.success) continue;
       function_outcome fo;
       {
-        phase_meter meter(mc, report.functions, "functions", notify);
+        const run_meter::scope phase(meter, "functions");
         fo = detect_functions(po.piles, coarse.bank_bits, banks, mc.clock());
       }
       if (fo.success) {
@@ -320,19 +297,19 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
     }
   }
   if (!functions.success) {
-    report.failure_reason = functions.failure_reason.empty()
-                                ? "partition never stabilized"
-                                : functions.failure_reason;
+    out.failure_reason = functions.failure_reason.empty()
+                             ? "partition never stabilized"
+                             : functions.failure_reason;
     finish();
-    return report;
+    return out;
   }
-  report.pile_count = partition.piles.size();
-  report.assumed_bank_count = assumed_banks;
+  pile_count = partition.piles.size();
+  out.assumed_bank_count = assumed_banks;
 
   // --- Step 3: fine-grained detection --------------------------------------
   fine_outcome fine;
   if (config_.use_spec_counts) {
-    phase_meter meter(mc, report.fine, "fine", notify);
+    const run_meter::scope phase(meter, "fine");
     fine = run_fine_detection(*probe, knowledge, coarse, functions.functions,
                               r, prior);
   } else {
@@ -347,24 +324,24 @@ dramdig_report dramdig_tool::run(const phase_callback& on_phase) {
   dram::address_mapping hypothesis(functions.functions, fine.row_bits,
                                    fine.column_bits, knowledge.address_bits);
   const bool bijective = hypothesis.is_bijective();
-  report.mapping = std::move(hypothesis);
-  report.success = bijective && functions.numbering_ok &&
-                   (!config_.use_spec_counts || fine.counts_satisfied);
-  if (!report.success && report.failure_reason.empty()) {
-    report.failure_reason = !bijective
-                                ? "hypothesis is not a bijection"
-                                : (!functions.numbering_ok
-                                       ? "piles not numbered 0..#banks-1"
-                                       : "row/column counts incomplete");
+  out.mapping = std::move(hypothesis);
+  out.success = bijective && functions.numbering_ok &&
+                (!config_.use_spec_counts || fine.counts_satisfied);
+  if (!out.success && out.failure_reason.empty()) {
+    out.failure_reason = !bijective
+                             ? "hypothesis is not a bijection"
+                             : (!functions.numbering_ok
+                                    ? "piles not numbered 0..#banks-1"
+                                    : "row/column counts incomplete");
   }
 
   finish();
-  log_info("dramdig: " + std::string(report.success ? "success" : "FAILED") +
-           " in " + std::to_string(report.total_seconds) + "s, " +
-           std::to_string(report.total_measurements) + " measurements (" +
-           std::to_string(report.measurements_saved) +
+  log_info("dramdig: " + std::string(out.success ? "success" : "FAILED") +
+           " in " + std::to_string(out.virtual_seconds) + "s, " +
+           std::to_string(out.measurement_count) + " measurements (" +
+           std::to_string(out.measurements_saved) +
            " answered from the reuse cache)");
-  return report;
+  return out;
 }
 
 }  // namespace dramdig::core

@@ -6,9 +6,9 @@
 //   Step 3  fine-grained shared-bit detection    (fine_detect)
 //
 // The tool only touches the machine through the timing channel and the
-// simulated OS (mmap + pagemap + dmidecode/decode-dimms text); the report
-// carries the reverse-engineered mapping plus per-phase virtual time and
-// measurement counts — the quantities behind Table II and Fig. 2.
+// simulated OS (mmap + pagemap + dmidecode/decode-dimms text); its
+// tool_result carries the reverse-engineered mapping plus per-phase virtual
+// time and measurement counts — the quantities behind Table II and Fig. 2.
 //
 // The channel budget is a constant in dramdig.cpp, and one default
 // measurement plan serves every phase of a run; the config holds the
@@ -28,7 +28,7 @@
 #include "core/function_detect.h"
 #include "core/measurement_plan.h"
 #include "core/partition.h"
-#include "core/phase.h"
+#include "core/run_record.h"
 #include "dram/mapping.h"
 #include "timing/channel.h"
 #include "util/gf2.h"
@@ -77,48 +77,20 @@ struct dramdig_config {
 /// contract_violation.
 void check_config(const dramdig_config& config);
 
-struct dramdig_report {
-  bool success = false;
-  std::optional<dram::address_mapping> mapping;
-  std::string failure_reason;
-
-  phase_stats calibration, coarse, selection, partition, functions, fine;
-  double total_seconds = 0.0;
-  std::uint64_t total_measurements = 0;
-  /// Cache activity of the reuse scheduler, valued in measurements: every
-  /// verdict answered from the cache (class membership, cross proofs,
-  /// memoized strict votes, pre-screened scan remainders, min-filter
-  /// sample reuse) counts what re-measuring it in place would have cost.
-  /// Repeat scans re-count their reuse, so this meters this run's own
-  /// path — it is NOT the delta against a cache-off run, whose pivot
-  /// choices and attempt structure diverge (compare total_measurements
-  /// across configs for that, as bench_micro_primitives does).
-  std::uint64_t measurements_saved = 0;
-
-  std::size_t pool_size = 0;
-  std::size_t pile_count = 0;
-  unsigned attempts_used = 0;
-  unsigned assumed_bank_count = 0;  ///< differs from truth only in ablation
-  double threshold_ns = 0.0;
-
-  /// Designed-experiment engine activity across the coarse and fine
-  /// phases: rounds batched, votes cast, votes early-terminated, votes
-  /// answered from the reuse cache.
-  probe_stats probe;
-};
-
 class dramdig_tool {
  public:
   explicit dramdig_tool(environment& env, dramdig_config config = {});
 
-  /// Run the full pipeline once. Each call maps a fresh buffer.
+  /// Run the full pipeline once. Each call maps a fresh buffer. The
+  /// record's phases are the six named pipeline phases, in pipeline order,
+  /// each aggregated over its occurrences.
   ///
   /// `on_phase` receives the per-phase progress events; when unset, the
   /// tool narrates each phase at info log level (the timing log examples
   /// show). With a hook the probe engine's designed rounds stream too, one
   /// event per cross-bit round ("probe:coarse.row" etc., vote count in
   /// pairs_used, cost metered by the owning phase event).
-  [[nodiscard]] dramdig_report run(const phase_callback& on_phase = {});
+  [[nodiscard]] tool_result run(const phase_callback& on_phase = {});
 
  private:
   environment& env_;

@@ -5,7 +5,7 @@
 // The one-tool path — construct a device-under-test and run a tool on it:
 //
 //   dramdig::core::environment env(dramdig::dram::machine_by_number(2), 42);
-//   auto result = dramdig::api::make_tool("dramdig")->run(env);
+//   dramdig::core::tool_result result = dramdig::core::dramdig_tool(env).run();
 //
 // The many-run path — every bench and multi-machine example goes through
 // the job engine, which executes (machine, tool, options, seed) specs
@@ -15,9 +15,10 @@
 //   auto outcomes = service.run(jobs);            // one per submission index
 //   outcomes[0].result.to_json(writer);           // unified result schema
 //
-// (The concrete tool classes — core::dramdig_tool, baselines::drama_tool,
-// baselines::xiao_tool — remain directly usable; the api layer wraps them
-// without changing a single measurement.)
+// Every tool's run() — core::dramdig_tool, baselines::drama_tool,
+// baselines::xiao_tool — returns the same tool_result, metered by the same
+// core::run_meter; the service adds the store and the grading against the
+// simulated ground truth (`verified`), which a direct run() leaves false.
 //
 // Layering (each header is independently includable):
 //   util     -> gf2 algebra, bit ops, rng, stats, histograms
@@ -26,11 +27,13 @@
 //   os       -> physical memory, address spaces, pagemap
 //   sysinfo  -> dmidecode/decode-dimms reports and parsing
 //   timing   -> the SBDR timing primitive
-//   core     -> the DRAMDig pipeline (this paper's contribution)
+//   core     -> the run record (tool_result, run_meter, phase events) and
+//               the DRAMDig pipeline (this paper's contribution)
 //   baselines-> DRAMA and Xiao et al. comparison tools
-//   api      -> the unified mapping_tool interface, the built-in tool set
-//               (tool_names / make_tool) and the concurrent
-//               mapping_service job engine with its FIFO daemon feed
+//   store    -> the fleet mapping store and its stored-mapping verifier
+//   api      -> the built-in tool set (tool_names, tool_options) and the
+//               concurrent mapping_service job engine with its grading
+//               and FIFO daemon feed
 //   rowhammer-> the hypothesis-driven hammer harness
 #pragma once
 

@@ -252,6 +252,15 @@ bool append_at_size(const std::string& path, std::uint64_t expected_size,
 
 }  // namespace
 
+void append_history(std::vector<verification_event>& history,
+                    verification_event event) {
+  history.push_back(std::move(event));
+  if (history.size() > kHistoryLimit) {
+    history.erase(history.begin(),
+                  history.end() - static_cast<std::ptrdiff_t>(kHistoryLimit));
+  }
+}
+
 dram::address_mapping store_entry::mapping() const {
   return dram::address_mapping(bank_functions, row_bits, column_bits,
                                address_bits);

@@ -35,6 +35,10 @@
 //                             warm_recovered",
 //                    "seed": ..., "measurements": ... }, ... ] }
 //
+// The history holds the entry's newest kHistoryLimit (8) events, oldest
+// first: a fleet re-verifies one entry on every job, so an unbounded
+// history would grow every record, and every save, without end.
+//
 // Masks and bit lists are numeric (util/json.h round-trips 64-bit values
 // exactly), unlike tool_result's display strings. The evidence block's
 // bank count and calibrated threshold, with the mapping's bit lists, form
@@ -109,6 +113,13 @@ struct verification_event {
   std::uint64_t seed = 0;          ///< environment seed of the run
   std::uint64_t measurements = 0;  ///< what the event cost
 };
+
+/// Events an entry's history keeps (see the schema comment above).
+constexpr std::size_t kHistoryLimit = 8;
+
+/// Append `event` to `history`, dropping the oldest beyond kHistoryLimit.
+void append_history(std::vector<verification_event>& history,
+                    verification_event event);
 
 /// One fingerprint -> mapping record.
 struct store_entry {

@@ -41,8 +41,7 @@ verify_report verify_stored_mapping(core::environment& env,
                                     const store_entry& entry) {
   verify_report report;
   auto& mc = env.mach().controller();
-  const std::uint64_t t0 = mc.clock().now_ns();
-  const std::uint64_t m0 = mc.measurement_count();
+  const core::run_meter meter(mc, {});
   // Distinct stream from the recovery pipeline's rng, so a verification
   // followed by a re-queued full run never correlates draws with it.
   rng r(env.seed() ^ (kToolSeed * 0x9e3779b97f4a7c15ull) ^
@@ -133,24 +132,20 @@ verify_report verify_stored_mapping(core::environment& env,
     break;
   }
 
-  report.deltas_designed = static_cast<unsigned>(deltas.size());
   if (positives == 0) {
     report.failure_reason = "no verifiable row-flip delta in stored entry";
-    report.total_seconds = mc.clock().seconds_since(t0);
-    report.total_measurements = mc.measurement_count() - m0;
-    return report;
-  }
-
-  const auto verdicts = probe.run(deltas, kVotes, r, "store.verify");
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    if (!verdicts[i].has_value()) continue;  // untestable: no evidence
-    ++report.deltas_tested;
-    if (expect[i] != 0) {
-      ++report.positives_tested;
-    } else {
-      ++report.negatives_tested;
+  } else {
+    const auto verdicts = probe.run(deltas, kVotes, r, "store.verify");
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+      if (!verdicts[i].has_value()) continue;  // untestable: no evidence
+      ++report.deltas_tested;
+      if (expect[i] != 0) {
+        ++report.positives_tested;
+      } else {
+        ++report.negatives_tested;
+      }
+      if (*verdicts[i] != (expect[i] != 0)) ++report.mismatches;
     }
-    if (*verdicts[i] != (expect[i] != 0)) ++report.mismatches;
   }
 
   report.verified =
@@ -164,13 +159,12 @@ verify_report verify_stored_mapping(core::environment& env,
                   " designed probes contradict the stored mapping"
             : "too few testable probes to trust the stored mapping";
   }
-  report.total_seconds = mc.clock().seconds_since(t0);
-  report.total_measurements = mc.measurement_count() - m0;
+  report.totals = meter.totals();
   log_info("store.verify: " +
            std::string(report.verified ? "verified" : "REFUTED") + " (" +
            std::to_string(report.deltas_tested) + " probes, " +
            std::to_string(report.mismatches) + " mismatches, " +
-           std::to_string(report.total_measurements) + " measurements)");
+           std::to_string(report.totals.measurements) + " measurements)");
   return report;
 }
 

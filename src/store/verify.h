@@ -29,21 +29,20 @@
 #include <string>
 
 #include "core/environment.h"
+#include "core/run_record.h"
 #include "store/mapping_store.h"
 
 namespace dramdig::store {
 
 struct verify_report {
   bool verified = false;
-  unsigned deltas_designed = 0;
   unsigned deltas_tested = 0;  ///< designed minus untestable
   unsigned positives_tested = 0;
   unsigned negatives_tested = 0;
   unsigned mismatches = 0;
   std::string failure_reason;  ///< empty when verified
   double threshold_ns = 0.0;
-  double total_seconds = 0.0;  ///< virtual time of the whole job
-  std::uint64_t total_measurements = 0;
+  core::run_totals totals;  ///< cost of the whole job
 };
 
 /// Spot-check `entry` against the machine behind `env`. Purely additive on

@@ -89,43 +89,26 @@ TEST(MappingService, ResultsInvariantUnderShuffledSubmissionOrder) {
 
 TEST(MappingService, MatchesDirectSequentialToolCalls) {
   // The acceptance pin: service output must be bit-identical to calling
-  // each concrete tool directly, for all three tools.
+  // each concrete tool directly, for all three tools — the same record,
+  // which the service only grades (`verified`).
   const std::vector<job_spec> jobs = reference_jobs();
   const auto outcomes = mapping_service({.threads = 8}).run(jobs);
 
-  for (std::size_t i = 0; i < 3; ++i) {
-    core::environment env(jobs[i].machine, jobs[i].seed);
-    const core::dramdig_report direct = core::dramdig_tool(env).run();
-    const tool_result& r = outcomes[i].result;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const job_spec& job = jobs[i];
+    core::environment env(job.machine, job.seed);
+    tool_result direct =
+        job.tool == "dramdig"
+            ? core::dramdig_tool(env, job.options.dramdig()).run()
+        : job.tool == "drama"
+            ? baselines::drama_tool(env, job.options.drama()).run()
+            : baselines::xiao_tool(env, job.options.xiao()).run();
     ASSERT_EQ(outcomes[i].state, job_state::completed);
-    EXPECT_EQ(r.success, direct.success);
-    ASSERT_TRUE(direct.mapping && r.mapping);
-    EXPECT_EQ(r.mapping->describe(), direct.mapping->describe());
-    EXPECT_EQ(r.measurement_count, direct.total_measurements);
-    EXPECT_EQ(r.measurements_saved, direct.measurements_saved);
-    EXPECT_EQ(r.virtual_seconds, direct.total_seconds);
-    EXPECT_EQ(r.access_count, env.mach().controller().access_count());
-  }
-  {
-    core::environment env(jobs[3].machine, jobs[3].seed);
-    const baselines::drama_report direct =
-        baselines::drama_tool(env, fast_drama()).run();
-    const tool_result& r = outcomes[3].result;
-    EXPECT_EQ(r.success, direct.completed);
-    EXPECT_EQ(r.measurement_count, direct.total_measurements);
-    EXPECT_EQ(r.virtual_seconds, direct.total_seconds);
-    ASSERT_TRUE(direct.mapping && r.mapping);
-    EXPECT_EQ(r.mapping->describe(), direct.mapping->describe());
-  }
-  {
-    core::environment env(jobs[4].machine, jobs[4].seed);
-    const baselines::xiao_report direct = baselines::xiao_tool(env).run();
-    const tool_result& r = outcomes[4].result;
-    EXPECT_EQ(r.success, direct.success);
-    EXPECT_EQ(r.measurement_count, direct.total_measurements);
-    EXPECT_EQ(r.virtual_seconds, direct.total_seconds);
-    ASSERT_TRUE(direct.mapping && r.mapping);
-    EXPECT_EQ(r.mapping->describe(), direct.mapping->describe());
+    EXPECT_FALSE(direct.verified) << job.tool;
+    EXPECT_TRUE(outcomes[i].result.verified) << job.tool;
+    direct.verified = outcomes[i].result.verified;
+    EXPECT_EQ(outcomes[i].result.to_json_string(), direct.to_json_string())
+        << "job " << i << " (" << job.tool << ")";
   }
 }
 
@@ -439,6 +422,28 @@ TEST(MappingServiceStore, PoisonedWarmPriorStillConvergesViaVerification) {
   ASSERT_TRUE(outcomes[0].result.mapping && reference[0].result.mapping);
   EXPECT_EQ(outcomes[0].result.mapping->describe(),
             reference[0].result.mapping->describe());
+}
+
+TEST(MappingServiceStore, VerifyHistoryKeepsTheNewestEvents) {
+  // A fleet re-verifies one entry on every job: its history keeps the
+  // newest kHistoryLimit events, so the entry's record stops growing.
+  store::mapping_store store;
+  mapping_service service({.threads = 1, .store = &store});
+  const dram::machine_spec& m = dram::machine_by_number(1);
+  ASSERT_EQ(service.run({fleet_job(m)})[0].store_hit, "cold");
+  for (std::uint64_t seed = 101; seed <= 112; ++seed) {
+    const auto verify = service.run({{m, "dramdig", {}, seed}});
+    ASSERT_EQ(verify[0].store_hit, "verify") << seed;
+    ASSERT_LE(store.find_exact(sysinfo::fingerprint(m))->history.size(),
+              store::kHistoryLimit);
+  }
+  const auto entry = store.find_exact(sysinfo::fingerprint(m));
+  ASSERT_TRUE(entry);
+  ASSERT_EQ(entry->history.size(), 8u);
+  for (std::size_t i = 0; i < entry->history.size(); ++i) {
+    EXPECT_EQ(entry->history[i].kind, "verified");
+    EXPECT_EQ(entry->history[i].seed, 105 + i);  // oldest first
+  }
 }
 
 TEST(MappingServiceStore, NonDramdigJobsBypassTheStore) {

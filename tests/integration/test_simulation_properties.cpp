@@ -35,7 +35,7 @@ TEST(SimulationProperties, VirtualTimeIsDeterministic) {
   auto run_seconds = [](std::uint64_t seed) {
     core::environment env(dram::machine_by_number(4), seed);
     core::dramdig_tool tool(env);
-    return tool.run().total_seconds;
+    return tool.run().virtual_seconds;
   };
   EXPECT_DOUBLE_EQ(run_seconds(77), run_seconds(77));
 }
@@ -49,8 +49,8 @@ TEST(SimulationProperties, MeasurementCountDrivesVirtualTime) {
   const auto large = core::dramdig_tool(large_env).run();
   ASSERT_TRUE(small.success);
   ASSERT_TRUE(large.success);
-  EXPECT_GT(large.total_measurements, small.total_measurements * 10);
-  EXPECT_GT(large.total_seconds, small.total_seconds * 10);
+  EXPECT_GT(large.measurement_count, small.measurement_count * 10);
+  EXPECT_GT(large.virtual_seconds, small.virtual_seconds * 10);
 }
 
 TEST(SimulationProperties, EnvironmentSeedControlsEverything) {
@@ -61,7 +61,7 @@ TEST(SimulationProperties, EnvironmentSeedControlsEverything) {
   const auto ra = core::dramdig_tool(a).run();
   const auto rb = core::dramdig_tool(b).run();
   const auto rc = core::dramdig_tool(c).run();
-  EXPECT_DOUBLE_EQ(ra.total_seconds, rb.total_seconds);
+  EXPECT_DOUBLE_EQ(ra.virtual_seconds, rb.virtual_seconds);
   ASSERT_TRUE(ra.mapping && rb.mapping && rc.mapping);
   EXPECT_TRUE(ra.mapping->equivalent_to(*rb.mapping));
   EXPECT_TRUE(ra.mapping->equivalent_to(*rc.mapping));  // determinism

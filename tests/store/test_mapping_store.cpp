@@ -760,7 +760,7 @@ TEST(StoreVerify, ConfirmsTruthfulEntry) {
   EXPECT_EQ(report.mismatches, 0u);
   EXPECT_GT(report.positives_tested, 0u);
   EXPECT_GT(report.negatives_tested, 0u);
-  EXPECT_GT(report.total_measurements, 0u);
+  EXPECT_GT(report.totals.measurements, 0u);
 }
 
 TEST(StoreVerify, RefutesPoisonedMask) {
