@@ -125,6 +125,11 @@ int main(int argc, char** argv) {
   check_floor(doc, floors, "decode_simd", "speedup", "decode_speedup",
               failures);
   check_true(doc, "decode_simd", "identical_results", failures);
+  // The in-repo rng engine must reproduce std::mt19937_64 draw for draw
+  // and never lose to it.
+  check_floor(doc, floors, "setup_path", "rng_speedup", "rng_speedup",
+              failures);
+  check_true(doc, "setup_path", "identical_draws", failures);
   // Fleet mapping store: verify hits and evidence warm starts must save at
   // least their floors vs a cold recovery while reproducing the stored
   // mapping bit-identically.

@@ -8,8 +8,9 @@
 // and emits them as machine-readable BENCH_micro.json: the batched
 // measurement engine against a scalar measure_pair loop, hot-path
 // throughput per layer, counter-tail thread scaling, the SIMD decode
-// kernel against its portable fallback, and the fleet store's verify and
-// warm-start savings. bench_guard floors them (bench/floors.json).
+// kernel against its portable fallback, the per-job set-up path (the
+// simulated OS and the rng engine under it), and the fleet store's verify
+// and warm-start savings. bench_guard floors them (bench/floors.json).
 // Flags: --smoke (skip the google-benchmark suite, shrink the batches for
 // CI), --out=PATH (default BENCH_micro.json), plus google-benchmark's own
 // --benchmark_* flags; any other argument exits 2 with usage.
@@ -331,6 +332,75 @@ void emit_bench_json(const std::string& path, bool smoke) {
     decode_identical = out_dispatch == out_scalar;
   }
 
+  // Set-up path: what every DRAMDig, verify and warm job pays before its
+  // first measurement — an environment, a buffer of 55% of memory mapped
+  // from the fragmented allocator, and 1,024 calibration addresses drawn
+  // from it — on the smallest (No.1) and a large (No.6) machine. Each
+  // figure is the best of three passes' per-call means (host
+  // microseconds). Under all of it, the rng engine: draws per second of
+  // the in-repo MT19937-64 against std::mt19937_64 on the same seed, and
+  // whether every draw is equal (both CI-gated: rng_speedup and
+  // identical_draws).
+  struct setup_row {
+    int machine = 0;
+    double env_us = 1e300, map_us = 1e300, sample_us = 1e300;
+    std::uint64_t runs = 0;
+  };
+  std::vector<setup_row> setup_rows = {{1}, {6}};
+  const int setup_reps = smoke ? 20 : 200;
+  for (setup_row& row : setup_rows) {
+    const auto& m = dram::machine_by_number(row.machine);
+    const std::uint64_t buffer_bytes = static_cast<std::uint64_t>(
+        0.55 * static_cast<double>(m.memory_bytes));
+    for (int pass = 0; pass < 3; ++pass) {
+      double env_s = 0, map_s = 0, sample_s = 0;
+      for (int rep = 0; rep < setup_reps; ++rep) {
+        const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(rep);
+        auto tick = std::chrono::steady_clock::now();
+        core::environment env(m, seed);
+        env_s += wall_seconds_since(tick);
+        tick = std::chrono::steady_clock::now();
+        const os::mapping_region& buffer = env.space().map_buffer(buffer_bytes);
+        map_s += wall_seconds_since(tick);
+        rng r(seed);
+        tick = std::chrono::steady_clock::now();
+        const auto pool = core::sample_addresses(buffer, 1024, r);
+        sample_s += wall_seconds_since(tick);
+        benchmark::DoNotOptimize(pool.data());
+        row.runs = buffer.pfn_runs().size();
+      }
+      row.env_us = std::min(row.env_us, 1e6 * env_s / setup_reps);
+      row.map_us = std::min(row.map_us, 1e6 * map_s / setup_reps);
+      row.sample_us = std::min(row.sample_us, 1e6 * sample_s / setup_reps);
+    }
+  }
+  const std::size_t rng_draws = smoke ? (1u << 21) : (1u << 24);
+  double ours_draw_s = 1e300, std_draw_s = 1e300;
+  bool identical_draws = true;
+  {
+    mt19937_64 ours_check(31);
+    std::mt19937_64 std_check(31);
+    for (std::size_t i = 0; i < rng_draws; ++i) {
+      identical_draws = identical_draws && ours_check() == std_check();
+    }
+    for (int rep = 0; rep < 3; ++rep) {
+      mt19937_64 ours(31);
+      std::uint64_t sum = 0;
+      auto tick = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < rng_draws; ++i) sum += ours();
+      benchmark::DoNotOptimize(sum);
+      ours_draw_s = std::min(ours_draw_s, wall_seconds_since(tick));
+
+      std::mt19937_64 ref(31);
+      sum = 0;
+      tick = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < rng_draws; ++i) sum += ref();
+      benchmark::DoNotOptimize(sum);
+      std_draw_s = std::min(std_draw_s, wall_seconds_since(tick));
+    }
+  }
+  const double rng_speedup = std_draw_s / std::max(ours_draw_s, 1e-12);
+
   // Fleet warm start: the same machine run four ways through the mapping
   // store — cold (empty store, full recovery), verify (exact fingerprint
   // hit, a few hundred designed probes), warm (geometry sibling, full
@@ -446,6 +516,22 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.key("speedup").value(scalar_decode_s / std::max(simd_decode_s, 1e-9));
   w.key("identical_results").value(decode_identical);
   w.end_object();
+  w.key("setup_path").begin_object();
+  for (const setup_row& row : setup_rows) {
+    const std::string suffix = "no" + std::to_string(row.machine);
+    w.key("env_construct_us_" + suffix).value(row.env_us);
+    w.key("map_buffer_us_" + suffix).value(row.map_us);
+    w.key("sample_addresses_us_" + suffix).value(row.sample_us);
+    w.key("buffer_runs_" + suffix).value(row.runs);
+  }
+  w.key("rng_draws").value(std::uint64_t{rng_draws});
+  w.key("engine_draws_per_s")
+      .value(static_cast<double>(rng_draws) / std::max(ours_draw_s, 1e-12));
+  w.key("std_draws_per_s")
+      .value(static_cast<double>(rng_draws) / std::max(std_draw_s, 1e-12));
+  w.key("rng_speedup").value(rng_speedup);
+  w.key("identical_draws").value(identical_draws);
+  w.end_object();
   w.key("fleet_warm_start").begin_object();
   w.key("machine").value(fleet_spec.label());
   w.key("cold_measurements").value(fleet_cold_m);
@@ -487,6 +573,17 @@ void emit_bench_json(const std::string& path, bool smoke) {
               static_cast<double>(decode_addrs) / scalar_decode_s / 1e6,
               scalar_decode_s / std::max(simd_decode_s, 1e-9),
               decode_identical ? "yes" : "NO");
+  for (const setup_row& row : setup_rows) {
+    std::printf("set-up on No.%d: environment %.1fus, map_buffer(55%%) "
+                "%.1fus (%llu runs), sample_addresses(1024) %.1fus\n",
+                row.machine, row.env_us, row.map_us,
+                static_cast<unsigned long long>(row.runs), row.sample_us);
+  }
+  std::printf("rng engine, %zu draws: in-repo %.1fM/s, std %.1fM/s (%.2fx), "
+              "identical %s\n",
+              rng_draws, static_cast<double>(rng_draws) / ours_draw_s / 1e6,
+              static_cast<double>(rng_draws) / std_draw_s / 1e6, rng_speedup,
+              identical_draws ? "yes" : "NO");
   std::printf("fleet warm start on %s: cold %llu, verify %llu (-%.0f%%), "
               "warm %llu (-%.0f%%, span-only %llu) measurements, mapping "
               "identical: %s\n",

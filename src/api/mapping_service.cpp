@@ -49,7 +49,6 @@ store::store_entry entry_from_result(const sysinfo::machine_fingerprint& fp,
   e.threshold_ns = result.threshold_ns;
   e.history = std::move(prior_history);
   store::append_history(e.history, {kind, job.seed, result.measurement_count});
-  e.evidence_digest = e.compute_evidence_digest();
   return e;
 }
 

@@ -39,11 +39,15 @@ physical_memory::physical_memory(physical_memory_config config, rng r)
     holes.emplace_back(at, chunk);
     reserved_budget -= chunk;
   }
+  std::sort(holes.begin(), holes.end());
+  const auto reserved_end = static_cast<std::ptrdiff_t>(holes.size());
   // Fragmentation pins used pages on a jittered grid whose spacing shrinks
   // exponentially with the level — at 0.1 free runs span tens of MiB, near
   // 1.0 nothing larger than a few hundred KiB survives. Uniform random
   // holes would NOT model this: even thousands of them leave multi-MiB
-  // gaps with high probability.
+  // gaps with high probability. The jitter stays below half the spacing,
+  // so grid holes come out with non-decreasing first frames and merge
+  // with the sorted reservations without a sort.
   if (config_.fragmentation > 0.0) {
     const double exponent = 16.0 * (1.0 - config_.fragmentation);
     const std::uint64_t spacing = std::max<std::uint64_t>(
@@ -57,9 +61,14 @@ physical_memory::physical_memory(physical_memory_config config, rng r)
       holes.emplace_back(pos, 4 + rng_.below(12));
     }
   }
-  std::sort(holes.begin(), holes.end());
+  std::inplace_merge(holes.begin(), holes.begin() + reserved_end,
+                     holes.end(), [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
 
-  // Free list = complement of the holes.
+  // Free list = complement of the holes. Holes sharing a first frame may
+  // come in either order: the complement depends only on the order of
+  // first frames.
   std::uint64_t cursor = 0;
   for (const auto& [at, count] : holes) {
     if (at > cursor) free_list_.push_back({cursor, at - cursor});
@@ -90,35 +99,41 @@ std::vector<extent> physical_memory::allocate(std::uint64_t bytes) {
       8, static_cast<std::uint64_t>(
              static_cast<double>(kHugePageSize / kPageSize) *
              (1.0 - config_.fragmentation)));
-  std::size_t current = free_list_.size();  // invalid -> pick fresh
   while (pages_needed > 0) {
     if (free_list_.empty()) {
       free(out);
       throw std::bad_alloc();
     }
-    if (current >= free_list_.size() || rng_.chance(config_.fragmentation)) {
-      current = rng_.below(free_list_.size());
-    }
+    const std::size_t current = rng_.below(free_list_.size());
     extent& src = free_list_[current];
-    const std::uint64_t take =
-        std::min({pages_needed, src.page_count, grab_pages});
-    extent grabbed{src.first_pfn, take};
-    src.first_pfn += take;
-    src.page_count -= take;
+    // Grab from src until the request is met, src runs dry, or the
+    // chance(fragmentation) draw before a further grab jumps to a fresh
+    // pick. The grabs are contiguous, so they leave as one run.
+    extent grabbed{src.first_pfn, 0};
+    for (;;) {
+      const std::uint64_t take =
+          std::min({pages_needed, src.page_count, grab_pages});
+      grabbed.page_count += take;
+      src.page_count -= take;
+      pages_needed -= take;
+      if (pages_needed == 0 || src.page_count == 0 ||
+          rng_.chance(config_.fragmentation)) {
+        break;
+      }
+    }
+    src.first_pfn += grabbed.page_count;
     if (src.page_count == 0) {
       free_list_.erase(free_list_.begin() +
                        static_cast<std::ptrdiff_t>(current));
-      current = free_list_.size();  // force re-pick
     }
-    // Merge into the previous grab when physically adjacent, so callers
-    // see true run lengths.
+    // Merge into the previous run when physically adjacent (a jump that
+    // picked the same extent again), so callers see true run lengths.
     if (!out.empty() &&
         out.back().first_pfn + out.back().page_count == grabbed.first_pfn) {
       out.back().page_count += grabbed.page_count;
     } else {
       out.push_back(grabbed);
     }
-    pages_needed -= take;
   }
   return out;
 }

@@ -140,7 +140,6 @@ std::string render_entry(const store_entry& e, std::uint64_t hash,
   for (const std::uint64_t f : e.function_span) w.value(f);
   w.end_array();
   w.key("evidence").begin_object();
-  w.key("digest").value(e.evidence_digest);
   w.key("pool_size").value(e.pool_size);
   w.key("bank_count").value(e.bank_count);
   w.key("threshold_ns").value(e.threshold_ns);
@@ -178,7 +177,6 @@ store_entry read_entry(const json_value& e) {
   entry.address_bits = static_cast<unsigned>(m.at("address_bits").as_u64());
   entry.function_span = read_number_array<std::uint64_t>(e.at("function_span"));
   const json_value& ev = e.at("evidence");
-  entry.evidence_digest = ev.at("digest").as_u64();
   entry.pool_size = ev.at("pool_size").as_u64();
   // v2 evidence keys; absent on v1 documents -> zero = no claim, so a v1
   // entry degrades to the span-only warm prior it always carried.

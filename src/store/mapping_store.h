@@ -5,8 +5,8 @@
 // cost once per hardware configuration, not once per host. The store is
 // that memory: each entry keys a machine fingerprint (sysinfo — CPU model
 // plus DIMM geometry) to the recovered mapping, the bank-function span,
-// a digest of the classifier evidence that produced it, and the entry's
-// verification history. The api::mapping_service consults it before
+// the classifier evidence that produced it, and the entry's verification
+// history. The api::mapping_service consults it before
 // dispatch: an exact fingerprint hit becomes a cheap verification job
 // (store/verify.h), a geometry-only hit warm-starts a full run, and only
 // a cold miss pays full recovery.
@@ -29,8 +29,8 @@
 //     "mapping": { "bank_functions": [...], "row_bits": [...],
 //                  "column_bits": [...], "address_bits": ... },
 //     "function_span": [...],          // row-echelon basis of the span
-//     "evidence": { "digest": ..., "pool_size": ...,
-//                   "bank_count": ..., "threshold_ns": ... },
+//     "evidence": { "pool_size": ..., "bank_count": ...,
+//                   "threshold_ns": ... },
 //     "history": [ { "kind": "recovered|verified|verify_failed|
 //                             warm_recovered",
 //                    "seed": ..., "measurements": ... }, ... ] }
@@ -38,6 +38,10 @@
 // The history holds the entry's newest kHistoryLimit (8) events, oldest
 // first: a fleet re-verifies one entry on every job, so an unbounded
 // history would grow every record, and every save, without end.
+//
+// Records written before the evidence digest was dropped also carry an
+// evidence "digest" key (v1 and v2 documents always do); the loader
+// ignores it, so those files load unchanged and without a warning.
 //
 // Masks and bit lists are numeric (util/json.h round-trips 64-bit values
 // exactly), unlike tool_result's display strings. The evidence block's
@@ -131,10 +135,10 @@ struct store_entry {
   /// Row-echelon basis of the bank-function span — the classifier's
   /// warm-start hint (core/classifier.h warm_start).
   gf2::matrix function_span;
-  /// FNV-1a over (span, row/column bits, pool size, bank count,
-  /// threshold_ns), set when the service builds an entry and round-tripped
-  /// through the file. Nothing reads it back or compares it with a
-  /// recomputation: it is a record of the evidence, not a check on it.
+  /// Neither stored nor read by the library. Kept, with
+  /// compute_evidence_digest(), only because the benchmark harness
+  /// (perfbench/src/workloads.cpp) still assigns it; delete both with the
+  /// next change to the benchmark.
   std::uint64_t evidence_digest = 0;
   /// Selection-pool size of the recovering run — pre-sizes the
   /// measurement plan on warm starts.
@@ -151,7 +155,8 @@ struct store_entry {
 
   /// The stored mapping as the hypothesis type tools output.
   [[nodiscard]] dram::address_mapping mapping() const;
-  /// Recompute evidence_digest from the current fields.
+  /// FNV-1a over (span, row/column bits, pool size, bank count,
+  /// threshold_ns); see evidence_digest.
   [[nodiscard]] std::uint64_t compute_evidence_digest() const;
 };
 

@@ -4,8 +4,10 @@
 // and benchmark tables are reproducible run to run.
 //
 // Two substrates live here:
-//   * `rng` — a sequential mt19937_64 stream. Sample i depends on every
-//     draw before it, so consumers that share one stream serialize.
+//   * `rng` — a sequential MT19937-64 stream (`mt19937_64` below, the
+//     in-repo engine, output-identical to std::mt19937_64). Sample i
+//     depends on every draw before it, so consumers that share one stream
+//     serialize.
 //   * `noise_stream` — a counter-based (Philox-style, Salmon et al.,
 //     "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) generator:
 //     sample i is a pure function of (key, domain, i), with constant
@@ -24,6 +26,60 @@
 
 namespace dramdig {
 
+/// MT19937-64 (Matsumoto & Nishimura, "Mersenne Twister: a
+/// 623-dimensionally equidistributed uniform pseudorandom number
+/// generator", TOMACS 1998; 64-bit parameters of Nishimura, TOMACS 2000):
+/// the same seeding recurrence, twist and tempering as std::mt19937_64, so
+/// every draw equals the standard engine's for the same seed. The twist is
+/// written branch-free, which lets the compiler vectorize it with the
+/// baseline instruction set (libstdc++'s twist selects on the low bit and
+/// stays scalar without AVX2). A UniformRandomBitGenerator, so
+/// std::shuffle and the standard distributions take it unchanged.
+class mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t state_size = 312;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit mt19937_64(result_type seed = default_seed) noexcept;
+
+  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
+  [[nodiscard]] static constexpr result_type max() noexcept {
+    return ~result_type{0};
+  }
+
+  result_type operator()() noexcept {
+    if (next_ >= state_size) twist();
+    result_type z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  /// Regenerate all state_size words; resets next_ to 0.
+  void twist() noexcept;
+
+  result_type state_[state_size];
+  std::size_t next_ = state_size;
+};
+
+/// libstdc++'s std::generate_canonical<double, 53> of one 64-bit engine
+/// word, computed without its u64 -> double conversion: the word is
+/// double(x) * 2^-64, clamped to the largest double below 1. Splitting x
+/// into 32-bit halves makes double(hi) * 2^32 exact, so the sum rounds
+/// once, exactly as the direct conversion does — and both halves convert
+/// with the signed instruction, with no branch on the sign bit.
+[[nodiscard]] inline double canonical_unit(std::uint64_t x) noexcept {
+  const double v =
+      static_cast<double>(static_cast<std::uint32_t>(x >> 32)) * 0x1.0p32 +
+      static_cast<double>(static_cast<std::uint32_t>(x));
+  const double u = v * 0x1.0p-64;
+  return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+}
+
 class rng {
  public:
   explicit rng(std::uint64_t seed) : engine_(seed) {}
@@ -40,29 +96,23 @@ class rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Uniform double in [0, 1).
-  ///
-  /// Distribution construction notes (why nothing is hoisted here): the
-  /// integer/real/bernoulli distributions are stateless — constructing one
-  /// stores its parameters and nothing else, so the per-call temporaries
-  /// below cost nothing and hoisting them would buy nothing.
-  [[nodiscard]] double uniform() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-  }
+  /// Uniform double in [0, 1): one engine word through canonical_unit(),
+  /// the value std::uniform_real_distribution<double>(0, 1) returns on
+  /// libstdc++ for the same word.
+  [[nodiscard]] double uniform() noexcept { return canonical_unit(engine_()); }
 
-  /// Bernoulli trial. Stateless distribution — see uniform().
-  [[nodiscard]] bool chance(double p) {
-    return std::bernoulli_distribution(p)(engine_);
-  }
+  /// Bernoulli trial: one engine word, true when its canonical_unit() is
+  /// below p — std::bernoulli_distribution's test on libstdc++.
+  [[nodiscard]] bool chance(double p) noexcept { return uniform() < p; }
 
   /// Normal deviate.
   ///
-  /// std::normal_distribution is the one *stateful* distribution used here
-  /// (Marsaglia polar: each refill produces two deviates and caches the
-  /// spare). A hoisted member distribution would serve every second call
-  /// from that spare and consume zero engine draws for it — changing the
-  /// engine's draw sequence relative to this per-call form. Hot paths that
-  /// need cheap gaussians use the counter-based noise_stream below.
+  /// std::normal_distribution is stateful (Marsaglia polar: each refill
+  /// produces two deviates and caches the spare). A hoisted member
+  /// distribution would serve every second call from that spare and
+  /// consume zero engine draws for it — changing the engine's draw
+  /// sequence relative to this per-call form. Hot paths that need cheap
+  /// gaussians use the counter-based noise_stream below.
   [[nodiscard]] double gaussian(double mean, double sigma) {
     return std::normal_distribution<double>(mean, sigma)(engine_);
   }
@@ -72,10 +122,10 @@ class rng {
   [[nodiscard]] rng fork() { return rng(engine_()); }
 
   /// Access the underlying engine (for std::shuffle and distributions).
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
+  [[nodiscard]] mt19937_64& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  mt19937_64 engine_;
 };
 
 // ---------------------------------------------------------------------------

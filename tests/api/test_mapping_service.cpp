@@ -311,7 +311,6 @@ TEST(MappingServiceStore, PoisonedEntryRequeuesAsFullRecoveryAndOverwrites) {
     auto entry = *store.find_exact(sysinfo::fingerprint(m));
     entry.bank_functions.back() = (1ull << 20) ^ (1ull << 24);
     entry.function_span = gf2::row_echelon(entry.bank_functions);
-    entry.evidence_digest = entry.compute_evidence_digest();
     store.put(std::move(entry));
   }
 
@@ -405,7 +404,6 @@ TEST(MappingServiceStore, PoisonedWarmPriorStillConvergesViaVerification) {
   std::swap(entry.row_bits, entry.column_bits);
   entry.bank_count = entry.bank_count == 8 ? 64 : 8;
   entry.threshold_ns *= 3.0;
-  entry.evidence_digest = entry.compute_evidence_digest();
   store.put(std::move(entry));
 
   dram::machine_spec sibling = m;

@@ -56,7 +56,6 @@ store_entry entry_for(int machine_number, std::uint64_t seed = 42) {
   e.bank_count = m.mapping.bank_count();
   e.threshold_ns = 250.5;
   e.history.push_back({"recovered", seed, 2348});
-  e.evidence_digest = e.compute_evidence_digest();
   return e;
 }
 
@@ -82,7 +81,6 @@ store_entry literal_entry() {
   e.threshold_ns = 287.12345678901234;
   e.history.push_back({"recovered", 42, 2348});
   e.history.push_back({"verified", 7, 188});
-  e.evidence_digest = e.compute_evidence_digest();
   return e;
 }
 
@@ -175,8 +173,8 @@ const std::string kLiteralRecord =
     "2228224], \"row_bits\": [18, 19, 20, 21], "
     "\"column_bits\": [0, 1, 2, 3, 4, 5], \"address_bits\": 33}, "
     "\"function_span\": [8256, 278528, 557056, 1114112, 2228224], "
-    "\"evidence\": {\"digest\": 5545060604729730806, \"pool_size\": 4096, "
-    "\"bank_count\": 32, \"threshold_ns\": 287.123456789012}, "
+    "\"evidence\": {\"pool_size\": 4096, \"bank_count\": 32, "
+    "\"threshold_ns\": 287.123456789012}, "
     "\"history\": [{\"kind\": \"recovered\", \"seed\": 42, "
     "\"measurements\": 2348}, {\"kind\": \"verified\", \"seed\": 7, "
     "\"measurements\": 188}]}\n";
@@ -275,7 +273,6 @@ TEST(MappingStore, RoundTripsThroughDisk) {
     EXPECT_EQ(hit->pool_size, 4096u);
     EXPECT_EQ(hit->bank_count, m.mapping.bank_count());
     EXPECT_EQ(hit->threshold_ns, 250.5);
-    EXPECT_EQ(hit->evidence_digest, hit->compute_evidence_digest());
     ASSERT_EQ(hit->history.size(), 1u);
     EXPECT_EQ(hit->history[0].measurements, 2348u);
     // The reloaded mapping reconstructs as a valid hypothesis equal to
@@ -547,6 +544,22 @@ TEST(MappingStore, V1DocumentLoadsAsSpanOnlyPriorWithoutWarning) {
   EXPECT_EQ(reloaded.to_json(), log);
 }
 
+TEST(MappingStore, V3RecordWithEvidenceDigestLoadsWithoutWarning) {
+  // Logs written while entries carried an evidence digest have a
+  // "digest" key in every evidence block. It loads silently and is
+  // dropped: the reloaded store renders today's record.
+  temp_path path("v3digest");
+  std::string record = kLiteralRecord;
+  const std::string evidence = "\"evidence\": {";
+  record.insert(record.find(evidence) + evidence.size(),
+                "\"digest\": 5545060604729730806, ");
+  write_file(path.str(), kV3Header + record);
+  const mapping_store store(path.str());
+  EXPECT_TRUE(store.load_warning().empty());
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.to_json(), kV3Header + kLiteralRecord);
+}
+
 TEST(MappingStore, V2WithTruncatedEvidenceBlockDegradesToV1Behavior) {
   // A version-2 header whose evidence block lost its v2 keys (e.g. a
   // document assembled by an older writer, or hand-edited): the optional
@@ -669,7 +682,6 @@ TEST(MappingStoreBytes, PutSequenceSavesLikeAFreshStore) {
   store.put(entry_for(8));
   store_entry first = entry_for(1, 5);
   first.threshold_ns = 301.0625;
-  first.evidence_digest = first.compute_evidence_digest();
   store.put(first);
   store.save();
   const std::string saved = read_file(path.str());
