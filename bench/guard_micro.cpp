@@ -130,6 +130,11 @@ int main(int argc, char** argv) {
   check_floor(doc, floors, "setup_path", "rng_speedup", "rng_speedup",
               failures);
   check_true(doc, "setup_path", "identical_draws", failures);
+  // The partition's host bookkeeping must not swamp the simulated
+  // measurements it schedules: measurements x sim ns over job wall, both
+  // from one process.
+  check_floor(doc, floors, "partition_host", "sim_share",
+              "partition_sim_share", failures);
   // Fleet mapping store: verify hits and evidence warm starts must save at
   // least their floors vs a cold recovery while reproducing the stored
   // mapping bit-identically.

@@ -9,8 +9,9 @@
 // measurement engine against a scalar measure_pair loop, hot-path
 // throughput per layer, counter-tail thread scaling, the SIMD decode
 // kernel against its portable fallback, the per-job set-up path (the
-// simulated OS and the rng engine under it), and the fleet store's verify
-// and warm-start savings. bench_guard floors them (bench/floors.json).
+// simulated OS and the rng engine under it), the partition's host cost
+// against the simulator's, and the fleet store's verify and warm-start
+// savings. bench_guard floors them (bench/floors.json).
 // Flags: --smoke (skip the google-benchmark suite, shrink the batches for
 // CI), --out=PATH (default BENCH_micro.json), plus google-benchmark's own
 // --benchmark_* flags; any other argument exits 2 with usage.
@@ -401,6 +402,56 @@ void emit_bench_json(const std::string& path, bool smoke) {
   }
   const double rng_speedup = std_draw_s / std::max(ours_draw_s, 1e-12);
 
+  // Partition host cost: one cold DRAMDig run() on No.6, the paper
+  // machine whose partition dominates the cold workload, at a fixed seed,
+  // best of 5 walls (the measurement count is the same every time). Beside
+  // it, this process's simulator cost: measure_pairs on 256-pair batches
+  // of random line pairs on the same machine, best of 5 passes of 32,768
+  // measurements, each pass right after a job so both minima sample the
+  // same stretches of host speed. sim_share = measurements x sim ns / wall
+  // is the share of the job the simulated measurements themselves explain;
+  // the rest is host bookkeeping (mostly the partition's). Both figures
+  // come from one process, so the ratio is floored (bench/floors.json
+  // partition_sim_share) where an absolute wall could not be.
+  const auto& host_spec = dram::machine_by_number(6);
+  constexpr std::uint64_t kHostJobSeed = 1;
+  constexpr std::size_t kSimBatch = 256;
+  constexpr std::size_t kSimMeasurements = 32768;
+  double host_job_s = 1e300, host_sim_s = 1e300;
+  std::uint64_t host_job_m = 0;
+  {
+    core::environment sim_env(host_spec, kHostJobSeed);
+    auto& mc = sim_env.mach().controller();
+    rng sim_addr(kHostJobSeed);
+    const std::uint64_t lines = host_spec.memory_bytes / 64;
+    std::vector<sim::addr_pair> batch(kSimBatch);
+    for (auto& p : batch) {
+      p = {sim_addr.below(lines) * 64, sim_addr.below(lines) * 64};
+    }
+    std::vector<sim::pair_measurement> sim_out;
+    mc.measure_pairs(batch, 1000, sim_out);  // warm the scratch buffers
+    for (int rep = 0; rep < 5; ++rep) {
+      core::environment env(host_spec, kHostJobSeed);
+      core::dramdig_tool tool(env);
+      auto tick = std::chrono::steady_clock::now();
+      const core::tool_result job = tool.run({});
+      host_job_s = std::min(host_job_s, wall_seconds_since(tick));
+      host_job_m = job.measurement_count;
+
+      tick = std::chrono::steady_clock::now();
+      for (std::size_t done = 0; done < kSimMeasurements; done += kSimBatch) {
+        mc.measure_pairs(batch, 1000, sim_out);
+      }
+      host_sim_s = std::min(host_sim_s, wall_seconds_since(tick));
+      benchmark::DoNotOptimize(sim_out.data());
+    }
+  }
+  const double host_sim_ns =
+      1e9 * host_sim_s / static_cast<double>(kSimMeasurements);
+  const double host_sim_share = static_cast<double>(host_job_m) *
+                                host_sim_ns * 1e-9 /
+                                std::max(host_job_s, 1e-12);
+
   // Fleet warm start: the same machine run four ways through the mapping
   // store — cold (empty store, full recovery), verify (exact fingerprint
   // hit, a few hundred designed probes), warm (geometry sibling, full
@@ -532,6 +583,14 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.key("rng_speedup").value(rng_speedup);
   w.key("identical_draws").value(identical_draws);
   w.end_object();
+  w.key("partition_host").begin_object();
+  w.key("machine").value(host_spec.label());
+  w.key("seed").value(kHostJobSeed);
+  w.key("job_wall_ms").value(1e3 * host_job_s);
+  w.key("measurements").value(host_job_m);
+  w.key("sim_ns_per_measurement_b256").value(host_sim_ns);
+  w.key("sim_share").value(host_sim_share);
+  w.end_object();
   w.key("fleet_warm_start").begin_object();
   w.key("machine").value(fleet_spec.label());
   w.key("cold_measurements").value(fleet_cold_m);
@@ -584,6 +643,11 @@ void emit_bench_json(const std::string& path, bool smoke) {
               rng_draws, static_cast<double>(rng_draws) / ours_draw_s / 1e6,
               static_cast<double>(rng_draws) / std_draw_s / 1e6, rng_speedup,
               identical_draws ? "yes" : "NO");
+  std::printf("partition host cost on %s: job %.2f ms, %llu measurements "
+              "x %.1f ns simulated = sim share %.3f\n",
+              host_spec.label().c_str(), 1e3 * host_job_s,
+              static_cast<unsigned long long>(host_job_m), host_sim_ns,
+              host_sim_share);
   std::printf("fleet warm start on %s: cold %llu, verify %llu (-%.0f%%), "
               "warm %llu (-%.0f%%, span-only %llu) measurements, mapping "
               "identical: %s\n",

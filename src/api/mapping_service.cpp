@@ -211,7 +211,6 @@ void mapping_service::execute_job(const job_spec& job,
     core::dramdig_config cfg = options.dramdig();
     core::dramdig_config::warm_hints hints;
     hints.function_span = plan.entry->function_span;
-    hints.expected_pool = static_cast<std::size_t>(plan.entry->pool_size);
     // Schema-v2 entries carry the full evidence prior; a v1-era entry
     // (bank_count 0 = no claim) stays the span-only warm start it always
     // was. The evidence fields travel together — bit priors and pool

@@ -39,6 +39,9 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
                                     : 4 * bank_count + 32;
   const std::uint64_t free_credit =
       plan_.saved_scan_credit(config.verify_positives);
+  // Every pool address the rounds below measure gets a plan record, and
+  // most get a strict-positive memo pair: size both tables once.
+  plan_.reserve(n);
 
   scan_options founder_opts{};
   founder_opts.verify_positives = config.verify_positives;

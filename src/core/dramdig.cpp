@@ -62,14 +62,11 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
   // re-resolves surviving classes without measurements.
   measurement_plan plan(channel);
   bank_classifier engine(plan);
-  // Fleet warm start: stored sibling evidence pre-sizes the plan and seeds
-  // the classifier's span prediction. Attempt retries clear() both, so a
-  // hint that failed an attempt never poisons the next one.
-  if (config_.warm) {
-    plan.warm_start(config_.warm->expected_pool);
-    if (!config_.warm->function_span.empty()) {
-      engine.warm_start(config_.warm->function_span);
-    }
+  // Fleet warm start: stored sibling evidence seeds the classifier's span
+  // prediction. Attempt retries clear() it, so a hint that failed an
+  // attempt never poisons the next one.
+  if (config_.warm && !config_.warm->function_span.empty()) {
+    engine.warm_start(config_.warm->function_span);
   }
   // Fleet warm start, bit classification: the stored mapping seeds
   // per-bit vote priors for the coarse passes and the fine confirmations

@@ -45,8 +45,7 @@ struct dramdig_config {
   /// Fleet warm start (filled by the api layer from a mapping-store
   /// geometry hit — see src/store). The span hint seeds the classifier's
   /// knowledge-assisted prediction so trusted vote ordering and group
-  /// founder scans engage from round 0; the pool evidence pre-sizes the
-  /// measurement plan; the full evidence prior (schema v2 entries) feeds
+  /// founder scans engage from round 0; the full evidence prior (schema v2 entries) feeds
   /// every phase: the sibling threshold authorizes an early calibration
   /// stop once local estimates confirm it, the bit classification seeds
   /// coarse/fine vote priors, the stored functions stratify the partition
@@ -58,7 +57,6 @@ struct dramdig_config {
   /// measurements but never the recovered mapping.
   struct warm_hints {
     gf2::matrix function_span;      ///< claimed bank-function span basis
-    std::size_t expected_pool = 0;  ///< selection-pool size evidence
     // --- evidence prior (absent/zero on v1-era store entries) ---
     std::optional<mapping_prior> prior;  ///< claimed functions, rows, cols
     unsigned bank_count = 0;             ///< claimed bank count

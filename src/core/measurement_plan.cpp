@@ -10,50 +10,41 @@ namespace dramdig::core {
 
 namespace {
 
-/// Canonical (unordered) key for a pair: SBDR is symmetric.
-sim::addr_pair canonical(std::uint64_t a, std::uint64_t b) {
-  return a <= b ? sim::addr_pair{a, b} : sim::addr_pair{b, a};
-}
-
 /// Confidence multiplier for the pivot pre-screen's binomial slack;
 /// rejections only fire when the projection is wrong beyond z standard
 /// deviations (plus one count of slack), so in-window pivots are almost
 /// never lost.
 constexpr double kPrescreenZ = 2.5;
 
+/// How many pairs ahead measure_and_record prefetches table slots.
+constexpr std::size_t kPrefetchAhead = 8;
+
 }  // namespace
 
 measurement_plan::measurement_plan(timing::channel& channel, plan_config config)
     : channel_(channel), config_(config) {}
 
-void measurement_plan::warm_start(std::size_t expected_addresses) {
-  if (expected_addresses == 0) return;
-  idx_.reserve(expected_addresses);
-  root_cache_.reserve(expected_addresses);
-  root_stamp_.reserve(expected_addresses);
+void measurement_plan::reserve(std::size_t addresses) {
+  idx_.reserve(addresses);
+  uf_.reserve(addresses);
+  root_cache_.reserve(addresses);
+  root_stamp_.reserve(addresses);
 }
 
 void measurement_plan::reset() {
-  uf_ = union_find{};
+  uf_.clear();
   idx_.clear();
   // Node ids restart from zero: a bumped epoch keeps the root cache from
   // ever serving a pre-reset entry.
   ++root_epoch_;
 }
 
-std::size_t measurement_plan::node_of(std::uint64_t addr) {
-  const std::size_t rec = idx_.find_or_create(addr);
-  std::size_t n = idx_.node(rec);
-  if (n == plan_index::npos) {
-    n = uf_.make_set();
-    idx_.set_node(rec, n);
-  }
-  return n;
-}
-
-std::size_t measurement_plan::node_if_known(std::uint64_t addr) const {
-  const std::size_t rec = idx_.find(addr);
-  return rec == plan_index::npos ? npos : idx_.node(rec);
+std::size_t measurement_plan::node_of(rec_id rec) {
+  const rec_id n = idx_.node(rec);
+  if (n != none) return n;
+  const std::size_t made = uf_.make_set();
+  idx_.set_node(rec, made);
+  return made;
 }
 
 std::size_t measurement_plan::cached_root(std::size_t node) {
@@ -68,84 +59,67 @@ std::size_t measurement_plan::cached_root(std::size_t node) {
   return root;
 }
 
-bool measurement_plan::witness_copy(std::uint64_t addr,
-                                    std::vector<std::uint64_t>& out) {
-  out.clear();
-  const std::size_t rec = idx_.find(addr);
-  if (rec == plan_index::npos) return false;
-  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
-  if (ws.empty()) return false;  // a node-only record has no list yet
-  out.assign(ws.begin(), ws.end());
-  return true;
-}
-
-void measurement_plan::witness_touch(std::uint64_t addr, std::uint64_t pivot) {
-  const std::size_t rec = idx_.find(addr);
-  DRAMDIG_EXPECTS(rec != plan_index::npos);
-  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
-  for (std::size_t i = 0; i < ws.size(); ++i) {
-    if (ws[i] == pivot) {
-      idx_.witness_move_to_back(rec, i);
-      return;
-    }
-  }
+bool measurement_plan::strict_positive(rec_id a, rec_id b) const {
+  return a != none && b != none && idx_.memo_contains(a, b);
 }
 
 bool measurement_plan::known_strict_positive(std::uint64_t a,
                                              std::uint64_t b) const {
-  const sim::addr_pair key = canonical(a, b);
-  return idx_.memo_contains(key.first, key.second);
+  return strict_positive(idx_.find(a), idx_.find(b));
 }
 
-pair_relation measurement_plan::relation(std::uint64_t a, std::uint64_t b) {
-  const std::size_t na = node_if_known(a);
-  const std::size_t nb = node_if_known(b);
-  if (na != npos && nb != npos && cached_root(na) == cached_root(nb)) {
+pair_relation measurement_plan::relation_of(rec_id a, rec_id b) {
+  const rec_id na = a != none ? idx_.node(a) : none;
+  const rec_id nb = b != none ? idx_.node(b) : none;
+  if (na != none && nb != none && cached_root(na) == cached_root(nb)) {
     return pair_relation::same_bank;
   }
   if (known_cross(a, b) || known_cross(b, a)) return pair_relation::cross_pile;
   return pair_relation::unknown;
 }
 
-void measurement_plan::record_same_bank(std::uint64_t a, std::uint64_t b) {
+pair_relation measurement_plan::relation(std::uint64_t a, std::uint64_t b) {
+  return relation_of(idx_.find(a), idx_.find(b));
+}
+
+void measurement_plan::record_same_bank(rec_id a, rec_id b) {
   if (uf_.unite(node_of(a), node_of(b)).merged) {
     ++stats_.classes_merged;
     // A merge moves roots; invalidate the batch-level root cache.
     ++root_epoch_;
   }
+  idx_.memo_insert(a, b);
 }
 
-void measurement_plan::record_negative(std::uint64_t pivot,
-                                       std::uint64_t partner) {
+void measurement_plan::record_negative(rec_id pivot, rec_id partner) {
   // Partner side only: the witness list stays "the pivots that rejected x",
   // one entry per scan, so every walk is a short linear scan — and the
   // list is the exact-pair negative memo (the pair memo holds strict
   // positives only). No dedupe needed: scans only
   // measure pairs the cache could not answer, so a recorded pair is
   // always new.
-  const std::size_t rec = idx_.find_or_create(partner);
   if (config_.max_witnesses != 0 &&
-      idx_.witnesses(rec).size() >= config_.max_witnesses) {
+      idx_.witnesses(partner).size() >= config_.max_witnesses) {
     // LRU eviction: the front is the entry that least recently answered a
     // query (hits rotate to the back).
-    idx_.witness_pop_front(rec);
+    idx_.witness_pop_front(partner);
     ++stats_.witnesses_evicted;
   }
-  idx_.witness_push(rec, pivot);
+  idx_.witness_push(partner, pivot);
   ++stats_.negatives_recorded;
 }
 
-bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
-  // Work on a copy of x's list: arena spans die on any witness push, and
-  // the derivation below records negatives. The copy is scratch-backed.
-  std::vector<std::uint64_t>& ws = scratch_.witness_buf;
-  if (!witness_copy(x, ws)) return false;
+bool measurement_plan::known_cross(rec_id pivot, rec_id x) {
+  // A pivot never seen has no node and sits on no list.
+  if (pivot == none || x == none) return false;
+  const std::span<const rec_id> ws = idx_.witnesses(x);
+  if (ws.empty()) return false;
   // Exact pair measured (or previously derived): reuse that verdict. The
   // hit rotates to the back of the list so LRU eviction drops stale
   // entries first.
-  for (const std::uint64_t w : ws) {
-    if (w == pivot) {
-      witness_touch(x, pivot);
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    if (ws[i] == pivot) {
+      idx_.witness_move_to_back(x, i);
       return true;
     }
   }
@@ -153,25 +127,25 @@ bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
   // sit in two different rows of one bank; x cannot share a row with both,
   // so both negatives can only mean a different bank. A fresh pivot
   // (singleton class) cannot have class witnesses — skip the class walk.
-  const std::size_t pivot_node = node_if_known(pivot);
-  if (pivot_node == npos) return false;
+  const rec_id pivot_node = idx_.node(pivot);
+  if (pivot_node == none) return false;
   if (uf_.class_size(pivot_node) < 2) return false;
   const std::size_t pivot_root = cached_root(pivot_node);
   // Fixed-capacity gather: this runs once per unknown partner in every
-  // pivot scan, so no per-call heap allocation.
-  std::array<std::uint64_t, 12> in_class_buf;
+  // pivot scan, so no per-call heap allocation. The gather is a copy, so
+  // the record_negative below cannot invalidate it.
+  std::array<rec_id, 12> in_class_buf;
   std::size_t found = 0;
-  for (const std::uint64_t w : ws) {
-    const std::size_t wn = node_if_known(w);
-    if (wn != npos && cached_root(wn) == pivot_root) {
+  for (const rec_id w : ws) {
+    const rec_id wn = idx_.node(w);
+    if (wn != none && cached_root(wn) == pivot_root) {
       in_class_buf[found++] = w;
       if (found == in_class_buf.size()) break;  // bound the pairwise search
     }
   }
-  const std::span<const std::uint64_t> in_class(in_class_buf.data(), found);
-  for (std::size_t i = 0; i < in_class.size(); ++i) {
-    for (std::size_t j = i + 1; j < in_class.size(); ++j) {
-      if (known_strict_positive(in_class[i], in_class[j])) {
+  for (std::size_t i = 0; i < found; ++i) {
+    for (std::size_t j = i + 1; j < found; ++j) {
+      if (idx_.memo_contains(in_class_buf[i], in_class_buf[j])) {
         // Memoize the derived fact as an exact-pair negative so future
         // queries answer from the pair set.
         record_negative(pivot, x);
@@ -183,7 +157,8 @@ bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
 }
 
 const std::vector<char>& measurement_plan::measure_and_record(
-    std::span<const sim::addr_pair> pairs, bool verify_positives) {
+    std::span<const sim::addr_pair> pairs, std::span<rec_pair> recs,
+    bool verify_positives) {
   // ---- One single sample per pair. --------------------------------------
   // Noise is one-sided (events only inflate latency), so a fast sample is
   // already a proof: the strict min filter could only go lower. Slow
@@ -191,6 +166,35 @@ const std::vector<char>& measurement_plan::measure_and_record(
   std::vector<double>& fast = scratch_.fast;
   channel_.measure_batch(pairs, fast);
   stats_.measurements_issued += pairs.size();
+
+  // Resolve the records of every pair whose verdict gets recorded — all of
+  // them when positives are verified, the fast ones otherwise — each
+  // address once. Scans and vote rounds repeat one pivot (or a few
+  // anchors) across the batch, so the last first-address resolved is
+  // reused instead of hashed again, and unresolved addresses' slots are
+  // prefetched a few pairs ahead so consecutive probes overlap.
+  const double threshold = channel_.threshold_ns();
+  std::uint64_t last_first = 0;
+  rec_id last_first_rec = none;
+  for (std::size_t j = 0; j < pairs.size(); ++j) {
+    if (j + kPrefetchAhead < pairs.size()) {
+      const rec_pair& ahead = recs[j + kPrefetchAhead];
+      if (ahead.first == none) idx_.prefetch(pairs[j + kPrefetchAhead].first);
+      if (ahead.second == none) {
+        idx_.prefetch(pairs[j + kPrefetchAhead].second);
+      }
+    }
+    if (!verify_positives && fast[j] > threshold) continue;
+    rec_pair& r = recs[j];
+    if (r.first == none) {
+      if (last_first_rec == none || pairs[j].first != last_first) {
+        last_first = pairs[j].first;
+        last_first_rec = idx_.find_or_create(last_first);
+      }
+      r.first = last_first_rec;
+    }
+    if (r.second == none) r.second = idx_.find_or_create(pairs[j].second);
+  }
 
   std::vector<char>& verdict = scratch_.verdict;
   verdict.assign(pairs.size(), 0);
@@ -201,12 +205,12 @@ const std::vector<char>& measurement_plan::measure_and_record(
   candidate_idx.clear();
   prior.clear();
   for (std::size_t j = 0; j < pairs.size(); ++j) {
-    if (fast[j] > channel_.threshold_ns()) {
+    if (fast[j] > threshold) {
       candidates.push_back(pairs[j]);
       candidate_idx.push_back(j);
       prior.push_back(fast[j]);
     } else {
-      record_negative(pairs[j].first, pairs[j].second);
+      record_negative(recs[j].first, recs[j].second);
     }
   }
   if (!verify_positives) {
@@ -229,15 +233,18 @@ const std::vector<char>& measurement_plan::measure_and_record(
       candidates.size() * (channel_.strict_samples() - 1);
   stats_.measurements_saved += candidates.size();
   for (std::size_t k = 0; k < strict.size(); ++k) {
-    const auto& [a, b] = candidates[k];
+    if (k + kPrefetchAhead < strict.size() && strict[k + kPrefetchAhead]) {
+      const rec_pair& ahead = recs[candidate_idx[k + kPrefetchAhead]];
+      idx_.prefetch_memo(ahead.first, ahead.second);
+    }
+    const std::size_t j = candidate_idx[k];
+    const rec_pair& r = recs[j];
     if (strict[k]) {
-      verdict[candidate_idx[k]] = 1;
-      record_same_bank(a, b);
-      const sim::addr_pair key = canonical(a, b);
-      idx_.memo_insert(key.first, key.second);
+      verdict[j] = 1;
+      record_same_bank(r.first, r.second);
     } else {
       // The slow reading was contamination; the min filter refuted it.
-      record_negative(a, b);
+      record_negative(r.first, r.second);
     }
   }
   return verdict;
@@ -254,11 +261,13 @@ measurement_plan::probe_outcome measurement_plan::probe_pairs(
   // Strict positives reuse the memo verbatim; cross-pile proofs (every
   // measured negative sits on a witness list) imply not-SBDR.
   std::vector<std::size_t>& unknown_idx = scratch_.unknown_idx;
+  std::vector<rec_pair>& recs = scratch_.pair_recs;
   unknown_idx.clear();
-  unknown_idx.reserve(pairs.size());
+  recs.clear();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [a, b] = pairs[i];
-    if (known_strict_positive(a, b)) {
+    const rec_id a = idx_.find(pairs[i].first);
+    const rec_id b = idx_.find(pairs[i].second);
+    if (strict_positive(a, b)) {
       out.sbdr[i] = 1;
       ++out.reused;
       // What re-measuring in place would cost: the full strict pass.
@@ -271,15 +280,15 @@ measurement_plan::probe_outcome measurement_plan::probe_pairs(
       continue;
     }
     unknown_idx.push_back(i);
+    recs.emplace_back(a, b);
   }
   if (unknown_idx.empty()) return out;
 
   // ---- Stage 1: measure, strict-verify and record the unknown pairs. ----
   std::vector<sim::addr_pair>& fresh = scratch_.pairs;
   fresh.clear();
-  fresh.reserve(unknown_idx.size());
   for (const std::size_t i : unknown_idx) fresh.push_back(pairs[i]);
-  const std::vector<char>& verdict = measure_and_record(fresh, true);
+  const std::vector<char>& verdict = measure_and_record(fresh, recs, true);
   for (std::size_t j = 0; j < unknown_idx.size(); ++j) {
     out.sbdr[unknown_idx[j]] = verdict[j];
   }
@@ -287,8 +296,9 @@ measurement_plan::probe_outcome measurement_plan::probe_pairs(
 }
 
 std::size_t measurement_plan::class_root(std::uint64_t addr) {
-  const std::size_t n = node_if_known(addr);
-  if (n == npos) return no_class;
+  const rec_id rec = idx_.find(addr);
+  const rec_id n = rec != none ? idx_.node(rec) : none;
+  if (n == none) return no_class;
   return cached_root(n);
 }
 
@@ -301,10 +311,13 @@ measurement_plan::vote_outcome measurement_plan::classify_pairs(
 
   // ---- Stage 0: answer what the cache already implies. ------------------
   std::vector<std::size_t>& unknown_idx = scratch_.unknown_idx;
+  std::vector<rec_pair>& recs = scratch_.pair_recs;
   unknown_idx.clear();
-  unknown_idx.reserve(pairs.size());
+  recs.clear();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    switch (relation(pairs[i].first, pairs[i].second)) {
+    const rec_id a = idx_.find(pairs[i].first);
+    const rec_id b = idx_.find(pairs[i].second);
+    switch (relation_of(a, b)) {
       case pair_relation::same_bank:
         out.member[i] = 1;
         ++out.reused;
@@ -316,6 +329,7 @@ measurement_plan::vote_outcome measurement_plan::classify_pairs(
         break;
       case pair_relation::unknown:
         unknown_idx.push_back(i);
+        recs.emplace_back(a, b);
         break;
     }
   }
@@ -324,10 +338,9 @@ measurement_plan::vote_outcome measurement_plan::classify_pairs(
   // ---- Stage 1: measure, verify and record the unknown pairs. -----------
   std::vector<sim::addr_pair>& fresh = scratch_.pairs;
   fresh.clear();
-  fresh.reserve(unknown_idx.size());
   for (const std::size_t i : unknown_idx) fresh.push_back(pairs[i]);
   const std::vector<char>& verdict =
-      measure_and_record(fresh, verify_positives);
+      measure_and_record(fresh, recs, verify_positives);
   for (std::size_t j = 0; j < unknown_idx.size(); ++j) {
     out.member[unknown_idx[j]] = verdict[j];
   }
@@ -340,82 +353,103 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
   DRAMDIG_EXPECTS(channel_.calibrated());
   scan_outcome out;
   out.member.assign(partners.size(), 0);
+  // Each partner's record as stage 0 found it (none: never seen).
+  std::vector<rec_id>& partner_recs = scratch_.partner_recs;
+  partner_recs.assign(partners.size(), none);
+  std::vector<std::size_t>& unknown_idx = scratch_.unknown_idx;
+  unknown_idx.clear();
+  std::size_t members = 0;
 
   // ---- Stage 0: answer what the cache already implies. ------------------
   // Directional queries only: a partner's witness list is short (one entry
   // per scan that rejected it), while the pivot's own list covers
   // everything it ever scanned — walking the latter per partner would make
   // this stage quadratic in the pool.
-  const std::size_t pivot_node = node_if_known(pivot);
-  const std::size_t pivot_root =
-      pivot_node != npos ? cached_root(pivot_node) : 0;
-
+  //
   // The pivot's own witness list (pivots that rejected it while it was a
   // partner — short by construction) answers two queries per scan:
   //  * exact pairs in the reverse direction (a former pivot among the
-  //    partners that once rejected this pivot), via `rejected_by`;
+  //    partners that once rejected this pivot), read off the list's
+  //    addresses (`rejected_by`);
   //  * the reverse two-witness rule: if two SBDR-positive-linked
   //    (row-distinct) members of a partner's class rejected this pivot
-  //    earlier, the pivot provably sits in another bank. Grouped by class
-  //    root (a stable sort keeps each root's witnesses in list order), so
-  //    each partner costs one binary search.
-  // The list is copied up front: the loop below records negatives, and an
-  // arena witness push invalidates every live span.
-  const bool have_rejected_by =
-      witness_copy(pivot, scratch_.pivot_witness_buf);
-  const std::vector<std::uint64_t>& rejected_by = scratch_.pivot_witness_buf;
-  std::vector<std::pair<std::size_t, std::uint64_t>>& rejecters =
-      scratch_.rejecters;
-  const auto by_root = [](const auto& x, const auto& y) {
-    return x.first < y.first;
-  };
+  //    earlier, the pivot provably sits in another bank. The rule depends
+  //    on the partner only through its class root, so the roots it proves
+  //    (`linked_roots`) are found once per scan: the list grouped by class
+  //    root (a stable sort keeps each root's witnesses in list order),
+  //    each group's first 12 searched for a memo-linked pair.
+  // Both are copied out up front: the loop below records negatives, and
+  // an arena witness push invalidates every live span.
+  const rec_id pivot_rec = idx_.find(pivot);
+  const rec_id pivot_node = pivot_rec != none ? idx_.node(pivot_rec) : none;
+  std::vector<std::uint64_t>& rejected_by = scratch_.rejected_by;
+  std::vector<std::pair<std::size_t, rec_id>>& rejecters = scratch_.rejecters;
+  std::vector<std::size_t>& linked_roots = scratch_.linked_roots;
+  rejected_by.clear();
   rejecters.clear();
-  if (have_rejected_by) {
-    for (const std::uint64_t w : rejected_by) {
-      const std::size_t wn = node_if_known(w);
-      if (wn != npos) rejecters.emplace_back(cached_root(wn), w);
+  linked_roots.clear();
+  if (pivot_rec != none) {
+    for (const rec_id w : idx_.witnesses(pivot_rec)) {
+      rejected_by.push_back(idx_.addr(w));
+      const rec_id wn = idx_.node(w);
+      if (wn != none) rejecters.emplace_back(cached_root(wn), w);
     }
-    std::stable_sort(rejecters.begin(), rejecters.end(), by_root);
   }
-  const auto reverse_cross = [&](std::size_t partner_root,
-                                 std::uint64_t partner) {
-    const auto [first, last] = std::equal_range(
-        rejecters.begin(), rejecters.end(),
-        std::pair<std::size_t, std::uint64_t>{partner_root, 0}, by_root);
-    const std::ptrdiff_t bound = std::min<std::ptrdiff_t>(last - first, 12);
-    for (std::ptrdiff_t i = 0; i < bound; ++i) {
-      for (std::ptrdiff_t j = i + 1; j < bound; ++j) {
-        if (known_strict_positive(first[i].second, first[j].second)) {
-          // Memoize the derived fact as an exact-pair negative.
-          record_negative(pivot, partner);
-          return true;
-        }
+  std::stable_sort(
+      rejecters.begin(), rejecters.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (std::size_t g = 0, end = 0; g < rejecters.size(); g = end) {
+    while (end < rejecters.size() &&
+           rejecters[end].first == rejecters[g].first) {
+      ++end;
+    }
+    const std::size_t bound = std::min<std::size_t>(end - g, 12);
+    bool linked = false;
+    for (std::size_t i = 0; i < bound && !linked; ++i) {
+      for (std::size_t j = i + 1; j < bound && !linked; ++j) {
+        linked = idx_.memo_contains(rejecters[g + i].second,
+                                    rejecters[g + j].second);
       }
     }
-    return false;
-  };
-
-  std::vector<std::size_t>& unknown_idx = scratch_.unknown_idx;
-  unknown_idx.clear();
-  unknown_idx.reserve(partners.size());
-  std::size_t members = 0;
+    if (linked) linked_roots.push_back(rejecters[g].first);
+  }
+  // Partners' records matter only to a pivot that shares a class (class
+  // members, the two-witness rule), sits on some list (exact pairs) or
+  // proves a reverse root. Any other pivot answers at most reverse exact
+  // pairs, by address, and a fresh one (no list either) answers nothing:
+  // its scan skips every lookup.
+  const bool need_records =
+      (pivot_node != none && uf_.class_size(pivot_node) >= 2) ||
+      (pivot_rec != none && idx_.witnessed(pivot_rec)) ||
+      !linked_roots.empty();
+  const std::size_t pivot_root =
+      pivot_node != none ? cached_root(pivot_node) : 0;
   for (std::size_t i = 0; i < partners.size(); ++i) {
-    const std::size_t partner_node = node_if_known(partners[i]);
+    const rec_id prec = need_records ? idx_.find(partners[i]) : none;
+    partner_recs[i] = prec;
+    const rec_id partner_node = prec != none ? idx_.node(prec) : none;
     const std::size_t partner_root =
-        partner_node != npos ? cached_root(partner_node) : 0;
-    if (pivot_node != npos && partner_node != npos &&
+        partner_node != none ? cached_root(partner_node) : 0;
+    if (pivot_node != none && partner_node != none &&
         partner_root == pivot_root) {
       out.member[i] = 1;
       ++members;
       ++out.reused;
       // What re-measuring this member in place would cost.
       stats_.measurements_saved += saved_scan_credit(options.verify_positives);
-    } else if (known_cross(pivot, partners[i]) ||
-               (have_rejected_by &&
-                std::find(rejected_by.begin(), rejected_by.end(),
-                          partners[i]) != rejected_by.end()) ||
-               (partner_node != npos &&
-                reverse_cross(partner_root, partners[i]))) {
+      continue;
+    }
+    bool cross = (prec != none && known_cross(pivot_rec, prec)) ||
+                 std::find(rejected_by.begin(), rejected_by.end(),
+                           partners[i]) != rejected_by.end();
+    if (!cross && partner_node != none &&
+        std::binary_search(linked_roots.begin(), linked_roots.end(),
+                           partner_root)) {
+      // Memoize the derived fact as an exact-pair negative.
+      record_negative(pivot_rec, prec);
+      cross = true;
+    }
+    if (cross) {
       ++out.reused;
       ++stats_.measurements_saved;
     } else {
@@ -427,11 +461,15 @@ measurement_plan::scan_outcome measurement_plan::classify_partners(
   // found. Shared by the pre-screen sample and the full scan.
   const auto scan_subset = [&](const std::vector<std::size_t>& subset) {
     std::vector<sim::addr_pair>& pairs = scratch_.pairs;
+    std::vector<rec_pair>& recs = scratch_.pair_recs;
     pairs.clear();
-    pairs.reserve(subset.size());
-    for (const std::size_t i : subset) pairs.emplace_back(pivot, partners[i]);
+    recs.clear();
+    for (const std::size_t i : subset) {
+      pairs.emplace_back(pivot, partners[i]);
+      recs.emplace_back(pivot_rec, partner_recs[i]);
+    }
     const std::vector<char>& verdict =
-        measure_and_record(pairs, options.verify_positives);
+        measure_and_record(pairs, recs, options.verify_positives);
     std::size_t found = 0;
     for (std::size_t j = 0; j < subset.size(); ++j) {
       if (!verdict[j]) continue;

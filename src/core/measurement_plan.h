@@ -118,7 +118,8 @@ class measurement_plan {
   /// One partition pivot scan: classify every partner as pile member or
   /// not. Cached relations are answered for free; unknown partners get a
   /// single-sample scan (optionally pre-screened), positives are
-  /// strict-verified, and every verdict feeds the cache.
+  /// strict-verified, and every verdict feeds the cache. Partners must
+  /// not include the pivot.
   struct scan_outcome {
     /// Per-partner membership verdict; meaningless when prescreen_rejected.
     std::vector<char> member;
@@ -180,12 +181,11 @@ class measurement_plan {
     stats_.measurements_saved += measurements;
   }
 
-  /// Fleet warm start: pre-size the plan's tables for the expected number
-  /// of distinct addresses (the stored selection-pool evidence of a
-  /// geometry sibling). Purely a capacity reservation — node ids, hashing
-  /// verdicts and stats are identical with or without it — so a wrong
-  /// hint costs nothing but the reserved memory. Call before first use.
-  void warm_start(std::size_t expected_addresses);
+  /// Pre-size the plan's tables for `addresses` distinct addresses (and
+  /// as many strict-positive pairs) in total. Purely a capacity
+  /// reservation — verdicts and stats are identical with or without it.
+  /// The classifier calls it with the pool size at every partition().
+  void reserve(std::size_t addresses);
 
   /// Drop every cached relation (classes, witnesses, strict memo) while
   /// keeping the cumulative stats. Merges are permanent by design, so a
@@ -196,12 +196,13 @@ class measurement_plan {
   void reset();
 
  private:
-  /// Union-find node for an address, created on first sight.
-  std::size_t node_of(std::uint64_t addr);
-  /// Union-find node for an address, or npos when never assigned one.
-  /// (Addresses seen only as negative-witness holders have no node.)
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  [[nodiscard]] std::size_t node_if_known(std::uint64_t addr) const;
+  using rec_id = plan_index::rec_id;
+  static constexpr rec_id none = plan_index::none;
+  /// A pair's two records (either may be none until resolved).
+  using rec_pair = std::pair<rec_id, rec_id>;
+
+  /// Union-find node of a record, created on first use.
+  std::size_t node_of(rec_id rec);
 
   /// Union-find root with batch-level caching: within one epoch (no merges
   /// since) each node resolves its root at most once, so the stage-0 loops
@@ -210,26 +211,20 @@ class measurement_plan {
   /// epoch.
   [[nodiscard]] std::size_t cached_root(std::size_t node);
 
-  // Storage accessors: every node/witness/memo touch funnels through these,
-  // so LRU order, eviction and stats are decided here, not in the index.
-  /// Copy addr's witness list (oldest first) into `out`. Returns true when
-  /// the address has a list. The copy is deliberate: arena spans die on
-  /// any witness push, and callers loop over one list while recording
-  /// negatives on others.
-  bool witness_copy(std::uint64_t addr, std::vector<std::uint64_t>& out);
-  /// Rotate addr's witness entry equal to `pivot` to the back (LRU hit).
-  /// Pre: the entry exists.
-  void witness_touch(std::uint64_t addr, std::uint64_t pivot);
+  /// relation() on resolved records (none = never seen).
+  [[nodiscard]] pair_relation relation_of(rec_id a, rec_id b);
+  /// known_strict_positive() on resolved records.
+  [[nodiscard]] bool strict_positive(rec_id a, rec_id b) const;
 
-  /// Record a strict positive: merge classes.
-  void record_same_bank(std::uint64_t a, std::uint64_t b);
+  /// Record a strict positive: merge classes and enter the memo.
+  void record_same_bank(rec_id a, rec_id b);
   /// Record a scan negative: a witness entry on the partner ("this pivot
   /// rejected it") — the one record of a measured negative.
-  void record_negative(std::uint64_t pivot, std::uint64_t partner);
+  void record_negative(rec_id pivot, rec_id partner);
   /// True when not-SBDR(pivot, x) is proven: the exact pair was measured
   /// negative, or x has two SBDR-positive-linked witnesses in pivot's
   /// class (two different rows of one bank both rejected x).
-  [[nodiscard]] bool known_cross(std::uint64_t pivot, std::uint64_t x);
+  [[nodiscard]] bool known_cross(rec_id pivot, rec_id x);
 
   /// The one measure-and-verify path behind probe_pairs, classify_pairs
   /// and classify_partners, for pairs (pivot, partner) the cache cannot
@@ -237,10 +232,14 @@ class measurement_plan {
   /// and recorded at once; slow readings are accepted as-is when
   /// !verify_positives, otherwise strict-verified with the sample folded
   /// into the min filter — positives merge classes and enter the memo,
-  /// refuted ones are recorded negative. Returns per-pair verdicts in
-  /// scratch storage, valid until the next call.
+  /// refuted ones are recorded negative. `recs` holds each pair's records
+  /// as the caller's cache lookups found them; a none entry is created
+  /// here when the verdict is recorded, each address once per batch.
+  /// Returns per-pair verdicts in scratch storage, valid until the next
+  /// call.
   const std::vector<char>& measure_and_record(
-      std::span<const sim::addr_pair> pairs, bool verify_positives);
+      std::span<const sim::addr_pair> pairs, std::span<rec_pair> recs,
+      bool verify_positives);
 
   timing::channel& channel_;
   plan_config config_;
@@ -250,11 +249,11 @@ class measurement_plan {
 
   /// Node ids, witness lists and the strict-positive pair memo in flat
   /// open-addressing tables — one hash lookup per address per batch.
-  /// Witness lists hold the pivots that measured the address not-SBDR, in
-  /// LRU order (back = most recently recorded or consulted): one entry per
-  /// scan or vote that rejected the address, so the lists stay short and
-  /// are the exact-pair negative memo. Bounded by
-  /// plan_config::max_witnesses.
+  /// Witness lists hold the records of the pivots that measured the
+  /// address not-SBDR, in LRU order (back = most recently recorded or
+  /// consulted): one entry per scan or vote that rejected the address, so
+  /// the lists stay short and are the exact-pair negative memo. Bounded
+  /// by plan_config::max_witnesses.
   plan_index idx_;
 
   /// Batch-level root cache: root_stamp_[node] == root_epoch_ means
@@ -273,17 +272,21 @@ class measurement_plan {
     std::vector<std::size_t> sample;
     std::vector<char> sampled;
     std::vector<sim::addr_pair> pairs;
+    std::vector<rec_pair> pair_recs;   ///< records of `pairs`
+    std::vector<rec_id> partner_recs;  ///< classify_partners' stage 0 finds
     std::vector<std::size_t> candidate_idx;
     std::vector<sim::addr_pair> candidates;
     std::vector<double> prior;
     std::vector<double> fast;          ///< single-sample latency results
     std::vector<char> strict;          ///< strict-verify verdicts
     std::vector<char> verdict;         ///< measure_and_record result
-    std::vector<std::uint64_t> witness_buf;        ///< known_cross list copy
-    std::vector<std::uint64_t> pivot_witness_buf;  ///< classify_partners copy
+    /// classify_partners' addresses of the pivot's witness list.
+    std::vector<std::uint64_t> rejected_by;
     /// classify_partners' (class root, witness) pairs of the pivot's
-    /// list, stable-sorted by root.
-    std::vector<std::pair<std::size_t, std::uint64_t>> rejecters;
+    /// list, stable-sorted by root, and the roots the reverse two-witness
+    /// rule proves cross-bank, ascending.
+    std::vector<std::pair<std::size_t, rec_id>> rejecters;
+    std::vector<std::size_t> linked_roots;
   } scratch_;
 };
 

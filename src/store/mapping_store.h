@@ -140,8 +140,8 @@ struct store_entry {
   /// (perfbench/src/workloads.cpp) still assigns it; delete both with the
   /// next change to the benchmark.
   std::uint64_t evidence_digest = 0;
-  /// Selection-pool size of the recovering run — pre-sizes the
-  /// measurement plan on warm starts.
+  /// Selection-pool size of the recovering run (stored evidence; the
+  /// partition pre-sizes the measurement plan from its own pool).
   std::uint64_t pool_size = 0;
   /// Bank count the recovering run resolved (schema v2; 0 on entries
   /// loaded from v1 documents = no claim). Seeds the warm run's

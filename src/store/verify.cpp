@@ -42,6 +42,15 @@ verify_report verify_stored_mapping(core::environment& env,
   verify_report report;
   auto& mc = env.mach().controller();
   const core::run_meter meter(mc, {});
+  // Zero-measurement gate: a claim that is not a bijection is no
+  // machine's mapping, and probes cannot be trusted to catch it (a dropped
+  // row bit reads like any other same-bank, same-row delta).
+  if (!entry.mapping().is_bijective()) {
+    report.failure_reason = "stored mapping is not a bijection";
+    report.totals = meter.totals();
+    log_info("store.verify: REFUTED (not a bijection, 0 measurements)");
+    return report;
+  }
   // Distinct stream from the recovery pipeline's rng, so a verification
   // followed by a re-queued full run never correlates draws with it.
   rng r(env.seed() ^ (kToolSeed * 0x9e3779b97f4a7c15ull) ^

@@ -15,6 +15,9 @@
 //     flips that function's parity, so the bank must change) plus a
 //     bank-clean column bit (same bank, same row): SBDR must vote false.
 //
+// Before any probe, a claim that is not a bijection (address_mapping::
+// is_bijective) is refuted with zero measurements.
+//
 // A wrong stored mask fails both ways: its claimed null space leaks into
 // a true function (positives vote false), and its claimed function bits
 // land on true row bits (negatives vote true). Any mismatch refutes the

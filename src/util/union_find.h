@@ -24,6 +24,19 @@ class union_find {
     return parent_.size() - 1;
   }
 
+  /// Room for `nodes` nodes without reallocation.
+  void reserve(std::size_t nodes) {
+    parent_.reserve(nodes);
+    size_.reserve(nodes);
+  }
+
+  /// Drop every node (keeps capacity).
+  void clear() noexcept {
+    parent_.clear();
+    size_.clear();
+    sets_ = 0;
+  }
+
   /// Root of x's class, with path halving.
   [[nodiscard]] std::size_t find(std::size_t x) {
     DRAMDIG_EXPECTS(x < parent_.size());

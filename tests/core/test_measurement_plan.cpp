@@ -560,5 +560,167 @@ TEST(MeasurementPlan, LruEvictionOrderIsDeterministicAndSound) {
   }
 }
 
+/// Everything a plan workload can show: verdicts, reuse counts, cached
+/// relations, class count, stats and measurements (counts and stats as
+/// deltas over the workload).
+struct workload_record {
+  std::vector<std::vector<char>> verdicts;
+  std::vector<std::uint64_t> reused;
+  std::vector<pair_relation> relations;
+  std::size_t classes = 0;
+  plan_stats stats;
+  std::uint64_t measurements = 0;
+  /// Scans that had to be answered from the cache alone: measurements
+  /// each one spent (all zero when the cache answered).
+  std::vector<std::uint64_t> cached_scan_cost;
+};
+
+workload_record run_numbering_workload(measurement_plan& plan,
+                                       pipeline_fixture& f,
+                                       const std::vector<std::uint64_t>& pool) {
+  const auto& truth = f.env.spec().mapping;
+  auto& controller = f.env.mach().controller();
+  const plan_stats before = plan.stats();
+  const std::size_t classes_before = plan.class_count();
+  const std::uint64_t measured_before = controller.measurement_count();
+  workload_record out;
+  const auto scan = [&](std::uint64_t pivot,
+                        const std::vector<std::uint64_t>& partners) {
+    const auto got = plan.classify_partners(pivot, partners, default_scan());
+    out.verdicts.push_back(got.member);
+    out.reused.push_back(got.reused);
+    return got;
+  };
+  const auto cached_scan = [&](std::uint64_t pivot,
+                               const std::vector<std::uint64_t>& partners) {
+    const std::uint64_t m = controller.measurement_count();
+    const auto got = scan(pivot, partners);
+    out.cached_scan_cost.push_back(controller.measurement_count() - m);
+    EXPECT_EQ(got.reused, partners.size());
+  };
+
+  // A founder scan over the pool's first half.
+  const std::uint64_t founder = pool.front();
+  const std::vector<std::uint64_t> half(pool.begin() + 1,
+                                        pool.begin() + pool.size() / 2);
+  const auto first = scan(founder, half);
+  std::vector<std::uint64_t> members, outsiders;
+  for (std::size_t i = 0; i < half.size(); ++i) {
+    (first.member[i] ? members : outsiders).push_back(half[i]);
+  }
+  EXPECT_GE(members.size(), 2u);
+
+  // A pivot with a non-singleton class: its class members answer.
+  const std::vector<std::uint64_t> mates(members.begin() + 1, members.end());
+  cached_scan(members.front(), mates);
+
+  // A pivot in a witness role only: a fresh address scans addresses of
+  // other banks (all rejected), then rescans them — each exact pair sits
+  // on the partner's list with the pivot as its witness.
+  const std::uint64_t loner = pool.back();
+  std::vector<std::uint64_t> strangers;
+  for (std::size_t i = pool.size() / 2; i + 1 < pool.size(); ++i) {
+    if (truth.bank_of(pool[i]) != truth.bank_of(loner) &&
+        strangers.size() < 24) {
+      strangers.push_back(pool[i]);
+    }
+  }
+  const auto rejected = scan(loner, strangers);
+  EXPECT_EQ(std::count(rejected.member.begin(), rejected.member.end(), 1),
+            0);
+  cached_scan(loner, strangers);
+
+  // A pivot with its own witness list only: a stranger the loner rejected
+  // scans the loner back.
+  cached_scan(strangers.front(), {loner});
+
+  // Votes and designed probes over the pool, half of them cached.
+  std::vector<sim::addr_pair> votes, probes;
+  for (std::size_t i = 1; i + 1 < pool.size(); i += 7) {
+    votes.emplace_back(founder, pool[i]);
+    probes.emplace_back(pool[i + 1], pool[i]);
+  }
+  const auto vote = plan.classify_pairs(votes, true);
+  out.verdicts.push_back(vote.member);
+  out.reused.push_back(vote.reused);
+  const auto probe = plan.probe_pairs(probes);
+  out.verdicts.push_back(probe.sbdr);
+  out.reused.push_back(probe.reused);
+
+  for (std::size_t i = 0; i < pool.size(); i += 5) {
+    for (std::size_t j = i + 1; j < pool.size() && j < i + 40; j += 3) {
+      out.relations.push_back(plan.relation(pool[i], pool[j]));
+    }
+  }
+  out.classes = plan.class_count() - classes_before;
+  const plan_stats& after = plan.stats();
+  out.stats.measurements_issued =
+      after.measurements_issued - before.measurements_issued;
+  out.stats.measurements_saved =
+      after.measurements_saved - before.measurements_saved;
+  out.stats.classes_merged = after.classes_merged - before.classes_merged;
+  out.stats.negatives_recorded =
+      after.negatives_recorded - before.negatives_recorded;
+  out.stats.witnesses_evicted =
+      after.witnesses_evicted - before.witnesses_evicted;
+  out.measurements = controller.measurement_count() - measured_before;
+  return out;
+}
+
+TEST(MeasurementPlan, RecordNumberingNeverReachesAResult) {
+  // Record ids and union-find node ids number addresses in the order the
+  // plan first meets them. The same workload on a fresh plan and on a plan
+  // that first classified unrelated addresses (so every id the workload
+  // creates is shifted) must agree on everything it shows. A throwaway
+  // plan replays that prologue on the fresh plan's fixture, so both
+  // controllers have served the same measurements when the workload
+  // starts.
+  pipeline_fixture fa(1), fb(1);
+  const auto pool = pool_for(fa, {6, 14, 15, 16, 17, 18, 19});
+  rng pick(3);
+  std::vector<std::uint64_t> unrelated;
+  for (const std::uint64_t a : sample_addresses(fa.buffer, 400, pick)) {
+    if (std::find(pool.begin(), pool.end(), a) == pool.end()) {
+      unrelated.push_back(a);
+    }
+  }
+  ASSERT_GT(unrelated.size(), 200u);
+  const std::vector<std::uint64_t> unrelated_partners(unrelated.begin() + 1,
+                                                      unrelated.end());
+
+  measurement_plan fresh(fa.channel);
+  {
+    measurement_plan throwaway(fa.channel);
+    (void)throwaway.classify_partners(unrelated.front(), unrelated_partners,
+                                      default_scan());
+  }
+  measurement_plan shifted(fb.channel);
+  (void)shifted.classify_partners(unrelated.front(), unrelated_partners,
+                                  default_scan());
+  ASSERT_GT(shifted.class_count(), 0u);
+  ASSERT_GT(shifted.stats().classes_merged, 0u);
+  ASSERT_EQ(fa.env.mach().controller().measurement_count(),
+            fb.env.mach().controller().measurement_count());
+
+  const workload_record a = run_numbering_workload(fresh, fa, pool);
+  const workload_record b = run_numbering_workload(shifted, fb, pool);
+  EXPECT_EQ(a.verdicts, b.verdicts);
+  EXPECT_EQ(a.reused, b.reused);
+  EXPECT_EQ(a.relations, b.relations);
+  EXPECT_EQ(a.classes, b.classes);
+  EXPECT_EQ(a.stats.measurements_issued, b.stats.measurements_issued);
+  EXPECT_EQ(a.stats.measurements_saved, b.stats.measurements_saved);
+  EXPECT_EQ(a.stats.classes_merged, b.stats.classes_merged);
+  EXPECT_EQ(a.stats.negatives_recorded, b.stats.negatives_recorded);
+  EXPECT_EQ(a.stats.witnesses_evicted, b.stats.witnesses_evicted);
+  EXPECT_EQ(a.measurements, b.measurements);
+  EXPECT_EQ(fa.env.mach().clock().now_ns(), fb.env.mach().clock().now_ns());
+  // The cached scans (class members, witness role, own witness list) cost
+  // nothing on either plan.
+  EXPECT_EQ(a.cached_scan_cost, (std::vector<std::uint64_t>{0, 0, 0}));
+  EXPECT_EQ(b.cached_scan_cost, a.cached_scan_cost);
+  EXPECT_GT(a.reused[5] + a.reused[6], 0u);  // votes and probes reuse too
+}
+
 }  // namespace
 }  // namespace dramdig::core

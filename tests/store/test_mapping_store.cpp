@@ -778,14 +778,44 @@ TEST(StoreVerify, ConfirmsTruthfulEntry) {
 TEST(StoreVerify, RefutesPoisonedMask) {
   const dram::machine_spec& m = dram::machine_by_number(1);
   store_entry poisoned = entry_for(1);
-  // Replace one stored function with a wrong mask (a row bit pair the
-  // real controller does not XOR into any bank bit).
-  poisoned.bank_functions.back() = (1ull << 20) ^ (1ull << 24);
+  // Replace one stored function, (16,19), with a wrong mask that still
+  // makes a bijection, (16,20): the host-side gate passes it, so only the
+  // designed probes can refute it.
+  poisoned.bank_functions.back() = (1ull << 16) ^ (1ull << 20);
   poisoned.function_span = gf2::row_echelon(poisoned.bank_functions);
+  ASSERT_TRUE(poisoned.mapping().is_bijective());
+  ASSERT_FALSE(poisoned.mapping().equivalent_to(m.mapping));
   core::environment env(m, 42);
   const verify_report report = verify_stored_mapping(env, poisoned);
   EXPECT_FALSE(report.verified);
+  EXPECT_GT(report.deltas_tested, 0u);
+  EXPECT_GT(report.totals.measurements, 0u);
   EXPECT_FALSE(report.failure_reason.empty());
+}
+
+TEST(StoreVerify, RefutesNonBijectiveClaimWithoutMeasuring) {
+  // The top row bit dropped: every function and every other bit is right,
+  // but the claim maps two addresses onto each DRAM location. The gate
+  // refutes it before calibration, so the job costs no measurement.
+  const dram::machine_spec& m = dram::machine_by_number(1);
+  store_entry dropped = entry_for(1);
+  dropped.row_bits.pop_back();
+  ASSERT_FALSE(dropped.mapping().is_bijective());
+  core::environment env(m, 42);
+  const verify_report report = verify_stored_mapping(env, dropped);
+  EXPECT_FALSE(report.verified);
+  EXPECT_EQ(report.failure_reason, "stored mapping is not a bijection");
+  EXPECT_EQ(report.totals.measurements, 0u);
+  EXPECT_EQ(report.deltas_tested, 0u);
+  EXPECT_EQ(env.mach().controller().measurement_count(), 0u);
+
+  // The (20,24) mask of the wrong-function case is not a bijection on
+  // No.1 either (bit 16 is left uncovered): the gate catches it too.
+  store_entry poisoned = entry_for(1);
+  poisoned.bank_functions.back() = (1ull << 20) ^ (1ull << 24);
+  core::environment env2(m, 42);
+  EXPECT_EQ(verify_stored_mapping(env2, poisoned).failure_reason,
+            "stored mapping is not a bijection");
 }
 
 TEST(StoreVerify, RefutesWrongRowBits) {
