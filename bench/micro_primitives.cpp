@@ -209,6 +209,13 @@ void emit_bench_json(const std::string& path, bool smoke) {
   // three batch sizes. Min-of-3 on fresh machines per repetition;
   // min_mps_100k (the slower of decode/measure on the mid tier) is
   // CI-gated (bench/floors.json hot_throughput).
+  //
+  // plan_mps_* votes the shape bank_classifier::partition votes: a pool
+  // of distinct buffer addresses, a plan reserve()d for it, and rounds in
+  // which every pool address votes against one representative (pair =
+  // (representative, address), positives strict-verified as partition's
+  // default config does). kVoteReps representatives make one row's
+  // `pairs` votes; the number is votes per second.
   struct hot_row {
     const char* suffix;
     std::size_t pairs = 0;
@@ -218,6 +225,7 @@ void emit_bench_json(const std::string& path, bool smoke) {
   };
   std::vector<hot_row> hot_rows{
       {"10k", 10000}, {"100k", 100000}, {"1m", 1000000}};
+  constexpr std::size_t kVoteReps = 8;
   {
     rng hot_addr(7);
     std::vector<sim::addr_pair> hot_pairs;
@@ -249,11 +257,37 @@ void emit_bench_json(const std::string& path, bool smoke) {
                                  .calibration_pairs = 1200},
                                 rng(9));
         channel.calibrate(core::sample_addresses(buffer, 1024, cal));
+        // Distinct representatives and a pool of distinct addresses, none
+        // a representative, ascending as a selection pool is.
+        rng draw(13);
+        std::vector<std::uint64_t> reps;
+        while (reps.size() < kVoteReps) {
+          const std::uint64_t a = core::random_buffer_address(buffer, draw);
+          if (std::ranges::find(reps, a) == reps.end()) reps.push_back(a);
+        }
+        std::vector<std::uint64_t> pool;
+        while (pool.size() < row.pairs / kVoteReps) {
+          while (pool.size() < row.pairs / kVoteReps) {
+            pool.push_back(core::random_buffer_address(buffer, draw));
+          }
+          std::ranges::sort(pool);
+          pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+          std::erase_if(pool, [&](std::uint64_t a) {
+            return std::ranges::find(reps, a) != reps.end();
+          });
+        }
+        std::vector<std::vector<sim::addr_pair>> rounds(kVoteReps);
+        for (std::size_t k = 0; k < kVoteReps; ++k) {
+          for (const std::uint64_t a : pool) rounds[k].emplace_back(reps[k], a);
+        }
         core::measurement_plan plan(channel);
+        plan.reserve(kVoteReps + pool.size());
+        const bool verify = core::partition_config{}.verify_positives;
         tick = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(
-            plan.classify_pairs(span, /*verify_positives=*/false)
-                .member.data());
+        for (const auto& round : rounds) {
+          benchmark::DoNotOptimize(
+              plan.classify_pairs(round, verify).member.data());
+        }
         plan_s = std::min(plan_s, wall_seconds_since(tick));
       }
       const auto mps = [&row](double s) {

@@ -43,7 +43,6 @@ store::store_entry entry_from_result(const sysinfo::machine_fingerprint& fp,
   e.row_bits = result.mapping->row_bits();
   e.column_bits = result.mapping->column_bits();
   e.address_bits = result.mapping->address_bits();
-  e.function_span = gf2::row_echelon(e.bank_functions);
   e.pool_size = result.pool_size;
   e.bank_count = result.assumed_bank_count;
   e.threshold_ns = result.threshold_ns;
@@ -181,6 +180,7 @@ void mapping_service::execute_job(const job_spec& job,
   std::vector<store::verification_event> prior_history;
   const char* record_kind = "recovered";
   tool_options options = job.options;
+  core::run_totals refuted;  // cost of a refuted verification
 
   if (plan.decision == kind::verify) {
     // Exact fingerprint hit: a few hundred designed probes spot-check the
@@ -201,31 +201,20 @@ void mapping_service::execute_job(const job_spec& job,
     // the re-run is bit-identical to a cold job, and the poisoned entry
     // is overwritten below with the verify_failed event on its record.
     out.store_hit = "requeued";
+    refuted = vr.totals;
     prior_history = plan.entry->history;
     store::append_history(prior_history,
                           {"verify_failed", job.seed, vr.totals.measurements});
     log_warn("mapping store entry refuted (" + vr.failure_reason +
              "); re-queued as full recovery");
   } else if (plan.decision == kind::warm) {
-    // Geometry sibling: full recovery, warm-started from stored evidence.
+    // Geometry sibling: full recovery, warm-started from the stored
+    // mapping (dramdig_config::warm says which parts a v1-era entry,
+    // bank_count 0, still claims).
     core::dramdig_config cfg = options.dramdig();
-    core::dramdig_config::warm_hints hints;
-    hints.function_span = plan.entry->function_span;
-    // Schema-v2 entries carry the full evidence prior; a v1-era entry
-    // (bank_count 0 = no claim) stays the span-only warm start it always
-    // was. The evidence fields travel together — bit priors and pool
-    // stratification are statements about the same recovering run the
-    // bank count came from.
-    if (plan.entry->bank_count > 0) {
-      if (!plan.entry->bank_functions.empty()) {
-        hints.prior = core::mapping_prior{plan.entry->bank_functions,
-                                          plan.entry->row_bits,
-                                          plan.entry->column_bits};
-      }
-      hints.bank_count = plan.entry->bank_count;
-      hints.threshold_ns = plan.entry->threshold_ns;
-    }
-    cfg.warm = std::move(hints);
+    cfg.warm = core::dramdig_config::warm_hints{
+        plan.entry->mapping(), plan.entry->bank_count,
+        plan.entry->threshold_ns};
     options.with_dramdig(std::move(cfg));
     out.store_hit = "warm";
     record_kind = "warm_recovered";
@@ -241,6 +230,17 @@ void mapping_service::execute_job(const job_spec& job,
       out.result.mapping) {
     update = entry_from_result(plan.fp, job, out.result, record_kind,
                                std::move(prior_history));
+  }
+  if (plan.decision == kind::verify) {
+    // The requeued job also paid for the verification that refuted the
+    // entry (its history event counts only the re-run): it leads the
+    // record as the phase a verify hit reports.
+    out.result.phases.insert(out.result.phases.begin(),
+                             {"verify", refuted.seconds,
+                              refuted.measurements, 0});
+    out.result.virtual_seconds += refuted.seconds;
+    out.result.measurement_count += refuted.measurements;
+    out.result.access_count += refuted.accesses;
   }
 }
 

@@ -61,9 +61,12 @@ struct job_outcome {
   ///   "verify"   — exact fingerprint hit; a few hundred designed probes
   ///                confirmed the stored mapping (store/verify.h),
   ///   "warm"     — geometry-only hit; full recovery ran warm-started
-  ///                from the stored evidence,
+  ///                from the stored mapping,
   ///   "requeued" — exact hit whose verification FAILED; the job re-ran
   ///                as a full recovery and overwrote the poisoned entry.
+  ///                Its result is the cold run's, led by the refuted
+  ///                verification's "verify" phase, whose cost the totals
+  ///                include.
   std::string store_hit;
   /// Why the store save that should have persisted this job's update
   /// failed (the exception text). Empty when it succeeded, when the job

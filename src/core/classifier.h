@@ -72,17 +72,21 @@ class bank_classifier {
   }
   [[nodiscard]] measurement_plan& plan() noexcept { return plan_; }
 
-  /// Fleet warm start: seed the knowledge-assisted prediction with a
-  /// bank-function span recovered on a geometry sibling (the mapping
-  /// store's evidence). The representative driver consults the hint only
-  /// while the accreted pile differences cannot pin the span themselves —
-  /// so trusted prediction (predicted first votes, group-limited founder
-  /// scans) engages from round 0 instead of after several piles. Safety is
-  /// unchanged: every assignment is still measurement-verified, so a wrong
-  /// hint cannot fabricate piles — its group founder piles miss the delta
-  /// window and the call fails. The hint stays installed until clear(),
-  /// which the pipeline's attempt retry calls (a wrong hint costs
-  /// measurements and an attempt, never purity).
+  /// Fleet warm start: seed the knowledge-assisted prediction with the
+  /// span of the bank functions recovered on a geometry sibling (the
+  /// mapping store's stored mapping). Any generating set will do: the
+  /// prediction masks the hint to the pool's bit support and reduces it
+  /// to its canonical row-echelon basis, so the functions and their
+  /// echelon basis give the same hint. The representative driver consults
+  /// the hint only while the accreted pile differences cannot pin the span
+  /// themselves — so trusted prediction (predicted first votes,
+  /// group-limited founder scans) engages from round 0 instead of after
+  /// several piles. Safety is unchanged: every assignment is still
+  /// measurement-verified, so a wrong hint cannot fabricate piles — its
+  /// group founder piles miss the delta window and the call fails. The
+  /// hint stays installed until clear(), which the pipeline's attempt
+  /// retry calls (a wrong hint costs measurements and an attempt, never
+  /// purity).
   void warm_start(gf2::matrix span_hint) { warm_span_ = std::move(span_hint); }
   /// True while a hint is installed.
   [[nodiscard]] bool warm_hint_active() const noexcept {

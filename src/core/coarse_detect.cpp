@@ -18,7 +18,7 @@ constexpr unsigned kVotes = 7;
 
 coarse_result run_coarse_detection(bit_probe_engine& probe,
                                    const domain_knowledge& knowledge, rng& r,
-                                   const mapping_prior* prior) {
+                                   const dram::address_mapping* prior) {
   DRAMDIG_EXPECTS(probe.plan().channel().calibrated());
   coarse_result result;
 
@@ -30,9 +30,9 @@ coarse_result run_coarse_detection(bit_probe_engine& probe,
   // by a strict-grade vote before it decides (bit_probe prior rules).
   std::uint64_t func_union = 0, prior_rows = 0, prior_cols = 0;
   if (prior) {
-    for (const std::uint64_t f : prior->bank_functions) func_union |= f;
-    prior_rows = mask_of_bits(prior->row_bits);
-    prior_cols = mask_of_bits(prior->column_bits);
+    for (const std::uint64_t f : prior->bank_functions()) func_union |= f;
+    prior_rows = mask_of_bits(prior->row_bits());
+    prior_cols = mask_of_bits(prior->column_bits());
   }
 
   // --- Row pass: single-bit deltas, one engine run. ----------------------

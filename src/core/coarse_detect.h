@@ -20,20 +20,10 @@
 
 #include "core/bit_probe.h"
 #include "core/domain_knowledge.h"
+#include "dram/mapping.h"
 #include "util/rng.h"
 
 namespace dramdig::core {
-
-/// A geometry sibling's recovered mapping, offered as an advisory prior
-/// (fleet warm start — store::mapping_store evidence). Consumers derive
-/// per-experiment vote predictions from it; every prediction is still
-/// measurement-confirmed before it decides anything, and a disagreeing
-/// vote drops the prediction for that experiment (bit_probe prior rules).
-struct mapping_prior {
-  std::vector<std::uint64_t> bank_functions;  ///< claimed XOR masks
-  std::vector<unsigned> row_bits;             ///< claimed full row set
-  std::vector<unsigned> column_bits;          ///< claimed full column set
-};
 
 struct coarse_result {
   std::vector<unsigned> row_bits;     ///< row-only bits found by timing
@@ -44,10 +34,13 @@ struct coarse_result {
 
 /// Run Step 1 through a caller-owned probe engine (shared with fine
 /// detection, so both phases accrete one evidence substrate). Requires a
-/// calibrated channel. `prior` is sibling evidence seeding per-bit vote
-/// priors (null = cold).
+/// calibrated channel. `prior` is a geometry sibling's recovered mapping
+/// (fleet warm start, store::mapping_store evidence; null = cold) seeding
+/// per-bit vote priors. Advisory: every prediction is still
+/// measurement-confirmed before it decides, and a disagreeing vote drops
+/// it for that experiment (bit_probe prior rules).
 [[nodiscard]] coarse_result run_coarse_detection(
     bit_probe_engine& probe, const domain_knowledge& knowledge, rng& r,
-    const mapping_prior* prior = nullptr);
+    const dram::address_mapping* prior = nullptr);
 
 }  // namespace dramdig::core

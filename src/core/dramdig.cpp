@@ -62,20 +62,21 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
   // re-resolves surviving classes without measurements.
   measurement_plan plan(channel);
   bank_classifier engine(plan);
-  // Fleet warm start: stored sibling evidence seeds the classifier's span
-  // prediction. Attempt retries clear() it, so a hint that failed an
-  // attempt never poisons the next one.
-  if (config_.warm && !config_.warm->function_span.empty()) {
-    engine.warm_start(config_.warm->function_span);
-  }
-  // Fleet warm start, bit classification: the stored mapping seeds
-  // per-bit vote priors for the coarse passes and the fine confirmations
-  // (null = cold). Advisory per experiment — a disagreeing strict-grade
-  // vote drops the prior for that bit and the standard majority decides;
-  // fine also gates it on span agreement with the detected functions.
-  const mapping_prior* prior =
-      config_.warm && config_.warm->prior ? &*config_.warm->prior : nullptr;
-  const unsigned warm_banks = config_.warm ? config_.warm->bank_count : 0;
+  // Fleet warm start: the stored sibling mapping's function span seeds the
+  // classifier's prediction. Attempt retries clear() it, so a hint that
+  // failed an attempt never poisons the next one.
+  const dramdig_config::warm_hints* warm =
+      config_.warm ? &*config_.warm : nullptr;
+  if (warm) engine.warm_start(warm->claim.bank_functions());
+  // A claim with a bank count (schema v2 evidence) is also the bit prior:
+  // it seeds per-bit vote priors for the coarse passes and the fine
+  // confirmations (null = cold, and a v1-era entry claims only the span).
+  // Advisory per experiment — a disagreeing strict-grade vote drops the
+  // prior for that bit and the standard majority decides; fine also gates
+  // it on span agreement with the detected functions.
+  const dram::address_mapping* prior =
+      warm && warm->bank_count > 0 ? &warm->claim : nullptr;
+  const unsigned warm_banks = prior ? warm->bank_count : 0;
   // The designed-experiment engine behind the coarse and fine phases: one
   // engine per run so both phases vote on one evidence substrate. Its
   // per-round progress streams through the phase-event observer when one
@@ -128,7 +129,7 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
     // prior-validated early stop (0 = none). The threshold is still
     // computed from this machine's own samples.
     out.threshold_ns = channel.calibrate(
-        pool, config_.warm ? config_.warm->threshold_ns : 0.0);
+        pool, prior ? warm->threshold_ns : 0.0);
     phase.add_pairs(channel.calibration_pairs_used());
   }
   log_info("dramdig: threshold " + std::to_string(out.threshold_ns) + "ns");
@@ -213,12 +214,12 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
   // function resolution is known to survive it; the cap bounds how
   // aggressive the cut gets on the 16k-address pools.
   bool pool_subsampled = false;
-  if (prior != nullptr && prior->bank_functions.size() < 32 &&
-      (std::size_t{1} << prior->bank_functions.size()) == warm_banks &&
+  if (prior != nullptr && prior->bank_functions().size() < 32 &&
+      (std::size_t{1} << prior->bank_functions().size()) == warm_banks &&
       pool.size() / warm_banks >= 2 * 8) {
     const std::size_t kWarmQuota =
         std::clamp<std::size_t>(pool.size() / warm_banks / 2, 8, 64);
-    const std::vector<std::uint64_t>& funcs = prior->bank_functions;
+    const std::vector<std::uint64_t>& funcs = prior->bank_functions();
     std::vector<std::vector<std::uint64_t>> strata(warm_banks);
     for (const std::uint64_t a : pool) strata[bank_id(a, funcs)].push_back(a);
     bool quorate = true;

@@ -31,7 +31,6 @@
 #include "core/run_record.h"
 #include "dram/mapping.h"
 #include "timing/channel.h"
-#include "util/gf2.h"
 
 namespace dramdig::core {
 
@@ -43,24 +42,25 @@ struct dramdig_config {
   /// Partition/function-resolution attempts before giving up (>= 1).
   unsigned max_attempts = 3;
   /// Fleet warm start (filled by the api layer from a mapping-store
-  /// geometry hit — see src/store). The span hint seeds the classifier's
-  /// knowledge-assisted prediction so trusted vote ordering and group
-  /// founder scans engage from round 0; the full evidence prior (schema v2 entries) feeds
-  /// every phase: the sibling threshold authorizes an early calibration
-  /// stop once local estimates confirm it, the bit classification seeds
-  /// coarse/fine vote priors, the stored functions stratify the partition
-  /// pool to an exact per-predicted-bank quota, and the bank-count sweep
-  /// starts at the stored count. Hints are advisory: every assignment is
-  /// still measurement-verified, a contradicted claim is dropped where it
-  /// was refuted (prior per experiment; span and subsample on the attempt
+  /// geometry hit — see src/store): the sibling's stored mapping is the
+  /// one claim. Its bank-function span always seeds the classifier's
+  /// knowledge-assisted prediction (bank_classifier::warm_start), so
+  /// trusted vote ordering and group founder scans engage from round 0.
+  /// With a bank count (schema v2 entries; 0 = a v1-era entry, which
+  /// claims only the span) the claim feeds every phase: the sibling
+  /// threshold authorizes an early calibration stop once local estimates
+  /// confirm it, the bit classification seeds coarse/fine vote priors, the
+  /// stored functions stratify the partition pool to an exact
+  /// per-predicted-bank quota, and the bank-count sweep starts at the
+  /// stored count. Hints are advisory: every assignment is still
+  /// measurement-verified, a contradicted claim is dropped where it was
+  /// refuted (prior per experiment; span and subsample on the attempt
   /// retry), and a failed attempt retries cold — so a wrong hint can cost
   /// measurements but never the recovered mapping.
   struct warm_hints {
-    gf2::matrix function_span;      ///< claimed bank-function span basis
-    // --- evidence prior (absent/zero on v1-era store entries) ---
-    std::optional<mapping_prior> prior;  ///< claimed functions, rows, cols
-    unsigned bank_count = 0;             ///< claimed bank count
-    double threshold_ns = 0.0;           ///< sibling threshold
+    dram::address_mapping claim;  ///< the sibling's recovered mapping
+    unsigned bank_count = 0;      ///< claimed bank count (0 = span only)
+    double threshold_ns = 0.0;    ///< sibling threshold
   };
   std::optional<warm_hints> warm{};
   /// Ablation switches: without system information the tool must guess the

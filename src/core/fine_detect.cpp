@@ -35,7 +35,7 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
                                 const domain_knowledge& knowledge,
                                 const coarse_result& coarse,
                                 const std::vector<std::uint64_t>& bank_functions,
-                                rng& r, const mapping_prior* prior) {
+                                rng& r, const dram::address_mapping* prior) {
   DRAMDIG_EXPECTS(!bank_functions.empty());
   fine_outcome out;
   out.row_bits = coarse.row_bits;
@@ -54,9 +54,9 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
   // row mask.
   std::uint64_t prior_rows = 0;
   const bool prior_usable =
-      prior && !prior->bank_functions.empty() &&
-      gf2::same_span(bank_functions, prior->bank_functions);
-  if (prior_usable) prior_rows = mask_of_bits(prior->row_bits);
+      prior && !prior->bank_functions().empty() &&
+      gf2::same_span(bank_functions, prior->bank_functions());
+  if (prior_usable) prior_rows = mask_of_bits(prior->row_bits());
 
   // ---- Shared row bits -------------------------------------------------
   // Candidate = a function's highest bit (the paper: "consider the higher

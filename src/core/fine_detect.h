@@ -30,6 +30,7 @@
 #include "core/bit_probe.h"
 #include "core/coarse_detect.h"
 #include "core/domain_knowledge.h"
+#include "dram/mapping.h"
 #include "util/rng.h"
 
 namespace dramdig::core {
@@ -59,6 +60,6 @@ struct fine_outcome {
     bit_probe_engine& probe, const domain_knowledge& knowledge,
     const coarse_result& coarse,
     const std::vector<std::uint64_t>& bank_functions, rng& r,
-    const mapping_prior* prior = nullptr);
+    const dram::address_mapping* prior = nullptr);
 
 }  // namespace dramdig::core

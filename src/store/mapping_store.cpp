@@ -136,9 +136,6 @@ std::string render_entry(const store_entry& e, std::uint64_t hash,
   w.end_array();
   w.key("address_bits").value(e.address_bits);
   w.end_object();
-  w.key("function_span").begin_array();
-  for (const std::uint64_t f : e.function_span) w.value(f);
-  w.end_array();
   w.key("evidence").begin_object();
   w.key("pool_size").value(e.pool_size);
   w.key("bank_count").value(e.bank_count);
@@ -175,7 +172,6 @@ store_entry read_entry(const json_value& e) {
   entry.row_bits = read_number_array<unsigned>(m.at("row_bits"));
   entry.column_bits = read_number_array<unsigned>(m.at("column_bits"));
   entry.address_bits = static_cast<unsigned>(m.at("address_bits").as_u64());
-  entry.function_span = read_number_array<std::uint64_t>(e.at("function_span"));
   const json_value& ev = e.at("evidence");
   entry.pool_size = ev.at("pool_size").as_u64();
   // v2 evidence keys; absent on v1 documents -> zero = no claim, so a v1

@@ -4,18 +4,17 @@
 // service meets millions of near-identical machines and should pay that
 // cost once per hardware configuration, not once per host. The store is
 // that memory: each entry keys a machine fingerprint (sysinfo — CPU model
-// plus DIMM geometry) to the recovered mapping, the bank-function span,
-// the classifier evidence that produced it, and the entry's verification
-// history. The api::mapping_service consults it before
-// dispatch: an exact fingerprint hit becomes a cheap verification job
-// (store/verify.h), a geometry-only hit warm-starts a full run, and only
-// a cold miss pays full recovery.
+// plus DIMM geometry) to the recovered mapping, the classifier evidence
+// that produced it, and the entry's verification history. The
+// api::mapping_service consults it before dispatch: an exact fingerprint
+// hit becomes a cheap verification job (store/verify.h), a geometry-only
+// hit warm-starts a full run, and only a cold miss pays full recovery.
 //
 // On-disk format, schema v3: an append-only JSON-lines log. This is the
 // one description of the store schema; tool_result::to_json points here.
 //
 //   {"store": "dramdig-mapping-store", "version": 3}
-//   {"fingerprint": {...}, "mapping": {...}, "function_span": [...], ...}
+//   {"fingerprint": {...}, "mapping": {...}, "evidence": {...}, ...}
 //   {"fingerprint": {...}, ...}
 //
 // The first line is the header. Every later line is one entry record,
@@ -28,7 +27,6 @@
 //                      "hash": ..., "geometry_hash": ... },
 //     "mapping": { "bank_functions": [...], "row_bits": [...],
 //                  "column_bits": [...], "address_bits": ... },
-//     "function_span": [...],          // row-echelon basis of the span
 //     "evidence": { "pool_size": ..., "bank_count": ...,
 //                   "threshold_ns": ... },
 //     "history": [ { "kind": "recovered|verified|verify_failed|
@@ -39,9 +37,13 @@
 // first: a fleet re-verifies one entry on every job, so an unbounded
 // history would grow every record, and every save, without end.
 //
-// Records written before the evidence digest was dropped also carry an
-// evidence "digest" key (v1 and v2 documents always do); the loader
-// ignores it, so those files load unchanged and without a warning.
+// The mapping is the entry's one claim: a warm run derives the
+// bank-function span from its bank_functions (dramdig_config::warm), so no
+// stored copy can disagree with them. Records written before that carry a
+// "function_span" key beside the mapping, and records written before the
+// evidence digest was dropped carry an evidence "digest" key (v1 and v2
+// documents always carry both); the loader ignores both keys, so those
+// files load unchanged and without a warning.
 //
 // Masks and bit lists are numeric (util/json.h round-trips 64-bit values
 // exactly), unlike tool_result's display strings. The evidence block's
@@ -86,8 +88,8 @@
 // {"store": ..., "version": 1|2, "entries": [<entry>, ...]}. They load
 // without a warning, and the first save rewrites the file as a v3 log.
 // v1 evidence blocks carry only {digest, pool_size}: the v2 keys read as
-// zero, i.e. "no claim", and every warm consumer treats the entry as the
-// span-only prior it always was.
+// zero, i.e. "no claim", and a warm run uses such an entry only for the
+// span of its bank functions, the prior it always was.
 //
 // Each entry's fingerprint hashes and record text are computed once, when
 // put() or the load brings the entry in; lookups compare the cached
@@ -132,13 +134,11 @@ struct store_entry {
   std::vector<unsigned> row_bits;
   std::vector<unsigned> column_bits;
   unsigned address_bits = 0;
-  /// Row-echelon basis of the bank-function span — the classifier's
-  /// warm-start hint (core/classifier.h warm_start).
+  /// function_span and evidence_digest are neither written nor read by
+  /// the library. They are kept, with compute_evidence_digest(), only
+  /// because the benchmark harness (perfbench/src/workloads.cpp) still
+  /// assigns them; delete all three with the next benchmark change.
   gf2::matrix function_span;
-  /// Neither stored nor read by the library. Kept, with
-  /// compute_evidence_digest(), only because the benchmark harness
-  /// (perfbench/src/workloads.cpp) still assigns it; delete both with the
-  /// next change to the benchmark.
   std::uint64_t evidence_digest = 0;
   /// Selection-pool size of the recovering run (stored evidence; the
   /// partition pre-sizes the measurement plan from its own pool).

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "core/bit_probe.h"
+#include "core/domain_knowledge.h"
 #include "core/measurement_plan.h"
 #include "core/probe_util.h"
 #include "sysinfo/system_info.h"
@@ -35,6 +36,43 @@ constexpr unsigned kVotes = 5;
 /// Seed of the verifier's own rng stream.
 constexpr std::uint64_t kToolSeed = 1;
 
+/// Why `claim` cannot be the mapping of the machine `info` describes,
+/// decided without a measurement (empty = no contradiction): it must be a
+/// bijection, and its geometry must be the one the paper's domain
+/// knowledge fixes — system information gives the address width and the
+/// bank count, the JEDEC spec the row and column counts. Probes cannot be
+/// trusted to catch these: a dropped row bit reads like any other
+/// same-bank, same-row delta.
+std::string refute_by_knowledge(const dram::address_mapping& claim,
+                                const sysinfo::system_info& info) {
+  if (!claim.is_bijective()) return "stored mapping is not a bijection";
+  const core::domain_knowledge known =
+      core::domain_knowledge::from_system_info(info);
+  const auto claims = [](std::size_t count, const char* what,
+                         unsigned expected, const std::string& source) {
+    return "stored mapping claims " + std::to_string(count) + " " + what +
+           " where " + source + " gives " + std::to_string(expected);
+  };
+  if (claim.address_bits() != known.address_bits) {
+    return claims(claim.address_bits(), "address bits", known.address_bits,
+                  "the installed memory");
+  }
+  if (claim.bank_functions().size() != known.bank_function_count) {
+    return claims(claim.bank_functions().size(), "bank functions",
+                  known.bank_function_count,
+                  "a bank count of " + std::to_string(known.total_banks));
+  }
+  if (claim.row_bits().size() != known.expected_row_bits) {
+    return claims(claim.row_bits().size(), "row bits",
+                  known.expected_row_bits, "the DIMM spec");
+  }
+  if (claim.column_bits().size() != known.expected_column_bits) {
+    return claims(claim.column_bits().size(), "column bits",
+                  known.expected_column_bits, "the DIMM spec");
+  }
+  return {};
+}
+
 }  // namespace
 
 verify_report verify_stored_mapping(core::environment& env,
@@ -42,13 +80,13 @@ verify_report verify_stored_mapping(core::environment& env,
   verify_report report;
   auto& mc = env.mach().controller();
   const core::run_meter meter(mc, {});
-  // Zero-measurement gate: a claim that is not a bijection is no
-  // machine's mapping, and probes cannot be trusted to catch it (a dropped
-  // row bit reads like any other same-bank, same-row delta).
-  if (!entry.mapping().is_bijective()) {
-    report.failure_reason = "stored mapping is not a bijection";
+  const sysinfo::system_info info = sysinfo::probe(env.spec());
+  // Zero-measurement gate, before calibration.
+  report.failure_reason = refute_by_knowledge(entry.mapping(), info);
+  if (!report.failure_reason.empty()) {
     report.totals = meter.totals();
-    log_info("store.verify: REFUTED (not a bijection, 0 measurements)");
+    log_info("store.verify: REFUTED (" + report.failure_reason +
+             ", 0 measurements)");
     return report;
   }
   // Distinct stream from the recovery pipeline's rng, so a verification
@@ -57,7 +95,6 @@ verify_report verify_stored_mapping(core::environment& env,
         0xc2b2ae3d27d4eb4full);
   timing::channel channel(mc, kChannel, r.fork());
 
-  const sysinfo::system_info info = sysinfo::probe(env.spec());
   const os::mapping_region& buffer = env.space().map_buffer(
       static_cast<std::uint64_t>(kBufferFraction *
                                  static_cast<double>(info.total_bytes)));

@@ -15,8 +15,11 @@
 //     flips that function's parity, so the bank must change) plus a
 //     bank-clean column bit (same bank, same row): SBDR must vote false.
 //
-// Before any probe, a claim that is not a bijection (address_mapping::
-// is_bijective) is refuted with zero measurements.
+// Before any probe, a claim is refuted with zero measurements when it is
+// not a bijection (address_mapping::is_bijective) or when its geometry
+// disagrees with the paper's domain knowledge of this machine
+// (core::domain_knowledge): address bits and bank count from system
+// information, row and column counts from the DIMM spec.
 //
 // A wrong stored mask fails both ways: its claimed null space leaks into
 // a true function (positives vote false), and its claimed function bits

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/environment.h"
 #include "dram/presets.h"
 #include "store/mapping_store.h"
+#include "store/verify.h"
 #include "sysinfo/system_info.h"
 #include "util/expect.h"
 #include "util/gf2.h"
@@ -304,14 +306,16 @@ TEST(MappingServiceStore, PoisonedEntryRequeuesAsFullRecoveryAndOverwrites) {
   const dram::machine_spec& m = dram::machine_by_number(1);
   store::mapping_store store;
   // Seed the store with a poisoned entry: right fingerprint, one wrong
-  // bank-function mask.
+  // bank-function mask, (16,19) -> (16,20). The claim is still a
+  // bijection with the right counts, so only the designed probes refute it.
+  store::store_entry poisoned;
   {
     mapping_service seeder({.threads = 1, .store = &store});
     (void)seeder.run({fleet_job(m)});
-    auto entry = *store.find_exact(sysinfo::fingerprint(m));
-    entry.bank_functions.back() = (1ull << 20) ^ (1ull << 24);
-    entry.function_span = gf2::row_echelon(entry.bank_functions);
-    store.put(std::move(entry));
+    poisoned = *store.find_exact(sysinfo::fingerprint(m));
+    poisoned.bank_functions.back() = (1ull << 16) ^ (1ull << 20);
+    ASSERT_TRUE(poisoned.mapping().is_bijective());
+    store.put(poisoned);
   }
 
   mapping_service service({.threads = 1, .store = &store});
@@ -320,18 +324,48 @@ TEST(MappingServiceStore, PoisonedEntryRequeuesAsFullRecoveryAndOverwrites) {
   EXPECT_EQ(outcomes[0].store_hit, "requeued");
   EXPECT_TRUE(outcomes[0].result.verified);
 
-  // The re-run is bit-identical to a storeless cold run (fresh
-  // environment, no hints), and the poisoned entry is overwritten with
-  // the true functions plus an audit trail of the refutation.
+  // The job pays for the refuted verification: it leads the record as a
+  // "verify" phase and is in the totals. The verifier is deterministic, so
+  // a direct call on a fresh environment gives its exact cost.
+  core::environment verify_env(m, 42);
+  const store::verify_report vr =
+      store::verify_stored_mapping(verify_env, poisoned);
+  ASSERT_FALSE(vr.verified);
+  ASSERT_GT(vr.totals.measurements, 0u);
+  const tool_result& result = outcomes[0].result;
+  ASSERT_FALSE(result.phases.empty());
+  EXPECT_EQ(result.phases.front().name, "verify");
+  EXPECT_EQ(result.phases.front().seconds, vr.totals.seconds);
+  EXPECT_EQ(result.phases.front().measurements, vr.totals.measurements);
+
+  // The re-run itself is bit-identical to a storeless cold run (fresh
+  // environment, no hints): every other field equals the cold record, and
+  // the totals are the cold run's plus the verification's.
   const auto reference = mapping_service({.threads = 1}).run({fleet_job(m)});
-  EXPECT_EQ(outcomes[0].result.to_json_string(),
-            reference[0].result.to_json_string());
+  const tool_result& cold = reference[0].result;
+  EXPECT_EQ(result.virtual_seconds, cold.virtual_seconds + vr.totals.seconds);
+  EXPECT_EQ(result.measurement_count,
+            cold.measurement_count + vr.totals.measurements);
+  EXPECT_EQ(result.access_count, cold.access_count + vr.totals.accesses);
+  tool_result rerun = result;
+  rerun.phases.erase(rerun.phases.begin());
+  rerun.virtual_seconds = cold.virtual_seconds;
+  rerun.measurement_count = cold.measurement_count;
+  rerun.access_count = cold.access_count;
+  EXPECT_EQ(rerun.to_json_string(), cold.to_json_string());
+
+  // The poisoned entry is overwritten with the true functions plus an
+  // audit trail of the refutation; each event counts its own cost.
   const auto entry = store.find_exact(sysinfo::fingerprint(m));
   ASSERT_TRUE(entry);
-  EXPECT_EQ(entry->bank_functions, reference[0].result.mapping->bank_functions());
+  EXPECT_EQ(entry->bank_functions, cold.mapping->bank_functions());
   ASSERT_GE(entry->history.size(), 2u);
-  EXPECT_EQ(entry->history[entry->history.size() - 2].kind, "verify_failed");
+  const store::verification_event& failed =
+      entry->history[entry->history.size() - 2];
+  EXPECT_EQ(failed.kind, "verify_failed");
+  EXPECT_EQ(failed.measurements, vr.totals.measurements);
   EXPECT_EQ(entry->history.back().kind, "recovered");
+  EXPECT_EQ(entry->history.back().measurements, cold.measurement_count);
 }
 
 TEST(MappingServiceStore, GeometrySiblingWarmStartsFullRecovery) {
@@ -387,6 +421,60 @@ TEST(MappingServiceStore, ColdRunPersistsEvidenceAndSiblingWarmStartHalves) {
             cold[0].result.measurement_count / 2);
 }
 
+TEST(MappingServiceStore, StoredSpanKeyNeverReachesAWarmRun) {
+  // Logs written before the mapping became an entry's one claim carry a
+  // "function_span" key beside each record's mapping, and the fingerprint
+  // hashes do not cover it. A record whose span contradicts its bank
+  // functions must warm-start a geometry sibling exactly as a consistent
+  // record does: the run derives the span from the stored functions.
+  const dram::machine_spec& m = dram::machine_by_number(6);
+  const std::string path = testing::TempDir() + "dramdig_service_span.json";
+  std::remove(path.c_str());
+  {
+    store::mapping_store store(path);
+    mapping_service seeder({.threads = 1, .store = &store});
+    ASSERT_EQ(seeder.run({fleet_job(m)})[0].store_hit, "cold");
+  }
+  const std::string log = read_file(path);
+  const auto entry =
+      store::mapping_store(path).find_exact(sysinfo::fingerprint(m));
+  ASSERT_TRUE(entry);
+  // The log with its record's span key set to `span`.
+  const auto with_span = [&](const gf2::matrix& span) {
+    std::string out = std::regex_replace(
+        log, std::regex(R"("function_span": \[[^\]]*\], )"), "");
+    std::string key = "\"function_span\": [";
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      key += (i == 0 ? "" : ", ") + std::to_string(span[i]);
+    }
+    key += "], ";
+    const std::size_t evidence = out.find("\"evidence\": {");
+    EXPECT_NE(evidence, std::string::npos);
+    out.insert(evidence, key);
+    return out;
+  };
+  const gf2::matrix consistent = gf2::row_echelon(entry->bank_functions);
+  gf2::matrix mismatched = consistent;
+  mismatched.front() ^= mismatched.front() & (~mismatched.front() + 1);
+  ASSERT_FALSE(gf2::same_span(mismatched, consistent));
+
+  dram::machine_spec sibling = m;
+  sibling.cpu_model = "i7-6700";  // same board geometry, different CPU
+  std::vector<std::string> records;
+  for (const gf2::matrix& span : {consistent, mismatched}) {
+    write_file(path, with_span(span));
+    store::mapping_store store(path);
+    EXPECT_TRUE(store.load_warning().empty());
+    mapping_service service({.threads = 1, .store = &store});
+    const auto outcomes = service.run({fleet_job(sibling)});
+    ASSERT_EQ(outcomes[0].store_hit, "warm");
+    EXPECT_TRUE(outcomes[0].result.verified);
+    records.push_back(outcomes[0].result.to_json_string());
+  }
+  EXPECT_EQ(records[1], records[0]);
+  std::remove(path.c_str());
+}
+
 TEST(MappingServiceStore, PoisonedWarmPriorStillConvergesViaVerification) {
   // A geometry hit whose stored evidence is wrong in every dimension the
   // warm path consumes: masks, bit classification, bank count, threshold.
@@ -400,7 +488,6 @@ TEST(MappingServiceStore, PoisonedWarmPriorStillConvergesViaVerification) {
   (void)seeder.run({fleet_job(m)});
   auto entry = *store.find_exact(sysinfo::fingerprint(m));
   entry.bank_functions.back() = (1ull << 20) ^ (1ull << 24);
-  entry.function_span = gf2::row_echelon(entry.bank_functions);
   std::swap(entry.row_bits, entry.column_bits);
   entry.bank_count = entry.bank_count == 8 ? 64 : 8;
   entry.threshold_ns *= 3.0;

@@ -21,7 +21,6 @@
 #include "dram/presets.h"
 #include "store/verify.h"
 #include "sysinfo/system_info.h"
-#include "util/gf2.h"
 #include "util/json.h"
 
 namespace dramdig::store {
@@ -51,7 +50,6 @@ store_entry entry_for(int machine_number, std::uint64_t seed = 42) {
   e.row_bits = m.mapping.row_bits();
   e.column_bits = m.mapping.column_bits();
   e.address_bits = m.mapping.address_bits();
-  e.function_span = gf2::row_echelon(e.bank_functions);
   e.pool_size = 4096;
   e.bank_count = m.mapping.bank_count();
   e.threshold_ns = 250.5;
@@ -75,7 +73,6 @@ store_entry literal_entry() {
   e.row_bits = {18, 19, 20, 21};
   e.column_bits = {0, 1, 2, 3, 4, 5};
   e.address_bits = 33;
-  e.function_span = e.bank_functions;
   e.pool_size = 4096;
   e.bank_count = 32;
   e.threshold_ns = 287.12345678901234;
@@ -172,7 +169,6 @@ const std::string kLiteralRecord =
     "\"mapping\": {\"bank_functions\": [8256, 278528, 557056, 1114112, "
     "2228224], \"row_bits\": [18, 19, 20, 21], "
     "\"column_bits\": [0, 1, 2, 3, 4, 5], \"address_bits\": 33}, "
-    "\"function_span\": [8256, 278528, 557056, 1114112, 2228224], "
     "\"evidence\": {\"pool_size\": 4096, \"bank_count\": 32, "
     "\"threshold_ns\": 287.123456789012}, "
     "\"history\": [{\"kind\": \"recovered\", \"seed\": 42, "
@@ -530,7 +526,7 @@ TEST(MappingStore, V1DocumentLoadsAsSpanOnlyPriorWithoutWarning) {
   ASSERT_EQ(store.size(), 1u);
   const auto hit = store.find_exact(literal_entry().fingerprint);
   ASSERT_TRUE(hit);
-  EXPECT_FALSE(hit->function_span.empty());
+  EXPECT_EQ(hit->bank_functions, literal_entry().bank_functions);
   EXPECT_EQ(hit->pool_size, 4096u);
   EXPECT_EQ(hit->bank_count, 0u);
   EXPECT_EQ(hit->threshold_ns, 0.0);
@@ -558,6 +554,24 @@ TEST(MappingStore, V3RecordWithEvidenceDigestLoadsWithoutWarning) {
   EXPECT_TRUE(store.load_warning().empty());
   ASSERT_EQ(store.size(), 1u);
   EXPECT_EQ(store.to_json(), kV3Header + kLiteralRecord);
+}
+
+TEST(MappingStore, RecordWithFunctionSpanLoadsWithoutWarning) {
+  // Logs written while entries stored a copy of their span have a
+  // "function_span" key after the mapping. It loads silently and is
+  // dropped, even when it contradicts the bank functions (the fingerprint
+  // hashes do not cover it): the reloaded store renders today's record.
+  temp_path path("v3span");
+  std::string record = kLiteralRecord;
+  const std::string evidence = "\"evidence\": {";
+  record.insert(record.find(evidence),
+                "\"function_span\": [8256, 278528, 557056, 1114112, 8], ");
+  write_file(path.str(), kV3Header + record);
+  const mapping_store store(path.str());
+  EXPECT_TRUE(store.load_warning().empty());
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.to_json(), kV3Header + kLiteralRecord);
+  EXPECT_EQ(store.entries()[0].bank_functions, literal_entry().bank_functions);
 }
 
 TEST(MappingStore, V2WithTruncatedEvidenceBlockDegradesToV1Behavior) {
@@ -765,14 +779,19 @@ TEST(MappingStore, SaveWithoutPathIsNoOp) {
 }
 
 TEST(StoreVerify, ConfirmsTruthfulEntry) {
-  const dram::machine_spec& m = dram::machine_by_number(1);
-  core::environment env(m, 42);
-  const verify_report report = verify_stored_mapping(env, entry_for(1));
-  EXPECT_TRUE(report.verified) << report.failure_reason;
-  EXPECT_EQ(report.mismatches, 0u);
-  EXPECT_GT(report.positives_tested, 0u);
-  EXPECT_GT(report.negatives_tested, 0u);
-  EXPECT_GT(report.totals.measurements, 0u);
+  // Every Table II truth passes the zero-measurement gate (the paper's
+  // domain knowledge fixes its counts) and the designed probes.
+  for (int n = 1; n <= 9; ++n) {
+    const dram::machine_spec& m = dram::machine_by_number(n);
+    core::environment env(m, 42);
+    const verify_report report = verify_stored_mapping(env, entry_for(n));
+    EXPECT_TRUE(report.verified) << m.label() << ": "
+                                 << report.failure_reason;
+    EXPECT_EQ(report.mismatches, 0u) << m.label();
+    EXPECT_GT(report.positives_tested, 0u) << m.label();
+    EXPECT_GT(report.negatives_tested, 0u) << m.label();
+    EXPECT_GT(report.totals.measurements, 0u) << m.label();
+  }
 }
 
 TEST(StoreVerify, RefutesPoisonedMask) {
@@ -782,7 +801,6 @@ TEST(StoreVerify, RefutesPoisonedMask) {
   // makes a bijection, (16,20): the host-side gate passes it, so only the
   // designed probes can refute it.
   poisoned.bank_functions.back() = (1ull << 16) ^ (1ull << 20);
-  poisoned.function_span = gf2::row_echelon(poisoned.bank_functions);
   ASSERT_TRUE(poisoned.mapping().is_bijective());
   ASSERT_FALSE(poisoned.mapping().equivalent_to(m.mapping));
   core::environment env(m, 42);
@@ -816,6 +834,49 @@ TEST(StoreVerify, RefutesNonBijectiveClaimWithoutMeasuring) {
   core::environment env2(m, 42);
   EXPECT_EQ(verify_stored_mapping(env2, poisoned).failure_reason,
             "stored mapping is not a bijection");
+}
+
+TEST(StoreVerify, RefutesClaimsThatContradictDomainKnowledgeWithoutMeasuring) {
+  // Bijective claims whose geometry the machine's system information and
+  // DIMM spec rule out: refuted before calibration, at no measurement,
+  // with the disagreeing count named.
+  const dram::machine_spec& m = dram::machine_by_number(1);
+  const auto refute = [&](const store_entry& claim) {
+    EXPECT_TRUE(claim.mapping().is_bijective());
+    core::environment env(m, 42);
+    const verify_report report = verify_stored_mapping(env, claim);
+    EXPECT_FALSE(report.verified);
+    EXPECT_EQ(report.totals.measurements, 0u);
+    EXPECT_EQ(report.deltas_tested, 0u);
+    EXPECT_EQ(env.mach().controller().measurement_count(), 0u);
+    return report.failure_reason;
+  };
+
+  // The top row bit claimed as a one-bit bank function: twice the banks.
+  const std::size_t functions = m.mapping.bank_functions().size();
+  store_entry extra_function = entry_for(1);
+  extra_function.bank_functions.push_back(std::uint64_t{1}
+                                          << extra_function.row_bits.back());
+  extra_function.row_bits.pop_back();
+  EXPECT_EQ(refute(extra_function),
+            "stored mapping claims " + std::to_string(functions + 1) +
+                " bank functions where a bank count of " +
+                std::to_string(m.mapping.bank_count()) + " gives " +
+                std::to_string(functions));
+
+  // The lowest row bit claimed as a column bit.
+  store_entry moved_row = entry_for(1);
+  const unsigned lowest_row = moved_row.row_bits.front();
+  moved_row.row_bits.erase(moved_row.row_bits.begin());
+  moved_row.column_bits.insert(
+      std::upper_bound(moved_row.column_bits.begin(),
+                       moved_row.column_bits.end(), lowest_row),
+      lowest_row);
+  EXPECT_EQ(refute(moved_row),
+            "stored mapping claims " +
+                std::to_string(m.mapping.row_bits().size() - 1) +
+                " row bits where the DIMM spec gives " +
+                std::to_string(m.mapping.row_bits().size()));
 }
 
 TEST(StoreVerify, RefutesWrongRowBits) {
