@@ -31,7 +31,6 @@
 #include "core/environment.h"
 #include "core/probe_util.h"
 #include "dram/presets.h"
-#include "sysinfo/system_info.h"
 #include "sim/machine.h"
 #include "sim/profiles.h"
 #include "util/bitops.h"
@@ -486,22 +485,18 @@ void emit_bench_json(const std::string& path, bool smoke) {
                                 host_sim_ns * 1e-9 /
                                 std::max(host_job_s, 1e-12);
 
-  // Fleet warm start: the same machine run four ways through the mapping
+  // Fleet warm start: the same machine run three ways through the mapping
   // store — cold (empty store, full recovery), verify (exact fingerprint
-  // hit, a few hundred designed probes), warm (geometry sibling, full
-  // recovery warm-started from the stored v2 evidence prior: threshold,
-  // bit classification, functions, bank count), and span-only warm (the
-  // same sibling against a v1-era entry stripped of evidence — the
-  // pre-evidence warm path, kept as the contrast run). Two acceptance
-  // metrics: a verify hit must cost >=80% fewer measurements
-  // (bench/floors.json warm_reduction) and an evidence-carrying warm run
-  // >=50% fewer (warm_evidence_reduction), both while reproducing
+  // hit, a few hundred designed probes) and warm (geometry sibling, full
+  // recovery warm-started from the stored claim: the mapping and the
+  // calibration threshold). Two acceptance metrics: a verify hit must
+  // cost >=80% fewer measurements (bench/floors.json warm_reduction) and
+  // a warm run >=50% fewer (warm_evidence_reduction), both while reproducing
   // the stored mapping bit-identically. Machine No.1 is the fleet's
   // WORST warm case (smallest pool, so the partition stratification
   // never fires) — a floor that holds here holds fleet-wide.
   const auto fleet_spec = dram::machine_by_number(1);
   std::uint64_t fleet_cold_m = 0, fleet_verify_m = 0, fleet_warm_m = 0;
-  std::uint64_t fleet_span_only_m = 0;
   bool fleet_mapping_identical = false, fleet_hits_ok = false;
   bool fleet_warm_identical = false;
   {
@@ -516,28 +511,9 @@ void emit_bench_json(const std::string& path, bool smoke) {
     dram::machine_spec sibling = fleet_spec;
     sibling.cpu_model += " (geometry sibling)";
     const auto warm = fleet.run({{sibling, "dramdig", {}, fleet_seed}});
-
-    // Contrast run: the same sibling against the same entry with the v2
-    // evidence stripped (bank_count 0 = "no claim" = exactly what a v1
-    // document loads as), isolating what the evidence prior buys.
-    store::mapping_store v1_store;
-    for (store::store_entry e : fleet_store.entries()) {
-      if (e.fingerprint.hash() == sysinfo::fingerprint(fleet_spec).hash()) {
-        e.bank_count = 0;
-        e.threshold_ns = 0.0;
-        v1_store.put(std::move(e));
-      }
-    }
-    api::service_config v1_cfg;
-    v1_cfg.threads = 1;
-    v1_cfg.store = &v1_store;
-    const auto span_only =
-        api::mapping_service(v1_cfg).run({{sibling, "dramdig", {}, fleet_seed}});
-
     fleet_cold_m = cold[0].result.measurement_count;
     fleet_verify_m = verify[0].result.measurement_count;
     fleet_warm_m = warm[0].result.measurement_count;
-    fleet_span_only_m = span_only[0].result.measurement_count;
     fleet_mapping_identical =
         cold[0].result.mapping && verify[0].result.mapping &&
         cold[0].result.mapping->describe() == verify[0].result.mapping->describe();
@@ -547,9 +523,8 @@ void emit_bench_json(const std::string& path, bool smoke) {
     fleet_hits_ok = cold[0].store_hit == "cold" &&
                     verify[0].store_hit == "verify" &&
                     warm[0].store_hit == "warm" &&
-                    span_only[0].store_hit == "warm" &&
                     cold[0].result.verified && verify[0].result.verified &&
-                    warm[0].result.verified && span_only[0].result.verified;
+                    warm[0].result.verified;
   }
   const auto reduction_vs_cold = [&](std::uint64_t m) {
     return 1.0 - static_cast<double>(m) /
@@ -632,11 +607,8 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.key("warm_measurements").value(fleet_warm_m);
   w.key("verify_reduction").value(reduction_vs_cold(fleet_verify_m));
   w.key("warm_reduction").value(reduction_vs_cold(fleet_warm_m));
-  // The evidence-carrying warm path vs the v1-era span-only warm start
-  // (same sibling, same seed, entry stripped of its evidence block).
   w.key("warm_evidence_measurements").value(fleet_warm_m);
   w.key("warm_evidence_reduction").value(reduction_vs_cold(fleet_warm_m));
-  w.key("warm_span_only_measurements").value(fleet_span_only_m);
   w.key("warm_mapping_identical").value(fleet_warm_identical);
   w.key("mapping_identical").value(fleet_mapping_identical);
   w.key("hits_ok").value(fleet_hits_ok);
@@ -683,7 +655,7 @@ void emit_bench_json(const std::string& path, bool smoke) {
               static_cast<unsigned long long>(host_job_m), host_sim_ns,
               host_sim_share);
   std::printf("fleet warm start on %s: cold %llu, verify %llu (-%.0f%%), "
-              "warm %llu (-%.0f%%, span-only %llu) measurements, mapping "
+              "warm %llu (-%.0f%%) measurements, mapping "
               "identical: %s\n",
               fleet_spec.label().c_str(),
               static_cast<unsigned long long>(fleet_cold_m),
@@ -691,7 +663,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
               100.0 * reduction_vs_cold(fleet_verify_m),
               static_cast<unsigned long long>(fleet_warm_m),
               100.0 * reduction_vs_cold(fleet_warm_m),
-              static_cast<unsigned long long>(fleet_span_only_m),
               fleet_mapping_identical && fleet_warm_identical &&
                       fleet_hits_ok
                   ? "yes"

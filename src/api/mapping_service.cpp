@@ -44,7 +44,6 @@ store::store_entry entry_from_result(const sysinfo::machine_fingerprint& fp,
   e.column_bits = result.mapping->column_bits();
   e.address_bits = result.mapping->address_bits();
   e.pool_size = result.pool_size;
-  e.bank_count = result.assumed_bank_count;
   e.threshold_ns = result.threshold_ns;
   e.history = std::move(prior_history);
   store::append_history(e.history, {kind, job.seed, result.measurement_count});
@@ -69,7 +68,7 @@ tool_result result_from_verification(const store::store_entry& entry,
   out.measurement_count = vr.totals.measurements;
   out.access_count = vr.totals.accesses;
   out.pool_size = entry.pool_size;
-  out.assumed_bank_count = entry.bank_count;
+  out.assumed_bank_count = out.mapping->bank_count();
   out.threshold_ns = vr.threshold_ns;
   return out;
 }
@@ -209,12 +208,10 @@ void mapping_service::execute_job(const job_spec& job,
              "); re-queued as full recovery");
   } else if (plan.decision == kind::warm) {
     // Geometry sibling: full recovery, warm-started from the stored
-    // mapping (dramdig_config::warm says which parts a v1-era entry,
-    // bank_count 0, still claims).
+    // mapping and threshold (dramdig_config::warm).
     core::dramdig_config cfg = options.dramdig();
-    cfg.warm = core::dramdig_config::warm_hints{
-        plan.entry->mapping(), plan.entry->bank_count,
-        plan.entry->threshold_ns};
+    cfg.warm = core::dramdig_config::warm_hints{plan.entry->mapping(),
+                                                plan.entry->threshold_ns};
     options.with_dramdig(std::move(cfg));
     out.store_hit = "warm";
     record_kind = "warm_recovered";

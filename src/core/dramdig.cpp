@@ -62,21 +62,17 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
   // re-resolves surviving classes without measurements.
   measurement_plan plan(channel);
   bank_classifier engine(plan);
-  // Fleet warm start: the stored sibling mapping's function span seeds the
-  // classifier's prediction. Attempt retries clear() it, so a hint that
-  // failed an attempt never poisons the next one.
-  const dramdig_config::warm_hints* warm =
-      config_.warm ? &*config_.warm : nullptr;
-  if (warm) engine.warm_start(warm->claim.bank_functions());
-  // A claim with a bank count (schema v2 evidence) is also the bit prior:
-  // it seeds per-bit vote priors for the coarse passes and the fine
-  // confirmations (null = cold, and a v1-era entry claims only the span).
+  // Fleet warm start: the stored sibling mapping is the one claim (null =
+  // cold). Its function span seeds the classifier's prediction; attempt
+  // retries clear() it, so a hint that failed an attempt never poisons the
+  // next one. The whole mapping is also the bit prior: it seeds per-bit
+  // vote priors for the coarse passes and the fine confirmations.
   // Advisory per experiment — a disagreeing strict-grade vote drops the
   // prior for that bit and the standard majority decides; fine also gates
   // it on span agreement with the detected functions.
   const dram::address_mapping* prior =
-      warm && warm->bank_count > 0 ? &warm->claim : nullptr;
-  const unsigned warm_banks = prior ? warm->bank_count : 0;
+      config_.warm ? &config_.warm->claim : nullptr;
+  if (prior) engine.warm_start(prior->bank_functions());
   // The designed-experiment engine behind the coarse and fine phases: one
   // engine per run so both phases vote on one evidence substrate. Its
   // per-round progress streams through the phase-event observer when one
@@ -129,7 +125,7 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
     // prior-validated early stop (0 = none). The threshold is still
     // computed from this machine's own samples.
     out.threshold_ns = channel.calibrate(
-        pool, prior ? warm->threshold_ns : 0.0);
+        pool, config_.warm ? config_.warm->threshold_ns : 0.0);
     phase.add_pairs(channel.calibration_pairs_used());
   }
   log_info("dramdig: threshold " + std::to_string(out.threshold_ns) + "ns");
@@ -170,19 +166,8 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
   } else {
     // Largest first: a partition that validates against a small bank count
     // could be a coincidence of a coarse pile split, so the blind sweep
-    // rules out the high counts before settling. A warm hint rotates the
-    // stored count to the front — the sweep starts where the sibling
-    // landed and only widens back to the blind order on refutation (a
-    // failed partition/function round just falls through to the next
-    // candidate).
+    // rules out the high counts before settling.
     bank_count_candidates = {64, 32, 16, 8};
-    if (warm_banks > 0) {
-      const auto hint = std::find(bank_count_candidates.begin(),
-                                  bank_count_candidates.end(), warm_banks);
-      if (hint != bank_count_candidates.end()) {
-        std::rotate(bank_count_candidates.begin(), hint, hint + 1);
-      }
-    }
   }
 
   // --- Step 2: partition + function resolving, with retries ----------------
@@ -198,10 +183,13 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
 
   // Fleet warm start, partition: subsample the pool to an exact
   // per-predicted-bank quota, with each address's bank id computed
-  // host-side from the stored functions. Exact strata keep every pile
-  // inside the acceptance window deterministically (plain random
-  // subsampling leaves hypergeometric spread that routinely busts the
-  // upper bound at 64 piles) and guarantee every bank id stays present
+  // host-side from the stored functions. It runs only when the claim has
+  // the function count system information gives (the knowledge ablation
+  // has none to check against): a claim with a function too few or too
+  // many would sort the pool into the wrong strata. Exact strata keep
+  // every pile inside the acceptance window deterministically (plain
+  // random subsampling leaves hypergeometric spread that routinely busts
+  // the upper bound at 64 piles) and guarantee every bank id stays present
   // for the numbering check; picks within a stratum are random — a
   // strided pick risks coset aliasing that deflates the diff-matrix rank
   // behind null-space function detection. Wrong stored functions produce
@@ -214,13 +202,13 @@ tool_result dramdig_tool::run(const phase_callback& on_phase) {
   // function resolution is known to survive it; the cap bounds how
   // aggressive the cut gets on the 16k-address pools.
   bool pool_subsampled = false;
-  if (prior != nullptr && prior->bank_functions().size() < 32 &&
-      (std::size_t{1} << prior->bank_functions().size()) == warm_banks &&
-      pool.size() / warm_banks >= 2 * 8) {
-    const std::size_t kWarmQuota =
-        std::clamp<std::size_t>(pool.size() / warm_banks / 2, 8, 64);
+  if (prior != nullptr && config_.use_system_info &&
+      prior->bank_functions().size() == knowledge.bank_function_count &&
+      pool.size() / knowledge.total_banks >= 2 * 8) {
+    const std::size_t kWarmQuota = std::clamp<std::size_t>(
+        pool.size() / knowledge.total_banks / 2, 8, 64);
     const std::vector<std::uint64_t>& funcs = prior->bank_functions();
-    std::vector<std::vector<std::uint64_t>> strata(warm_banks);
+    std::vector<std::vector<std::uint64_t>> strata(knowledge.total_banks);
     for (const std::uint64_t a : pool) strata[bank_id(a, funcs)].push_back(a);
     bool quorate = true;
     for (const auto& s : strata) quorate = quorate && s.size() >= kWarmQuota;

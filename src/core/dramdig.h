@@ -43,23 +43,23 @@ struct dramdig_config {
   unsigned max_attempts = 3;
   /// Fleet warm start (filled by the api layer from a mapping-store
   /// geometry hit — see src/store): the sibling's stored mapping is the
-  /// one claim. Its bank-function span always seeds the classifier's
-  /// knowledge-assisted prediction (bank_classifier::warm_start), so
-  /// trusted vote ordering and group founder scans engage from round 0.
-  /// With a bank count (schema v2 entries; 0 = a v1-era entry, which
-  /// claims only the span) the claim feeds every phase: the sibling
-  /// threshold authorizes an early calibration stop once local estimates
-  /// confirm it, the bit classification seeds coarse/fine vote priors, the
-  /// stored functions stratify the partition pool to an exact
-  /// per-predicted-bank quota, and the bank-count sweep starts at the
-  /// stored count. Hints are advisory: every assignment is still
-  /// measurement-verified, a contradicted claim is dropped where it was
-  /// refuted (prior per experiment; span and subsample on the attempt
-  /// retry), and a failed attempt retries cold — so a wrong hint can cost
-  /// measurements but never the recovered mapping.
+  /// one claim, and a geometry hit shares the machine's DIMM geometry, so
+  /// a claim of k functions claims 2^k banks. The claim feeds every phase:
+  /// its bank-function span seeds the classifier's knowledge-assisted
+  /// prediction (bank_classifier::warm_start), so trusted vote ordering
+  /// and group founder scans engage from round 0; the sibling threshold
+  /// authorizes an early calibration stop once local estimates confirm it
+  /// (0 = none, as on v1-era entries); the bit classification seeds
+  /// coarse/fine vote priors; and when the claim has the function count
+  /// system information gives, the stored functions stratify the
+  /// partition pool to an exact per-predicted-bank quota. Hints are
+  /// advisory: every assignment is still measurement-verified, a
+  /// contradicted claim is dropped where it was refuted (prior per
+  /// experiment; span and subsample on the attempt retry), and a failed
+  /// attempt retries cold — so a wrong hint can cost measurements but
+  /// never the recovered mapping.
   struct warm_hints {
     dram::address_mapping claim;  ///< the sibling's recovered mapping
-    unsigned bank_count = 0;      ///< claimed bank count (0 = span only)
     double threshold_ns = 0.0;    ///< sibling threshold
   };
   std::optional<warm_hints> warm{};

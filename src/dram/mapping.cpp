@@ -17,7 +17,7 @@ address_mapping::address_mapping(std::vector<std::uint64_t> bank_functions,
       column_bits_(std::move(column_bits)),
       address_bits_(address_bits) {
   DRAMDIG_EXPECTS(address_bits_ > 0 && address_bits_ <= 48);
-  DRAMDIG_EXPECTS(bank_functions_.size() < 64);
+  DRAMDIG_EXPECTS(bank_functions_.size() < 32);
   std::sort(row_bits_.begin(), row_bits_.end());
   std::sort(column_bits_.begin(), column_bits_.end());
   const std::uint64_t limit = std::uint64_t{1} << address_bits_;

@@ -24,7 +24,8 @@ class address_mapping {
   /// `bank_functions[i]` is the XOR mask producing bit i of the flat bank
   /// index; `row_bits`/`column_bits` list physical bit positions (ascending)
   /// forming the row/column index. `address_bits` is log2 of the installed
-  /// physical memory.
+  /// physical memory. Fewer than 32 functions, so bank_count() fits an
+  /// unsigned; throws contract_violation otherwise.
   address_mapping(std::vector<std::uint64_t> bank_functions,
                   std::vector<unsigned> row_bits,
                   std::vector<unsigned> column_bits, unsigned address_bits);

@@ -21,8 +21,8 @@ namespace {
 
 constexpr const char* kStoreTag = "dramdig-mapping-store";
 /// Written version: the append-only log. Versions 1 and 2 were whole
-/// documents and still load; v2 added the evidence bank_count/threshold_ns
-/// keys, which read as absent -> zero = no claim on v1.
+/// documents and still load; v2 added the evidence threshold_ns key,
+/// which reads as absent -> zero = no claim on v1.
 constexpr std::uint64_t kStoreVersion = 3;
 constexpr std::uint64_t kOldestLoadableVersion = 1;
 constexpr std::uint64_t kNewestDocumentVersion = 2;
@@ -138,7 +138,6 @@ std::string render_entry(const store_entry& e, std::uint64_t hash,
   w.end_object();
   w.key("evidence").begin_object();
   w.key("pool_size").value(e.pool_size);
-  w.key("bank_count").value(e.bank_count);
   w.key("threshold_ns").value(e.threshold_ns);
   w.end_object();
   w.key("history").begin_array();
@@ -174,11 +173,9 @@ store_entry read_entry(const json_value& e) {
   entry.address_bits = static_cast<unsigned>(m.at("address_bits").as_u64());
   const json_value& ev = e.at("evidence");
   entry.pool_size = ev.at("pool_size").as_u64();
-  // v2 evidence keys; absent on v1 documents -> zero = no claim, so a v1
-  // entry degrades to the span-only warm prior it always carried.
-  if (const json_value* bc = ev.find("bank_count")) {
-    entry.bank_count = static_cast<unsigned>(bc->as_u64());
-  }
+  // v2 evidence key; absent on v1 documents -> zero = no claim. The
+  // "bank_count" key older records carry is ignored: the mapping's
+  // function count is the entry's one claim for it.
   if (const json_value* thr = ev.find("threshold_ns")) {
     entry.threshold_ns = thr->as_double();
   }
@@ -269,7 +266,6 @@ std::uint64_t store_entry::compute_evidence_digest() const {
   s << "|cols=";
   for (const unsigned b : column_bits) s << b << ",";
   s << "|pool=" << pool_size;
-  s << "|banks=" << bank_count;
   s << "|thr=" << threshold_ns;
   return fnv1a(s.str());
 }

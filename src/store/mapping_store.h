@@ -27,8 +27,7 @@
 //                      "hash": ..., "geometry_hash": ... },
 //     "mapping": { "bank_functions": [...], "row_bits": [...],
 //                  "column_bits": [...], "address_bits": ... },
-//     "evidence": { "pool_size": ..., "bank_count": ...,
-//                   "threshold_ns": ... },
+//     "evidence": { "pool_size": ..., "threshold_ns": ... },
 //     "history": [ { "kind": "recovered|verified|verify_failed|
 //                             warm_recovered",
 //                    "seed": ..., "measurements": ... }, ... ] }
@@ -38,18 +37,19 @@
 // history would grow every record, and every save, without end.
 //
 // The mapping is the entry's one claim: a warm run derives the
-// bank-function span from its bank_functions (dramdig_config::warm), so no
-// stored copy can disagree with them. Records written before that carry a
-// "function_span" key beside the mapping, and records written before the
+// bank-function span from its bank_functions, and the bank count from
+// their number (dramdig_config::warm), so no stored copy can disagree with
+// them. Records written before that carry a "function_span" key beside the
+// mapping and an evidence "bank_count" key, and records written before the
 // evidence digest was dropped carry an evidence "digest" key (v1 and v2
-// documents always carry both); the loader ignores both keys, so those
-// files load unchanged and without a warning.
+// documents always carry the span and the digest, v2 also the bank
+// count); the loader ignores all three keys, so those files load
+// unchanged and without a warning.
 //
 // Masks and bit lists are numeric (util/json.h round-trips 64-bit values
-// exactly), unlike tool_result's display strings. The evidence block's
-// bank count and calibrated threshold, with the mapping's bit lists, form
-// the prior a geometry hit transfers into a warm run
-// (dramdig_config::warm).
+// exactly), unlike tool_result's display strings. The mapping and the
+// evidence block's calibrated threshold form the prior a geometry hit
+// transfers into a warm run (dramdig_config::warm).
 //
 // Loading replays the log: a record whose fingerprint hash equals an
 // earlier record's replaces it in place, which is put()'s rule, so a
@@ -87,9 +87,9 @@
 // Older versions: v2 and v1 files are one pretty-printed JSON document,
 // {"store": ..., "version": 1|2, "entries": [<entry>, ...]}. They load
 // without a warning, and the first save rewrites the file as a v3 log.
-// v1 evidence blocks carry only {digest, pool_size}: the v2 keys read as
-// zero, i.e. "no claim", and a warm run uses such an entry only for the
-// span of its bank functions, the prior it always was.
+// v1 evidence blocks carry only {digest, pool_size}: the threshold reads
+// as zero, i.e. "no claim", so a warm run from such an entry uses its
+// whole mapping like any other claim but makes no early calibration stop.
 //
 // Each entry's fingerprint hashes and record text are computed once, when
 // put() or the load brings the entry in; lookups compare the cached
@@ -143,10 +143,6 @@ struct store_entry {
   /// Selection-pool size of the recovering run (stored evidence; the
   /// partition pre-sizes the measurement plan from its own pool).
   std::uint64_t pool_size = 0;
-  /// Bank count the recovering run resolved (schema v2; 0 on entries
-  /// loaded from v1 documents = no claim). Seeds the warm run's
-  /// wrong-bank-count sweep and the partition pool stratification.
-  unsigned bank_count = 0;
   /// Calibrated row-conflict threshold of the recovering run (schema v2;
   /// 0 = no claim). Authorizes an early calibration stop on geometry
   /// siblings once local estimates confirm it.
@@ -155,8 +151,8 @@ struct store_entry {
 
   /// The stored mapping as the hypothesis type tools output.
   [[nodiscard]] dram::address_mapping mapping() const;
-  /// FNV-1a over (span, row/column bits, pool size, bank count,
-  /// threshold_ns); see evidence_digest.
+  /// FNV-1a over (span, row/column bits, pool size, threshold_ns); see
+  /// evidence_digest.
   [[nodiscard]] std::uint64_t compute_evidence_digest() const;
 };
 

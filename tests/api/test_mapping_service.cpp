@@ -396,12 +396,14 @@ TEST(MappingServiceStore, ColdRunPersistsEvidenceAndSiblingWarmStartHalves) {
 
   const auto cold = service.run({fleet_job(m)});
   ASSERT_EQ(cold[0].state, job_state::completed);
-  // Schema-v2 evidence lands on the entry: the resolved bank count and
-  // the calibrated threshold travel with the mapping.
+  // The evidence lands on the entry: the selection pool and the
+  // calibrated threshold travel with the mapping, whose function count
+  // is the bank count the run resolved.
   const auto entry = store.find_exact(sysinfo::fingerprint(m));
   ASSERT_TRUE(entry);
-  EXPECT_EQ(entry->bank_count, cold[0].result.assumed_bank_count);
-  EXPECT_GT(entry->bank_count, 0u);
+  EXPECT_EQ(entry->mapping().bank_count(), cold[0].result.assumed_bank_count);
+  EXPECT_EQ(entry->pool_size, cold[0].result.pool_size);
+  EXPECT_GT(entry->pool_size, 0u);
   EXPECT_EQ(entry->threshold_ns, cold[0].result.threshold_ns);
   EXPECT_GT(entry->threshold_ns, 0.0);
 
@@ -423,10 +425,11 @@ TEST(MappingServiceStore, ColdRunPersistsEvidenceAndSiblingWarmStartHalves) {
 
 TEST(MappingServiceStore, StoredSpanKeyNeverReachesAWarmRun) {
   // Logs written before the mapping became an entry's one claim carry a
-  // "function_span" key beside each record's mapping, and the fingerprint
-  // hashes do not cover it. A record whose span contradicts its bank
-  // functions must warm-start a geometry sibling exactly as a consistent
-  // record does: the run derives the span from the stored functions.
+  // "function_span" key beside each record's mapping and an evidence
+  // "bank_count" key, and the fingerprint hashes cover neither. A record
+  // whose span or bank count contradicts its bank functions must
+  // warm-start a geometry sibling exactly as a consistent record does:
+  // the run derives both from the stored functions.
   const dram::machine_spec& m = dram::machine_by_number(6);
   const std::string path = testing::TempDir() + "dramdig_service_span.json";
   std::remove(path.c_str());
@@ -439,10 +442,13 @@ TEST(MappingServiceStore, StoredSpanKeyNeverReachesAWarmRun) {
   const auto entry =
       store::mapping_store(path).find_exact(sysinfo::fingerprint(m));
   ASSERT_TRUE(entry);
-  // The log with its record's span key set to `span`.
-  const auto with_span = [&](const gf2::matrix& span) {
+  // The log with its record's span key set to `span` and its bank count
+  // key to `banks`.
+  const auto with_keys = [&](const gf2::matrix& span, unsigned banks) {
     std::string out = std::regex_replace(
-        log, std::regex(R"("function_span": \[[^\]]*\], )"), "");
+        log,
+        std::regex(R"("function_span": \[[^\]]*\], |"bank_count": \d+, )"),
+        "");
     std::string key = "\"function_span\": [";
     for (std::size_t i = 0; i < span.size(); ++i) {
       key += (i == 0 ? "" : ", ") + std::to_string(span[i]);
@@ -451,18 +457,26 @@ TEST(MappingServiceStore, StoredSpanKeyNeverReachesAWarmRun) {
     const std::size_t evidence = out.find("\"evidence\": {");
     EXPECT_NE(evidence, std::string::npos);
     out.insert(evidence, key);
+    const std::string pool = "\"pool_size\": ";
+    const std::size_t count = out.find(", ", out.find(pool)) + 2;
+    out.insert(count, "\"bank_count\": " + std::to_string(banks) + ", ");
     return out;
   };
   const gf2::matrix consistent = gf2::row_echelon(entry->bank_functions);
   gf2::matrix mismatched = consistent;
   mismatched.front() ^= mismatched.front() & (~mismatched.front() + 1);
   ASSERT_FALSE(gf2::same_span(mismatched, consistent));
+  const unsigned banks = entry->mapping().bank_count();
 
   dram::machine_spec sibling = m;
   sibling.cpu_model = "i7-6700";  // same board geometry, different CPU
   std::vector<std::string> records;
-  for (const gf2::matrix& span : {consistent, mismatched}) {
-    write_file(path, with_span(span));
+  for (const auto& [span, count] :
+       std::vector<std::pair<gf2::matrix, unsigned>>{{consistent, banks},
+                                                     {mismatched, banks},
+                                                     {consistent, banks * 2},
+                                                     {consistent, banks / 2}}) {
+    write_file(path, with_keys(span, count));
     store::mapping_store store(path);
     EXPECT_TRUE(store.load_warning().empty());
     mapping_service service({.threads = 1, .store = &store});
@@ -471,13 +485,45 @@ TEST(MappingServiceStore, StoredSpanKeyNeverReachesAWarmRun) {
     EXPECT_TRUE(outcomes[0].result.verified);
     records.push_back(outcomes[0].result.to_json_string());
   }
-  EXPECT_EQ(records[1], records[0]);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    EXPECT_EQ(records[i], records[0]) << "input " << i;
+  }
   std::remove(path.c_str());
+}
+
+TEST(MappingServiceStore, WarmStratifierNeedsTheKnownFunctionCount) {
+  // The warm partition sorts the pool into one stratum per bank that the
+  // stored functions predict. It runs only for a claim with the function
+  // count system information gives: a No.6-geometry sibling keeps the
+  // cold 16384-address pool under a claim missing its last function, and
+  // cuts it to 4096 under the true claim.
+  const dram::machine_spec& m = dram::machine_by_number(6);
+  store::mapping_store seeded;
+  (void)mapping_service({.threads = 1, .store = &seeded}).run({fleet_job(m)});
+  const auto entry = seeded.find_exact(sysinfo::fingerprint(m));
+  ASSERT_TRUE(entry);
+  store::store_entry dropped = *entry;
+  dropped.bank_functions.pop_back();
+
+  dram::machine_spec sibling = m;
+  sibling.cpu_model = "i7-6700";  // same board geometry, different CPU
+  for (const auto& [claim, pool] :
+       std::vector<std::pair<store::store_entry, std::uint64_t>>{
+           {*entry, 4096}, {dropped, 16384}}) {
+    store::mapping_store store;
+    store.put(claim);
+    const auto outcomes = mapping_service({.threads = 1, .store = &store})
+                              .run({fleet_job(sibling)});
+    ASSERT_EQ(outcomes[0].store_hit, "warm");
+    EXPECT_TRUE(outcomes[0].result.verified);
+    EXPECT_EQ(outcomes[0].result.pool_size, pool)
+        << claim.bank_functions.size() << " functions";
+  }
 }
 
 TEST(MappingServiceStore, PoisonedWarmPriorStillConvergesViaVerification) {
   // A geometry hit whose stored evidence is wrong in every dimension the
-  // warm path consumes: masks, bit classification, bank count, threshold.
+  // warm path consumes: masks, bit classification, threshold.
   // Every warm assignment is still strict-verified, so the run must
   // degrade in place (advisory prior, no re-queue) and converge to the
   // true mapping — a poisoned prior can cost measurements, never the
@@ -489,7 +535,6 @@ TEST(MappingServiceStore, PoisonedWarmPriorStillConvergesViaVerification) {
   auto entry = *store.find_exact(sysinfo::fingerprint(m));
   entry.bank_functions.back() = (1ull << 20) ^ (1ull << 24);
   std::swap(entry.row_bits, entry.column_bits);
-  entry.bank_count = entry.bank_count == 8 ? 64 : 8;
   entry.threshold_ns *= 3.0;
   store.put(std::move(entry));
 

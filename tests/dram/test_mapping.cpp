@@ -6,6 +6,7 @@
 
 #include "dram/presets.h"
 #include "util/bitops.h"
+#include "util/expect.h"
 #include "util/rng.h"
 
 namespace dramdig::dram {
@@ -58,6 +59,17 @@ TEST(Mapping, DecodeBundlesFields) {
 TEST(Mapping, PureBankBits) {
   const auto m = tiny_mapping();
   EXPECT_EQ(m.pure_bank_bits(), (std::vector<unsigned>{13, 14}));
+}
+
+TEST(Mapping, ThirtyTwoFunctionsViolateTheContract) {
+  // bank_count() is 2^#functions as an unsigned: 31 functions is the
+  // most it can count.
+  std::vector<std::uint64_t> functions;
+  for (unsigned b = 0; b < 31; ++b) functions.push_back(std::uint64_t{1} << b);
+  EXPECT_EQ(address_mapping(functions, {}, {}, 40).bank_count(), 1u << 31);
+  functions.push_back(std::uint64_t{1} << 31);
+  EXPECT_THROW((void)address_mapping(functions, {}, {}, 40),
+               contract_violation);
 }
 
 TEST(Mapping, TinyMappingIsBijective) {

@@ -51,7 +51,6 @@ store_entry entry_for(int machine_number, std::uint64_t seed = 42) {
   e.column_bits = m.mapping.column_bits();
   e.address_bits = m.mapping.address_bits();
   e.pool_size = 4096;
-  e.bank_count = m.mapping.bank_count();
   e.threshold_ns = 250.5;
   e.history.push_back({"recovered", seed, 2348});
   return e;
@@ -74,7 +73,6 @@ store_entry literal_entry() {
   e.column_bits = {0, 1, 2, 3, 4, 5};
   e.address_bits = 33;
   e.pool_size = 4096;
-  e.bank_count = 32;
   e.threshold_ns = 287.12345678901234;
   e.history.push_back({"recovered", 42, 2348});
   e.history.push_back({"verified", 7, 188});
@@ -82,7 +80,8 @@ store_entry literal_entry() {
 }
 
 /// literal_entry() as the schema-v2 writer saved it: one pretty-printed
-/// document.
+/// document, with the span copy, the digest and the bank count that
+/// writer kept beside the mapping.
 const std::string kV2Document =
     "{\n"
     "  \"store\": \"dramdig-mapping-store\",\n"
@@ -169,7 +168,7 @@ const std::string kLiteralRecord =
     "\"mapping\": {\"bank_functions\": [8256, 278528, 557056, 1114112, "
     "2228224], \"row_bits\": [18, 19, 20, 21], "
     "\"column_bits\": [0, 1, 2, 3, 4, 5], \"address_bits\": 33}, "
-    "\"evidence\": {\"pool_size\": 4096, \"bank_count\": 32, "
+    "\"evidence\": {\"pool_size\": 4096, "
     "\"threshold_ns\": 287.123456789012}, "
     "\"history\": [{\"kind\": \"recovered\", \"seed\": 42, "
     "\"measurements\": 2348}, {\"kind\": \"verified\", \"seed\": 7, "
@@ -267,7 +266,6 @@ TEST(MappingStore, RoundTripsThroughDisk) {
     EXPECT_EQ(hit->column_bits, m.mapping.column_bits());
     EXPECT_EQ(hit->address_bits, m.mapping.address_bits());
     EXPECT_EQ(hit->pool_size, 4096u);
-    EXPECT_EQ(hit->bank_count, m.mapping.bank_count());
     EXPECT_EQ(hit->threshold_ns, 250.5);
     ASSERT_EQ(hit->history.size(), 1u);
     EXPECT_EQ(hit->history[0].measurements, 2348u);
@@ -464,7 +462,7 @@ TEST(MappingStore, V2DocumentLoadsAndFirstSaveWritesV3) {
   ASSERT_EQ(store.size(), 1u);
   const auto hit = store.find_exact(literal_entry().fingerprint);
   ASSERT_TRUE(hit);
-  EXPECT_EQ(hit->bank_count, 32u);
+  EXPECT_EQ(hit->bank_functions, literal_entry().bank_functions);
   EXPECT_EQ(hit->threshold_ns, 287.123456789012);
   EXPECT_EQ(hit->history.size(), 2u);
   // The store cannot append to a document: the first save rewrites it as
@@ -514,11 +512,11 @@ TEST(MappingStore, OverwritesKeepTheLogWithinTwiceItsCompactedSize) {
   EXPECT_EQ(reloaded.to_json(), store.to_json());
 }
 
-TEST(MappingStore, V1DocumentLoadsAsSpanOnlyPriorWithoutWarning) {
+TEST(MappingStore, V1DocumentLoadsAsMappingClaimWithoutWarning) {
   // A store written before the evidence schema: version 1, an evidence
   // block of only {digest, pool_size}. It must load silently — migration
-  // is not a degradation — with the v2 evidence fields reading as "no
-  // claim", i.e. exactly the span-only warm prior v1 always provided.
+  // is not a degradation — with its whole mapping as the claim and the
+  // threshold reading as "no claim".
   temp_path path("v1");
   write_file(path.str(), as_v1_document(kV2Document));
   mapping_store store(path.str());
@@ -527,8 +525,8 @@ TEST(MappingStore, V1DocumentLoadsAsSpanOnlyPriorWithoutWarning) {
   const auto hit = store.find_exact(literal_entry().fingerprint);
   ASSERT_TRUE(hit);
   EXPECT_EQ(hit->bank_functions, literal_entry().bank_functions);
+  EXPECT_EQ(hit->mapping().bank_count(), 32u);
   EXPECT_EQ(hit->pool_size, 4096u);
-  EXPECT_EQ(hit->bank_count, 0u);
   EXPECT_EQ(hit->threshold_ns, 0.0);
   // The next save() upgrades the file in place to a version-3 log.
   store.save();
@@ -574,6 +572,24 @@ TEST(MappingStore, RecordWithFunctionSpanLoadsWithoutWarning) {
   EXPECT_EQ(store.entries()[0].bank_functions, literal_entry().bank_functions);
 }
 
+TEST(MappingStore, RecordWithThirtyTwoFunctionsDegradesToColdWithWarning) {
+  // 2^32 banks overflow address_mapping::bank_count(); the mapping
+  // contract refuses such a claim, so a record carrying one is corrupt.
+  temp_path path("v3wide");
+  std::string record = kLiteralRecord;
+  const std::string key = "\"bank_functions\": [";
+  const std::size_t begin = record.find(key) + key.size();
+  std::string functions;
+  for (unsigned b = 0; b < 32; ++b) {
+    functions += (b == 0 ? "" : ", ") + std::to_string(std::uint64_t{1} << b);
+  }
+  record.replace(begin, record.find(']', begin) - begin, functions);
+  write_file(path.str(), kV3Header + record);
+  const mapping_store store(path.str());
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.load_warning().empty());
+}
+
 TEST(MappingStore, V2WithTruncatedEvidenceBlockDegradesToV1Behavior) {
   // A version-2 header whose evidence block lost its v2 keys (e.g. a
   // document assembled by an older writer, or hand-edited): the optional
@@ -589,7 +605,7 @@ TEST(MappingStore, V2WithTruncatedEvidenceBlockDegradesToV1Behavior) {
   ASSERT_EQ(store.size(), 1u);
   const auto hit = store.find_exact(literal_entry().fingerprint);
   ASSERT_TRUE(hit);
-  EXPECT_EQ(hit->bank_count, 0u);
+  EXPECT_EQ(hit->bank_functions, literal_entry().bank_functions);
   EXPECT_EQ(hit->threshold_ns, 0.0);
 }
 
