@@ -1,4 +1,7 @@
-// Ablation A: what each piece of domain knowledge buys (DESIGN.md).
+// Ablation A: what each piece of domain knowledge buys. DRAMDig's claim
+// (paper Section III-A) is that system information, the JEDEC spec and
+// empirical observations make most of the mapping knowable before any
+// measurement; switching each source off in turn shows what it saves.
 //
 // Variants, run on a representative machine subset:
 //   full            everything on (the tool as shipped)

@@ -7,11 +7,10 @@
 // On top of the google-benchmark suite, main() runs the tracked sections
 // and emits them as machine-readable BENCH_micro.json: the batched
 // measurement engine against a scalar measure_pair loop, hot-path
-// throughput per layer, counter-tail thread scaling, the SIMD decode
-// kernel against its portable fallback, the per-job set-up path (the
-// simulated OS and the rng engine under it), the partition's host cost
-// against the simulator's, and the fleet store's verify and warm-start
-// savings. bench_guard floors them (bench/floors.json).
+// throughput per layer, the SIMD decode kernel against its portable
+// fallback, the per-job set-up path (the simulated OS and the rng engine
+// under it), the partition's host cost against the simulator's, and the
+// fleet store's verify and warm-start savings. bench_guard floors them (bench/floors.json).
 // Flags: --smoke (skip the google-benchmark suite, shrink the batches for
 // CI), --out=PATH (default BENCH_micro.json), plus google-benchmark's own
 // --benchmark_* flags; any other argument exits 2 with usage.
@@ -36,7 +35,6 @@
 #include "util/bitops.h"
 #include "util/gf2.h"
 #include "util/json.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace {
@@ -300,40 +298,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
   const double min_mps_100k =
       std::min(hot_rows[1].decode_mps, hot_rows[1].measure_mps);
 
-  // Counter-tail thread scaling: the identical batch serviced through
-  // injected worker pools of 1/4/8 threads. The results are bit-identical
-  // by construction (asserted in tests/sim/test_memory_controller.cpp);
-  // here the walls are tracked so a multi-core host shows the shard win
-  // and a single-core host proves oversubscription stays near-free
-  // (bench/floors.json tail_scaling gates tail_mps_8t / tail_mps_1t).
-  struct tail_row {
-    unsigned threads;
-    double wall_s = 1e300;
-  };
-  std::vector<tail_row> tail_rows{{1}, {4}, {8}};
-  const std::size_t tail_pairs = smoke ? 100000 : 200000;
-  {
-    rng tail_addr(17);
-    std::vector<sim::addr_pair> pairs_buf;
-    pairs_buf.reserve(tail_pairs);
-    for (std::size_t i = 0; i < tail_pairs; ++i) {
-      pairs_buf.emplace_back(tail_addr.below(spec.memory_bytes) & ~63ull,
-                             tail_addr.below(spec.memory_bytes) & ~63ull);
-    }
-    std::vector<sim::pair_measurement> tail_out;
-    for (tail_row& row : tail_rows) {
-      worker_pool pool(row.threads);
-      for (int rep = 0; rep < 3; ++rep) {
-        sim::machine m(spec, 11, sim::timing_profile_for(spec));
-        m.controller().set_worker_pool(&pool);
-        const auto tick = std::chrono::steady_clock::now();
-        m.controller().measure_pairs(pairs_buf, 1000, tail_out);
-        row.wall_s = std::min(row.wall_s, wall_seconds_since(tick));
-        benchmark::DoNotOptimize(tail_out.data());
-      }
-    }
-  }
-
   // SIMD decode kernel: the dispatched decode_banks against the pinned
   // portable kernel on one flat address array (the machine's own function
   // set). Equality of every output word is CI-gated alongside the
@@ -555,16 +519,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
   }
   w.key("min_mps_100k").value(min_mps_100k);
   w.end_object();
-  w.key("counter_tail").begin_object();
-  w.key("pairs").value(std::uint64_t{tail_pairs});
-  for (const tail_row& row : tail_rows) {
-    const std::string suffix = std::to_string(row.threads) + "t";
-    w.key("tail_mps_" + suffix)
-        .value(static_cast<double>(tail_pairs) / std::max(row.wall_s, 1e-12));
-  }
-  w.key("scaling_8t_vs_1t").value(tail_rows[0].wall_s /
-                                  std::max(tail_rows[2].wall_s, 1e-12));
-  w.end_object();
   w.key("decode_simd").begin_object();
   w.key("addresses").value(std::uint64_t{decode_addrs});
   w.key("simd_available").value(decode_banks_uses_simd());
@@ -626,11 +580,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
                 row.pairs, row.decode_mps / 1e6, row.measure_mps / 1e6,
                 row.plan_mps / 1e6);
   }
-  std::printf("counter tail, %zu pairs: 1t %.1fM/s, 4t %.1fM/s, 8t %.1fM/s\n",
-              tail_pairs,
-              static_cast<double>(tail_pairs) / tail_rows[0].wall_s / 1e6,
-              static_cast<double>(tail_pairs) / tail_rows[1].wall_s / 1e6,
-              static_cast<double>(tail_pairs) / tail_rows[2].wall_s / 1e6);
   std::printf("decode kernel (%s): dispatched %.1fM addr/s, scalar %.1fM "
               "addr/s (%.2fx), identical %s\n",
               decode_banks_uses_simd() ? "AVX2" : "scalar fallback",

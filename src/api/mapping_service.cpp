@@ -21,6 +21,13 @@ namespace dramdig::api {
 
 namespace {
 
+/// Lanes a service may run: `threads` (0 = default_shard_count()), never
+/// more than default_shard_count(), however many threads were asked for.
+unsigned lane_cap(unsigned threads) {
+  const unsigned cap = default_shard_count();
+  return threads == 0 ? cap : std::min(threads, cap);
+}
+
 const char* state_name(job_state s) {
   switch (s) {
     case job_state::pending: return "pending";
@@ -295,7 +302,7 @@ std::string mapping_service::persist(
 
 std::vector<job_outcome> mapping_service::run(
     const std::vector<job_spec>& jobs, progress_observer* observer) const {
-  // Malformed specs fail the whole batch up front, before any worker runs
+  // Malformed specs fail the whole batch up front, before any lane runs
   // (tool options were already validated when the builder set them).
   for (const job_spec& job : jobs) DRAMDIG_EXPECTS(known_tool(job.tool));
 
@@ -314,13 +321,12 @@ std::vector<job_outcome> mapping_service::run(
   }
   std::vector<std::optional<store::store_entry>> updates(jobs.size());
 
-  const unsigned threads =
-      config_.threads == 0 ? default_shard_count() : config_.threads;
-  const std::size_t workers = std::min<std::size_t>(threads, jobs.size());
+  const unsigned lanes = static_cast<unsigned>(std::min<std::size_t>(
+      lane_cap(config_.threads), jobs.size()));
 
-  // Worker slots drain a shared queue; each claimed job is self-contained
-  // (own environment, own rng), so the claim order never reaches the
-  // results — only the wall clock.
+  // Lanes drain a shared queue; each claimed job is self-contained (own
+  // environment, own rng), so the claim order never reaches the results —
+  // only the wall clock.
   std::atomic<std::size_t> next{0};
   std::mutex observer_mutex;
   const auto notify = [&](const auto& fire) {
@@ -329,33 +335,31 @@ std::vector<job_outcome> mapping_service::run(
     fire();
   };
 
-  parallel_for_shards(
-      workers, static_cast<unsigned>(workers), [&](const shard&) {
-        while (true) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= jobs.size()) return;
-          const job_spec& job = jobs[i];
-          core::phase_callback on_phase;
-          if (observer != nullptr) {
-            on_phase = [&notify, &observer, i](
-                           std::string_view phase,
-                           const core::phase_stats& delta) {
-              notify([&] { observer->on_job_phase(i, phase, delta); });
-            };
-          }
-          run_job(job, &plans[i], outcomes[i], updates[i], on_phase, [&] {
-            notify([&] { observer->on_job_start(i, job); });
-          });
-          notify([&] { observer->on_job_done(i, outcomes[i]); });
-        }
+  run_lanes(lanes, [&] {
+    while (true) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= jobs.size()) return;
+      const job_spec& job = jobs[i];
+      core::phase_callback on_phase;
+      if (observer != nullptr) {
+        on_phase = [&notify, &observer, i](std::string_view phase,
+                                           const core::phase_stats& delta) {
+          notify([&] { observer->on_job_phase(i, phase, delta); });
+        };
+      }
+      run_job(job, &plans[i], outcomes[i], updates[i], on_phase, [&] {
+        notify([&] { observer->on_job_start(i, job); });
       });
+      notify([&] { observer->on_job_done(i, outcomes[i]); });
+    }
+  });
 
   const std::string store_error = persist(updates);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     // persist() moved each entry out but left its optional engaged.
     if (updates[i]) outcomes[i].store_error = store_error;
   }
-  // Every job's tables are dead now; without this the arenas of the pool
+  // Every job's tables are dead now; without this the malloc arenas of the
   // threads that happened to run jobs keep their pages.
   release_free_heap();
   return outcomes;
@@ -363,12 +367,10 @@ std::vector<job_outcome> mapping_service::run(
 
 std::size_t mapping_service::serve(job_feed& feed,
                                    const result_sink& sink) const {
-  const unsigned workers =
-      config_.threads == 0 ? default_shard_count() : config_.threads;
   std::mutex sink_mutex;
   std::atomic<std::size_t> served{0};
 
-  parallel_for_shards(workers, workers, [&](const shard&) {
+  run_lanes(lane_cap(config_.threads), [&] {
     while (std::optional<job_feed::item> item = feed.pop()) {
       served_outcome record{item->ticket, std::move(item->job), job_outcome{},
                             {}};
@@ -376,7 +378,7 @@ std::size_t mapping_service::serve(job_feed& feed,
       // Live store consultation (no plan passed): a daemon's later jobs
       // should see its earlier recoveries, so lookup happens at claim time
       // and the update (plus save) lands before the next claim of the same
-      // fingerprint on this worker.
+      // fingerprint on this lane.
       std::optional<store::store_entry> update;
       run_job(record.job, nullptr, out, update, {}, [] {});
       out.store_error = persist({&update, 1});

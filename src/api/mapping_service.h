@@ -1,17 +1,19 @@
 // Concurrent job engine over the unified tool API.
 //
 // A batch of `job_spec`s — each naming a machine, a built-in tool, its
-// options and an environment seed — is executed across a worker pool and
+// options and an environment seed — is executed on side-by-side lanes and
 // returned as one `job_outcome` per submission index. The determinism
 // contract: every job owns its environment and rng, so `outcome[i]` is a
 // pure function of `jobs[i]` alone and the batch output (wall time aside)
 // is bit-identical to a sequential loop on any thread count and under any
-// submission order. Workers drain a shared atomic queue (the thread plumbing
-// of util/parallel.h), so a long job — DRAMA burning its 2-hour budget on a
-// noisy unit — never serializes the jobs behind it.
+// submission order. Lanes (util/parallel.h's run_lanes) drain a shared
+// atomic queue, so a long job — DRAMA burning its 2-hour budget on a noisy
+// unit — never serializes the jobs behind it. This is the only level of
+// parallelism: each job's simulator runs its measurement batches inline on
+// the lane's thread.
 //
 // Progress observers receive job start / per-phase / done events, mutex-
-// serialized so one observer can safely aggregate across workers. No
+// serialized so one observer can safely aggregate across lanes. No
 // caller stops a job early: each runs until its tool finishes or spends
 // its own budget, and a job that throws marks only itself failed.
 //
@@ -77,7 +79,7 @@ struct job_outcome {
 
 /// Job lifecycle events. Calls are serialized by the service (one observer
 /// mutex), so implementations may mutate shared state without locking; they
-/// arrive from worker threads, interleaved across jobs but ordered within
+/// arrive from the lanes' threads, interleaved across jobs but ordered within
 /// one job (start, then phases, then done).
 class progress_observer {
  public:
@@ -90,8 +92,11 @@ class progress_observer {
 };
 
 struct service_config {
-  /// Worker threads; 0 means default_shard_count(). 1 reproduces a plain
-  /// sequential loop exactly (the determinism tests pin this).
+  /// Lanes (threads) running jobs; 0 means default_shard_count(). Never
+  /// more than default_shard_count() lanes run, whatever this asks for,
+  /// and run() starts no more than it has jobs. 1 runs every job on the
+  /// caller's thread, a plain sequential loop (the determinism tests pin
+  /// this).
   unsigned threads = 0;
   /// Fleet mapping store consulted before dispatching "dramdig" jobs (not
   /// owned; nullptr = no store, every job runs cold with store_hit empty).
@@ -103,7 +108,7 @@ struct service_config {
 };
 
 /// Streaming job source for daemon mode: producers push specs, consumers
-/// inside mapping_service::serve pop them in push order (FIFO) as workers
+/// inside mapping_service::serve pop them in push order (FIFO) as lanes
 /// free up. The order matters: with a live store, whether a job is served
 /// cold, warm or verify depends on which jobs ran before it. close() ends the
 /// stream: serve() returns once the queue drains. push() after close is
@@ -162,19 +167,19 @@ class mapping_service {
   /// job whose update it lost; it never fails the batch). Before
   /// returning, the heap the jobs freed goes back to the OS
   /// (util/heap.h), so the process's resident memory between batches does
-  /// not depend on which pool threads ran jobs.
+  /// not depend on which threads ran jobs.
   [[nodiscard]] std::vector<job_outcome> run(
       const std::vector<job_spec>& jobs,
       progress_observer* observer = nullptr) const;
 
   /// Daemon mode: drain `feed` until it is closed and empty, dispatching
-  /// jobs across the persistent worker pool (util/parallel.h) as they
-  /// arrive and streaming each result to `sink`. Store consultation and
-  /// persistence happen per job against the live store (a daemon's whole
-  /// point is that later jobs see earlier recoveries), so serve() trades
-  /// run()'s batch determinism for incremental warm-starts — documented,
-  /// not accidental. The producer owns close(). Returns jobs served,
-  /// after releasing the freed heap like run().
+  /// jobs across the service's lanes as they arrive and streaming each
+  /// result to `sink`. Store consultation and persistence happen per job
+  /// against the live store (a daemon's whole point is that later jobs see
+  /// earlier recoveries), so serve() trades run()'s batch determinism for
+  /// incremental warm-starts — documented, not accidental. The producer
+  /// owns close(). Returns jobs served, after releasing the freed heap like
+  /// run().
   using result_sink = std::function<void(const served_outcome&)>;
   std::size_t serve(job_feed& feed, const result_sink& sink) const;
 

@@ -12,14 +12,11 @@
 //     function is not a column bit.
 #pragma once
 
-#include "dram/spec.h"
 #include "sysinfo/system_info.h"
 
 namespace dramdig::core {
 
 struct domain_knowledge {
-  sysinfo::system_info system;
-  dram::chip_spec spec{};
   unsigned address_bits = 0;
   unsigned total_banks = 0;
   unsigned bank_function_count = 0;  ///< log2(total_banks)
@@ -28,10 +25,7 @@ struct domain_knowledge {
 
   /// Empirical observation: bits below this are cache-line offset and thus
   /// column bits; timing cannot probe them and does not need to.
-  unsigned min_probe_bit = 6;
-  /// Empirical observation (since Ivy Bridge): the lowest bit of the bank
-  /// function owning the most bits is not a column bit.
-  bool widest_function_rule = true;
+  static constexpr unsigned min_probe_bit = 6;
 
   /// Build from parsed system reports + the JEDEC spec tables.
   [[nodiscard]] static domain_knowledge from_system_info(

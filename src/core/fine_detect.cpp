@@ -154,7 +154,7 @@ fine_outcome run_fine_detection(bit_probe_engine& probe,
   }
   // Empirical rule: if one function is strictly widest, its lowest bit is
   // not a column bit.
-  if (knowledge.widest_function_rule && bank_functions.size() >= 2) {
+  if (bank_functions.size() >= 2) {
     std::uint64_t widest = 0;
     int widest_pop = 0;
     bool unique = false;

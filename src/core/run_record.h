@@ -91,12 +91,16 @@ struct tool_result {
   /// run. 0 for the baselines, which remeasure everything.
   std::uint64_t measurements_saved = 0;
   std::uint64_t access_count = 0;
-  /// Selection-pool size of the run (DRAMDig only, 0 elsewhere) — the
-  /// classifier-evidence field the fleet mapping store persists so warm
-  /// starts can pre-size the measurement plan.
+  /// Selection-pool size the run partitioned (DRAMDig only, 0 elsewhere):
+  /// reported in `detail` and the JSON record, and persisted by the fleet
+  /// mapping store as evidence (it feeds the entry's evidence digest). A
+  /// verify job reports the stored value. Nothing is sized from it.
   std::uint64_t pool_size = 0;
-  /// Bank count the run resolved (DRAMDig only, 0 elsewhere). Store
-  /// evidence: a geometry sibling's wrong-bank-count sweep starts here.
+  /// Bank count whose partition resolved the functions (DRAMDig only, 0
+  /// elsewhere): system information's count, or the candidate a sweep
+  /// settled on when there is none (the knowledge ablation prints it). A
+  /// verify job reports the stored mapping's count. Reported only; the
+  /// store does not persist it.
   unsigned assumed_bank_count = 0;
   /// Calibrated row-conflict threshold in ns (DRAMDig only, 0 elsewhere).
   /// Store evidence: authorizes an early calibration stop on siblings.

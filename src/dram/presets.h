@@ -7,9 +7,11 @@
 // the paper's order of magnitude.
 //
 // One deliberate correction: Table II prints machine No.5 (16 GiB) with row
-// bits 17~32, which only accounts for 8 GiB of address space; we extend the
-// rows to bit 33 so the mapping is bijective over 16 GiB (documented in
-// DESIGN.md as a paper typo).
+// bits 18~32. Its highest mapped bit is then 32, so the printed mapping
+// covers only 2^33 bytes = 8 GiB, and no mapping over fewer bits than the
+// installed memory's 34 can be a bijection (address_mapping requires one).
+// Every other row of the table is consistent with its memory size, so we
+// read this as a typo and extend the rows to bit 33.
 #pragma once
 
 #include <string>

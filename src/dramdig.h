@@ -9,7 +9,7 @@
 //
 // The many-run path — every bench and multi-machine example goes through
 // the job engine, which executes (machine, tool, options, seed) specs
-// across a worker pool with results bit-identical to a sequential loop:
+// on side-by-side lanes with results bit-identical to a sequential loop:
 //
 //   dramdig::api::mapping_service service({.threads = 8});
 //   auto outcomes = service.run(jobs);            // one per submission index

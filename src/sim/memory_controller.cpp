@@ -5,17 +5,8 @@
 
 #include "util/bitops.h"
 #include "util/expect.h"
-#include "util/parallel.h"
 
 namespace dramdig::sim {
-
-namespace {
-
-/// Batches below this size run their decode and counter-noise passes
-/// inline: a pool handoff costs more than the work it would spread.
-constexpr std::size_t kParallelDecodeThreshold = 4096;
-
-}  // namespace
 
 memory_controller::memory_controller(const dram::address_mapping& truth,
                                      timing_model timing, virtual_clock& clock,
@@ -37,10 +28,6 @@ memory_controller::memory_controller(const dram::address_mapping& truth,
   burst_end_ns_ = burst_start_ns_ +
                   static_cast<std::uint64_t>(-std::log(1.0 - burst_rng_.uniform()) *
                                              timing_.burst_mean_duration_s * 1e9);
-}
-
-worker_pool& memory_controller::pool() const {
-  return pool_ != nullptr ? *pool_ : worker_pool::global();
 }
 
 void memory_controller::advance_burst_schedule_to(std::uint64_t now_ns) const {
@@ -134,7 +121,7 @@ pair_measurement memory_controller::finish_measurement(const decoded_pair& d,
   // inflates part of the loop; modelled as a uniform positive shift whose
   // rate rises sharply during background-load bursts. All three draws come
   // from the measurement's one counter block (pure in the measurement index
-  // — the batch tail evaluates the identical block in parallel).
+  // — the batch tail evaluates the identical block).
   const double sigma_mean = timing_.access_noise_sigma_ns / std::sqrt(accesses);
   const counter_block blk =
       counter_.block(kMeasureNoiseDomain, measurement_count_);
@@ -189,17 +176,9 @@ const memory_controller::decoded_soa& memory_controller::decode_pairs(
     d.addr[2 * i + 1] = pairs[i].second;
   }
   const auto& functions = truth_.bank_functions();
-  const unsigned shards =
-      pairs.size() >= kParallelDecodeThreshold
-          ? std::max(default_shard_count(), pool().thread_count())
-          : 1;
-  parallel_for_shards(pool(), n, shards, [&](const shard& s) {
-    decode_banks(d.addr.data() + s.begin, s.end - s.begin, functions.data(),
-                 functions.size(), d.bank.data() + s.begin);
-    for (std::size_t i = s.begin; i < s.end; ++i) {
-      d.row[i] = d.addr[i] & row_mask_;
-    }
-  });
+  decode_banks(d.addr.data(), n, functions.data(), functions.size(),
+               d.bank.data());
+  for (std::size_t i = 0; i < n; ++i) d.row[i] = d.addr[i] & row_mask_;
   return d;
 }
 
@@ -248,27 +227,20 @@ void memory_controller::finish_batch_counter(
   access_count_ += n * 2ull * rounds;
   measurement_count_ += n;
 
-  // Parallel noise pass: element i is a pure function of (key, base+i) and
-  // the two per-measurement scalars folded above — shard-independent by
-  // construction, so any shard split and any pool yield identical output.
-  const unsigned shards =
-      n >= kParallelDecodeThreshold
-          ? std::max(default_shard_count(), pool().thread_count())
-          : 1;
-  parallel_for_shards(pool(), n, shards, [&](const shard& s) {
-    for (std::size_t i = s.begin; i < s.end; ++i) {
-      const counter_block blk =
-          counter_.block(kMeasureNoiseDomain, base_index + i);
-      double observed =
-          tail_.mean_base[i] + sigma_mean * counter_gaussian(blk.v0);
-      bool contaminated = false;
-      if (counter_unit(blk.v2) < tail_.contam_p[i]) {
-        observed += counter_unit(blk.v3) * timing_.contamination_max_ns;
-        contaminated = true;
-      }
-      out[i] = {std::max(1.0, observed), contaminated};
+  // Noise pass: element i is a pure function of (key, base+i) and the two
+  // per-measurement scalars folded above.
+  for (std::size_t i = 0; i < n; ++i) {
+    const counter_block blk =
+        counter_.block(kMeasureNoiseDomain, base_index + i);
+    double observed =
+        tail_.mean_base[i] + sigma_mean * counter_gaussian(blk.v0);
+    bool contaminated = false;
+    if (counter_unit(blk.v2) < tail_.contam_p[i]) {
+      observed += counter_unit(blk.v3) * timing_.contamination_max_ns;
+      contaminated = true;
     }
-  });
+    out[i] = {std::max(1.0, observed), contaminated};
+  }
 }
 
 void memory_controller::measure_pairs(std::span<const addr_pair> pairs,

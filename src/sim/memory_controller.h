@@ -15,10 +15,6 @@
 #include "sim/virtual_clock.h"
 #include "util/rng.h"
 
-namespace dramdig {
-class worker_pool;
-}
-
 namespace dramdig::sim {
 
 /// Result of one timed pair measurement (the paper's `latency(p, p')`).
@@ -59,30 +55,23 @@ class memory_controller {
 
   /// Decode a whole batch into the SoA scratch: validates every address up
   /// front, then runs the branch-lean bank/row extraction (decode_banks)
-  /// over the flat address array, sharded across the worker pool for large
-  /// batches. Pure — no noise, clock or row-buffer effects.
+  /// over the flat address array. Pure — no noise, clock or row-buffer
+  /// effects.
   const decoded_soa& decode_pairs(std::span<const addr_pair> pairs);
 
   /// Service a whole batch of pair measurements in one pass. The address
-  /// decodes (bank/row extraction) run through the SoA path above, sharded
-  /// across the persistent worker pool. A cheap sequential pass then
-  /// folds the state-carrying reductions in submission order (row-buffer
-  /// evolution, per-measurement clock prefix, burst schedule, counters),
-  /// and the noise itself — a pure function of (machine seed, measurement
-  /// index) through the counter stream — is evaluated shard-parallel.
-  /// `out` is bit-identical to calling measure_pair once per element, on
-  /// any thread count. The out-param form lets hot callers reuse one result
+  /// decodes (bank/row extraction) run through the SoA path above. A
+  /// sequential pass then folds the state-carrying reductions in
+  /// submission order (row-buffer evolution, per-measurement clock prefix,
+  /// burst schedule, counters), and a second pass draws the noise itself —
+  /// a pure function of (machine seed, measurement index) through the
+  /// counter stream. `out` is bit-identical to calling measure_pair once
+  /// per element. The out-param form lets hot callers reuse one result
   /// buffer across thousands of batches.
   void measure_pairs(std::span<const addr_pair> pairs, unsigned rounds,
                      std::vector<pair_measurement>& out);
   [[nodiscard]] std::vector<pair_measurement> measure_pairs(
       std::span<const addr_pair> pairs, unsigned rounds);
-
-  /// Inject the worker pool servicing the parallel decode and counter-rng
-  /// tail shards (nullptr restores the process-wide pool). The shard
-  /// *results* never depend on the pool; benches inject sized pools to
-  /// measure thread scaling, tests to prove they may.
-  void set_worker_pool(worker_pool* pool) noexcept { pool_ = pool; }
 
   /// Steady-state noiseless per-access latency for an alternating pair —
   /// used by tests to assert the channel's ground truth.
@@ -106,8 +95,8 @@ class memory_controller {
   }
 
  private:
-  /// Decoded DRAM coordinates of one pair, produced by the (parallel)
-  /// decode phase and consumed by the sequential noise phase.
+  /// Decoded DRAM coordinates of one pair, produced by the decode phase and
+  /// consumed by the noise phase.
   struct decoded_pair {
     std::uint64_t bank1 = 0, row1 = 0;
     std::uint64_t bank2 = 0, row2 = 0;
@@ -154,15 +143,13 @@ class memory_controller {
                                                     unsigned rounds);
 
   /// The batch tail over a decode_pairs result: sequential state fold,
-  /// parallel noise.
+  /// then the noise pass.
   void finish_batch_counter(const decoded_soa& d, unsigned rounds,
                             std::vector<pair_measurement>& out);
 
   /// Counter-stream domain of the measurement noise (the block's second
   /// counter word). Its value keys every recorded noise sequence.
   static constexpr std::uint64_t kMeasureNoiseDomain = 1;
-
-  [[nodiscard]] worker_pool& pool() const;
 
   dram::address_mapping truth_;
   timing_model timing_;
@@ -172,13 +159,12 @@ class memory_controller {
   std::vector<open_row> open_rows_;  ///< flat table indexed by flat bank id
   std::uint64_t row_mask_ = 0;       ///< OR of the mapping's row bits
   decoded_soa soa_;                  ///< batch decode scratch, reused
-  worker_pool* pool_ = nullptr;      ///< injected pool; nullptr = global
   std::uint64_t access_count_ = 0;
   std::uint64_t measurement_count_ = 0;
 
   /// Counter-tail scratch (reused): per-measurement noiseless mean and
   /// effective contamination rate, produced by the sequential fold and
-  /// consumed by the parallel noise pass.
+  /// consumed by the noise pass.
   struct tail_scratch {
     std::vector<double> mean_base;
     std::vector<double> contam_p;

@@ -15,9 +15,6 @@ namespace dramdig::store {
 
 namespace {
 
-/// Lowest probeable physical bit (cache-line offset; matches
-/// domain_knowledge::min_probe_bit).
-constexpr unsigned kMinProbeBit = 6;
 /// Cap on positive (row-flip) deltas designed from the null space.
 constexpr unsigned kMaxPositive = 8;
 /// Fraction of installed memory mapped for probe pairs (same as the
@@ -107,8 +104,9 @@ verify_report verify_stored_mapping(core::environment& env,
   const std::uint64_t addr_mask =
       entry.address_bits >= 64 ? ~0ull
                                : (std::uint64_t{1} << entry.address_bits) - 1;
+  constexpr unsigned min_bit = core::domain_knowledge::min_probe_bit;
   const std::uint64_t support =
-      addr_mask & ~((std::uint64_t{1} << kMinProbeBit) - 1);
+      addr_mask & ~((std::uint64_t{1} << min_bit) - 1);
   std::uint64_t row_mask = 0;
   for (const unsigned b : entry.row_bits) row_mask |= std::uint64_t{1} << b;
   std::uint64_t func_union = 0;
@@ -140,7 +138,7 @@ verify_report verify_stored_mapping(core::environment& env,
   unsigned positives = 0;
   std::uint64_t clean_row = 0;
   for (const unsigned b : entry.row_bits) {
-    if (b < kMinProbeBit || ((func_union >> b) & 1u) != 0) continue;
+    if (b < min_bit || ((func_union >> b) & 1u) != 0) continue;
     if (clean_row == 0) clean_row = std::uint64_t{1} << b;
     if (positives >= kMaxPositive / 2) break;
     add(std::uint64_t{1} << b, true);
@@ -173,7 +171,7 @@ verify_report verify_stored_mapping(core::environment& env,
     add(std::uint64_t{1} << std::countr_zero(bits), false);
   }
   for (const unsigned b : entry.column_bits) {
-    if (b < kMinProbeBit || ((func_union >> b) & 1u) != 0) continue;
+    if (b < min_bit || ((func_union >> b) & 1u) != 0) continue;
     add(std::uint64_t{1} << b, false);
     break;
   }

@@ -3,10 +3,10 @@
 // glibc's malloc keeps one arena per thread that allocates, and an arena
 // keeps the pages its freed blocks occupied: after a mapping job, the
 // megabyte-sized measurement-plan and decode tables it freed stay resident
-// in the arena of whichever thread ran it. A process that runs job batches
-// back to back on a shared worker pool therefore holds one job's worth of
-// dead tables per thread that has ever run one, and how many threads that
-// is depends on scheduling.
+// in the arena of whichever thread ran it, and an arena outlives its
+// thread. A process that runs job batches back to back therefore holds one
+// job's worth of dead tables per arena that has ever run one, and how many
+// arenas that is depends on scheduling.
 #pragma once
 
 #include <cstdlib>  // defines __GLIBC__ on glibc

@@ -11,9 +11,9 @@
 //   * `noise_stream` — a counter-based (Philox-style, Salmon et al.,
 //     "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) generator:
 //     sample i is a pure function of (key, domain, i), with constant
-//     consumption per sample. This is what lets the simulator's
-//     measurement tail evaluate its noise shard-parallel and still stay
-//     bit-identical on any thread count.
+//     consumption per sample. This is what lets the simulator's batch
+//     tail draw each measurement's noise by its index alone and still
+//     equal the scalar measure_pair sequence draw for draw.
 #pragma once
 
 #include <algorithm>
@@ -205,7 +205,7 @@ inline void mulhilo64(std::uint64_t a, std::uint64_t b, std::uint64_t& hi,
 /// the inverse normal CDF (Acklam's rational approximation, |rel err| <
 /// 1.2e-9 — far below the simulator's noise floor). No rejection loop, no
 /// cached spare: deviate i never depends on deviate i-1, which is the
-/// property that lets the measurement tail evaluate deviates in parallel.
+/// property that lets the measurement tail evaluate deviates by index.
 [[nodiscard]] inline double counter_gaussian(std::uint64_t x) noexcept {
   // Half-ulp offset keeps u away from 0; the top lattice point would round
   // to exactly 1.0 (double spacing near 1 is 2^-53, so 1 - 2^-53 + 2^-54

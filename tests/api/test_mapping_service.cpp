@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <fstream>
 #include <regex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -29,6 +31,7 @@
 #include "util/heap.h"
 #include "util/json.h"
 #include "util/log.h"
+#include "util/parallel.h"
 
 namespace dramdig::api {
 namespace {
@@ -73,6 +76,55 @@ TEST(MappingService, ResultsBitIdenticalAcrossThreadCounts) {
           << "job " << i << " diverged at threads=" << threads;
     }
   }
+}
+
+/// Records which threads ran jobs.
+class thread_recorder final : public progress_observer {
+ public:
+  void on_job_start(std::size_t /*index*/, const job_spec& /*job*/) override {
+    ids.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> ids;
+};
+
+TEST(MappingService, ThreadsAboveTheCapMatchOneThread) {
+  // 64 requested threads run at most default_shard_count() (1-16) lanes,
+  // in run() and in serve(), with the outcomes of one thread. 21 jobs
+  // leave work for more lanes than the cap on any host.
+  std::vector<job_spec> jobs;
+  for (int machine : {1, 4, 7}) {
+    for (std::uint64_t seed = 1; seed <= 7; ++seed) {
+      jobs.push_back({dram::machine_by_number(machine), "dramdig", {}, seed});
+    }
+  }
+  const auto baseline = mapping_service({.threads = 1}).run(jobs);
+  const mapping_service wide({.threads = 64});
+
+  thread_recorder lanes;
+  const auto outcomes = wide.run(jobs, &lanes);
+  ASSERT_EQ(outcomes.size(), baseline.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcome_key(outcomes[i]), outcome_key(baseline[i]))
+        << "job " << i << " diverged at threads=64";
+  }
+  EXPECT_LE(lanes.ids.size(), default_shard_count());
+  EXPECT_LE(lanes.ids.size(), 16u);
+
+  job_feed feed;
+  for (const job_spec& job : jobs) (void)feed.push(job);
+  feed.close();
+  std::set<std::thread::id> served_on;
+  std::vector<std::string> served(jobs.size());
+  ASSERT_EQ(wide.serve(feed,
+                       [&](const served_outcome& out) {
+                         served_on.insert(std::this_thread::get_id());
+                         served[out.ticket - 1] = outcome_key(out.outcome);
+                       }),
+            jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(served[i], outcome_key(baseline[i])) << "served job " << i;
+  }
+  EXPECT_LE(served_on.size(), default_shard_count());
 }
 
 TEST(MappingService, ResultsInvariantUnderShuffledSubmissionOrder) {
@@ -242,8 +294,8 @@ std::size_t resident_bytes() {
 
 TEST(MappingService, RunLeavesNoFreedHeapResident) {
   if (resident_bytes() == 0) GTEST_SKIP() << "no /proc/self/statm";
-  // Two workers over several recoveries spread the jobs' tables across
-  // pool threads' malloc arenas. run() releases them before returning, so
+  // Two lanes over several recoveries spread the jobs' tables across
+  // their threads' malloc arenas. run() releases them before returning, so
   // a second release finds next to nothing left to give back.
   std::vector<job_spec> jobs;
   for (int machine : {1, 4, 5, 7, 9}) {

@@ -312,11 +312,11 @@ TEST(MeasurementPlan, ResetDropsEveryCachedRelation) {
 }
 
 TEST(MeasurementPlan, DeterministicOnParallelBatchPath) {
-  // A >4096-partner scan pushes the controller's batched decode onto its
-  // multi-shard path; the plan's verdicts, class structure and stats must
-  // be identical to an equally seeded run (the controller guarantees
-  // bit-identical batches on any thread count, and the plan must not add
-  // any ordering of its own on top).
+  // A >4096-partner scan, the size of the largest batches a cold job
+  // issues (No.6/9); the plan's verdicts, class structure and stats must
+  // be identical to an equally seeded run (the controller's batches are
+  // deterministic, and the plan must not add any ordering of its own on
+  // top).
   pipeline_fixture a(6, 11), b(6, 11);
   const auto pool = pool_for(a, {7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20,
                                  21, 22});
