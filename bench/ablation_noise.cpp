@@ -2,6 +2,9 @@
 // noise — contamination sweep x partition parameters. Shows why the paper
 // sets delta = 0.2 / per_threshold = 85% and why DRAMDig's verification
 // keeps it deterministic where single-sample tools collapse.
+//
+// Exits 1 when the shipped window misses the truth on any run, so a CI run
+// guards the tool as shipped under every noise profile.
 #include <cstdio>
 #include <string_view>
 
@@ -38,12 +41,14 @@ int main(int argc, char** argv) {
   const struct {
     const char* label;
     double lower, upper;
+    bool shipped;
   } windows[] = {
-      {"sym 0.05 (over-tight)", 0.05, 0.05},
-      {"sym 0.20 (paper's delta)", 0.20, 0.20},
-      {"asym 0.40/0.20 (shipped)", 0.40, 0.20},
-      {"sym 0.60 (over-loose)", 0.60, 0.60},
+      {"sym 0.05 (over-tight)", 0.05, 0.05, false},
+      {"sym 0.20 (paper's delta)", 0.20, 0.20, false},
+      {"asym 0.40/0.20 (shipped)", 0.40, 0.20, true},
+      {"sym 0.60 (over-loose)", 0.60, 0.60, false},
   };
+  unsigned shipped_failures = 0;
 
   for (const auto& profile : profiles) {
     for (const auto& w : windows) {
@@ -66,6 +71,7 @@ int main(int argc, char** argv) {
         const bool ok = report.success && report.mapping &&
                         report.mapping->equivalent_to(spec.mapping);
         successes += ok;
+        if (w.shipped && !ok) ++shipped_failures;
         time_sum += report.virtual_seconds;
         attempts_sum += attempts;
         pool_sum += static_cast<double>(report.pool_size);
@@ -79,5 +85,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n", table.render().c_str());
+  if (shipped_failures > 0) {
+    std::printf("FAIL: the shipped window missed the truth on %u run(s)\n",
+                shipped_failures);
+    return 1;
+  }
   return 0;
 }

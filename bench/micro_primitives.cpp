@@ -168,27 +168,27 @@ void emit_bench_json(const std::string& path, bool smoke) {
     pairs.emplace_back(addr.below(spec.memory_bytes) & ~63ull,
                        addr.below(spec.memory_bytes) & ~63ull);
   }
-  // Min-of-3 passes on one persistent machine per variant: the production
-  // embedding (the timing channel) reuses its controller and result
-  // buffers across calls, so steady-state throughput — not first-call
-  // buffer growth — is the honest comparison, and the min also absorbs
-  // scheduler stalls (the ratio is CI-gated: bench/floors.json
-  // batch_speedup). Both machines run the identical
-  // three passes, so their virtual clocks stay comparable.
-  auto t0 = std::chrono::steady_clock::now();
+  // Min of kBatchPasses passes on one persistent machine per variant: the
+  // production embedding (the timing channel) reuses its controller and
+  // result buffers across calls, so steady-state throughput — not
+  // first-call buffer growth — is the honest comparison, and the min also
+  // absorbs scheduler stalls (the ratio is CI-gated: bench/floors.json
+  // batch_speedup). The passes alternate scalar, batch, scalar, ... so a
+  // stretch of host noise lands on both sides instead of one. Both
+  // machines run the same number of passes, so their virtual clocks stay
+  // comparable.
+  constexpr int kBatchPasses = 9;
   double scalar_wall_s = 1e300, batch_wall_s = 1e300;
   sim::machine scalar_machine(spec, 11, sim::timing_profile_for(spec));
-  for (int rep = 0; rep < 3; ++rep) {
-    t0 = std::chrono::steady_clock::now();
+  sim::machine batch_machine(spec, 11, sim::timing_profile_for(spec));
+  std::vector<sim::pair_measurement> batch_results;
+  for (int rep = 0; rep < kBatchPasses; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
     for (const auto& [a, b] : pairs) {
       benchmark::DoNotOptimize(
           scalar_machine.controller().measure_pair(a, b, 1000));
     }
     scalar_wall_s = std::min(scalar_wall_s, wall_seconds_since(t0));
-  }
-  sim::machine batch_machine(spec, 11, sim::timing_profile_for(spec));
-  std::vector<sim::pair_measurement> batch_results;
-  for (int rep = 0; rep < 3; ++rep) {
     t0 = std::chrono::steady_clock::now();
     batch_machine.controller().measure_pairs(pairs, 1000, batch_results);
     batch_wall_s = std::min(batch_wall_s, wall_seconds_since(t0));

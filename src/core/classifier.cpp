@@ -239,23 +239,11 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
   std::vector<std::size_t> partner_idx;
   unsigned founder_attempts = 0;
   bool prediction_dirty = true;
-  // Livelock bound: an address's ladder has at most one rung per
-  // representative per class, so any stretch of all-negative vote rounds
-  // longer than that means the ladder's memory is being erased out from
-  // under it (witness LRU eviction with more open classes than
-  // plan_config::max_witnesses) — fail the partition instead of spinning.
-  const unsigned max_barren_rounds = bank_count * kMaxRepresentatives + 2;
-  unsigned barren_rounds = 0;
-
+  // The rounds end: a vote is only cast on a pair the plan cannot answer,
+  // and its verdict stays cached for the rest of the run (a positive
+  // assigns, a negative is a witness entry), free assignments are bounded
+  // by the pool and founder scans by max_attempts.
   while (assigned_count < target) {
-    if (barren_rounds > max_barren_rounds) {
-      log_error("partition(rep): no progress after " +
-                std::to_string(barren_rounds) +
-                " vote rounds (witness capacity too small for " +
-                std::to_string(classes_.size()) + " open classes?)");
-      break;  // success stays false below
-    }
-    const std::size_t assigned_before_round = assigned_count;
     if (prediction_dirty || !trusted) {
       refresh_prediction();
       prediction_dirty = false;
@@ -481,13 +469,6 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
 
     if (vote_pairs.empty() && free_this_round == 0 && !founder_ran) {
       break;  // nothing left to try: stragglers beyond the ladder
-    }
-    // Founder scans are capped by max_attempts, so they count as progress;
-    // barren stretches are only rounds of purely negative votes.
-    if (assigned_count > assigned_before_round || founder_ran) {
-      barren_rounds = 0;
-    } else {
-      ++barren_rounds;
     }
   }
 

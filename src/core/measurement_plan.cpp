@@ -21,8 +21,8 @@ constexpr std::size_t kPrefetchAhead = 8;
 
 }  // namespace
 
-measurement_plan::measurement_plan(timing::channel& channel, plan_config config)
-    : channel_(channel), config_(config) {}
+measurement_plan::measurement_plan(timing::channel& channel)
+    : channel_(channel) {}
 
 void measurement_plan::reserve(std::size_t addresses) {
   idx_.reserve(addresses);
@@ -98,13 +98,6 @@ void measurement_plan::record_negative(rec_id pivot, rec_id partner) {
   // positives only). No dedupe needed: scans only
   // measure pairs the cache could not answer, so a recorded pair is
   // always new.
-  if (config_.max_witnesses != 0 &&
-      idx_.witnesses(partner).size() >= config_.max_witnesses) {
-    // LRU eviction: the front is the entry that least recently answered a
-    // query (hits rotate to the back).
-    idx_.witness_pop_front(partner);
-    ++stats_.witnesses_evicted;
-  }
   idx_.witness_push(partner, pivot);
   ++stats_.negatives_recorded;
 }
@@ -114,15 +107,8 @@ bool measurement_plan::known_cross(rec_id pivot, rec_id x) {
   if (pivot == none || x == none) return false;
   const std::span<const rec_id> ws = idx_.witnesses(x);
   if (ws.empty()) return false;
-  // Exact pair measured (or previously derived): reuse that verdict. The
-  // hit rotates to the back of the list so LRU eviction drops stale
-  // entries first.
-  for (std::size_t i = 0; i < ws.size(); ++i) {
-    if (ws[i] == pivot) {
-      idx_.witness_move_to_back(x, i);
-      return true;
-    }
-  }
+  // Exact pair measured (or previously derived): reuse that verdict.
+  if (std::find(ws.begin(), ws.end(), pivot) != ws.end()) return true;
   // Two witnesses in pivot's class that are SBDR-positive with each other
   // sit in two different rows of one bank; x cannot share a row with both,
   // so both negatives can only mean a different bank. A fresh pivot

@@ -46,17 +46,6 @@ enum class pair_relation : unsigned char {
   cross_pile, ///< proven not-SBDR (exact pair, or two row-distinct witnesses)
 };
 
-struct plan_config {
-  /// Per-address cap on the negative-witness lists, evicted LRU (the
-  /// entry that least recently answered or was recorded goes first).
-  /// Eviction only forgets a cached fact — the relation is re-measured if
-  /// it ever matters again — so a long-lived service embedding the plan
-  /// trades a bounded memory footprint for occasional re-measurement.
-  /// 0 = unbounded (the pre-cap behavior). The default comfortably holds
-  /// one rejecting pivot per bank on every paper machine.
-  std::size_t max_witnesses = 96;
-};
-
 struct plan_stats {
   std::uint64_t measurements_issued = 0;  ///< sent to the controller
   /// Verdicts answered from the cache, valued at what re-measuring them in
@@ -65,7 +54,6 @@ struct plan_stats {
   std::uint64_t measurements_saved = 0;
   std::uint64_t classes_merged = 0;
   std::uint64_t negatives_recorded = 0;   ///< witness entries added
-  std::uint64_t witnesses_evicted = 0;  ///< LRU drops (plan_config::max_witnesses)
 };
 
 /// Pile-size acceptance window for a pivot scan (counts include the
@@ -88,10 +76,9 @@ struct scan_options {
 
 class measurement_plan {
  public:
-  explicit measurement_plan(timing::channel& channel, plan_config config = {});
+  explicit measurement_plan(timing::channel& channel);
 
   [[nodiscard]] timing::channel& channel() noexcept { return channel_; }
-  [[nodiscard]] const plan_config& config() const noexcept { return config_; }
   [[nodiscard]] const plan_stats& stats() const noexcept { return stats_; }
 
   /// Relation currently implied by the cache (never measures).
@@ -242,7 +229,6 @@ class measurement_plan {
       bool verify_positives);
 
   timing::channel& channel_;
-  plan_config config_;
   plan_stats stats_;
 
   union_find uf_;
@@ -250,10 +236,9 @@ class measurement_plan {
   /// Node ids, witness lists and the strict-positive pair memo in flat
   /// open-addressing tables — one hash lookup per address per batch.
   /// Witness lists hold the records of the pivots that measured the
-  /// address not-SBDR, in LRU order (back = most recently recorded or
-  /// consulted): one entry per scan or vote that rejected the address, so
-  /// the lists stay short and are the exact-pair negative memo. Bounded
-  /// by plan_config::max_witnesses.
+  /// address not-SBDR, in the order they were recorded: one entry per
+  /// scan or vote that rejected the address (or per derived rejection),
+  /// kept until reset(), so the lists are the exact-pair negative memo.
   plan_index idx_;
 
   /// Batch-level root cache: root_stamp_[node] == root_epoch_ means

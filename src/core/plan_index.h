@@ -14,10 +14,10 @@
 //  * a shared witness arena of 32-bit record ids: every list is a
 //    contiguous slice of one std::vector, grown geometrically per list. A
 //    list that outgrows its slice is copied to fresh space at the arena
-//    tail and the old slice is abandoned until clear() — with the plan's
-//    LRU cap (max_witnesses) the leaked space is bounded by the geometric
-//    sum, and there is no per-address allocation at all. A witness's class
-//    is then one read of its record's node, not a hash lookup;
+//    tail and the old slice is abandoned until clear() — the abandoned
+//    slices of one list sum to less than its live slice, and there is no
+//    per-address allocation at all. A witness's class is then one read of
+//    its record's node, not a hash lookup;
 //  * an insert-only open-addressing set of 8-byte packed record-id pairs
 //    holding the strict SBDR positives (negatives live on the witness lists
 //    only).
@@ -26,8 +26,9 @@
 // equality only, so the order addresses are first seen in never reaches a
 // verdict.
 //
-// The index is storage only: LRU order, eviction, stats and the derivation
-// rules stay in measurement_plan.
+// The index is storage only: stats and the derivation rules stay in
+// measurement_plan. Witness lists keep insertion order and only grow
+// until clear().
 //
 // Mutation invalidates views: any witness_push may grow the arena, so a
 // span returned by witnesses() is valid only until the next push on ANY
@@ -145,8 +146,7 @@ class plan_index {
     return {witness_arena_.data() + r.wbegin, r.wsize};
   }
 
-  /// True once the record has been pushed onto any witness list (it
-  /// stays true after that entry is evicted).
+  /// True once the record has been pushed onto any witness list.
   [[nodiscard]] bool witnessed(rec_id rec) const {
     return records_[rec].witnessed;
   }
@@ -171,27 +171,6 @@ class plan_index {
     }
     witness_arena_[r.wbegin + r.wsize] = pivot;
     ++r.wsize;
-  }
-
-  /// Drop the oldest entry (LRU eviction).
-  void witness_pop_front(rec_id rec) {
-    record& r = records_[rec];
-    DRAMDIG_EXPECTS(r.wsize > 0);
-    for (std::uint32_t i = 1; i < r.wsize; ++i) {
-      witness_arena_[r.wbegin + i - 1] = witness_arena_[r.wbegin + i];
-    }
-    --r.wsize;
-  }
-
-  /// Rotate the entry at `pos` to the back (an LRU hit).
-  void witness_move_to_back(rec_id rec, std::size_t pos) {
-    record& r = records_[rec];
-    DRAMDIG_EXPECTS(pos < r.wsize);
-    const rec_id v = witness_arena_[r.wbegin + pos];
-    for (std::size_t i = pos + 1; i < r.wsize; ++i) {
-      witness_arena_[r.wbegin + i - 1] = witness_arena_[r.wbegin + i];
-    }
-    witness_arena_[r.wbegin + r.wsize - 1] = v;
   }
 
   // --- strict-positive pair memo -----------------------------------------

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -64,15 +65,29 @@ void write_fingerprint(json_writer& w, const sysinfo::machine_fingerprint& fp,
   w.end_object();
 }
 
+/// `v` as a T, rejecting a value T cannot hold: a silently narrowed bit
+/// index or count would load as a different claim.
+template <typename T>
+T read_number(const json_value& v) {
+  const std::uint64_t x = v.as_u64();
+  if constexpr (sizeof(T) < sizeof(std::uint64_t)) {
+    if (x > std::numeric_limits<T>::max()) {
+      throw json_parse_error("value " + std::to_string(x) +
+                             " out of range");
+    }
+  }
+  return static_cast<T>(x);
+}
+
 sysinfo::machine_fingerprint read_fingerprint(const json_value& v) {
   sysinfo::machine_fingerprint fp;
   fp.cpu_model = v.at("cpu_model").as_string();
   fp.generation = generation_from(v.at("generation").as_string());
   fp.total_bytes = v.at("total_bytes").as_u64();
-  fp.channels = static_cast<unsigned>(v.at("channels").as_u64());
-  fp.dimms_per_channel = static_cast<unsigned>(v.at("dimms_per_channel").as_u64());
-  fp.ranks_per_dimm = static_cast<unsigned>(v.at("ranks_per_dimm").as_u64());
-  fp.banks_per_rank = static_cast<unsigned>(v.at("banks_per_rank").as_u64());
+  fp.channels = read_number<unsigned>(v.at("channels"));
+  fp.dimms_per_channel = read_number<unsigned>(v.at("dimms_per_channel"));
+  fp.ranks_per_dimm = read_number<unsigned>(v.at("ranks_per_dimm"));
+  fp.banks_per_rank = read_number<unsigned>(v.at("banks_per_rank"));
   fp.ecc = v.at("ecc").as_bool();
   return fp;
 }
@@ -158,7 +173,7 @@ std::vector<T> read_number_array(const json_value& v) {
   std::vector<T> out;
   out.reserve(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
-    out.push_back(static_cast<T>(v[i].as_u64()));
+    out.push_back(read_number<T>(v[i]));
   }
   return out;
 }
@@ -170,7 +185,7 @@ store_entry read_entry(const json_value& e) {
   entry.bank_functions = read_number_array<std::uint64_t>(m.at("bank_functions"));
   entry.row_bits = read_number_array<unsigned>(m.at("row_bits"));
   entry.column_bits = read_number_array<unsigned>(m.at("column_bits"));
-  entry.address_bits = static_cast<unsigned>(m.at("address_bits").as_u64());
+  entry.address_bits = read_number<unsigned>(m.at("address_bits"));
   const json_value& ev = e.at("evidence");
   entry.pool_size = ev.at("pool_size").as_u64();
   // v2 evidence key; absent on v1 documents -> zero = no claim. The
@@ -187,9 +202,11 @@ store_entry read_entry(const json_value& e) {
     event.measurements = hist[h].at("measurements").as_u64();
     entry.history.push_back(std::move(event));
   }
-  // The mapping constructor enforces its own contracts (sorted distinct
-  // bit lists, address_bits bounds); a violation is just another way the
-  // file can be corrupt.
+  // The mapping constructor enforces its own contracts (bit and
+  // address_bits bounds); a violation is just another way the file can be
+  // corrupt. It sorts the bit lists but accepts a duplicated bit: such a
+  // claim loads, and the verifier's bijection gate refutes it before any
+  // measurement.
   (void)entry.mapping();
   return entry;
 }

@@ -470,59 +470,52 @@ TEST(MeasurementPlan, ClassifyPairsVerdictsMatchGroundTruthAndFeedCache) {
   EXPECT_EQ(f.env.mach().controller().measurement_count(), count);
 }
 
-TEST(MeasurementPlan, WitnessListsAreBoundedWithLruEviction) {
-  // A long-lived service must not grow the witness lists without bound:
-  // with max_witnesses = 2, a third rejecting anchor evicts the oldest
-  // entry — that relation degrades to unknown (re-measurable), while the
-  // recently recorded ones stay cached.
+TEST(MeasurementPlan, WitnessListsKeepEveryMeasuredNegative) {
+  // A plan lives for one run and forgets no negative it measured: a
+  // hundred anchors in other banks each reject one subject, and every
+  // rejection stays on the subject's witness list — each relation is
+  // cross_pile afterwards and repeating the whole vote round measures
+  // nothing.
   pipeline_fixture f(1);
   const auto pool = pool_for(f, {6, 14, 15, 16, 17, 18, 19});
   const auto& truth = f.env.spec().mapping;
 
-  // One subject plus several anchors in other banks.
   const std::uint64_t subject = pool.front();
-  std::vector<std::uint64_t> anchors;
-  for (std::size_t i = 1; i < pool.size() && anchors.size() < 4; ++i) {
+  std::vector<sim::addr_pair> round;
+  for (std::size_t i = 1; i < pool.size() && round.size() < 100; ++i) {
     if (truth.bank_of(pool[i]) != truth.bank_of(subject)) {
-      anchors.push_back(pool[i]);
+      round.emplace_back(pool[i], subject);
     }
   }
-  ASSERT_EQ(anchors.size(), 4u);
+  ASSERT_EQ(round.size(), 100u);
 
-  measurement_plan plan(f.channel, {.max_witnesses = 2});
-  for (const std::uint64_t a : anchors) {
-    const sim::addr_pair pair{a, subject};
+  measurement_plan plan(f.channel);
+  for (const sim::addr_pair& pair : round) {
     const auto votes = plan.classify_pairs({&pair, 1}, true);
     EXPECT_EQ(votes.member.front(), 0);
   }
-  EXPECT_GE(plan.stats().witnesses_evicted, 2u);
-  // The two most recent anchors are still cached; the first was evicted.
-  EXPECT_EQ(plan.relation(anchors[3], subject), pair_relation::cross_pile);
-  EXPECT_EQ(plan.relation(anchors[2], subject), pair_relation::cross_pile);
-  EXPECT_EQ(plan.relation(anchors[0], subject), pair_relation::unknown);
-
-  // Unbounded config never evicts on the same sequence.
-  pipeline_fixture g(1);
-  measurement_plan unbounded(g.channel, {.max_witnesses = 0});
-  for (const std::uint64_t a : anchors) {
-    const sim::addr_pair pair{a, subject};
-    (void)unbounded.classify_pairs({&pair, 1}, true);
+  EXPECT_EQ(plan.stats().negatives_recorded, round.size());
+  for (const auto& [anchor, s] : round) {
+    EXPECT_EQ(plan.relation(anchor, s), pair_relation::cross_pile);
   }
-  EXPECT_EQ(unbounded.stats().witnesses_evicted, 0u);
-  EXPECT_EQ(unbounded.relation(anchors[0], subject),
-            pair_relation::cross_pile);
+
+  const std::uint64_t count = f.env.mach().controller().measurement_count();
+  const auto again = plan.classify_pairs(round, true);
+  EXPECT_EQ(again.reused, round.size());
+  EXPECT_EQ(std::count(again.member.begin(), again.member.end(), 1), 0);
+  EXPECT_EQ(f.env.mach().controller().measurement_count(), count);
 }
 
-TEST(MeasurementPlan, LruEvictionOrderIsDeterministicAndSound) {
-  // max_witnesses = 2 forces constant LRU churn across repeated pivot
-  // scans. Which cached relation degrades back to unknown (and hence which
-  // rescans pay for re-measurement) must be a pure function of the scan
-  // sequence — a twin plan replaying it lands on identical verdicts,
-  // stats and relations — and no cached relation may contradict the truth.
+TEST(MeasurementPlan, RepeatedScansAreDeterministicAndSound) {
+  // Repeated pivot scans over one pool. Which relations the cache answers
+  // (and hence which rescans pay for measurement) must be a pure function
+  // of the scan sequence — a twin plan replaying it lands on identical
+  // verdicts, stats and relations — and no cached relation may contradict
+  // the truth.
   pipeline_fixture fa(1), fb(1);
   const auto pool = pool_for(fa, {6, 14, 15, 16, 17, 18, 19});
-  measurement_plan plan(fa.channel, {.max_witnesses = 2});
-  measurement_plan twin(fb.channel, {.max_witnesses = 2});
+  measurement_plan plan(fa.channel);
+  measurement_plan twin(fb.channel);
 
   rng pivots(7);
   for (unsigned round = 0; round < 6; ++round) {
@@ -537,8 +530,7 @@ TEST(MeasurementPlan, LruEvictionOrderIsDeterministicAndSound) {
     EXPECT_EQ(got.member, again.member) << "round " << round;
     EXPECT_EQ(got.reused, again.reused) << "round " << round;
   }
-  EXPECT_GT(plan.stats().witnesses_evicted, 0u);
-  EXPECT_EQ(plan.stats().witnesses_evicted, twin.stats().witnesses_evicted);
+  EXPECT_GT(plan.stats().measurements_saved, 0u);
   EXPECT_EQ(plan.stats().measurements_saved, twin.stats().measurements_saved);
   EXPECT_EQ(plan.stats().negatives_recorded, twin.stats().negatives_recorded);
   EXPECT_EQ(fa.env.mach().controller().measurement_count(),
@@ -661,8 +653,6 @@ workload_record run_numbering_workload(measurement_plan& plan,
   out.stats.classes_merged = after.classes_merged - before.classes_merged;
   out.stats.negatives_recorded =
       after.negatives_recorded - before.negatives_recorded;
-  out.stats.witnesses_evicted =
-      after.witnesses_evicted - before.witnesses_evicted;
   out.measurements = controller.measurement_count() - measured_before;
   return out;
 }
@@ -712,7 +702,6 @@ TEST(MeasurementPlan, RecordNumberingNeverReachesAResult) {
   EXPECT_EQ(a.stats.measurements_saved, b.stats.measurements_saved);
   EXPECT_EQ(a.stats.classes_merged, b.stats.classes_merged);
   EXPECT_EQ(a.stats.negatives_recorded, b.stats.negatives_recorded);
-  EXPECT_EQ(a.stats.witnesses_evicted, b.stats.witnesses_evicted);
   EXPECT_EQ(a.measurements, b.measurements);
   EXPECT_EQ(fa.env.mach().clock().now_ns(), fb.env.mach().clock().now_ns());
   // The cached scans (class members, witness role, own witness list) cost

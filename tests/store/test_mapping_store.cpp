@@ -590,6 +590,35 @@ TEST(MappingStore, RecordWithThirtyTwoFunctionsDegradesToColdWithWarning) {
   EXPECT_FALSE(store.load_warning().empty());
 }
 
+TEST(MappingStore, RecordWithOutOfRangeNumberDegradesToColdWithWarning) {
+  // A bit index or a geometry count past 32 bits must not be narrowed into
+  // range: row bit 2^32 + 21 would load as row bit 21, and the fingerprint
+  // hashes do not cover the mapping. The record is corrupt instead.
+  const struct {
+    const char* key;
+    const char* value;
+    const char* wide;
+  } cases[] = {
+      {"\"row_bits\": [", "21", "4294967317"},
+      {"\"column_bits\": [", "0", "4294967296"},
+      {"\"address_bits\": ", "33", "4294967329"},
+      {"\"channels\": ", "2", "4294967298"},
+  };
+  for (const auto& c : cases) {
+    temp_path path("v3narrow");
+    std::string record = kLiteralRecord;
+    const std::size_t block = record.find(c.key);
+    ASSERT_NE(block, std::string::npos) << c.key;
+    const std::size_t at = record.find(c.value, block);
+    ASSERT_NE(at, std::string::npos) << c.key;
+    record.replace(at, std::string(c.value).size(), c.wide);
+    write_file(path.str(), kV3Header + record);
+    const mapping_store store(path.str());
+    EXPECT_EQ(store.size(), 0u) << c.key;
+    EXPECT_FALSE(store.load_warning().empty()) << c.key;
+  }
+}
+
 TEST(MappingStore, V2WithTruncatedEvidenceBlockDegradesToV1Behavior) {
   // A version-2 header whose evidence block lost its v2 keys (e.g. a
   // document assembled by an older writer, or hand-edited): the optional
@@ -850,6 +879,18 @@ TEST(StoreVerify, RefutesNonBijectiveClaimWithoutMeasuring) {
   core::environment env2(m, 42);
   EXPECT_EQ(verify_stored_mapping(env2, poisoned).failure_reason,
             "stored mapping is not a bijection");
+
+  // A duplicated row bit keeps the row count right but leaves the top row
+  // bit uncovered. The mapping constructor accepts it, so such a record
+  // loads; the gate refutes it.
+  store_entry duplicated = entry_for(1);
+  duplicated.row_bits.back() = duplicated.row_bits.front();
+  ASSERT_FALSE(duplicated.mapping().is_bijective());
+  core::environment env3(m, 42);
+  const verify_report dup_report = verify_stored_mapping(env3, duplicated);
+  EXPECT_FALSE(dup_report.verified);
+  EXPECT_EQ(dup_report.failure_reason, "stored mapping is not a bijection");
+  EXPECT_EQ(env3.mach().controller().measurement_count(), 0u);
 }
 
 TEST(StoreVerify, RefutesClaimsThatContradictDomainKnowledgeWithoutMeasuring) {
