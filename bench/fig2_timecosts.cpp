@@ -11,13 +11,13 @@
 // producing any result before being killed.
 //
 // All machine×tool runs are independent jobs submitted to one
-// mapping_service batch: the worker pool drains them concurrently and the
+// mapping_service batch: the service's lanes run them side by side and the
 // service's determinism contract (each job owns its environment + rng,
 // results merged by submission index) makes the table and the JSON
 // identical on any thread count. Flags: --machines=14 (a subset for CI
 // smoke runs: one digit 1-9 per paper machine; any other character exits
-// 2), --threads=N (worker count; CI pins it to prove the contract),
-// --out=PATH (default BENCH_fig2.json).
+// 2), --threads=N (lanes asked for, at most default_shard_count() run; CI
+// pins it to prove the contract), --out=PATH (default BENCH_fig2.json).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>

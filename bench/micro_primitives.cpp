@@ -5,8 +5,7 @@
 // the virtual-time numbers in Fig. 2 are independent.
 //
 // On top of the google-benchmark suite, main() runs the tracked sections
-// and emits them as machine-readable BENCH_micro.json: the batched
-// measurement engine against a scalar measure_pair loop, hot-path
+// and emits them as machine-readable BENCH_micro.json: hot-path
 // throughput per layer, the SIMD decode kernel against its portable
 // fallback, the per-job set-up path (the simulated OS and the rng engine
 // under it), the partition's host cost against the simulator's, and the
@@ -84,18 +83,6 @@ void BM_Gf2Solve(benchmark::State& state) {
 }
 BENCHMARK(BM_Gf2Solve);
 
-void BM_MeasurePair(benchmark::State& state) {
-  const auto spec = dram::machine_by_number(1);
-  sim::machine machine(spec, 3, sim::timing_profile_for(spec));
-  std::uint64_t p = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        machine.controller().measure_pair(p, p ^ (1ull << 20), 1000));
-    p = (p + (1ull << 14)) & (spec.memory_bytes - 1);
-  }
-}
-BENCHMARK(BM_MeasurePair);
-
 void BM_MeasurePairsBatch4k(benchmark::State& state) {
   // Host throughput of the batched interface servicing 4096 pairs a call.
   const auto spec = dram::machine_by_number(1);
@@ -157,48 +144,7 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 void emit_bench_json(const std::string& path, bool smoke) {
-  // Batched engine vs scalar loop, identical seeds: same simulated result,
-  // host wall time compared.
   const auto spec = dram::machine_by_number(1);
-  const std::size_t pair_count = smoke ? 20000 : 100000;
-  rng addr(7);
-  std::vector<sim::addr_pair> pairs;
-  pairs.reserve(pair_count);
-  for (std::size_t i = 0; i < pair_count; ++i) {
-    pairs.emplace_back(addr.below(spec.memory_bytes) & ~63ull,
-                       addr.below(spec.memory_bytes) & ~63ull);
-  }
-  // Min of kBatchPasses passes on one persistent machine per variant: the
-  // production embedding (the timing channel) reuses its controller and
-  // result buffers across calls, so steady-state throughput — not
-  // first-call buffer growth — is the honest comparison, and the min also
-  // absorbs scheduler stalls (the ratio is CI-gated: bench/floors.json
-  // batch_speedup). The passes alternate scalar, batch, scalar, ... so a
-  // stretch of host noise lands on both sides instead of one. Both
-  // machines run the same number of passes, so their virtual clocks stay
-  // comparable.
-  constexpr int kBatchPasses = 9;
-  double scalar_wall_s = 1e300, batch_wall_s = 1e300;
-  sim::machine scalar_machine(spec, 11, sim::timing_profile_for(spec));
-  sim::machine batch_machine(spec, 11, sim::timing_profile_for(spec));
-  std::vector<sim::pair_measurement> batch_results;
-  for (int rep = 0; rep < kBatchPasses; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (const auto& [a, b] : pairs) {
-      benchmark::DoNotOptimize(
-          scalar_machine.controller().measure_pair(a, b, 1000));
-    }
-    scalar_wall_s = std::min(scalar_wall_s, wall_seconds_since(t0));
-    t0 = std::chrono::steady_clock::now();
-    batch_machine.controller().measure_pairs(pairs, 1000, batch_results);
-    batch_wall_s = std::min(batch_wall_s, wall_seconds_since(t0));
-    benchmark::DoNotOptimize(batch_results.data());
-  }
-  const std::uint64_t batch_virtual_ns = batch_machine.clock().now_ns();
-  const std::uint64_t batch_accesses =
-      batch_machine.controller().access_count();
-  const std::uint64_t batch_measurements =
-      batch_machine.controller().measurement_count();
 
   // Hot-path throughput: simulated measurements per second through each
   // layer of the batch-native stack — pure SoA decode, the full batched
@@ -500,15 +446,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.begin_object();
   w.key("bench").value("micro_primitives");
   w.key("smoke").value(smoke);
-  w.key("batched_measurement").begin_object();
-  w.key("pair_count").value(pair_count);
-  w.key("scalar_wall_s").value(scalar_wall_s);
-  w.key("batch_wall_s").value(batch_wall_s);
-  w.key("wall_speedup").value(scalar_wall_s / std::max(batch_wall_s, 1e-9));
-  w.key("virtual_ns").value(batch_virtual_ns);
-  w.key("access_count").value(batch_accesses);
-  w.key("measurement_count").value(batch_measurements);
-  w.end_object();
   w.key("hot_path_throughput").begin_object();
   for (const hot_row& row : hot_rows) {
     const std::string suffix = row.suffix;
@@ -571,9 +508,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
   write_file(path, w.str());
 
   std::printf("\n== tracked sections (written to %s) ==\n", path.c_str());
-  std::printf("batched engine, %zu pairs: scalar %.3fs, batch %.3fs (%.1fx)\n",
-              pair_count, scalar_wall_s, batch_wall_s,
-              scalar_wall_s / std::max(batch_wall_s, 1e-9));
   for (const hot_row& row : hot_rows) {
     std::printf("hot path at %zu pairs: decode %.1fM/s, measure %.1fM/s, "
                 "plan %.1fM/s\n",

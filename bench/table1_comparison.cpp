@@ -10,7 +10,7 @@
 // hammering) — it predates the timing channel and has no tool to run.
 //
 // Every (machine, seed, tool) run is one mapping_service job; the batches
-// fan across the worker pool and aggregate by submission index, so the
+// run on the service's lanes and aggregate by submission index, so the
 // scores are identical to the old sequential loops on any thread count.
 #include <cstdio>
 #include <set>

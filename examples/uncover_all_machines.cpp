@@ -1,8 +1,9 @@
 // Reverse-engineer every paper machine — a live rendition of Table II,
-// submitted as one mapping_service batch. The worker pool drains the nine
-// machines concurrently; a progress observer narrates completions as they
-// land (in wall-clock order), while the final table merges by submission
-// index, so it is identical however the pool interleaves.
+// submitted as one mapping_service batch. The service's lanes (run_lanes,
+// at most default_shard_count()) run the nine machines side by side; a
+// progress observer narrates completions as they land (in wall-clock
+// order), while the final table merges by submission index, so it is
+// identical however the lanes interleave.
 //
 //   $ uncover_all_machines [--store <path>] [--machines=1,3,7]
 //
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
     }
     jobs.push_back({spec, "dramdig", {}, /*seed=*/2026});
   }
-  std::printf("uncovering %zu machines across the worker pool...\n",
+  std::printf("uncovering %zu machines across the service's lanes...\n",
               jobs.size());
   narrator progress(jobs);
   std::optional<store::mapping_store> store;

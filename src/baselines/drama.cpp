@@ -36,8 +36,8 @@ constexpr double kCpuNsPerMask = 1500.0;
 
 /// DRAMA's cruder threshold: modal latency of random pairs x a factor.
 /// Pair draws are independent of the measurements, so the batch is drawn
-/// up front and serviced in one channel pass — bit-identical samples to
-/// the original scalar measure_pair loop.
+/// up front and serviced in one channel pass — the same samples as
+/// measuring the pairs one at a time.
 double drama_threshold(timing::channel& channel,
                        const std::vector<std::uint64_t>& pool,
                        unsigned calibration_pairs, rng& r) {

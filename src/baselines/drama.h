@@ -17,8 +17,8 @@
 // The implementation runs through the same measurement substrate as
 // DRAMDig — a timing::channel with DRAMA's own crude threshold injected.
 // Each clustering sweep is one measure_batch of single-sample latencies
-// compared against that threshold, bit-identical to the original scalar
-// measure_pair loop.
+// compared against that threshold; how the sweeps are cut into batches
+// does not change a single reading.
 //
 // The published parameters (buffer size, rounds per measurement, threshold
 // factor, violation tolerances, function width, candidate bits, minimum

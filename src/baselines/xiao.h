@@ -60,7 +60,7 @@ class xiao_tool {
 /// The tool's SBDR verdict: the median of `samples` single-sample pair
 /// latencies above the channel's threshold. The samples are one
 /// measure_batch of `samples` copies of the pair, bit-identical to
-/// `samples` scalar measurements in a row.
+/// `samples` one-pair batches in a row.
 [[nodiscard]] bool xiao_sbdr(timing::channel& channel, std::uint64_t p1,
                              std::uint64_t p2, unsigned samples);
 

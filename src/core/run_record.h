@@ -92,9 +92,9 @@ struct tool_result {
   std::uint64_t measurements_saved = 0;
   std::uint64_t access_count = 0;
   /// Selection-pool size the run partitioned (DRAMDig only, 0 elsewhere):
-  /// reported in `detail` and the JSON record, and persisted by the fleet
-  /// mapping store as evidence (it feeds the entry's evidence digest). A
-  /// verify job reports the stored value. Nothing is sized from it.
+  /// reported in `detail` and the JSON record, and stored by the fleet
+  /// mapping store and reported as evidence. A verify job reports the
+  /// stored value. Nothing is sized from it.
   std::uint64_t pool_size = 0;
   /// Bank count whose partition resolved the functions (DRAMDig only, 0
   /// elsewhere): system information's count, or the candidate a sweep

@@ -57,29 +57,6 @@ double memory_controller::effective_contamination_at(
   return std::min(chance, 0.5);
 }
 
-double memory_controller::ideal_pair_latency_ns(std::uint64_t p1,
-                                                std::uint64_t p2) const {
-  return decode_pair(p1, p2).ideal_ns;
-}
-
-memory_controller::decoded_pair memory_controller::decode_pair(
-    std::uint64_t p1, std::uint64_t p2) const {
-  DRAMDIG_EXPECTS(p1 < truth_.memory_bytes() && p2 < truth_.memory_bytes());
-  decoded_pair d;
-  d.bank1 = truth_.bank_of(p1);
-  d.row1 = p1 & row_mask_;
-  d.bank2 = truth_.bank_of(p2);
-  d.row2 = p2 & row_mask_;
-  // Different banks each keep their row open (all hits), as does a shared
-  // row buffer; same bank + different row pays a conflict every access.
-  if (d.bank1 != d.bank2 || d.row1 == d.row2) {
-    d.ideal_ns = timing_.row_hit_ns;
-  } else {
-    d.ideal_ns = timing_.row_conflict_ns;
-  }
-  return d;
-}
-
 memory_controller::access_tally memory_controller::tally_closed_form(
     const decoded_pair& d, unsigned rounds) const {
   access_tally t;
@@ -104,60 +81,6 @@ memory_controller::access_tally memory_controller::tally_closed_form(
   const bool steady_hit = d.bank1 != d.bank2 || d.row1 == d.row2;
   add(steady_hit ? touch::hit : touch::conflict, 2ull * rounds - 2);
   return t;
-}
-
-pair_measurement memory_controller::finish_measurement(const decoded_pair& d,
-                                                       unsigned rounds) {
-  const access_tally t = tally_closed_form(d, rounds);
-  const double accesses = 2.0 * static_cast<double>(rounds);
-  const double mean_base = (static_cast<double>(t.hits) * timing_.row_hit_ns +
-                            static_cast<double>(t.closed) * timing_.row_closed_ns +
-                            static_cast<double>(t.conflicts) *
-                                timing_.row_conflict_ns) /
-                           accesses;
-
-  // Mean of 2*rounds iid Gaussian samples around the loop's mean latency,
-  // plus heavy-tail contamination: a scheduler preemption or refresh burst
-  // inflates part of the loop; modelled as a uniform positive shift whose
-  // rate rises sharply during background-load bursts. All three draws come
-  // from the measurement's one counter block (pure in the measurement index
-  // — the batch tail evaluates the identical block).
-  const double sigma_mean = timing_.access_noise_sigma_ns / std::sqrt(accesses);
-  const counter_block blk =
-      counter_.block(kMeasureNoiseDomain, measurement_count_);
-  double observed = mean_base + sigma_mean * counter_gaussian(blk.v0);
-  bool contaminated = false;
-  if (counter_unit(blk.v2) < effective_contamination_at(clock_.now_ns())) {
-    observed += counter_unit(blk.v3) * timing_.contamination_max_ns;
-    contaminated = true;
-  }
-
-  // Charge the virtual clock for the whole measurement loop. Each access
-  // charges a truncated integer, so the aggregate below equals a
-  // per-access advance_ns sequence exactly — on any timing preset.
-  const auto charge = [this](double base) {
-    return static_cast<std::uint64_t>(base + timing_.clflush_ns +
-                                      timing_.loop_overhead_ns);
-  };
-  clock_.advance_ns(t.hits * charge(timing_.row_hit_ns) +
-                    t.closed * charge(timing_.row_closed_ns) +
-                    t.conflicts * charge(timing_.row_conflict_ns));
-  access_count_ += 2ull * rounds;
-  ++measurement_count_;
-
-  // The row-buffer state after an alternating loop: both banks hold the
-  // last-touched rows (p2's row wins a shared bank, matching access order).
-  open_rows_[d.bank1] = {d.row1, true};
-  open_rows_[d.bank2] = {d.row2, true};
-
-  return {std::max(1.0, observed), contaminated};
-}
-
-pair_measurement memory_controller::measure_pair(std::uint64_t p1,
-                                                 std::uint64_t p2,
-                                                 unsigned rounds) {
-  DRAMDIG_EXPECTS(rounds > 0);
-  return finish_measurement(decode_pair(p1, p2), rounds);
 }
 
 const memory_controller::decoded_soa& memory_controller::decode_pairs(
@@ -191,6 +114,9 @@ void memory_controller::finish_batch_counter(
 
   const double accesses = 2.0 * static_cast<double>(rounds);
   const double sigma_mean = timing_.access_noise_sigma_ns / std::sqrt(accesses);
+  // Each access charges a truncated integer, so the per-measurement
+  // aggregate equals a per-access advance_ns sequence exactly — on any
+  // timing preset.
   const auto charge = [this](double base) {
     return static_cast<std::uint64_t>(base + timing_.clflush_ns +
                                       timing_.loop_overhead_ns);
@@ -202,15 +128,15 @@ void memory_controller::finish_batch_counter(
   // Sequential fold of everything state-carrying, in submission order: the
   // row-buffer table (a measurement's first touches see what the previous
   // measurement left open), the virtual-clock prefix (measurement i's
-  // contamination rate is evaluated at the clock *before* its own charge —
-  // exactly where finish_measurement reads it), and the lazy burst
+  // contamination rate is evaluated at the clock *before* its own charge,
+  // so a sub-batch starting at i reads the same rate), and the lazy burst
   // schedule riding that monotone clock. No randomness is consumed here
-  // beyond burst_rng_'s schedule draws, identical to the scalar sequence.
+  // beyond burst_rng_'s schedule draws, which depend only on the clock.
   const std::uint64_t base_index = measurement_count_;
   std::uint64_t clock_at = clock_.now_ns();
   for (std::size_t i = 0; i < n; ++i) {
     const decoded_pair dp{d.bank[2 * i], d.row[2 * i], d.bank[2 * i + 1],
-                          d.row[2 * i + 1], 0.0};
+                          d.row[2 * i + 1]};
     const access_tally t = tally_closed_form(dp, rounds);
     tail_.mean_base[i] =
         (static_cast<double>(t.hits) * timing_.row_hit_ns +
@@ -220,6 +146,8 @@ void memory_controller::finish_batch_counter(
     tail_.contam_p[i] = effective_contamination_at(clock_at);
     clock_at += t.hits * hit_charge + t.closed * closed_charge +
                 t.conflicts * conflict_charge;
+    // Both banks keep the last-touched rows: p2's row wins a shared bank,
+    // matching access order.
     open_rows_[dp.bank1] = {dp.row1, true};
     open_rows_[dp.bank2] = {dp.row2, true};
   }
@@ -228,7 +156,11 @@ void memory_controller::finish_batch_counter(
   measurement_count_ += n;
 
   // Noise pass: element i is a pure function of (key, base+i) and the two
-  // per-measurement scalars folded above.
+  // per-measurement scalars folded above. The reading is the mean of
+  // 2*rounds iid Gaussian samples around the loop's mean latency, plus
+  // heavy-tail contamination: a scheduler preemption or refresh burst
+  // inflates part of the loop, modelled as a uniform positive shift whose
+  // rate rises sharply during background-load bursts.
   for (std::size_t i = 0; i < n; ++i) {
     const counter_block blk =
         counter_.block(kMeasureNoiseDomain, base_index + i);
@@ -247,8 +179,8 @@ void memory_controller::measure_pairs(std::span<const addr_pair> pairs,
                                       unsigned rounds,
                                       std::vector<pair_measurement>& out) {
   DRAMDIG_EXPECTS(rounds > 0);
-  // Decode is a pure function of the address, so the staged SoA path agrees
-  // bit for bit with a fused per-pair decode+finish loop.
+  // Decode is a pure function of the address, so the whole batch decodes
+  // before the state fold reads any of it.
   const decoded_soa& d = decode_pairs(pairs);
   out.resize(pairs.size());
   finish_batch_counter(d, rounds, out);

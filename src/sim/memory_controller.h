@@ -31,15 +31,6 @@ class memory_controller {
   memory_controller(const dram::address_mapping& truth, timing_model timing,
                     virtual_clock& clock, rng noise_rng);
 
-  /// Alternate accesses to p1 and p2 (`rounds` accesses to each, clflush
-  /// between accesses) and return the mean per-access latency. This is the
-  /// workhorse of the timing channel; it is closed-form over the row-buffer
-  /// steady state so a measurement costs O(1) host time while still
-  /// advancing the virtual clock by the full loop cost.
-  [[nodiscard]] pair_measurement measure_pair(std::uint64_t p1,
-                                              std::uint64_t p2,
-                                              unsigned rounds);
-
   /// Structure-of-arrays decode of a pair batch: element 2i describes
   /// pairs[i].first, element 2i+1 pairs[i].second. The buffers belong to
   /// the controller and are reused across calls (no per-batch allocation
@@ -59,24 +50,24 @@ class memory_controller {
   /// effects.
   const decoded_soa& decode_pairs(std::span<const addr_pair> pairs);
 
-  /// Service a whole batch of pair measurements in one pass. The address
-  /// decodes (bank/row extraction) run through the SoA path above. A
-  /// sequential pass then folds the state-carrying reductions in
-  /// submission order (row-buffer evolution, per-measurement clock prefix,
-  /// burst schedule, counters), and a second pass draws the noise itself —
-  /// a pure function of (machine seed, measurement index) through the
-  /// counter stream. `out` is bit-identical to calling measure_pair once
-  /// per element. The out-param form lets hot callers reuse one result
-  /// buffer across thousands of batches.
+  /// The controller's one measuring path. Each element alternates accesses
+  /// to its p1 and p2 (`rounds` accesses to each, clflush between accesses)
+  /// and reports the mean per-access latency; the loop is tallied in closed
+  /// form over the row-buffer steady state, so a measurement costs O(1)
+  /// host time while still advancing the virtual clock by the full loop
+  /// cost. The address decodes (bank/row extraction) run through the SoA
+  /// path above. A sequential pass then folds the state-carrying reductions
+  /// in submission order (row-buffer evolution, per-measurement clock
+  /// prefix, burst schedule, counters), and a second pass draws the noise
+  /// itself — a pure function of (machine seed, measurement index) through
+  /// the counter stream. So any split of a batch into consecutive
+  /// sub-batches, down to one pair each, gives the whole batch's results,
+  /// clock, counters and row buffers bit for bit. The out-param form lets
+  /// hot callers reuse one result buffer across thousands of batches.
   void measure_pairs(std::span<const addr_pair> pairs, unsigned rounds,
                      std::vector<pair_measurement>& out);
   [[nodiscard]] std::vector<pair_measurement> measure_pairs(
       std::span<const addr_pair> pairs, unsigned rounds);
-
-  /// Steady-state noiseless per-access latency for an alternating pair —
-  /// used by tests to assert the channel's ground truth.
-  [[nodiscard]] double ideal_pair_latency_ns(std::uint64_t p1,
-                                             std::uint64_t p2) const;
 
   [[nodiscard]] const dram::address_mapping& truth() const noexcept {
     return truth_;
@@ -95,12 +86,11 @@ class memory_controller {
   }
 
  private:
-  /// Decoded DRAM coordinates of one pair, produced by the decode phase and
-  /// consumed by the noise phase.
+  /// Decoded DRAM coordinates of one pair, read off the SoA decode by the
+  /// state fold.
   struct decoded_pair {
     std::uint64_t bank1 = 0, row1 = 0;
     std::uint64_t bank2 = 0, row2 = 0;
-    double ideal_ns = 0.0;
   };
 
   /// Per-bank row-buffer entry; `open` distinguishes a precharged bank
@@ -126,21 +116,12 @@ class memory_controller {
     return slot.row == row ? touch::hit : touch::conflict;
   }
 
-  [[nodiscard]] decoded_pair decode_pair(std::uint64_t p1,
-                                         std::uint64_t p2) const;
-
   /// O(1) tally of the alternating 2*rounds access loop, which visits at
   /// most three row-buffer situations: the first access to each address
   /// is classified against the pre-measurement row-buffer state, every
   /// later access sits in the alternating steady state.
   [[nodiscard]] access_tally tally_closed_form(const decoded_pair& d,
                                                unsigned rounds) const;
-
-  /// The stochastic tail of one measurement: noise draws, clock charge,
-  /// counters and row-buffer update. Must run in submission order (only
-  /// its draws are order-free; the state folds are not).
-  [[nodiscard]] pair_measurement finish_measurement(const decoded_pair& d,
-                                                    unsigned rounds);
 
   /// The batch tail over a decode_pairs result: sequential state fold,
   /// then the noise pass.

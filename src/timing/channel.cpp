@@ -57,8 +57,8 @@ void channel::sample_calibration_chunk(const std::vector<std::uint64_t>& pool,
   // Pair draws are independent of the measurements, so the chunk is drawn
   // up front and serviced as one controller batch — each pair duplicated,
   // min-of-two over the adjacent readings (contamination is one-sided, so
-  // the lower reading is always the cleaner one). Bit-identical to the
-  // scalar two-measurement loop, at batch host cost.
+  // the lower reading is always the cleaner one). Bit-identical to
+  // measuring each pair twice in a row, at batch host cost.
   pair_scratch_.clear();
   pair_scratch_.reserve(pairs * 2);
   for (std::size_t i = 0; i < pairs; ++i) {

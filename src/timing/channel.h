@@ -60,10 +60,10 @@ class channel {
                    double prior_ns = 0.0);
 
   /// Single-sample mean latencies for a whole batch of pairs, serviced by
-  /// the controller in one pass. Element i equals what a scalar
-  /// measure_pair on pairs[i] would have returned at that point in the
-  /// measurement sequence. `out` and the channel's internal scratch are
-  /// reused, so the hot loops allocate nothing per call.
+  /// the controller in one pass. Element i equals what measuring pairs[i]
+  /// alone would have returned at that point in the measurement sequence.
+  /// `out` and the channel's internal scratch are reused, so the hot loops
+  /// allocate nothing per call.
   void measure_batch(std::span<const sim::addr_pair> pairs,
                      std::vector<double>& out);
 

@@ -12,8 +12,8 @@
 //     "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) generator:
 //     sample i is a pure function of (key, domain, i), with constant
 //     consumption per sample. This is what lets the simulator's batch
-//     tail draw each measurement's noise by its index alone and still
-//     equal the scalar measure_pair sequence draw for draw.
+//     tail draw each measurement's noise by its index alone, so any split
+//     of a batch into sub-batches draws the same noise.
 #pragma once
 
 #include <algorithm>

@@ -22,7 +22,7 @@ struct bare_controller {
 
   /// `n` pair measurements (each also advances the clock and accesses).
   void measure(unsigned n) {
-    for (unsigned i = 0; i < n; ++i) (void)mc.measure_pair(0, 1u << 17, 100);
+    (void)mc.measure_pairs(std::vector<sim::addr_pair>(n, {0, 1u << 17}), 100);
   }
 };
 

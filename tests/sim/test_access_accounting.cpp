@@ -1,13 +1,14 @@
 // Measurement accounting: the alternating 2*rounds access loop of a pair
 // measurement visits at most three row-buffer situations, so the
 // controller tallies it in closed form. With zero noise the observed mean
-// and the virtual clock must equal the hand-summed per-access values —
-// each access charging its own truncated integer — on the default, a
-// fractional-timing and a heavy-burst preset, through both the scalar and
-// the batch entry points.
+// and the virtual clock must equal the per-access values — each access
+// charging its own truncated integer — summed by hand for two pairs on the
+// default, a fractional-timing and a heavy-burst preset, and summed by an
+// access-by-access walk over thousands of random pairs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "dram/presets.h"
@@ -69,30 +70,101 @@ void expect_hand_summed_charges(timing_model timing, const char* label) {
 
   virtual_clock clock;
   memory_controller mc(spec.mapping, timing, clock, rng(1));
-  const auto m = mc.measure_pair(sbdr.first, sbdr.second, rounds);
-  EXPECT_DOUBLE_EQ(m.mean_access_ns, want);
-  EXPECT_EQ(clock.now_ns(), want_ns);
-  const auto c = mc.measure_pair(cross.first, cross.second, rounds);
-  EXPECT_DOUBLE_EQ(c.mean_access_ns, want_cross);
+  const std::vector<addr_pair> pairs{sbdr, cross};
+  const auto got = mc.measure_pairs(pairs, rounds);
+  EXPECT_DOUBLE_EQ(got[0].mean_access_ns, want);
+  EXPECT_DOUBLE_EQ(got[1].mean_access_ns, want_cross);
   EXPECT_EQ(clock.now_ns(), want_ns + want_cross_ns);
   EXPECT_EQ(mc.measurement_count(), 2u);
   EXPECT_EQ(mc.access_count(), 4ull * rounds);
-
-  // The batch tail folds the same per-measurement charges.
-  virtual_clock batch_clock;
-  memory_controller batched(spec.mapping, timing, batch_clock, rng(1));
-  const std::vector<addr_pair> pairs{sbdr, cross};
-  const auto got = batched.measure_pairs(pairs, rounds);
-  EXPECT_DOUBLE_EQ(got[0].mean_access_ns, want);
-  EXPECT_DOUBLE_EQ(got[1].mean_access_ns, want_cross);
-  EXPECT_EQ(batch_clock.now_ns(), want_ns + want_cross_ns);
-  EXPECT_EQ(batched.access_count(), 4ull * rounds);
 }
 
 TEST(AccessAccounting, TransientFirstAccessesAreCharged) {
   expect_hand_summed_charges(timing_model{}, "default timings");
   expect_hand_summed_charges(fractional_timings(), "fractional timings");
   expect_hand_summed_charges(heavy_bursts(), "heavy bursts");
+}
+
+/// Walks every access of every pair's alternating loop against its own
+/// row-buffer table, keyed by the mapping's decoded bank and row, and
+/// charges each access its own latency and truncated clock charge.
+class per_access_reference {
+ public:
+  per_access_reference(const dram::address_mapping& truth,
+                       const timing_model& timing)
+      : truth_(truth), timing_(timing) {}
+
+  /// Mean per-access latency of one measurement; advances now_ns().
+  double measure(const addr_pair& pair, unsigned rounds) {
+    double sum_ns = 0.0;
+    for (unsigned r = 0; r < rounds; ++r) {
+      sum_ns += access(pair.first);
+      sum_ns += access(pair.second);
+    }
+    return sum_ns / (2.0 * rounds);
+  }
+
+  [[nodiscard]] std::uint64_t now_ns() const { return now_ns_; }
+
+ private:
+  double access(std::uint64_t addr) {
+    const dram::dram_address at = truth_.decode(addr);
+    const auto open = open_rows_.find(at.flat_bank);
+    double latency_ns = timing_.row_closed_ns;
+    if (open != open_rows_.end()) {
+      latency_ns = open->second == at.row ? timing_.row_hit_ns
+                                          : timing_.row_conflict_ns;
+    }
+    open_rows_[at.flat_bank] = at.row;
+    now_ns_ += static_cast<std::uint64_t>(latency_ns + timing_.clflush_ns +
+                                          timing_.loop_overhead_ns);
+    return latency_ns;
+  }
+
+  const dram::address_mapping& truth_;
+  timing_model timing_;
+  std::map<std::uint64_t, std::uint64_t> open_rows_;  ///< bank -> open row
+  std::uint64_t now_ns_ = 0;
+};
+
+void expect_per_access_loop(timing_model timing, const char* label) {
+  SCOPED_TRACE(label);
+  timing.access_noise_sigma_ns = 0.0;
+  timing.contamination_chance = 0.0;
+  const auto& spec = dram::machine_by_number(1);
+  // A third of the pairs share a bank across rows (bit 20 is row-only on
+  // No.1), a third share a row (bit 8 is a column bit), the rest are
+  // random. Lines come from the lowest MiB, eight rows of each bank, so
+  // first accesses meet closed, hit and conflicting row buffers alike.
+  rng draw(29);
+  const auto line = [&] { return draw.below(1ull << 20) & ~63ull; };
+  std::vector<addr_pair> pairs;
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t p = line();
+    switch (i % 3) {
+      case 0: pairs.emplace_back(p, p ^ (1ull << 20)); break;
+      case 1: pairs.emplace_back(p, p ^ (1ull << 8)); break;
+      default: pairs.emplace_back(p, line()); break;
+    }
+  }
+
+  virtual_clock clock;
+  memory_controller mc(spec.mapping, timing, clock, rng(1));
+  per_access_reference ref(spec.mapping, timing);
+  // rounds == 1 has no steady-state accesses at all.
+  for (const unsigned rounds : {1u, 7u}) {
+    const auto got = mc.measure_pairs(pairs, rounds);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const double want = ref.measure(pairs[i], rounds);
+      ASSERT_NEAR(got[i].mean_access_ns, want, 1e-9) << rounds << " " << i;
+    }
+    EXPECT_EQ(clock.now_ns(), ref.now_ns()) << rounds;
+  }
+}
+
+TEST(AccessAccounting, ClosedFormMatchesPerAccessLoop) {
+  expect_per_access_loop(timing_model{}, "default timings");
+  expect_per_access_loop(fractional_timings(), "fractional timings");
 }
 
 }  // namespace

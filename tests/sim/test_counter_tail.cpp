@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "dram/presets.h"
@@ -12,8 +14,9 @@
 namespace dramdig::sim {
 namespace {
 
-// Contracts of the counter-rng measurement tail: a batch equals the scalar
-// measure_pair sequence (each measurement's noise is keyed by its index),
+// Contracts of the counter-rng measurement tail: how a sequence of pairs is
+// cut into batches never changes what is measured (each measurement's noise
+// is keyed by its index, its contamination rate by its own clock prefix),
 // and the stream's statistics match the timing model's analytic ones.
 
 struct tail_fixture {
@@ -39,32 +42,68 @@ struct tail_fixture {
   return pairs;
 }
 
-TEST(CounterTail, LargeBatchMatchesScalarSequence) {
-  // The batch contract on a batch far larger than any one the pipeline
-  // issues: measure_pairs equals the scalar measure_pair sequence, draw
-  // for draw, and leaves the clock, counters and row buffers where the
-  // sequence does.
-  tail_fixture scalar(13), batched(13);
+/// Measures one 5000-pair sequence as one batch and, on an equal-seed
+/// controller, as consecutive sub-batches of the lengths `next_len` draws.
+/// Both must agree bit for bit: outputs, contamination flags, clock,
+/// counters and the row buffers a follow-up measurement reads. Bursts
+/// switch on and off many times across the sequence's virtual time, so
+/// each measurement's contamination rate depends on the clock at its own
+/// start, not at its batch's.
+template <class NextLen>
+void expect_split_matches_whole(NextLen next_len) {
+  timing_model bursty{};
+  bursty.contamination_chance = 0.02;
+  bursty.burst_mean_interval_s = 0.02;
+  bursty.burst_mean_duration_s = 0.02;
+  bursty.burst_contamination_factor = 20.0;
+  constexpr unsigned kRounds = 200;
+  tail_fixture whole(13, bursty), split(13, bursty);
 
-  const auto pairs = big_batch(scalar.spec.memory_bytes, 5000);
-  std::vector<pair_measurement> expected;
-  expected.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) {
-    expected.push_back(scalar.mc.measure_pair(a, b, 200));
+  const auto pairs = big_batch(whole.spec.memory_bytes, 5000);
+  const std::span<const addr_pair> all(pairs);
+  const auto want = whole.mc.measure_pairs(all, kRounds);
+
+  std::vector<pair_measurement> got, part;
+  for (std::size_t at = 0; at < all.size();) {
+    const std::size_t len = std::min<std::size_t>(next_len(), all.size() - at);
+    split.mc.measure_pairs(all.subspan(at, len), kRounds, part);
+    got.insert(got.end(), part.begin(), part.end());
+    at += len;
   }
-  const auto got = batched.mc.measure_pairs(pairs, 200);
-  ASSERT_EQ(got.size(), expected.size());
+
+  // The model really contaminates, in and out of bursts: 2% of 5000 is
+  // about 100 contaminated readings, 40% about 2000.
+  std::size_t contaminated = 0;
+  for (const auto& m : want) contaminated += m.contaminated;
+  EXPECT_GT(contaminated, 300u);
+  EXPECT_LT(contaminated, 1700u);
+
+  ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i].mean_access_ns, expected[i].mean_access_ns) << i;
-    EXPECT_EQ(got[i].contaminated, expected[i].contaminated) << i;
+    ASSERT_EQ(got[i].mean_access_ns, want[i].mean_access_ns) << i;
+    ASSERT_EQ(got[i].contaminated, want[i].contaminated) << i;
   }
-  EXPECT_EQ(batched.clock.now_ns(), scalar.clock.now_ns());
-  EXPECT_EQ(batched.mc.access_count(), scalar.mc.access_count());
-  EXPECT_EQ(batched.mc.measurement_count(), scalar.mc.measurement_count());
+  EXPECT_EQ(split.clock.now_ns(), whole.clock.now_ns());
+  EXPECT_EQ(split.mc.access_count(), whole.mc.access_count());
+  EXPECT_EQ(split.mc.measurement_count(), whole.mc.measurement_count());
   // A follow-up measurement's first access is classified against the row
   // left open in address 0's bank, so diverged row buffers change its mean.
-  EXPECT_DOUBLE_EQ(batched.mc.measure_pair(0, 1ull << 20, 1).mean_access_ns,
-                   scalar.mc.measure_pair(0, 1ull << 20, 1).mean_access_ns);
+  const addr_pair probe{0, 1ull << 20};
+  EXPECT_EQ(split.mc.measure_pairs({&probe, 1}, 1)[0].mean_access_ns,
+            whole.mc.measure_pairs({&probe, 1}, 1)[0].mean_access_ns);
+  EXPECT_EQ(split.clock.now_ns(), whole.clock.now_ns());
+}
+
+TEST(CounterTail, LargeBatchMatchesScalarSequence) {
+  // A batch far larger than any one the pipeline issues equals the same
+  // pairs measured one at a time, as 5000 one-element batches.
+  expect_split_matches_whole([] { return std::size_t{1}; });
+}
+
+TEST(CounterTail, AnySplitOfABatchMatchesTheWholeBatch) {
+  // Random consecutive sub-batches of 1 to 400 pairs.
+  rng cut(5);
+  expect_split_matches_whole([&cut] { return 1 + cut.below(400); });
 }
 
 TEST(CounterTail, CounterStreamMatchesAnalyticMean) {
@@ -82,11 +121,12 @@ TEST(CounterTail, CounterStreamMatchesAnalyticMean) {
 
   // The first measurement opens the bank (one closed access); every later
   // one finds the pair's other row open and conflicts on every access.
-  (void)f.mc.measure_pair(sbdr.first, sbdr.second, kRounds);
+  const std::vector<addr_pair> pairs(kMeas + 1, sbdr);
+  const auto all = f.mc.measure_pairs(pairs, kRounds);
   double sum = 0.0;
   int contaminated = 0;
-  for (int i = 0; i < kMeas; ++i) {
-    const auto m = f.mc.measure_pair(sbdr.first, sbdr.second, kRounds);
+  for (int i = 1; i <= kMeas; ++i) {
+    const auto& m = all[i];
     if (m.contaminated) {
       ++contaminated;
     } else {

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dram/presets.h"
 #include "sim/virtual_clock.h"
 #include "util/rng.h"
 
 namespace dramdig::sim {
 namespace {
+
+/// One pair measured as a one-element batch.
+pair_measurement measure_one(memory_controller& mc, std::uint64_t p1,
+                             std::uint64_t p2, unsigned rounds) {
+  const addr_pair pair{p1, p2};
+  return mc.measure_pairs({&pair, 1}, rounds)[0];
+}
 
 struct controller_fixture {
   dram::machine_spec spec = dram::machine_by_number(1);
@@ -37,21 +46,27 @@ struct controller_fixture {
 };
 
 TEST(MemoryController, IdealLatencyClassifiesRelationships) {
-  controller_fixture f;
-  const auto [a1, a2] = f.sbdr_pair();
-  EXPECT_DOUBLE_EQ(f.mc.ideal_pair_latency_ns(a1, a2),
-                   f.timing.row_conflict_ns);
-  const auto [b1, b2] = f.cross_bank_pair();
-  EXPECT_DOUBLE_EQ(f.mc.ideal_pair_latency_ns(b1, b2), f.timing.row_hit_ns);
-  const auto [c1, c2] = f.same_row_pair();
-  EXPECT_DOUBLE_EQ(f.mc.ideal_pair_latency_ns(c1, c2), f.timing.row_hit_ns);
+  // Without noise, a pair whose rows its previous measurement left open
+  // reads its steady-state latency on every access: a conflict for
+  // same-bank-different-row, a hit across banks or within one row.
+  timing_model quiet{};
+  quiet.access_noise_sigma_ns = 0.0;
+  quiet.contamination_chance = 0.0;
+  controller_fixture f(1, quiet);
+  const auto steady_ns = [&f](std::pair<std::uint64_t, std::uint64_t> p) {
+    (void)measure_one(f.mc, p.first, p.second, 10);
+    return measure_one(f.mc, p.first, p.second, 10).mean_access_ns;
+  };
+  EXPECT_DOUBLE_EQ(steady_ns(f.sbdr_pair()), f.timing.row_conflict_ns);
+  EXPECT_DOUBLE_EQ(steady_ns(f.cross_bank_pair()), f.timing.row_hit_ns);
+  EXPECT_DOUBLE_EQ(steady_ns(f.same_row_pair()), f.timing.row_hit_ns);
 }
 
 TEST(MemoryController, MeasurePairTracksIdealWithinNoise) {
   controller_fixture f;
   const auto [a1, a2] = f.sbdr_pair();
   for (int i = 0; i < 20; ++i) {
-    const auto m = f.mc.measure_pair(a1, a2, 1000);
+    const auto m = measure_one(f.mc, a1, a2, 1000);
     if (!m.contaminated) {
       EXPECT_NEAR(m.mean_access_ns, f.timing.row_conflict_ns, 2.0);
     }
@@ -65,8 +80,8 @@ TEST(MemoryController, MeasurementSeparationIsClean) {
   const auto [a1, a2] = f.sbdr_pair();
   const auto [b1, b2] = f.cross_bank_pair();
   for (int i = 0; i < 50; ++i) {
-    const double slow = f.mc.measure_pair(a1, a2, 1000).mean_access_ns;
-    const double fast = f.mc.measure_pair(b1, b2, 1000).mean_access_ns;
+    const double slow = measure_one(f.mc, a1, a2, 1000).mean_access_ns;
+    const double fast = measure_one(f.mc, b1, b2, 1000).mean_access_ns;
     EXPECT_GT(slow, fast);
   }
 }
@@ -74,7 +89,7 @@ TEST(MemoryController, MeasurementSeparationIsClean) {
 TEST(MemoryController, ClockAdvancesWithWork) {
   controller_fixture f;
   const std::uint64_t before = f.clock.now_ns();
-  (void)f.mc.measure_pair(0, 1ull << 20, 500);
+  (void)measure_one(f.mc, 0, 1ull << 20, 500);
   const std::uint64_t after = f.clock.now_ns();
   // 1000 accesses x ~(330 + 55 + 15) ns.
   EXPECT_GT(after - before, 300'000u);
@@ -83,17 +98,17 @@ TEST(MemoryController, ClockAdvancesWithWork) {
 
 TEST(MemoryController, CountsAccessesAndMeasurements) {
   controller_fixture f;
-  (void)f.mc.measure_pair(0, 64, 250);
-  (void)f.mc.measure_pair(0, 64, 1);
+  (void)measure_one(f.mc, 0, 64, 250);
+  (void)measure_one(f.mc, 0, 64, 1);
   EXPECT_EQ(f.mc.measurement_count(), 2u);
   EXPECT_EQ(f.mc.access_count(), 502u);
 }
 
 TEST(MemoryController, RejectsOutOfRangeAddresses) {
   controller_fixture f;
-  EXPECT_THROW((void)f.mc.measure_pair(f.spec.memory_bytes, 0, 10),
+  EXPECT_THROW((void)measure_one(f.mc, f.spec.memory_bytes, 0, 10),
                contract_violation);
-  EXPECT_THROW((void)f.mc.measure_pair(0, f.spec.memory_bytes, 10),
+  EXPECT_THROW((void)measure_one(f.mc, 0, f.spec.memory_bytes, 10),
                contract_violation);
   EXPECT_EQ(f.mc.measurement_count(), 0u);
 }
@@ -104,7 +119,7 @@ TEST(MemoryController, ContaminationIsOneSided) {
   controller_fixture f(3, noisy);
   const auto [b1, b2] = f.cross_bank_pair();
   for (int i = 0; i < 200; ++i) {
-    const auto m = f.mc.measure_pair(b1, b2, 1000);
+    const auto m = measure_one(f.mc, b1, b2, 1000);
     // Contamination only ever inflates the reading.
     EXPECT_GT(m.mean_access_ns, f.timing.row_hit_ns - 5.0);
   }
@@ -117,7 +132,7 @@ TEST(MemoryController, ContaminationFrequencyMatchesConfig) {
   controller_fixture f(4, noisy);
   int contaminated = 0;
   for (int i = 0; i < 2000; ++i) {
-    contaminated += f.mc.measure_pair(0, 64, 10).contaminated;
+    contaminated += measure_one(f.mc, 0, 64, 10).contaminated;
   }
   EXPECT_NEAR(contaminated / 2000.0, 0.25, 0.05);
 }
@@ -131,44 +146,43 @@ TEST(MemoryController, BurstsElevateContamination) {
   controller_fixture f(5, bursty);
   int contaminated = 0;
   for (int i = 0; i < 500; ++i) {
-    contaminated += f.mc.measure_pair(0, 64, 10).contaminated;
+    contaminated += measure_one(f.mc, 0, 64, 10).contaminated;
   }
   // 0.01 * 50 = 0.5 while bursting.
   EXPECT_GT(contaminated, 150);
 }
 
 TEST(MemoryController, BatchMatchesScalarSequence) {
-  // The batched engine's core contract: measure_pairs is bit-identical to
-  // the equivalent sequence of scalar measure_pair calls — same noise
-  // draws, same clock, same counters, same row-buffer state.
-  controller_fixture scalar(11), batched(11);
+  // Under the default timing model a 5000-pair batch equals the same pairs
+  // measured one at a time: same noise draws, same clock, same counters,
+  // same row-buffer state.
+  controller_fixture single(11), batched(11);
   rng addr(77);
   std::vector<addr_pair> pairs;
   for (int i = 0; i < 5000; ++i) {
-    pairs.emplace_back(addr.below(scalar.spec.memory_bytes) & ~63ull,
-                       addr.below(scalar.spec.memory_bytes) & ~63ull);
+    pairs.emplace_back(addr.below(single.spec.memory_bytes) & ~63ull,
+                       addr.below(single.spec.memory_bytes) & ~63ull);
   }
   std::vector<pair_measurement> expected;
   expected.reserve(pairs.size());
   for (const auto& [a, b] : pairs) {
-    expected.push_back(scalar.mc.measure_pair(a, b, 300));
+    expected.push_back(measure_one(single.mc, a, b, 300));
   }
   const auto got = batched.mc.measure_pairs(pairs, 300);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i].mean_access_ns, expected[i].mean_access_ns) << i;
+    EXPECT_EQ(got[i].mean_access_ns, expected[i].mean_access_ns) << i;
     EXPECT_EQ(got[i].contaminated, expected[i].contaminated) << i;
   }
-  EXPECT_EQ(batched.clock.now_ns(), scalar.clock.now_ns());
-  EXPECT_EQ(batched.mc.access_count(), scalar.mc.access_count());
-  EXPECT_EQ(batched.mc.measurement_count(), scalar.mc.measurement_count());
+  EXPECT_EQ(batched.clock.now_ns(), single.clock.now_ns());
+  EXPECT_EQ(batched.mc.access_count(), single.mc.access_count());
+  EXPECT_EQ(batched.mc.measurement_count(), single.mc.measurement_count());
   // Row-buffer state converged identically: a follow-up measurement's
   // first access is classified against the row the batch left open in
   // address 0's bank, so a diverged table changes its mean.
-  const auto next_batched = batched.mc.measure_pair(0, 1ull << 20, 1);
-  const auto next_scalar = scalar.mc.measure_pair(0, 1ull << 20, 1);
-  EXPECT_DOUBLE_EQ(next_batched.mean_access_ns, next_scalar.mean_access_ns);
-  EXPECT_EQ(batched.clock.now_ns(), scalar.clock.now_ns());
+  EXPECT_EQ(measure_one(batched.mc, 0, 1ull << 20, 1).mean_access_ns,
+            measure_one(single.mc, 0, 1ull << 20, 1).mean_access_ns);
+  EXPECT_EQ(batched.clock.now_ns(), single.clock.now_ns());
 }
 
 TEST(MemoryController, BatchRejectsOutOfRangeBeforeMeasuring) {
@@ -188,8 +202,8 @@ TEST(MemoryController, EmptyBatchIsANoOp) {
 TEST(MemoryController, DeterministicForEqualSeeds) {
   controller_fixture a(42), b(42);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_DOUBLE_EQ(a.mc.measure_pair(0, 1ull << 20, 100).mean_access_ns,
-                     b.mc.measure_pair(0, 1ull << 20, 100).mean_access_ns);
+    EXPECT_DOUBLE_EQ(measure_one(a.mc, 0, 1ull << 20, 100).mean_access_ns,
+                     measure_one(b.mc, 0, 1ull << 20, 100).mean_access_ns);
   }
 }
 
